@@ -56,6 +56,9 @@ struct Daemon {
     Opts.WorkerBudget = Budget;
     if (Opts.QueueDepth < 64)
       Opts.QueueDepth = 64;
+    // Unflushed report lines would otherwise be printed again by the
+    // child's copy of the stdio buffers.
+    std::fflush(nullptr);
     Pid = ::fork();
     if (Pid == 0)
       ::_exit(Server::serve(Opts));

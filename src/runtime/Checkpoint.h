@@ -160,7 +160,6 @@ public:
   /// Chunks covering the private footprint / entries one slot can hold.
   uint64_t chunkCount() const { return NumChunks; }
   uint64_t slotChunkCapacity() const { return ChunkCap; }
-  uint64_t slotStride() const { return SlotStride; }
 
   /// Union of the contributors' dirty-chunk masks for slot \p P
   /// (dirtyMaskWords(chunkCount()) words, in the shared region).

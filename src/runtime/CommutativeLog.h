@@ -134,13 +134,6 @@ public:
   }
 
   void clear() { Objects.clear(); }
-  size_t objectCount() const { return Objects.size(); }
-  uint64_t totalBytes() const {
-    uint64_t N = 0;
-    for (const ComObject &O : Objects)
-      N += O.SizeBytes;
-    return N;
-  }
   const std::vector<ComObject> &objects() const { return Objects; }
 
 private:

@@ -10,19 +10,19 @@
 /// misspeculation flag and earliest-misspeculation record (paper §5.3), a
 /// per-worker progress word and heartbeat feeding the main process's
 /// watchdog, and per-worker statistics feeding Table 3 and Figure 8.
-/// Lives in a MAP_SHARED|MAP_ANONYMOUS region created before fork so all
-/// workers see one instance.
+/// Lives in a MAP_SHARED|MAP_ANONYMOUS region mapped once per parallel
+/// invocation, before the first fork, so all workers see one instance;
+/// resetForEpoch() re-arms it in O(workers) at every epoch start.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef PRIVATEER_RUNTIME_CONTROLBLOCK_H
 #define PRIVATEER_RUNTIME_CONTROLBLOCK_H
 
-#include "support/Trace.h"
-
 #include <atomic>
 #include <cerrno>
 #include <cstdint>
+#include <cstring>
 
 #include <sched.h>
 #include <signal.h>
@@ -69,10 +69,6 @@ public:
     }
   }
 
-  bool lockOrBreak(uint32_t SelfPid) {
-    return lockOrBreak(SelfPid, [] {});
-  }
-
   void unlock() { Holder.store(0, std::memory_order_release); }
 
   /// PID of the current holder, 0 when free.
@@ -111,8 +107,6 @@ struct WorkerStats {
   uint64_t ComUpdates = 0;
   uint64_t ComRecordsMerged = 0;
   double UsefulSec = 0;
-  double PrivateReadSec = 0;
-  double PrivateWriteSec = 0;
   double CheckpointSec = 0;
   double StartWall = 0;
   double EndWall = 0;
@@ -135,10 +129,35 @@ struct ControlBlock {
   /// Checkpoint-slot locks broken by workers after their holder died.
   std::atomic<uint64_t> LocksBroken{0};
   WorkerStats Stats[kMaxWorkers];
-  /// Per-worker SPSC trace rings (worker produces, main process drains at
-  /// commit/join points).  Untouched pages when tracing is off, so the
-  /// ~4 MiB they add to the shared mapping costs address space only.
-  trace::Ring TraceRings[kMaxWorkers];
+
+  /// Re-arms the block for an epoch of \p NumWorkers workers starting at
+  /// \p BaseIter: clears the flag, the misspeculation record, the broken
+  /// lock count and those workers' entries, so no earlier epoch leaks in.
+  void resetForEpoch(unsigned NumWorkers, uint64_t BaseIter,
+                     uint64_t NowNs) {
+    MisspecFlag.store(0, std::memory_order_relaxed);
+    EarliestMisspecIter.store(kNoMisspec, std::memory_order_relaxed);
+    EarliestMisspecPeriod.store(kNoMisspec, std::memory_order_relaxed);
+    std::memset(MisspecReason, 0, sizeof(MisspecReason));
+    LocksBroken.store(0, std::memory_order_relaxed);
+    for (unsigned I = 0; I < NumWorkers; ++I) {
+      WorkerIter[I].store(BaseIter, std::memory_order_relaxed);
+      WorkerHeartbeat[I].store(NowNs, std::memory_order_relaxed);
+      Stats[I] = WorkerStats();
+    }
+  }
+
+  /// Records a misspeculation at \p Iter in period \p Period and raises
+  /// the flag; the first raiser copies \p Reason into the zeroed buffer.
+  /// Lock-free and async-signal-safe (a lock could die with its holder).
+  void raiseMisspec(uint64_t Iter, uint64_t Period, const char *Reason) {
+    storeMin(EarliestMisspecIter, Iter);
+    storeMin(EarliestMisspecPeriod, Period);
+    if (MisspecFlag.exchange(1, std::memory_order_acq_rel) != 0)
+      return;
+    for (size_t I = 0; I + 1 < sizeof(MisspecReason) && Reason[I]; ++I)
+      MisspecReason[I] = Reason[I];
+  }
 
   /// Atomically lowers \p Target to \p Value if smaller.
   static void storeMin(std::atomic<uint64_t> &Target, uint64_t Value) {
@@ -152,6 +171,8 @@ struct ControlBlock {
 
 static_assert(std::atomic<uint64_t>::is_always_lock_free,
               "control block requires lock-free 64-bit atomics");
+static_assert(sizeof(ControlBlock) <= 64 * 1024,
+              "the untraced coordination block must stay a few pages");
 
 } // namespace privateer
 

@@ -96,12 +96,7 @@ void workerSegvHandler(int /*Sig*/) {
         Cb->WorkerIter[ActiveWorkerId].load(std::memory_order_relaxed);
     uint64_t Period =
         (Iter - ActiveWorkerPeriodBase) / ActiveWorkerPeriodLen;
-    ControlBlock::storeMin(Cb->EarliestMisspecIter, Iter);
-    ControlBlock::storeMin(Cb->EarliestMisspecPeriod, Period);
-    if (Cb->MisspecFlag.exchange(1, std::memory_order_acq_rel) == 0) {
-      static const char Msg[] = "fault: store to a protected heap";
-      std::memcpy(Cb->MisspecReason, Msg, sizeof(Msg));
-    }
+    Cb->raiseMisspec(Iter, Period, "fault: store to a protected heap");
     // The ring push is atomics + a POD store, so it is as signal-safe as
     // the flag raise above.
     if (ActiveWorkerTraceRing)
@@ -120,18 +115,7 @@ void Runtime::misspecAbort(const char *Reason) {
     reportFatalError(std::string("misspeculation outside a speculative "
                                  "worker: ") +
                      Reason);
-  ControlBlock::storeMin(Cb->EarliestMisspecIter, CurIter);
-  ControlBlock::storeMin(Cb->EarliestMisspecPeriod,
-                         (CurIter - EpochBase) / PeriodLen);
-  // First-flag-setter wins the reason slot.  The main process only reads
-  // the reason after joining every worker, so the write below is complete
-  // (this process has _exited) by the time anyone reads it; no lock is
-  // needed, and none could be trusted — a worker dying inside a reason
-  // lock would wedge its siblings.
-  if (Cb->MisspecFlag.exchange(1, std::memory_order_acq_rel) == 0) {
-    std::strncpy(Cb->MisspecReason, Reason, sizeof(Cb->MisspecReason) - 1);
-    Cb->MisspecReason[sizeof(Cb->MisspecReason) - 1] = '\0';
-  }
+  Cb->raiseMisspec(CurIter, (CurIter - EpochBase) / PeriodLen, Reason);
   if (TraceRing)
     TraceRing->push(trace::makeEvent(
         trace::Kind::Misspec, static_cast<uint16_t>(1 + WorkerId),
@@ -472,6 +456,7 @@ InvocationStats Runtime::runParallel(uint64_t NumIterations,
   }
 
   Injector = nullptr;
+  unmapCoordination(Options.NumWorkers);
   if (DepMem)
     munmap(DepMem, DepBytes);
   DepRings = SavedRings;
@@ -550,27 +535,13 @@ Runtime::EpochResult Runtime::runEpoch(const EpochPlan &Plan,
   Res.Misspec = false;
   Res.MisspecPeriodEnd = Plan.BaseIter + Plan.EpochIters;
 
-  // Shared coordination state, created before fork so every worker and the
-  // main process observe one instance.
-  void *CbMem = mmap(nullptr, sizeof(ControlBlock), PROT_READ | PROT_WRITE,
-                     MAP_SHARED | MAP_ANONYMOUS, -1, 0);
-  if (CbMem == MAP_FAILED) {
-    Res.Degraded = true;
-    if (errno == ENOMEM) {
-      ++Stats.ResourceFailures;
-      Res.Reason = "out of memory: mmap control block: ";
-    } else {
-      Res.Reason = "mmap control block: ";
-    }
-    Res.Reason += std::strerror(errno);
+  // Shared coordination state, created before the first fork so every
+  // worker and the main process observe one instance.  A failed map
+  // degrades this epoch and is retried by the next one.
+  if (!Cb && !mapCoordination(W, Res, Stats))
     return Res;
-  }
-  Cb = new (CbMem) ControlBlock();
   uint64_t NowNs = monotonicNanos();
-  for (unsigned I = 0; I < kMaxWorkers; ++I) {
-    Cb->WorkerIter[I].store(Plan.BaseIter, std::memory_order_relaxed);
-    Cb->WorkerHeartbeat[I].store(NowNs, std::memory_order_relaxed);
-  }
+  Cb->resetForEpoch(W, Plan.BaseIter, NowNs);
 
   trace::Collector &Tc = trace::Collector::instance();
   uint64_t EpochStartNs = TraceOn ? NowNs : 0;
@@ -580,7 +551,7 @@ Runtime::EpochResult Runtime::runEpoch(const EpochPlan &Plan,
     if (!TraceOn)
       return;
     for (unsigned I = 0; I < W; ++I)
-      Tc.drainRing(Cb->TraceRings[I]);
+      Tc.drainRing(TraceRings[I]);
   };
 
   CheckpointRegion TheRegion;
@@ -610,9 +581,6 @@ Runtime::EpochResult Runtime::runEpoch(const EpochPlan &Plan,
     C.NumWorkers = W;
     C.SlotChunkCapacity = Options.CheckpointSlotChunks;
     if (!TheRegion.create(C)) {
-      Cb->~ControlBlock();
-      munmap(CbMem, sizeof(ControlBlock));
-      Cb = nullptr;
       Res.Degraded = true;
       if (errno == ENOMEM) {
         ++Stats.ResourceFailures;
@@ -676,9 +644,6 @@ Runtime::EpochResult Runtime::runEpoch(const EpochPlan &Plan,
         waitpid(Pid, nullptr, 0);
     sigprocmask(SIG_SETMASK, &OldMask, nullptr);
     Region = nullptr;
-    Cb->~ControlBlock();
-    munmap(CbMem, sizeof(ControlBlock));
-    Cb = nullptr;
     ++Stats.ForkFailures;
     Res.Degraded = true;
     return Res;
@@ -760,14 +725,7 @@ Runtime::EpochResult Runtime::runEpoch(const EpochPlan &Plan,
       Tc.record(trace::Kind::EarlyCutoff, 0, monotonicNanos(),
                 Stats.EarlyCutoffItersSaved - SavedBefore, 0,
                 static_cast<uint32_t>(P));
-    ControlBlock::storeMin(Cb->EarliestMisspecPeriod, P);
-    ControlBlock::storeMin(Cb->EarliestMisspecIter,
-                           Plan.BaseIter + P * Plan.Period);
-    if (Cb->MisspecFlag.exchange(1, std::memory_order_acq_rel) == 0) {
-      std::strncpy(Cb->MisspecReason, Why.c_str(),
-                   sizeof(Cb->MisspecReason) - 1);
-      Cb->MisspecReason[sizeof(Cb->MisspecReason) - 1] = '\0';
-    }
+    Cb->raiseMisspec(Plan.BaseIter + P * Plan.Period, P, Why.c_str());
   };
   // One pump pass: commit every slot that is ready, in iteration order.
   // Never reads Cb->MisspecReason (a worker that just won the flag race may
@@ -864,17 +822,14 @@ Runtime::EpochResult Runtime::runEpoch(const EpochPlan &Plan,
         // A worker died without reporting: treat its last known iteration
         // as misspeculated so recovery re-executes it non-speculatively.
         uint64_t Iter = Cb->WorkerIter[I].load(std::memory_order_relaxed);
-        ControlBlock::storeMin(Cb->EarliestMisspecIter, Iter);
-        ControlBlock::storeMin(Cb->EarliestMisspecPeriod,
-                               (Iter - Plan.BaseIter) / Plan.Period);
-        if (Cb->MisspecFlag.exchange(1) == 0)
-          std::snprintf(Cb->MisspecReason, sizeof(Cb->MisspecReason),
-                        StallKilled[I]
-                            ? "worker %u stalled; killed by watchdog "
-                              "(status 0x%x)"
-                            : "worker %u terminated abnormally (status "
-                              "0x%x)",
-                        I, Status);
+        char Why[sizeof(Cb->MisspecReason)];
+        std::snprintf(Why, sizeof(Why),
+                      StallKilled[I]
+                          ? "worker %u stalled; killed by watchdog "
+                            "(status 0x%x)"
+                          : "worker %u terminated abnormally (status 0x%x)",
+                      I, Status);
+        Cb->raiseMisspec(Iter, (Iter - Plan.BaseIter) / Plan.Period, Why);
       }
     }
     if (Remaining == 0)
@@ -942,8 +897,6 @@ Runtime::EpochResult Runtime::runEpoch(const EpochPlan &Plan,
     Stats.ComUpdates += S.ComUpdates;
     Stats.ComRecordsMerged += S.ComRecordsMerged;
     Stats.UsefulSec += S.UsefulSec;
-    Stats.PrivateReadSec += S.PrivateReadSec;
-    Stats.PrivateWriteSec += S.PrivateWriteSec;
     Stats.CheckpointSec += S.CheckpointSec;
   }
   Stats.LocksBroken += Cb->LocksBroken.load(std::memory_order_relaxed);
@@ -965,14 +918,11 @@ Runtime::EpochResult Runtime::runEpoch(const EpochPlan &Plan,
       if (Flag && P >= MisspecPeriod) {
         Res.Misspec = true;
         Res.Reason = Cb->MisspecReason;
-        Res.MisspecPeriodEnd = std::min(
-            Plan.BaseIter + Plan.EpochIters,
-            Plan.BaseIter + (MisspecPeriod + 1) * Plan.Period);
+        Res.MisspecPeriodEnd = slotEnd(MisspecPeriod);
         break;
       }
       SlotHeader *H = TheRegion.slot(P);
-      uint64_t SlotEnd = std::min(Plan.BaseIter + Plan.EpochIters,
-                                  Plan.BaseIter + (P + 1) * Plan.Period);
+      uint64_t SlotEnd = slotEnd(P);
       if (H->Lock.holder() != 0) {
         H->Lock.forceBreak();
         ++Stats.LocksBroken;
@@ -1075,16 +1025,55 @@ Runtime::EpochResult Runtime::runEpoch(const EpochPlan &Plan,
 
   if (TraceOn) {
     for (unsigned I = 0; I < W; ++I)
-      Tc.noteDrops(I, Cb->TraceRings[I].dropped());
+      Tc.noteDrops(I, TraceRings[I].takeDropped());
     Tc.record(trace::Kind::Epoch, 0, monotonicNanos(), EpochStartNs,
               Plan.BaseIter, static_cast<uint32_t>(Plan.NumSlots));
   }
 
   Region = nullptr;
-  Cb->~ControlBlock();
-  munmap(CbMem, sizeof(ControlBlock));
-  Cb = nullptr;
   return Res;
+}
+
+bool Runtime::mapCoordination(unsigned W, EpochResult &Res,
+                              InvocationStats &Stats) {
+  // Fresh anonymous mappings are already zero, so default construction
+  // writes only the few fields whose initial value is not zero.
+  auto mapShared = [&](size_t Bytes, const char *What) -> void * {
+    void *Mem = mmap(nullptr, Bytes, PROT_READ | PROT_WRITE,
+                     MAP_SHARED | MAP_ANONYMOUS, -1, 0);
+    if (Mem != MAP_FAILED)
+      return Mem;
+    int Err = errno;
+    Stats.ResourceFailures += Err == ENOMEM;
+    Res.Degraded = true;
+    Res.Reason = std::string(Err == ENOMEM ? "out of memory: " : "") +
+                 "mmap " + What + ": " + std::strerror(Err);
+    return nullptr;
+  };
+  void *CbMem = mapShared(sizeof(ControlBlock), "control block");
+  if (!CbMem)
+    return false;
+  Cb = new (CbMem) ControlBlock;
+  if (!TraceOn)
+    return true;
+  void *RingMem = mapShared(W * sizeof(trace::Ring), "trace rings");
+  if (!RingMem) {
+    unmapCoordination(W);
+    return false;
+  }
+  TraceRings = static_cast<trace::Ring *>(RingMem);
+  for (unsigned I = 0; I < W; ++I)
+    new (&TraceRings[I]) trace::Ring;
+  return true;
+}
+
+void Runtime::unmapCoordination(unsigned W) {
+  if (Cb)
+    munmap(Cb, sizeof(ControlBlock));
+  if (TraceRings)
+    munmap(TraceRings, W * sizeof(trace::Ring));
+  Cb = nullptr;
+  TraceRings = nullptr;
 }
 
 void Runtime::workerMain(unsigned Id, const EpochPlan &Plan,
@@ -1105,9 +1094,9 @@ void Runtime::workerMain(unsigned Id, const EpochPlan &Plan,
   PendingCom.clear();
   IoSequence = 0;
 
-  // This worker's SPSC trace ring in the shared control block; row 1 + Id
+  // This worker's SPSC trace ring in the shared ring mapping; row 1 + Id
   // on the exported timeline (row 0 is the main process).
-  TraceRing = TraceOn ? &Cb->TraceRings[Id] : nullptr;
+  TraceRing = TraceOn ? &TraceRings[Id] : nullptr;
   const uint16_t TraceRow = static_cast<uint16_t>(1 + Id);
   if (TraceRing)
     TraceRing->push(trace::makeEvent(trace::Kind::WorkerBegin, TraceRow,
@@ -1208,6 +1197,11 @@ void Runtime::workerMain(unsigned Id, const EpochPlan &Plan,
     // iterations) are what a pipeline timeline needs to show skew and
     // fill/drain.  Zero cost when tracing is off.
     uint64_t StagePassStartNs = Staged && TraceRing ? monotonicNanos() : 0;
+    // UsefulSec is CPU time of the whole period loop, bookkeeping below
+    // included: two thread-CPU clock reads per period instead of per
+    // iteration, which for short bodies cost more than the body itself.
+    // A period cut short by misspecAbort contributes nothing.
+    double UsefulStart = cpuSeconds();
     for (uint64_t I = First; I < PeriodEnd; I += Step) {
       CurIter = I;
       Cb->WorkerIter[Id].store(I, std::memory_order_relaxed);
@@ -1230,10 +1224,7 @@ void Runtime::workerMain(unsigned Id, const EpochPlan &Plan,
         Injector->onWorkerIteration(Id, I); // May kill or stall us here.
       CurTs = shadow::timestampFor(I, PeriodStart);
       uint64_t ShortLivedLiveAtStart = SL.liveCount();
-      {
-        CategoryTimer Timer(LocalStats.UsefulSec);
-        Body(I);
-      }
+      Body(I);
       ++LocalStats.Iterations;
       Executed = true;
 
@@ -1260,6 +1251,7 @@ void Runtime::workerMain(unsigned Id, const EpochPlan &Plan,
         break;
       }
     }
+    LocalStats.UsefulSec += cpuSeconds() - UsefulStart;
     if (StagePassStartNs)
       TraceRing->push(trace::makeEvent(
           trace::Kind::StagePass, TraceRow, monotonicNanos(),

@@ -30,20 +30,6 @@ enum class ReduxOp : uint8_t { Add, Mul, Min, Max };
 /// Element type of a reduction object (a scalar or an array of these).
 enum class ReduxElem : uint8_t { I32, I64, F32, F64 };
 
-inline constexpr const char *reduxOpName(ReduxOp Op) {
-  switch (Op) {
-  case ReduxOp::Add:
-    return "add";
-  case ReduxOp::Mul:
-    return "mul";
-  case ReduxOp::Min:
-    return "min";
-  case ReduxOp::Max:
-    return "max";
-  }
-  return "<invalid>";
-}
-
 inline constexpr size_t reduxElemSize(ReduxElem E) {
   switch (E) {
   case ReduxElem::I32:

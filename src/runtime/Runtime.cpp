@@ -7,12 +7,63 @@
 #include "support/Statistics.h"
 #include "support/Timing.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
 #include <unistd.h>
 
 using namespace privateer;
+
+InvocationStats &InvocationStats::operator+=(const InvocationStats &S) {
+  Iterations += S.Iterations;
+  Checkpoints += S.Checkpoints;
+  Misspecs += S.Misspecs;
+  RecoveredIterations += S.RecoveredIterations;
+  Epochs += S.Epochs;
+  PrivateReadCalls += S.PrivateReadCalls;
+  PrivateReadBytes += S.PrivateReadBytes;
+  PrivateWriteCalls += S.PrivateWriteCalls;
+  PrivateWriteBytes += S.PrivateWriteBytes;
+  SeparationChecks += S.SeparationChecks;
+  CheckpointDirtyChunks += S.CheckpointDirtyChunks;
+  CheckpointBytesScanned += S.CheckpointBytesScanned;
+  CheckpointBytesSkipped += S.CheckpointBytesSkipped;
+  PrivateFootprintBytes = std::max(PrivateFootprintBytes,
+                                   S.PrivateFootprintBytes);
+  EagerSlots += S.EagerSlots;
+  EarlyCutoffs += S.EarlyCutoffs;
+  EarlyCutoffItersSaved += S.EarlyCutoffItersSaved;
+  OverlapSec += S.OverlapSec;
+  UsefulSec += S.UsefulSec;
+  PrivateReadSec += S.PrivateReadSec;
+  PrivateWriteSec += S.PrivateWriteSec;
+  CheckpointSec += S.CheckpointSec;
+  WallSec += S.WallSec;
+  if (FirstMisspecReason.empty())
+    FirstMisspecReason = S.FirstMisspecReason;
+  StalledWorkersKilled += S.StalledWorkersKilled;
+  LocksBroken += S.LocksBroken;
+  ForkFailures += S.ForkFailures;
+  ResourceFailures += S.ResourceFailures;
+  DegradedEpochs += S.DegradedEpochs;
+  DegradedIterations += S.DegradedIterations;
+  if (FirstDegradeReason.empty())
+    FirstDegradeReason = S.FirstDegradeReason;
+  DepPosts += S.DepPosts;
+  DepWaits += S.DepWaits;
+  DepWaitSpins += S.DepWaitSpins;
+  DepWaitTimeouts += S.DepWaitTimeouts;
+  ComUpdates += S.ComUpdates;
+  ComRecordsMerged += S.ComRecordsMerged;
+  ComRecordsCommitted += S.ComRecordsCommitted;
+  ComOverflows += S.ComOverflows;
+  std::copy(std::begin(S.HeapLiveObjects), std::end(S.HeapLiveObjects),
+            HeapLiveObjects);
+  std::copy(std::begin(S.HeapHighWaterBytes), std::end(S.HeapHighWaterBytes),
+            HeapHighWaterBytes);
+  return *this;
+}
 
 Runtime &Runtime::get() {
   static Runtime TheRuntime;

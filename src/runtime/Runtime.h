@@ -32,6 +32,7 @@
 #include "runtime/HeapKind.h"
 #include "runtime/Reduction.h"
 #include "runtime/SharedHeap.h"
+#include "support/Trace.h"
 
 #include <cstdarg>
 #include <cstdio>
@@ -210,7 +211,7 @@ struct InvocationStats {
   uint64_t EarlyCutoffItersSaved = 0;
   /// Wall seconds of commit work the pump overlapped with live workers.
   double OverlapSec = 0;
-  double UsefulSec = 0;
+  double UsefulSec = 0; ///< Worker CPU in period loops, read per period.
   double PrivateReadSec = 0;
   double PrivateWriteSec = 0;
   double CheckpointSec = 0;
@@ -245,6 +246,12 @@ struct InvocationStats {
   /// end of the invocation, indexed by HeapKind.
   uint64_t HeapLiveObjects[kNumHeapKinds] = {};
   uint64_t HeapHighWaterBytes[kNumHeapKinds] = {};
+
+  /// Folds a later invocation's stats into this running total: counters
+  /// and seconds add, PrivateFootprintBytes takes the max, the heap
+  /// footprint snapshot takes \p S's (the later one), and each reason
+  /// string keeps the first non-empty value.
+  InvocationStats &operator+=(const InvocationStats &S);
 };
 
 using IterationFn = std::function<void(uint64_t)>;
@@ -274,7 +281,6 @@ public:
   void heapDealloc(void *P, HeapKind K);
 
   SharedHeap &heap(HeapKind K);
-  SharedHeap &shadowHeap() { return Shadow; }
 
   /// Declares a reduction-privatized object (must lie in the redux heap)
   /// with its element type and associative/commutative operator.
@@ -287,7 +293,6 @@ public:
   /// reductions no identity fill or registry-driven combine is needed.
   void registerCommutative(void *P, size_t Bytes, ComOp Op,
                            uint8_t ElemBytes);
-  CommutativeRegistry &commutatives() { return Com; }
 
   // --- Speculation interface (inserted by the compiler, §4.5-4.6) --------
 
@@ -444,6 +449,13 @@ private:
   EpochResult runEpoch(const EpochPlan &Plan, const ParallelOptions &Options,
                        const IterationFn &Body, InvocationStats &Stats);
 
+  /// Maps the invocation's shared coordination state for \p NumWorkers
+  /// workers: the control block, plus the trace rings when tracing.  On
+  /// failure fills \p Res as a degraded epoch and returns false.
+  bool mapCoordination(unsigned NumWorkers, EpochResult &Res,
+                       InvocationStats &Stats);
+  void unmapCoordination(unsigned NumWorkers);
+
   /// Sequential fallback for [Begin, End) with the invocation's output
   /// sink; records the degradation in \p Stats.
   void runDegraded(uint64_t Begin, uint64_t End,
@@ -465,6 +477,8 @@ private:
 
   // Invocation-scoped state (valid between runEpoch set-up and tear-down).
   ExecMode Mode = ExecMode::Sequential;
+  /// Mapped by the invocation's first epoch, re-armed at every epoch start
+  /// and unmapped when runParallel returns.
   ControlBlock *Cb = nullptr;
   CheckpointRegion *Region = nullptr;
   /// Active fault injector, set for the duration of runParallel; workers
@@ -489,11 +503,13 @@ private:
   /// serialized into the slot's com-log section at merge time.
   std::vector<ComRecord> PendingCom;
   WorkerStats LocalStats;
-  /// Tracing, armed per invocation by ParallelOptions::TracePath.  In a
-  /// worker process TraceRing points at this worker's SPSC ring inside the
-  /// shared control block; in the main process it stays null and events go
-  /// straight to the trace::Collector.
+  /// Tracing, armed per invocation by ParallelOptions::TracePath.  The
+  /// per-worker SPSC rings get their own MAP_SHARED mapping, made only
+  /// when tracing and kept for the invocation like the control block.  In
+  /// a worker process TraceRing points at this worker's ring; in the main
+  /// process it stays null and events go straight to the trace::Collector.
   bool TraceOn = false;
+  trace::Ring *TraceRings = nullptr;
   trace::Ring *TraceRing = nullptr;
   std::FILE *SeqOut = nullptr; ///< Sink for immediate (sequential) output.
 

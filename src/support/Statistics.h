@@ -51,11 +51,6 @@ public:
       Visit(Key.first, Key.second, Value);
   }
 
-  template <typename Fn> void forEachReal(Fn Visit) const {
-    for (const auto &[Key, Value] : RealCounters)
-      Visit(Key.first, Key.second, Value);
-  }
-
 private:
   std::map<std::pair<std::string, std::string>, uint64_t> Counters;
   std::map<std::pair<std::string, std::string>, double> RealCounters;

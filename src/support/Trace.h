@@ -123,9 +123,7 @@ inline Event makeEvent(Kind K, uint16_t Worker, uint64_t TimeNs, uint64_t A,
 }
 
 /// Events one ring holds; must be a power of two.  At 32 bytes per event
-/// one ring is 64 KiB; the control block carries one per possible worker,
-/// all of it untouched (and therefore physically unallocated) until the
-/// first traced event lands.
+/// one ring is 64 KiB; a traced invocation maps one per worker.
 inline constexpr uint32_t kRingCapacity = 2048;
 
 /// Fixed-size single-producer/single-consumer ring.  The producer is one
@@ -161,6 +159,12 @@ public:
   }
 
   uint64_t dropped() const { return Dropped.load(std::memory_order_relaxed); }
+
+  /// Returns the drops counted since the last call and restarts the count,
+  /// so a ring reused across epochs reports each drop exactly once.
+  uint64_t takeDropped() {
+    return Dropped.exchange(0, std::memory_order_relaxed);
+  }
 
   /// Published events not yet drained.
   uint32_t size() const {
@@ -206,8 +210,9 @@ public:
   /// Drains one worker ring into the timeline.
   uint32_t drainRing(Ring &R);
 
-  /// Folds a ring's final drop count into the trace.dropped statistic and
-  /// emits a RingDrops event when non-zero.  Call once per ring per epoch.
+  /// Folds a ring's drop count for one epoch into the trace.dropped
+  /// statistic and emits a RingDrops event when non-zero.  Call once per
+  /// ring per epoch with Ring::takeDropped().
   void noteDrops(unsigned Worker, uint64_t Count);
 
   /// Serializes the timeline to path() as Chrome-trace JSON (rewrites the

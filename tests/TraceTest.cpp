@@ -83,6 +83,21 @@ TEST(TraceRing, OverflowCountsDropsWithoutCorruptingEarlierEvents) {
   EXPECT_EQ(R->dropped(), 100u);
 }
 
+TEST(TraceRing, TakeDroppedReportsEachDropOnce) {
+  // A ring reused across epochs reports its drops per epoch: the second
+  // epoch must not count the first epoch's drops again.
+  auto R = std::make_unique<trace::Ring>();
+  for (uint64_t I = 0; I < trace::kRingCapacity + 5; ++I)
+    R->push(sealedEvent(I));
+  R->drain([](const trace::Event &) {});
+  EXPECT_EQ(R->takeDropped(), 5u);
+  EXPECT_EQ(R->takeDropped(), 0u);
+  for (uint64_t I = 0; I < 10; ++I)
+    ASSERT_TRUE(R->push(sealedEvent(I)));
+  EXPECT_EQ(R->takeDropped(), 0u);
+  EXPECT_EQ(R->size(), 10u);
+}
+
 TEST(TraceRing, WrapAroundPreservesOrderAcrossManyCycles) {
   auto R = std::make_unique<trace::Ring>();
   uint64_t Pushed = 0, Expect = 0;
@@ -277,6 +292,60 @@ TEST(TraceSmoke, TracedParallelRunEmitsLoadableTimeline) {
   }
 
   trace::Collector::instance().enable(std::string()); // Disarm.
+  std::remove(TracePath.c_str());
+}
+
+TEST(TraceSmoke, MultiEpochRunRecordsEveryWorkerInEveryEpoch) {
+  // The rings live for the whole invocation and are reused by every
+  // epoch: each epoch's workers must still land their worker_begin, and
+  // the drop count must not grow by re-reporting earlier epochs.
+  std::string TracePath =
+      ::testing::TempDir() + "privateer-trace-multi-epoch.json";
+  std::remove(TracePath.c_str());
+  RuntimeConfig C;
+  C.PrivateBytes = 1u << 20;
+  C.ReadOnlyBytes = 1u << 16;
+  C.ReduxBytes = 1u << 16;
+  C.ShortLivedBytes = 1u << 16;
+  C.UnrestrictedBytes = 1u << 16;
+  Runtime::get().initialize(C);
+
+  constexpr unsigned W = 3;
+  constexpr uint64_t N = 48, Period = 8;
+  auto *Out =
+      static_cast<long *>(h_alloc(N * sizeof(long), HeapKind::Private));
+  ParallelOptions Par;
+  Par.NumWorkers = W;
+  Par.CheckpointPeriod = Period;
+  Par.MaxSlotsPerEpoch = 1;
+  Par.TracePath = TracePath;
+  StatisticRegistry &Sr = StatisticRegistry::instance();
+  uint64_t Dropped0 = Sr.counter("trace", "dropped");
+  InvocationStats S = Runtime::get().runParallel(N, Par, [Out](uint64_t I) {
+    private_write(&Out[I], sizeof(long));
+    Out[I] = static_cast<long>(I);
+  });
+  ASSERT_EQ(S.Misspecs, 0u) << S.FirstMisspecReason;
+  ASSERT_EQ(S.Epochs, N / Period);
+
+  std::string Json = readWholeFile(TracePath);
+  ASSERT_FALSE(Json.empty()) << "trace file missing: " << TracePath;
+  for (unsigned Wk = 0; Wk < W; ++Wk) {
+    std::string Key = "\"pid\":" + std::to_string(1 + Wk) +
+                      ",\"tid\":0,\"s\":\"p\",\"name\":\"worker_begin\"";
+    size_t Count = 0;
+    for (size_t At = Json.find(Key); At != std::string::npos;
+         At = Json.find(Key, At + 1))
+      ++Count;
+    EXPECT_EQ(Count, S.Epochs) << "worker " << Wk;
+  }
+  uint64_t Dropped = Sr.counter("trace", "dropped") - Dropped0;
+  EXPECT_EQ(Dropped, trace::Collector::instance().droppedTotal());
+  EXPECT_NE(Json.find("\"dropped_events\":" + std::to_string(Dropped)),
+            std::string::npos);
+
+  trace::Collector::instance().enable(std::string()); // Disarm.
+  Runtime::get().shutdown();
   std::remove(TracePath.c_str());
 }
 
