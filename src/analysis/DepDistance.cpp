@@ -27,7 +27,7 @@ bool addOverflows(int64_t A, int64_t B, int64_t &Out) {
 
 /// Tiny interval analysis over the index expression: just enough to prove
 /// the dependence-distance term of a generated recurrence (masks, moduli,
-/// and small affine combinations) lies in [1, kMaxPlannedDistance].
+/// and small affine combinations) lies in [1, depchan::kMaxDistance].
 Interval intervalOf(const Value *V, unsigned Depth = 0) {
   if (Depth > 8)
     return unknown();
@@ -137,7 +137,7 @@ bool matchScaled(Value *Off, Value *&Index, uint64_t &Scale) {
 }
 
 /// Matches \p J as IV - x with x statically proven in
-/// [1, kMaxPlannedDistance]; reports the proven [DMin, DMax].
+/// [1, depchan::kMaxDistance]; reports the proven [DMin, DMax].
 bool matchBackIndex(Value *J, const Instruction *IvPhi, uint64_t &DMin,
                     uint64_t &DMax) {
   if (J->kind() != ValueKind::Instruction)
@@ -153,7 +153,7 @@ bool matchBackIndex(Value *J, const Instruction *IvPhi, uint64_t &DMin,
            I->operand(0)->kind() == ValueKind::ConstInt)
     X = exact(-static_cast<ConstantInt *>(I->operand(0))->value());
   if (!X.Known || X.Lo < 1 ||
-      X.Hi > static_cast<int64_t>(kMaxPlannedDistance))
+      X.Hi > static_cast<int64_t>(depchan::kMaxDistance))
     return false;
   DMin = static_cast<uint64_t>(X.Lo);
   DMax = static_cast<uint64_t>(X.Hi);

@@ -15,7 +15,7 @@
 ///    distance one;
 ///  - an array recurrence A[i] = f(A[i - x]) has distance x whenever the
 ///    store indexes the array by the canonical IV, the load by IV - x,
-///    and a small interval analysis proves x in [1, kMaxPlannedDistance].
+///    and a small interval analysis proves x in [1, depchan::kMaxDistance].
 ///
 /// Each such dependence becomes a token channel: the producing iteration
 /// posts its value into a shared-memory ring (runtime/DepChannel.h) and
@@ -31,6 +31,7 @@
 
 #include "analysis/FunctionAnalyses.h"
 #include "profiling/Profile.h"
+#include "runtime/DepChannel.h"
 
 #include <set>
 #include <string>
@@ -38,12 +39,6 @@
 
 namespace privateer {
 namespace analysis {
-
-/// Rings hold 16384 slots; keep the planned window well below that so a
-/// worker running an entire ring ahead of a stalled consumer (which would
-/// recycle the consumer's slot and force a timeout misspeculation) needs
-/// pathological skew.
-inline constexpr uint64_t kMaxPlannedDistance = 4096;
 
 /// One loop-carried scalar recurrence: a non-IV header phi, forwarded at
 /// distance one.  Iteration i posts the latch-incoming value and

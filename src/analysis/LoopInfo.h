@@ -43,7 +43,6 @@ public:
   const std::vector<ir::BasicBlock *> &latches() const { return Latches; }
 
   Loop *parent() const { return ParentLoop; }
-  const std::vector<Loop *> &subLoops() const { return Children; }
   unsigned depth() const {
     unsigned D = 1;
     for (Loop *P = ParentLoop; P; P = P->ParentLoop)

@@ -240,13 +240,6 @@ struct BytecodeProgram {
   /// so executing a prelowered program (e.g. in a warm executive) can size
   /// the runtime's token rings without the classification results.
   uint32_t NumDepChannels = 0;
-  /// Total instructions across functions (Statistic fodder).
-  uint64_t totalCode() const {
-    uint64_t N = 0;
-    for (const BcFunction &F : Functions)
-      N += F.Code.size();
-    return N;
-  }
 };
 
 } // namespace bytecode

@@ -99,14 +99,6 @@ struct HeapAssignment {
   uint32_t DoacrossChannels = 0;
   uint64_t DoacrossMinDistance = 0;
   std::set<const ir::Instruction *> PrivacyElides;
-
-  std::set<profiling::ObjectKey> objectsIn(HeapKind K) const {
-    std::set<profiling::ObjectKey> Out;
-    for (const auto &[O, H] : ObjectHeaps)
-      if (H == K)
-        Out.insert(O);
-    return Out;
-  }
 };
 
 /// Algorithm 2 over the loop body and everything reachable through calls.

@@ -23,7 +23,6 @@ public:
   explicit IRBuilder(Module &M) : M(M) {}
 
   void setInsertPoint(BasicBlock *B) { Block = B; }
-  BasicBlock *insertBlock() const { return Block; }
   Module &module() { return M; }
 
   ConstantInt *i64(int64_t V) { return M.constInt(V); }
@@ -124,8 +123,7 @@ public:
     return append(std::move(I));
   }
 
-  /// Phi with incoming (block, value) pairs; may be extended later with
-  /// addIncoming-style calls on the instruction.
+  /// Empty phi; add incoming pairs with addOperand and addBlockRef.
   Instruction *phi(Type Ty, std::string Name) {
     auto I = make(Opcode::Phi, Ty, std::move(Name));
     return append(std::move(I));
@@ -157,12 +155,6 @@ public:
     auto I = make(Opcode::FpToSi, Type::I64, std::move(Name));
     I->addOperand(V);
     return append(std::move(I));
-  }
-
-  static void addIncoming(Instruction *Phi, BasicBlock *From, Value *V) {
-    assert(Phi->opcode() == Opcode::Phi && "not a phi");
-    Phi->addOperand(V);
-    Phi->addBlockRef(From);
   }
 
 private:

@@ -26,8 +26,6 @@ namespace ir {
 
 std::vector<std::string> verifyModule(const Module &M);
 
-inline bool isWellFormed(const Module &M) { return verifyModule(M).empty(); }
-
 } // namespace ir
 } // namespace privateer
 

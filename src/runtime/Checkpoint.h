@@ -157,12 +157,11 @@ public:
   const Config &config() const { return Cfg; }
   SlotHeader *slot(uint64_t P) const;
 
-  /// Chunks covering the private footprint / entries one slot can hold.
-  uint64_t chunkCount() const { return NumChunks; }
+  /// Entries one slot can hold.
   uint64_t slotChunkCapacity() const { return ChunkCap; }
 
-  /// Union of the contributors' dirty-chunk masks for slot \p P
-  /// (dirtyMaskWords(chunkCount()) words, in the shared region).
+  /// Union of the contributors' dirty-chunk masks for slot \p P (one bit
+  /// per chunk of the private footprint, in the shared region).
   uint64_t *slotDirtyMask(uint64_t P) const;
 
   /// True when slot \p P's header is consistent with the epoch plan.  A

@@ -71,10 +71,8 @@ private:
   bool Lowered = false;
 };
 
-/// The runtime whose worker is active in this process; used by the SIGSEGV
-/// handler that converts stores to the protected read-only heap into
-/// misspeculation.
-Runtime *ActiveWorkerRuntime = nullptr;
+/// The worker active in this process, for the SIGSEGV handler that
+/// converts stores to the protected read-only heap into misspeculation.
 ControlBlock *ActiveWorkerCb = nullptr;
 unsigned ActiveWorkerId = 0;
 uint64_t ActiveWorkerPeriodBase = 0;
@@ -305,6 +303,16 @@ InvocationStats Runtime::runParallelStaged(uint64_t NumIterations,
   return Stats;
 }
 
+uint64_t privateer::checkpointPeriodFor(const ParallelOptions &Options,
+                                        uint64_t NumIterations) {
+  constexpr uint64_t kMax = shadow::kMaxCheckpointPeriod - 1;
+  if (Options.CheckpointPeriod != 0)
+    return std::clamp<uint64_t>(Options.CheckpointPeriod, 1, kMax);
+  uint64_t Quarters = 4 * uint64_t{std::max(1u, Options.NumWorkers)};
+  return std::clamp<uint64_t>((NumIterations + Quarters - 1) / Quarters, 64,
+                              kMax);
+}
+
 InvocationStats Runtime::runParallel(uint64_t NumIterations,
                                      const ParallelOptions &Options,
                                      const IterationFn &Body) {
@@ -336,12 +344,13 @@ InvocationStats Runtime::runParallel(uint64_t NumIterations,
               std::min<uint64_t>(Shadow.size(),
                                  heap(HeapKind::Private).highWater()));
 
-  // One below the paper's 253-iteration ceiling: timestamp 255 is
-  // reserved as the checkpoint slots' read+write conflict code.
-  uint64_t Period = std::max<uint64_t>(
-      1, std::min(Options.CheckpointPeriod,
-                  shadow::kMaxCheckpointPeriod - 1));
+  uint64_t Period = checkpointPeriodFor(Options, NumIterations);
   uint64_t MaxSlots = std::max<uint64_t>(1, Options.MaxSlotsPerEpoch);
+  // A token ring must out-span an epoch plus the dependence distance, or a
+  // worker running ahead recycles a slot a sibling has yet to read.
+  if (Options.NumDepChannels > 0)
+    MaxSlots = std::clamp<uint64_t>(
+        (depchan::kRingSlots - depchan::kMaxDistance) / Period, 1, MaxSlots);
 
   FaultInjector Fi(Options.Faults);
   Injector = Fi.enabled() ? &Fi : nullptr;
@@ -1118,7 +1127,6 @@ void Runtime::workerMain(unsigned Id, const EpochPlan &Plan,
       misspecAbort("copy-on-write remap failed in worker");
     if (Options.ProtectReadOnly) {
       heap(HeapKind::ReadOnly).protectReadOnly();
-      ActiveWorkerRuntime = this;
       ActiveWorkerCb = Cb;
       ActiveWorkerId = Id;
       ActiveWorkerPeriodBase = Plan.BaseIter;

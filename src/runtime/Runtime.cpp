@@ -101,13 +101,20 @@ void Runtime::initialize(const RuntimeConfig &C) {
     }
     reportFatalError("unknown heap kind in initialize()");
   };
+  // Heaps parked by an earlier shutdown are reused (SharedHeap::open).  The
+  // shadow is only written below the private heap's high water; read it
+  // before the private allocator starts over.
+  SharedHeap &Priv = heap(HeapKind::Private);
+  size_t ShadowDirty = Priv.isCreated() ? Priv.highWater() : 0;
   for (unsigned I = 0; I < kNumHeapKinds; ++I) {
     HeapKind K = static_cast<HeapKind>(I);
-    Heaps[I].create(heapBase(K), SizeOf(K), /*WithAllocator=*/true);
+    Heaps[I].open(heapBase(K), SizeOf(K), /*WithAllocator=*/true,
+                  Heaps[I].isCreated() ? Heaps[I].highWater() : 0);
   }
   // "the runtime also creates a shadow heap ... which has the same size as
   // the private heap" (§5.1).
-  Shadow.create(shadowHeapBase(), C.PrivateBytes, /*WithAllocator=*/false);
+  Shadow.open(shadowHeapBase(), C.PrivateBytes, /*WithAllocator=*/false,
+              ShadowDirty);
   Mode = ExecMode::Sequential;
   Initialized = true;
 }
@@ -121,9 +128,10 @@ void Runtime::shutdown() {
     std::string Err;
     trace::Collector::instance().flush(Err);
   }
-  for (SharedHeap &H : Heaps)
-    H.destroy();
-  Shadow.destroy();
+  // The heaps stay mapped (parked): the next initialize in this process
+  // reuses them instead of paying for seven memfds, mmaps and munmaps.
+  // Their pages are freed there, not here; freeing them here measured as
+  // slow as unmapping (DESIGN.md §7).
   Redux.clear();
   Com.clear();
   Initialized = false;

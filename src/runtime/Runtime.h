@@ -101,8 +101,8 @@ enum class ExecMode : uint8_t {
 
 struct ParallelOptions {
   unsigned NumWorkers = 4;
-  /// Checkpoint period k; clamped to the paper's 253-iteration maximum.
-  uint64_t CheckpointPeriod = 64;
+  /// Checkpoint period k; 0 (the default) derives it: checkpointPeriodFor.
+  uint64_t CheckpointPeriod = 0;
   /// Upper bound on checkpoint slots per fork/join epoch; a long loop runs
   /// as several consecutive epochs.
   uint64_t MaxSlotsPerEpoch = 32;
@@ -179,6 +179,12 @@ struct ParallelOptions {
   /// tracing fully off: workers skip the ring pushes entirely.
   std::string TracePath;
 };
+
+/// The checkpoint period of an N-iteration runParallel: an explicit one
+/// clamped to [1, 252] (timestamp 255 is the slots' conflict code), else
+/// clamp(ceil(N / 4W), 64, 252) (DESIGN.md §9 "Checkpoint period").
+uint64_t checkpointPeriodFor(const ParallelOptions &Options,
+                             uint64_t NumIterations);
 
 /// Dynamic counters of one invocation; the raw material for Table 3 and
 /// Figure 8.
@@ -266,8 +272,11 @@ public:
   Runtime &operator=(const Runtime &) = delete;
   ~Runtime();
 
-  /// Creates and maps all logical heaps at their tagged addresses.
+  /// Maps all logical heaps at their tagged addresses, reusing the ones an
+  /// earlier shutdown of this process parked.
   void initialize(const RuntimeConfig &Config = RuntimeConfig());
+  /// Flushes the trace and forgets registered objects; the heaps stay
+  /// mapped (parked) for the next initialize.
   void shutdown();
   bool isInitialized() const { return Initialized; }
 

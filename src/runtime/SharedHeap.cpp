@@ -4,6 +4,7 @@
 
 #include "support/ErrorHandling.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cerrno>
 #include <cstring>
@@ -62,14 +63,36 @@ void SharedHeap::create(uint64_t BaseAddr, size_t Size, bool WithAllocator) {
   Base = BaseAddr;
   Bytes = Size;
   HasAllocator = WithAllocator;
-  if (HasAllocator) {
-    auto *H = reinterpret_cast<HeapHeader *>(Base);
-    H->Magic = kHeapMagic;
-    H->Bump = dataStartOffset();
-    H->Live = 0;
-    H->FreeHead = 0;
-    H->HighWater = H->Bump;
+  OwnerPid = getpid();
+  initHeader();
+}
+
+void SharedHeap::initHeader() {
+  if (!HasAllocator)
+    return;
+  auto *H = reinterpret_cast<HeapHeader *>(Base);
+  H->Magic = kHeapMagic;
+  H->Bump = dataStartOffset();
+  H->Live = 0;
+  H->FreeHead = 0;
+  H->HighWater = H->Bump;
+}
+
+void SharedHeap::open(uint64_t BaseAddr, size_t Size, bool WithAllocator,
+                      size_t DirtyBytes) {
+  if (!isCreated() || Base != BaseAddr || Bytes != Size ||
+      OwnerPid != getpid()) {
+    destroy();
+    create(BaseAddr, Size, WithAllocator);
+    return;
   }
+  // Punching frees the pages where a memset would keep zeros resident; the
+  // next touch faults in a fresh zero page, exactly as in a new mapping.
+  // A kernel without shmem hole punching gets the memset.
+  size_t Len = std::min(Bytes, (DirtyBytes + 4095) & ~size_t(4095));
+  if (madvise(reinterpret_cast<void *>(Base), Len, MADV_REMOVE) != 0)
+    std::memset(reinterpret_cast<void *>(Base), 0, Len);
+  initHeader();
 }
 
 void SharedHeap::destroy() {
@@ -159,20 +182,6 @@ bool SharedHeap::tryRemapCopyOnWrite() {
   void *Got = mmap(reinterpret_cast<void *>(Base), Bytes,
                    PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_FIXED, Fd, 0);
   return Got == reinterpret_cast<void *>(Base);
-}
-
-void SharedHeap::remapCopyOnWrite() {
-  if (!tryRemapCopyOnWrite())
-    reportFatalError(std::string("mmap COW remap: ") + std::strerror(errno));
-}
-
-void SharedHeap::remapShared() {
-  assert(isCreated() && "heap not created");
-  void *Got = mmap(reinterpret_cast<void *>(Base), Bytes,
-                   PROT_READ | PROT_WRITE, MAP_SHARED | MAP_FIXED, Fd, 0);
-  if (Got != reinterpret_cast<void *>(Base))
-    reportFatalError(std::string("mmap shared remap: ") +
-                     std::strerror(errno));
 }
 
 void SharedHeap::protectReadOnly() {

@@ -27,6 +27,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include <sys/types.h>
+
 namespace privateer {
 
 class SharedHeap {
@@ -40,7 +42,17 @@ public:
   /// If \p WithAllocator is false the region is raw storage (the shadow
   /// heap), otherwise an in-heap allocator header is initialized.
   void create(uint64_t BaseAddr, size_t Size, bool WithAllocator);
+  /// Unmaps the heap and closes its backing object; never writes to it.
   void destroy();
+
+  /// create(), unless this process already maps the heap at \p BaseAddr
+  /// with \p Size bytes: then it is made byte-identical to a fresh heap.
+  /// The pages of [0, \p DirtyBytes) go back to the kernel and read zero
+  /// again (bytes past it must never have been written), and the allocator
+  /// starts over.  A forked child inherits its parent's MAP_SHARED mapping
+  /// but never reuses it: it only unmaps it.
+  void open(uint64_t BaseAddr, size_t Size, bool WithAllocator,
+            size_t DirtyBytes);
 
   bool isCreated() const { return Base != 0; }
   uint64_t base() const { return Base; }
@@ -77,17 +89,11 @@ public:
   /// Replaces this process's view with a copy-on-write (MAP_PRIVATE)
   /// mapping of the same backing object at the same address.  "the OS traps
   /// updates to the private heap and silently duplicates those pages, thus
-  /// isolating each worker's updates" (§3.2).
-  void remapCopyOnWrite();
-
-  /// Like remapCopyOnWrite but reports failure instead of aborting, so a
-  /// worker that cannot isolate itself can degrade to misspeculation
-  /// (sequential re-execution) rather than kill the whole program.
+  /// isolating each worker's updates" (§3.2).  Reports failure instead of
+  /// aborting, so a worker that cannot isolate itself can degrade to
+  /// misspeculation (sequential re-execution) rather than kill the whole
+  /// program.
   [[nodiscard]] bool tryRemapCopyOnWrite();
-
-  /// Replaces this process's view with a fresh MAP_SHARED mapping (used by
-  /// the main process; also restores write-through after a COW remap).
-  void remapShared();
 
   /// Write-protects the current mapping; any store raises SIGSEGV, which
   /// the worker translates into misspeculation.
@@ -98,6 +104,9 @@ private:
   size_t Bytes = 0;
   int Fd = -1;
   bool HasAllocator = false;
+  pid_t OwnerPid = 0; ///< The process that created the backing object.
+
+  void initHeader();
 };
 
 } // namespace privateer

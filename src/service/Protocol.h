@@ -152,7 +152,8 @@ struct JobRequest {
   /// Pipeline stage count hint, 0 = derive from the worker count (v5).
   uint32_t NumStages = 0;
   uint32_t NumWorkers = 4;
-  uint64_t CheckpointPeriod = 64;
+  /// 0 = derive from the loop (checkpointPeriodFor).
+  uint64_t CheckpointPeriod = 0;
   uint64_t MaxSlotsPerEpoch = 32;
   double InjectMisspecRate = 0.0;
   uint64_t InjectSeed = 1;

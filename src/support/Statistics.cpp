@@ -27,12 +27,6 @@ double &StatisticRegistry::real(const std::string &Group,
   return RealCounters[{Group, Name}];
 }
 
-double StatisticRegistry::getReal(const std::string &Group,
-                                  const std::string &Name) const {
-  auto It = RealCounters.find({Group, Name});
-  return It == RealCounters.end() ? 0.0 : It->second;
-}
-
 void StatisticRegistry::reset() {
   Counters.clear();
   RealCounters.clear();

@@ -38,7 +38,6 @@ public:
   /// with live workers); kept in a separate plane so integer counters stay
   /// exact.
   double &real(const std::string &Group, const std::string &Name);
-  double getReal(const std::string &Group, const std::string &Name) const;
 
   void reset();
 

@@ -379,7 +379,6 @@ Cell transform::executeSequential(Module &M, const PipelineOptions &Opt,
     *EngineUsed = BP ? ExecEngine::Bytecode : ExecEngine::Interp;
 
   Runtime &Rt = Runtime::get();
-  bool OwnRuntime = !Rt.isInitialized();
   Rt.setSequentialOutput(Out);
   Cell Result;
   if (BP) {
@@ -394,6 +393,5 @@ Cell transform::executeSequential(Module &M, const PipelineOptions &Opt,
     Result = Interp.run(Opt.EntryFunction, Opt.EntryArgs);
   }
   Rt.setSequentialOutput(nullptr);
-  (void)OwnRuntime;
   return Result;
 }

@@ -54,8 +54,6 @@ public:
   std::string referenceDigest() const override;
 
 private:
-  double priceOne(uint64_t I) const;
-
   uint64_t NumSwaptions;
   unsigned Trials;
   static constexpr unsigned kSteps = 12;

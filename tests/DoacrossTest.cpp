@@ -15,7 +15,14 @@
 #include "transform/Pipeline.h"
 #include "workloads/IrPrograms.h"
 
+#include "support/Timing.h"
+
 #include <gtest/gtest.h>
+
+#include <cstring>
+#include <vector>
+
+#include <unistd.h>
 
 using namespace privateer;
 using namespace privateer::ir;
@@ -277,6 +284,49 @@ TEST(Doacross, PipelineStrategyDegradesToTokenScheduling) {
   EXPECT_EQ(Got, Expected);
   EXPECT_EQ(E.ReturnValue.asInt(), ExpectedRet);
   EXPECT_EQ(E.Stats.Misspecs, 0u) << E.Stats.FirstMisspecReason;
+}
+
+TEST(Doacross, LargeEpochsNeverRecycleALiveToken) {
+  // At W=3 and a distance that is a multiple of 3, every worker forwards
+  // only to itself, so nothing but the epoch bounds how far one worker
+  // runs ahead of another.  Worker 2 naps mid-loop with its early tokens
+  // posted but not yet consumed.  An epoch longer than the ring minus
+  // the distance would let workers 0 and 1 lap the ring and recycle those
+  // slots, and worker 2 would wait for them until the dep-wait timeout.
+  constexpr unsigned W = 3;
+  constexpr uint64_t Dist = 4095;
+  static_assert(Dist % W == 0 && Dist < depchan::kMaxDistance, "");
+  constexpr uint64_t N = 24576;
+  Runtime &Rt = Runtime::get();
+  Rt.initialize();
+  auto *A = static_cast<uint64_t *>(Rt.heapAlloc(N * 8, HeapKind::Private));
+  auto Body = [&Rt, A](uint64_t I) {
+    if (I == 3002 && Rt.mode() == ExecMode::SpeculativeWorker)
+      usleep(300000);
+    uint64_t Prev = I >= Dist ? Rt.waitDep(I - Dist, 0) : 10 + I;
+    uint64_t V = (33 * Prev + I) % 1000003;
+    Rt.privateWrite(&A[I], 8);
+    A[I] = V;
+    Rt.postDep(I, 0, V);
+  };
+  Rt.runSequential(0, N, Body);
+  std::vector<uint64_t> Expected(A, A + N);
+  std::memset(A, 0, N * 8);
+
+  ParallelOptions Par;
+  Par.NumWorkers = W;
+  Par.CheckpointPeriod = 64;
+  Par.MaxSlotsPerEpoch = 1024; // 65,536 iterations, four rings' worth.
+  Par.Strat = Strategy::Doacross;
+  Par.NumDepChannels = 1;
+  Par.DepDistance = Dist;
+  Par.StallTimeoutSec = 5 * timeoutScale();
+  InvocationStats S = Rt.runParallel(N, Par, Body);
+  EXPECT_EQ(S.DepWaitTimeouts, 0u);
+  EXPECT_EQ(S.Misspecs, 0u) << S.FirstMisspecReason;
+  EXPECT_GE(S.Epochs, 2u);
+  EXPECT_EQ(std::memcmp(A, Expected.data(), N * 8), 0);
+  Rt.shutdown();
 }
 
 } // namespace

@@ -437,6 +437,13 @@ std::string readAllFile(std::FILE *F) {
   return Out;
 }
 
+/// One sweep configuration's checkpoint period: 0 (derived from the trip
+/// count) or an explicit 4..32.
+uint64_t drawPeriod(DeterministicRng &Cfg) {
+  uint64_t K = 3 + Cfg.nextBelow(30);
+  return K == 3 ? 0 : K;
+}
+
 TEST(RandomizedIrSweep, ParallelRuntimeMatchesSequentialAcrossMatrix) {
   unsigned Seeds = 25;
   if (const char *Env = std::getenv("PRIVATEER_RANDOM_SWEEP_SEEDS"))
@@ -485,7 +492,7 @@ TEST(RandomizedIrSweep, ParallelRuntimeMatchesSequentialAcrossMatrix) {
     for (unsigned Conf = 0; Conf < 4; ++Conf) {
       ParallelOptions Par;
       Par.NumWorkers = WorkerChoices[Cfg.nextBelow(5)];
-      Par.CheckpointPeriod = 4 + Cfg.nextBelow(29);
+      Par.CheckpointPeriod = drawPeriod(Cfg);
       Par.MaxSlotsPerEpoch = 2 + Cfg.nextBelow(15);
       Par.EagerCommit = (Conf & 1) != 0;
       bool Faults = (Conf & 2) != 0;
@@ -714,7 +721,7 @@ TEST(RandomizedIrSweep, DoacrossPipelineMatchesSequentialAcrossMatrix) {
     for (unsigned Conf = 0; Conf < 4; ++Conf) {
       ParallelOptions Par;
       Par.NumWorkers = WorkerChoices[Cfg.nextBelow(5)];
-      Par.CheckpointPeriod = 4 + Cfg.nextBelow(29);
+      Par.CheckpointPeriod = drawPeriod(Cfg);
       Par.MaxSlotsPerEpoch = 2 + Cfg.nextBelow(15);
       Par.EagerCommit = (Conf & 1) != 0;
       bool Faults = (Conf & 2) != 0;
@@ -1021,7 +1028,7 @@ TEST(RandomizedIrSweep, CommutativeLoopsMatchSequentialAcrossMatrix) {
     for (unsigned Conf = 0; Conf < 4; ++Conf) {
       ParallelOptions Par;
       Par.NumWorkers = WorkerChoices[Cfg.nextBelow(5)];
-      Par.CheckpointPeriod = 4 + Cfg.nextBelow(29);
+      Par.CheckpointPeriod = drawPeriod(Cfg);
       Par.MaxSlotsPerEpoch = 2 + Cfg.nextBelow(15);
       Par.EagerCommit = (Conf & 1) != 0;
       bool Faults = (Conf & 2) != 0;

@@ -54,8 +54,10 @@ TEST(HeapTags, AddressInHeapSweep) {
 
 class HeapAllocatorTest : public ::testing::Test {
 protected:
+  // 1 TiB above the runtime's own unrestricted heap, which an earlier test
+  // in this process may have left parked there; still inside the tag range.
   void SetUp() override {
-    Heap.create(heapBase(HeapKind::Unrestricted), 1u << 20,
+    Heap.create(heapBase(HeapKind::Unrestricted) + (1ull << 40), 1u << 20,
                 /*WithAllocator=*/true);
   }
   void TearDown() override { Heap.destroy(); }

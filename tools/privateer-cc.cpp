@@ -47,7 +47,8 @@ int usage(const char *Argv0) {
                "  --stages <n>      pipeline stage count hint (default: one\n"
                "                    per worker)\n"
                "  --workers <n>     speculative workers (default 4)\n"
-               "  --period <k>      checkpoint period (default 64)\n"
+               "  --period <k>      checkpoint period, 1-252 (default 0:\n"
+               "                    derived from the trip count, 64-252)\n"
                "  --inject <rate>   inject misspeculation (fraction)\n"
                "  --trace <f>       write a Chrome-trace/Perfetto event\n"
                "                    timeline of the parallel run to <f>\n"
@@ -70,8 +71,8 @@ int main(int Argc, char **Argv) {
   std::string ConnectSock;
   bool Emit = false, Seq = false, Verbose = false;
   ExecEngine Engine = ExecEngine::Bytecode;
-  // Knob defaults are ParallelOptions' own (4 workers, period 64), so the
-  // usage text, local runs, and service submissions all agree.
+  // Knob defaults are ParallelOptions' own (4 workers, derived period), so
+  // the usage text, local runs, and service submissions all agree.
   ParallelOptions Par;
 
   for (int I = 1; I < Argc; ++I) {

@@ -40,7 +40,8 @@ int usage(const char *Argv0) {
       "  --stages <n>      pipeline stage count hint (default: one per\n"
       "                    worker)\n"
       "  --workers <n>     speculative workers (default 4)\n"
-      "  --period <k>      checkpoint period (default 64)\n"
+      "  --period <k>      checkpoint period, 1-252 (default 0: derived\n"
+      "                    from the trip count, 64-252)\n"
       "  --inject <rate>   inject misspeculation (fraction)\n"
       "  --seed <s>        misspeculation-injection seed\n"
       "  --deadline <sec>  per-job deadline (daemon scales it by\n"
