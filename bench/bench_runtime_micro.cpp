@@ -587,7 +587,7 @@ double jitSeqSec(ir::Module &M, transform::ExecEngine Engine, int Reps) {
     std::FILE *Out = std::tmpfile();
     transform::ExecEngine Used = transform::ExecEngine::Interp;
     uint64_t T0 = monotonicNanos();
-    transform::executeSequential(M, Opt, Out, nullptr, &Used);
+    transform::executeSequential(M, Opt, Out, &Used);
     double Sec = static_cast<double>(monotonicNanos() - T0) * 1e-9;
     std::fclose(Out);
     if (Used != Engine) {

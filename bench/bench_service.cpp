@@ -3,12 +3,12 @@
 // Measures what the persistent daemon buys over one-shot invocation:
 //
 //   * cold vs warm submit latency — a cache miss pays parse + training
-//     profile + classification + transform before the supervisor even
-//     forks; a warm hit pays only fork + execute.  The acceptance
+//     profile + classification + transform before the executive even
+//     starts; a warm hit pays only dispatch + execute.  The acceptance
 //     criterion is a >= 5x warm advantage for a pipeline-heavy program.
-//   * jobs/sec with 1 vs 4 concurrent clients — per-job supervisor
-//     processes let independent jobs overlap.
-//   * supervisor-crash survival — a SIGKILLed supervisor must cost its
+//   * jobs/sec with 1 vs 4 concurrent clients — executive processes let
+//     independent jobs overlap.
+//   * executive-crash survival — a SIGKILLed executive must cost its
 //     own job only; the next job on the same connection succeeds.
 //
 // `--service-report[=path]` writes BENCH_service.json (CI uploads it) and
@@ -181,7 +181,7 @@ bool measureThroughput(const std::string &Socket, Throughput &T,
   return true;
 }
 
-/// The daemon-restart test: kill a supervisor out from under a job, then
+/// The crash-survival test: kill an executive out from under a job, then
 /// prove the same connection still works.
 bool measureKillSurvival(const std::string &Socket, std::string &Err) {
   Client C;
@@ -625,9 +625,10 @@ int runChaosReport(std::string &ChaosJson) {
 //
 // `--scale-report` measures what the executive pool buys under fan-in: 64
 // concurrent clients hammering one warm program against (a) the pooled
-// daemon and (b) the same daemon with the pool disabled (per-job fork).
-// The exit code enforces a >= 3x throughput advantage and that the pooled
-// arm's warm hits performed zero supervisor forks and exactly one
+// daemon and (b) the same daemon with the pool disabled (a one-shot
+// executive forked per job).  The exit code enforces a >= 3x throughput
+// advantage and that the pooled arm's warm hits performed zero one-shot
+// forks (the supervisor_forks counter) and exactly one
 // parse/lowering (the cold miss).
 
 /// Pulls the integer after `"Key": ` out of the daemon's status JSON.
@@ -737,7 +738,7 @@ int runScaleReport(std::string &ScaleJson) {
   }
 
   // Baseline arm: the identical daemon with the pool disabled, so every
-  // job pays fork + supervisor setup.
+  // job pays the fork of a one-shot executive.
   ScaleArm Base;
   {
     ServerOptions Opts;
@@ -754,7 +755,7 @@ int runScaleReport(std::string &ScaleJson) {
   double Ratio = Base.JobsPerSec > 0 ? Pooled.JobsPerSec / Base.JobsPerSec : 0;
   bool RatioPass = Ratio >= 3.0;
   // Warm hits must have skipped fork AND parse/lowering: one cold miss,
-  // zero supervisor forks, every job answered by the pool.
+  // zero one-shot forks, every job answered by the pool.
   bool ZeroForkWarm = Forks == 0 && Misses == 1 &&
                       PoolDispatches >= Clients * JobsPerClient;
 

@@ -632,11 +632,11 @@ private:
       return;
     case Opcode::PostDep:
       emit(BcOp::PostDep, regFor(I.operand(0)), regFor(I.operand(1)), 0,
-           static_cast<int64_t>(I.accessBytes()));
+           static_cast<int64_t>(I.depChannel()));
       return;
     case Opcode::WaitDep:
       emit(BcOp::WaitDep, Regs[&I], regFor(I.operand(0)), 0,
-           static_cast<int64_t>(I.accessBytes()));
+           static_cast<int64_t>(I.depChannel()));
       return;
     case Opcode::Phi:
     case Opcode::Br:

@@ -91,13 +91,11 @@ struct HeapAssignment {
   std::vector<std::string> Notes;
 
   /// Set by the pipeline when the DOACROSS pre-pass rewrote this loop:
-  /// token channels the runtime must map, the smallest forwarded
-  /// distance (the loop's pipeline slack), and loads whose privacy
-  /// checks the privatizer must elide (the pre-loop fallback arm of a
-  /// forwarding select reads private-heap bytes that are deliberately
-  /// discarded, and must not be validated).
+  /// token channels the runtime must map, and loads whose privacy checks
+  /// the privatizer must elide (the pre-loop fallback arm of a forwarding
+  /// select reads private-heap bytes that are deliberately discarded, and
+  /// must not be validated).
   uint32_t DoacrossChannels = 0;
-  uint64_t DoacrossMinDistance = 0;
   std::set<const ir::Instruction *> PrivacyElides;
 };
 

@@ -359,13 +359,13 @@ Cell Interpreter::execute(const Instruction &I, Frame &F) {
     return Cell();
   case Opcode::PostDep:
     Rt.postDep(static_cast<uint64_t>(eval(I.operand(0), F).asInt()),
-               static_cast<uint32_t>(I.accessBytes()),
+               I.depChannel(),
                eval(I.operand(1), F).Raw);
     return Cell();
   case Opcode::WaitDep: {
     Cell R;
     R.Raw = Rt.waitDep(static_cast<uint64_t>(eval(I.operand(0), F).asInt()),
-                       static_cast<uint32_t>(I.accessBytes()));
+                       I.depChannel());
     return R;
   }
   case Opcode::Phi:

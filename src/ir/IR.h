@@ -221,6 +221,18 @@ public:
   }
   void setAccessBytes(uint64_t B) { Bytes = B; }
 
+  /// Token channel of a postdep/waitdep.
+  uint32_t depChannel() const {
+    assert((Op == Opcode::PostDep || Op == Opcode::WaitDep) &&
+           "not a dependence-token op");
+    return static_cast<uint32_t>(Bytes);
+  }
+  void setDepChannel(uint32_t C) {
+    assert((Op == Opcode::PostDep || Op == Opcode::WaitDep) &&
+           "not a dependence-token op");
+    Bytes = C;
+  }
+
   ComOp comOp() const {
     assert(Op == Opcode::ComUpdate && "not a commutative update");
     return COp;

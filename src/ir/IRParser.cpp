@@ -541,7 +541,7 @@ private:
       Instruction *I = Create(Opcode::PostDep, Type::Void);
       if (!addValueOperand(I, Args[0]) || !addValueOperand(I, Args[1]))
         return false;
-      I->setAccessBytes(std::stoull(Args[2]));
+      I->setDepChannel(static_cast<uint32_t>(std::stoull(Args[2])));
       return true;
     }
     if (Mn == "waitdep") {
@@ -551,7 +551,7 @@ private:
       Instruction *I = Create(Opcode::WaitDep, Type::I64);
       if (!addValueOperand(I, Args[0]))
         return false;
-      I->setAccessBytes(std::stoull(Args[1]));
+      I->setDepChannel(static_cast<uint32_t>(std::stoull(Args[1])));
       return true;
     }
     if (Mn == "comupdate") {

@@ -175,11 +175,11 @@ void printInstruction(const Instruction &I, std::string &Out) {
     break;
   case Opcode::PostDep:
     Out += "postdep " + valueRef(I.operand(0)) + ", " +
-           valueRef(I.operand(1)) + ", " + std::to_string(I.accessBytes());
+           valueRef(I.operand(1)) + ", " + std::to_string(I.depChannel());
     break;
   case Opcode::WaitDep:
     Out += "waitdep " + valueRef(I.operand(0)) + ", " +
-           std::to_string(I.accessBytes());
+           std::to_string(I.depChannel());
     break;
   case Opcode::ComUpdate:
     Out += std::string("comupdate ") + comOpName(I.comOp()) + ", " +

@@ -146,10 +146,6 @@ struct ParallelOptions {
   /// (DOACROSS) or per stage boundary (pipeline).  >0 maps a MAP_SHARED
   /// ring region inherited by workers; 0 keeps DOALL behavior.
   uint32_t NumDepChannels = 0;
-  /// Minimum analyzed/proved dependence distance.  Informational: bounds
-  /// the attainable DOACROSS overlap (distance >= workers keeps every
-  /// worker busy).
-  uint32_t DepDistance = 0;
   /// Pipeline stage count for runParallelStaged; clamped to NumWorkers.
   uint32_t NumStages = 0;
 

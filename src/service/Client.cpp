@@ -35,19 +35,8 @@ bool Client::connect(const std::string &Path, std::string &Err,
       return false;
     }
     if (::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) ==
-        0) {
-      // v4 handshake: announce tenant + capabilities.  A plain anonymous
-      // in-band client skips it and is indistinguishable from v2/v3.
-      if (!Tenant.empty() || UseMemfd) {
-        std::string HErr;
-        if (!sendHello(HErr)) {
-          // A daemon that cannot answer Hello still serves submissions;
-          // degrade to the in-band anonymous path rather than failing.
-          MemfdNegotiated = false;
-        }
-      }
+        0)
       return true;
-    }
     int E = errno;
     ::close(Fd);
     Fd = -1;
@@ -63,23 +52,6 @@ void Client::close() {
   if (Fd >= 0)
     ::close(Fd);
   Fd = -1;
-  MemfdNegotiated = false;
-}
-
-bool Client::sendHello(std::string &Err) {
-  HelloRequest H;
-  H.Version = kProtocolVersion;
-  H.TenantId = Tenant;
-  H.WantMemfd = UseMemfd;
-  std::string ReplyBody;
-  if (!roundTrip(MsgType::Hello, encodeHello(H), MsgType::HelloReply,
-                 ReplyBody, Err, 5 * timeoutScale()))
-    return false;
-  HelloReply HR;
-  if (!decodeHelloReply(ReplyBody, HR, Err))
-    return false;
-  MemfdNegotiated = UseMemfd && HR.MemfdOk;
-  return true;
 }
 
 Client::RtStatus Client::roundTripStatus(MsgType Send,
@@ -161,10 +133,8 @@ bool Client::submit(const JobRequest &Req, JobReply &Reply, std::string &Err,
   const std::string Body = encodeJobRequest(Stamped);
 
   // Zero-copy alternative: the module text sealed in a memfd, the frame
-  // body carrying everything else.  Built lazily on the first attempt
-  // that has the capability; the fd survives retries (SCM_RIGHTS dups it
-  // into the kernel per send), and any attempt on a connection that lost
-  // the negotiation falls back to the in-band body.
+  // body carrying everything else.  Built on the first attempt; the
+  // fd survives retries (SCM_RIGHTS dups it into the kernel per send).
   int ModuleFd = -1;
   std::string MemfdBody;
   struct FdGuard {
@@ -182,7 +152,7 @@ bool Client::submit(const JobRequest &Req, JobReply &Reply, std::string &Err,
   unsigned Attempt = 0;
   while (true) {
     ++Attempt;
-    bool ViaMemfd = MemfdNegotiated;
+    bool ViaMemfd = UseMemfd;
     if (ViaMemfd && ModuleFd < 0) {
       std::string MErr;
       ModuleFd = sealedMemfd("privateer-module", Stamped.ModuleText.data(),

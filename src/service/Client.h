@@ -55,9 +55,7 @@ public:
 
   /// Connects to the daemon socket; retries until \p TimeoutSec so a
   /// just-spawned daemon has time to bind.  Remembers the path for
-  /// submit()'s transparent reconnects.  When Tenant or UseMemfd is set
-  /// the connection is prefaced with a Hello handshake (protocol v4);
-  /// otherwise the client behaves exactly like a v2/v3 caller.
+  /// submit()'s transparent reconnects.
   bool connect(const std::string &SocketPath, std::string &Err,
                double TimeoutSec = 5.0);
 
@@ -82,22 +80,17 @@ public:
   /// Reconnect + resubmit policy; tests and tools may tighten or disable.
   RetryPolicy Retry;
 
-  /// Multi-tenant identity stamped on every submission and announced in
-  /// the Hello handshake.  Empty = the anonymous tenant.  Set before
-  /// connect().
+  /// Multi-tenant identity stamped on every submission that names none.
+  /// Empty = the anonymous tenant.
   std::string Tenant;
 
-  /// Request zero-copy submission: module text travels in a sealed memfd
-  /// via SCM_RIGHTS instead of in the frame body.  Used only when the
-  /// daemon's HelloReply grants it; otherwise submissions silently fall
-  /// back in-band.  Set before connect().
+  /// Zero-copy submission: module text travels in a sealed memfd via
+  /// SCM_RIGHTS instead of in the frame body (the daemon always accepts
+  /// it).  Falls back in-band when no memfd can be created.
   bool UseMemfd = false;
 
   /// Transport-level reconnects performed by submit() so far.
   uint64_t reconnects() const { return Reconnects; }
-
-  /// True when the current connection negotiated memfd submission.
-  bool memfdNegotiated() const { return MemfdNegotiated; }
 
   /// Submissions that actually traveled as sealed memfds.
   uint64_t memfdSubmits() const { return MemfdSubmits; }
@@ -115,14 +108,12 @@ private:
   bool roundTrip(MsgType Send, const std::string &Body, MsgType Expect,
                  std::string &ReplyBody, std::string &Err,
                  double TimeoutSec);
-  bool sendHello(std::string &Err);
   uint64_t nextRand();
 
   int Fd = -1;
   std::string SocketPath;
   uint64_t Reconnects = 0;
   uint64_t RngState = 0;
-  bool MemfdNegotiated = false;
   uint64_t MemfdSubmits = 0;
 };
 

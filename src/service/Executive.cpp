@@ -1,9 +1,9 @@
-//===- service/Executive.cpp - Pre-warmed executive process ---------------===//
+//===- service/Executive.cpp - The one job runner -------------------------===//
 
 #include "service/Executive.h"
 
 #include "bytecode/Image.h"
-#include "service/Protocol.h"
+#include "service/ProgramCache.h"
 #include "support/Timing.h"
 #include "transform/Pipeline.h"
 
@@ -91,12 +91,54 @@ std::unique_ptr<bytecode::BytecodeProgram> loadImage(int MemFd,
   return Prog;
 }
 
-/// Executes one assignment against \p BP, producing the supervisor-shaped
-/// reply.  Mirrors Server::runSupervisor's execution block.
-JobReply runAssignment(const ExecAssignment &A,
-                       const bytecode::BytecodeProgram &BP) {
-  JobReply R;
+} // namespace
+
+JobReply service::runJob(const ExecAssignment &A,
+                         const bytecode::BytecodeProgram *BP,
+                         const CachedProgram *Prog) {
   const JobRequest &Req = A.Req;
+
+  // Process-level faults kill this executive (the daemon triages the
+  // corpse); the OOM knobs below answer in band.
+  if (Req.FaultKillSupervisor)
+    ::raise(SIGKILL);
+  if (Req.FaultSupervisorSignal != 0) {
+    // Reset first: the daemon may have inherited the runtime's SIGSEGV
+    // speculation handler from an in-process training run.
+    ::signal(static_cast<int>(Req.FaultSupervisorSignal), SIG_DFL);
+    ::raise(static_cast<int>(Req.FaultSupervisorSignal));
+  }
+  if (Req.FaultSupervisorExit != kNoFaultExit)
+    ::_exit(static_cast<int>(Req.FaultSupervisorExit));
+  if (Req.FaultBurnCpuSec > 0) {
+    double End = cpuSeconds() + Req.FaultBurnCpuSec;
+    volatile uint64_t Sink = 0;
+    while (cpuSeconds() < End)
+      for (int I = 0; I < 4096; ++I)
+        Sink = Sink + static_cast<uint64_t>(I) * 2654435761u;
+  }
+
+  JobReply R;
+  auto Oom = [&R](const std::string &Why) {
+    R.Status = JobStatus::ResourceLimit;
+    R.Cause = FailureCause::OutOfMemory;
+    R.Error = Why;
+    return R;
+  };
+  if (A.Attempt < Req.FaultOomAttempts)
+    return Oom("fault injection: simulated allocation failure on attempt " +
+               std::to_string(A.Attempt + 1));
+  if (Req.FaultAllocBytes > 0) {
+    // Direct operator call: a new[]/delete[] pair is elidable at -O3,
+    // which would silently defuse the fault.  The nothrow form, because
+    // ASan's throwing new aborts on a huge request even when
+    // allocator_may_return_null=1.
+    void *P = ::operator new[](Req.FaultAllocBytes, std::nothrow);
+    if (!P)
+      return Oom("allocation of " + std::to_string(Req.FaultAllocBytes) +
+                 " bytes failed (bad_alloc)");
+    ::operator delete[](P);
+  }
 
   char *OutBuf = nullptr;
   size_t OutLen = 0;
@@ -114,6 +156,8 @@ JobReply runAssignment(const ExecAssignment &A,
   Par.InjectMisspecRate = Req.InjectMisspecRate;
   Par.InjectSeed = Req.InjectSeed;
   Par.EagerCommit = Req.EagerCommit;
+  // Scaled like the per-job deadline: sanitizer builds run several-fold
+  // slower and the watchdog must not reap healthy workers.
   Par.StallTimeoutSec = Req.StallTimeoutSec * timeoutScale();
   Par.TracePath = Req.TracePath;
   Par.Faults.Seed = Req.FaultSeed;
@@ -126,15 +170,23 @@ JobReply runAssignment(const ExecAssignment &A,
   Par.Strat = static_cast<Strategy>(Req.Strat);
   Par.NumStages = Req.NumStages;
 
+  // No lowered program means the interpreter: either the job asked for it
+  // or the lowerer declined this program (asking again would not help).
   transform::PipelineOptions PO;
-  PO.Strat = static_cast<Strategy>(Req.Strat);
+  PO.Engine = BP ? transform::ExecEngine::Bytecode
+                 : transform::ExecEngine::Interp;
+  PO.Strat = Par.Strat;
   PO.NumStages = Req.NumStages;
 
   double T0 = wallSeconds();
   try {
     if (A.UseParallel) {
-      transform::ExecutionResult E = transform::executeLoadedParallel(
-          BP, PO, Par, RuntimeConfig(), Out);
+      transform::ExecutionResult E =
+          BP ? transform::executeLoadedParallel(*BP, PO, Par, RuntimeConfig(),
+                                                Out)
+             : transform::executePrivatized(*Prog->M, *Prog->FA,
+                                            Prog->Pipeline.Assignment, PO,
+                                            Par, RuntimeConfig(), Out);
       R.ExitValue = E.ReturnValue.asInt();
       R.Iterations = E.Stats.Iterations;
       R.Checkpoints = E.Stats.Checkpoints;
@@ -145,14 +197,13 @@ JobReply runAssignment(const ExecAssignment &A,
       R.MisspecReason = E.Stats.FirstMisspecReason;
       R.Status = JobStatus::Ok;
     } else {
-      interp::Cell V = transform::executeLoadedSequential(BP, PO, Out);
+      interp::Cell V = BP ? transform::executeLoadedSequential(*BP, PO, Out)
+                          : transform::executeSequential(*Prog->M, PO, Out);
       R.ExitValue = V.asInt();
       R.Status = JobStatus::Ok;
     }
   } catch (const std::bad_alloc &) {
-    R.Status = JobStatus::ResourceLimit;
-    R.Cause = FailureCause::OutOfMemory;
-    R.Error = "out of memory (bad_alloc) during execution";
+    Oom("out of memory (bad_alloc) during execution");
   } catch (const std::exception &E) {
     R.Status = JobStatus::InternalError;
     R.Error = E.what();
@@ -164,8 +215,6 @@ JobReply runAssignment(const ExecAssignment &A,
   std::free(OutBuf);
   return R;
 }
-
-} // namespace
 
 int service::executiveMain(int ChanFd) {
   ::signal(SIGPIPE, SIG_IGN);
@@ -199,99 +248,37 @@ int service::executiveMain(int ChanFd) {
       continue;
     }
 
-    if (Type != MsgType::ExecAssign) {
-      for (int Fd : Fds)
-        ::close(Fd);
-      Fds.clear();
-      return 2;
-    }
+    // The daemon attaches the image fd to every assignment (a kernel dup
+    // is cheaper than tracking which executive holds what); keep the
+    // first, drop any strays.
     ExecAssignment A;
-    if (!decodeExecAssign(Body, A, Err)) {
-      for (int Fd : Fds)
-        ::close(Fd);
-      Fds.clear();
+    bool Ok = Type == MsgType::ExecAssign && decodeExecAssign(Body, A, Err);
+    int ImgFd = Fds.empty() ? -1 : Fds.front();
+    for (size_t I = 1; I < Fds.size(); ++I)
+      ::close(Fds[I]);
+    Fds.clear();
+    if (!Ok) {
+      if (ImgFd >= 0)
+        ::close(ImgFd);
       return 2;
     }
-    const JobRequest &Req = A.Req;
 
-    // Supervisor-equivalent fault injection: process-level faults kill
-    // this executive (the daemon triages and respawns); typed failures
-    // answer in-band and the executive lives on.
-    if (Req.FaultKillSupervisor)
-      ::raise(SIGKILL);
-    if (Req.FaultSupervisorSignal != 0) {
-      ::signal(static_cast<int>(Req.FaultSupervisorSignal), SIG_DFL);
-      ::raise(static_cast<int>(Req.FaultSupervisorSignal));
-    }
-    if (Req.FaultSupervisorExit != kNoFaultExit)
-      ::_exit(static_cast<int>(Req.FaultSupervisorExit));
-    if (Req.FaultBurnCpuSec > 0) {
-      double End = cpuSeconds() + Req.FaultBurnCpuSec;
-      volatile uint64_t Sink = 0;
-      while (cpuSeconds() < End)
-        for (int I = 0; I < 4096; ++I)
-          Sink = Sink + static_cast<uint64_t>(I) * 2654435761u;
-    }
-    if (A.Attempt < Req.FaultOomAttempts) {
-      for (int Fd : Fds)
-        ::close(Fd);
-      Fds.clear();
-      JobReply R;
-      R.Status = JobStatus::ResourceLimit;
-      R.Cause = FailureCause::OutOfMemory;
-      R.Error = "fault injection: simulated allocation failure on attempt " +
-                std::to_string(A.Attempt + 1);
-      Reply(R);
-      continue;
-    }
-    if (Req.FaultAllocBytes > 0) {
-      bool Failed = false;
-      try {
-        void *P = ::operator new[](Req.FaultAllocBytes);
-        ::operator delete[](P);
-      } catch (const std::bad_alloc &) {
-        Failed = true;
-      }
-      if (Failed) {
-        for (int Fd : Fds)
-          ::close(Fd);
-        Fds.clear();
-        JobReply R;
-        R.Status = JobStatus::ResourceLimit;
-        R.Cause = FailureCause::OutOfMemory;
-        R.Error = "allocation of " + std::to_string(Req.FaultAllocBytes) +
-                  " bytes failed (bad_alloc)";
-        Reply(R);
-        continue;
-      }
-    }
-
-    // Resolve the program: local cache hit, else deserialize the memfd
-    // image that rode along.  The daemon always attaches the fd (a kernel
-    // dup is cheaper than tracking which executive holds what), so a
-    // cache hit just closes it.
+    // Resolve the program: local cache hit, else deserialize the image.
     LocalPrograms::Key K{A.ProgramKey, A.Generation, A.UseParallel};
     const bytecode::BytecodeProgram *BP = Programs.find(K);
     if (BP) {
-      for (int Fd : Fds)
-        ::close(Fd);
-      Fds.clear();
+      if (ImgFd >= 0)
+        ::close(ImgFd);
     } else {
-      if (Fds.empty()) {
-        JobReply R;
-        R.Status = JobStatus::InternalError;
+      JobReply R;
+      R.Status = JobStatus::InternalError;
+      if (ImgFd < 0) {
         R.Error = "executive: assignment without a program image";
         Reply(R);
         continue;
       }
-      int ImgFd = Fds.front();
-      for (size_t I = 1; I < Fds.size(); ++I)
-        ::close(Fds[I]);
-      Fds.clear();
       auto Loaded = loadImage(ImgFd, Err);
       if (!Loaded) {
-        JobReply R;
-        R.Status = JobStatus::InternalError;
         R.Error = "executive: bad program image: " + Err;
         Reply(R);
         continue;
@@ -299,6 +286,18 @@ int service::executiveMain(int ChanFd) {
       BP = Programs.insert(K, std::move(Loaded));
     }
 
-    Reply(runAssignment(A, *BP));
+    Reply(runJob(A, BP, nullptr));
   }
+}
+
+int service::oneShotMain(int ChanFd, const ExecAssignment &A,
+                         const CachedProgram &Prog) {
+  const bytecode::BytecodeProgram *BP = nullptr;
+  if (A.Req.Engine == 0)
+    BP = A.UseParallel ? Prog.LoweredPar.get() : Prog.LoweredSeq.get();
+  std::string Err;
+  return writeFrame(ChanFd, MsgType::JobResult,
+                    encodeJobReply(runJob(A, BP, &Prog)), Err)
+             ? 0
+             : 4;
 }

@@ -1,4 +1,4 @@
-//===- service/Executive.h - Pre-warmed executive process -------*- C++ -*-===//
+//===- service/Executive.h - The one job runner -----------------*- C++ -*-===//
 //
 // Part of the Privateer reproduction of "Speculative Separation for
 // Privatization and Reductions" (PLDI 2012).
@@ -6,34 +6,62 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The body of one pre-warmed executive process.  An executive is forked
-/// once by the daemon, then runs jobs forever: it blocks on its private
-/// socketpair for ExecAssign frames, each carrying the execution knobs
-/// in-band and the program out-of-band — a serialized bytecode image in a
-/// sealed memfd passed via SCM_RIGHTS.  Images are cached per executive
-/// by (program key, generation), so a repeat assignment skips even
-/// deserialization; execution brackets the runtime's initialize/shutdown
-/// per job (the logical heaps map and unmap cleanly, see
-/// runtime/SharedHeap).
+/// The code that turns one job request into one reply, and the two process
+/// lifetimes it runs under.  Every job the daemon admits runs in an
+/// executive: a child process in its own process group that talks to the
+/// daemon over a private socketpair and answers with one JobResult frame.
 ///
-/// The executive deliberately mirrors the per-job supervisor's reply
-/// contract: a clean JobResult frame for every outcome it can express
-/// (including typed out-of-memory), death for the outcomes it cannot —
-/// the daemon triages a dead executive exactly like a dead supervisor
-/// and replaces it.
+///  - A pooled executive is forked once at daemon start and runs jobs
+///    forever: it blocks on its channel for ExecAssign frames, each
+///    carrying the execution knobs in-band and the program out-of-band —
+///    a serialized bytecode image in a sealed memfd passed via SCM_RIGHTS.
+///    Images are cached per executive by (program key, generation), so a
+///    repeat assignment skips even deserialization.
+///
+///  - A one-shot executive is forked for one job the pool cannot take
+///    (per-job rlimits, interpreter engine, no image, or no pool).  It
+///    inherits the warm CachedProgram across fork, applies the job's
+///    rlimits, runs it, writes its reply and exits.
+///
+/// Both call runJob.  An executive answers every outcome it can express
+/// (including typed out-of-memory) in band, and dies for the outcomes it
+/// cannot; the daemon triages the corpse and, for a pooled executive,
+/// replaces it.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef PRIVATEER_SERVICE_EXECUTIVE_H
 #define PRIVATEER_SERVICE_EXECUTIVE_H
 
+#include "service/Protocol.h"
+
 namespace privateer {
+namespace bytecode {
+struct BytecodeProgram;
+} // namespace bytecode
+
 namespace service {
 
-/// Runs the executive loop on \p ChanFd (the child end of the daemon's
-/// socketpair) until EOF.  Returns the process exit code (0 on a clean
-/// channel close — the daemon is draining).
+struct CachedProgram;
+
+/// Runs one job: the fault-injection preamble, the request -> options
+/// mapping, output capture, execution and the stats copy.  A lowered
+/// program \p BP runs on the bytecode VM; otherwise \p Prog's module runs
+/// through executePrivatized/executeSequential (interpreter-engine jobs,
+/// or programs whose lowering declined).  Process-level fault knobs kill
+/// the calling process instead of returning.
+JobReply runJob(const ExecAssignment &A, const bytecode::BytecodeProgram *BP,
+                const CachedProgram *Prog);
+
+/// Runs the pooled-executive loop on \p ChanFd (the child end of the
+/// daemon's socketpair) until EOF.  Returns the process exit code (0 on a
+/// clean channel close — the daemon is draining).
 int executiveMain(int ChanFd);
+
+/// Body of a one-shot executive: runs \p A against the fork-inherited
+/// \p Prog and writes the reply on \p ChanFd.  Returns the process exit
+/// code (4 when the reply could not be written).
+int oneShotMain(int ChanFd, const ExecAssignment &A, const CachedProgram &Prog);
 
 } // namespace service
 } // namespace privateer

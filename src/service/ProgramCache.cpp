@@ -102,8 +102,8 @@ ProgramCache::lookup(const std::string &Text, Strategy Strat, std::string &Err,
   if (TrainSink)
     std::fclose(TrainSink);
   // Lower to bytecode once per program; every warm hit reuses the
-  // programs across fork.  Failure is not an error — executePrivatized /
-  // executeSequential fall back to the interpreter on a null program.
+  // programs.  Failure is not an error — a one-shot executive runs the
+  // module on the interpreter instead.
   std::string LowerWhy;
   if (Entry->Pipeline.Transformed)
     Entry->LoweredPar = transform::lowerForPrivatized(
@@ -112,7 +112,7 @@ ProgramCache::lookup(const std::string &Text, Strategy Strat, std::string &Err,
 
   // Serialize each lowered program into a sealed memfd for the executive
   // pool.  Failure (no memfd support) silently disables pooled dispatch
-  // for this entry; the fork-supervisor path still works.
+  // for this entry; one-shot executives still serve it.
   std::string MemfdErr;
   if (Entry->LoweredPar) {
     std::string Img = bytecode::serializeProgram(*Entry->LoweredPar);

@@ -10,9 +10,9 @@
 /// the expensive front half of a Privateer run — parse, verify, training
 /// profile, classification, transformation — executes at most once per
 /// distinct program.  The cached transformed module, its analyses, and
-/// the heap assignment are then reused by every subsequent job: the
-/// per-job supervisor process inherits them read-only across fork(), so
-/// a warm submit pays only fork + execution.
+/// the heap assignment are then reused by every subsequent job: a
+/// one-shot executive inherits them read-only across fork(), so a warm
+/// submit pays only fork + execution.
 ///
 /// Entries are handed out as shared_ptr: eviction (bounded LRU, keyed by
 /// last hit) drops the cache's reference, while jobs still queued against
@@ -55,9 +55,9 @@ struct CachedProgram {
   std::unique_ptr<analysis::FunctionAnalyses> FA;
   transform::PipelineResult Pipeline;
   /// Bytecode programs lowered once at cache-fill time (borrowing *M), so
-  /// warm submits skip parse, pipeline, AND lowering: supervisors inherit
-  /// them read-only across fork().  Null when lowering declined — the
-  /// supervisor then lowers on the spot or falls back to the interpreter.
+  /// warm submits skip parse, pipeline, AND lowering: one-shot executives
+  /// inherit them read-only across fork().  Null when lowering declined —
+  /// the executive then runs the module on the interpreter.
   std::shared_ptr<const bytecode::BytecodeProgram> LoweredPar;
   std::shared_ptr<const bytecode::BytecodeProgram> LoweredSeq;
   /// Sealed memfds holding the serialized lowered programs (-1 = lowering
@@ -76,10 +76,10 @@ struct CachedProgram {
   CachedProgram &operator=(const CachedProgram &) = delete;
   ~CachedProgram();
 
-  /// Negative verdict: set when a supervisor running this exact text died
+  /// Negative verdict: set when an executive running this exact text died
   /// on a deterministic program-class signal (SIGSEGV/SIGBUS/SIGABRT/
   /// SIGFPE/SIGILL).  Later submits answer from PoisonReply instead of
-  /// crashing another supervisor.  M is null for entries caching a parse
+  /// crashing another executive.  M is null for entries caching a parse
   /// or verifier error (ParseError holds the message).
   bool Poisoned = false;
   JobReply PoisonReply;

@@ -163,7 +163,7 @@ std::string service::encodeJobRequest(const JobRequest &R) {
   putU8(B, kProtocolVersion);
   putStr(B, R.ModuleText);
   putU8(B, static_cast<uint8_t>(R.Mode));
-  putU8(B, R.Engine); // v3+
+  putU8(B, R.Engine);
 
   putU32(B, R.NumWorkers);
   putU64(B, R.CheckpointPeriod);
@@ -191,10 +191,10 @@ std::string service::encodeJobRequest(const JobRequest &R) {
   putU32(B, R.FaultOomAttempts);
   putU64(B, R.FaultAllocBytes);
   putF64(B, R.FaultBurnCpuSec);
-  putStr(B, R.TenantId); // v4+
-  putU8(B, R.Submit);    // v4+
-  putU8(B, R.Strat);     // v5+
-  putU32(B, R.NumStages); // v5+
+  putStr(B, R.TenantId);
+  putU8(B, R.Submit);
+  putU8(B, R.Strat);
+  putU32(B, R.NumStages);
   return B;
 }
 
@@ -206,34 +206,27 @@ bool service::decodeJobRequest(const std::string &Body, JobRequest &R,
     Err = "empty SubmitJob body";
     return false;
   }
-  // Version-gated decode: fields appended by later protocol revisions are
-  // simply absent from older bodies and keep their defaults, so a v2 or v3
-  // client's submission still lands (in-band, anonymous tenant).
-  if (Version < kMinProtocolVersion || Version > kProtocolVersion) {
+  if (Version != kProtocolVersion) {
     Err = "unsupported protocol version " + std::to_string(Version);
     return false;
   }
-  bool Ok = C.getStr(R.ModuleText) && C.getU8(Mode);
-  if (Ok && Version >= 3)
-    Ok = C.getU8(R.Engine);
-  Ok = Ok && C.getU32(R.NumWorkers) &&
-       C.getU64(R.CheckpointPeriod) && C.getU64(R.MaxSlotsPerEpoch) &&
-       C.getF64(R.InjectMisspecRate) && C.getU64(R.InjectSeed) &&
-       C.getU8(Eager) && C.getF64(R.StallTimeoutSec) &&
-       C.getF64(R.DeadlineSec) && C.getStr(R.TracePath) &&
-       C.getU64(R.IdempotencyKey) && C.getU64(R.MaxMemoryBytes) &&
-       C.getU32(R.MaxCpuSec) && C.getU32(R.MaxOpenFiles) &&
-       C.getU8(KillSup) && C.getU32(R.FaultKillWorker) &&
-       C.getU64(R.FaultKillAtIter) && C.getU32(R.FaultStallWorker) &&
-       C.getU64(R.FaultStallAtIter) && C.getF64(R.FaultStallSeconds) &&
-       C.getF64(R.FaultKillRate) && C.getU64(R.FaultSeed) &&
-       C.getU32(R.FaultSupervisorSignal) && C.getU32(R.FaultSupervisorExit) &&
-       C.getU32(R.FaultOomAttempts) && C.getU64(R.FaultAllocBytes) &&
-       C.getF64(R.FaultBurnCpuSec);
-  if (Ok && Version >= 4)
-    Ok = C.getStr(R.TenantId) && C.getU8(R.Submit);
-  if (Ok && Version >= 5)
-    Ok = C.getU8(R.Strat) && C.getU32(R.NumStages);
+  bool Ok =
+      C.getStr(R.ModuleText) && C.getU8(Mode) && C.getU8(R.Engine) &&
+      C.getU32(R.NumWorkers) && C.getU64(R.CheckpointPeriod) &&
+      C.getU64(R.MaxSlotsPerEpoch) && C.getF64(R.InjectMisspecRate) &&
+      C.getU64(R.InjectSeed) && C.getU8(Eager) &&
+      C.getF64(R.StallTimeoutSec) && C.getF64(R.DeadlineSec) &&
+      C.getStr(R.TracePath) && C.getU64(R.IdempotencyKey) &&
+      C.getU64(R.MaxMemoryBytes) && C.getU32(R.MaxCpuSec) &&
+      C.getU32(R.MaxOpenFiles) && C.getU8(KillSup) &&
+      C.getU32(R.FaultKillWorker) && C.getU64(R.FaultKillAtIter) &&
+      C.getU32(R.FaultStallWorker) && C.getU64(R.FaultStallAtIter) &&
+      C.getF64(R.FaultStallSeconds) && C.getF64(R.FaultKillRate) &&
+      C.getU64(R.FaultSeed) && C.getU32(R.FaultSupervisorSignal) &&
+      C.getU32(R.FaultSupervisorExit) && C.getU32(R.FaultOomAttempts) &&
+      C.getU64(R.FaultAllocBytes) && C.getF64(R.FaultBurnCpuSec) &&
+      C.getStr(R.TenantId) && C.getU8(R.Submit) && C.getU8(R.Strat) &&
+      C.getU32(R.NumStages);
   if (!Ok) {
     Err = "truncated SubmitJob body";
     return false;
@@ -296,9 +289,7 @@ bool service::decodeJobReply(const std::string &Body, JobReply &R,
     Err = "empty JobResult body";
     return false;
   }
-  // Replies kept the same shape across v2..v4, so any supported version
-  // decodes identically (old clients read new daemons and vice versa).
-  if (Version < kMinProtocolVersion || Version > kProtocolVersion) {
+  if (Version != kProtocolVersion) {
     Err = "unsupported protocol version " + std::to_string(Version);
     return false;
   }
@@ -327,59 +318,6 @@ bool service::decodeJobReply(const std::string &Body, JobReply &R,
   R.IdempotentReplay = Replay != 0;
   R.ExitValue = static_cast<int64_t>(Exit);
   R.CacheHit = CacheHit != 0;
-  return true;
-}
-
-// --- Hello / HelloReply --------------------------------------------------
-
-std::string service::encodeHello(const HelloRequest &H) {
-  std::string B;
-  putU8(B, H.Version);
-  putStr(B, H.TenantId);
-  putU8(B, H.WantMemfd ? 1 : 0);
-  return B;
-}
-
-bool service::decodeHello(const std::string &Body, HelloRequest &H,
-                          std::string &Err) {
-  Cursor C(Body);
-  uint8_t Want = 0;
-  if (!C.getU8(H.Version)) {
-    Err = "empty Hello body";
-    return false;
-  }
-  if (H.Version < kMinProtocolVersion || H.Version > kProtocolVersion) {
-    Err = "unsupported protocol version " + std::to_string(H.Version);
-    return false;
-  }
-  if (!C.getStr(H.TenantId) || !C.getU8(Want)) {
-    Err = "truncated Hello body";
-    return false;
-  }
-  H.WantMemfd = Want != 0;
-  return true;
-}
-
-std::string service::encodeHelloReply(const HelloReply &H) {
-  std::string B;
-  putU8(B, H.Version);
-  putU8(B, H.MemfdOk ? 1 : 0);
-  return B;
-}
-
-bool service::decodeHelloReply(const std::string &Body, HelloReply &H,
-                               std::string &Err) {
-  Cursor C(Body);
-  uint8_t Ok = 0;
-  if (!C.getU8(H.Version) || !C.getU8(Ok)) {
-    Err = "truncated HelloReply body";
-    return false;
-  }
-  if (H.Version < kMinProtocolVersion || H.Version > kProtocolVersion) {
-    Err = "unsupported protocol version " + std::to_string(H.Version);
-    return false;
-  }
-  H.MemfdOk = Ok != 0;
   return true;
 }
 
@@ -423,11 +361,8 @@ bool service::writeFrame(int Fd, MsgType Type, const std::string &Body,
   while (Done < Frame.size()) {
     // MSG_NOSIGNAL: a peer that died mid-conversation must surface as
     // EPIPE for the reconnect path, not as a process-killing SIGPIPE.
-    // Supervisor result pipes are not sockets; fall back to write().
     ssize_t N = ::send(Fd, Frame.data() + Done, Frame.size() - Done,
                        MSG_NOSIGNAL);
-    if (N < 0 && errno == ENOTSOCK)
-      N = ::write(Fd, Frame.data() + Done, Frame.size() - Done);
     if (N < 0) {
       if (errno == EINTR)
         continue;

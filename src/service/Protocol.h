@@ -8,7 +8,7 @@
 /// \file
 /// The length-prefixed binary protocol spoken between `privateer-served`
 /// and its clients over a Unix-domain socket, and between the daemon and
-/// the per-job supervisor processes over a result pipe.
+/// its executive processes over private socketpairs.
 ///
 /// Frame layout (everything little-endian):
 ///
@@ -26,7 +26,8 @@
 /// scalars and u32-length-prefixed strings, decoded by a bounds-checked
 /// cursor so truncated or oversized frames fail cleanly instead of
 /// reading out of bounds.  A version byte leads every SubmitJob/JobResult
-/// body so the format can evolve.
+/// body; only kProtocolVersion decodes, since every client lives in this
+/// repository.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,35 +43,27 @@ namespace privateer {
 namespace service {
 
 inline constexpr uint8_t kProtocolVersion = 5;
-/// Oldest SubmitJob/JobResult body version still decoded.  v2 (PR 6)
-/// predates the Engine byte; v3 (PR 7) added it; v4 adds the tenant id
-/// and the submission mode; v5 adds the scheduling strategy and pipeline
-/// stage count.  Fields missing from old bodies keep their defaults, so
-/// v2-v4 clients ride the in-band DOALL path as anonymous tenants.
-inline constexpr uint8_t kMinProtocolVersion = 2;
 /// Default ceiling on one frame (module texts and job output both ride in
 /// frames; 64 MiB is far above any bundled program).
 inline constexpr size_t kMaxFrameBytes = 64u << 20;
-/// Sentinel for "no forced supervisor exit" in JobRequest fault knobs.
+/// Sentinel for "no forced executive exit" in JobRequest fault knobs.
 inline constexpr uint32_t kNoFaultExit = ~0u;
 
 enum class MsgType : uint8_t {
   SubmitJob = 1,   ///< client -> daemon: module text + execution knobs
-  JobResult = 2,   ///< daemon -> client (and supervisor -> daemon)
+  JobResult = 2,   ///< daemon -> client (and executive -> daemon)
   StatusRequest = 3, ///< client -> daemon
   StatusReply = 4,   ///< daemon -> client: service counters as JSON
   Drain = 5,       ///< client -> daemon: stop accepting, finish the queue
   Shutdown = 6,    ///< client -> daemon: cancel everything and exit
   Ack = 7,         ///< daemon -> client: Drain/Shutdown accepted
   Error = 8,       ///< daemon -> client: protocol violation, closing
-  Hello = 9,       ///< client -> daemon: version + tenant + capabilities
-  HelloReply = 10, ///< daemon -> client: negotiated capabilities
   ExecAssign = 11, ///< daemon -> executive: run this job (+ image fds)
 };
 
 /// How the module text of a SubmitJob travels.
 enum class SubmitMode : uint8_t {
-  InBand = 0, ///< text inside the frame body (v2/v3 compatible)
+  InBand = 0, ///< text inside the frame body
   Memfd = 1,  ///< text in a sealed memfd passed via SCM_RIGHTS; the body's
               ///< ModuleText is empty
 };
@@ -87,8 +80,8 @@ enum class JobStatus : uint8_t {
   Rejected = 1,          ///< admission control: queue full (backpressure)
   ParseError = 2,        ///< module text did not parse / verify
   NotParallelizable = 3, ///< pipeline found no speculatable loop
-  Crashed = 4,           ///< supervisor died (signal / truncated result)
-  TimedOut = 5,          ///< per-job deadline expired; supervisor killed
+  Crashed = 4,           ///< executive died (signal / truncated result)
+  TimedOut = 5,          ///< per-job deadline expired; executive killed
   Canceled = 6,          ///< client vanished / shutdown mid-flight
   Draining = 7,          ///< daemon is draining; resubmit elsewhere
   InternalError = 8,
@@ -97,7 +90,7 @@ enum class JobStatus : uint8_t {
 
 const char *jobStatusName(JobStatus S);
 
-/// Why a job failed, decoded from the supervisor's waitpid status plus the
+/// Why a job failed, decoded from the executive's waitpid status plus the
 /// daemon's own bookkeeping; carried in JobResult so every client sees a
 /// typed cause, never just a dead socket.  Infra-class causes (see
 /// isInfraFailure) are transient resource exhaustion the daemon retries
@@ -106,14 +99,14 @@ const char *jobStatusName(JobStatus S);
 /// cached as negative verdicts against the program).
 enum class FailureCause : uint8_t {
   None = 0,        ///< no failure (or the job never started executing)
-  Deadline,        ///< daemon killed the supervisor group on its deadline
+  Deadline,        ///< daemon killed the executive group on its deadline
   ClientGone,      ///< submitting client vanished mid-job
   OutOfMemory,     ///< bad_alloc / fork or mmap ENOMEM / RLIMIT_AS
   CpuLimit,        ///< RLIMIT_CPU exhausted (SIGXCPU)
-  Signal,          ///< supervisor killed by TermSignal
-  NonzeroExit,     ///< supervisor exited cleanly with SupExitCode != 0
-  InfraFork,       ///< daemon could not fork/pipe the supervisor
-  ResultTruncated, ///< supervisor's result frame was short or unwritable
+  Signal,          ///< executive killed by TermSignal
+  NonzeroExit,     ///< executive exited cleanly with SupExitCode != 0
+  InfraFork,       ///< daemon could not fork the executive
+  ResultTruncated, ///< executive's reply was missing or unwritable
   Shutdown,        ///< daemon shut down underneath the job
 };
 
@@ -132,11 +125,11 @@ inline bool isInfraFailure(FailureCause C) {
 /// ParallelOptions so an empty request behaves like local privateer-cc.
 struct JobRequest {
   std::string ModuleText;
-  /// Multi-tenant admission identity (v4).  Empty = the anonymous tenant,
-  /// which is where every v2/v3 submission lands.  Weights, token buckets,
-  /// replay windows, and backpressure are all per-tenant.
+  /// Multi-tenant admission identity.  Empty = the anonymous tenant.
+  /// Weights, token buckets, replay windows, and backpressure are all
+  /// per-tenant.
   std::string TenantId;
-  /// How ModuleText travels (v4); see SubmitMode.
+  /// How ModuleText travels; see SubmitMode.
   uint8_t Submit = 0;
   JobMode Mode = JobMode::Speculative;
   /// Execution engine (mirrors transform::ExecEngine): 0 = direct-threaded
@@ -144,12 +137,12 @@ struct JobRequest {
   /// oracle).  Bytecode silently falls back to the interpreter for
   /// constructs the lowerer declines.
   uint8_t Engine = 0;
-  /// Scheduling strategy (mirrors privateer::Strategy): 0 = doall (the
-  /// pre-v5 behavior), 1 = doacross, 2 = pipeline.  Non-doall strategies
-  /// let the pipeline's dependence-distance pre-pass rewrite provable
-  /// carried dependences into token forwarding (v5).
+  /// Scheduling strategy (mirrors privateer::Strategy): 0 = doall,
+  /// 1 = doacross, 2 = pipeline.  Non-doall strategies let the pipeline's
+  /// dependence-distance pre-pass rewrite provable carried dependences
+  /// into token forwarding.
   uint8_t Strat = 0;
-  /// Pipeline stage count hint, 0 = derive from the worker count (v5).
+  /// Pipeline stage count hint, 0 = derive from the worker count.
   uint32_t NumStages = 0;
   uint32_t NumWorkers = 4;
   /// 0 = derive from the loop (checkpointPeriodFor).
@@ -163,7 +156,7 @@ struct JobRequest {
   /// daemon multiplies it by timeoutScale() (PRIVATEER_TIMEOUT_SCALE) so
   /// sanitizer CI does not reap slow-but-healthy jobs.  0 = daemon default.
   double DeadlineSec = 0.0;
-  /// When non-empty the supervisor records a runtime timeline to this path.
+  /// When non-empty the executive records a runtime timeline to this path.
   std::string TracePath;
 
   /// Client-generated idempotency key (0 = none).  The daemon remembers
@@ -173,15 +166,16 @@ struct JobRequest {
   uint64_t IdempotencyKey = 0;
 
   // --- Per-job resource ceilings (0 = daemon default) --------------------
-  /// The supervisor (and, inherited across fork, its whole worker tree)
-  /// runs under these rlimits.  A request can lower but never raise the
-  /// daemon's configured ceiling.
+  /// The job's one-shot executive (and, inherited across fork, its whole
+  /// worker tree) runs under these rlimits.  A request can lower but never
+  /// raise the daemon's configured ceiling.
   uint64_t MaxMemoryBytes = 0; ///< RLIMIT_AS
   uint32_t MaxCpuSec = 0;      ///< RLIMIT_CPU, scaled by timeoutScale()
   uint32_t MaxOpenFiles = 0;   ///< RLIMIT_NOFILE
 
   // --- Fault injection (tests and bench_service) -------------------------
-  /// Supervisor raises SIGKILL on itself mid-job; the daemon must report
+  // The "Supervisor" knobs act on the executive running the job.
+  /// The executive raises SIGKILL on itself mid-job; the daemon must report
   /// the job Crashed and keep serving the same connection.
   bool FaultKillSupervisor = false;
   uint32_t FaultKillWorker = ~0u;
@@ -191,21 +185,21 @@ struct JobRequest {
   double FaultStallSeconds = 3600.0;
   double FaultKillRate = 0.0;
   uint64_t FaultSeed = 1;
-  /// Supervisor raises this signal on itself before running (0 = off);
-  /// drives the supervisor-death signal matrix.
+  /// The executive raises this signal on itself before running (0 = off);
+  /// drives the executive-death signal matrix.
   uint32_t FaultSupervisorSignal = 0;
-  /// Supervisor _exit()s with this code before running (kNoFaultExit =
+  /// The executive _exit()s with this code before running (kNoFaultExit =
   /// off); exercises the clean-nonzero-exit triage path.
   uint32_t FaultSupervisorExit = kNoFaultExit;
-  /// While the job's attempt ordinal is below this, the supervisor reports
+  /// While the job's attempt ordinal is below this, the executive reports
   /// a typed out-of-memory failure without running — a deterministic way
   /// to exercise the daemon's infra-retry ladder.
   uint32_t FaultOomAttempts = 0;
-  /// Supervisor attempts one allocation of this many bytes before running
-  /// (0 = off); sized past the address space it drives the real
-  /// bad_alloc -> typed-OOM path.
+  /// The executive attempts one allocation of this many bytes before
+  /// running (0 = off); sized past the address space it drives the real
+  /// failed-allocation -> typed-OOM path.
   uint64_t FaultAllocBytes = 0;
-  /// Supervisor burns this much CPU time before running (0 = off); with a
+  /// The executive burns this much CPU time before running (0 = off); with a
   /// small MaxCpuSec it deterministically draws SIGXCPU.
   double FaultBurnCpuSec = 0.0;
 };
@@ -236,7 +230,7 @@ struct JobReply {
   uint64_t ComRecordsCommitted = 0;
   std::string MisspecReason;
   double PipelineSec = 0; ///< parse+profile+classify+transform (cache miss)
-  double ExecSec = 0;     ///< supervisor wall time
+  double ExecSec = 0;     ///< executive wall time
   double QueueSec = 0;    ///< admission queue wait
   double WallSec = 0;     ///< submit-to-result, measured by the daemon
 };
@@ -249,26 +243,6 @@ bool decodeJobRequest(const std::string &Body, JobRequest &R,
 
 std::string encodeJobReply(const JobReply &R);
 bool decodeJobReply(const std::string &Body, JobReply &R, std::string &Err);
-
-/// A Hello body: version + tenant + capability negotiation.  Sent by v4
-/// clients right after connect; the daemon answers with HelloReply.  v2/v3
-/// clients never send one and default to the anonymous in-band path.
-struct HelloRequest {
-  uint8_t Version = kProtocolVersion;
-  std::string TenantId;
-  bool WantMemfd = false; ///< client can submit via sealed memfd
-};
-
-struct HelloReply {
-  uint8_t Version = kProtocolVersion;
-  bool MemfdOk = false; ///< daemon accepts memfd submission on this conn
-};
-
-std::string encodeHello(const HelloRequest &H);
-bool decodeHello(const std::string &Body, HelloRequest &H, std::string &Err);
-std::string encodeHelloReply(const HelloReply &H);
-bool decodeHelloReply(const std::string &Body, HelloReply &H,
-                      std::string &Err);
 
 /// An ExecAssign body: daemon -> pre-forked executive.  The program
 /// travels out-of-band as a serialized bytecode image in a sealed memfd

@@ -6,7 +6,6 @@
 #include "service/Executive.h"
 #include "support/Statistics.h"
 #include "support/Timing.h"
-#include "transform/Pipeline.h"
 
 #include <algorithm>
 #include <cerrno>
@@ -15,7 +14,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fcntl.h>
-#include <new>
 #include <poll.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
@@ -56,16 +54,6 @@ void onSignal(int Sig) {
 void setNonBlocking(int Fd) {
   int Flags = ::fcntl(Fd, F_GETFL, 0);
   ::fcntl(Fd, F_SETFL, Flags | O_NONBLOCK);
-}
-
-/// True when \p Buf starts with one complete frame.
-bool holdsCompleteFrame(const std::string &Buf) {
-  if (Buf.size() < 4)
-    return false;
-  uint32_t Len = 0;
-  for (int I = 0; I < 4; ++I)
-    Len |= static_cast<uint32_t>(static_cast<uint8_t>(Buf[I])) << (8 * I);
-  return Len >= 1 && Len <= kMaxFrameBytes && Buf.size() >= 4 + size_t(Len);
 }
 
 /// Binds + listens on \p Path with crash-only stale-socket reclaim: a
@@ -173,9 +161,6 @@ Server::~Server() {
       ::close(PFd);
     ::close(Fd);
   }
-  for (auto &[Id, J] : Jobs)
-    if (J.ResultFd >= 0)
-      ::close(J.ResultFd);
   for (auto &[Id, E] : Pool)
     if (E.ChanFd >= 0)
       ::close(E.ChanFd);
@@ -221,7 +206,7 @@ bool Server::start(std::string &Err) {
   // client fds, empty cache) — the cheapest possible fork.
   for (unsigned I = 0; I < Opts.Executives; ++I) {
     std::string PoolErr;
-    if (!spawnExecutive(PoolErr)) {
+    if (!spawnExecutive(nullptr, PoolErr)) {
       Err = "executive pool: " + PoolErr;
       return false;
     }
@@ -233,7 +218,7 @@ bool Server::start(std::string &Err) {
                  "[privateer-served] listening on %s (budget %u, queue %zu, "
                  "executives %zu)\n",
                  Opts.SocketPath.c_str(), Opts.WorkerBudget, Opts.QueueDepth,
-                 Pool.size());
+                 pooledExecutives());
   return true;
 }
 
@@ -350,20 +335,21 @@ int Server::serveSharded(const ServerOptions &O) {
   return WorstExit;
 }
 
-// --- Executive pool ------------------------------------------------------
+// --- Executives -----------------------------------------------------------
 
-bool Server::spawnExecutive(std::string &Err) {
+Server::Executive *Server::spawnExecutive(const Job *OneShot,
+                                          std::string &Err) {
   int Sv[2];
   if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, Sv) < 0) {
     Err = std::string("socketpair: ") + std::strerror(errno);
-    return false;
+    return nullptr;
   }
   pid_t Pid = ::fork();
   if (Pid < 0) {
     ::close(Sv[0]);
     ::close(Sv[1]);
     Err = std::string("fork: ") + std::strerror(errno);
-    return false;
+    return nullptr;
   }
   if (Pid == 0) {
     // Executive child: its own process group (deadline kills reach its
@@ -382,15 +368,17 @@ bool Server::spawnExecutive(std::string &Err) {
         ::close(PFd);
     for (auto &[CFd, C] : Conns)
       ::close(CFd);
-    for (auto &[Id, J] : Jobs)
-      if (J.ResultFd >= 0)
-        ::close(J.ResultFd);
     for (auto &[Id, E] : Pool)
       if (E.ChanFd >= 0)
         ::close(E.ChanFd);
-    ::_exit(executiveMain(Sv[1]));
+    if (!OneShot)
+      ::_exit(executiveMain(Sv[1]));
+    applyJobLimits(OneShot->Req);
+    ::_exit(oneShotMain(Sv[1], assignmentFor(*OneShot), *OneShot->Prog));
   }
   ::close(Sv[1]);
+  // Mirror the child's setpgid so a kill(-pid) that races its startup
+  // still finds the group.
   ::setpgid(Pid, Pid);
   setNonBlocking(Sv[0]);
   Executive E;
@@ -398,22 +386,23 @@ bool Server::spawnExecutive(std::string &Err) {
   E.Pid = Pid;
   E.ChanFd = Sv[0];
   E.Frames = FrameAssembler(Opts.MaxFrameBytes);
-  Pool.emplace(E.Id, std::move(E));
-  ++stat("executives_spawned");
-  return true;
+  E.OneShot = OneShot != nullptr;
+  ++stat(OneShot ? "supervisor_forks" : "executives_spawned");
+  return &Pool.emplace(E.Id, std::move(E)).first->second;
 }
 
-void Server::respawnExecutive(uint64_t ExecId) {
+void Server::retireExecutive(uint64_t ExecId) {
   auto It = Pool.find(ExecId);
-  if (It != Pool.end()) {
-    if (It->second.ChanFd >= 0)
-      ::close(It->second.ChanFd);
-    Pool.erase(It);
-  }
-  if (Draining)
+  if (It == Pool.end())
+    return;
+  bool OneShot = It->second.OneShot;
+  if (It->second.ChanFd >= 0)
+    ::close(It->second.ChanFd);
+  Pool.erase(It);
+  if (OneShot || Draining)
     return;
   std::string Err;
-  if (spawnExecutive(Err)) {
+  if (spawnExecutive(nullptr, Err)) {
     ++stat("executives_respawned");
     if (Opts.Verbose)
       std::fprintf(stderr, "[privateer-served] executive %llu replaced\n",
@@ -426,7 +415,8 @@ void Server::respawnExecutive(uint64_t ExecId) {
 
 void Server::shutdownPool() {
   // Closing the channel is the drain signal: executiveMain returns 0 on
-  // EOF.  Stragglers (wedged mid-job) get SIGKILL after a grace window.
+  // EOF, and a one-shot executive has already replied.  Stragglers
+  // (wedged mid-job) get SIGKILL after a grace window.
   for (auto &[Id, E] : Pool)
     if (E.ChanFd >= 0) {
       ::close(E.ChanFd);
@@ -456,13 +446,18 @@ void Server::shutdownPool() {
 
 Server::Executive *Server::idleExecutive() {
   for (auto &[Id, E] : Pool)
-    if (E.ActiveJob == 0 && E.ChanFd >= 0)
+    if (!E.OneShot && E.ActiveJob == 0 && E.ChanFd >= 0)
       return &E;
   return nullptr;
 }
 
+size_t Server::pooledExecutives() const {
+  return std::count_if(Pool.begin(), Pool.end(),
+                       [](const auto &P) { return !P.second.OneShot; });
+}
+
 bool Server::poolEligible(const Job &J) const {
-  if (Opts.Executives == 0 || Pool.empty())
+  if (Opts.Executives == 0 || pooledExecutives() == 0)
     return false;
   // Interpreter-engine jobs need the IR module; only lowered bytecode
   // images travel to executives.
@@ -480,14 +475,19 @@ bool Server::poolEligible(const Job &J) const {
   return Img >= 0;
 }
 
-bool Server::dispatchToExecutive(Job &J, Executive &E) {
+ExecAssignment Server::assignmentFor(const Job &J) {
   ExecAssignment A;
   A.ProgramKey = J.Prog->Key;
   A.Generation = J.Prog->Generation;
   A.UseParallel = J.Req.Mode != JobMode::Sequential;
   A.Attempt = J.Attempt;
   A.Req = J.Req;
-  A.Req.ModuleText.clear(); // the program travels as an image fd
+  A.Req.ModuleText.clear(); // the program is cached or travels by fd
+  return A;
+}
+
+bool Server::dispatchToExecutive(Job &J, Executive &E) {
+  ExecAssignment A = assignmentFor(J);
   int Img = A.UseParallel ? J.Prog->ImagePar : J.Prog->ImageSeq;
   std::string Err;
   if (!writeFrameWithFds(E.ChanFd, MsgType::ExecAssign, encodeExecAssign(A),
@@ -499,10 +499,6 @@ bool Server::dispatchToExecutive(Job &J, Executive &E) {
                    static_cast<unsigned long long>(E.Id), Err.c_str());
     return false;
   }
-  E.ActiveJob = J.Id;
-  J.Pooled = true;
-  J.ExecId = E.Id;
-  J.Pid = E.Pid;
   ++stat("pool_dispatches");
   return true;
 }
@@ -528,38 +524,26 @@ void Server::readExecutive(Executive &E) {
   while (true) {
     MsgType Type;
     std::string Body, Err;
+    JobReply Reply;
     FrameAssembler::Result R = E.Frames.next(Type, Body, Err);
     if (R == FrameAssembler::Result::NeedMore)
       break;
-    if (R == FrameAssembler::Result::Malformed || Type != MsgType::JobResult) {
+    if (R == FrameAssembler::Result::Malformed || Type != MsgType::JobResult ||
+        !decodeJobReply(Body, Reply, Err)) {
       Dead = true; // private channel corrupted: replace the executive
       ::kill(E.Pid, SIGKILL);
       break;
     }
     auto It = Jobs.find(E.ActiveJob);
     E.ActiveJob = 0;
-    if (It == Jobs.end())
-      continue; // job vanished (canceled) while the reply was in flight
-    Job &J = It->second;
-    // Repackage as the raw frame finishJob expects in ResultBuf, so the
-    // pooled path reuses the supervisor path's decode/triage/retry logic
-    // verbatim (WaitStatus 0 == clean exit).
-    std::string Frame;
-    uint32_t Len = static_cast<uint32_t>(1 + Body.size());
-    for (int I = 0; I < 4; ++I)
-      Frame.push_back(static_cast<char>((Len >> (8 * I)) & 0xff));
-    Frame.push_back(static_cast<char>(MsgType::JobResult));
-    Frame.append(Body);
-    J.ResultBuf = std::move(Frame);
-    J.ResultEof = true;
-    J.Reaped = true;
-    J.WaitStatus = 0;
+    if (It != Jobs.end()) // else canceled while the reply was in flight
+      It->second.Reply = std::move(Reply);
   }
 
   if (Dead) {
-    // EOF or hard error: the executive is gone.  Its active job (if any)
-    // is triaged when SIGCHLD reaps the corpse; here we just stop polling
-    // the dead channel.
+    // EOF or hard error: the executive is gone (a one-shot executive
+    // closes its channel by exiting).  An unanswered job is triaged when
+    // SIGCHLD reaps the corpse; here we just stop polling the channel.
     ::close(E.ChanFd);
     E.ChanFd = -1;
   }
@@ -586,12 +570,10 @@ int Server::run() {
     checkDeadlines(Now);
     checkConnHealth(Now);
 
-    // Finalize any job whose supervisor is reaped and whose result pipe
-    // has either drained to EOF or already holds a complete frame.
+    // Finalize every job whose executive answered or died.
     std::vector<uint64_t> Done;
     for (auto &[Id, J] : Jobs)
-      if (J.Running && J.Reaped &&
-          (J.ResultEof || holdsCompleteFrame(J.ResultBuf)))
+      if (J.Running && (J.Reply || J.Reaped))
         Done.push_back(Id);
     for (uint64_t Id : Done) {
       auto It = Jobs.find(Id);
@@ -646,7 +628,7 @@ int Server::run() {
     }
 
     std::vector<pollfd> Pfds;
-    std::vector<std::pair<char, uint64_t>> What; // ('l'|'s'|'c'|'r'|'e', key)
+    std::vector<std::pair<char, uint64_t>> What; // ('l'|'s'|'c'|'e', key)
     if (ListenFd >= 0) {
       Pfds.push_back({ListenFd, POLLIN, 0});
       What.push_back({'l', 0});
@@ -660,11 +642,6 @@ int Server::run() {
       Pfds.push_back({Fd, Ev, 0});
       What.push_back({'c', static_cast<uint64_t>(Fd)});
     }
-    for (auto &[Id, J] : Jobs)
-      if (J.Running && J.ResultFd >= 0 && !J.ResultEof) {
-        Pfds.push_back({J.ResultFd, POLLIN, 0});
-        What.push_back({'r', Id});
-      }
     for (auto &[Id, E] : Pool)
       if (E.ChanFd >= 0) {
         Pfds.push_back({E.ChanFd, POLLIN, 0});
@@ -726,26 +703,6 @@ int Server::run() {
         if (It == Pool.end() || It->second.ChanFd < 0)
           continue;
         readExecutive(It->second);
-      } else if (Kind == 'r') {
-        auto It = Jobs.find(What[I].second);
-        if (It == Jobs.end())
-          continue;
-        Job &J = It->second;
-        char Buf[64 << 10];
-        while (true) {
-          ssize_t N = ::read(J.ResultFd, Buf, sizeof(Buf));
-          if (N > 0) {
-            J.ResultBuf.append(Buf, static_cast<size_t>(N));
-            continue;
-          }
-          if (N == 0)
-            J.ResultEof = true;
-          else if (errno == EINTR)
-            continue;
-          else if (errno != EAGAIN && errno != EWOULDBLOCK)
-            J.ResultEof = true;
-          break;
-        }
       }
     }
     // Completed executives / refilled buckets may have opened dispatch
@@ -833,9 +790,6 @@ void Server::readConn(Conn &C) {
 
 void Server::handleFrame(Conn &C, MsgType Type, const std::string &Body) {
   switch (Type) {
-  case MsgType::Hello:
-    handleHello(C, Body);
-    return;
   case MsgType::SubmitJob:
     handleSubmit(C, Body);
     return;
@@ -855,20 +809,6 @@ void Server::handleFrame(Conn &C, MsgType Type, const std::string &Body) {
                          std::to_string(static_cast<unsigned>(Type)));
     return;
   }
-}
-
-void Server::handleHello(Conn &C, const std::string &Body) {
-  HelloRequest H;
-  std::string Err;
-  if (!decodeHello(Body, H, Err)) {
-    protocolError(C, Err);
-    return;
-  }
-  C.Tenant = H.TenantId;
-  C.MemfdOk = H.WantMemfd; // sealed-memfd submission is always available
-  HelloReply Reply;
-  Reply.MemfdOk = C.MemfdOk;
-  sendFrame(C, MsgType::HelloReply, encodeHelloReply(Reply));
 }
 
 void Server::protocolError(Conn &C, const std::string &Why) {
@@ -892,7 +832,7 @@ void Server::dropConn(int Fd, const char *Why) {
     if (JIt != Jobs.end()) {
       Job &J = JIt->second;
       if (J.Running) {
-        // Mid-invocation disconnect: kill the supervisor tree; the reap
+        // Mid-invocation disconnect: kill the executive tree; the reap
         // path frees the admission slot and counts the cancellation.
         killJob(J, KillCause::ClientGone);
       } else {
@@ -1025,9 +965,8 @@ void Server::handleSubmit(Conn &C, const std::string &Body) {
     protocolError(C, Err);
     return;
   }
-  // Admission identity: the request's own tenant id wins, else whatever
-  // the connection negotiated at Hello, else the anonymous tenant.
-  std::string TenantId = !Req.TenantId.empty() ? Req.TenantId : C.Tenant;
+  // Admission identity: the request's tenant id (empty = anonymous).
+  std::string TenantId = Req.TenantId;
   TenantState &T = tenantState(TenantId);
   ++T.Submitted;
   auto Reject = [&](JobStatus S, const std::string &Why) {
@@ -1129,7 +1068,7 @@ void Server::handleSubmit(Conn &C, const std::string &Body) {
     return;
   }
   if (Prog->Poisoned) {
-    // This exact program text already killed a supervisor with a
+    // This exact program text already killed an executive with a
     // deterministic program-class signal; answer from the cached negative
     // verdict instead of crashing another one.
     ++stat("negative_verdicts");
@@ -1222,67 +1161,30 @@ void Server::pumpQueue() {
 void Server::startJob(Job &J) {
   // Fast path: hand the job to a pre-warmed executive.  No fork, no
   // parse, no lowering — the sealed program image travels by fd.
-  if (poolEligible(J)) {
-    Executive *E = idleExecutive();
-    if (E && dispatchToExecutive(J, *E)) {
-      J.Running = true;
-      J.StartT = wallSeconds();
-      double DeadlineSec =
-          J.Req.DeadlineSec > 0 ? J.Req.DeadlineSec : Opts.DefaultDeadlineSec;
-      if (DeadlineSec > 0)
-        J.DeadlineAbs = J.StartT + DeadlineSec * timeoutScale();
-      WorkersInUse += J.Cost;
-      if (Opts.Verbose)
-        std::fprintf(stderr,
-                     "[privateer-served] job %llu -> executive %llu (%s, %u "
-                     "workers, cache %s)\n",
-                     static_cast<unsigned long long>(J.Id),
-                     static_cast<unsigned long long>(J.ExecId),
-                     J.Req.Mode == JobMode::Sequential ? "seq" : "spec",
-                     J.Req.NumWorkers, J.CacheHit ? "hit" : "miss");
+  Executive *E = poolEligible(J) ? idleExecutive() : nullptr;
+  if (E && !dispatchToExecutive(J, *E)) {
+    retireExecutive(E->Id); // dispatch failed: the channel is broken
+    E = nullptr;
+  }
+  // Otherwise a one-shot executive.  socketpair/fork failures (EMFILE,
+  // EAGAIN/ENOMEM under load) are infra-class: they go through the retry
+  // ladder like any other resource exhaustion.
+  if (!E) {
+    std::string Err;
+    E = spawnExecutive(&J, Err);
+    if (!E) {
+      JobReply R;
+      R.Status = JobStatus::InternalError;
+      R.Cause = FailureCause::InfraFork;
+      R.Error = Err;
+      retryOrFail(J, std::move(R));
       return;
     }
-    if (E)
-      respawnExecutive(E->Id); // dispatch failed: channel is broken
   }
-
-  // Compatible path: per-job fork supervisor.  pipe/fork failures
-  // (EMFILE, EAGAIN/ENOMEM under load) are infra-class: they go through
-  // the retry ladder like any other resource exhaustion.
-  auto Infra = [&](const char *What) {
-    JobReply R;
-    R.Status = JobStatus::InternalError;
-    R.Cause = FailureCause::InfraFork;
-    R.Error = std::string(What) + ": " + std::strerror(errno);
-    retryOrFail(J, std::move(R));
-  };
-  int P[2];
-  if (::pipe2(P, O_CLOEXEC) < 0) {
-    Infra("pipe");
-    return;
-  }
-  pid_t Pid = ::fork();
-  if (Pid < 0) {
-    ::close(P[0]);
-    ::close(P[1]);
-    Infra("fork");
-    return;
-  }
-  if (Pid == 0) {
-    ::close(P[0]);
-    J.ResultFd = P[1];
-    runSupervisor(J); // never returns
-  }
-  ::close(P[1]);
-  ++stat("supervisor_forks");
-  // Mirror the child's setpgid so a kill(-pid) that races supervisor
-  // startup still finds the group.
-  ::setpgid(Pid, Pid);
-  setNonBlocking(P[0]);
+  E->ActiveJob = J.Id;
+  J.ExecId = E->Id;
+  J.Pid = E->Pid;
   J.Running = true;
-  J.Pooled = false;
-  J.Pid = Pid;
-  J.ResultFd = P[0];
   J.StartT = wallSeconds();
   double DeadlineSec =
       J.Req.DeadlineSec > 0 ? J.Req.DeadlineSec : Opts.DefaultDeadlineSec;
@@ -1291,168 +1193,16 @@ void Server::startJob(Job &J) {
   WorkersInUse += J.Cost;
   if (Opts.Verbose)
     std::fprintf(stderr,
-                 "[privateer-served] job %llu -> supervisor %d (%s, %u "
+                 "[privateer-served] job %llu -> %s executive %d (%s, %u "
                  "workers, cache %s)\n",
-                 static_cast<unsigned long long>(J.Id), Pid,
+                 static_cast<unsigned long long>(J.Id),
+                 E->OneShot ? "one-shot" : "pooled", static_cast<int>(E->Pid),
                  J.Req.Mode == JobMode::Sequential ? "seq" : "spec",
                  J.Req.NumWorkers, J.CacheHit ? "hit" : "miss");
 }
 
-void Server::runSupervisor(const Job &J) {
-  // Own process group: the daemon kills the whole worker tree with one
-  // kill(-pid) when the job is canceled or overruns its deadline.
-  ::setpgid(0, 0);
-  ::signal(SIGTERM, SIG_DFL);
-  ::signal(SIGINT, SIG_DFL);
-  ::signal(SIGCHLD, SIG_DFL);
-  ::signal(SIGPIPE, SIG_IGN);
-  SigWakeFd = -1;
-
-  // Drop every daemon fd except this job's result pipe.
-  if (ListenFd >= 0)
-    ::close(ListenFd);
-  for (int Fd : {SigPipe[0], SigPipe[1]})
-    if (Fd >= 0)
-      ::close(Fd);
-  for (auto &[Fd, C] : Conns)
-    ::close(Fd);
-  for (auto &[Id, Other] : Jobs)
-    if (Id != J.Id && Other.ResultFd >= 0)
-      ::close(Other.ResultFd);
-  for (auto &[Id, E] : Pool)
-    if (E.ChanFd >= 0)
-      ::close(E.ChanFd);
-
-  applySupervisorLimits(J.Req);
-
-  if (J.Req.FaultKillSupervisor)
-    ::raise(SIGKILL); // fault injection: die without a result
-  if (J.Req.FaultSupervisorSignal != 0) {
-    // Reset first: the daemon may have inherited the runtime's SIGSEGV
-    // speculation handler from an in-process training run.
-    ::signal(static_cast<int>(J.Req.FaultSupervisorSignal), SIG_DFL);
-    ::raise(static_cast<int>(J.Req.FaultSupervisorSignal));
-  }
-  if (J.Req.FaultSupervisorExit != kNoFaultExit)
-    ::_exit(static_cast<int>(J.Req.FaultSupervisorExit));
-  if (J.Req.FaultBurnCpuSec > 0) {
-    double End = cpuSeconds() + J.Req.FaultBurnCpuSec;
-    volatile uint64_t Sink = 0;
-    while (cpuSeconds() < End)
-      for (int I = 0; I < 4096; ++I)
-        Sink = Sink + static_cast<uint64_t>(I) * 2654435761u;
-  }
-
-  JobReply R;
-  R.CacheHit = J.CacheHit;
-  R.PipelineSec = J.CacheHit ? 0 : J.Prog->PipelineSec;
-
-  // Typed out-of-memory reporting: deliver a clean JobResult frame and
-  // exit 0 so the daemon triages the failure from the reply body, not from
-  // a corpse.  Both fault knobs below funnel through this path, as does
-  // any bad_alloc thrown during execution.
-  auto ReportOom = [&](const std::string &Why) {
-    R.Status = JobStatus::ResourceLimit;
-    R.Cause = FailureCause::OutOfMemory;
-    R.Error = Why;
-    std::string E2;
-    writeFrame(J.ResultFd, MsgType::JobResult, encodeJobReply(R), E2);
-    ::close(J.ResultFd);
-    ::_exit(0);
-  };
-  if (J.Attempt < J.Req.FaultOomAttempts)
-    ReportOom("fault injection: simulated allocation failure on attempt " +
-              std::to_string(J.Attempt + 1));
-  if (J.Req.FaultAllocBytes > 0) {
-    try {
-      // Direct operator call: a new[]/delete[] pair is elidable at -O3,
-      // which would silently defuse the fault.
-      void *P = ::operator new[](J.Req.FaultAllocBytes);
-      ::operator delete[](P);
-    } catch (const std::bad_alloc &) {
-      ReportOom("allocation of " + std::to_string(J.Req.FaultAllocBytes) +
-                " bytes failed (bad_alloc)");
-    }
-  }
-
-  char *OutBuf = nullptr;
-  size_t OutLen = 0;
-  std::FILE *Out = ::open_memstream(&OutBuf, &OutLen);
-  if (!Out)
-    ::_exit(3);
-
-  ParallelOptions Par;
-  Par.NumWorkers = J.Req.NumWorkers;
-  Par.CheckpointPeriod = J.Req.CheckpointPeriod;
-  Par.MaxSlotsPerEpoch = J.Req.MaxSlotsPerEpoch;
-  Par.InjectMisspecRate = J.Req.InjectMisspecRate;
-  Par.InjectSeed = J.Req.InjectSeed;
-  Par.EagerCommit = J.Req.EagerCommit;
-  // Honor PRIVATEER_TIMEOUT_SCALE here exactly like the per-job deadline:
-  // sanitizer builds run several-fold slower and the watchdog must not
-  // reap healthy workers.
-  Par.StallTimeoutSec = J.Req.StallTimeoutSec * timeoutScale();
-  Par.TracePath = J.Req.TracePath;
-  Par.Faults.Seed = J.Req.FaultSeed;
-  Par.Faults.KillWorker = J.Req.FaultKillWorker;
-  Par.Faults.KillAtIter = J.Req.FaultKillAtIter;
-  Par.Faults.StallWorker = J.Req.FaultStallWorker;
-  Par.Faults.StallAtIter = J.Req.FaultStallAtIter;
-  Par.Faults.StallSeconds = J.Req.FaultStallSeconds;
-  Par.Faults.KillRate = J.Req.FaultKillRate;
-  Par.Strat = static_cast<Strategy>(J.Req.Strat);
-  Par.NumStages = J.Req.NumStages;
-
-  transform::PipelineOptions PO;
-  PO.Engine = J.Req.Engine == 1 ? transform::ExecEngine::Interp
-                                : transform::ExecEngine::Bytecode;
-  PO.Strat = static_cast<Strategy>(J.Req.Strat);
-  PO.NumStages = J.Req.NumStages;
-
-  double T0 = wallSeconds();
-  try {
-    if (J.Req.Mode == JobMode::Sequential) {
-      interp::Cell V = transform::executeSequential(
-          *J.Prog->M, PO, Out, J.Prog->LoweredSeq.get());
-      R.ExitValue = V.asInt();
-      R.Status = JobStatus::Ok;
-    } else {
-      transform::ExecutionResult E = transform::executePrivatized(
-          *J.Prog->M, *J.Prog->FA, J.Prog->Pipeline.Assignment, PO, Par,
-          RuntimeConfig(), Out, J.Prog->LoweredPar.get());
-      R.ExitValue = E.ReturnValue.asInt();
-      R.Iterations = E.Stats.Iterations;
-      R.Checkpoints = E.Stats.Checkpoints;
-      R.Misspecs = E.Stats.Misspecs;
-      R.RecoveredIterations = E.Stats.RecoveredIterations;
-      R.ComUpdates = E.Stats.ComUpdates;
-      R.ComRecordsCommitted = E.Stats.ComRecordsCommitted;
-      R.MisspecReason = E.Stats.FirstMisspecReason;
-      R.Status = JobStatus::Ok;
-    }
-  } catch (const std::bad_alloc &) {
-    R.Status = JobStatus::ResourceLimit;
-    R.Cause = FailureCause::OutOfMemory;
-    R.Error = "out of memory (bad_alloc) during execution";
-  } catch (const std::exception &E) {
-    R.Status = JobStatus::InternalError;
-    R.Error = E.what();
-  }
-  R.ExecSec = wallSeconds() - T0;
-
-  std::fclose(Out);
-  R.Output.assign(OutBuf, OutLen);
-  std::free(OutBuf);
-
-  std::string Err;
-  if (!writeFrame(J.ResultFd, MsgType::JobResult, encodeJobReply(R), Err))
-    ::_exit(4);
-  ::close(J.ResultFd);
-  ::_exit(0);
-}
-
-void Server::applySupervisorLimits(const JobRequest &Req) {
-  // A crashing supervisor must not dump multi-GiB tagged heaps to disk.
+void Server::applyJobLimits(const JobRequest &Req) {
+  // A crashing executive must not dump multi-GiB tagged heaps to disk.
   rlimit Core{0, 0};
   ::setrlimit(RLIMIT_CORE, &Core);
   // Effective ceiling: the request can lower the daemon's default but
@@ -1491,35 +1241,22 @@ void Server::reapChildren() {
     pid_t Pid = ::waitpid(-1, &St, WNOHANG);
     if (Pid <= 0)
       return;
-    for (auto &[Id, J] : Jobs)
-      if (J.Running && J.Pid == Pid) {
-        J.Reaped = true;
-        J.WaitStatus = St;
-        // Drain whatever the supervisor managed to write.
-        char Buf[64 << 10];
-        while (J.ResultFd >= 0) {
-          ssize_t N = ::read(J.ResultFd, Buf, sizeof(Buf));
-          if (N > 0) {
-            J.ResultBuf.append(Buf, static_cast<size_t>(N));
-            continue;
-          }
-          if (N == 0)
-            J.ResultEof = true;
-          else if (errno == EINTR)
-            continue;
-          break;
-        }
-        if (J.Pooled)
-          J.ResultEof = true; // no pipe to wait for; triage from WaitStatus
-        break;
-      }
-    // A dead executive is replaced immediately; its active job (matched
-    // above through J.Pid) is triaged like any dead supervisor.
-    for (auto &[EId, E] : Pool)
-      if (E.Pid == Pid) {
-        respawnExecutive(EId);
-        break;
-      }
+    auto EIt = std::find_if(Pool.begin(), Pool.end(),
+                            [Pid](const auto &P) { return P.second.Pid == Pid; });
+    if (EIt == Pool.end())
+      continue;
+    // A reply may still sit in the dead executive's channel (a one-shot
+    // executive exits right after writing it); collect it first.
+    Executive &E = EIt->second;
+    uint64_t JobId = E.ActiveJob;
+    if (E.ChanFd >= 0)
+      readExecutive(E);
+    auto JIt = Jobs.find(JobId);
+    if (JIt != Jobs.end() && JIt->second.Running && !JIt->second.Reply) {
+      JIt->second.Reaped = true;
+      JIt->second.WaitStatus = St;
+    }
+    retireExecutive(EIt->first);
   }
 }
 
@@ -1535,7 +1272,7 @@ void Server::killJob(Job &J, KillCause Cause) {
     return;
   J.Killed = Cause;
   if (J.Pid > 0) {
-    ::kill(-J.Pid, SIGKILL); // the whole supervisor process group
+    ::kill(-J.Pid, SIGKILL); // the whole executive process group
     ::kill(J.Pid, SIGKILL);  // belt and braces if setpgid lost the race
   }
 }
@@ -1598,9 +1335,9 @@ JobReply Server::triageFailure(const Job &J) {
   } else if (WIFEXITED(St) && WEXITSTATUS(St) != 0) {
     int Code = WEXITSTATUS(St);
     R.SupExitCode = static_cast<uint32_t>(Code);
-    if (Code == 3 || Code == 4) {
-      // The supervisor's own _exit codes: open_memstream failed (3) or the
-      // result pipe write failed (4) — infrastructure, not the program.
+    if (Code == 4) {
+      // The executive's own _exit code when its reply could not be
+      // written — infrastructure, not the program.
       R.Status = JobStatus::InternalError;
       R.Cause = FailureCause::ResultTruncated;
       R.Error =
@@ -1613,7 +1350,7 @@ JobReply Server::triageFailure(const Job &J) {
           "supervisor exited with status " + std::to_string(Code);
     }
   } else {
-    // Exited 0 but the result frame never parsed.
+    // Exited 0 without a reply.
     R.Status = JobStatus::Crashed;
     R.Cause = FailureCause::ResultTruncated;
     R.Error = "supervisor result truncated";
@@ -1638,15 +1375,9 @@ bool Server::retryOrFail(Job &J, JobReply R) {
     }
     J.Cost = J.Req.NumWorkers + 1;
     J.Running = false;
-    J.Pooled = false;
     J.ExecId = 0;
     J.Pid = -1;
-    if (J.ResultFd >= 0) {
-      ::close(J.ResultFd);
-      J.ResultFd = -1;
-    }
-    J.ResultBuf.clear();
-    J.ResultEof = false;
+    J.Reply.reset();
     J.Reaped = false;
     J.WaitStatus = 0;
     J.Killed = KillCause::None;
@@ -1690,18 +1421,12 @@ void Server::finishJob(Job &J) {
   Reg.real("service", "exec_sec") += Now - J.StartT;
   Reg.real("service", "queue_wait_sec") += J.StartT - J.SubmitT;
 
-  // Release this attempt's budget and pipe before anything else; a retry
-  // re-acquires admission at its (possibly smaller) degraded cost.
+  // Release this attempt's budget and executive before anything else; a
+  // retry re-acquires admission at its (possibly smaller) degraded cost.
   WorkersInUse -= J.Cost;
-  if (J.ResultFd >= 0) {
-    ::close(J.ResultFd);
-    J.ResultFd = -1;
-  }
-  if (J.Pooled) {
-    auto EIt = Pool.find(J.ExecId);
-    if (EIt != Pool.end() && EIt->second.ActiveJob == J.Id)
-      EIt->second.ActiveJob = 0;
-  }
+  auto EIt = Pool.find(J.ExecId);
+  if (EIt != Pool.end() && EIt->second.ActiveJob == J.Id)
+    EIt->second.ActiveJob = 0;
   tenantState(J.Tenant).Completed += 1;
 
   if (J.Killed == KillCause::ClientGone) {
@@ -1736,26 +1461,20 @@ void Server::finishJob(Job &J) {
     return;
   }
 
-  // The supervisor finished on its own: decode its result frame, or triage
-  // its corpse into a typed failure.
-  FrameAssembler A(Opts.MaxFrameBytes);
-  A.feed(J.ResultBuf.data(), J.ResultBuf.size());
-  MsgType Type;
-  std::string Body, Err;
+  // The executive finished on its own: take its reply, or triage its
+  // corpse into a typed failure.
   JobReply R;
-  bool Clean = WIFEXITED(J.WaitStatus) && WEXITSTATUS(J.WaitStatus) == 0;
-  bool Decoded = Clean &&
-                 A.next(Type, Body, Err) == FrameAssembler::Result::Frame &&
-                 Type == MsgType::JobResult && decodeJobReply(Body, R, Err);
-  if (Decoded && J.Pooled)
+  if (J.Reply) {
+    R = std::move(*J.Reply);
     // Executives don't know the daemon-side pipeline cost; patch it in so
-    // cold pooled replies carry the same accounting as supervisor ones.
+    // a cold reply carries it.
     R.PipelineSec = J.CacheHit || !J.Prog ? 0 : J.Prog->PipelineSec;
-  if (Decoded && R.Status == JobStatus::Ok) {
+  }
+  if (J.Reply && R.Status == JobStatus::Ok) {
     ++stat("jobs_completed");
-    // Jobs execute in supervisor/executive processes, so their runtime
-    // registries die with them; fold the reply's commutative-heap stats
-    // into the daemon registry so the status JSON aggregates them.
+    // Jobs execute in executive processes, so their runtime registries
+    // die with them; fold the reply's commutative-heap stats into the
+    // daemon registry so the status JSON aggregates them.
     StatisticRegistry::instance().counter("com", "updates") += R.ComUpdates;
     StatisticRegistry::instance().counter("com", "records-committed") +=
         R.ComRecordsCommitted;
@@ -1770,11 +1489,11 @@ void Server::finishJob(Job &J) {
     pumpQueue();
     return;
   }
-  if (!Decoded) {
+  if (!J.Reply) {
     R = triageFailure(J);
     // Deterministic program-class crash signals poison the cached program:
     // resubmitting the same text answers from the negative verdict instead
-    // of crashing another supervisor.  External SIGKILL/SIGTERM say
+    // of crashing another executive.  External SIGKILL/SIGTERM say
     // nothing about the program and never poison.
     if (J.Prog && R.Cause == FailureCause::Signal) {
       int Sig = static_cast<int>(R.TermSignal);
@@ -1812,7 +1531,7 @@ void Server::beginDrain() {
 }
 
 void Server::beginShutdown() {
-  // Cancel the queues first so pumpQueue cannot start new supervisors as
+  // Cancel the queues first so pumpQueue cannot start new executives as
   // running jobs die.
   for (auto &[TId, T] : Tenants) {
     for (uint64_t Id : T.Queue) {
@@ -1840,7 +1559,7 @@ std::string Server::statusJson() const {
   stat("cache_evictions") = Cache.evictions();
   size_t Idle = 0;
   for (const auto &[Id, E] : Pool)
-    if (E.ActiveJob == 0 && E.ChanFd >= 0)
+    if (!E.OneShot && E.ActiveJob == 0 && E.ChanFd >= 0)
       ++Idle;
   char Head[640];
   std::snprintf(Head, sizeof(Head),
@@ -1852,7 +1571,7 @@ std::string Server::statusJson() const {
                 static_cast<int>(::getpid()), wallSeconds() - StartTime,
                 Draining ? "true" : "false", queuedCount(),
                 Jobs.size() - queuedCount(), WorkersInUse, Opts.WorkerBudget,
-                Cache.size(), Pool.size(), Idle);
+                Cache.size(), pooledExecutives(), Idle);
   std::string S(Head);
   S += "{";
   bool First = true;

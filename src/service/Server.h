@@ -8,27 +8,29 @@
 /// \file
 /// The persistent invocation service.  One single-threaded control plane
 /// (poll loop over the listening Unix socket, client connections, signal
-/// self-pipe, executive channels, and supervisor result pipes) owns the
-/// warm ProgramCache, a weighted-fair admission queue, a pool of
-/// pre-warmed executive processes, and — for jobs the pool cannot take —
-/// per-job supervisor processes.
+/// self-pipe, and executive channels) owns the warm ProgramCache, a
+/// weighted-fair admission queue, and the executives that run the jobs.
 ///
-/// Two execution paths:
+/// One job runner (service::runJob), two process lifetimes:
 ///
-///  - Executive pool (the fast path).  N executives are forked once at
+///  - Pooled executives (the fast path).  N executives are forked once at
 ///    startup, each a blank process waiting on a private socketpair.  A
 ///    warm job is dispatched as one ExecAssign frame whose program rides
 ///    out-of-band: the ProgramCache's lowered bytecode, serialized into a
 ///    sealed memfd, handed over via SCM_RIGHTS.  The executive maps and
 ///    caches the image by (key, generation), so a warm hit pays no fork,
-///    no parse, and no lowering — just dispatch and execution.  An
-///    executive that crashes mid-job is triaged exactly like a dead
-///    supervisor (typed FailureCause, infra retry ladder, negative-verdict
-///    poisoning) and replaced.
+///    no parse, and no lowering — just dispatch and execution.
 ///
-///  - Fork supervisor (the compatible path).  Jobs the pool cannot run —
-///    interpreter engine, per-job rlimits, programs whose lowering
-///    declined — fork a per-job supervisor exactly as before.
+///  - One-shot executives.  Jobs the pool cannot run — interpreter
+///    engine, per-job rlimits, programs whose lowering declined, or a
+///    daemon with no pool — fork an executive for that job alone.  It
+///    inherits the cached program across fork, applies the rlimits, runs
+///    the job, replies and exits.
+///
+/// Both kinds reply with one JobResult frame on their channel.  A job
+/// whose executive dies without replying is triaged from its wait status
+/// (typed FailureCause, infra retry ladder, negative-verdict poisoning);
+/// a dead pooled executive is replaced.
 ///
 /// Admission is weighted fair queuing (start-time fair queuing over
 /// per-tenant FIFOs): each tenant carries a weight, a priority band, and
@@ -55,6 +57,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <sys/types.h>
 #include <vector>
@@ -75,7 +78,7 @@ struct TenantConfig {
 struct ServerOptions {
   std::string SocketPath;
   /// Total concurrent processes across jobs (each job: NumWorkers + 1
-  /// supervisor/executive).  Requests that can never fit are rejected.
+  /// executive).  Requests that can never fit are rejected.
   unsigned WorkerBudget = 16;
   /// Bounded per-tenant admission queue (jobs waiting for budget).
   size_t QueueDepth = 16;
@@ -88,7 +91,7 @@ struct ServerOptions {
 
   // --- Horizontal scale ---------------------------------------------------
   /// Pre-warmed executive pool size; 0 disables the pool (every job forks
-  /// a supervisor, the PR 6 behavior — also the bench baseline).
+  /// a one-shot executive — the bench baseline).
   unsigned Executives = 4;
   /// Acceptor shards.  1 = single daemon process (default).  N > 1 forks
   /// N full daemons sharing the listening socket.
@@ -98,13 +101,13 @@ struct ServerOptions {
   /// Shard child: accept on this inherited fd instead of binding.
   int InheritedListenFd = -1;
 
-  // --- Supervisor resource governance (0 = unlimited) --------------------
-  /// Every supervisor (and its worker tree, which inherits the limits
-  /// across fork) runs under these rlimits; per-job requests can lower
-  /// but never raise them.  RLIMIT_CORE is always 0: a crashing
-  /// supervisor must not dump multi-GiB tagged heaps to disk.  Jobs with
-  /// any rlimit (daemon-wide or per-request) take the fork-supervisor
-  /// path: executives are long-lived and cannot wear per-job limits.
+  // --- Per-job resource governance (0 = unlimited) -----------------------
+  /// A limited job's executive (and its worker tree, which inherits the
+  /// limits across fork) runs under these rlimits; per-job requests can
+  /// lower but never raise them.  RLIMIT_CORE is always 0: a crashing
+  /// executive must not dump multi-GiB tagged heaps to disk.  Jobs with
+  /// any rlimit (daemon-wide or per-request) run on a one-shot executive:
+  /// pooled ones are long-lived and cannot wear per-job limits.
   uint64_t MaxMemoryBytes = 0; ///< RLIMIT_AS
   uint32_t MaxCpuSec = 0;      ///< RLIMIT_CPU (scaled by timeoutScale())
   uint32_t MaxOpenFiles = 0;   ///< RLIMIT_NOFILE
@@ -164,9 +167,6 @@ private:
     /// wallSeconds() of the last write progress while Out was nonempty;
     /// 0 when Out is empty.
     double LastWriteProgress = 0;
-    /// Negotiated by Hello (v4); v2/v3 connections keep the defaults.
-    std::string Tenant;
-    bool MemfdOk = false;
     /// SCM_RIGHTS descriptors received but not yet claimed by a SubmitJob
     /// (a memfd's frame body may complete on a later read).
     std::vector<int> PendingFds;
@@ -182,14 +182,11 @@ private:
     std::shared_ptr<CachedProgram> Prog;
     bool CacheHit = false;
     bool Running = false;
-    /// Dispatched to a pooled executive (Pid is the executive's; result
-    /// arrives on its channel, not a per-job pipe).
-    bool Pooled = false;
-    uint64_t ExecId = 0; ///< owning executive when Pooled
-    pid_t Pid = -1;
-    int ResultFd = -1;
-    std::string ResultBuf;
-    bool ResultEof = false;
+    uint64_t ExecId = 0; ///< the executive running this attempt
+    pid_t Pid = -1;      ///< that executive's pid (and process group)
+    /// The executive's answer; empty until its JobResult frame arrives.
+    std::optional<JobReply> Reply;
+    /// The executive died before answering; WaitStatus says how.
     bool Reaped = false;
     int WaitStatus = 0;
     KillCause Killed = KillCause::None;
@@ -205,13 +202,15 @@ private:
     unsigned Attempt = 0;
   };
 
-  /// One pre-warmed executive process and its dispatch channel.
+  /// One executive process and its channel.
   struct Executive {
     uint64_t Id = 0;
     pid_t Pid = -1;
     int ChanFd = -1; ///< daemon end of the socketpair
     FrameAssembler Frames;
     uint64_t ActiveJob = 0; ///< 0 = idle
+    /// Forked for one job: never handed a second one, never respawned.
+    bool OneShot = false;
   };
 
   /// Per-tenant WFQ state: FIFO queue, fair-queuing tags, token bucket,
@@ -233,22 +232,27 @@ private:
   void acceptClients();
   void readConn(Conn &C);
   void handleFrame(Conn &C, MsgType Type, const std::string &Body);
-  void handleHello(Conn &C, const std::string &Body);
   void handleSubmit(Conn &C, const std::string &Body);
   void readExecutive(Executive &E);
   void dropConn(int Fd, const char *Why);
   void protocolError(Conn &C, const std::string &Why);
 
-  // Executive pool.
-  bool spawnExecutive(std::string &Err);
-  void respawnExecutive(uint64_t ExecId);
+  // Executives.
+  /// Forks an executive on a fresh socketpair: a pooled one when
+  /// \p OneShot is null, else one that runs that job alone and exits.
+  Executive *spawnExecutive(const Job *OneShot, std::string &Err);
+  /// Drops \p ExecId from the table; a pooled executive is replaced.
+  void retireExecutive(uint64_t ExecId);
   void shutdownPool();
   Executive *idleExecutive();
+  size_t pooledExecutives() const;
+  /// The assignment that runs \p J's current attempt.
+  static ExecAssignment assignmentFor(const Job &J);
   /// True when the pool can run \p J: bytecode engine, lowered image
   /// available for the requested mode, and no per-job rlimits.
   bool poolEligible(const Job &J) const;
   /// Hands \p J to \p E (ExecAssign + image fd).  False on send failure —
-  /// the executive is respawned and the caller falls back to a fork.
+  /// the executive is replaced and the caller falls back to a one-shot.
   bool dispatchToExecutive(Job &J, Executive &E);
 
   // WFQ admission.
@@ -262,12 +266,11 @@ private:
   // Job lifecycle.
   void pumpQueue();
   void startJob(Job &J);
-  [[noreturn]] void runSupervisor(const Job &J);
-  void applySupervisorLimits(const JobRequest &Req);
+  void applyJobLimits(const JobRequest &Req);
   void reapChildren();
   void finishJob(Job &J);
-  /// Decodes the supervisor's wait status / result frame into a typed
-  /// failure reply (Cause, TermSignal, SupExitCode).
+  /// Decodes the wait status of an executive that died without replying
+  /// into a typed failure reply (Cause, TermSignal, SupExitCode).
   JobReply triageFailure(const Job &J);
   /// Requeues an infra-failed job with a degraded config, or — when the
   /// retry budget is spent or the cause is program-class — sends \p R as

@@ -28,7 +28,7 @@ std::unique_ptr<Instruction> makeWaitDep(Value *Iter, uint32_t Chan,
   auto W = std::make_unique<Instruction>(Opcode::WaitDep, Type::I64,
                                          std::move(Name));
   W->addOperand(Iter);
-  W->setAccessBytes(Chan);
+  W->setDepChannel(Chan);
   return W;
 }
 
@@ -37,7 +37,7 @@ std::unique_ptr<Instruction> makePostDep(Value *Iter, Value *V,
   auto P = std::make_unique<Instruction>(Opcode::PostDep, Type::Void);
   P->addOperand(Iter);
   P->addOperand(V);
-  P->setAccessBytes(Chan);
+  P->setDepChannel(Chan);
   return P;
 }
 

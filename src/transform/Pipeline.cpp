@@ -86,7 +86,6 @@ PipelineResult transform::runPrivateerPipeline(Module &M,
           if (DS.ok() && isDoallReady(*L, FA, WhyNot)) {
             HA = std::move(Trial);
             HA.DoacrossChannels = DP.NumChannels;
-            HA.DoacrossMinDistance = DP.MinDistance;
             for (const analysis::ArrayCarry &AC : DP.Arrays)
               HA.PrivacyElides.insert(AC.Load);
             Ready = true;
@@ -209,23 +208,15 @@ transform::lowerForSequential(const Module &M, std::string &WhyNot) {
 ExecutionResult transform::executePrivatized(
     Module &M, const FunctionAnalyses &FA, const HeapAssignment &HA,
     const PipelineOptions &Opt, const ParallelOptions &ParOpts,
-    const RuntimeConfig &Config, std::FILE *Out,
-    const bytecode::BytecodeProgram *Prelowered) {
+    const RuntimeConfig &Config, std::FILE *Out) {
   const Loop *L = HA.TheLoop;
 
-  // Engine selection before the runtime comes up: lower (or accept the
-  // cache's prelowered program), falling back to the interpreter when the
-  // lowerer declines.
-  std::shared_ptr<const bytecode::BytecodeProgram> Owned;
-  const bytecode::BytecodeProgram *BP = nullptr;
+  // Engine selection before the runtime comes up: a lowered program runs
+  // on the VM; the interpreter takes over when the lowerer declines.
   std::string EngineNote;
   if (Opt.Engine == ExecEngine::Bytecode) {
-    if (Prelowered)
-      BP = Prelowered;
-    else {
-      Owned = lowerForPrivatized(M, FA, HA, EngineNote);
-      BP = Owned.get();
-    }
+    if (auto BP = lowerForPrivatized(M, FA, HA, EngineNote))
+      return executeLoadedParallel(*BP, Opt, ParOpts, Config, Out);
   }
 
   Runtime &Rt = Runtime::get();
@@ -233,34 +224,11 @@ ExecutionResult transform::executePrivatized(
   Rt.setSequentialOutput(Out);
 
   ExecutionResult R;
-  R.EngineUsed = BP ? ExecEngine::Bytecode : ExecEngine::Interp;
-  if (Opt.Engine == ExecEngine::Bytecode && !BP)
+  R.EngineUsed = ExecEngine::Interp;
+  if (Opt.Engine == ExecEngine::Bytecode)
     R.EngineNote = "bytecode lowering fell back to interpreter: " +
                    EngineNote;
-  if (BP) {
-    PrivateerMemoryManager MM;
-    bytecode::VM Vm(*BP, MM);
-    bytecode::VM::ParallelPlan Plan;
-    Plan.Options = ParOpts;
-    Plan.Options.Out = Out;
-    Plan.Options.NumDepChannels =
-        std::max(Plan.Options.NumDepChannels, BP->NumDepChannels);
-    Plan.Options.DepDistance = std::max<uint32_t>(
-        Plan.Options.DepDistance,
-        static_cast<uint32_t>(HA.DoacrossMinDistance));
-    Vm.setParallelPlan(&Plan);
-    Vm.initializeGlobals();
-    for (const bytecode::BcReduxGlobal &RG : BP->ReduxGlobals)
-      Rt.registerReduction(
-          reinterpret_cast<void *>(Vm.globalAddress(RG.GlobalIdx)),
-          BP->Globals[RG.GlobalIdx].SizeBytes, RG.Elem, RG.Op);
-    for (const bytecode::BcComGlobal &CG : BP->ComGlobals)
-      Rt.registerCommutative(
-          reinterpret_cast<void *>(Vm.globalAddress(CG.GlobalIdx)),
-          BP->Globals[CG.GlobalIdx].SizeBytes, CG.Op, CG.ElemBytes);
-    R.ReturnValue = Vm.run(Opt.EntryFunction, Opt.EntryArgs);
-    R.Stats = Plan.Stats;
-  } else {
+  {
     PrivateerMemoryManager MM;
     Interpreter Interp(M, MM);
     Interpreter::ParallelPlan Plan;
@@ -273,9 +241,6 @@ ExecutionResult transform::executePrivatized(
     Plan.Options.Out = Out;
     Plan.Options.NumDepChannels =
         std::max(Plan.Options.NumDepChannels, HA.DoacrossChannels);
-    Plan.Options.DepDistance = std::max<uint32_t>(
-        Plan.Options.DepDistance,
-        static_cast<uint32_t>(HA.DoacrossMinDistance));
     Interp.setParallelPlan(&Plan);
     Interp.initializeGlobals();
 
@@ -361,32 +326,21 @@ Cell transform::executeLoadedSequential(const bytecode::BytecodeProgram &BP,
 }
 
 Cell transform::executeSequential(Module &M, const PipelineOptions &Opt,
-                                  std::FILE *Out,
-                                  const bytecode::BytecodeProgram *Prelowered,
-                                  ExecEngine *EngineUsed) {
-  std::shared_ptr<const bytecode::BytecodeProgram> Owned;
-  const bytecode::BytecodeProgram *BP = nullptr;
+                                  std::FILE *Out, ExecEngine *EngineUsed) {
+  std::shared_ptr<const bytecode::BytecodeProgram> BP;
   if (Opt.Engine == ExecEngine::Bytecode) {
-    if (Prelowered)
-      BP = Prelowered;
-    else {
-      std::string WhyNot;
-      Owned = lowerForSequential(M, WhyNot);
-      BP = Owned.get();
-    }
+    std::string WhyNot;
+    BP = lowerForSequential(M, WhyNot);
   }
   if (EngineUsed)
     *EngineUsed = BP ? ExecEngine::Bytecode : ExecEngine::Interp;
+  if (BP)
+    return executeLoadedSequential(*BP, Opt, Out);
 
   Runtime &Rt = Runtime::get();
   Rt.setSequentialOutput(Out);
   Cell Result;
-  if (BP) {
-    PlainMemoryManager MM;
-    bytecode::VM Vm(*BP, MM);
-    Vm.initializeGlobals();
-    Result = Vm.run(Opt.EntryFunction, Opt.EntryArgs);
-  } else {
+  {
     PlainMemoryManager MM;
     Interpreter Interp(M, MM);
     Interp.initializeGlobals();

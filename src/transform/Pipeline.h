@@ -121,18 +121,16 @@ lowerForSequential(const ir::Module &M, std::string &WhyNot);
 /// allocation, reduction registration, and the selected loop
 /// DOALL-parallelized across forked workers.  Initializes and shuts down
 /// the runtime internally.  Deferred output goes to \p Out (nullptr =
-/// stdout).  \p Prelowered (from lowerForPrivatized) skips lowering on
-/// warm cache hits; null lowers on the spot when Options.Engine is
-/// Bytecode.
+/// stdout).  With Options.Engine == Bytecode the module is lowered and
+/// run through executeLoadedParallel; the interpreter runs it when the
+/// lowerer declines or Options.Engine is Interp.
 ExecutionResult executePrivatized(ir::Module &M,
                                   const analysis::FunctionAnalyses &FA,
                                   const classify::HeapAssignment &HA,
                                   const PipelineOptions &Options,
                                   const ParallelOptions &ParOpts,
                                   const RuntimeConfig &Config,
-                                  std::FILE *Out,
-                                  const bytecode::BytecodeProgram *Prelowered =
-                                      nullptr);
+                                  std::FILE *Out);
 
 /// Plain sequential execution over host memory (works for original and
 /// transformed modules alike; checks are no-ops).  Output to \p Out.
@@ -140,8 +138,6 @@ ExecutionResult executePrivatized(ir::Module &M,
 /// \p EngineUsed (optional) reports which engine ran.
 interp::Cell executeSequential(ir::Module &M, const PipelineOptions &Options,
                                std::FILE *Out,
-                               const bytecode::BytecodeProgram *Prelowered =
-                                   nullptr,
                                ExecEngine *EngineUsed = nullptr);
 
 /// Speculative execution of a self-contained prelowered program (from

@@ -59,7 +59,7 @@ int64_t runSeq(const std::string &Text, ExecEngine Engine,
   PipelineOptions Opt;
   Opt.Engine = Engine;
   std::FILE *Out = std::tmpfile();
-  interp::Cell R = executeSequential(*M, Opt, Out, nullptr, Used);
+  interp::Cell R = executeSequential(*M, Opt, Out, Used);
   if (OutText)
     *OutText = readAll(Out);
   std::fclose(Out);
@@ -303,13 +303,11 @@ TEST(BytecodeFallback, LoweredProgramsAreReusable) {
   auto BP = transform::lowerForSequential(*M, WhyNot);
   ASSERT_NE(BP, nullptr) << WhyNot;
   for (int Run = 0; Run < 2; ++Run) {
-    PipelineOptions Opt;
-    ExecEngine Used = ExecEngine::Interp;
     std::FILE *Out = std::tmpfile();
-    interp::Cell R = executeSequential(*M, Opt, Out, BP.get(), &Used);
+    interp::Cell R =
+        transform::executeLoadedSequential(*BP, PipelineOptions(), Out);
     std::string Got = readAll(Out);
     std::fclose(Out);
-    EXPECT_EQ(Used, ExecEngine::Bytecode);
     EXPECT_EQ(R.asInt(), 7) << "run " << Run;
     EXPECT_EQ(Got, "counter 7\n") << "run " << Run;
   }

@@ -2,7 +2,7 @@
 //
 // PR 1 taught the runtime to absorb worker-level faults; this suite
 // extends the same discipline to the service tier.  Every scenario
-// injects a failure the daemon must absorb — supervisor death across the
+// injects a failure the daemon must absorb — executive death across the
 // signal matrix, allocation failure (simulated and real), CPU-budget
 // exhaustion, a daemon SIGKILL with a client mid-flight, slow readers,
 // byte-dribbled frames — and then proves the invariants the resilience
@@ -111,16 +111,31 @@ std::string frameBytes(MsgType Type, const std::string &Body) {
   return Frame;
 }
 
-// --- Supervisor-death signal matrix --------------------------------------
+/// Both process kinds run the same job runner, so the scenarios below run
+/// once against pooled executives (the default) and once with the pool
+/// off, where every job gets a one-shot executive; the typed replies must
+/// be identical.  The counters prove which kind served the jobs.
+void expectProcessKind(const std::string &Json, unsigned Executives) {
+  if (Executives > 0) {
+    EXPECT_GT(jsonInt(Json, "pool_dispatches"), 0) << Json;
+    EXPECT_EQ(jsonInt(Json, "supervisor_forks"), 0) << Json;
+  } else {
+    EXPECT_EQ(jsonInt(Json, "pool_dispatches"), 0) << Json;
+    EXPECT_GT(jsonInt(Json, "supervisor_forks"), 0) << Json;
+  }
+}
+
+// --- Executive-death signal matrix ---------------------------------------
 //
 // SIGSEGV / SIGBUS / SIGABRT / SIGKILL / exit(N) must each yield the
 // correct typed failure cause, free the worker budget, and leave the
 // daemon serving the same connection.
 
-TEST(ServiceChaos, SupervisorSignalMatrix) {
+void signalMatrix(unsigned Executives) {
   ServerOptions Opts;
   Opts.SocketPath = uniqueSocketPath();
   Opts.WorkerBudget = 8;
+  Opts.Executives = Executives;
   ForkedDaemon D(Opts);
   ASSERT_TRUE(D.forked());
 
@@ -170,12 +185,16 @@ TEST(ServiceChaos, SupervisorSignalMatrix) {
   EXPECT_EQ(jsonInt(Json, "jobs_crashed"), 5);
   EXPECT_EQ(jsonInt(Json, "workers_in_use"), 0) << "budget leaked";
   EXPECT_EQ(jsonInt(Json, "retries"), 0) << "program-class failures retried";
+  expectProcessKind(Json, Executives);
   ASSERT_TRUE(D.alive());
 }
 
+TEST(ServiceChaos, SupervisorSignalMatrix) { signalMatrix(4); }
+TEST(ServiceChaos, SupervisorSignalMatrixOneShot) { signalMatrix(0); }
+
 // A deterministic program-class crash poisons the cached program: the
 // same text answers from the negative verdict instead of crashing a
-// second supervisor.  External SIGKILL must NOT poison.
+// second executive.  External SIGKILL must NOT poison.
 TEST(ServiceChaos, NegativeVerdictForCrashingProgram) {
   ServerOptions Opts;
   Opts.SocketPath = uniqueSocketPath();
@@ -225,10 +244,11 @@ TEST(ServiceChaos, NegativeVerdictForCrashingProgram) {
 // Two injected OOM attempts: the daemon retries with halved workers, then
 // sequential, and the third attempt's output is byte-identical to plain
 // sequential execution.
-TEST(ServiceChaos, OomRetryLadderRecovers) {
+void oomRetryLadder(unsigned Executives) {
   ServerOptions Opts;
   Opts.SocketPath = uniqueSocketPath();
   Opts.WorkerBudget = 8;
+  Opts.Executives = Executives;
   ForkedDaemon D(Opts);
   ASSERT_TRUE(D.forked());
 
@@ -255,8 +275,12 @@ TEST(ServiceChaos, OomRetryLadderRecovers) {
   EXPECT_EQ(jsonInt(Json, "retry_success"), 1);
   EXPECT_EQ(jsonInt(Json, "jobs_completed"), 1);
   EXPECT_EQ(jsonInt(Json, "workers_in_use"), 0);
+  expectProcessKind(Json, Executives);
   ASSERT_TRUE(D.alive());
 }
+
+TEST(ServiceChaos, OomRetryLadderRecovers) { oomRetryLadder(4); }
+TEST(ServiceChaos, OomRetryLadderRecoversOneShot) { oomRetryLadder(0); }
 
 // When every attempt hits the failure, the retry budget runs out and the
 // client gets the typed final verdict.
@@ -289,9 +313,9 @@ TEST(ServiceChaos, OomRetriesExhaustedYieldTypedFailure) {
   ASSERT_TRUE(D.alive());
 }
 
-// A real allocation bomb: the supervisor's bad_alloc becomes a typed
-// OutOfMemory verdict, never a daemon casualty.
-TEST(ServiceChaos, AllocationBombIsTypedOom) {
+// A real allocation bomb: the executive's failed allocation becomes a
+// typed OutOfMemory verdict, never a daemon casualty.
+void allocationBomb(unsigned Executives) {
 #if PRIVATEER_ASAN
   const char *AsanOpts = ::getenv("ASAN_OPTIONS");
   if (!AsanOpts ||
@@ -303,6 +327,7 @@ TEST(ServiceChaos, AllocationBombIsTypedOom) {
   ServerOptions Opts;
   Opts.SocketPath = uniqueSocketPath();
   Opts.WorkerBudget = 8;
+  Opts.Executives = Executives;
   ForkedDaemon D(Opts);
   ASSERT_TRUE(D.forked());
 
@@ -321,9 +346,17 @@ TEST(ServiceChaos, AllocationBombIsTypedOom) {
   JobReply Ok;
   ASSERT_TRUE(C.submit(quickJob(), Ok, Err, 60 * timeoutScale())) << Err;
   EXPECT_EQ(Ok.Status, JobStatus::Ok) << Ok.Error;
+
+  std::string Json;
+  ASSERT_TRUE(C.status(Json, Err)) << Err;
+  EXPECT_EQ(jsonInt(Json, "jobs_resource_limit"), 1);
+  expectProcessKind(Json, Executives);
 }
 
-// RLIMIT_CPU: a spinning supervisor draws SIGXCPU and the client sees a
+TEST(ServiceChaos, AllocationBombIsTypedOom) { allocationBomb(4); }
+TEST(ServiceChaos, AllocationBombIsTypedOomOneShot) { allocationBomb(0); }
+
+// RLIMIT_CPU: a spinning executive draws SIGXCPU and the client sees a
 // typed CPU-budget verdict.
 TEST(ServiceChaos, CpuBudgetExhaustionIsTyped) {
   ServerOptions Opts;

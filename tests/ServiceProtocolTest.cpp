@@ -351,12 +351,12 @@ TEST(ServiceProtocol, DaemonSurvivesGarbageAndKeepsServing) {
   EXPECT_EQ(jsonInt(Json, "pid"), D.pid());
 }
 
-// --- Cross-version compatibility -----------------------------------------
+// --- Old protocol versions -----------------------------------------------
 //
-// The wire encodings of protocol v2 (no Engine byte) and v3 (Engine, no
-// tenant/submit tail) are pinned here byte-for-byte; a v4 daemon must
-// decode both with the documented defaults, and must reject versions
-// outside [kMinProtocolVersion, kProtocolVersion].
+// Every client lives in this repository and speaks kProtocolVersion, so
+// bodies in the older layouts (v2: no Engine byte; v3: no tenant/submit
+// tail; v4: no strategy/stage tail) are rejected outright, as are versions
+// that never existed.
 
 void putU8(std::string &B, uint8_t V) { B.push_back(static_cast<char>(V)); }
 void putU32(std::string &B, uint32_t V) {
@@ -377,7 +377,7 @@ void putStr(std::string &B, const std::string &S) {
   B += S;
 }
 
-/// Encodes \p R exactly as a v2 or v3 client would have.
+/// Encodes \p R exactly as a v2, v3 or v4 client would have.
 std::string encodeLegacyRequest(const JobRequest &R, uint8_t Version) {
   std::string B;
   putU8(B, Version);
@@ -418,116 +418,38 @@ std::string encodeLegacyRequest(const JobRequest &R, uint8_t Version) {
   return B;
 }
 
-TEST(ServiceProtocol, CrossVersionRequestsDecode) {
+TEST(ServiceProtocol, CrossVersionRequestsRejected) {
   JobRequest In = sampleRequest();
-  In.Engine = 1;
-
-  // v2: Engine defaults to the bytecode VM, tenancy to anonymous in-band.
-  {
+  for (uint8_t V : {uint8_t(2), uint8_t(3), uint8_t(4)}) {
     JobRequest Out;
     std::string Err;
-    ASSERT_TRUE(decodeJobRequest(encodeLegacyRequest(In, 2), Out, Err))
+    EXPECT_FALSE(decodeJobRequest(encodeLegacyRequest(In, V), Out, Err))
+        << "v" << int(V) << " request decoded";
+    EXPECT_NE(Err.find("unsupported protocol version"), std::string::npos)
         << Err;
-    EXPECT_EQ(Out.ModuleText, In.ModuleText);
-    EXPECT_EQ(Out.Mode, In.Mode);
-    EXPECT_EQ(Out.Engine, 0) << "v2 has no Engine byte";
-    EXPECT_EQ(Out.NumWorkers, In.NumWorkers);
-    EXPECT_EQ(Out.IdempotencyKey, In.IdempotencyKey);
-    EXPECT_DOUBLE_EQ(Out.FaultBurnCpuSec, In.FaultBurnCpuSec);
-    EXPECT_TRUE(Out.TenantId.empty());
-    EXPECT_EQ(Out.Submit, static_cast<uint8_t>(SubmitMode::InBand));
   }
 
-  // v3: Engine travels, tenancy still defaults.
-  {
-    JobRequest Out;
-    std::string Err;
-    ASSERT_TRUE(decodeJobRequest(encodeLegacyRequest(In, 3), Out, Err))
-        << Err;
-    EXPECT_EQ(Out.Engine, In.Engine);
-    EXPECT_TRUE(Out.TenantId.empty());
-    EXPECT_EQ(Out.Submit, static_cast<uint8_t>(SubmitMode::InBand));
-  }
-
-  // v4: tenancy travels, scheduling strategy defaults to DOALL.
-  {
-    JobRequest Out;
-    std::string Err;
-    ASSERT_TRUE(decodeJobRequest(encodeLegacyRequest(In, 4), Out, Err))
-        << Err;
-    EXPECT_EQ(Out.TenantId, In.TenantId);
-    EXPECT_EQ(Out.Submit, In.Submit);
-    EXPECT_EQ(Out.Strat, static_cast<uint8_t>(Strategy::Doall))
-        << "v4 has no strategy byte";
-    EXPECT_EQ(Out.NumStages, 0u);
-  }
-
-  // Versions outside the supported window are rejected outright.
-  for (uint8_t V : {uint8_t(0), uint8_t(1), uint8_t(kProtocolVersion + 1)}) {
+  // Any other version byte on a current-layout body, of either kind.
+  for (uint8_t V : {uint8_t(0), uint8_t(1), uint8_t(4),
+                    uint8_t(kProtocolVersion + 1)}) {
     std::string Body = encodeJobRequest(In);
     Body[0] = static_cast<char>(V);
     JobRequest Out;
     std::string Err;
     EXPECT_FALSE(decodeJobRequest(Body, Out, Err)) << "version " << int(V);
-    EXPECT_NE(Err.find("version"), std::string::npos) << Err;
+    EXPECT_NE(Err.find("unsupported protocol version"), std::string::npos)
+        << Err;
+
+    std::string ReplyBody = encodeJobReply(JobReply());
+    ReplyBody[0] = static_cast<char>(V);
+    JobReply R;
+    EXPECT_FALSE(decodeJobReply(ReplyBody, R, Err)) << "version " << int(V);
+    EXPECT_NE(Err.find("unsupported protocol version"), std::string::npos)
+        << Err;
   }
-}
-
-// A byte-exact v2 client frame against a live v4 daemon: served in-band,
-// reply decodable, output correct.
-TEST(ServiceProtocol, LegacyV2ClientIsServed) {
-  ServerOptions Opts;
-  Opts.SocketPath = uniqueSocketPath();
-  ForkedDaemon D(Opts);
-  ASSERT_TRUE(D.forked());
-  {
-    service::Client Ready;
-    std::string Err;
-    ASSERT_TRUE(Ready.connect(D.socket(), Err, 10 * timeoutScale())) << Err;
-  }
-
-  JobRequest Req;
-  Req.ModuleText = reductionSumIrText(250);
-  Req.NumWorkers = 2;
-  std::string Body = encodeLegacyRequest(Req, 2);
-
-  int Fd = rawConnect(D.socket());
-  ASSERT_GE(Fd, 0);
-  std::string Err;
-  ASSERT_TRUE(writeFrame(Fd, MsgType::SubmitJob, Body, Err)) << Err;
-  MsgType Type;
-  std::string ReplyBody;
-  ASSERT_EQ(readFrame(Fd, Type, ReplyBody, Err, 300 * timeoutScale()),
-            ReadStatus::Ok)
-      << Err;
-  ::close(Fd);
-  ASSERT_EQ(Type, MsgType::JobResult);
-  JobReply R;
-  ASSERT_TRUE(decodeJobReply(ReplyBody, R, Err)) << Err;
-  EXPECT_EQ(R.Status, JobStatus::Ok) << R.Error;
-  EXPECT_NE(R.Output.find("acc"), std::string::npos);
 }
 
 // --- Zero-copy submission edge cases -------------------------------------
-
-TEST(ServiceProtocol, HelloNegotiatesTenantAndMemfd) {
-  ServerOptions Opts;
-  Opts.SocketPath = uniqueSocketPath();
-  ForkedDaemon D(Opts);
-  ASSERT_TRUE(D.forked());
-
-  service::Client C;
-  C.Tenant = "hello-test";
-  C.UseMemfd = true;
-  std::string Err;
-  ASSERT_TRUE(C.connect(D.socket(), Err, 10 * timeoutScale())) << Err;
-  EXPECT_TRUE(C.memfdNegotiated());
-
-  // A client that never asked keeps the in-band default.
-  service::Client Plain;
-  ASSERT_TRUE(Plain.connect(D.socket(), Err, 10 * timeoutScale())) << Err;
-  EXPECT_FALSE(Plain.memfdNegotiated());
-}
 
 // A Memfd-mode submission whose SCM_RIGHTS payload is absent must be
 // rejected with a typed ParseError — and must not wedge the connection.

@@ -1,9 +1,10 @@
 //===- tests/ServiceTest.cpp - Invocation-service lifecycle tests ---------===//
 //
 // End-to-end coverage of privateer-served: concurrent clients with
-// byte-identical outputs and a warm cache, supervisor-crash isolation,
+// byte-identical outputs and a warm cache, executive-crash isolation,
 // client-disconnect cancellation, per-job deadlines, admission-control
-// backpressure, SIGTERM drain, and sequential-mode fallback.
+// backpressure, SIGTERM drain, sequential-mode fallback, and the jobs
+// that run on one-shot executives (interpreter engine, per-job rlimits).
 //
 // Every daemon is forked (ForkedDaemon) before any test threads exist;
 // the test process itself only ever talks over sockets.
@@ -464,6 +465,89 @@ TEST(Service, DoacrossStrategyServedAndCachedPerStrategy) {
   ASSERT_TRUE(C.status(Json, Err)) << Err;
   EXPECT_EQ(jsonInt(Json, "cache_misses"), 3) << Json;
   EXPECT_GE(jsonInt(Json, "cache_hits"), 1) << Json;
+  ASSERT_TRUE(D.alive());
+}
+
+// Interpreter-engine jobs never reach the pool (only lowered images
+// travel to pooled executives): each runs on a one-shot executive over
+// the fork-inherited module, and its output matches the bytecode job's
+// byte for byte, speculative and sequential alike.
+TEST(Service, InterpreterEngineJobsMatchBytecode) {
+  ServerOptions Opts;
+  Opts.SocketPath = uniqueSocketPath();
+  Opts.WorkerBudget = 8;
+  ForkedDaemon D(Opts);
+  ASSERT_TRUE(D.forked());
+
+  const std::string Text = reductionSumIrText(1500);
+  const std::string Expected = sequentialOutput(Text);
+  ASSERT_FALSE(Expected.empty());
+
+  service::Client C;
+  std::string Err;
+  ASSERT_TRUE(C.connect(D.socket(), Err, 10 * timeoutScale())) << Err;
+
+  for (JobMode Mode : {JobMode::Speculative, JobMode::Sequential}) {
+    SCOPED_TRACE(Mode == JobMode::Sequential ? "sequential" : "speculative");
+    JobRequest Req;
+    Req.ModuleText = Text;
+    Req.NumWorkers = 2;
+    Req.Mode = Mode;
+    JobReply Bc;
+    ASSERT_TRUE(C.submit(Req, Bc, Err, 300 * timeoutScale())) << Err;
+    ASSERT_EQ(Bc.Status, JobStatus::Ok) << Bc.Error;
+
+    Req.Engine = 1;
+    JobReply In;
+    ASSERT_TRUE(C.submit(Req, In, Err, 300 * timeoutScale())) << Err;
+    ASSERT_EQ(In.Status, JobStatus::Ok) << In.Error;
+    EXPECT_EQ(In.Output, Bc.Output);
+    EXPECT_EQ(In.Output, Expected);
+    EXPECT_EQ(In.ExitValue, Bc.ExitValue);
+    EXPECT_EQ(In.Iterations, Bc.Iterations);
+  }
+
+  std::string Json;
+  ASSERT_TRUE(C.status(Json, Err)) << Err;
+  EXPECT_EQ(jsonInt(Json, "supervisor_forks"), 2) << Json;
+  EXPECT_EQ(jsonInt(Json, "pool_dispatches"), 2) << Json;
+  EXPECT_EQ(jsonInt(Json, "cache_misses"), 1) << Json;
+  ASSERT_TRUE(D.alive());
+}
+
+// A per-job rlimit cannot be worn by a long-lived pooled executive: the
+// job runs on a one-shot executive under the limit, and the same job
+// without one goes back to the pool.
+TEST(Service, RlimitJobRunsOneShot) {
+  ServerOptions Opts;
+  Opts.SocketPath = uniqueSocketPath();
+  Opts.WorkerBudget = 8;
+  ForkedDaemon D(Opts);
+  ASSERT_TRUE(D.forked());
+
+  service::Client C;
+  std::string Err;
+  ASSERT_TRUE(C.connect(D.socket(), Err, 10 * timeoutScale())) << Err;
+
+  JobRequest Limited = quickJob();
+  Limited.MaxOpenFiles = 256;
+  JobReply R;
+  ASSERT_TRUE(C.submit(Limited, R, Err, 300 * timeoutScale())) << Err;
+  ASSERT_EQ(R.Status, JobStatus::Ok) << R.Error;
+  EXPECT_EQ(R.Output, sequentialOutput(Limited.ModuleText));
+
+  std::string Json;
+  ASSERT_TRUE(C.status(Json, Err)) << Err;
+  EXPECT_EQ(jsonInt(Json, "supervisor_forks"), 1) << Json;
+  EXPECT_EQ(jsonInt(Json, "pool_dispatches"), 0) << Json;
+
+  JobReply R2;
+  ASSERT_TRUE(C.submit(quickJob(), R2, Err, 300 * timeoutScale())) << Err;
+  ASSERT_EQ(R2.Status, JobStatus::Ok) << R2.Error;
+  EXPECT_EQ(R2.Output, R.Output);
+  ASSERT_TRUE(C.status(Json, Err)) << Err;
+  EXPECT_EQ(jsonInt(Json, "supervisor_forks"), 1) << Json;
+  EXPECT_EQ(jsonInt(Json, "pool_dispatches"), 1) << Json;
   ASSERT_TRUE(D.alive());
 }
 

@@ -216,7 +216,7 @@ int main(int Argc, char **Argv) {
     PipelineOptions SeqOpt;
     SeqOpt.Engine = Engine;
     ExecEngine Used = ExecEngine::Interp;
-    interp::Cell R = executeSequential(*M, SeqOpt, stdout, nullptr, &Used);
+    interp::Cell R = executeSequential(*M, SeqOpt, stdout, &Used);
     std::fprintf(stderr, "[privateer-cc] sequential (%s) exit value: %lld\n",
                  execEngineName(Used), static_cast<long long>(R.asInt()));
     return 0;

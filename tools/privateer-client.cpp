@@ -54,13 +54,14 @@ int usage(const char *Argv0) {
       "  --tenant <id>     multi-tenant identity for fair queuing (the\n"
       "                    daemon meters and weighs each tenant apart)\n"
       "  --memfd           zero-copy submission: module text travels in a\n"
-      "                    sealed memfd via SCM_RIGHTS when the daemon\n"
-      "                    grants it (falls back in-band otherwise)\n"
+      "                    sealed memfd via SCM_RIGHTS (falls back\n"
+      "                    in-band when no memfd can be created)\n"
       "  --jobs <n>        submit the job n times over this connection\n"
       "  --status          print the daemon's status JSON and exit\n"
       "  --drain           ask the daemon to finish its queue and exit\n"
       "  --shutdown        ask the daemon to cancel everything and exit\n"
-      "  --kill-supervisor fault injection: supervisor SIGKILLs itself\n"
+      "  --kill-supervisor fault injection: the job's executive SIGKILLs\n"
+      "                    itself\n"
       "  --quiet           suppress the per-job stats line\n",
       Argv0);
   return 2;

@@ -2,7 +2,7 @@
 //
 // The Privateer invocation service: a long-lived daemon that keeps
 // compiled pipelines warm and executes submitted .pir jobs in isolated
-// per-job supervisor processes.
+// executive processes.
 //
 //   privateer-served --socket /tmp/p.sock &
 //   privateer-client --socket /tmp/p.sock --demo redsum
@@ -32,11 +32,11 @@ int usage(const char *Argv0) {
       "  --cache <n>       warm program cache entries (default 32)\n"
       "  --deadline <sec>  default per-job deadline, scaled by\n"
       "                    PRIVATEER_TIMEOUT_SCALE (default: none)\n"
-      "  --max-mem-mb <n>  RLIMIT_AS for every supervisor + worker tree,\n"
+      "  --max-mem-mb <n>  RLIMIT_AS for every executive + worker tree,\n"
       "                    in MiB (default: unlimited)\n"
-      "  --max-cpu <sec>   RLIMIT_CPU per supervisor, scaled by\n"
+      "  --max-cpu <sec>   RLIMIT_CPU per executive, scaled by\n"
       "                    PRIVATEER_TIMEOUT_SCALE (default: unlimited)\n"
-      "  --max-fds <n>     RLIMIT_NOFILE per supervisor (default: "
+      "  --max-fds <n>     RLIMIT_NOFILE per executive (default: "
       "unlimited)\n"
       "  --conn-buffer <b> per-connection outbound buffer cap in bytes;\n"
       "                    slower readers are dropped (default 4 MiB)\n"
@@ -46,7 +46,8 @@ int usage(const char *Argv0) {
       "                    degraded config (default 2, 0 disables)\n"
       "  --executives <n>  pre-warmed executive processes reused across\n"
       "                    jobs; warm cache hits run with zero fork and\n"
-      "                    zero parse (default 4, 0 = per-job fork only)\n"
+      "                    zero parse (default 4, 0 = a one-shot\n"
+      "                    executive forked per job)\n"
       "  --shards <n>      acceptor shards: n independently forked daemon\n"
       "                    processes sharing one listening socket, with\n"
       "                    the kernel load-balancing accepts (default 1)\n"
@@ -59,7 +60,7 @@ int usage(const char *Argv0) {
       "\n"
       "Per-job requests can lower (never raise) the rlimit ceilings.\n"
       "SIGTERM drains (stop accepting, finish the queue, reap\n"
-      "supervisors); SIGINT cancels running jobs and exits.  A stale\n"
+      "executives); SIGINT cancels running jobs and exits.  A stale\n"
       "socket left by a crashed daemon is probed and reclaimed on start.\n",
       Argv0);
   return 2;
