@@ -64,22 +64,14 @@ bool ablateValuePrediction() {
     std::string Err;
     auto M = ir::parseModule(dijkstraIrText(N), Err);
     analysis::FunctionAnalyses FA(*M);
-    PipelineOptions Opt;
-    std::FILE *Sink = std::tmpfile();
-    Runtime::get().setSequentialOutput(Sink);
 
     // Profile + classify by hand so the prediction set can be ablated.
-    profiling::Profile P;
-    {
-      profiling::ProfileCollector Collector(FA);
-      interp::PlainMemoryManager MM;
-      interp::Interpreter I(*M, MM, &Collector);
-      I.initializeGlobals();
-      I.run("main", {});
-      P = Collector.finish();
-    }
-    Runtime::get().setSequentialOutput(nullptr);
-    std::fclose(Sink);
+    profiling::TrainingRun Run =
+        profiling::runTrainingProfile(
+            *M, FA, "main", {}, interp::Interpreter::kDefaultInstructionBudget);
+    if (!Run.Trap.empty())
+      return "training run trapped: " + Run.Trap;
+    profiling::Profile &P = Run.Prof;
 
     const analysis::Loop *Outer = nullptr;
     for (const auto &L :

@@ -126,7 +126,7 @@ bool Interpreter::runBlocks(BasicBlock *Start, const BasicBlock *Prev,
     for (size_t Idx = FirstNonPhi; Idx < Insts.size(); ++Idx) {
       const Instruction &I = *Insts[Idx];
       if (++Executed > Budget)
-        reportFatalError("instruction budget exceeded (runaway loop?)");
+        trap("instruction budget exceeded (runaway loop?)");
 
       if (I.isTerminator()) {
         switch (I.opcode()) {
@@ -225,13 +225,13 @@ Cell Interpreter::execute(const Instruction &I, Frame &F) {
   case Opcode::SDiv: {
     int64_t D = eval(I.operand(1), F).asInt();
     if (D == 0)
-      reportFatalError("division by zero");
+      trap("division by zero");
     return Cell::fromInt(sem::sdivWrap(eval(I.operand(0), F).asInt(), D));
   }
   case Opcode::SRem: {
     int64_t D = eval(I.operand(1), F).asInt();
     if (D == 0)
-      reportFatalError("remainder by zero");
+      trap("remainder by zero");
     return Cell::fromInt(sem::sremWrap(eval(I.operand(0), F).asInt(), D));
   }
   case Opcode::And:
@@ -411,6 +411,12 @@ BasicBlock *Interpreter::runPlannedLoop(Frame &F) {
   // After the loop, the IV holds the first value failing the bound check.
   F.Values[Iv.Phi] = Cell::fromInt(Bound > Begin ? Bound : Begin);
   return Iv.ExitBlock;
+}
+
+void Interpreter::trap(const char *Reason) const {
+  if (TrapsThrow)
+    throw Trap{Reason};
+  reportFatalError(Reason);
 }
 
 void Interpreter::formatPrint(const Instruction &I, Frame &F) {

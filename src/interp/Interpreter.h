@@ -68,6 +68,13 @@ struct Cell {
   uint64_t asPtr() const { return Raw; }
 };
 
+/// A trap the interpreted program raised: division or remainder by zero,
+/// or the instruction budget running out.  Thrown only by an interpreter
+/// with setTrapsThrow(true); otherwise a trap is a fatal error.
+struct Trap {
+  std::string Reason;
+};
+
 class InterpObserver {
 public:
   virtual ~InterpObserver() = default;
@@ -116,8 +123,13 @@ public:
   void setParallelPlan(ParallelPlan *P) { Plan = P; }
 
   /// Hard bound on interpreted instructions (runaway-loop guard).
+  static constexpr uint64_t kDefaultInstructionBudget = 2'000'000'000;
   void setInstructionBudget(uint64_t N) { Budget = N; }
   uint64_t instructionsExecuted() const { return Executed; }
+
+  /// Throw Trap instead of aborting when the program traps (the training
+  /// run in a long-lived process must survive its program).
+  void setTrapsThrow(bool On) { TrapsThrow = On; }
 
 private:
   struct Frame {
@@ -140,14 +152,17 @@ private:
 
   void formatPrint(const ir::Instruction &I, Frame &F);
 
+  [[noreturn]] void trap(const char *Reason) const;
+
   ir::Module &M;
   MemoryManager &MM;
   InterpObserver *Obs;
   ParallelPlan *Plan = nullptr;
   std::map<const ir::GlobalVariable *, uint64_t> GlobalAddrs;
-  uint64_t Budget = 2'000'000'000;
+  uint64_t Budget = kDefaultInstructionBudget;
   uint64_t Executed = 0;
   bool InParallelBody = false;
+  bool TrapsThrow = false;
 };
 
 } // namespace interp

@@ -57,24 +57,3 @@ double Profile::branchTakenRatio(const Instruction *CondBr) const {
   return static_cast<double>(It->second.first) /
          static_cast<double>(It->second.second);
 }
-
-std::string Profile::dump() const {
-  std::string Out;
-  Out += "objects (" + std::to_string(Objects.size()) + "):\n";
-  for (const ObjectKey &K : Objects)
-    Out += "  " + K.str() + "\n";
-  Out += "loops:\n";
-  for (const auto &[L, S] : Loops)
-    Out += "  loop@" + L->header()->name() +
-           " invocations=" + std::to_string(S.Invocations) +
-           " iterations=" + std::to_string(S.Iterations) +
-           " weight=" + std::to_string(S.Weight) + "\n";
-  for (const auto &[L, Deps] : FlowDeps) {
-    Out += "cross-iteration flow deps of loop@" + L->header()->name() +
-           ":\n";
-    for (const FlowDep &D : Deps)
-      Out += "  store %" + D.Src->name() + " -> load %" + D.Dst->name() +
-             "\n";
-  }
-  return Out;
-}

@@ -142,9 +142,6 @@ public:
   /// turn predicted-load addresses into global+offset).
   uint64_t globalBase(const ir::GlobalVariable *G) const;
 
-  /// Human-readable dump (for tests and debugging).
-  std::string dump() const;
-
 private:
   friend class ProfileCollector;
   friend std::string serializeProfile(const Profile &P, const ir::Module &M);

@@ -2,6 +2,11 @@
 
 #include "profiling/ProfileCollector.h"
 
+#include "support/Timing.h"
+
+#include <algorithm>
+#include <cassert>
+
 using namespace privateer;
 using namespace privateer::profiling;
 using namespace privateer::analysis;
@@ -20,12 +25,15 @@ std::string ObjectKey::str() const {
   return S;
 }
 
-ProfileCollector::LoopSnapshot ProfileCollector::snapshotActivations() const {
-  LoopSnapshot Out;
-  Out.reserve(ActivationStack.size());
-  for (const Activation &A : ActivationStack)
-    Out.emplace_back(A.L, A.ActivationId, A.Iteration);
-  return Out;
+ProfileCollector::BlockInfo &
+ProfileCollector::blockInfo(const BasicBlock *B) {
+  auto [It, Inserted] = Blocks.try_emplace(B);
+  BlockInfo &BI = It->second;
+  if (!Inserted)
+    return BI;
+  if (const Loop *L = FA.loops(B->parent()).loopFor(B); L && L->header() == B)
+    BI.Heads = L;
+  return BI;
 }
 
 const ProfileCollector::Activation *
@@ -35,6 +43,70 @@ ProfileCollector::currentActivation(const Loop *L) const {
     if (It->L == L)
       return &*It;
   return nullptr;
+}
+
+uint32_t ProfileCollector::currentContext() {
+  // Intern the contexts of the activations that have none yet, bottom
+  // up: an activation's context exists only if those below it do.
+  size_t First = ActivationStack.size();
+  while (First > 0 && ActivationStack[First - 1].Ctx == 0)
+    --First;
+  uint32_t Ctx = First ? ActivationStack[First - 1].Ctx : 0;
+  for (size_t K = First; K < ActivationStack.size(); ++K) {
+    Activation &A = ActivationStack[K];
+    retain(Ctx, 1);
+    // The new node's one reference is its live iteration's.
+    CtxNode N{Ctx, 1, A.L, A.Id, A.Iteration};
+    if (FreeContexts.empty()) {
+      Contexts.push_back(N);
+      Ctx = static_cast<uint32_t>(Contexts.size() - 1);
+    } else {
+      Ctx = FreeContexts.back();
+      FreeContexts.pop_back();
+      Contexts[Ctx] = N;
+    }
+    A.Ctx = Ctx;
+  }
+  return Ctx;
+}
+
+void ProfileCollector::release(uint32_t Ctx, uint32_t N) {
+  while (Ctx) {
+    assert(Contexts[Ctx].Refs >= N && "context released more than held");
+    if ((Contexts[Ctx].Refs -= N) != 0)
+      return;
+    FreeContexts.push_back(Ctx);
+    Ctx = Contexts[Ctx].Parent;
+    N = 1;
+  }
+}
+
+const ObjectKey *ProfileCollector::intern(ObjectKey K) {
+  return &*P.Objects.insert(std::move(K)).first;
+}
+
+void ProfileCollector::noteObject(const Instruction *I, InstRec &R,
+                                  uint64_t Addr) {
+  auto K = AddrMap.lookup(Addr);
+  if (!K || *K == R.LastObj)
+    return;
+  R.LastObj = *K;
+  P.InstObjects[I].insert(**K);
+}
+
+ProfileCollector::ShadowBlock *ProfileCollector::shadowBlock(uint64_t Addr,
+                                                             bool Create) {
+  uint64_t Key = Addr / (kShadowMask + 1);
+  if (Key == LastShadowKey)
+    return LastShadow;
+  auto It = Shadow.find(Key);
+  if (It == Shadow.end()) {
+    if (!Create)
+      return nullptr;
+    It = Shadow.emplace(Key, std::make_unique<ShadowBlock>()).first;
+  }
+  LastShadowKey = Key;
+  return LastShadow = It->second.get();
 }
 
 std::string ProfileCollector::contextString() const {
@@ -57,64 +129,105 @@ void ProfileCollector::onGlobalAlloc(const GlobalVariable *G, uint64_t Addr,
                                      uint64_t Bytes) {
   ObjectKey K;
   K.Global = G;
-  P.Objects.insert(K);
   P.GlobalBases[G] = Addr;
-  AddrMap.insert(Addr, Addr + Bytes, K);
+  AddrMap.insert(Addr, Addr + Bytes, intern(std::move(K)));
 }
 
 void ProfileCollector::onAlloc(const Instruction *Site, uint64_t Addr,
                                uint64_t Bytes) {
+  ++Allocs;
   ObjectKey K;
   K.AllocSite = Site;
   K.Context = contextString();
-  P.Objects.insert(K);
-  AddrMap.insert(Addr, Addr + (Bytes ? Bytes : 1), K);
-  LiveAllocs[Addr] = LiveAlloc{K, snapshotActivations()};
+  const ObjectKey *Obj = intern(std::move(K));
+  AddrMap.insert(Addr, Addr + (Bytes ? Bytes : 1), Obj);
+  // An alloca's address comes back without a free when its frame returns.
+  LiveAlloc &A = LiveAllocs[Addr];
+  uint32_t Ctx = currentContext();
+  retain(Ctx, 1);
+  release(A.Ctx, 1);
+  A = LiveAlloc{Obj, Ctx};
+}
+
+void ProfileCollector::countLifetime(const LiveAlloc &A, bool FreedNow) {
+  // Lifetime verdict per enclosing loop: short-lived iff freed in the
+  // same activation and iteration it was allocated in.
+  for (uint32_t C = A.Ctx; C; C = Contexts[C].Parent) {
+    const CtxNode &N = Contexts[C];
+    auto &Counts = P.Lifetime[{*A.Obj, N.L}];
+    ++Counts.first;
+    const Activation *Cur = FreedNow ? currentActivation(N.L) : nullptr;
+    if (!Cur || Cur->Id != N.ActivationId || Cur->Iteration != N.Iteration)
+      ++Counts.second;
+  }
 }
 
 void ProfileCollector::onFree(const Instruction *, uint64_t Addr) {
   auto It = LiveAllocs.find(Addr);
   if (It == LiveAllocs.end())
     return;
-  // Lifetime verdict per enclosing loop: short-lived iff freed in the
-  // same activation and iteration it was allocated in.
-  for (const auto &[L, Act, Iter] : It->second.AtAlloc) {
-    auto &Counts = P.Lifetime[{It->second.Key, L}];
-    ++Counts.first;
-    const Activation *Cur = currentActivation(L);
-    if (!Cur || Cur->ActivationId != Act || Cur->Iteration != Iter)
-      ++Counts.second;
-  }
+  countLifetime(It->second, /*FreedNow=*/true);
   auto Interval = AddrMap.lookupInterval(Addr);
   if (Interval)
     AddrMap.erase(Interval->Lo, Interval->Hi);
+  release(It->second.Ctx, 1);
   LiveAllocs.erase(It);
+}
+
+void ProfileCollector::noteFlowDeps(const Instruction *I, WriteRec W,
+                                    uint64_t Run) {
+  // Does this read observe a value written in an earlier iteration of
+  // some active loop?  Walk the writer's context outwards, comparing each
+  // loop's entry with its innermost current activation.
+  const Instruction *Src = StoreInsts[W.Store - 1];
+  for (uint32_t C = W.Ctx; C; C = Contexts[C].Parent) {
+    const CtxNode &N = Contexts[C];
+    const Activation *Cur = currentActivation(N.L);
+    if (!Cur || Cur->Id != N.ActivationId)
+      continue;
+    // A live activation still in the writer's iteration means every
+    // activation below it is too: nothing further out can carry.
+    if (Cur->Iteration == N.Iteration)
+      break;
+    FlowDep D{Src, I};
+    DepDistance &DS = P.DepDistances[{N.L, D}];
+    if (!DS.Samples)
+      P.FlowDeps[N.L].insert(D);
+    uint64_t Dist = Cur->Iteration - N.Iteration;
+    DS.Min = std::min(DS.Min, Dist);
+    DS.Max = std::max(DS.Max, Dist);
+    DS.Samples += Run;
+  }
 }
 
 void ProfileCollector::onLoad(const Instruction *I, uint64_t Addr,
                               uint64_t Bytes) {
-  if (auto K = AddrMap.lookup(Addr))
-    P.InstObjects[I].insert(*K);
+  ++Loads;
+  InstRec &R = Insts[I];
+  noteObject(I, R, Addr);
 
-  // Memory flow-dependence profiling: does this read observe a value
-  // written in an earlier iteration of some active loop?
+  // Memory flow-dependence profiling, once per run of bytes with the same
+  // last writer (each byte still counts as one sample).
+  WriteRec Prev;
+  uint64_t Run = 0;
+  auto Flush = [&] {
+    if (Run && Prev.Store)
+      noteFlowDeps(I, Prev, Run);
+  };
+  const ShadowBlock *SB = nullptr;
   for (uint64_t B = 0; B < Bytes; ++B) {
-    auto It = LastWriter.find(Addr + B);
-    if (It == LastWriter.end())
+    if (B == 0 || ((Addr + B) & kShadowMask) == 0)
+      SB = shadowBlock(Addr + B, /*Create=*/false);
+    WriteRec W = SB ? (*SB)[(Addr + B) & kShadowMask] : WriteRec();
+    if (Run && W == Prev) {
+      ++Run;
       continue;
-    for (const auto &[L, Act, Iter] : It->second.At) {
-      const Activation *Cur = currentActivation(L);
-      if (Cur && Cur->ActivationId == Act && Cur->Iteration > Iter) {
-        FlowDep D{It->second.Store, I};
-        P.FlowDeps[L].insert(D);
-        DepDistance &DS = P.DepDistances[{L, D}];
-        uint64_t Dist = Cur->Iteration - Iter;
-        DS.Min = std::min(DS.Min, Dist);
-        DS.Max = std::max(DS.Max, Dist);
-        ++DS.Samples;
-      }
     }
+    Flush();
+    Prev = W;
+    Run = 1;
   }
+  Flush();
 
   // Value-prediction profiling: the first execution of this load in each
   // iteration of each active loop.
@@ -122,75 +235,103 @@ void ProfileCollector::onLoad(const Instruction *I, uint64_t Addr,
   std::memcpy(&Raw, reinterpret_cast<const void *>(Addr),
               std::min<uint64_t>(Bytes, 8));
   for (const Activation &A : ActivationStack) {
-    PredRec &R = PredState[{I, A.L}];
-    if (R.Unpredictable)
+    auto It = std::find_if(R.Preds.begin(), R.Preds.end(),
+                           [&](const PredRec &PR) { return PR.L == A.L; });
+    if (It == R.Preds.end()) {
+      R.Preds.push_back(PredRec{A.L});
+      It = R.Preds.end() - 1;
+    }
+    PredRec &PR = *It;
+    if (PR.Unpredictable)
       continue;
-    if (R.MarkerAct == A.ActivationId && R.MarkerIter == A.Iteration)
+    if (PR.MarkerAct == A.Id && PR.MarkerIter == A.Iteration)
       continue; // Not the first read this iteration.
-    R.MarkerAct = A.ActivationId;
-    R.MarkerIter = A.Iteration;
-    if (!R.Seen) {
-      R.Seen = true;
-      R.Addr = Addr;
-      R.Bytes = Bytes;
-      R.Raw = Raw;
-    } else if (R.Addr != Addr || R.Bytes != Bytes || R.Raw != Raw) {
-      R.Unpredictable = true;
+    PR.MarkerAct = A.Id;
+    PR.MarkerIter = A.Iteration;
+    if (!PR.Seen) {
+      PR.Seen = true;
+      PR.Addr = Addr;
+      PR.Bytes = Bytes;
+      PR.Raw = Raw;
+    } else if (PR.Addr != Addr || PR.Bytes != Bytes || PR.Raw != Raw) {
+      PR.Unpredictable = true;
     }
   }
 }
 
 void ProfileCollector::onStore(const Instruction *I, uint64_t Addr,
                                uint64_t Bytes) {
-  if (auto K = AddrMap.lookup(Addr))
-    P.InstObjects[I].insert(*K);
-  LoopSnapshot Snap = snapshotActivations();
-  for (uint64_t B = 0; B < Bytes; ++B)
-    LastWriter[Addr + B] = WriteRec{I, Snap};
+  ++Stores;
+  InstRec &R = Insts[I];
+  noteObject(I, R, Addr);
+  if (!R.StoreId) {
+    StoreInsts.push_back(I);
+    R.StoreId = static_cast<uint32_t>(StoreInsts.size());
+  }
+  WriteRec W{R.StoreId, currentContext()};
+  retain(W.Ctx, static_cast<uint32_t>(Bytes));
+  // Drop the overwritten records' contexts, once per run of equal ones.
+  uint32_t OldCtx = 0, Run = 0;
+  ShadowBlock *SB = nullptr;
+  for (uint64_t B = 0; B < Bytes; ++B) {
+    if (B == 0 || ((Addr + B) & kShadowMask) == 0)
+      SB = shadowBlock(Addr + B, /*Create=*/true);
+    WriteRec &Slot = (*SB)[(Addr + B) & kShadowMask];
+    if (Slot.Ctx != OldCtx) {
+      release(OldCtx, Run);
+      OldCtx = Slot.Ctx;
+      Run = 0;
+    }
+    ++Run;
+    Slot = W;
+  }
+  release(OldCtx, Run);
 }
 
 void ProfileCollector::onBlockEnter(const BasicBlock *B,
                                     const BasicBlock *From) {
   // Branch bias (control-speculation profile).
-  if (From) {
-    const Instruction *T = From->terminator();
-    if (T && T->opcode() == Opcode::CondBr) {
-      auto &C = P.Branches[T];
-      ++C.second;
-      if (T->blockRef(0) == B)
-        ++C.first;
-    }
+  if (const Instruction *T = From ? From->terminator() : nullptr;
+      T && T->opcode() == Opcode::CondBr) {
+    std::pair<uint64_t, uint64_t> *&Counts = blockInfo(From).Branch;
+    if (!Counts)
+      Counts = &P.Branches[T];
+    ++Counts->second;
+    if (T->blockRef(0) == B)
+      ++Counts->first;
   }
-
-  const LoopInfo &LI = FA.loops(B->parent());
 
   // Leave loops this block is outside of (within the current frame).
   size_t Base = FrameBases.back();
   while (ActivationStack.size() > Base &&
-         !ActivationStack.back().L->contains(B))
+         !ActivationStack.back().L->contains(B)) {
+    release(ActivationStack.back().Ctx, 1);
     ActivationStack.pop_back();
+  }
 
   // Enter or iterate a loop whose header this is.
-  if (const Loop *L = LI.loopFor(B); L && L->header() == B) {
-    bool BackEdge = !ActivationStack.empty() &&
-                    ActivationStack.size() > Base &&
+  const BlockInfo &BI = blockInfo(B);
+  if (const Loop *L = BI.Heads) {
+    bool BackEdge = ActivationStack.size() > Base &&
                     ActivationStack.back().L == L && From &&
                     L->contains(From);
     if (BackEdge) {
-      ++ActivationStack.back().Iteration;
-      ++P.Loops[L].Iterations;
+      Activation &A = ActivationStack.back();
+      ++A.Iteration;
+      release(A.Ctx, 1);
+      A.Ctx = 0;
     } else {
-      ActivationStack.push_back(Activation{L, NextActivationId++, 0});
-      ++P.Loops[L].Invocations;
-      ++P.Loops[L].Iterations;
+      ActivationStack.push_back(
+          Activation{L, &P.Loops[L], NextActivationId++, 0, 0});
+      ++ActivationStack.back().Stats->Invocations;
     }
+    ++ActivationStack.back().Stats->Iterations;
   }
 
   // Execution weight: this block's work counts toward every active loop,
   // across frames (callee work accrues to caller loops).
-  uint64_t W = B->instructions().size();
   for (Activation &A : ActivationStack)
-    P.Loops[A.L].Weight += W;
+    A.Stats->Weight += B->instructions().size();
 }
 
 void ProfileCollector::onCall(const Instruction *Site, const Function *) {
@@ -199,6 +340,8 @@ void ProfileCollector::onCall(const Instruction *Site, const Function *) {
 }
 
 void ProfileCollector::onReturn(const Function *) {
+  for (size_t K = FrameBases.back(); K < ActivationStack.size(); ++K)
+    release(ActivationStack[K].Ctx, 1);
   ActivationStack.resize(FrameBases.back());
   FrameBases.pop_back();
   CallStack.pop_back();
@@ -207,30 +350,55 @@ void ProfileCollector::onReturn(const Function *) {
 Profile ProfileCollector::finish() {
   // Objects never freed are not short-lived for any loop that was active
   // at their allocation.
-  for (const auto &[Addr, Alloc] : LiveAllocs) {
-    (void)Addr;
-    for (const auto &[L, Act, Iter] : Alloc.AtAlloc) {
-      (void)Act;
-      (void)Iter;
-      auto &Counts = P.Lifetime[{Alloc.Key, L}];
-      ++Counts.first;
-      ++Counts.second;
-    }
-  }
+  for (const auto &[Addr, Alloc] : LiveAllocs)
+    countLifetime(Alloc, /*FreedNow=*/false);
   LiveAllocs.clear();
 
   // Materialize surviving value predictions (sign-extended like Load).
-  for (const auto &[Key, R] : PredState) {
-    if (!R.Seen || R.Unpredictable)
-      continue;
-    int64_t V = 0;
-    std::memcpy(&V, &R.Raw, 8);
-    if (R.Bytes < 8) {
-      unsigned Shift = 64 - 8 * static_cast<unsigned>(R.Bytes);
-      V = (V << Shift) >> Shift;
+  for (const auto &[I, R] : Insts)
+    for (const PredRec &PR : R.Preds) {
+      if (!PR.Seen || PR.Unpredictable)
+        continue;
+      int64_t V = 0;
+      std::memcpy(&V, &PR.Raw, 8);
+      if (PR.Bytes < 8) {
+        unsigned Shift = 64 - 8 * static_cast<unsigned>(PR.Bytes);
+        V = (V << Shift) >> Shift;
+      }
+      P.Predictables[{I, PR.L}] = PredictableLoad{I, PR.Addr, PR.Bytes, V};
     }
-    P.Predictables[Key] =
-        PredictableLoad{Key.first, R.Addr, R.Bytes, V};
-  }
   return std::move(P);
+}
+
+TrainingRun profiling::runTrainingProfile(Module &M, const FunctionAnalyses &FA,
+                                          const std::string &Entry,
+                                          const std::vector<interp::Cell> &Args,
+                                          uint64_t Budget) {
+  TrainingRun R;
+  double T0 = wallSeconds();
+  ProfileCollector Collector(FA);
+  interp::PlainMemoryManager MM;
+  interp::Interpreter Interp(M, MM, &Collector);
+  Interp.setInstructionBudget(Budget);
+  Interp.setTrapsThrow(true);
+  Runtime &Rt = Runtime::get();
+  std::FILE *Saved = Rt.sequentialOutput();
+  std::FILE *Sink = std::tmpfile();
+  Rt.setSequentialOutput(Sink);
+  try {
+    Interp.initializeGlobals();
+    Interp.run(Entry, Args);
+    R.Prof = Collector.finish();
+  } catch (const interp::Trap &T) {
+    R.Trap = T.Reason;
+  }
+  Rt.setSequentialOutput(Saved);
+  if (Sink)
+    std::fclose(Sink);
+  R.Instructions = Interp.instructionsExecuted();
+  R.Loads = Collector.Loads;
+  R.Stores = Collector.Stores;
+  R.Allocs = Collector.Allocs;
+  R.WallMs = (wallSeconds() - T0) * 1e3;
+  return R;
 }

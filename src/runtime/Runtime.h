@@ -371,6 +371,7 @@ public:
   /// Sink for immediate output produced outside a speculative worker
   /// (sequential runs and recovery); nullptr restores stdout.
   void setSequentialOutput(std::FILE *Out) { SeqOut = Out; }
+  std::FILE *sequentialOutput() const { return SeqOut; }
 
   // --- Parallel invocation (§5.2-5.3) -------------------------------------
 

@@ -90,17 +90,20 @@ ProgramCache::lookup(const std::string &Text, Strategy Strat, std::string &Err,
 
   Entry->FA = std::make_unique<analysis::FunctionAnalyses>(*Entry->M);
 
-  // The training run interprets the whole program; its output must not
-  // leak into the daemon's stdout.
-  std::FILE *TrainSink = std::tmpfile();
-  Runtime::get().setSequentialOutput(TrainSink);
   transform::PipelineOptions PipeOpts;
   PipeOpts.Strat = Strat;
   Entry->Pipeline =
       transform::runPrivateerPipeline(*Entry->M, *Entry->FA, PipeOpts);
-  Runtime::get().setSequentialOutput(nullptr);
-  if (TrainSink)
-    std::fclose(TrainSink);
+  if (!Entry->Pipeline.TrainingTrap.empty()) {
+    // A trap is a property of the text, like a verifier failure: cache
+    // the verdict so resubmits do not rerun the training run.
+    Err = "training run trapped: " + Entry->Pipeline.TrainingTrap;
+    Entry->ParseError = Err;
+    Entry->FA.reset();
+    Entry->M.reset();
+    Insert(Entry);
+    return nullptr;
+  }
   // Lower to bytecode once per program; every warm hit reuses the
   // programs.  Failure is not an error — a one-shot executive runs the
   // module on the interpreter instead.

@@ -93,7 +93,8 @@ public:
   /// Looks up (or builds) the prepared program for \p Text compiled under
   /// \p Strat.  On a miss this runs the full pipeline in the calling
   /// process — the training run's output is swallowed.  Returns nullptr
-  /// with \p Err set when the text does not parse or verify; a program
+  /// with \p Err set when the text does not parse or verify, or when its
+  /// training run traps (division by zero, instruction budget); a program
   /// whose pipeline finds no parallelizable loop is still cached
   /// (Pipeline.Transformed == false) so repeated submits stay cheap.
   std::shared_ptr<CachedProgram> lookup(const std::string &Text,

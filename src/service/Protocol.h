@@ -78,7 +78,9 @@ enum class JobMode : uint8_t {
 enum class JobStatus : uint8_t {
   Ok = 0,
   Rejected = 1,          ///< admission control: queue full (backpressure)
-  ParseError = 2,        ///< module text did not parse / verify
+  ParseError = 2,        ///< module text did not parse / verify, or its
+                         ///< training run trapped (division by zero,
+                         ///< instruction budget)
   NotParallelizable = 3, ///< pipeline found no speculatable loop
   Crashed = 4,           ///< executive died (signal / truncated result)
   TimedOut = 5,          ///< per-job deadline expired; executive killed

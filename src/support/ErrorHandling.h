@@ -8,6 +8,8 @@
 /// \file
 /// Fatal-error reporting helpers in the spirit of llvm/Support/ErrorHandling.
 /// Library code never throws; invariant violations abort with a message.
+/// The one exception is interp::Trap, which an interpreter set up for a
+/// training run throws and profiling::runTrainingProfile catches.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -91,16 +91,6 @@ public:
     return std::nullopt;
   }
 
-  size_t size() const { return Map.size(); }
-  bool empty() const { return Map.empty(); }
-  void clear() { Map.clear(); }
-
-  /// Visits every interval in increasing key order.
-  template <typename Fn> void forEach(Fn Visit) const {
-    for (const auto &[Lo, E] : Map)
-      Visit(Lo, E.Hi, E.Value);
-  }
-
 private:
   struct Entry {
     uint64_t Hi;

@@ -25,21 +25,27 @@ PipelineResult transform::runPrivateerPipeline(Module &M,
 
   // --- §4.1 Profiling: one instrumented training run. ---------------------
   {
-    profiling::ProfileCollector Collector(FA);
-    PlainMemoryManager MM;
-    Interpreter Interp(M, MM, &Collector);
-    Interp.setInstructionBudget(Opt.ProfileBudget);
-    Interp.initializeGlobals();
     const std::string &TrainEntry = Opt.TrainingEntryFunction.empty()
                                         ? Opt.EntryFunction
                                         : Opt.TrainingEntryFunction;
-    Interp.run(TrainEntry, TrainEntry == Opt.EntryFunction
-                               ? Opt.EntryArgs
-                               : std::vector<interp::Cell>());
-    R.TrainingProfile = Collector.finish();
+    profiling::TrainingRun Run = profiling::runTrainingProfile(
+        M, FA, TrainEntry,
+        TrainEntry == Opt.EntryFunction ? Opt.EntryArgs
+                                        : std::vector<interp::Cell>(),
+        Opt.ProfileBudget);
+    char Ms[32];
+    std::snprintf(Ms, sizeof(Ms), "%.2f", Run.WallMs);
     R.Log.push_back("profiled @" + TrainEntry + ": " +
-                    std::to_string(Interp.instructionsExecuted()) +
-                    " instructions");
+                    std::to_string(Run.Instructions) + " instructions in " +
+                    Ms + " ms, " + std::to_string(Run.Loads) + " loads, " +
+                    std::to_string(Run.Stores) + " stores, " +
+                    std::to_string(Run.Allocs) + " allocs");
+    if (!Run.Trap.empty()) {
+      R.TrainingTrap = Run.Trap;
+      R.Log.push_back("training run trapped: " + Run.Trap);
+      return R;
+    }
+    R.TrainingProfile = std::move(Run.Prof);
   }
 
   // --- Hot loops, classification (§4.2), selection (§4.3). ----------------

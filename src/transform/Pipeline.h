@@ -80,6 +80,9 @@ struct PipelineResult {
   classify::HeapAssignment Assignment;
   TransformStats Stats;
   profiling::Profile TrainingProfile;
+  /// Why the training run trapped (empty when it completed); a trapped
+  /// run leaves the module untouched and Transformed false.
+  std::string TrainingTrap;
   std::vector<std::string> Log;
 };
 

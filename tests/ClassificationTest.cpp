@@ -1,5 +1,6 @@
 //===- tests/ClassificationTest.cpp - Algorithms 1 & 2, selection ---------===//
 
+#include "TrainingProfile.h"
 #include "classify/Classification.h"
 #include "ir/IRParser.h"
 #include "profiling/ProfileCollector.h"
@@ -27,16 +28,7 @@ Prepared prepare(const std::string &Text) {
   Out.M = parseModule(Text, Err);
   EXPECT_NE(Out.M, nullptr) << Err;
   Out.FA = std::make_unique<FunctionAnalyses>(*Out.M);
-  ProfileCollector Collector(*Out.FA);
-  interp::PlainMemoryManager MM;
-  interp::Interpreter I(*Out.M, MM, &Collector);
-  I.initializeGlobals();
-  std::FILE *Sink = std::tmpfile();
-  Runtime::get().setSequentialOutput(Sink);
-  I.run("main", {});
-  Runtime::get().setSequentialOutput(nullptr);
-  std::fclose(Sink);
-  Out.P = Collector.finish();
+  Out.P = trainingProfile(*Out.M, *Out.FA);
   return Out;
 }
 

@@ -6,6 +6,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TrainingProfile.h"
 #include "classify/Classification.h"
 #include "ir/IRParser.h"
 #include "profiling/ProfileCollector.h"
@@ -24,16 +25,7 @@ using namespace privateer::profiling;
 namespace {
 
 Profile profileModule(Module &M, const FunctionAnalyses &FA) {
-  ProfileCollector Collector(FA);
-  interp::PlainMemoryManager MM;
-  interp::Interpreter I(M, MM, &Collector);
-  I.initializeGlobals();
-  std::FILE *Sink = std::tmpfile();
-  Runtime::get().setSequentialOutput(Sink);
-  I.run("main", {});
-  Runtime::get().setSequentialOutput(nullptr);
-  std::fclose(Sink);
-  return Collector.finish();
+  return trainingProfile(M, FA);
 }
 
 const Loop *outerLoop(const Module &M, const FunctionAnalyses &FA) {

@@ -1,5 +1,6 @@
 //===- tests/ProfilerTest.cpp - §4.1 profiler tests -----------------------===//
 
+#include "TrainingProfile.h"
 #include "ir/IRParser.h"
 #include "profiling/ProfileCollector.h"
 #include "workloads/IrPrograms.h"
@@ -26,16 +27,7 @@ Profiled profileText(const std::string &Text,
   Out.M = parseModule(Text, Err);
   EXPECT_NE(Out.M, nullptr) << Err;
   Out.FA = std::make_unique<FunctionAnalyses>(*Out.M);
-  ProfileCollector Collector(*Out.FA);
-  interp::PlainMemoryManager MM;
-  interp::Interpreter I(*Out.M, MM, &Collector);
-  I.initializeGlobals();
-  std::FILE *Sink = std::tmpfile();
-  Runtime::get().setSequentialOutput(Sink);
-  I.run(Entry, {});
-  Runtime::get().setSequentialOutput(nullptr);
-  std::fclose(Sink);
-  Out.P = Collector.finish();
+  Out.P = trainingProfile(*Out.M, *Out.FA, Entry);
   return Out;
 }
 
@@ -208,6 +200,262 @@ TEST(Profiler, LeakedObjectIsNotShortLived) {
   for (const ObjectKey &K : R.P.allObjects())
     if (K.AllocSite)
       EXPECT_FALSE(R.P.isShortLived(K, L)) << "leaked object misclassified";
+}
+
+// --- Hand-driven collector: exact addresses, exact event order ---------
+
+/// @kernel's body allocates, loads, stores and frees; @rec's loop body
+/// recurses.  The tests below feed a ProfileCollector these instructions'
+/// events by hand, at addresses of their own buffers.
+const char *kHandDriven = "define void @kernel(i64 %n) {\n"
+                          "entry:\n"
+                          "  br loop\n"
+                          "loop:\n"
+                          "  %i = phi [entry: 0], [latch: %inext]\n"
+                          "  %c = icmp lt, %i, %n\n"
+                          "  condbr %c, body, exit\n"
+                          "body:\n"
+                          "  %p = malloc 8\n"
+                          "  %v = load i64, %p, 8\n"
+                          "  store %i, %p, 8\n"
+                          "  free %p\n"
+                          "  br latch\n"
+                          "latch:\n"
+                          "  %inext = add %i, 1\n"
+                          "  br loop\n"
+                          "exit:\n"
+                          "  ret\n"
+                          "}\n"
+                          "define void @rec(i64 %n) {\n"
+                          "entry:\n"
+                          "  br loop\n"
+                          "loop:\n"
+                          "  %i = phi [entry: 0], [latch: %inext]\n"
+                          "  %c = icmp lt, %i, %n\n"
+                          "  condbr %c, body, exit\n"
+                          "body:\n"
+                          "  call @rec(%n)\n"
+                          "  br latch\n"
+                          "latch:\n"
+                          "  %inext = add %i, 1\n"
+                          "  br loop\n"
+                          "exit:\n"
+                          "  ret\n"
+                          "}\n";
+
+struct HandDriven {
+  std::unique_ptr<Module> M;
+  std::unique_ptr<FunctionAnalyses> FA;
+  std::unique_ptr<ProfileCollector> C;
+  const Instruction *Malloc, *Load, *Store, *Free, *Call;
+
+  HandDriven() {
+    std::string Err;
+    M = parseModule(kHandDriven, Err);
+    EXPECT_NE(M, nullptr) << Err;
+    FA = std::make_unique<FunctionAnalyses>(*M);
+    C = std::make_unique<ProfileCollector>(*FA);
+    const auto &Body = block("kernel", "body")->instructions();
+    Malloc = Body[0].get();
+    Load = Body[1].get();
+    Store = Body[2].get();
+    Free = Body[3].get();
+    Call = block("rec", "body")->instructions()[0].get();
+  }
+  const BasicBlock *block(const char *Fn, const char *Name) const {
+    return M->functionByName(Fn)->blockByName(Name);
+  }
+  /// Control from \p From's block to \p To's block of @\p Fn.
+  void go(const char *Fn, const char *From, const char *To) {
+    C->onBlockEnter(block(Fn, To), From ? block(Fn, From) : nullptr);
+  }
+  /// Ends the current iteration of @\p Fn's loop and starts the next.
+  void nextIteration(const char *Fn) {
+    go(Fn, "body", "latch");
+    go(Fn, "latch", "loop");
+    go(Fn, "loop", "body");
+  }
+  const Loop *loop(const char *Fn) const {
+    return loopNamed(*FA, *M, Fn, "loop");
+  }
+};
+
+TEST(Profiler, StoreStraddlingShadowBlocksIsOneWriter) {
+  HandDriven H;
+  // 128 B of program memory per shadow block: bytes 125..132 of a
+  // 128-aligned buffer sit in two blocks.
+  alignas(128) static uint8_t Buf[384];
+  H.go("kernel", nullptr, "entry");
+  H.go("kernel", "entry", "loop");
+  H.go("kernel", "loop", "body");
+  H.C->onStore(H.Store, reinterpret_cast<uint64_t>(Buf + 125), 8);
+  H.nextIteration("kernel");
+  H.C->onLoad(H.Load, reinterpret_cast<uint64_t>(Buf + 125), 8);
+  H.C->onLoad(H.Load, reinterpret_cast<uint64_t>(Buf + 128), 4);
+  Profile P = H.C->finish();
+  const DepDistance *DS = P.flowDepDistance(H.loop("kernel"),
+                                            FlowDep{H.Store, H.Load});
+  ASSERT_NE(DS, nullptr);
+  EXPECT_EQ(DS->Samples, 12u) << "every byte on both sides of the seam";
+  EXPECT_EQ(DS->Min, 1u);
+  EXPECT_EQ(DS->Max, 1u);
+}
+
+TEST(Profiler, FreedThenReallocatedAddressKeepsStaleWriter) {
+  HandDriven H;
+  alignas(8) static uint8_t Buf[8];
+  uint64_t A = reinterpret_cast<uint64_t>(Buf);
+  H.go("kernel", nullptr, "entry");
+  H.go("kernel", "entry", "loop");
+  H.go("kernel", "loop", "body");
+  H.C->onAlloc(H.Malloc, A, 8);
+  H.C->onStore(H.Store, A, 8);
+  H.C->onFree(H.Free, A);
+  H.nextIteration("kernel");
+  // The allocator hands the same address back; the shadow was never
+  // cleared, so the previous object's store is still the last writer.
+  H.C->onAlloc(H.Malloc, A, 8);
+  H.C->onLoad(H.Load, A, 8);
+  Profile P = H.C->finish();
+  const Loop *L = H.loop("kernel");
+  EXPECT_EQ(P.crossIterationFlowDeps(L).count(FlowDep{H.Store, H.Load}), 1u);
+  const DepDistance *DS = P.flowDepDistance(L, FlowDep{H.Store, H.Load});
+  ASSERT_NE(DS, nullptr);
+  EXPECT_EQ(DS->Samples, 8u);
+}
+
+TEST(Profiler, RecursionComparesOnlyTheInnermostActivation) {
+  HandDriven H;
+  alignas(8) static uint8_t Buf[8];
+  uint64_t A = reinterpret_cast<uint64_t>(Buf);
+  const Function *Rec = H.M->functionByName("rec");
+  // Outer activation: store in iteration 0, then move to iteration 1.
+  H.go("rec", nullptr, "entry");
+  H.go("rec", "entry", "loop");
+  H.go("rec", "loop", "body");
+  H.C->onStore(H.Store, A, 8);
+  H.nextIteration("rec");
+  // The recursive call activates the same loop again.  Its iteration 0 is
+  // what a load compares against, so the outer iteration-0 store is not a
+  // carried dependence here.
+  H.C->onCall(H.Call, Rec);
+  H.go("rec", nullptr, "entry");
+  H.go("rec", "entry", "loop");
+  H.go("rec", "loop", "body");
+  H.C->onLoad(H.Load, A, 8);
+  H.go("rec", "body", "latch");
+  H.go("rec", "latch", "loop");
+  H.go("rec", "loop", "exit");
+  H.C->onReturn(Rec);
+  // Back in the outer activation's iteration 1: now it carries.
+  H.C->onLoad(H.Load, A, 8);
+  Profile P = H.C->finish();
+  const DepDistance *DS =
+      P.flowDepDistance(H.loop("rec"), FlowDep{H.Store, H.Load});
+  ASSERT_NE(DS, nullptr);
+  EXPECT_EQ(DS->Samples, 8u) << "only the load after the return carries";
+  EXPECT_EQ(DS->Min, 1u);
+  EXPECT_EQ(DS->Max, 1u);
+  EXPECT_EQ(P.loopStats(H.loop("rec")).Invocations, 2u);
+}
+
+TEST(Profiler, LoopContextsAreBoundedByLiveState) {
+  HandDriven H;
+  alignas(8) static uint8_t Obj[8], Acc[8], Inner[8];
+  uint64_t O = reinterpret_cast<uint64_t>(Obj);
+  uint64_t A = reinterpret_cast<uint64_t>(Acc);
+  uint64_t In = reinterpret_cast<uint64_t>(Inner);
+  const Function *Rec = H.M->functionByName("rec");
+  H.go("kernel", nullptr, "entry");
+  H.go("kernel", "entry", "loop");
+  H.go("kernel", "loop", "body");
+  // Each iteration allocates and frees, updates one accumulator, and
+  // calls into a loop that stores once: every context an iteration makes
+  // is dead by the next one's.
+  constexpr unsigned kIterations = 100'000;
+  for (unsigned K = 0; K < kIterations; ++K) {
+    H.C->onAlloc(H.Malloc, O, 8);
+    H.C->onStore(H.Store, O, 8);
+    H.C->onFree(H.Free, O);
+    H.C->onLoad(H.Load, A, 8);
+    H.C->onStore(H.Store, A, 8);
+    H.C->onCall(H.Call, Rec);
+    H.go("rec", nullptr, "entry");
+    H.go("rec", "entry", "loop");
+    H.go("rec", "loop", "body");
+    H.C->onStore(H.Store, In, 8);
+    H.go("rec", "body", "latch");
+    H.go("rec", "latch", "loop");
+    H.go("rec", "loop", "exit");
+    H.C->onReturn(Rec);
+    H.nextIteration("kernel");
+  }
+  EXPECT_LE(H.C->contextNodes(), 8u) << "contexts grew with iterations";
+  Profile P = H.C->finish();
+  const DepDistance *DS =
+      P.flowDepDistance(H.loop("kernel"), FlowDep{H.Store, H.Load});
+  ASSERT_NE(DS, nullptr);
+  EXPECT_EQ(DS->Samples, 8u * (kIterations - 1));
+  EXPECT_EQ(DS->Min, 1u);
+  EXPECT_EQ(DS->Max, 1u);
+}
+
+TEST(Profiler, WordLoadOverWordStoreCountsEightSamples) {
+  auto R = profileText("global @g 8\n"
+                       "define void @kernel() {\n"
+                       "entry:\n"
+                       "  br loop\n"
+                       "loop:\n"
+                       "  %i = phi [entry: 0], [latch: %inext]\n"
+                       "  %c = icmp lt, %i, 2\n"
+                       "  condbr %c, body, exit\n"
+                       "body:\n"
+                       "  %old = load i64, @g, 8\n"
+                       "  %new = add %old, 1\n"
+                       "  store %new, @g, 8\n"
+                       "  br latch\n"
+                       "latch:\n"
+                       "  %inext = add %i, 1\n"
+                       "  br loop\n"
+                       "exit:\n"
+                       "  ret\n"
+                       "}\n"
+                       "define i64 @main() {\n"
+                       "entry:\n"
+                       "  call @kernel()\n"
+                       "  ret 0\n"
+                       "}\n");
+  const Loop *L = loopNamed(*R.FA, *R.M, "kernel", "loop");
+  const auto &Body = R.M->functionByName("kernel")
+                         ->blockByName("body")
+                         ->instructions();
+  const DepDistance *DS =
+      R.P.flowDepDistance(L, FlowDep{Body[2].get(), Body[0].get()});
+  ASSERT_NE(DS, nullptr);
+  EXPECT_EQ(DS->Samples, 8u) << "one sample per byte of the one carried read";
+  EXPECT_EQ(DS->Min, 1u);
+}
+
+TEST(Profiler, TrainingRunTrapsComeBackTyped) {
+  std::string Err;
+  auto M = parseModule("define i64 @main() {\n"
+                       "entry:\n"
+                       "  %z = add 0, 0\n"
+                       "  %q = srem 7, %z\n"
+                       "  ret %q\n"
+                       "}\n"
+                       "define void @spin() {\n"
+                       "entry:\n"
+                       "  br entry\n"
+                       "}\n",
+                       Err);
+  ASSERT_NE(M, nullptr) << Err;
+  FunctionAnalyses FA(*M);
+  TrainingRun R = runTrainingProfile(*M, FA, "main", {}, 1000);
+  EXPECT_EQ(R.Trap, "remainder by zero");
+  TrainingRun S = runTrainingProfile(*M, FA, "spin", {}, 1000);
+  EXPECT_EQ(S.Trap, "instruction budget exceeded (runaway loop?)");
+  EXPECT_EQ(S.Instructions, 1001u);
 }
 
 } // namespace

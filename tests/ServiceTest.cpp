@@ -405,6 +405,48 @@ TEST(Service, SequentialFallbackAndNegativeCache) {
   EXPECT_GE(jsonInt(Json, "cache_hits"), 2);
 }
 
+// A program that traps during its training run (the daemon profiles it
+// in-process) gets a typed, cached ParseError reply, and the daemon keeps
+// serving: the next job on the same connection is answered correctly.
+TEST(Service, TrainingRunTrapIsTypedAndDaemonSurvives) {
+  ServerOptions Opts;
+  Opts.SocketPath = uniqueSocketPath();
+  Opts.WorkerBudget = 8;
+  ForkedDaemon D(Opts);
+  ASSERT_TRUE(D.forked());
+
+  service::Client C;
+  std::string Err;
+  ASSERT_TRUE(C.connect(D.socket(), Err, 10 * timeoutScale())) << Err;
+
+  JobRequest Trap;
+  Trap.ModuleText = "define i64 @main() {\n"
+                    "entry:\n"
+                    "  %z = add 0, 0\n"
+                    "  %q = sdiv 7, %z\n"
+                    "  ret %q\n"
+                    "}\n";
+  for (int Attempt = 0; Attempt < 2; ++Attempt) {
+    JobReply R;
+    ASSERT_TRUE(C.submit(Trap, R, Err, 60 * timeoutScale())) << Err;
+    EXPECT_EQ(R.Status, JobStatus::ParseError) << R.Error;
+    EXPECT_NE(R.Error.find("training run trapped: division by zero"),
+              std::string::npos)
+        << R.Error;
+  }
+
+  JobRequest Ok = quickJob();
+  JobReply R;
+  ASSERT_TRUE(C.submit(Ok, R, Err, 60 * timeoutScale())) << Err;
+  ASSERT_EQ(R.Status, JobStatus::Ok) << R.Error;
+  EXPECT_EQ(R.Output, sequentialOutput(Ok.ModuleText));
+
+  std::string Json;
+  ASSERT_TRUE(C.status(Json, Err)) << Err;
+  EXPECT_EQ(jsonInt(Json, "cache_misses"), 2) << "trap verdict not cached";
+  ASSERT_TRUE(D.alive());
+}
+
 // The scheduling strategy is part of a program's identity: the same
 // module text is refused under DOALL (the scalar carry defeats it),
 // served under DOACROSS and pipeline — and each strategy compiles its

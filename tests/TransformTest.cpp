@@ -1,5 +1,6 @@
 //===- tests/TransformTest.cpp - §4.4-4.6 transformation unit tests -------===//
 
+#include "TrainingProfile.h"
 #include "ir/IRParser.h"
 #include "ir/IRPrinter.h"
 #include "ir/Verifier.h"
@@ -30,16 +31,7 @@ Prepared prepareDijkstra(unsigned N = 8) {
   Out.M = parseModule(dijkstraIrText(N), Err);
   EXPECT_NE(Out.M, nullptr) << Err;
   Out.FA = std::make_unique<FunctionAnalyses>(*Out.M);
-  profiling::ProfileCollector Collector(*Out.FA);
-  interp::PlainMemoryManager MM;
-  interp::Interpreter I(*Out.M, MM, &Collector);
-  I.initializeGlobals();
-  std::FILE *Sink = std::tmpfile();
-  Runtime::get().setSequentialOutput(Sink);
-  I.run("main", {});
-  Runtime::get().setSequentialOutput(nullptr);
-  std::fclose(Sink);
-  Out.P = Collector.finish();
+  Out.P = trainingProfile(*Out.M, *Out.FA);
   for (const auto &L :
        Out.FA->loops(Out.M->functionByName("hot_loop")).loops())
     if (L->header()->name() == "loop")

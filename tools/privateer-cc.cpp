@@ -227,15 +227,17 @@ int main(int Argc, char **Argv) {
   Opt.Engine = Engine;
   Opt.Strat = Par.Strat;
   Opt.NumStages = Par.NumStages;
-  std::FILE *TrainSink = std::tmpfile();
-  Runtime::get().setSequentialOutput(TrainSink); // Swallow training IO.
   PipelineResult R = runPrivateerPipeline(*M, FA, Opt);
-  Runtime::get().setSequentialOutput(nullptr);
-  std::fclose(TrainSink);
 
   if (Verbose)
     for (const std::string &L : R.Log)
       std::fprintf(stderr, "[pipeline] %s\n", L.c_str());
+
+  if (!R.TrainingTrap.empty()) {
+    std::fprintf(stderr, "[privateer-cc] training run trapped: %s\n",
+                 R.TrainingTrap.c_str());
+    return 1;
+  }
 
   if (!ProfileOut.empty()) {
     std::ofstream PF(ProfileOut);
