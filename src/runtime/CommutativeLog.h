@@ -96,6 +96,10 @@ int64_t combineComValues(ComOp Op, int64_t Cur, int64_t Value);
 
 inline constexpr uint64_t kComRecordBytes = 16;
 
+/// One slot's com-log section (65536 records), paid only when the commutative
+/// heap holds allocations; overflow is a conservative misspeculation.
+inline constexpr uint64_t kComLogBytesPerSlot = 1u << 20;
+
 /// Serializes \p Records into \p Buf (capacity \p Cap bytes), setting
 /// \p Used.  Returns false (and leaves \p Used at 0) when they do not fit —
 /// the caller marks the slot overflowed and keeps the records.

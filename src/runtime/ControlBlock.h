@@ -19,6 +19,8 @@
 #ifndef PRIVATEER_RUNTIME_CONTROLBLOCK_H
 #define PRIVATEER_RUNTIME_CONTROLBLOCK_H
 
+#include "runtime/StatsSchema.h"
+
 #include <atomic>
 #include <cerrno>
 #include <cstdint>
@@ -80,36 +82,6 @@ public:
 
 private:
   std::atomic<uint32_t> Holder{0};
-};
-
-/// Per-worker counters; each worker writes only its own entry.
-struct WorkerStats {
-  uint64_t Iterations = 0;
-  uint64_t PrivateReadCalls = 0;
-  uint64_t PrivateReadBytes = 0;
-  uint64_t PrivateWriteCalls = 0;
-  uint64_t PrivateWriteBytes = 0;
-  uint64_t SeparationChecks = 0;
-  /// Checkpoint-merge scan accounting (dirty-range tracking): chunks this
-  /// worker folded into slots, and bytes taken by the per-byte vs word-skip
-  /// paths inside them.  Travel through the shared block because the
-  /// worker process's own statistics die with it.
-  uint64_t CheckpointDirtyChunks = 0;
-  uint64_t CheckpointBytesScanned = 0;
-  uint64_t CheckpointBytesSkipped = 0;
-  /// DOACROSS / pipeline token traffic (postDep/waitDep).
-  uint64_t DepPosts = 0;
-  uint64_t DepWaits = 0;
-  uint64_t DepWaitSpins = 0;
-  uint64_t DepWaitTimeouts = 0;
-  /// Commutative-update traffic: deferred updates this worker logged and
-  /// records it serialized into checkpoint slots.
-  uint64_t ComUpdates = 0;
-  uint64_t ComRecordsMerged = 0;
-  double UsefulSec = 0;
-  double CheckpointSec = 0;
-  double StartWall = 0;
-  double EndWall = 0;
 };
 
 struct ControlBlock {

@@ -121,7 +121,6 @@ void Runtime::misspecAbort(const char *Reason) {
         static_cast<uint32_t>(trace::reasonCode(Reason))));
   // "This worker terminates immediately, squashing all its speculative
   // state created since its last checkpoint" (§5.3).
-  LocalStats.EndWall = wallSeconds();
   Cb->Stats[WorkerId] = LocalStats;
   _exit(kMisspecExit);
 }
@@ -383,10 +382,9 @@ InvocationStats Runtime::runParallel(uint64_t NumIterations,
   DepWaitNs = Options.StallTimeoutSec > 0
                   ? static_cast<uint64_t>(Options.StallTimeoutSec * 1e9)
                   : 0;
-  uint64_t DepPosts0 = LocalStats.DepPosts;
-  uint64_t DepWaits0 = LocalStats.DepWaits;
-  uint64_t DepSpins0 = LocalStats.DepWaitSpins;
-  uint64_t DepTimeouts0 = LocalStats.DepWaitTimeouts;
+  // The main process's own token traffic (recovery and degraded windows
+  // re-post in order) lands in LocalStats, folded in below like a worker's.
+  LocalStats = WorkerStats();
 
   // Adaptive degradation state: after K consecutive misspeculating epochs,
   // run M periods sequentially before retrying speculation; M backs off
@@ -471,44 +469,14 @@ InvocationStats Runtime::runParallel(uint64_t NumIterations,
   DepRings = SavedRings;
   DepChanCount = SavedChanCount;
   DepRingsShared = SavedShared;
-  // Token traffic from the main process (sequential recovery and degraded
-  // windows re-post in order); the workers' share is aggregated per epoch.
-  Stats.DepPosts += LocalStats.DepPosts - DepPosts0;
-  Stats.DepWaits += LocalStats.DepWaits - DepWaits0;
-  Stats.DepWaitSpins += LocalStats.DepWaitSpins - DepSpins0;
-  Stats.DepWaitTimeouts += LocalStats.DepWaitTimeouts - DepTimeouts0;
+  Stats.addWorker(LocalStats);
   Stats.Iterations = NumIterations;
   Stats.WallSec = wallSeconds() - WallStart;
 
-  // Surface fault-tolerance events through the global registry so tools
-  // and reports see them alongside the Table 3 counters.
+  // Surface every schema field through the global registry, where tools
+  // read them alongside the Table 3 counters.
+  mirrorStats(Stats);
   StatisticRegistry &Reg = StatisticRegistry::instance();
-  Reg.counter("fault", "stalled-workers-killed") += Stats.StalledWorkersKilled;
-  Reg.counter("fault", "locks-broken") += Stats.LocksBroken;
-  Reg.counter("fault", "fork-failures") += Stats.ForkFailures;
-  Reg.counter("fault", "resource-failures") += Stats.ResourceFailures;
-  Reg.counter("fault", "degraded-epochs") += Stats.DegradedEpochs;
-  Reg.counter("fault", "degraded-iterations") += Stats.DegradedIterations;
-  Reg.counter("checkpoint", "dirty_chunks") += Stats.CheckpointDirtyChunks;
-  Reg.counter("checkpoint", "bytes_scanned") += Stats.CheckpointBytesScanned;
-  Reg.counter("checkpoint", "bytes_skipped") += Stats.CheckpointBytesSkipped;
-  Reg.counter("commit", "eager_slots") += Stats.EagerSlots;
-  Reg.counter("commit", "early_cutoffs") += Stats.EarlyCutoffs;
-  Reg.counter("commit", "early_cutoff_iters_saved") +=
-      Stats.EarlyCutoffItersSaved;
-  Reg.real("commit", "overlap_sec") += Stats.OverlapSec;
-  if (Stats.DepPosts || Stats.DepWaits) {
-    Reg.counter("dep", "posts") += Stats.DepPosts;
-    Reg.counter("dep", "waits") += Stats.DepWaits;
-    Reg.counter("dep", "wait-spins") += Stats.DepWaitSpins;
-    Reg.counter("dep", "wait-timeouts") += Stats.DepWaitTimeouts;
-  }
-  if (Stats.ComUpdates || Stats.ComRecordsCommitted || Stats.ComOverflows) {
-    Reg.counter("com", "updates") += Stats.ComUpdates;
-    Reg.counter("com", "records-merged") += Stats.ComRecordsMerged;
-    Reg.counter("com", "records-committed") += Stats.ComRecordsCommitted;
-    Reg.counter("com", "overflows") += Stats.ComOverflows;
-  }
   // Per-heap-class footprint snapshot: live allocations and allocator high
   // water of every logical heap, both in the stats and as registry gauges.
   for (unsigned I = 0; I < kNumHeapKinds; ++I) {
@@ -583,7 +551,7 @@ Runtime::EpochResult Runtime::runEpoch(const EpochPlan &Plan,
     C.PrivateBytes = PrivateHighWater;
     C.ReduxBytes = ReduxCovered;
     C.IoCapacity = Options.IoCapacityPerSlot;
-    C.ComCapacity = ComCovered > 0 ? Options.ComCapacityPerSlot : 0;
+    C.ComCapacity = ComCovered > 0 ? kComLogBytesPerSlot : 0;
     C.BaseIter = Plan.BaseIter;
     C.Period = Plan.Period;
     C.EpochIters = Plan.EpochIters;
@@ -888,26 +856,8 @@ Runtime::EpochResult Runtime::runEpoch(const EpochPlan &Plan,
   drainTraceRings(); // All workers reaped: rings are quiescent from here.
   sigprocmask(SIG_SETMASK, &OldMask, nullptr);
 
-  // Aggregate worker statistics.
-  for (unsigned I = 0; I < W; ++I) {
-    const WorkerStats &S = Cb->Stats[I];
-    Stats.PrivateReadCalls += S.PrivateReadCalls;
-    Stats.PrivateReadBytes += S.PrivateReadBytes;
-    Stats.PrivateWriteCalls += S.PrivateWriteCalls;
-    Stats.PrivateWriteBytes += S.PrivateWriteBytes;
-    Stats.SeparationChecks += S.SeparationChecks;
-    Stats.CheckpointDirtyChunks += S.CheckpointDirtyChunks;
-    Stats.CheckpointBytesScanned += S.CheckpointBytesScanned;
-    Stats.CheckpointBytesSkipped += S.CheckpointBytesSkipped;
-    Stats.DepPosts += S.DepPosts;
-    Stats.DepWaits += S.DepWaits;
-    Stats.DepWaitSpins += S.DepWaitSpins;
-    Stats.DepWaitTimeouts += S.DepWaitTimeouts;
-    Stats.ComUpdates += S.ComUpdates;
-    Stats.ComRecordsMerged += S.ComRecordsMerged;
-    Stats.UsefulSec += S.UsefulSec;
-    Stats.CheckpointSec += S.CheckpointSec;
-  }
+  for (unsigned I = 0; I < W; ++I)
+    Stats.addWorker(Cb->Stats[I]);
   Stats.LocksBroken += Cb->LocksBroken.load(std::memory_order_relaxed);
 
   bool Flag = Cb->MisspecFlag.load(std::memory_order_acquire) != 0;
@@ -1098,7 +1048,6 @@ void Runtime::workerMain(unsigned Id, const EpochPlan &Plan,
   EpochBase = Plan.BaseIter;
   PeriodLen = Plan.Period;
   LocalStats = WorkerStats();
-  LocalStats.StartWall = wallSeconds();
   PendingIo.clear();
   PendingCom.clear();
   IoSequence = 0;
@@ -1233,7 +1182,6 @@ void Runtime::workerMain(unsigned Id, const EpochPlan &Plan,
       CurTs = shadow::timestampFor(I, PeriodStart);
       uint64_t ShortLivedLiveAtStart = SL.liveCount();
       Body(I);
-      ++LocalStats.Iterations;
       Executed = true;
 
       if (Spec) {
@@ -1319,7 +1267,6 @@ void Runtime::workerMain(unsigned Id, const EpochPlan &Plan,
       break;
   }
 
-  LocalStats.EndWall = wallSeconds();
   Cb->Stats[Id] = LocalStats;
   _exit(0);
 }

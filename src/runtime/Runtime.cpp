@@ -16,53 +16,45 @@
 using namespace privateer;
 
 InvocationStats &InvocationStats::operator+=(const InvocationStats &S) {
-  Iterations += S.Iterations;
-  Checkpoints += S.Checkpoints;
-  Misspecs += S.Misspecs;
-  RecoveredIterations += S.RecoveredIterations;
-  Epochs += S.Epochs;
-  PrivateReadCalls += S.PrivateReadCalls;
-  PrivateReadBytes += S.PrivateReadBytes;
-  PrivateWriteCalls += S.PrivateWriteCalls;
-  PrivateWriteBytes += S.PrivateWriteBytes;
-  SeparationChecks += S.SeparationChecks;
-  CheckpointDirtyChunks += S.CheckpointDirtyChunks;
-  CheckpointBytesScanned += S.CheckpointBytesScanned;
-  CheckpointBytesSkipped += S.CheckpointBytesSkipped;
-  PrivateFootprintBytes = std::max(PrivateFootprintBytes,
-                                   S.PrivateFootprintBytes);
-  EagerSlots += S.EagerSlots;
-  EarlyCutoffs += S.EarlyCutoffs;
-  EarlyCutoffItersSaved += S.EarlyCutoffItersSaved;
-  OverlapSec += S.OverlapSec;
-  UsefulSec += S.UsefulSec;
-  PrivateReadSec += S.PrivateReadSec;
-  PrivateWriteSec += S.PrivateWriteSec;
-  CheckpointSec += S.CheckpointSec;
-  WallSec += S.WallSec;
+#define PRIVATEER_STAT_FOLD(Name, Combine, Group, Key, Who)                    \
+  stats::combine##Combine(Name, S.Name);
+  PRIVATEER_STATS_COUNTERS(PRIVATEER_STAT_FOLD)
+  PRIVATEER_STATS_SECONDS(PRIVATEER_STAT_FOLD)
+#undef PRIVATEER_STAT_FOLD
   if (FirstMisspecReason.empty())
     FirstMisspecReason = S.FirstMisspecReason;
-  StalledWorkersKilled += S.StalledWorkersKilled;
-  LocksBroken += S.LocksBroken;
-  ForkFailures += S.ForkFailures;
-  ResourceFailures += S.ResourceFailures;
-  DegradedEpochs += S.DegradedEpochs;
-  DegradedIterations += S.DegradedIterations;
   if (FirstDegradeReason.empty())
     FirstDegradeReason = S.FirstDegradeReason;
-  DepPosts += S.DepPosts;
-  DepWaits += S.DepWaits;
-  DepWaitSpins += S.DepWaitSpins;
-  DepWaitTimeouts += S.DepWaitTimeouts;
-  ComUpdates += S.ComUpdates;
-  ComRecordsMerged += S.ComRecordsMerged;
-  ComRecordsCommitted += S.ComRecordsCommitted;
-  ComOverflows += S.ComOverflows;
   std::copy(std::begin(S.HeapLiveObjects), std::end(S.HeapLiveObjects),
             HeapLiveObjects);
   std::copy(std::begin(S.HeapHighWaterBytes), std::end(S.HeapHighWaterBytes),
             HeapHighWaterBytes);
   return *this;
+}
+
+void InvocationStats::addWorker(const WorkerStats &W) {
+#define PRIVATEER_STAT_FOLD(Name, Combine, Group, Key, Who)                    \
+  PRIVATEER_STAT_IF_##Who(stats::combine##Combine(Name, W.Name);)
+  PRIVATEER_STATS_COUNTERS(PRIVATEER_STAT_FOLD)
+  PRIVATEER_STATS_SECONDS(PRIVATEER_STAT_FOLD)
+#undef PRIVATEER_STAT_FOLD
+}
+
+void privateer::mirrorCounters(const RuntimeCounters &C) {
+  StatisticRegistry &Reg = StatisticRegistry::instance();
+#define PRIVATEER_STAT_MIRROR(Name, Combine, Group, Key, Who)                  \
+  stats::combine##Combine(Reg.counter(Group, Key), C.Name);
+  PRIVATEER_STATS_COUNTERS(PRIVATEER_STAT_MIRROR)
+#undef PRIVATEER_STAT_MIRROR
+}
+
+void privateer::mirrorStats(const InvocationStats &S) {
+  mirrorCounters(S);
+  StatisticRegistry &Reg = StatisticRegistry::instance();
+#define PRIVATEER_STAT_MIRROR(Name, Combine, Group, Key, Who)                  \
+  stats::combine##Combine(Reg.real(Group, Key), S.Name);
+  PRIVATEER_STATS_SECONDS(PRIVATEER_STAT_MIRROR)
+#undef PRIVATEER_STAT_MIRROR
 }
 
 Runtime &Runtime::get() {

@@ -32,6 +32,7 @@
 #include "runtime/HeapKind.h"
 #include "runtime/Reduction.h"
 #include "runtime/SharedHeap.h"
+#include "runtime/StatsSchema.h"
 #include "support/Trace.h"
 
 #include <cstdarg>
@@ -117,10 +118,6 @@ struct ParallelOptions {
   /// SIGSEGV which the worker converts into misspeculation.
   bool ProtectReadOnly = true;
   size_t IoCapacityPerSlot = 1u << 20;
-  /// Per-slot commutative-log capacity in bytes (65536 records by
-  /// default); only charged when the invocation's commutative heap holds
-  /// allocations.  Overflow is a conservative misspeculation.
-  size_t ComCapacityPerSlot = 1u << 20;
   /// Distinct dirty 4 KiB chunks one checkpoint slot can hold.  0 (the
   /// default) sizes slots for the whole private footprint, so merges can
   /// never overflow; a smaller bound shrinks the checkpoint region for
@@ -183,78 +180,32 @@ uint64_t checkpointPeriodFor(const ParallelOptions &Options,
                              uint64_t NumIterations);
 
 /// Dynamic counters of one invocation; the raw material for Table 3 and
-/// Figure 8.
-struct InvocationStats {
-  uint64_t Iterations = 0;
-  uint64_t Checkpoints = 0; ///< Committed (non-speculative) checkpoints.
-  uint64_t Misspecs = 0;
-  uint64_t RecoveredIterations = 0; ///< Re-executed sequentially.
-  uint64_t Epochs = 0;
-  uint64_t PrivateReadCalls = 0;
-  uint64_t PrivateReadBytes = 0;
-  uint64_t PrivateWriteCalls = 0;
-  uint64_t PrivateWriteBytes = 0;
-  uint64_t SeparationChecks = 0;
-  /// Dirty-range checkpoint accounting: chunks folded/walked by merges and
-  /// commits, and bytes inside them taken by the per-byte path vs skipped
-  /// word-at-a-time.  Mirrored to StatisticRegistry group "checkpoint".
-  uint64_t CheckpointDirtyChunks = 0;
-  uint64_t CheckpointBytesScanned = 0;
-  uint64_t CheckpointBytesSkipped = 0;
-  /// Private-heap high water covered by checkpoints (max over epochs).
-  uint64_t PrivateFootprintBytes = 0;
-  /// Commit-pump accounting (mirrored to StatisticRegistry group "commit"):
-  /// slots committed while at least one worker was still alive, epochs the
-  /// pump cut short by raising the misspec flag before join, and the
-  /// worker iterations that cut-off saved from being wasted on doomed
-  /// periods.
-  uint64_t EagerSlots = 0;
-  uint64_t EarlyCutoffs = 0;
-  uint64_t EarlyCutoffItersSaved = 0;
-  /// Wall seconds of commit work the pump overlapped with live workers.
-  double OverlapSec = 0;
-  double UsefulSec = 0; ///< Worker CPU in period loops, read per period.
-  double PrivateReadSec = 0;
-  double PrivateWriteSec = 0;
-  double CheckpointSec = 0;
-  double WallSec = 0;
+/// Figure 8.  The counters and seconds are declared in StatsSchema.h;
+/// only the reasons and the per-heap footprint are spelled out here.
+struct InvocationStats : RuntimeCounters {
+#define PRIVATEER_STAT_MEMBER(Name, Combine, Group, Key, Who) double Name = 0;
+  PRIVATEER_STATS_SECONDS(PRIVATEER_STAT_MEMBER)
+#undef PRIVATEER_STAT_MEMBER
   std::string FirstMisspecReason;
-
-  // --- Fault-tolerance counters ------------------------------------------
-  uint64_t StalledWorkersKilled = 0; ///< Hung workers SIGKILLed by watchdog.
-  uint64_t LocksBroken = 0; ///< Slot locks reclaimed from dead holders.
-  uint64_t ForkFailures = 0;
-  /// fork/mmap failures whose errno was ENOMEM/EAGAIN — memory pressure,
-  /// reported distinctly so the service tier can triage OOM as such.
-  uint64_t ResourceFailures = 0;
-  uint64_t DegradedEpochs = 0; ///< Windows run sequentially by fallback.
-  uint64_t DegradedIterations = 0;
   std::string FirstDegradeReason;
 
-  // --- DOACROSS / pipeline counters (StatisticRegistry group "dep") ------
-  uint64_t DepPosts = 0;        ///< Tokens published by postDep.
-  uint64_t DepWaits = 0;        ///< Tokens consumed by waitDep.
-  uint64_t DepWaitSpins = 0;    ///< Spin rounds spent blocked on a token.
-  uint64_t DepWaitTimeouts = 0; ///< Waits that gave up and misspeculated.
-
-  // --- Commutative-update heap (StatisticRegistry group "com") -----------
-  uint64_t ComUpdates = 0;          ///< Deferred updates logged by workers.
-  uint64_t ComRecordsMerged = 0;    ///< Records serialized into slots.
-  uint64_t ComRecordsCommitted = 0; ///< Records folded into the master heap.
-  uint64_t ComOverflows = 0;        ///< Slot com-log sections that overflowed.
-
-  // --- Per-heap-class footprint (observability satellite) ----------------
   /// Live allocations and allocator high water of each logical heap at the
   /// end of the invocation, indexed by HeapKind.
   uint64_t HeapLiveObjects[kNumHeapKinds] = {};
   uint64_t HeapHighWaterBytes[kNumHeapKinds] = {};
 
-  /// Folds a later invocation's stats into this running total: counters
-  /// and seconds add, PrivateFootprintBytes takes the max, the heap
-  /// footprint snapshot takes \p S's (the later one), and each reason
-  /// string keeps the first non-empty value.
+  /// Folds a later invocation's stats into this running total: every
+  /// schema field by its combine rule, the heap footprint snapshot takes
+  /// \p S's (the later one), and each reason string keeps the first
+  /// non-empty value.
   InvocationStats &operator+=(const InvocationStats &S);
+
+  /// Adds one worker's (or the main process's) WorkerStats.
+  void addWorker(const WorkerStats &W);
 };
+
+/// mirrorCounters plus the seconds, into the registry's real plane.
+void mirrorStats(const InvocationStats &S);
 
 using IterationFn = std::function<void(uint64_t)>;
 
@@ -432,7 +383,6 @@ public:
   ExecMode mode() const { return Mode; }
 
 private:
-  friend struct WorkerContext;
 
   struct EpochPlan {
     uint64_t BaseIter;

@@ -188,12 +188,7 @@ JobReply service::runJob(const ExecAssignment &A,
                                             Prog->Pipeline.Assignment, PO,
                                             Par, RuntimeConfig(), Out);
       R.ExitValue = E.ReturnValue.asInt();
-      R.Iterations = E.Stats.Iterations;
-      R.Checkpoints = E.Stats.Checkpoints;
-      R.Misspecs = E.Stats.Misspecs;
-      R.RecoveredIterations = E.Stats.RecoveredIterations;
-      R.ComUpdates = E.Stats.ComUpdates;
-      R.ComRecordsCommitted = E.Stats.ComRecordsCommitted;
+      static_cast<RuntimeCounters &>(R) = E.Stats;
       R.MisspecReason = E.Stats.FirstMisspecReason;
       R.Status = JobStatus::Ok;
     } else {

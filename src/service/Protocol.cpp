@@ -266,17 +266,14 @@ std::string service::encodeJobReply(const JobReply &R) {
   putStr(B, R.Output);
   putU64(B, static_cast<uint64_t>(R.ExitValue));
   putU8(B, R.CacheHit ? 1 : 0);
-  putU64(B, R.Iterations);
-  putU64(B, R.Checkpoints);
-  putU64(B, R.Misspecs);
-  putU64(B, R.RecoveredIterations);
+#define PRIVATEER_STAT_PUT(Name, Combine, Group, Key, Who) putU64(B, R.Name);
+  PRIVATEER_STATS_COUNTERS(PRIVATEER_STAT_PUT)
+#undef PRIVATEER_STAT_PUT
   putStr(B, R.MisspecReason);
   putF64(B, R.PipelineSec);
   putF64(B, R.ExecSec);
   putF64(B, R.QueueSec);
   putF64(B, R.WallSec);
-  putU64(B, R.ComUpdates);
-  putU64(B, R.ComRecordsCommitted);
   return B;
 }
 
@@ -296,12 +293,12 @@ bool service::decodeJobReply(const std::string &Body, JobReply &R,
   if (!C.getU8(Status) || !C.getU8(Cause) || !C.getU32(R.TermSignal) ||
       !C.getU32(R.SupExitCode) || !C.getU32(R.Attempts) ||
       !C.getU8(Replay) || !C.getStr(R.Error) || !C.getStr(R.Output) ||
-      !C.getU64(Exit) || !C.getU8(CacheHit) || !C.getU64(R.Iterations) ||
-      !C.getU64(R.Checkpoints) || !C.getU64(R.Misspecs) ||
-      !C.getU64(R.RecoveredIterations) || !C.getStr(R.MisspecReason) ||
-      !C.getF64(R.PipelineSec) || !C.getF64(R.ExecSec) ||
-      !C.getF64(R.QueueSec) || !C.getF64(R.WallSec) ||
-      !C.getU64(R.ComUpdates) || !C.getU64(R.ComRecordsCommitted)) {
+      !C.getU64(Exit) || !C.getU8(CacheHit) ||
+#define PRIVATEER_STAT_GET(Name, Combine, Group, Key, Who) !C.getU64(R.Name) ||
+      PRIVATEER_STATS_COUNTERS(PRIVATEER_STAT_GET)
+#undef PRIVATEER_STAT_GET
+      !C.getStr(R.MisspecReason) || !C.getF64(R.PipelineSec) ||
+      !C.getF64(R.ExecSec) || !C.getF64(R.QueueSec) || !C.getF64(R.WallSec)) {
     Err = "truncated JobResult body";
     return false;
   }

@@ -34,6 +34,8 @@
 #ifndef PRIVATEER_SERVICE_PROTOCOL_H
 #define PRIVATEER_SERVICE_PROTOCOL_H
 
+#include "runtime/StatsSchema.h"
+
 #include <cstdint>
 #include <string>
 #include <sys/types.h>
@@ -42,7 +44,7 @@
 namespace privateer {
 namespace service {
 
-inline constexpr uint8_t kProtocolVersion = 5;
+inline constexpr uint8_t kProtocolVersion = 6;
 /// Default ceiling on one frame (module texts and job output both ride in
 /// frames; 64 MiB is far above any bundled program).
 inline constexpr size_t kMaxFrameBytes = 64u << 20;
@@ -206,8 +208,9 @@ struct JobRequest {
   double FaultBurnCpuSec = 0.0;
 };
 
-/// A JobResult body.
-struct JobReply {
+/// A JobResult body.  The RuntimeCounters block carries every integer
+/// counter of the job's invocations (zero for a sequential job).
+struct JobReply : RuntimeCounters {
   JobStatus Status = JobStatus::InternalError;
   FailureCause Cause = FailureCause::None;
   uint32_t TermSignal = 0;  ///< when Cause is Signal / CpuLimit
@@ -222,14 +225,6 @@ struct JobReply {
   std::string Output; ///< the program's (deferred) output, byte-exact
   int64_t ExitValue = 0;
   bool CacheHit = false;
-  uint64_t Iterations = 0;
-  uint64_t Checkpoints = 0;
-  uint64_t Misspecs = 0;
-  uint64_t RecoveredIterations = 0;
-  /// Commutative-heap activity (sixth heap): deferred updates logged and
-  /// records folded at commit.
-  uint64_t ComUpdates = 0;
-  uint64_t ComRecordsCommitted = 0;
   std::string MisspecReason;
   double PipelineSec = 0; ///< parse+profile+classify+transform (cache miss)
   double ExecSec = 0;     ///< executive wall time

@@ -141,8 +141,8 @@ Server::Server(ServerOptions O)
         "executives_spawned", "executives_respawned", "memfd_submissions",
         "token_deferrals"})
     stat(Name);
-  for (const char *Name : {"updates", "records-committed"})
-    StatisticRegistry::instance().counter("com", Name);
+  // The runtime counters every reply folds in, pre-registered likewise.
+  mirrorCounters(RuntimeCounters());
   for (const TenantConfig &TC : Opts.Tenants)
     tenantState(TC.Id).Cfg = TC;
 }
@@ -1473,11 +1473,9 @@ void Server::finishJob(Job &J) {
   if (J.Reply && R.Status == JobStatus::Ok) {
     ++stat("jobs_completed");
     // Jobs execute in executive processes, so their runtime registries
-    // die with them; fold the reply's commutative-heap stats into the
-    // daemon registry so the status JSON aggregates them.
-    StatisticRegistry::instance().counter("com", "updates") += R.ComUpdates;
-    StatisticRegistry::instance().counter("com", "records-committed") +=
-        R.ComRecordsCommitted;
+    // die with them; fold the reply's counters into the daemon registry so
+    // the status JSON aggregates them.
+    mirrorCounters(R);
     if (J.Attempt > 0)
       ++stat("retry_success");
     if (Opts.Verbose)

@@ -22,6 +22,11 @@ uint64_t StatisticRegistry::get(const std::string &Group,
   return It == Counters.end() ? 0 : It->second;
 }
 
+bool StatisticRegistry::contains(const std::string &Group,
+                                 const std::string &Name) const {
+  return Counters.count({Group, Name}) || RealCounters.count({Group, Name});
+}
+
 double &StatisticRegistry::real(const std::string &Group,
                                 const std::string &Name) {
   return RealCounters[{Group, Name}];

@@ -6,10 +6,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A tiny analogue of LLVM's Statistic class: named uint64 counters grouped
-/// by subsystem.  The runtime's Table 3 counters (invocations, checkpoints,
-/// private bytes read/written, allocation-site counts per heap) and the
-/// profilers' event counts report through this registry.
+/// A tiny analogue of LLVM's Statistic class: named counters grouped by
+/// subsystem, with a separate real-valued plane for seconds.  The runtime
+/// mirrors every field of its stats schema here once per invocation
+/// (runtime/StatsSchema.h: Table 3's checkpoints and private bytes read and
+/// written, plus the fault, commit, dep and com groups); heap allocations,
+/// trace events and the service's own counters report here directly.  The
+/// daemon folds each job's reply through the same schema, and its status
+/// reply embeds toJson().
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,6 +36,8 @@ public:
 
   uint64_t &counter(const std::string &Group, const std::string &Name);
   uint64_t get(const std::string &Group, const std::string &Name) const;
+  /// True when either plane holds \p Group / \p Name, even at zero.
+  bool contains(const std::string &Group, const std::string &Name) const;
 
   /// Real-valued counters for quantities that are genuinely fractional
   /// (e.g. `commit.overlap_sec`, wall seconds of commit work overlapped

@@ -96,7 +96,7 @@ TEST(ControlBlockReset, ClearsEpochStateForTheEpochsWorkersOnly) {
   for (unsigned I = 0; I < kMaxWorkers; ++I) {
     Cb->WorkerIter[I].store(99);
     Cb->WorkerHeartbeat[I].store(7);
-    Cb->Stats[I].Iterations = 11;
+    Cb->Stats[I].SeparationChecks = 11;
   }
   Cb->resetForEpoch(/*NumWorkers=*/3, /*BaseIter=*/64, /*NowNs=*/1000);
   EXPECT_EQ(Cb->MisspecFlag.load(), 0u);
@@ -107,10 +107,10 @@ TEST(ControlBlockReset, ClearsEpochStateForTheEpochsWorkersOnly) {
   for (unsigned I = 0; I < 3; ++I) {
     EXPECT_EQ(Cb->WorkerIter[I].load(), 64u);
     EXPECT_EQ(Cb->WorkerHeartbeat[I].load(), 1000u);
-    EXPECT_EQ(Cb->Stats[I].Iterations, 0u);
+    EXPECT_EQ(Cb->Stats[I].SeparationChecks, 0u);
   }
   // O(W): entries past the epoch's workers are left alone.
-  EXPECT_EQ(Cb->Stats[3].Iterations, 11u);
+  EXPECT_EQ(Cb->Stats[3].SeparationChecks, 11u);
 
   // After a reset the next raise wins the reason again; later raisers
   // only lower the earliest iteration and period.

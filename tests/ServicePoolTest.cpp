@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <csignal>
+#include <map>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -195,6 +196,81 @@ TEST(ServicePool, CommutativeWarmHitsReplayImage) {
   EXPECT_EQ(jsonInt(Json, "memfd_submissions"), 1 + WarmJobs) << Json;
   EXPECT_GT(jsonInt(Json, "updates"), 0) << Json;
   EXPECT_GT(jsonInt(Json, "records-committed"), 0) << Json;
+  ASSERT_TRUE(D.alive());
+}
+
+/// The status JSON's counter groups, group -> key -> value.  toJson()
+/// writes {"group": {"key": value, ...}, ...} with no deeper nesting, so
+/// each group ends at its first '}'.
+std::map<std::string, std::map<std::string, long long>>
+counterGroups(const std::string &Json) {
+  std::map<std::string, std::map<std::string, long long>> Groups;
+  const std::string Head = "\"counters\": {";
+  size_t P = Json.find(Head);
+  if (P == std::string::npos)
+    return Groups;
+  P += Head.size();
+  while (P < Json.size() && Json[P] == '"') {
+    size_t GEnd = Json.find('"', P + 1);
+    std::string Group = Json.substr(P + 1, GEnd - P - 1);
+    size_t Close = Json.find('}', GEnd);
+    for (size_t K = Json.find('"', GEnd + 1); K < Close;) {
+      size_t KEnd = Json.find('"', K + 1);
+      Groups[Group][Json.substr(K + 1, KEnd - K - 1)] =
+          std::atoll(Json.c_str() + KEnd + 3);
+      K = Json.find('"', KEnd + 1);
+    }
+    P = Close + 1;
+    if (Json.compare(P, 2, ", ") == 0)
+      P += 2;
+  }
+  return Groups;
+}
+
+// Every runtime counter reaches the status JSON: a reply carries the whole
+// stats schema and the daemon folds it into its registry.  A pooled
+// speculative job with injected misspeculation shows in counters the
+// daemon used to drop.  Status readers (jsonInt here, the benchmark's
+// statusCounter) take the first `"<key>": ` they find, so no counter key
+// may appear twice anywhere in the document.
+TEST(ServicePool, StatusFoldsEveryRuntimeCounter) {
+  ServerOptions Opts;
+  Opts.SocketPath = uniqueSocketPath();
+  Opts.Executives = 1;
+  ForkedDaemon D(Opts);
+  ASSERT_TRUE(D.forked());
+
+  service::Client C;
+  std::string Err;
+  ASSERT_TRUE(C.connect(D.socket(), Err, 10 * timeoutScale())) << Err;
+  JobRequest Req;
+  Req.ModuleText = fpPricingIrText(2000);
+  Req.NumWorkers = 2;
+  Req.CheckpointPeriod = 16;
+  Req.InjectMisspecRate = 0.05;
+  Req.InjectSeed = 3;
+  JobReply R;
+  ASSERT_TRUE(C.submit(Req, R, Err, 300 * timeoutScale())) << Err;
+  ASSERT_EQ(R.Status, JobStatus::Ok) << R.Error;
+  EXPECT_GE(R.Misspecs, 1u);
+
+  std::string Json;
+  ASSERT_TRUE(C.status(Json, Err)) << Err;
+  EXPECT_EQ(jsonInt(Json, "pool_dispatches"), 1) << Json;
+  auto Groups = counterGroups(Json);
+  EXPECT_GE(Groups["runtime"]["misspecs"], 1) << Json;
+  EXPECT_GT(Groups["runtime"]["recovered_iters"], 0) << Json;
+  EXPECT_GT(Groups["checkpoint"]["dirty_chunks"], 0) << Json;
+  EXPECT_EQ(Groups["runtime"]["iterations"],
+            static_cast<long long>(R.Iterations))
+      << Json;
+  for (const auto &[Group, Keys] : Groups)
+    for (const auto &[Key, Value] : Keys) {
+      std::string Needle = "\"" + Key + "\": ";
+      size_t First = Json.find(Needle);
+      EXPECT_EQ(Json.find(Needle, First + 1), std::string::npos)
+          << Group << "." << Key << " is not the only \"" << Key << "\"";
+    }
   ASSERT_TRUE(D.alive());
 }
 

@@ -81,10 +81,14 @@ JobReply sampleReply() {
   R.Output = std::string("line1\nline2\n\0binary", 19);
   R.ExitValue = -77;
   R.CacheHit = true;
-  R.Iterations = 1000;
-  R.Checkpoints = 31;
-  R.Misspecs = 2;
-  R.RecoveredIterations = 64;
+  // Every schema counter gets its own value, so a codec that drops,
+  // duplicates or reorders one cannot round-trip.
+  uint64_t Distinct = 1000;
+#define PRIVATEER_STAT_SAMPLE(Name, Combine, Group, Key, Who)                  \
+  R.Name = Distinct;                                                           \
+  Distinct += 7;
+  PRIVATEER_STATS_COUNTERS(PRIVATEER_STAT_SAMPLE)
+#undef PRIVATEER_STAT_SAMPLE
   R.MisspecReason = "private_read of unwritten byte";
   R.PipelineSec = 0.25;
   R.ExecSec = 1.5;
@@ -161,10 +165,10 @@ TEST(ServiceProtocol, JobReplyRoundTrip) {
   EXPECT_EQ(Out.Output, In.Output);
   EXPECT_EQ(Out.ExitValue, In.ExitValue);
   EXPECT_EQ(Out.CacheHit, In.CacheHit);
-  EXPECT_EQ(Out.Iterations, In.Iterations);
-  EXPECT_EQ(Out.Checkpoints, In.Checkpoints);
-  EXPECT_EQ(Out.Misspecs, In.Misspecs);
-  EXPECT_EQ(Out.RecoveredIterations, In.RecoveredIterations);
+#define PRIVATEER_STAT_CHECK(Name, Combine, Group, Key, Who)                   \
+  EXPECT_EQ(Out.Name, In.Name) << #Name;
+  PRIVATEER_STATS_COUNTERS(PRIVATEER_STAT_CHECK)
+#undef PRIVATEER_STAT_CHECK
   EXPECT_EQ(Out.MisspecReason, In.MisspecReason);
   EXPECT_DOUBLE_EQ(Out.PipelineSec, In.PipelineSec);
   EXPECT_DOUBLE_EQ(Out.ExecSec, In.ExecSec);
@@ -355,8 +359,8 @@ TEST(ServiceProtocol, DaemonSurvivesGarbageAndKeepsServing) {
 //
 // Every client lives in this repository and speaks kProtocolVersion, so
 // bodies in the older layouts (v2: no Engine byte; v3: no tenant/submit
-// tail; v4: no strategy/stage tail) are rejected outright, as are versions
-// that never existed.
+// tail; v4: no strategy/stage tail; v5: a reply with six counters) are
+// rejected outright, as are versions that never existed.
 
 void putU8(std::string &B, uint8_t V) { B.push_back(static_cast<char>(V)); }
 void putU32(std::string &B, uint32_t V) {
@@ -418,6 +422,34 @@ std::string encodeLegacyRequest(const JobRequest &R, uint8_t Version) {
   return B;
 }
 
+/// Encodes \p R in the v5 reply layout, which carried only six counters.
+std::string encodeV5Reply(const JobReply &R) {
+  std::string B;
+  putU8(B, 5);
+  putU8(B, static_cast<uint8_t>(R.Status));
+  putU8(B, static_cast<uint8_t>(R.Cause));
+  putU32(B, R.TermSignal);
+  putU32(B, R.SupExitCode);
+  putU32(B, R.Attempts);
+  putU8(B, R.IdempotentReplay ? 1 : 0);
+  putStr(B, R.Error);
+  putStr(B, R.Output);
+  putU64(B, static_cast<uint64_t>(R.ExitValue));
+  putU8(B, R.CacheHit ? 1 : 0);
+  putU64(B, R.Iterations);
+  putU64(B, R.Checkpoints);
+  putU64(B, R.Misspecs);
+  putU64(B, R.RecoveredIterations);
+  putStr(B, R.MisspecReason);
+  putF64(B, R.PipelineSec);
+  putF64(B, R.ExecSec);
+  putF64(B, R.QueueSec);
+  putF64(B, R.WallSec);
+  putU64(B, R.ComUpdates);
+  putU64(B, R.ComRecordsCommitted);
+  return B;
+}
+
 TEST(ServiceProtocol, CrossVersionRequestsRejected) {
   JobRequest In = sampleRequest();
   for (uint8_t V : {uint8_t(2), uint8_t(3), uint8_t(4)}) {
@@ -429,8 +461,17 @@ TEST(ServiceProtocol, CrossVersionRequestsRejected) {
         << Err;
   }
 
+  {
+    JobReply Out;
+    std::string Err;
+    EXPECT_FALSE(decodeJobReply(encodeV5Reply(sampleReply()), Out, Err))
+        << "v5 reply decoded";
+    EXPECT_NE(Err.find("unsupported protocol version"), std::string::npos)
+        << Err;
+  }
+
   // Any other version byte on a current-layout body, of either kind.
-  for (uint8_t V : {uint8_t(0), uint8_t(1), uint8_t(4),
+  for (uint8_t V : {uint8_t(0), uint8_t(1), uint8_t(4), uint8_t(5),
                     uint8_t(kProtocolVersion + 1)}) {
     std::string Body = encodeJobRequest(In);
     Body[0] = static_cast<char>(V);

@@ -136,6 +136,8 @@ TEST(TableWriterTest, AlignedAndCsv) {
 #include "runtime/Privateer.h"
 #include "support/Statistics.h"
 
+#include <set>
+
 namespace {
 
 using privateer::HeapKind;
@@ -161,6 +163,34 @@ TEST(Statistics, RegistryCountsHeapAllocations) {
   privateer::h_dealloc(B, HeapKind::Private);
   privateer::h_dealloc(C, HeapKind::Redux);
   Runtime::get().shutdown();
+  Reg.reset();
+}
+
+// The registry mirror is expanded from the stats schema: one runParallel
+// leaves every schema key in the registry, zero or not, and no two schema
+// fields share a key — not even across groups, since the daemon's status
+// readers look a counter up by its bare key.
+TEST(Statistics, RunParallelMirrorsEverySchemaKey) {
+  StatisticRegistry &Reg = StatisticRegistry::instance();
+  Reg.reset();
+  Runtime &Rt = Runtime::get();
+  Rt.initialize();
+  privateer::ParallelOptions Opt;
+  Opt.NumWorkers = 2;
+  Rt.runParallel(64, Opt, [](uint64_t) {});
+  Rt.shutdown();
+
+  std::set<std::string> Keys;
+  size_t Fields = 0;
+#define PRIVATEER_STAT_KEY(Name, Combine, Group, Key, Who)                     \
+  EXPECT_TRUE(Reg.contains(Group, Key)) << #Name;                              \
+  Keys.insert(Key);                                                            \
+  ++Fields;
+  PRIVATEER_STATS_COUNTERS(PRIVATEER_STAT_KEY)
+  PRIVATEER_STATS_SECONDS(PRIVATEER_STAT_KEY)
+#undef PRIVATEER_STAT_KEY
+  EXPECT_EQ(Keys.size(), Fields);
+  EXPECT_EQ(Reg.get("runtime", "iterations"), 64u);
   Reg.reset();
 }
 
