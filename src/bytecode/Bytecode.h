@@ -33,6 +33,11 @@
 /// it to a flat byte image that the invocation service ships to pre-forked
 /// executive processes over sealed memfds.
 ///
+/// The one exception is a profiling lowering (LowerOptions::Profile): its
+/// event opcodes feed the §4.1 training run from the VM and name IR
+/// entities through a side table of pointers held next to the program.
+/// Such a program lives and dies in the process that lowered it.
+///
 /// The tree-walking interpreter remains the semantic oracle: the randomized
 /// differential sweep byte-compares the two engines, and both share the
 /// defined arithmetic edge semantics in interp/Semantics.h.
@@ -122,7 +127,17 @@ namespace bytecode {
   /* commutative-update heap (appended, keeping prior opcode values) */       \
   X(CheckHeapCommutative) /* same contract as the other CheckHeap* */         \
   X(ComUpdate)    /* deferred update at r[A] with r[B]; C = bytes|op<<4, */   \
-                  /* Imm = expected tag bits (check fused in) */
+                  /* Imm = expected tag bits (check fused in) */              \
+  /* training-run events (profiling lowering only; appended, and never     */\
+  /* in an image).  Imm indexes the lowering's ProfileSites tables.        */\
+  X(EvBlock)  /* block Imm entered from block r[A] (r[A] = Imm after); */     \
+              /* C = its IR instruction count */                              \
+  X(EvLoad)   /* Insts[Imm] loads C bytes at r[A] */                          \
+  X(EvStore)  /* Insts[Imm] stores C bytes at r[A] */                         \
+  X(EvAlloc)  /* Insts[Imm] allocated r[B] bytes at r[A] */                   \
+  X(EvFree)   /* Insts[Imm] frees r[A] */                                     \
+  X(EvCall)   /* call Insts[Imm] is entering its callee */                    \
+  X(EvReturn) /* call Insts[Imm] returned */
 
 enum class BcOp : uint16_t {
 #define PRIVATEER_BC_ENUM(N) N,
@@ -135,6 +150,12 @@ inline constexpr unsigned kNumBcOps = 0
     PRIVATEER_BC_OPCODES(PRIVATEER_BC_COUNT)
 #undef PRIVATEER_BC_COUNT
     ;
+
+/// Opcodes from here on are training-run events: their operands name
+/// pointers of the lowering process, so no image may carry them.
+inline constexpr unsigned kFirstEventOp = static_cast<unsigned>(BcOp::EvBlock);
+static_assert(static_cast<unsigned>(BcOp::EvReturn) + 1 == kNumBcOps,
+              "event opcodes must stay the last group");
 
 const char *bcOpName(BcOp Op);
 

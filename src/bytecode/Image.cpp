@@ -194,6 +194,12 @@ bool getFunction(Cursor &C, BcFunction &F, uint32_t NumFunctions,
       C.Why = "bad opcode";
       return false;
     }
+    if (I.Op >= kFirstEventOp) {
+      // Event operands index pointer tables of the lowering process.
+      C.Fail = true;
+      C.Why = "training-run event opcode in an image";
+      return false;
+    }
   }
   uint64_t NConst = C.getCount(10);
   F.ConstInit.resize(C.Fail ? 0 : NConst);

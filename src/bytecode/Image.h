@@ -39,7 +39,9 @@ std::string serializeProgram(const BytecodeProgram &Prog);
 
 /// Rebuilds a program from \p Image (as produced by serializeProgram).
 /// Returns null with \p Err set on any malformed input; never reads past
-/// the image or trusts embedded lengths.
+/// the image or trusts embedded lengths.  An image carrying a training-run
+/// event opcode is malformed: a profiling lowering never leaves its
+/// process.
 std::unique_ptr<BytecodeProgram> deserializeProgram(const void *Image,
                                                     size_t Bytes,
                                                     std::string &Err);

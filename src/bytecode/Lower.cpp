@@ -125,6 +125,8 @@ public:
     for (const auto &A : F.arguments())
       Regs[A.get()] = allocReg();
     BF.NumArgs = static_cast<uint16_t>(F.arguments().size());
+    if (Opts.Profile)
+      PredReg = allocReg();
     for (const auto &B : F.blocks()) {
       if (!B->terminator())
         return fail("block '" + B->name() + "' has no terminator");
@@ -176,7 +178,8 @@ public:
     }
     BF.NumRegs = static_cast<uint16_t>(NextReg);
     BF.HasRetValue = F.returnType() != Type::Void;
-    if (!Failed)
+    // Fusion would step over the events placed between a pair's halves.
+    if (!Failed && !Opts.Profile)
       fusePairs(BF);
     return !Failed;
   }
@@ -197,6 +200,9 @@ private:
   std::vector<std::pair<uint32_t, const BasicBlock *>> Fixups;
   uint32_t NextReg = 0;
   const BasicBlock *PlannedHeader = nullptr;
+  /// Profiling lowering: the frame register holding the id of the block
+  /// control came from (0 at function entry).
+  uint16_t PredReg = 0;
 
   bool fail(const std::string &Why) {
     if (!Failed)
@@ -293,6 +299,12 @@ private:
     return true;
   }
 
+  /// Profiling lowering: the id an event names \p I by.
+  int64_t siteId(const Instruction &I) {
+    Opts.Profile->Insts.push_back(&I);
+    return static_cast<int64_t>(Opts.Profile->Insts.size() - 1);
+  }
+
   uint16_t addAllocSite(const Instruction *I) {
     BcAllocSite S;
     S.HasHeap = I->hasAllocHeap();
@@ -383,6 +395,18 @@ private:
 
   void lowerBlock(const BasicBlock *B) {
     BlockPc[B] = static_cast<uint32_t>(BF.Code.size());
+    if (Opts.Profile) {
+      // The block's IR count feeds the instruction budget, which counts
+      // what the interpreter counts.
+      if (B->instructions().size() > 65535) {
+        fail("block '" + B->name() + "' is too long to profile");
+        return;
+      }
+      Opts.Profile->Blocks.push_back(B);
+      emit(BcOp::EvBlock, PredReg, 0,
+           static_cast<uint16_t>(B->instructions().size()),
+           static_cast<int64_t>(Opts.Profile->Blocks.size() - 1));
+    }
     std::vector<const Instruction *> Phis = leadingPhis(B);
     for (const Instruction *Phi : Phis)
       if (Stage[Phi] != Regs[Phi])
@@ -446,19 +470,28 @@ private:
       uint16_t Site = addAllocSite(&I);
       emit(BcOp::Alloca, Regs[&I], Site, 0,
            static_cast<int64_t>(I.accessBytes()));
+      if (Opts.Profile)
+        emit(BcOp::EvAlloc, Regs[&I], constReg(I.accessBytes()), 0,
+             siteId(I));
       return;
     }
     case Opcode::Malloc: {
       uint16_t Site = addAllocSite(&I);
       emit(BcOp::Malloc, Regs[&I], Site, regFor(I.operand(0)));
+      if (Opts.Profile)
+        emit(BcOp::EvAlloc, Regs[&I], regFor(I.operand(0)), 0, siteId(I));
       return;
     }
     case Opcode::Free:
+      if (Opts.Profile)
+        emit(BcOp::EvFree, regFor(I.operand(0)), 0, 0, siteId(I));
       emit(BcOp::Free, regFor(I.operand(0)));
       return;
     case Opcode::Load: {
       uint64_t Bytes = I.accessBytes();
       uint16_t Ptr = regFor(I.operand(0));
+      if (Opts.Profile)
+        emit(BcOp::EvLoad, Ptr, 0, static_cast<uint16_t>(Bytes), siteId(I));
       if (I.type() == Type::F64) {
         if (Bytes != 8) {
           fail("f64 load must be 8 bytes");
@@ -477,6 +510,8 @@ private:
       uint64_t Bytes = I.accessBytes();
       uint16_t Val = regFor(I.operand(0));
       uint16_t Ptr = regFor(I.operand(1));
+      if (Opts.Profile)
+        emit(BcOp::EvStore, Ptr, 0, static_cast<uint16_t>(Bytes), siteId(I));
       if (Bytes == 8)
         emit(BcOp::Store8, Val, Ptr);
       else
@@ -581,8 +616,13 @@ private:
         BF.RegPool.push_back(regFor(I.operand(A)));
       BF.CallSites.push_back(Site);
       bool HasResult = I.type() != Type::Void;
+      int64_t Id = Opts.Profile ? siteId(I) : 0;
+      if (Opts.Profile)
+        emit(BcOp::EvCall, 0, 0, 0, Id);
       emit(BcOp::Call, HasResult ? Regs[&I] : 0, 0, HasResult ? 1 : 0,
            static_cast<int64_t>(BF.CallSites.size() - 1));
+      if (Opts.Profile)
+        emit(BcOp::EvReturn, 0, 0, 0, Id);
       return;
     }
     case Opcode::Print: {
@@ -653,8 +693,14 @@ private:
 std::unique_ptr<BytecodeProgram>
 bytecode::lowerModule(const Module &M, const LowerOptions &Opts,
                       std::string &WhyNot) {
+  if (Opts.Profile && Opts.PlanLoop) {
+    WhyNot = "a profiling lowering takes no planned loop";
+    return nullptr;
+  }
   auto Prog = std::make_unique<BytecodeProgram>();
   for (const auto &G : M.globals()) {
+    if (Opts.Profile)
+      Opts.Profile->Globals.push_back(G.get());
     Prog->GlobalIdx[G->name()] = static_cast<uint32_t>(Prog->Globals.size());
     BcGlobal BG;
     BG.Name = G->name();

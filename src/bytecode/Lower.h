@@ -26,6 +26,17 @@
 namespace privateer {
 namespace bytecode {
 
+/// The IR entities a profiling lowering's event opcodes name by index.
+/// These are pointers into the lowered module, which is why a profiling
+/// program is never serialized.
+struct ProfileSites {
+  /// Block ids start at 1: a frame's predecessor register reads 0, the
+  /// null block, at function entry.
+  std::vector<const ir::BasicBlock *> Blocks{nullptr};
+  std::vector<const ir::Instruction *> Insts;
+  std::vector<const ir::GlobalVariable *> Globals; ///< By global index.
+};
+
 struct LowerOptions {
   /// The pipeline-selected DOALL loop to compile interception for; null
   /// lowers a plain sequential program (every edge is an ordinary jump).
@@ -36,6 +47,12 @@ struct LowerOptions {
   /// null) beyond it.  The default is the instruction encoding's limit;
   /// tests shrink it to exercise the interpreter-fallback path.
   unsigned MaxRegsPerFunction = 65535;
+  /// Set: lower for the training run.  Every block starts with an EvBlock
+  /// event, accesses, allocations, frees and calls are bracketed by their
+  /// events (in the interpreter's observer order), pair fusion is skipped,
+  /// and the tables the events index are filled in here.  Requires no
+  /// PlanLoop.
+  ProfileSites *Profile = nullptr;
 };
 
 /// Lowers \p M to bytecode.  Returns null and sets \p WhyNot when any

@@ -2,6 +2,7 @@
 
 #include "bytecode/VM.h"
 
+#include "bytecode/Lower.h"
 #include "interp/Semantics.h"
 #include "runtime/HeapKind.h"
 #include "support/ErrorHandling.h"
@@ -55,6 +56,8 @@ void VM::initializeGlobals() {
     const BcGlobal &G = Prog.Globals[Idx];
     void *P = MM.allocateTagged(G.SizeBytes, G.HasHeap, G.Heap, /*Zero=*/true);
     GlobalAddrs[Idx] = reinterpret_cast<uint64_t>(P);
+    if (Obs)
+      Obs->onGlobalAlloc(Sites->Globals[Idx], GlobalAddrs[Idx], G.SizeBytes);
   }
   // Frame-entry images depend on the global addresses just assigned.
   FrameInit.resize(Prog.Functions.size());
@@ -121,6 +124,12 @@ uint64_t VM::callFunction(uint32_t FnIdx, const uint64_t *Args,
   return Ret;
 }
 
+void VM::trap(const char *Reason) const {
+  if (TrapsThrow)
+    throw Trap{Reason};
+  reportFatalError(Reason);
+}
+
 uint32_t VM::runPlannedLoop(const BcFunction &Fn, Frame &Frm,
                             const BcParLoopSite &Site) {
   int64_t Begin = sI(Frm.R[Site.BeginReg]);
@@ -171,7 +180,8 @@ VM::ExecStatus VM::exec(const BcFunction &Fn, Frame &Frm, uint32_t StartPc,
   // The running count lives in a local, flushed to the Executed member
   // around nested execution (Call, ParLoopEnter) and at every exit.
   uint64_t Exec = Executed;
-  const uint64_t Bud = Budget;
+  // An observed run counts IR instructions instead (EvBlock).
+  const uint64_t Bud = Obs ? ~0ull : Budget;
 
 #if PRIVATEER_BC_THREADED
   static const void *Handlers[] = {
@@ -198,7 +208,7 @@ VM::ExecStatus VM::exec(const BcFunction &Fn, Frame &Frm, uint32_t StartPc,
 #define BC_JUMP(Target)                                                       \
   do {                                                                        \
     if (Exec > Bud) [[unlikely]]                                              \
-      reportFatalError("instruction budget exceeded (runaway loop?)");        \
+      trap("instruction budget exceeded (runaway loop?)");                    \
     I = Code + (Target);                                                      \
     BC_DISPATCH();                                                            \
   } while (0)
@@ -276,14 +286,14 @@ dispatch:
   BC_HANDLER(SDiv) {
     int64_t D = sI(R[I->C]);
     if (D == 0)
-      reportFatalError("division by zero");
+      trap("division by zero");
     R[I->A] = uI(sem::sdivWrap(sI(R[I->B]), D));
   }
   BC_NEXT();
   BC_HANDLER(SRem) {
     int64_t D = sI(R[I->C]);
     if (D == 0)
-      reportFatalError("remainder by zero");
+      trap("remainder by zero");
     R[I->A] = uI(sem::sremWrap(sI(R[I->B]), D));
   }
   BC_NEXT();
@@ -306,13 +316,13 @@ dispatch:
   BC_NEXT();
   BC_HANDLER(SDivImm) {
     if (I->Imm == 0)
-      reportFatalError("division by zero");
+      trap("division by zero");
     R[I->A] = uI(sem::sdivWrap(sI(R[I->B]), I->Imm));
   }
   BC_NEXT();
   BC_HANDLER(SRemImm) {
     if (I->Imm == 0)
-      reportFatalError("remainder by zero");
+      trap("remainder by zero");
     R[I->A] = uI(sem::sremWrap(sI(R[I->B]), I->Imm));
   }
   BC_NEXT();
@@ -578,6 +588,33 @@ dispatch:
       applyComUpdate(R[I->A], Op, Bytes, sI(R[I->B]));
     }
   }
+  BC_NEXT();
+
+  // Training-run events (profiling lowering only, so Obs is set).
+  BC_HANDLER(EvBlock) {
+    IrExecuted += I->C;
+    if (IrExecuted > Budget) [[unlikely]]
+      trap("instruction budget exceeded (runaway loop?)");
+    Obs->onBlockEnter(Sites->Blocks[I->Imm], Sites->Blocks[R[I->A]]);
+    R[I->A] = uI(I->Imm);
+  }
+  BC_NEXT();
+  BC_HANDLER(EvLoad) { Obs->onLoad(Sites->Insts[I->Imm], R[I->A], I->C); }
+  BC_NEXT();
+  BC_HANDLER(EvStore) { Obs->onStore(Sites->Insts[I->Imm], R[I->A], I->C); }
+  BC_NEXT();
+  BC_HANDLER(EvAlloc) {
+    Obs->onAlloc(Sites->Insts[I->Imm], R[I->A], R[I->B]);
+  }
+  BC_NEXT();
+  BC_HANDLER(EvFree) { Obs->onFree(Sites->Insts[I->Imm], R[I->A]); }
+  BC_NEXT();
+  BC_HANDLER(EvCall) {
+    const ir::Instruction *Site = Sites->Insts[I->Imm];
+    Obs->onCall(Site, Site->callee());
+  }
+  BC_NEXT();
+  BC_HANDLER(EvReturn) { Obs->onReturn(Sites->Insts[I->Imm]->callee()); }
   BC_NEXT();
 
 #if !PRIVATEER_BC_THREADED

@@ -20,6 +20,11 @@
 /// through to ordinary jumps, which is also what recovery and degraded
 /// re-execution rely on inside the runtime.
 ///
+/// With an observer set, the VM is the §4.1 training run's event source:
+/// a profiling lowering's event opcodes report to an InterpObserver in the
+/// order the interpreter reports, so one ProfileCollector serves both
+/// engines.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PRIVATEER_BYTECODE_VM_H
@@ -36,6 +41,8 @@
 
 namespace privateer {
 namespace bytecode {
+
+struct ProfileSites;
 
 class VM {
 public:
@@ -63,8 +70,25 @@ public:
   void setParallelPlan(ParallelPlan *P) { Plan = P; }
 
   /// Hard bound on executed bytecode instructions (runaway-loop guard).
+  /// With an observer set, the bound and the count are in IR instructions
+  /// instead, added a whole block at a time as each block is entered.
   void setInstructionBudget(uint64_t N) { Budget = N; }
-  uint64_t instructionsExecuted() const { return Executed; }
+  uint64_t instructionsExecuted() const {
+    return Obs ? IrExecuted : Executed;
+  }
+
+  /// Runs a profiling lowering (LowerOptions::Profile) with its events
+  /// reported to \p Observer, naming the entities in \p ProfSites.  Set
+  /// before initializeGlobals, which reports the globals.
+  void setObserver(interp::InterpObserver *Observer,
+                   const ProfileSites *ProfSites) {
+    Obs = Observer;
+    Sites = ProfSites;
+  }
+
+  /// Throw interp::Trap instead of aborting when the program traps, with
+  /// the interpreter's reasons.  A VM that threw is not run again.
+  void setTrapsThrow(bool On) { TrapsThrow = On; }
 
 private:
   /// A frame is a slice of the preallocated register arena plus the list
@@ -96,6 +120,8 @@ private:
   uint32_t runPlannedLoop(const BcFunction &Fn, Frame &Frm,
                           const BcParLoopSite &Site);
 
+  [[noreturn]] void trap(const char *Reason) const;
+
   const BytecodeProgram &Prog;
   interp::MemoryManager &MM;
   ParallelPlan *Plan = nullptr;
@@ -111,6 +137,10 @@ private:
   uint64_t Budget = 2'000'000'000;
   uint64_t Executed = 0;
   bool InParallelBody = false;
+  bool TrapsThrow = false;
+  interp::InterpObserver *Obs = nullptr;
+  const ProfileSites *Sites = nullptr;
+  uint64_t IrExecuted = 0; ///< Observed runs: IR instructions entered.
 };
 
 } // namespace bytecode

@@ -10,7 +10,9 @@
 /// host addresses, so heap-tagged pointers work unchanged).  Three roles:
 ///
 ///  1. profiling runs — an InterpObserver receives every allocation,
-///     access, block transfer, and call, feeding the §4.1 profilers;
+///     access, block transfer, and call, feeding the §4.1 profilers (the
+///     bytecode VM reports the same events in the same order, and is the
+///     default training engine; this one is its oracle and fallback);
 ///  2. plain sequential execution of original or transformed programs
 ///     (Privateer intrinsics lower onto the runtime, which ignores them
 ///     outside a speculative worker);
@@ -34,6 +36,20 @@
 #include <unordered_map>
 
 namespace privateer {
+
+/// Which engine executes a module.  Bytecode is the default tier (the
+/// direct-threaded VM of src/bytecode); this tree-walking interpreter
+/// stays available as the differential oracle and as the automatic
+/// fallback for anything the lowerer declines.
+enum class ExecEngine : uint8_t {
+  Bytecode = 0,
+  Interp = 1,
+};
+
+inline const char *execEngineName(ExecEngine E) {
+  return E == ExecEngine::Bytecode ? "bytecode" : "interp";
+}
+
 namespace interp {
 
 /// One 64-bit value slot; typing is by use, as in the untyped-memory IR.

@@ -2,10 +2,14 @@
 
 #include "profiling/ProfileCollector.h"
 
+#include "bytecode/Lower.h"
+#include "bytecode/VM.h"
+#include "support/ErrorHandling.h"
 #include "support/Timing.h"
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
 
 using namespace privateer;
 using namespace privateer::profiling;
@@ -370,32 +374,67 @@ Profile ProfileCollector::finish() {
   return std::move(P);
 }
 
+namespace {
+
+/// A stream that swallows everything written to it.  It needs no file
+/// descriptor, so the training run's prints cannot fall through to stdout
+/// when none is free.
+std::FILE *discardStream() {
+  static std::FILE *Sink = [] {
+    cookie_io_functions_t Fns{};
+    Fns.write = [](void *, const char *, size_t N) -> ssize_t {
+      return static_cast<ssize_t>(N);
+    };
+    std::FILE *F = fopencookie(nullptr, "w", Fns);
+    if (!F)
+      reportFatalError("cannot open the training run's output sink");
+    return F;
+  }();
+  return Sink;
+}
+
+} // namespace
+
 TrainingRun profiling::runTrainingProfile(Module &M, const FunctionAnalyses &FA,
                                           const std::string &Entry,
                                           const std::vector<interp::Cell> &Args,
-                                          uint64_t Budget) {
+                                          uint64_t Budget, ExecEngine Engine) {
   TrainingRun R;
   double T0 = wallSeconds();
   ProfileCollector Collector(FA);
   interp::PlainMemoryManager MM;
-  interp::Interpreter Interp(M, MM, &Collector);
-  Interp.setInstructionBudget(Budget);
-  Interp.setTrapsThrow(true);
+  bytecode::ProfileSites Sites;
+  std::unique_ptr<bytecode::BytecodeProgram> BP;
+  if (Engine == ExecEngine::Bytecode) {
+    bytecode::LowerOptions LO;
+    LO.Profile = &Sites;
+    BP = bytecode::lowerModule(M, LO, R.EngineNote);
+  }
+  R.EngineUsed = BP ? ExecEngine::Bytecode : ExecEngine::Interp;
   Runtime &Rt = Runtime::get();
   std::FILE *Saved = Rt.sequentialOutput();
-  std::FILE *Sink = std::tmpfile();
-  Rt.setSequentialOutput(Sink);
-  try {
-    Interp.initializeGlobals();
-    Interp.run(Entry, Args);
-    R.Prof = Collector.finish();
-  } catch (const interp::Trap &T) {
-    R.Trap = T.Reason;
+  Rt.setSequentialOutput(discardStream());
+  auto Train = [&](auto &Exec) {
+    Exec.setInstructionBudget(Budget);
+    Exec.setTrapsThrow(true);
+    try {
+      Exec.initializeGlobals();
+      Exec.run(Entry, Args);
+      R.Prof = Collector.finish();
+    } catch (const interp::Trap &T) {
+      R.Trap = T.Reason;
+    }
+    R.Instructions = Exec.instructionsExecuted();
+  };
+  if (BP) {
+    bytecode::VM Vm(*BP, MM);
+    Vm.setObserver(&Collector, &Sites);
+    Train(Vm);
+  } else {
+    interp::Interpreter Interp(M, MM, &Collector);
+    Train(Interp);
   }
   Rt.setSequentialOutput(Saved);
-  if (Sink)
-    std::fclose(Sink);
-  R.Instructions = Interp.instructionsExecuted();
   R.Loads = Collector.Loads;
   R.Stores = Collector.Stores;
   R.Allocs = Collector.Allocs;

@@ -3,6 +3,7 @@
 #include "profiling/ProfileSerialization.h"
 
 #include <algorithm>
+#include <map>
 #include <sstream>
 
 using namespace privateer;
@@ -260,4 +261,54 @@ profiling::deserializeProfile(const std::string &Text, const Module &M,
     }
   }
   return P;
+}
+
+std::string profiling::normalizedProfile(const Profile &P, const Module &M) {
+  std::istringstream In(serializeProfile(P, M));
+  std::string Header, Line;
+  std::getline(In, Header);
+  std::vector<std::string> Lines;
+  std::map<uint64_t, const GlobalVariable *> Bases;
+  while (std::getline(In, Line)) {
+    Lines.push_back(Line);
+    std::istringstream S(Line);
+    std::string Kw, Name;
+    uint64_t Base = 0;
+    if (S >> Kw >> Name >> Base && Kw == "globalbase")
+      Bases[Base] = M.globalByName(Name);
+  }
+  // Values below 2^32 are program integers and stay as they are; a larger
+  // value is an address.
+  auto Sym = [&](const std::string &Tok) {
+    if (Tok[0] == '-' || std::stoull(Tok) < (1ull << 32))
+      return Tok;
+    uint64_t V = std::stoull(Tok);
+    auto It = Bases.upper_bound(V);
+    if (It != Bases.begin()) {
+      --It;
+      if (It->second && V < It->first + It->second->sizeBytes())
+        return "@" + It->second->name() + "+" + std::to_string(V - It->first);
+    }
+    return std::string("heap");
+  };
+  for (std::string &L : Lines) {
+    std::istringstream S(L);
+    std::vector<std::string> Toks;
+    for (std::string T; S >> T;)
+      Toks.push_back(T);
+    if (Toks.size() == 3 && Toks[0] == "globalbase")
+      Toks[2] = Sym(Toks[2]);
+    else if (Toks.size() == 6 && Toks[0] == "pred") {
+      Toks[3] = Sym(Toks[3]);
+      Toks[5] = Sym(Toks[5]);
+    }
+    L.clear();
+    for (const std::string &T : Toks)
+      L += (L.empty() ? "" : " ") + T;
+  }
+  std::sort(Lines.begin(), Lines.end());
+  std::string Out = Header + "\n";
+  for (const std::string &L : Lines)
+    Out += L + "\n";
+  return Out;
 }

@@ -32,6 +32,12 @@ namespace profiling {
 /// coordinates within \p M.
 std::string serializeProfile(const Profile &P, const ir::Module &M);
 
+/// serializeProfile(\p P, \p M) in a form that compares across processes
+/// and engines: the absolute addresses (global bases, predicted-load
+/// addresses, pointer values) are rewritten, an address inside a global as
+/// "@name+offset" and any other as "heap", and the lines are sorted.
+std::string normalizedProfile(const Profile &P, const ir::Module &M);
+
 /// Parses a serialized profile against \p M / \p FA.  Returns nullopt and
 /// sets \p Error if any reference fails to resolve (the module changed).
 std::optional<Profile> deserializeProfile(const std::string &Text,

@@ -32,10 +32,13 @@ PipelineResult transform::runPrivateerPipeline(Module &M,
         M, FA, TrainEntry,
         TrainEntry == Opt.EntryFunction ? Opt.EntryArgs
                                         : std::vector<interp::Cell>(),
-        Opt.ProfileBudget);
+        Opt.ProfileBudget, Opt.Engine);
     char Ms[32];
     std::snprintf(Ms, sizeof(Ms), "%.2f", Run.WallMs);
-    R.Log.push_back("profiled @" + TrainEntry + ": " +
+    std::string On = execEngineName(Run.EngineUsed);
+    if (!Run.EngineNote.empty())
+      On += " (lowering declined: " + Run.EngineNote + ")";
+    R.Log.push_back("profiled @" + TrainEntry + " on " + On + ": " +
                     std::to_string(Run.Instructions) + " instructions in " +
                     Ms + " ms, " + std::to_string(Run.Loads) + " loads, " +
                     std::to_string(Run.Stores) + " stores, " +

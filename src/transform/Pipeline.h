@@ -30,18 +30,8 @@ struct BytecodeProgram;
 
 namespace transform {
 
-/// Which engine executes the program.  Bytecode is the default tier (the
-/// direct-threaded VM of src/bytecode); the tree-walking interpreter stays
-/// available as the differential oracle and as the automatic fallback for
-/// anything the lowerer declines.
-enum class ExecEngine : uint8_t {
-  Bytecode = 0,
-  Interp = 1,
-};
-
-inline const char *execEngineName(ExecEngine E) {
-  return E == ExecEngine::Bytecode ? "bytecode" : "interp";
-}
+using privateer::ExecEngine;
+using privateer::execEngineName;
 
 struct PipelineOptions {
   std::string EntryFunction = "main";
@@ -55,8 +45,9 @@ struct PipelineOptions {
   std::string TrainingEntryFunction;
   /// Training-run instruction budget.
   uint64_t ProfileBudget = 500'000'000;
-  /// Requested execution engine; Bytecode silently falls back to Interp
-  /// when lowering declines (ExecutionResult::EngineUsed reports which
+  /// Requested execution engine, for the training run and for execution;
+  /// Bytecode silently falls back to Interp when lowering declines
+  /// (ExecutionResult::EngineUsed and the pipeline log report which
   /// engine actually ran).
   ExecEngine Engine = ExecEngine::Bytecode;
   /// Scheduling strategy.  Doall admits only dependence-free loops (the

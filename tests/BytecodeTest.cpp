@@ -380,4 +380,38 @@ TEST(BytecodeImage, EveryTruncationFailsCleanly) {
   }
 }
 
+TEST(BytecodeImage, EventOpcodesAreRejected) {
+  // A profiling lowering's events index pointer tables of the lowering
+  // process, so no image may carry one: the loader refuses each of them.
+  auto M = parseOrDie(reductionSumIrText(64));
+  bytecode::ProfileSites Sites;
+  bytecode::LowerOptions LO;
+  LO.Profile = &Sites;
+  std::string WhyNot;
+  auto Profiling = bytecode::lowerModule(*M, LO, WhyNot);
+  ASSERT_NE(Profiling, nullptr) << WhyNot;
+  std::string Image = bytecode::serializeProgram(*Profiling);
+  std::string Err;
+  EXPECT_EQ(bytecode::deserializeProgram(Image.data(), Image.size(), Err),
+            nullptr);
+  EXPECT_NE(Err.find("event opcode"), std::string::npos) << Err;
+
+  auto Plain = transform::lowerForSequential(*M, WhyNot);
+  ASSERT_NE(Plain, nullptr) << WhyNot;
+  for (unsigned Op = bytecode::kFirstEventOp; Op < bytecode::kNumBcOps;
+       ++Op) {
+    bytecode::BytecodeProgram Copy = *Plain;
+    bytecode::BcInst Ev;
+    Ev.Op = static_cast<uint16_t>(Op);
+    Copy.Functions.front().Code.insert(Copy.Functions.front().Code.begin(),
+                                       Ev);
+    std::string Bad = bytecode::serializeProgram(Copy);
+    Err.clear();
+    EXPECT_EQ(bytecode::deserializeProgram(Bad.data(), Bad.size(), Err),
+              nullptr)
+        << bytecode::bcOpName(static_cast<bytecode::BcOp>(Op));
+    EXPECT_FALSE(Err.empty());
+  }
+}
+
 } // namespace

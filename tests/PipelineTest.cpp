@@ -204,6 +204,13 @@ TEST(Pipeline, ReductionKernelClassifiedAndCombined) {
   ASSERT_TRUE(R.Transformed) << (R.Log.empty() ? "" : R.Log.back());
   EXPECT_EQ(heapOfGlobal(*M, "acc"), HeapKind::Redux);
   ASSERT_EQ(R.Assignment.ReduxOps.size(), 1u);
+  // The log names the engine the training run used.
+  ASSERT_FALSE(R.Log.empty());
+  EXPECT_EQ(R.Log.front().rfind("profiled @main on bytecode: ", 0), 0u)
+      << R.Log.front();
+  for (const char *Count : {" instructions in ", " loads, ", " stores, ",
+                            " allocs"})
+    EXPECT_NE(R.Log.front().find(Count), std::string::npos) << R.Log.front();
 
   std::FILE *Out = std::tmpfile();
   ParallelOptions Par;
@@ -215,6 +222,26 @@ TEST(Pipeline, ReductionKernelClassifiedAndCombined) {
   std::fclose(Out);
   EXPECT_EQ(E.ReturnValue.asInt(), ExpectedSum);
   EXPECT_EQ(E.Stats.Misspecs, 0u) << E.Stats.FirstMisspecReason;
+
+  // A module the lowerer declines (an f64 load of 4 bytes, in a function
+  // never called) still profiles, on the interpreter, and the log says
+  // why.
+  auto MD = parseOrDie(reductionSumIrText(N) +
+                       "define f64 @never_called() {\n"
+                       "entry:\n"
+                       "  %v = load f64, @acc, 4\n"
+                       "  ret %v\n"
+                       "}\n");
+  analysis::FunctionAnalyses FAD(*MD);
+  PipelineResult RD = runPrivateerPipeline(*MD, FAD, Opt);
+  EXPECT_TRUE(RD.Transformed);
+  ASSERT_FALSE(RD.Log.empty());
+  EXPECT_EQ(RD.Log.front().rfind("profiled @main on interp (lowering "
+                                 "declined: @never_called: f64 load must "
+                                 "be 8 bytes): ",
+                                 0),
+            0u)
+      << RD.Log.front();
 }
 
 TEST(Pipeline, GenuineRecurrenceIsNotParallelizable) {

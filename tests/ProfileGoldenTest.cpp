@@ -2,9 +2,11 @@
 //
 // The training profile of every IR program generator must match the text
 // committed under tests/golden/ byte for byte, after address
-// normalization (GoldenProfile.h).  The texts were written by an earlier
-// collector; this test only ever reads them, so any change to what the
-// collector records shows up here.
+// normalization (profiling::normalizedProfile), whichever engine feeds the
+// collector.  The texts were written by an earlier collector on the
+// interpreter; this test only ever reads them, so any change to what the
+// collector records, or to the events the bytecode VM reports, shows up
+// here.
 //
 //===----------------------------------------------------------------------===//
 
@@ -31,8 +33,7 @@ namespace {
 class ProfileGolden : public ::testing::TestWithParam<golden::GoldenProgram> {
 };
 
-TEST_P(ProfileGolden, MatchesCommittedText) {
-  const golden::GoldenProgram &G = GetParam();
+void checkAgainstGolden(const golden::GoldenProgram &G, ExecEngine Engine) {
   std::ifstream In(std::string(PRIVATEER_GOLDEN_DIR) + "/" + G.Name +
                    ".profile");
   ASSERT_TRUE(In) << "missing golden profile for " << G.Name;
@@ -43,9 +44,18 @@ TEST_P(ProfileGolden, MatchesCommittedText) {
   auto M = ir::parseModule(G.Text, Err);
   ASSERT_NE(M, nullptr) << Err;
   analysis::FunctionAnalyses FA(*M);
-  profiling::Profile P = trainingProfile(*M, FA, G.Entry);
-  EXPECT_EQ(golden::normalizeProfile(profiling::serializeProfile(P, *M), *M),
-            Expected.str());
+  profiling::Profile P = trainingProfile(*M, FA, G.Entry, Engine);
+  EXPECT_EQ(profiling::normalizedProfile(P, *M), Expected.str());
+}
+
+// The interpreter, the differential oracle.
+TEST_P(ProfileGolden, MatchesCommittedText) {
+  checkAgainstGolden(GetParam(), ExecEngine::Interp);
+}
+
+// The bytecode VM, the default training engine.
+TEST_P(ProfileGolden, MatchesCommittedTextOnBytecode) {
+  checkAgainstGolden(GetParam(), ExecEngine::Bytecode);
 }
 
 std::string

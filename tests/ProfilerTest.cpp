@@ -7,6 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 using namespace privateer;
 using namespace privateer::analysis;
 using namespace privateer::ir;
@@ -437,6 +442,9 @@ TEST(Profiler, WordLoadOverWordStoreCountsEightSamples) {
 }
 
 TEST(Profiler, TrainingRunTrapsComeBackTyped) {
+  // Both engines trap with the same reasons.  Register and folded-constant
+  // divisors lower to different VM opcodes; @spin3's budget runs out
+  // mid-block in the interpreter and at a block entry in the VM.
   std::string Err;
   auto M = parseModule("define i64 @main() {\n"
                        "entry:\n"
@@ -444,18 +452,139 @@ TEST(Profiler, TrainingRunTrapsComeBackTyped) {
                        "  %q = srem 7, %z\n"
                        "  ret %q\n"
                        "}\n"
+                       "define i64 @srem_imm() {\n"
+                       "entry:\n"
+                       "  %q = srem 7, 0\n"
+                       "  ret %q\n"
+                       "}\n"
+                       "define i64 @sdiv_reg() {\n"
+                       "entry:\n"
+                       "  %z = add 0, 0\n"
+                       "  %q = sdiv 7, %z\n"
+                       "  ret %q\n"
+                       "}\n"
+                       "define i64 @sdiv_imm() {\n"
+                       "entry:\n"
+                       "  %q = sdiv 7, 0\n"
+                       "  ret %q\n"
+                       "}\n"
                        "define void @spin() {\n"
                        "entry:\n"
                        "  br entry\n"
+                       "}\n"
+                       "define void @spin3() {\n"
+                       "entry:\n"
+                       "  br loop\n"
+                       "loop:\n"
+                       "  %a = add 1, 2\n"
+                       "  %b = add %a, 3\n"
+                       "  br loop\n"
                        "}\n",
                        Err);
   ASSERT_NE(M, nullptr) << Err;
   FunctionAnalyses FA(*M);
-  TrainingRun R = runTrainingProfile(*M, FA, "main", {}, 1000);
-  EXPECT_EQ(R.Trap, "remainder by zero");
-  TrainingRun S = runTrainingProfile(*M, FA, "spin", {}, 1000);
-  EXPECT_EQ(S.Trap, "instruction budget exceeded (runaway loop?)");
-  EXPECT_EQ(S.Instructions, 1001u);
+  const char *Budget = "instruction budget exceeded (runaway loop?)";
+  const std::pair<const char *, const char *> Cases[] = {
+      {"main", "remainder by zero"}, {"srem_imm", "remainder by zero"},
+      {"sdiv_reg", "division by zero"}, {"sdiv_imm", "division by zero"},
+      {"spin", Budget}, {"spin3", Budget}};
+  for (ExecEngine E : {ExecEngine::Bytecode, ExecEngine::Interp}) {
+    SCOPED_TRACE(execEngineName(E));
+    for (const auto &[Entry, Reason] : Cases) {
+      TrainingRun R = runTrainingProfile(*M, FA, Entry, {}, 1000, E);
+      EXPECT_EQ(R.EngineUsed, E) << R.EngineNote;
+      EXPECT_EQ(R.Trap, Reason) << "@" << Entry;
+    }
+    TrainingRun S = runTrainingProfile(*M, FA, "spin", {}, 1000, E);
+    EXPECT_EQ(S.Instructions, 1001u);
+  }
+}
+
+TEST(Profiler, CompletedRunsCountTheSameOnBothEngines) {
+  // Calls, allocations, frees and phis all count: dijkstra has them all.
+  std::string Err;
+  auto M = parseModule(dijkstraIrText(8), Err);
+  ASSERT_NE(M, nullptr) << Err;
+  FunctionAnalyses FA(*M);
+  TrainingRun Vm = runTrainingProfile(
+      *M, FA, "main", {}, interp::Interpreter::kDefaultInstructionBudget);
+  TrainingRun Ref = runTrainingProfile(
+      *M, FA, "main", {}, interp::Interpreter::kDefaultInstructionBudget,
+      ExecEngine::Interp);
+  ASSERT_EQ(Vm.Trap, "");
+  ASSERT_EQ(Ref.Trap, "");
+  EXPECT_EQ(Vm.EngineUsed, ExecEngine::Bytecode) << Vm.EngineNote;
+  EXPECT_GT(Ref.Instructions, 0u);
+  EXPECT_EQ(Vm.Instructions, Ref.Instructions);
+  EXPECT_EQ(Vm.Loads, Ref.Loads);
+  EXPECT_EQ(Vm.Stores, Ref.Stores);
+  EXPECT_GT(Ref.Allocs, 0u);
+  EXPECT_EQ(Vm.Allocs, Ref.Allocs);
+
+  // A budget of exactly the run's count is enough on both engines.
+  TrainingRun Tight =
+      runTrainingProfile(*M, FA, "main", {}, Ref.Instructions);
+  EXPECT_EQ(Tight.Trap, "");
+  TrainingRun Short =
+      runTrainingProfile(*M, FA, "main", {}, Ref.Instructions - 1);
+  EXPECT_EQ(Short.Trap, "instruction budget exceeded (runaway loop?)");
+}
+
+TEST(Profiler, TrainingOutputNeverReachesStdout) {
+  // With no descriptor free, the training run's prints must still be
+  // discarded rather than fall through to the process's stdout.  The
+  // child's stdout is a pipe opened before the descriptor limit is
+  // clamped to the lowest free descriptor.
+  std::string Err;
+  auto M = parseModule("define i64 @main() {\n"
+                       "entry:\n"
+                       "  print \"training output %d\\n\", 7\n"
+                       "  ret 0\n"
+                       "}\n",
+                       Err);
+  ASSERT_NE(M, nullptr) << Err;
+  FunctionAnalyses FA(*M);
+  // UBSan vets an object's type on first sight through a pipe; runs made
+  // before the clamp leave those checks cached for the child.
+  for (ExecEngine E : {ExecEngine::Bytecode, ExecEngine::Interp})
+    ASSERT_EQ(runTrainingProfile(*M, FA, "main", {}, 1000, E).Trap, "");
+  int Pipe[2];
+  ASSERT_EQ(pipe(Pipe), 0);
+  std::fflush(stdout);
+  pid_t Pid = fork();
+  ASSERT_GE(Pid, 0);
+  if (Pid == 0) {
+    dup2(Pipe[1], STDOUT_FILENO);
+    close(Pipe[0]);
+    close(Pipe[1]);
+    int Lowest = 0;
+    while (fcntl(Lowest, F_GETFD) != -1)
+      ++Lowest;
+    rlimit L{};
+    getrlimit(RLIMIT_NOFILE, &L);
+    L.rlim_cur = static_cast<rlim_t>(Lowest);
+    bool Clamped = setrlimit(RLIMIT_NOFILE, &L) == 0 &&
+                   open("/dev/null", O_RDONLY) < 0;
+    for (ExecEngine E : {ExecEngine::Bytecode, ExecEngine::Interp}) {
+      TrainingRun R = runTrainingProfile(*M, FA, "main", {}, 1000, E);
+      if (!R.Trap.empty() || R.EngineUsed != E)
+        _exit(2);
+    }
+    std::fflush(stdout);
+    _exit(Clamped ? 0 : 3);
+  }
+  close(Pipe[1]);
+  std::string Got;
+  char Buf[256];
+  ssize_t N;
+  while ((N = read(Pipe[0], Buf, sizeof(Buf))) > 0)
+    Got.append(Buf, static_cast<size_t>(N));
+  close(Pipe[0]);
+  int Status = 0;
+  ASSERT_EQ(waitpid(Pid, &Status, 0), Pid);
+  ASSERT_TRUE(WIFEXITED(Status));
+  EXPECT_EQ(WEXITSTATUS(Status), 0);
+  EXPECT_EQ(Got, "");
 }
 
 } // namespace

@@ -11,6 +11,8 @@
 
 #include "ir/IRParser.h"
 #include "ir/Verifier.h"
+#include "profiling/ProfileCollector.h"
+#include "profiling/ProfileSerialization.h"
 #include "runtime/Privateer.h"
 #include "support/DeterministicRng.h"
 #include "support/Fnv.h"
@@ -1066,6 +1068,47 @@ TEST(RandomizedIrSweep, CommutativeLoopsMatchSequentialAcrossMatrix) {
       }
     }
   }
+}
+
+// The bytecode VM is the training run's default event source and the
+// interpreter its oracle: for every generator and seed, the profile the VM
+// feeds the collector must serialize, after address normalization, to the
+// interpreter's bytes, with equal instruction and event counts.
+TEST(RandomizedIrSweep, VmTrainingProfilesMatchInterpreter) {
+  unsigned Seeds = 25;
+  if (const char *Env = std::getenv("PRIVATEER_RANDOM_SWEEP_SEEDS"))
+    Seeds = static_cast<unsigned>(std::max(1, std::atoi(Env)));
+  using Generator = std::string (*)(uint64_t, uint64_t &);
+  const std::pair<const char *, Generator> Generators[] = {
+      {"privatization", randomIrProgram},
+      {"dependence", randomDepLoopProgram},
+      {"commutative", randomComLoopProgram}};
+  const uint64_t Budget = transform::PipelineOptions().ProfileBudget;
+
+  for (const auto &[Name, Gen] : Generators)
+    for (uint64_t Seed = 1; Seed <= Seeds; ++Seed) {
+      SCOPED_TRACE(std::string(Name) + " seed " + std::to_string(Seed));
+      uint64_t N = 0;
+      std::string Text = Gen(Seed, N);
+      std::string Err;
+      auto M = ir::parseModule(Text, Err);
+      ASSERT_NE(M, nullptr) << Err;
+      analysis::FunctionAnalyses FA(*M);
+      profiling::TrainingRun Ref = profiling::runTrainingProfile(
+          *M, FA, "main", {}, Budget, ExecEngine::Interp);
+      profiling::TrainingRun Vm = profiling::runTrainingProfile(
+          *M, FA, "main", {}, Budget, ExecEngine::Bytecode);
+      ASSERT_EQ(Ref.Trap, "");
+      ASSERT_EQ(Vm.Trap, "");
+      ASSERT_EQ(Vm.EngineUsed, ExecEngine::Bytecode) << Vm.EngineNote;
+      EXPECT_EQ(Vm.Instructions, Ref.Instructions);
+      EXPECT_EQ(Vm.Loads, Ref.Loads);
+      EXPECT_EQ(Vm.Stores, Ref.Stores);
+      EXPECT_EQ(Vm.Allocs, Ref.Allocs);
+      EXPECT_EQ(profiling::normalizedProfile(Vm.Prof, *M),
+                profiling::normalizedProfile(Ref.Prof, *M))
+          << Text;
+    }
 }
 
 TEST(ParallelEdgeCases, ManyEpochsWhenLoopExceedsSlotBudget) {

@@ -7,9 +7,11 @@
 ///
 /// \file
 /// The training run tests use to get a profile: runTrainingProfile under
-/// the interpreter's default instruction budget.  A trapped run has an
-/// empty profile, which would let absence checks pass vacuously, so a trap
-/// fails the calling test.
+/// the interpreter's default instruction budget, on the bytecode VM unless
+/// the interpreter is asked for.  A trapped run has an empty profile,
+/// which would let absence checks pass vacuously, so a trap fails the
+/// calling test, and so does a run on another engine than the one asked
+/// for (a silent fallback would test the wrong event source).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,10 +26,13 @@ namespace privateer {
 
 inline profiling::Profile
 trainingProfile(ir::Module &M, const analysis::FunctionAnalyses &FA,
-                const std::string &Entry = "main") {
+                const std::string &Entry = "main",
+                ExecEngine Engine = ExecEngine::Bytecode) {
   profiling::TrainingRun Run = profiling::runTrainingProfile(
-      M, FA, Entry, {}, interp::Interpreter::kDefaultInstructionBudget);
+      M, FA, Entry, {}, interp::Interpreter::kDefaultInstructionBudget,
+      Engine);
   EXPECT_EQ(Run.Trap, "") << "training run of @" << Entry << " trapped";
+  EXPECT_EQ(Run.EngineUsed, Engine) << Run.EngineNote;
   return std::move(Run.Prof);
 }
 
