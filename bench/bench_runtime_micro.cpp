@@ -574,7 +574,9 @@ int runOverlapReport(const std::string &Path) {
 //
 // A second table times the §4.1 training run on both event sources, the
 // interpreter and the VM, over the seven ir-cold programs at their base
-// sizes.  Its speed is reported only; the exit code fails when the two
+// sizes, with the VM run's event counts and its cost per event over a plain
+// sequential VM run of the same program (the collector plus the event
+// opcodes).  Its speed is reported only; the exit code fails when the two
 // profiles of a program differ after address normalization.
 
 struct JitKernel {
@@ -609,12 +611,18 @@ double jitSeqSec(ir::Module &M, transform::ExecEngine Engine, int Reps) {
 
 struct TrainingPoint {
   const char *Name;
-  double InterpMs = 0, VmMs = 0;
+  double InterpMs = 0, VmMs = 0, SeqVmMs = 0;
+  uint64_t Blocks = 0, Loads = 0, Stores = 0, Allocs = 0;
   bool Equal = false;
+  uint64_t events() const { return Blocks + Loads + Stores + Allocs; }
+  double nsPerEvent() const {
+    return (VmMs - SeqVmMs) * 1e6 / static_cast<double>(events());
+  }
 };
 
-/// Best-of-reps training runs of @main on both engines, and whether their
-/// normalized profiles agree.  Null name on a trap or an engine fallback.
+/// Best-of-reps training runs of @main on both engines and plain VM runs,
+/// the VM run's event counts, and whether the two engines' normalized
+/// profiles agree.  Null name on a trap or an engine fallback.
 TrainingPoint jitTrainingPoint(const char *Name, const std::string &Text,
                                int Reps) {
   TrainingPoint P{Name};
@@ -642,9 +650,14 @@ TrainingPoint jitTrainingPoint(const char *Name, const std::string &Text,
       Best = std::min(Best, Run.WallMs);
       Profiles[Engine == ExecEngine::Bytecode] =
           profiling::normalizedProfile(Run.Prof, *M);
+      P.Blocks = Run.Blocks;
+      P.Loads = Run.Loads;
+      P.Stores = Run.Stores;
+      P.Allocs = Run.Allocs;
     }
     (Engine == ExecEngine::Interp ? P.InterpMs : P.VmMs) = Best;
   }
+  P.SeqVmMs = jitSeqSec(*M, transform::ExecEngine::Bytecode, Reps) * 1e3;
   P.Equal = Profiles[0] == Profiles[1];
   return P;
 }
@@ -746,6 +759,7 @@ int runJitReport(const std::string &Path) {
       {"array-recurrence", arrayRecurrenceIrText(6000, 6)},
   };
   std::vector<TrainingPoint> Training;
+  double TrainInterpMs = 0, TrainVmMs = 0;
   bool ProfilesEqual = true;
   for (const auto &[Name, Text] : TrainingPrograms) {
     TrainingPoint T = jitTrainingPoint(Name, Text, Reps);
@@ -753,11 +767,21 @@ int runJitReport(const std::string &Path) {
       return 1;
     ProfilesEqual &= T.Equal;
     std::printf("%-16s training run: interp %7.2f ms, bytecode %7.2f ms "
-                "(%.2fx), profiles %s\n",
+                "(%.2fx), profiles %s; %llu blocks, %llu loads, %llu "
+                "stores, %llu allocs, %.1f ns/event over a %.2f ms VM run\n",
                 T.Name, T.InterpMs, T.VmMs, T.InterpMs / T.VmMs,
-                T.Equal ? "equal" : "DIFFER");
+                T.Equal ? "equal" : "DIFFER",
+                static_cast<unsigned long long>(T.Blocks),
+                static_cast<unsigned long long>(T.Loads),
+                static_cast<unsigned long long>(T.Stores),
+                static_cast<unsigned long long>(T.Allocs), T.nsPerEvent(),
+                T.SeqVmMs);
     Training.push_back(T);
+    TrainInterpMs += T.InterpMs;
+    TrainVmMs += T.VmMs;
   }
+  std::printf("training runs total: interp %.2f ms, bytecode %.2f ms\n",
+              TrainInterpMs, TrainVmMs);
 
   bool Pass = Geomean >= 10.0 && ProfilesEqual;
   std::FILE *Out = std::fopen(Path.c_str(), "w");
@@ -789,10 +813,16 @@ int runJitReport(const std::string &Path) {
     std::fprintf(Out,
                  "    {\"name\": \"%s\", \"interp_ms\": %.3f, "
                  "\"bytecode_ms\": %.3f, \"speedup\": %.2f, "
-                 "\"profiles_equal\": %s}%s\n",
+                 "\"profiles_equal\": %s, \"blocks\": %llu, "
+                 "\"loads\": %llu, \"stores\": %llu, \"allocs\": %llu, "
+                 "\"plain_vm_ms\": %.3f, \"ns_per_event\": %.2f}%s\n",
                  T.Name, T.InterpMs, T.VmMs, T.InterpMs / T.VmMs,
                  T.Equal ? "true" : "false",
-                 I + 1 < Training.size() ? "," : "");
+                 static_cast<unsigned long long>(T.Blocks),
+                 static_cast<unsigned long long>(T.Loads),
+                 static_cast<unsigned long long>(T.Stores),
+                 static_cast<unsigned long long>(T.Allocs), T.SeqVmMs,
+                 T.nsPerEvent(), I + 1 < Training.size() ? "," : "");
   }
   std::fprintf(Out,
                "  ],\n  \"geomean_speedup\": %.2f,\n"

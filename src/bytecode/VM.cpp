@@ -2,8 +2,8 @@
 
 #include "bytecode/VM.h"
 
-#include "bytecode/Lower.h"
 #include "interp/Semantics.h"
+#include "profiling/ProfileCollector.h"
 #include "runtime/HeapKind.h"
 #include "support/ErrorHandling.h"
 
@@ -57,7 +57,7 @@ void VM::initializeGlobals() {
     void *P = MM.allocateTagged(G.SizeBytes, G.HasHeap, G.Heap, /*Zero=*/true);
     GlobalAddrs[Idx] = reinterpret_cast<uint64_t>(P);
     if (Obs)
-      Obs->onGlobalAlloc(Sites->Globals[Idx], GlobalAddrs[Idx], G.SizeBytes);
+      Obs->globalEvent(Idx, GlobalAddrs[Idx], G.SizeBytes);
   }
   // Frame-entry images depend on the global addresses just assigned.
   FrameInit.resize(Prog.Functions.size());
@@ -595,26 +595,21 @@ dispatch:
     IrExecuted += I->C;
     if (IrExecuted > Budget) [[unlikely]]
       trap("instruction budget exceeded (runaway loop?)");
-    Obs->onBlockEnter(Sites->Blocks[I->Imm], Sites->Blocks[R[I->A]]);
+    Obs->blockEvent(I->Imm, R[I->A]);
     R[I->A] = uI(I->Imm);
   }
   BC_NEXT();
-  BC_HANDLER(EvLoad) { Obs->onLoad(Sites->Insts[I->Imm], R[I->A], I->C); }
+  BC_HANDLER(EvLoad) { Obs->loadEvent(I->Imm, R[I->A], I->C); }
   BC_NEXT();
-  BC_HANDLER(EvStore) { Obs->onStore(Sites->Insts[I->Imm], R[I->A], I->C); }
+  BC_HANDLER(EvStore) { Obs->storeEvent(I->Imm, R[I->A], I->C); }
   BC_NEXT();
-  BC_HANDLER(EvAlloc) {
-    Obs->onAlloc(Sites->Insts[I->Imm], R[I->A], R[I->B]);
-  }
+  BC_HANDLER(EvAlloc) { Obs->allocEvent(I->Imm, R[I->A], R[I->B]); }
   BC_NEXT();
-  BC_HANDLER(EvFree) { Obs->onFree(Sites->Insts[I->Imm], R[I->A]); }
+  BC_HANDLER(EvFree) { Obs->freeEvent(R[I->A]); }
   BC_NEXT();
-  BC_HANDLER(EvCall) {
-    const ir::Instruction *Site = Sites->Insts[I->Imm];
-    Obs->onCall(Site, Site->callee());
-  }
+  BC_HANDLER(EvCall) { Obs->callEvent(I->Imm); }
   BC_NEXT();
-  BC_HANDLER(EvReturn) { Obs->onReturn(Sites->Insts[I->Imm]->callee()); }
+  BC_HANDLER(EvReturn) { Obs->returnEvent(); }
   BC_NEXT();
 
 #if !PRIVATEER_BC_THREADED

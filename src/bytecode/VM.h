@@ -20,10 +20,9 @@
 /// through to ordinary jumps, which is also what recovery and degraded
 /// re-execution rely on inside the runtime.
 ///
-/// With an observer set, the VM is the §4.1 training run's event source:
-/// a profiling lowering's event opcodes report to an InterpObserver in the
-/// order the interpreter reports, so one ProfileCollector serves both
-/// engines.
+/// With a collector set, the VM is the §4.1 training run's event source:
+/// a profiling lowering's event opcodes report to a ProfileCollector by
+/// site id, in the order the interpreter reports its events by pointer.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,9 +39,11 @@
 #include <vector>
 
 namespace privateer {
-namespace bytecode {
+namespace profiling {
+class ProfileCollector;
+} // namespace profiling
 
-struct ProfileSites;
+namespace bytecode {
 
 class VM {
 public:
@@ -70,7 +71,7 @@ public:
   void setParallelPlan(ParallelPlan *P) { Plan = P; }
 
   /// Hard bound on executed bytecode instructions (runaway-loop guard).
-  /// With an observer set, the bound and the count are in IR instructions
+  /// With a collector set, the bound and the count are in IR instructions
   /// instead, added a whole block at a time as each block is entered.
   void setInstructionBudget(uint64_t N) { Budget = N; }
   uint64_t instructionsExecuted() const {
@@ -78,12 +79,11 @@ public:
   }
 
   /// Runs a profiling lowering (LowerOptions::Profile) with its events
-  /// reported to \p Observer, naming the entities in \p ProfSites.  Set
-  /// before initializeGlobals, which reports the globals.
-  void setObserver(interp::InterpObserver *Observer,
-                   const ProfileSites *ProfSites) {
-    Obs = Observer;
-    Sites = ProfSites;
+  /// reported to \p Collector, which must have been built from that
+  /// lowering's ProfileSites.  Set before initializeGlobals, which reports
+  /// the globals.
+  void setCollector(profiling::ProfileCollector *Collector) {
+    Obs = Collector;
   }
 
   /// Throw interp::Trap instead of aborting when the program traps, with
@@ -138,8 +138,7 @@ private:
   uint64_t Executed = 0;
   bool InParallelBody = false;
   bool TrapsThrow = false;
-  interp::InterpObserver *Obs = nullptr;
-  const ProfileSites *Sites = nullptr;
+  profiling::ProfileCollector *Obs = nullptr;
   uint64_t IrExecuted = 0; ///< Observed runs: IR instructions entered.
 };
 

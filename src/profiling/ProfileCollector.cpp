@@ -29,27 +29,62 @@ std::string ObjectKey::str() const {
   return S;
 }
 
-ProfileCollector::BlockInfo &
-ProfileCollector::blockInfo(const BasicBlock *B) {
-  auto [It, Inserted] = Blocks.try_emplace(B);
-  BlockInfo &BI = It->second;
-  if (!Inserted)
-    return BI;
-  if (const Loop *L = FA.loops(B->parent()).loopFor(B); L && L->header() == B)
-    BI.Heads = L;
-  return BI;
+ProfileCollector::ProfileCollector(const FunctionAnalyses &FA,
+                                   const bytecode::ProfileSites *Sites)
+    : FA(FA) {
+  if (!Sites) {
+    addBlock(nullptr); // id 0: the null block a function is entered from
+    return;
+  }
+  Globals = Sites->Globals;
+  for (const BasicBlock *B : Sites->Blocks)
+    addBlock(B);
+  for (const Instruction *I : Sites->Insts)
+    InstRecs.push_back(InstRec{I});
 }
 
-const ProfileCollector::Activation *
-ProfileCollector::currentActivation(const Loop *L) const {
-  for (auto It = ActivationStack.rbegin(); It != ActivationStack.rend();
-       ++It)
-    if (It->L == L)
-      return &*It;
-  return nullptr;
+uint32_t ProfileCollector::addLoop(const Loop *L) {
+  if (!L)
+    return kNoLoop;
+  auto It = LoopIds.find(L);
+  if (It != LoopIds.end())
+    return It->second;
+  uint32_t Parent = addLoop(L->parent());
+  LoopRecs.push_back(LoopRec{L, Parent});
+  return LoopIds[L] = static_cast<uint32_t>(LoopRecs.size() - 1);
 }
 
-uint32_t ProfileCollector::currentContext() {
+void ProfileCollector::addBlock(const BasicBlock *B) {
+  BlockRec R;
+  if (B) {
+    R.B = B;
+    R.Size = B->instructions().size();
+    const Loop *L = FA.loops(B->parent()).loopFor(B);
+    R.Innermost = addLoop(L);
+    if (L && L->header() == B)
+      R.Heads = R.Innermost;
+    if (const Instruction *T = B->terminator();
+        T && T->opcode() == Opcode::CondBr)
+      R.Taken = T->blockRef(0);
+  }
+  BlockRecs.push_back(R);
+}
+
+uint32_t ProfileCollector::blockId(const BasicBlock *B) {
+  auto [It, Inserted] = BlockIds.try_emplace(B, BlockRecs.size());
+  if (Inserted)
+    addBlock(B);
+  return It->second;
+}
+
+uint32_t ProfileCollector::siteId(const Instruction *I) {
+  auto [It, Inserted] = SiteIds.try_emplace(I, InstRecs.size());
+  if (Inserted)
+    InstRecs.push_back(InstRec{I});
+  return It->second;
+}
+
+uint32_t ProfileCollector::internContexts() {
   // Intern the contexts of the activations that have none yet, bottom
   // up: an activation's context exists only if those below it do.
   size_t First = ActivationStack.size();
@@ -60,7 +95,7 @@ uint32_t ProfileCollector::currentContext() {
     Activation &A = ActivationStack[K];
     retain(Ctx, 1);
     // The new node's one reference is its live iteration's.
-    CtxNode N{Ctx, 1, A.L, A.Id, A.Iteration};
+    CtxNode N{Ctx, 1, A.Loop, A.Id, A.Iteration};
     if (FreeContexts.empty()) {
       Contexts.push_back(N);
       Ctx = static_cast<uint32_t>(Contexts.size() - 1);
@@ -74,43 +109,42 @@ uint32_t ProfileCollector::currentContext() {
   return Ctx;
 }
 
-void ProfileCollector::release(uint32_t Ctx, uint32_t N) {
-  while (Ctx) {
-    assert(Contexts[Ctx].Refs >= N && "context released more than held");
-    if ((Contexts[Ctx].Refs -= N) != 0)
-      return;
-    FreeContexts.push_back(Ctx);
-    Ctx = Contexts[Ctx].Parent;
-    N = 1;
-  }
+void ProfileCollector::recycle(uint32_t Ctx) {
+  FreeContexts.push_back(Ctx);
+  release(Contexts[Ctx].Parent, 1);
 }
 
 const ObjectKey *ProfileCollector::intern(ObjectKey K) {
   return &*P.Objects.insert(std::move(K)).first;
 }
 
-void ProfileCollector::noteObject(const Instruction *I, InstRec &R,
-                                  uint64_t Addr) {
-  auto K = AddrMap.lookup(Addr);
-  if (!K || *K == R.LastObj)
+void ProfileCollector::lookupObject(InstRec &R, uint64_t Addr) {
+  auto Interval = AddrMap.lookupInterval(Addr);
+  if (!Interval)
     return;
-  R.LastObj = *K;
-  P.InstObjects[I].insert(**K);
+  R.ObjLo = Interval->Lo;
+  R.ObjHi = Interval->Hi;
+  R.ObjGen = MapGen;
+  if (Interval->Value == R.LastObj)
+    return;
+  R.LastObj = Interval->Value;
+  P.InstObjects[R.I].insert(*R.LastObj);
 }
 
-ProfileCollector::ShadowBlock *ProfileCollector::shadowBlock(uint64_t Addr,
-                                                             bool Create) {
-  uint64_t Key = Addr / (kShadowMask + 1);
-  if (Key == LastShadowKey)
-    return LastShadow;
-  auto It = Shadow.find(Key);
-  if (It == Shadow.end()) {
-    if (!Create)
-      return nullptr;
-    It = Shadow.emplace(Key, std::make_unique<ShadowBlock>()).first;
+ProfileCollector::ShadowBlock *
+ProfileCollector::findShadow(InstRec &R, uint64_t Key, bool Create) {
+  auto &Recent = RecentShadow[Key % RecentShadow.size()];
+  if (Recent.first != Key || !Recent.second) {
+    auto It = Shadow.find(Key);
+    if (It == Shadow.end()) {
+      if (!Create)
+        return nullptr;
+      It = Shadow.emplace(Key, std::make_unique<ShadowBlock>()).first;
+    }
+    Recent = {Key, It->second.get()};
   }
-  LastShadowKey = Key;
-  return LastShadow = It->second.get();
+  R.ShadowKey = Key;
+  return R.Shadow = Recent.second;
 }
 
 std::string ProfileCollector::contextString() const {
@@ -135,16 +169,18 @@ void ProfileCollector::onGlobalAlloc(const GlobalVariable *G, uint64_t Addr,
   K.Global = G;
   P.GlobalBases[G] = Addr;
   AddrMap.insert(Addr, Addr + Bytes, intern(std::move(K)));
+  ++MapGen;
 }
 
-void ProfileCollector::onAlloc(const Instruction *Site, uint64_t Addr,
-                               uint64_t Bytes) {
+void ProfileCollector::allocEvent(uint32_t Site, uint64_t Addr,
+                                  uint64_t Bytes) {
   ++Allocs;
   ObjectKey K;
-  K.AllocSite = Site;
+  K.AllocSite = InstRecs[Site].I;
   K.Context = contextString();
   const ObjectKey *Obj = intern(std::move(K));
   AddrMap.insert(Addr, Addr + (Bytes ? Bytes : 1), Obj);
+  ++MapGen;
   // An alloca's address comes back without a free when its frame returns.
   LiveAlloc &A = LiveAllocs[Addr];
   uint32_t Ctx = currentContext();
@@ -158,57 +194,61 @@ void ProfileCollector::countLifetime(const LiveAlloc &A, bool FreedNow) {
   // same activation and iteration it was allocated in.
   for (uint32_t C = A.Ctx; C; C = Contexts[C].Parent) {
     const CtxNode &N = Contexts[C];
-    auto &Counts = P.Lifetime[{*A.Obj, N.L}];
+    auto &Counts = Lifetimes[{A.Obj, N.Loop}];
     ++Counts.first;
-    const Activation *Cur = FreedNow ? currentActivation(N.L) : nullptr;
+    const Activation *Cur = FreedNow ? currentActivation(N.Loop) : nullptr;
     if (!Cur || Cur->Id != N.ActivationId || Cur->Iteration != N.Iteration)
       ++Counts.second;
   }
 }
 
-void ProfileCollector::onFree(const Instruction *, uint64_t Addr) {
+void ProfileCollector::freeEvent(uint64_t Addr) {
   auto It = LiveAllocs.find(Addr);
   if (It == LiveAllocs.end())
     return;
   countLifetime(It->second, /*FreedNow=*/true);
-  auto Interval = AddrMap.lookupInterval(Addr);
-  if (Interval)
+  if (auto Interval = AddrMap.lookupInterval(Addr)) {
     AddrMap.erase(Interval->Lo, Interval->Hi);
+    ++MapGen;
+  }
   release(It->second.Ctx, 1);
   LiveAllocs.erase(It);
 }
 
-void ProfileCollector::noteFlowDeps(const Instruction *I, WriteRec W,
-                                    uint64_t Run) {
+void ProfileCollector::noteFlowDeps(InstRec &R, WriteRec W, uint64_t Run) {
   // Does this read observe a value written in an earlier iteration of
   // some active loop?  Walk the writer's context outwards, comparing each
   // loop's entry with its innermost current activation.
-  const Instruction *Src = StoreInsts[W.Store - 1];
   for (uint32_t C = W.Ctx; C; C = Contexts[C].Parent) {
     const CtxNode &N = Contexts[C];
-    const Activation *Cur = currentActivation(N.L);
+    const Activation *Cur = currentActivation(N.Loop);
     if (!Cur || Cur->Id != N.ActivationId)
       continue;
     // A live activation still in the writer's iteration means every
     // activation below it is too: nothing further out can carry.
     if (Cur->Iteration == N.Iteration)
       break;
-    FlowDep D{Src, I};
-    DepDistance &DS = P.DepDistances[{N.L, D}];
-    if (!DS.Samples)
-      P.FlowDeps[N.L].insert(D);
+    if (!R.Dep || R.DepStore != W.Store || R.DepLoop != N.Loop) {
+      const Loop *L = LoopRecs[N.Loop].L;
+      FlowDep D{InstRecs[W.Store - 1].I, R.I};
+      R.Dep = &P.DepDistances[{L, D}];
+      R.DepStore = W.Store;
+      R.DepLoop = N.Loop;
+      if (!R.Dep->Samples)
+        P.FlowDeps[L].insert(D);
+    }
     uint64_t Dist = Cur->Iteration - N.Iteration;
-    DS.Min = std::min(DS.Min, Dist);
-    DS.Max = std::max(DS.Max, Dist);
-    DS.Samples += Run;
+    R.Dep->Min = std::min(R.Dep->Min, Dist);
+    R.Dep->Max = std::max(R.Dep->Max, Dist);
+    R.Dep->Samples += Run;
   }
 }
 
-void ProfileCollector::onLoad(const Instruction *I, uint64_t Addr,
-                              uint64_t Bytes) {
+void ProfileCollector::loadEvent(uint32_t Site, uint64_t Addr,
+                                 uint64_t Bytes) {
   ++Loads;
-  InstRec &R = Insts[I];
-  noteObject(I, R, Addr);
+  InstRec &R = InstRecs[Site];
+  noteObject(R, Addr);
 
   // Memory flow-dependence profiling, once per run of bytes with the same
   // last writer (each byte still counts as one sample).
@@ -216,12 +256,12 @@ void ProfileCollector::onLoad(const Instruction *I, uint64_t Addr,
   uint64_t Run = 0;
   auto Flush = [&] {
     if (Run && Prev.Store)
-      noteFlowDeps(I, Prev, Run);
+      noteFlowDeps(R, Prev, Run);
   };
   const ShadowBlock *SB = nullptr;
   for (uint64_t B = 0; B < Bytes; ++B) {
     if (B == 0 || ((Addr + B) & kShadowMask) == 0)
-      SB = shadowBlock(Addr + B, /*Create=*/false);
+      SB = shadowBlock(R, Addr + B, /*Create=*/false);
     WriteRec W = SB ? (*SB)[(Addr + B) & kShadowMask] : WriteRec();
     if (Run && W == Prev) {
       ++Run;
@@ -240,9 +280,9 @@ void ProfileCollector::onLoad(const Instruction *I, uint64_t Addr,
               std::min<uint64_t>(Bytes, 8));
   for (const Activation &A : ActivationStack) {
     auto It = std::find_if(R.Preds.begin(), R.Preds.end(),
-                           [&](const PredRec &PR) { return PR.L == A.L; });
+                           [&](const PredRec &P) { return P.Loop == A.Loop; });
     if (It == R.Preds.end()) {
-      R.Preds.push_back(PredRec{A.L});
+      R.Preds.push_back(PredRec{A.Loop});
       It = R.Preds.end() - 1;
     }
     PredRec &PR = *It;
@@ -263,23 +303,19 @@ void ProfileCollector::onLoad(const Instruction *I, uint64_t Addr,
   }
 }
 
-void ProfileCollector::onStore(const Instruction *I, uint64_t Addr,
-                               uint64_t Bytes) {
+void ProfileCollector::storeEvent(uint32_t Site, uint64_t Addr,
+                                  uint64_t Bytes) {
   ++Stores;
-  InstRec &R = Insts[I];
-  noteObject(I, R, Addr);
-  if (!R.StoreId) {
-    StoreInsts.push_back(I);
-    R.StoreId = static_cast<uint32_t>(StoreInsts.size());
-  }
-  WriteRec W{R.StoreId, currentContext()};
+  InstRec &R = InstRecs[Site];
+  noteObject(R, Addr);
+  WriteRec W{Site + 1, currentContext()};
   retain(W.Ctx, static_cast<uint32_t>(Bytes));
   // Drop the overwritten records' contexts, once per run of equal ones.
   uint32_t OldCtx = 0, Run = 0;
   ShadowBlock *SB = nullptr;
   for (uint64_t B = 0; B < Bytes; ++B) {
     if (B == 0 || ((Addr + B) & kShadowMask) == 0)
-      SB = shadowBlock(Addr + B, /*Create=*/true);
+      SB = shadowBlock(R, Addr + B, /*Create=*/true);
     WriteRec &Slot = (*SB)[(Addr + B) & kShadowMask];
     if (Slot.Ctx != OldCtx) {
       release(OldCtx, Run);
@@ -292,61 +328,60 @@ void ProfileCollector::onStore(const Instruction *I, uint64_t Addr,
   release(OldCtx, Run);
 }
 
-void ProfileCollector::onBlockEnter(const BasicBlock *B,
-                                    const BasicBlock *From) {
+void ProfileCollector::popActivation() {
+  Activation &A = ActivationStack.back();
+  LoopRec &L = LoopRecs[A.Loop];
+  L.Stats->Weight += IrCount - A.Start;
+  L.Top = A.PrevTop;
+  release(A.Ctx, 1);
+  ActivationStack.pop_back();
+}
+
+void ProfileCollector::blockEvent(uint32_t Block, uint32_t From) {
+  ++Blocks;
+  const BlockRec &B = BlockRecs[Block];
+  BlockRec &F = BlockRecs[From];
+
   // Branch bias (control-speculation profile).
-  if (const Instruction *T = From ? From->terminator() : nullptr;
-      T && T->opcode() == Opcode::CondBr) {
-    std::pair<uint64_t, uint64_t> *&Counts = blockInfo(From).Branch;
-    if (!Counts)
-      Counts = &P.Branches[T];
-    ++Counts->second;
-    if (T->blockRef(0) == B)
-      ++Counts->first;
+  if (F.Taken) {
+    F.Branch.first += F.Taken == B.B;
+    ++F.Branch.second;
   }
 
   // Leave loops this block is outside of (within the current frame).
   size_t Base = FrameBases.back();
   while (ActivationStack.size() > Base &&
-         !ActivationStack.back().L->contains(B)) {
-    release(ActivationStack.back().Ctx, 1);
-    ActivationStack.pop_back();
-  }
+         !contains(ActivationStack.back().Loop, B))
+    popActivation();
 
   // Enter or iterate a loop whose header this is.
-  const BlockInfo &BI = blockInfo(B);
-  if (const Loop *L = BI.Heads) {
-    bool BackEdge = ActivationStack.size() > Base &&
-                    ActivationStack.back().L == L && From &&
-                    L->contains(From);
-    if (BackEdge) {
+  if (B.Heads != kNoLoop) {
+    LoopRec &L = LoopRecs[B.Heads];
+    if (ActivationStack.size() > Base &&
+        ActivationStack.back().Loop == B.Heads && contains(B.Heads, F)) {
       Activation &A = ActivationStack.back();
       ++A.Iteration;
       release(A.Ctx, 1);
       A.Ctx = 0;
     } else {
+      if (!L.Stats)
+        L.Stats = &P.Loops[L.L];
       ActivationStack.push_back(
-          Activation{L, &P.Loops[L], NextActivationId++, 0, 0});
-      ++ActivationStack.back().Stats->Invocations;
+          Activation{B.Heads, L.Top, 0, NextActivationId++, 0, IrCount});
+      L.Top = static_cast<int32_t>(ActivationStack.size() - 1);
+      ++L.Stats->Invocations;
     }
-    ++ActivationStack.back().Stats->Iterations;
+    ++L.Stats->Iterations;
   }
 
-  // Execution weight: this block's work counts toward every active loop,
-  // across frames (callee work accrues to caller loops).
-  for (Activation &A : ActivationStack)
-    A.Stats->Weight += B->instructions().size();
+  // Execution weight: every active loop, across frames (callee work
+  // accrues to caller loops), counts the IR entered while it is active.
+  IrCount += B.Size;
 }
 
-void ProfileCollector::onCall(const Instruction *Site, const Function *) {
-  CallStack.push_back(Site);
-  FrameBases.push_back(ActivationStack.size());
-}
-
-void ProfileCollector::onReturn(const Function *) {
-  for (size_t K = FrameBases.back(); K < ActivationStack.size(); ++K)
-    release(ActivationStack[K].Ctx, 1);
-  ActivationStack.resize(FrameBases.back());
+void ProfileCollector::returnEvent() {
+  while (ActivationStack.size() > FrameBases.back())
+    popActivation();
   FrameBases.pop_back();
   CallStack.pop_back();
 }
@@ -357,9 +392,19 @@ Profile ProfileCollector::finish() {
   for (const auto &[Addr, Alloc] : LiveAllocs)
     countLifetime(Alloc, /*FreedNow=*/false);
   LiveAllocs.clear();
+  for (const auto &[Key, Counts] : Lifetimes)
+    P.Lifetime[{*Key.first, LoopRecs[Key.second].L}] = Counts;
+
+  for (const BlockRec &B : BlockRecs)
+    if (B.Branch.second)
+      P.Branches[B.B->terminator()] = B.Branch;
+
+  // Loops still active have accrued everything entered since they began.
+  for (const Activation &A : ActivationStack)
+    LoopRecs[A.Loop].Stats->Weight += IrCount - A.Start;
 
   // Materialize surviving value predictions (sign-extended like Load).
-  for (const auto &[I, R] : Insts)
+  for (const InstRec &R : InstRecs)
     for (const PredRec &PR : R.Preds) {
       if (!PR.Seen || PR.Unpredictable)
         continue;
@@ -369,7 +414,8 @@ Profile ProfileCollector::finish() {
         unsigned Shift = 64 - 8 * static_cast<unsigned>(PR.Bytes);
         V = (V << Shift) >> Shift;
       }
-      P.Predictables[{I, PR.L}] = PredictableLoad{I, PR.Addr, PR.Bytes, V};
+      P.Predictables[{R.I, LoopRecs[PR.Loop].L}] =
+          PredictableLoad{R.I, PR.Addr, PR.Bytes, V};
     }
   return std::move(P);
 }
@@ -401,7 +447,6 @@ TrainingRun profiling::runTrainingProfile(Module &M, const FunctionAnalyses &FA,
                                           uint64_t Budget, ExecEngine Engine) {
   TrainingRun R;
   double T0 = wallSeconds();
-  ProfileCollector Collector(FA);
   interp::PlainMemoryManager MM;
   bytecode::ProfileSites Sites;
   std::unique_ptr<bytecode::BytecodeProgram> BP;
@@ -411,6 +456,7 @@ TrainingRun profiling::runTrainingProfile(Module &M, const FunctionAnalyses &FA,
     BP = bytecode::lowerModule(M, LO, R.EngineNote);
   }
   R.EngineUsed = BP ? ExecEngine::Bytecode : ExecEngine::Interp;
+  ProfileCollector Collector(FA, BP ? &Sites : nullptr);
   Runtime &Rt = Runtime::get();
   std::FILE *Saved = Rt.sequentialOutput();
   Rt.setSequentialOutput(discardStream());
@@ -428,13 +474,14 @@ TrainingRun profiling::runTrainingProfile(Module &M, const FunctionAnalyses &FA,
   };
   if (BP) {
     bytecode::VM Vm(*BP, MM);
-    Vm.setObserver(&Collector, &Sites);
+    Vm.setCollector(&Collector);
     Train(Vm);
   } else {
     interp::Interpreter Interp(M, MM, &Collector);
     Train(Interp);
   }
   Rt.setSequentialOutput(Saved);
+  R.Blocks = Collector.Blocks;
   R.Loads = Collector.Loads;
   R.Stores = Collector.Stores;
   R.Allocs = Collector.Allocs;

@@ -8,16 +8,19 @@
 /// \file
 /// The programs whose serialized training profiles are committed under
 /// tests/golden/, in the address-normalized form of
-/// profiling::normalizedProfile.
+/// profiling::normalizedProfile: the workload generators, and a few seeds
+/// of each randomized-sweep generator.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef PRIVATEER_TESTS_GOLDENPROFILE_H
 #define PRIVATEER_TESTS_GOLDENPROFILE_H
 
+#include "RandomIrPrograms.h"
 #include "workloads/IrPrograms.h"
 
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace privateer {
@@ -31,9 +34,9 @@ struct GoldenProgram {
 
 /// Every generator of workloads/IrPrograms.h at a small size, plus the
 /// separate training entries of dijkstra, histogram and degree-count
-/// (dedup has none).
+/// (dedup has none), plus seeds 1-3 of each RandomIrPrograms.h generator.
 inline std::vector<GoldenProgram> goldenPrograms() {
-  return {
+  std::vector<GoldenProgram> Programs = {
       {"dijkstra", dijkstraIrText(8), "main"},
       {"dijkstra.main_train", dijkstraIrText(8), "main_train"},
       {"redsum", reductionSumIrText(200), "main"},
@@ -47,6 +50,18 @@ inline std::vector<GoldenProgram> goldenPrograms() {
       {"degree-count.train", degreeCountIrText(32, 256, 2), "train"},
       {"dedup", dedupIrText(128, 8, 2), "main"},
   };
+  using Generator = std::string (*)(uint64_t, uint64_t &);
+  const std::pair<const char *, Generator> Generators[] = {
+      {"random-privatization", randomIrProgram},
+      {"random-dependence", randomDepLoopProgram},
+      {"random-commutative", randomComLoopProgram}};
+  for (const auto &[Name, Gen] : Generators)
+    for (uint64_t Seed = 1; Seed <= 3; ++Seed) {
+      uint64_t Iterations = 0;
+      Programs.push_back({std::string(Name) + ".seed" + std::to_string(Seed),
+                          Gen(Seed, Iterations), "main"});
+    }
+  return Programs;
 }
 
 } // namespace golden

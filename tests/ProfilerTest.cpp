@@ -209,10 +209,14 @@ TEST(Profiler, LeakedObjectIsNotShortLived) {
 
 // --- Hand-driven collector: exact addresses, exact event order ---------
 
-/// @kernel's body allocates, loads, stores and frees; @rec's loop body
-/// recurses.  The tests below feed a ProfileCollector these instructions'
-/// events by hand, at addresses of their own buffers.
-const char *kHandDriven = "define void @kernel(i64 %n) {\n"
+/// @kernel's body allocates, loads, stores and frees, and its latch
+/// stores to @g; @rec's loop body recurses.  The tests below feed a
+/// ProfileCollector these instructions' events by hand, at addresses of
+/// their own buffers.  IR sizes per block, which loop weights count:
+/// entry 1, loop 3, kernel's body 5 and latch 3, rec's body 2 and latch 2,
+/// exit 1.
+const char *kHandDriven = "global @g 64\n"
+                          "define void @kernel(i64 %n) {\n"
                           "entry:\n"
                           "  br loop\n"
                           "loop:\n"
@@ -227,6 +231,7 @@ const char *kHandDriven = "define void @kernel(i64 %n) {\n"
                           "  br latch\n"
                           "latch:\n"
                           "  %inext = add %i, 1\n"
+                          "  store %inext, @g, 8\n"
                           "  br loop\n"
                           "exit:\n"
                           "  ret\n"
@@ -252,7 +257,7 @@ struct HandDriven {
   std::unique_ptr<Module> M;
   std::unique_ptr<FunctionAnalyses> FA;
   std::unique_ptr<ProfileCollector> C;
-  const Instruction *Malloc, *Load, *Store, *Free, *Call;
+  const Instruction *Malloc, *Load, *Store, *Free, *LatchStore, *Call;
 
   HandDriven() {
     std::string Err;
@@ -265,6 +270,7 @@ struct HandDriven {
     Load = Body[1].get();
     Store = Body[2].get();
     Free = Body[3].get();
+    LatchStore = block("kernel", "latch")->instructions()[1].get();
     Call = block("rec", "body")->instructions()[0].get();
   }
   const BasicBlock *block(const char *Fn, const char *Name) const {
@@ -362,6 +368,181 @@ TEST(Profiler, RecursionComparesOnlyTheInnermostActivation) {
   EXPECT_EQ(DS->Min, 1u);
   EXPECT_EQ(DS->Max, 1u);
   EXPECT_EQ(P.loopStats(H.loop("rec")).Invocations, 2u);
+}
+
+TEST(Profiler, ReallocatedAddressRenamesTheSitesObject) {
+  // A load site that read one object at an address must name whatever
+  // object occupies that address now, however it got there.
+  alignas(8) static uint8_t Buf[8];
+  uint64_t A = reinterpret_cast<uint64_t>(Buf);
+  {
+    // Freed, then reallocated over the same range from another context.
+    HandDriven H;
+    const Function *Rec = H.M->functionByName("rec");
+    H.go("kernel", nullptr, "entry");
+    H.go("kernel", "entry", "loop");
+    H.go("kernel", "loop", "body");
+    H.C->onAlloc(H.Malloc, A, 8);
+    H.C->onLoad(H.Load, A, 8);
+    H.C->onFree(H.Free, A);
+    H.C->onCall(H.Call, Rec);
+    H.C->onAlloc(H.Malloc, A, 8);
+    H.C->onReturn(Rec);
+    H.C->onLoad(H.Load, A, 8);
+    Profile P = H.C->finish();
+    std::set<std::string> Contexts;
+    for (const ObjectKey &K : P.objectsAccessedBy(H.Load)) {
+      EXPECT_EQ(K.AllocSite, H.Malloc);
+      Contexts.insert(K.Context);
+    }
+    EXPECT_EQ(Contexts, (std::set<std::string>{"", "rec/body"}));
+  }
+  {
+    // An allocation inside a global's range splits the interval the site
+    // cached; reads of the middle name the new object, and reads of the
+    // ends the global again.
+    HandDriven H;
+    alignas(8) static uint8_t G[64];
+    uint64_t GAddr = reinterpret_cast<uint64_t>(G);
+    const GlobalVariable *GV = H.M->globalByName("g");
+    H.C->onGlobalAlloc(GV, GAddr, 64);
+    H.go("kernel", nullptr, "entry");
+    H.go("kernel", "entry", "loop");
+    H.go("kernel", "loop", "body");
+    H.C->onLoad(H.Load, GAddr + 16, 8);
+    H.C->onAlloc(H.Malloc, GAddr + 16, 16);
+    H.C->onLoad(H.Load, GAddr + 16, 8);
+    H.C->onLoad(H.Load, GAddr + 40, 8);
+    H.C->onLoad(H.Load, GAddr, 8);
+    Profile P = H.C->finish();
+    const auto &Objs = P.objectsAccessedBy(H.Load);
+    ObjectKey Global, Split;
+    Global.Global = GV;
+    Split.AllocSite = H.Malloc;
+    EXPECT_EQ(Objs, (std::set<ObjectKey>{Global, Split}));
+  }
+}
+
+TEST(Profiler, LoopLeftByReturnStopsAccruingWeight) {
+  HandDriven H;
+  const Function *Kernel = H.M->functionByName("kernel");
+  const Function *Rec = H.M->functionByName("rec");
+  H.go("rec", nullptr, "entry");
+  H.go("rec", "entry", "loop");
+  H.go("rec", "loop", "body");
+  // A call into @kernel's loop that returns from inside its body (the
+  // collector reads only the call site's block, not its callee).
+  H.C->onCall(H.Call, Kernel);
+  H.go("kernel", nullptr, "entry");
+  H.go("kernel", "entry", "loop");
+  H.go("kernel", "loop", "body");
+  H.C->onReturn(Kernel);
+  H.go("rec", "body", "latch");
+  H.go("rec", "latch", "loop");
+  H.go("rec", "loop", "exit");
+  H.C->onReturn(Rec);
+  Profile P = H.C->finish();
+  LoopStats K = P.loopStats(H.loop("kernel"));
+  EXPECT_EQ(K.Invocations, 1u);
+  EXPECT_EQ(K.Iterations, 1u);
+  EXPECT_EQ(K.Weight, 3u + 5u) << "header and body, nothing after ret";
+  LoopStats R = P.loopStats(H.loop("rec"));
+  EXPECT_EQ(R.Invocations, 1u);
+  EXPECT_EQ(R.Iterations, 2u);
+  EXPECT_EQ(R.Weight, 3u + 2u + (1u + 3u + 5u) + 2u + 3u)
+      << "the callee's blocks count toward the caller's loop";
+}
+
+TEST(Profiler, LoopsActiveAtFinishKeepTheirWeight) {
+  // @main's frame never returns here: finish() must still count the
+  // blocks entered by loops active at that point, in every frame.
+  HandDriven H;
+  const Function *Rec = H.M->functionByName("rec");
+  H.go("kernel", nullptr, "entry");
+  H.go("kernel", "entry", "loop");
+  H.go("kernel", "loop", "body");
+  H.nextIteration("kernel");
+  H.C->onCall(H.Call, Rec);
+  H.go("rec", nullptr, "entry");
+  H.go("rec", "entry", "loop");
+  H.go("rec", "loop", "body");
+  Profile P = H.C->finish();
+  LoopStats K = P.loopStats(H.loop("kernel"));
+  EXPECT_EQ(K.Invocations, 1u);
+  EXPECT_EQ(K.Iterations, 2u);
+  EXPECT_EQ(K.Weight, 3u + 5u + 3u + 3u + 5u + (1u + 3u + 2u));
+  LoopStats R = P.loopStats(H.loop("rec"));
+  EXPECT_EQ(R.Invocations, 1u);
+  EXPECT_EQ(R.Iterations, 1u);
+  EXPECT_EQ(R.Weight, 3u + 2u);
+}
+
+TEST(Profiler, RecursiveActivationsEachAccrueWeight) {
+  HandDriven H;
+  const Function *Rec = H.M->functionByName("rec");
+  H.go("rec", nullptr, "entry");
+  H.go("rec", "entry", "loop");
+  H.go("rec", "loop", "body");
+  H.C->onCall(H.Call, Rec);
+  H.go("rec", nullptr, "entry");
+  H.go("rec", "entry", "loop");
+  H.go("rec", "loop", "body");
+  H.go("rec", "body", "latch");
+  H.go("rec", "latch", "loop");
+  H.go("rec", "loop", "exit");
+  H.C->onReturn(Rec);
+  H.go("rec", "body", "latch");
+  H.go("rec", "latch", "loop");
+  H.go("rec", "loop", "exit");
+  Profile P = H.C->finish();
+  LoopStats S = P.loopStats(H.loop("rec"));
+  EXPECT_EQ(S.Invocations, 2u);
+  EXPECT_EQ(S.Iterations, 4u);
+  // The inner activation: loop, body, latch, loop.  The outer one: its
+  // own blocks plus everything of the recursive call, exit block too.
+  const uint64_t Inner = 3 + 2 + 2 + 3;
+  const uint64_t Outer = 3 + 2 + (1 + Inner + 1) + 2 + 3;
+  EXPECT_EQ(S.Weight, Inner + Outer);
+}
+
+TEST(Profiler, AlternatingStoresKeepSeparateDistances) {
+  // One load site reads, in turn, what each of two stores wrote.
+  HandDriven H;
+  alignas(8) static uint8_t Buf[8];
+  uint64_t A = reinterpret_cast<uint64_t>(Buf);
+  auto Skip = [&](unsigned N) {
+    for (unsigned K = 0; K < N; ++K)
+      H.nextIteration("kernel");
+  };
+  H.go("kernel", nullptr, "entry");
+  H.go("kernel", "entry", "loop");
+  H.go("kernel", "loop", "body");
+  H.C->onStore(H.Store, A, 8); // iteration 0
+  Skip(1);
+  H.C->onLoad(H.Load, A, 8); // Store, distance 1
+  H.C->onStore(H.LatchStore, A, 8);
+  Skip(2);
+  H.C->onLoad(H.Load, A, 8); // LatchStore, distance 2
+  H.C->onStore(H.Store, A, 8);
+  Skip(1);
+  H.C->onLoad(H.Load, A, 8); // Store, distance 1
+  H.C->onStore(H.LatchStore, A, 8);
+  Skip(3);
+  H.C->onLoad(H.Load, A, 4); // LatchStore, distance 3, 4 bytes
+  Profile P = H.C->finish();
+  const Loop *L = H.loop("kernel");
+  EXPECT_EQ(P.crossIterationFlowDeps(L).size(), 2u);
+  const DepDistance *First = P.flowDepDistance(L, FlowDep{H.Store, H.Load});
+  ASSERT_NE(First, nullptr);
+  EXPECT_EQ(First->Min, 1u);
+  EXPECT_EQ(First->Max, 1u);
+  EXPECT_EQ(First->Samples, 16u);
+  const DepDistance *Second =
+      P.flowDepDistance(L, FlowDep{H.LatchStore, H.Load});
+  ASSERT_NE(Second, nullptr);
+  EXPECT_EQ(Second->Min, 2u);
+  EXPECT_EQ(Second->Max, 3u);
+  EXPECT_EQ(Second->Samples, 12u);
 }
 
 TEST(Profiler, LoopContextsAreBoundedByLiveState) {
