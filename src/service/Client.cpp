@@ -59,15 +59,12 @@ Client::RtStatus Client::roundTripStatus(MsgType Send,
                                          MsgType Expect,
                                          std::string &ReplyBody,
                                          std::string &Err,
-                                         double TimeoutSec, const int *Fds,
-                                         size_t NumFds) {
+                                         double TimeoutSec) {
   if (Fd < 0) {
     Err = "not connected";
     return RtStatus::Transport;
   }
-  bool Sent = NumFds > 0 ? writeFrameWithFds(Fd, Send, Body, Fds, NumFds, Err)
-                         : writeFrame(Fd, Send, Body, Err);
-  if (!Sent)
+  if (!writeFrame(Fd, Send, Body, Err))
     return RtStatus::Transport;
   MsgType Type;
   ReadStatus S = readFrame(Fd, Type, ReplyBody, Err, TimeoutSec);
@@ -128,22 +125,7 @@ bool Client::submit(const JobRequest &Req, JobReply &Reply, std::string &Err,
     if (Stamped.IdempotencyKey == 0)
       Stamped.IdempotencyKey = 1;
   }
-  if (Stamped.TenantId.empty())
-    Stamped.TenantId = Tenant;
   const std::string Body = encodeJobRequest(Stamped);
-
-  // Zero-copy alternative: the module text sealed in a memfd, the frame
-  // body carrying everything else.  Built on the first attempt; the
-  // fd survives retries (SCM_RIGHTS dups it into the kernel per send).
-  int ModuleFd = -1;
-  std::string MemfdBody;
-  struct FdGuard {
-    int &Fd;
-    ~FdGuard() {
-      if (Fd >= 0)
-        ::close(Fd);
-    }
-  } Guard{ModuleFd};
 
   double Budget = Retry.Enabled && Retry.BudgetSec > 0
                       ? wallSeconds() + Retry.BudgetSec * timeoutScale()
@@ -152,34 +134,11 @@ bool Client::submit(const JobRequest &Req, JobReply &Reply, std::string &Err,
   unsigned Attempt = 0;
   while (true) {
     ++Attempt;
-    bool ViaMemfd = UseMemfd;
-    if (ViaMemfd && ModuleFd < 0) {
-      std::string MErr;
-      ModuleFd = sealedMemfd("privateer-module", Stamped.ModuleText.data(),
-                             Stamped.ModuleText.size(), MErr);
-      if (ModuleFd >= 0) {
-        JobRequest Slim = Stamped;
-        Slim.ModuleText.clear();
-        Slim.Submit = static_cast<uint8_t>(SubmitMode::Memfd);
-        MemfdBody = encodeJobRequest(Slim);
-      } else {
-        ViaMemfd = false; // no memfd support here: stay in-band
-      }
-    }
     std::string ReplyBody;
-    RtStatus S = RtStatus::Transport;
-    if (Fd >= 0) {
-      if (ViaMemfd && ModuleFd >= 0) {
-        S = roundTripStatus(MsgType::SubmitJob, MemfdBody,
-                            MsgType::JobResult, ReplyBody, Err, TimeoutSec,
-                            &ModuleFd, 1);
-        if (S == RtStatus::Ok)
-          ++MemfdSubmits;
-      } else {
-        S = roundTripStatus(MsgType::SubmitJob, Body, MsgType::JobResult,
-                            ReplyBody, Err, TimeoutSec);
-      }
-    }
+    RtStatus S = Fd < 0 ? RtStatus::Transport
+                        : roundTripStatus(MsgType::SubmitJob, Body,
+                                          MsgType::JobResult, ReplyBody, Err,
+                                          TimeoutSec);
     if (S == RtStatus::Ok)
       return decodeJobReply(ReplyBody, Reply, Err);
     if (S == RtStatus::Fatal || !Retry.Enabled || SocketPath.empty())

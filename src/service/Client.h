@@ -7,9 +7,10 @@
 ///
 /// \file
 /// A small synchronous client for the invocation service: one connection,
-/// one outstanding job at a time (the protocol the daemon enforces).
-/// privateer-client, `privateer-cc --connect`, the service tests, and
-/// bench_service all speak through this class.
+/// one outstanding job at a time (the protocol the daemon enforces), with
+/// the module text inside the SubmitJob frame.  privateer-client,
+/// `privateer-cc --connect`, the service tests, bench_service and
+/// perfbench all speak through this class.
 ///
 /// submit() is resilient by default: every request is stamped with a
 /// client-generated idempotency key, and a transport failure (daemon
@@ -80,20 +81,8 @@ public:
   /// Reconnect + resubmit policy; tests and tools may tighten or disable.
   RetryPolicy Retry;
 
-  /// Multi-tenant identity stamped on every submission that names none.
-  /// Empty = the anonymous tenant.
-  std::string Tenant;
-
-  /// Zero-copy submission: module text travels in a sealed memfd via
-  /// SCM_RIGHTS instead of in the frame body (the daemon always accepts
-  /// it).  Falls back in-band when no memfd can be created.
-  bool UseMemfd = false;
-
   /// Transport-level reconnects performed by submit() so far.
   uint64_t reconnects() const { return Reconnects; }
-
-  /// Submissions that actually traveled as sealed memfds.
-  uint64_t memfdSubmits() const { return MemfdSubmits; }
 
 private:
   enum class RtStatus : uint8_t {
@@ -103,8 +92,7 @@ private:
   };
   RtStatus roundTripStatus(MsgType Send, const std::string &Body,
                            MsgType Expect, std::string &ReplyBody,
-                           std::string &Err, double TimeoutSec,
-                           const int *Fds = nullptr, size_t NumFds = 0);
+                           std::string &Err, double TimeoutSec);
   bool roundTrip(MsgType Send, const std::string &Body, MsgType Expect,
                  std::string &ReplyBody, std::string &Err,
                  double TimeoutSec);
@@ -114,7 +102,6 @@ private:
   std::string SocketPath;
   uint64_t Reconnects = 0;
   uint64_t RngState = 0;
-  uint64_t MemfdSubmits = 0;
 };
 
 } // namespace service

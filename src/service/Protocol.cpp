@@ -191,8 +191,6 @@ std::string service::encodeJobRequest(const JobRequest &R) {
   putU32(B, R.FaultOomAttempts);
   putU64(B, R.FaultAllocBytes);
   putF64(B, R.FaultBurnCpuSec);
-  putStr(B, R.TenantId);
-  putU8(B, R.Submit);
   putU8(B, R.Strat);
   putU32(B, R.NumStages);
   return B;
@@ -225,8 +223,7 @@ bool service::decodeJobRequest(const std::string &Body, JobRequest &R,
       C.getU64(R.FaultSeed) && C.getU32(R.FaultSupervisorSignal) &&
       C.getU32(R.FaultSupervisorExit) && C.getU32(R.FaultOomAttempts) &&
       C.getU64(R.FaultAllocBytes) && C.getF64(R.FaultBurnCpuSec) &&
-      C.getStr(R.TenantId) && C.getU8(R.Submit) && C.getU8(R.Strat) &&
-      C.getU32(R.NumStages);
+      C.getU8(R.Strat) && C.getU32(R.NumStages);
   if (!Ok) {
     Err = "truncated SubmitJob body";
     return false;
@@ -237,10 +234,6 @@ bool service::decodeJobRequest(const std::string &Body, JobRequest &R,
   }
   if (R.Engine > 1) {
     Err = "bad engine " + std::to_string(R.Engine);
-    return false;
-  }
-  if (R.Submit > static_cast<uint8_t>(SubmitMode::Memfd)) {
-    Err = "bad submit mode " + std::to_string(R.Submit);
     return false;
   }
   if (R.Strat > static_cast<uint8_t>(Strategy::Pipeline)) {
@@ -509,13 +502,6 @@ int service::sealedMemfd(const char *Name, const void *Data, size_t Bytes,
     return -1;
   }
   return MemFd;
-}
-
-bool service::memfdIsSealed(int MemFd) {
-  int Seals = ::fcntl(MemFd, F_GET_SEALS);
-  if (Seals < 0)
-    return false;
-  return (Seals & F_SEAL_WRITE) && (Seals & F_SEAL_SHRINK);
 }
 
 ReadStatus service::readFrame(int Fd, MsgType &Type, std::string &Body,

@@ -44,7 +44,7 @@
 namespace privateer {
 namespace service {
 
-inline constexpr uint8_t kProtocolVersion = 6;
+inline constexpr uint8_t kProtocolVersion = 7;
 /// Default ceiling on one frame (module texts and job output both ride in
 /// frames; 64 MiB is far above any bundled program).
 inline constexpr size_t kMaxFrameBytes = 64u << 20;
@@ -61,13 +61,6 @@ enum class MsgType : uint8_t {
   Ack = 7,         ///< daemon -> client: Drain/Shutdown accepted
   Error = 8,       ///< daemon -> client: protocol violation, closing
   ExecAssign = 11, ///< daemon -> executive: run this job (+ image fds)
-};
-
-/// How the module text of a SubmitJob travels.
-enum class SubmitMode : uint8_t {
-  InBand = 0, ///< text inside the frame body
-  Memfd = 1,  ///< text in a sealed memfd passed via SCM_RIGHTS; the body's
-              ///< ModuleText is empty
 };
 
 /// How the daemon should execute the submitted module.
@@ -129,12 +122,6 @@ inline bool isInfraFailure(FailureCause C) {
 /// ParallelOptions so an empty request behaves like local privateer-cc.
 struct JobRequest {
   std::string ModuleText;
-  /// Multi-tenant admission identity.  Empty = the anonymous tenant.
-  /// Weights, token buckets, replay windows, and backpressure are all
-  /// per-tenant.
-  std::string TenantId;
-  /// How ModuleText travels; see SubmitMode.
-  uint8_t Submit = 0;
   JobMode Mode = JobMode::Speculative;
   /// Execution engine (mirrors transform::ExecEngine): 0 = direct-threaded
   /// bytecode VM (default), 1 = tree-walking interpreter (the differential
@@ -265,8 +252,8 @@ bool writeFrame(int Fd, MsgType Type, const std::string &Body,
                 std::string &Err);
 
 /// writeFrame with \p NumFds file descriptors attached as SCM_RIGHTS
-/// ancillary data on the first byte of the frame (zero-copy submission and
-/// executive program hand-off).  \p Fd must be a Unix-domain socket.
+/// ancillary data on the first byte of the frame (the executive program
+/// hand-off).  \p Fd must be a Unix-domain socket.
 bool writeFrameWithFds(int Fd, MsgType Type, const std::string &Body,
                        const int *Fds, size_t NumFds, std::string &Err);
 
@@ -282,10 +269,6 @@ ssize_t recvWithFds(int Fd, void *Buf, size_t Len, std::vector<int> &Fds,
 /// set when memfds or sealing are unavailable.
 int sealedMemfd(const char *Name, const void *Data, size_t Bytes,
                 std::string &Err);
-
-/// True when \p MemFd is sealed immutable (the daemon's acceptance test
-/// for client-submitted module texts).
-bool memfdIsSealed(int MemFd);
 
 enum class ReadStatus : uint8_t { Ok, Eof, Timeout, Error };
 

@@ -60,12 +60,10 @@ void setNonBlocking(int Fd) {
 /// daemon killed by SIGKILL leaves its socket file behind and a naive
 /// bind() fails with EADDRINUSE.  Probe the path first — a live daemon
 /// accepts the connect and we refuse to steal its socket; a dead one
-/// answers ECONNREFUSED and the stale file is reclaimed.  Shared by the
-/// single-process daemon and the shard parent.
+/// answers ECONNREFUSED and the stale file is reclaimed.
 int bindListenSocket(const std::string &Path, std::string &Err,
-                     bool *Reclaimed) {
-  if (Reclaimed)
-    *Reclaimed = false;
+                     bool &Reclaimed) {
+  Reclaimed = false;
   if (Path.empty()) {
     Err = "no socket path";
     return -1;
@@ -103,8 +101,7 @@ int bindListenSocket(const std::string &Path, std::string &Err,
       return -1;
     }
     ::unlink(Path.c_str());
-    if (Reclaimed)
-      *Reclaimed = true;
+    Reclaimed = true;
   }
   if (::bind(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) < 0) {
     Err = "bind " + Path + ": " + std::strerror(errno);
@@ -138,51 +135,37 @@ Server::Server(ServerOptions O)
         "cache_evictions", "queue_peak", "retries", "retry_success",
         "slow_client_drops", "idempotent_replays", "negative_verdicts",
         "socket_reclaimed", "supervisor_forks", "pool_dispatches",
-        "executives_spawned", "executives_respawned", "memfd_submissions",
-        "token_deferrals"})
+        "executives_spawned", "executives_respawned"})
     stat(Name);
   // The runtime counters every reply folds in, pre-registered likewise.
   mirrorCounters(RuntimeCounters());
-  for (const TenantConfig &TC : Opts.Tenants)
-    tenantState(TC.Id).Cfg = TC;
 }
 
 Server::~Server() {
   if (ListenFd >= 0) {
     ::close(ListenFd);
-    if (OwnsSocketFile)
-      ::unlink(Opts.SocketPath.c_str());
+    ::unlink(Opts.SocketPath.c_str());
   }
   for (int Fd : {SigPipe[0], SigPipe[1]})
     if (Fd >= 0)
       ::close(Fd);
-  for (auto &[Fd, C] : Conns) {
-    for (int PFd : C.PendingFds)
-      ::close(PFd);
+  for (auto &[Fd, C] : Conns)
     ::close(Fd);
-  }
   for (auto &[Id, E] : Pool)
     if (E.ChanFd >= 0)
       ::close(E.ChanFd);
 }
 
 bool Server::start(std::string &Err) {
-  if (Opts.InheritedListenFd >= 0) {
-    // Shard child: the parent bound the socket; we only accept on it (and
-    // must not unlink the shared socket file when we exit).
-    ListenFd = Opts.InheritedListenFd;
-    OwnsSocketFile = false;
-  } else {
-    bool Reclaimed = false;
-    ListenFd = bindListenSocket(Opts.SocketPath, Err, &Reclaimed);
-    if (ListenFd < 0)
-      return false;
-    if (Reclaimed) {
-      ++stat("socket_reclaimed");
-      if (Opts.Verbose)
-        std::fprintf(stderr, "[privateer-served] reclaimed stale socket %s\n",
-                     Opts.SocketPath.c_str());
-    }
+  bool Reclaimed = false;
+  ListenFd = bindListenSocket(Opts.SocketPath, Err, Reclaimed);
+  if (ListenFd < 0)
+    return false;
+  if (Reclaimed) {
+    ++stat("socket_reclaimed");
+    if (Opts.Verbose)
+      std::fprintf(stderr, "[privateer-served] reclaimed stale socket %s\n",
+                   Opts.SocketPath.c_str());
   }
 
   if (::pipe(SigPipe) < 0) {
@@ -223,8 +206,6 @@ bool Server::start(std::string &Err) {
 }
 
 int Server::serve(const ServerOptions &O) {
-  if (O.Shards > 1 && O.InheritedListenFd < 0)
-    return serveSharded(O);
   Server S(O);
   std::string Err;
   if (!S.start(Err)) {
@@ -232,107 +213,6 @@ int Server::serve(const ServerOptions &O) {
     return 1;
   }
   return S.run();
-}
-
-int Server::serveSharded(const ServerOptions &O) {
-  std::string Err;
-  int Fd = bindListenSocket(O.SocketPath, Err, nullptr);
-  if (Fd < 0) {
-    std::fprintf(stderr, "privateer-served: %s\n", Err.c_str());
-    return 1;
-  }
-
-  struct sigaction Sa{};
-  Sa.sa_handler = onSignal;
-  sigemptyset(&Sa.sa_mask);
-  Sa.sa_flags = SA_RESTART;
-  ::sigaction(SIGCHLD, &Sa, nullptr);
-  ::sigaction(SIGTERM, &Sa, nullptr);
-  ::sigaction(SIGINT, &Sa, nullptr);
-  ::signal(SIGPIPE, SIG_IGN);
-
-  auto SpawnShard = [&]() -> pid_t {
-    pid_t Pid = ::fork();
-    if (Pid == 0) {
-      ServerOptions CO = O;
-      CO.InheritedListenFd = Fd;
-      CO.Shards = 1;
-      GotSigTerm = 0;
-      GotSigInt = 0;
-      GotSigChld = 0;
-      ::_exit(Server::serve(CO));
-    }
-    return Pid;
-  };
-
-  std::vector<pid_t> Shards;
-  for (unsigned I = 0; I < O.Shards; ++I) {
-    pid_t Pid = SpawnShard();
-    if (Pid < 0) {
-      std::fprintf(stderr, "privateer-served: shard fork: %s\n",
-                   std::strerror(errno));
-      for (pid_t P : Shards)
-        ::kill(P, SIGKILL);
-      ::close(Fd);
-      ::unlink(O.SocketPath.c_str());
-      return 1;
-    }
-    Shards.push_back(Pid);
-  }
-  if (O.Verbose)
-    std::fprintf(stderr, "[privateer-served] shard parent: %u shards on %s\n",
-                 O.Shards, O.SocketPath.c_str());
-
-  bool Stopping = false;
-  int StopSig = 0;
-  int WorstExit = 0;
-  size_t Alive = Shards.size();
-  while (Alive > 0) {
-    if (!Stopping && (GotSigTerm || GotSigInt)) {
-      StopSig = GotSigInt ? SIGINT : SIGTERM;
-      GotSigTerm = 0;
-      GotSigInt = 0;
-      Stopping = true;
-      for (pid_t P : Shards)
-        if (P > 0)
-          ::kill(P, StopSig);
-    }
-    int St = 0;
-    pid_t Pid = ::waitpid(-1, &St, Stopping ? 0 : WNOHANG);
-    if (Pid > 0) {
-      auto It = std::find(Shards.begin(), Shards.end(), Pid);
-      if (It == Shards.end())
-        continue;
-      if (Stopping) {
-        *It = -1;
-        --Alive;
-        if (WIFEXITED(St) && WEXITSTATUS(St) != 0)
-          WorstExit = std::max(WorstExit, WEXITSTATUS(St));
-        if (WIFSIGNALED(St))
-          WorstExit = std::max(WorstExit, 1);
-        continue;
-      }
-      // A shard died underneath us: the others keep serving while a
-      // replacement comes up on the same listening fd.
-      if (O.Verbose)
-        std::fprintf(stderr, "[privateer-served] shard %d died, respawning\n",
-                     static_cast<int>(Pid));
-      *It = SpawnShard();
-      if (*It < 0) {
-        *It = -1;
-        --Alive;
-        WorstExit = std::max(WorstExit, 1);
-      }
-    } else if (Pid == 0) {
-      struct timespec Ts{0, 50 * 1000 * 1000};
-      ::nanosleep(&Ts, nullptr);
-    } else if (errno != EINTR) {
-      break;
-    }
-  }
-  ::close(Fd);
-  ::unlink(O.SocketPath.c_str());
-  return WorstExit;
 }
 
 // --- Executives -----------------------------------------------------------
@@ -581,7 +461,7 @@ int Server::run() {
         finishJob(It->second);
     }
 
-    if (Draining && Jobs.empty() && queuedCount() == 0) {
+    if (Draining && Jobs.empty()) {
       shutdownPool();
       // Flush straggling replies, then leave.  Sleep in poll(POLLOUT) for
       // the remaining deadline instead of busy-spinning on EAGAIN.
@@ -611,16 +491,13 @@ int Server::run() {
             break; // hard error: the client is gone, stop trying
           }
         }
-        for (int PFd : C.PendingFds)
-          ::close(PFd);
         ::close(Fd);
       }
       Conns.clear();
       if (ListenFd >= 0) {
         ::close(ListenFd);
         ListenFd = -1;
-        if (OwnsSocketFile)
-          ::unlink(Opts.SocketPath.c_str());
+        ::unlink(Opts.SocketPath.c_str());
       }
       if (Opts.Verbose)
         std::fprintf(stderr, "[privateer-served] drained, exiting\n");
@@ -654,10 +531,6 @@ int Server::run() {
         int Ms = static_cast<int>((J.DeadlineAbs - Now) * 1000) + 1;
         TimeoutMs = std::min(TimeoutMs, std::max(1, Ms));
       }
-    // A token-blocked tenant queue needs a wake when its bucket refills.
-    for (auto &[TId, T] : Tenants)
-      if (!T.Queue.empty() && T.Cfg.RatePerSec > 0 && T.Tokens < 1.0)
-        TimeoutMs = std::min(TimeoutMs, 50);
 
     int R = ::poll(Pfds.data(), Pfds.size(), TimeoutMs);
     if (R < 0) {
@@ -705,8 +578,8 @@ int Server::run() {
         readExecutive(It->second);
       }
     }
-    // Completed executives / refilled buckets may have opened dispatch
-    // room even without a finishJob this pass.
+    // Completed executives may have opened dispatch room even without a
+    // finishJob this pass.
     pumpQueue();
   }
 }
@@ -735,20 +608,10 @@ void Server::readConn(Conn &C) {
   char Buf[64 << 10];
   bool Closed = false;
   while (true) {
-    bool Truncated = false;
-    ssize_t N = recvWithFds(Fd, Buf, sizeof(Buf), C.PendingFds, Truncated);
-    if (Truncated) {
-      // The kernel dropped SCM_RIGHTS data: fd-to-frame pairing is lost
-      // and any in-flight memfd submission would bind the wrong file.
-      protocolError(C, "ancillary data truncated (MSG_CTRUNC)");
-      return;
-    }
+    // Plain recv: the kernel discards any descriptors a client attaches.
+    ssize_t N = ::recv(Fd, Buf, sizeof(Buf), 0);
     if (N > 0) {
       C.Frames.feed(Buf, static_cast<size_t>(N));
-      if (C.PendingFds.size() > 8) {
-        protocolError(C, "too many in-flight descriptors");
-        return;
-      }
       continue;
     }
     if (N == 0)
@@ -773,15 +636,6 @@ void Server::readConn(Conn &C) {
     handleFrame(C, Type, Body);
     if (Conns.find(Fd) == Conns.end())
       return; // handler dropped the connection
-  }
-
-  // Descriptors ride the first byte of their frame, so once every
-  // complete frame is processed and no partial frame is buffered, any
-  // survivors are orphans (fds sent with a non-memfd frame).
-  if (C.Frames.buffered() == 0 && !C.PendingFds.empty()) {
-    for (int PFd : C.PendingFds)
-      ::close(PFd);
-    C.PendingFds.clear();
   }
 
   if (Closed)
@@ -836,14 +690,13 @@ void Server::dropConn(int Fd, const char *Why) {
         // path frees the admission slot and counts the cancellation.
         killJob(J, KillCause::ClientGone);
       } else {
-        unqueueJob(J);
+        Queue.erase(std::remove(Queue.begin(), Queue.end(), J.Id),
+                    Queue.end());
         ++stat("jobs_canceled");
         Jobs.erase(JIt);
       }
     }
   }
-  for (int PFd : C.PendingFds)
-    ::close(PFd);
   if (Opts.Verbose)
     std::fprintf(stderr, "[privateer-served] closing fd %d (%s)\n", Fd, Why);
   ::close(Fd);
@@ -912,49 +765,6 @@ void Server::checkConnHealth(double Now) {
   }
 }
 
-// --- WFQ admission -------------------------------------------------------
-
-Server::TenantState &Server::tenantState(const std::string &Id) {
-  auto It = Tenants.find(Id);
-  if (It != Tenants.end())
-    return It->second;
-  TenantState T;
-  T.Cfg.Id = Id;
-  return Tenants.emplace(Id, std::move(T)).first->second;
-}
-
-void Server::refillBucket(TenantState &T, double Now) {
-  if (T.Cfg.RatePerSec <= 0)
-    return;
-  double Burst = T.Cfg.Burst > 0 ? T.Cfg.Burst
-                                 : std::max(1.0, 2.0 * T.Cfg.RatePerSec);
-  if (!T.BucketPrimed) {
-    // A fresh tenant starts with a full bucket: short bursts are the
-    // common case the burst allowance exists for.
-    T.Tokens = Burst;
-    T.LastRefill = Now;
-    T.BucketPrimed = true;
-    return;
-  }
-  T.Tokens = std::min(Burst, T.Tokens + T.Cfg.RatePerSec * (Now - T.LastRefill));
-  T.LastRefill = Now;
-}
-
-size_t Server::queuedCount() const {
-  size_t N = 0;
-  for (const auto &[Id, T] : Tenants)
-    N += T.Queue.size();
-  return N;
-}
-
-void Server::unqueueJob(const Job &J) {
-  auto It = Tenants.find(J.Tenant);
-  if (It == Tenants.end())
-    return;
-  auto &Q = It->second.Queue;
-  Q.erase(std::remove(Q.begin(), Q.end(), J.Id), Q.end());
-}
-
 // --- Jobs ----------------------------------------------------------------
 
 void Server::handleSubmit(Conn &C, const std::string &Body) {
@@ -965,61 +775,18 @@ void Server::handleSubmit(Conn &C, const std::string &Body) {
     protocolError(C, Err);
     return;
   }
-  // Admission identity: the request's tenant id (empty = anonymous).
-  std::string TenantId = Req.TenantId;
-  TenantState &T = tenantState(TenantId);
-  ++T.Submitted;
   auto Reject = [&](JobStatus S, const std::string &Why) {
-    if (S == JobStatus::Rejected)
-      ++T.Rejected;
     JobReply R;
     R.Status = S;
     R.Error = Why;
     sendFrame(C, MsgType::JobResult, encodeJobReply(R));
   };
 
-  // Zero-copy submission: the module text arrived out-of-band in a sealed
-  // memfd (SCM_RIGHTS), attached to this frame's first byte.
-  if (Req.Submit == static_cast<uint8_t>(SubmitMode::Memfd)) {
-    if (C.PendingFds.empty()) {
-      Reject(JobStatus::ParseError,
-             "memfd submission carried no file descriptor");
-      return;
-    }
-    int MemFd = C.PendingFds.front();
-    C.PendingFds.erase(C.PendingFds.begin());
-    for (int Extra : C.PendingFds)
-      ::close(Extra);
-    C.PendingFds.clear();
-    auto BadMemfd = [&](const std::string &Why) {
-      ::close(MemFd);
-      Reject(JobStatus::ParseError, Why);
-    };
-    if (!memfdIsSealed(MemFd))
-      return BadMemfd("module memfd is not sealed immutable");
-    struct stat St{};
-    if (::fstat(MemFd, &St) != 0 || St.st_size < 0)
-      return BadMemfd("module memfd: fstat failed");
-    if (static_cast<size_t>(St.st_size) > Opts.MaxFrameBytes)
-      return BadMemfd("module memfd exceeds the frame size limit");
-    Req.ModuleText.resize(static_cast<size_t>(St.st_size));
-    ssize_t N = St.st_size == 0
-                    ? 0
-                    : ::pread(MemFd, Req.ModuleText.data(),
-                              Req.ModuleText.size(), 0);
-    if (N != St.st_size)
-      return BadMemfd("module memfd: short read");
-    ::close(MemFd);
-    ++stat("memfd_submissions");
-  }
-
   // Idempotent resubmission: a client that reconnected after losing the
   // original reply gets the remembered answer instead of a second run.
-  // The window is per tenant, so one noisy tenant cannot flush another's
-  // replayable replies.
   if (Req.IdempotencyKey != 0) {
-    auto RIt = T.Replay.find(Req.IdempotencyKey);
-    if (RIt != T.Replay.end()) {
+    auto RIt = Replay.find(Req.IdempotencyKey);
+    if (RIt != Replay.end()) {
       ++stat("idempotent_replays");
       JobReply R = RIt->second;
       R.IdempotentReplay = true;
@@ -1047,9 +814,7 @@ void Server::handleSubmit(Conn &C, const std::string &Body) {
                std::to_string(Opts.WorkerBudget));
     return;
   }
-  // Per-tenant backpressure: a tenant that filled its own queue is
-  // rejected without consuming anyone else's admission capacity.
-  if (T.Queue.size() >= Opts.QueueDepth) {
+  if (Queue.size() >= Opts.QueueDepth) {
     ++stat("jobs_rejected");
     Reject(JobStatus::Rejected, "admission queue full");
     return;
@@ -1091,70 +856,37 @@ void Server::handleSubmit(Conn &C, const std::string &Body) {
   J.Id = NextJobId++;
   J.ConnFd = C.Fd;
   J.Req = std::move(Req);
-  J.Tenant = TenantId;
   J.Prog = std::move(Prog);
   J.CacheHit = Hit;
   J.SubmitT = wallSeconds();
   J.Cost = Cost;
-  // Start-time fair queuing tags, assigned at enqueue: a backlogged
-  // tenant's jobs get consecutive finish tags spaced by cost/weight, so
-  // service interleaves tenants in proportion to their weights.
-  double W = T.Cfg.Weight > 0 ? T.Cfg.Weight : 1.0;
-  J.STag = std::max(VirtualTime, T.LastFinish);
-  J.FTag = J.STag + static_cast<double>(Cost) / W;
-  T.LastFinish = J.FTag;
   C.ActiveJob = J.Id;
   ++stat("jobs_accepted");
   uint64_t Id = J.Id;
   Jobs.emplace(Id, std::move(J));
-  T.Queue.push_back(Id);
-  QueuePeak = std::max(QueuePeak, queuedCount());
+  Queue.push_back(Id);
+  QueuePeak = std::max(QueuePeak, Queue.size());
   stat("queue_peak") = QueuePeak;
   pumpQueue();
 }
 
 void Server::pumpQueue() {
-  // Weighted fair service: pick the head job with the smallest finish tag
-  // within the highest nonempty priority band (token-blocked tenants are
-  // skipped until their bucket refills).  The chosen head either fits the
-  // remaining budget — and, for pooled jobs, finds an idle executive — or
-  // everyone waits: no overtaking, so a wide job cannot starve.  With one
-  // tenant this is exact FIFO.
+  // FIFO against the worker budget: the head job either fits the
+  // remaining budget — and, if pooled, finds an idle executive — or every
+  // job waits.  No overtaking, so a wide job cannot starve.
   while (true) {
-    double Now = wallSeconds();
-    Job *Best = nullptr;
-    TenantState *BestT = nullptr;
-    for (auto &[TId, T] : Tenants) {
-      // Drop stale ids (jobs canceled while queued).
-      while (!T.Queue.empty() && Jobs.find(T.Queue.front()) == Jobs.end())
-        T.Queue.pop_front();
-      if (T.Queue.empty())
-        continue;
-      refillBucket(T, Now);
-      if (T.Cfg.RatePerSec > 0 && T.Tokens < 1.0) {
-        ++stat("token_deferrals");
-        continue;
-      }
-      Job &J = Jobs.find(T.Queue.front())->second;
-      if (!Best || T.Cfg.Priority > BestT->Cfg.Priority ||
-          (T.Cfg.Priority == BestT->Cfg.Priority &&
-           (J.FTag < Best->FTag ||
-            (J.FTag == Best->FTag && J.Id < Best->Id)))) {
-        Best = &J;
-        BestT = &T;
-      }
-    }
-    if (!Best)
+    // Drop stale ids (jobs canceled while queued).
+    while (!Queue.empty() && Jobs.find(Queue.front()) == Jobs.end())
+      Queue.pop_front();
+    if (Queue.empty())
       return;
-    if (WorkersInUse + Best->Cost > Opts.WorkerBudget)
+    Job &Head = Jobs.find(Queue.front())->second;
+    if (WorkersInUse + Head.Cost > Opts.WorkerBudget)
       return;
-    if (poolEligible(*Best) && !idleExecutive())
+    if (poolEligible(Head) && !idleExecutive())
       return; // a pooled head waits for an executive, never forks
-    BestT->Queue.pop_front();
-    if (BestT->Cfg.RatePerSec > 0)
-      BestT->Tokens -= 1.0;
-    VirtualTime = std::max(VirtualTime, Best->STag);
-    startJob(*Best);
+    Queue.pop_front();
+    startJob(Head);
   }
 }
 
@@ -1304,12 +1036,11 @@ void Server::rememberReply(const Job &J, const JobReply &R) {
   if (R.Status == JobStatus::Rejected || R.Status == JobStatus::Draining ||
       R.Status == JobStatus::Canceled)
     return;
-  TenantState &T = tenantState(J.Tenant);
-  if (T.Replay.emplace(J.Req.IdempotencyKey, R).second) {
-    T.ReplayOrder.push_back(J.Req.IdempotencyKey);
-    while (T.ReplayOrder.size() > Opts.ReplayEntries) {
-      T.Replay.erase(T.ReplayOrder.front());
-      T.ReplayOrder.pop_front();
+  if (Replay.emplace(J.Req.IdempotencyKey, R).second) {
+    ReplayOrder.push_back(J.Req.IdempotencyKey);
+    while (ReplayOrder.size() > Opts.ReplayEntries) {
+      Replay.erase(ReplayOrder.front());
+      ReplayOrder.pop_front();
     }
   }
 }
@@ -1361,8 +1092,8 @@ JobReply Server::triageFailure(const Job &J) {
 bool Server::retryOrFail(Job &J, JobReply R) {
   if (isInfraFailure(R.Cause) && J.Attempt < Opts.MaxRetries) {
     // Degrade ladder: attempt 1 halves the workers, attempt 2 runs
-    // sequentially.  The requeued job goes to the front of its tenant's
-    // queue so its client is not re-penalized with another full wait.
+    // sequentially.  The requeued job goes to the front of the queue so
+    // its client is not re-penalized with another full wait.
     ++J.Attempt;
     ++stat("retries");
     if (J.Req.Mode != JobMode::Sequential) {
@@ -1391,7 +1122,7 @@ bool Server::retryOrFail(Job &J, JobReply R) {
                    J.Req.Mode == JobMode::Sequential ? "sequential"
                                                      : "speculative",
                    J.Req.NumWorkers);
-    tenantState(J.Tenant).Queue.push_front(J.Id);
+    Queue.push_front(J.Id);
     return true;
   }
 
@@ -1427,7 +1158,6 @@ void Server::finishJob(Job &J) {
   auto EIt = Pool.find(J.ExecId);
   if (EIt != Pool.end() && EIt->second.ActiveJob == J.Id)
     EIt->second.ActiveJob = 0;
-  tenantState(J.Tenant).Completed += 1;
 
   if (J.Killed == KillCause::ClientGone) {
     ++stat("jobs_canceled");
@@ -1519,32 +1249,29 @@ void Server::beginDrain() {
   if (Opts.Verbose)
     std::fprintf(stderr, "[privateer-served] draining: %zu queued, %zu "
                  "total jobs\n",
-                 queuedCount(), Jobs.size());
+                 Queue.size(), Jobs.size());
   if (ListenFd >= 0) {
     ::close(ListenFd);
     ListenFd = -1;
-    if (OwnsSocketFile)
-      ::unlink(Opts.SocketPath.c_str());
+    ::unlink(Opts.SocketPath.c_str());
   }
 }
 
 void Server::beginShutdown() {
-  // Cancel the queues first so pumpQueue cannot start new executives as
+  // Cancel the queue first so pumpQueue cannot start new executives as
   // running jobs die.
-  for (auto &[TId, T] : Tenants) {
-    for (uint64_t Id : T.Queue) {
-      auto It = Jobs.find(Id);
-      if (It == Jobs.end())
-        continue;
-      ++stat("jobs_canceled");
-      JobReply R;
-      R.Status = JobStatus::Canceled;
-      R.Error = "daemon shut down";
-      replyToJob(It->second, std::move(R));
-      Jobs.erase(It);
-    }
-    T.Queue.clear();
+  for (uint64_t Id : Queue) {
+    auto It = Jobs.find(Id);
+    if (It == Jobs.end())
+      continue;
+    ++stat("jobs_canceled");
+    JobReply R;
+    R.Status = JobStatus::Canceled;
+    R.Error = "daemon shut down";
+    replyToJob(It->second, std::move(R));
+    Jobs.erase(It);
   }
+  Queue.clear();
   for (auto &[Id, J] : Jobs)
     if (J.Running)
       killJob(J, KillCause::Shutdown);
@@ -1565,29 +1292,10 @@ std::string Server::statusJson() const {
                 "\"queue_depth\": %zu, \"active_jobs\": %zu, "
                 "\"workers_in_use\": %u, \"worker_budget\": %u, "
                 "\"cache_entries\": %zu, \"executives\": %zu, "
-                "\"executives_idle\": %zu, \"tenants\": ",
+                "\"executives_idle\": %zu, \"counters\": ",
                 static_cast<int>(::getpid()), wallSeconds() - StartTime,
-                Draining ? "true" : "false", queuedCount(),
-                Jobs.size() - queuedCount(), WorkersInUse, Opts.WorkerBudget,
+                Draining ? "true" : "false", Queue.size(),
+                Jobs.size() - Queue.size(), WorkersInUse, Opts.WorkerBudget,
                 Cache.size(), pooledExecutives(), Idle);
-  std::string S(Head);
-  S += "{";
-  bool First = true;
-  for (const auto &[TId, T] : Tenants) {
-    char Buf[256];
-    std::snprintf(Buf, sizeof(Buf),
-                  "%s\"%s\": {\"weight\": %.3g, \"priority\": %d, "
-                  "\"queued\": %zu, \"submitted\": %llu, "
-                  "\"completed\": %llu, \"rejected\": %llu}",
-                  First ? "" : ", ",
-                  TId.empty() ? "(anonymous)" : TId.c_str(), T.Cfg.Weight,
-                  T.Cfg.Priority, T.Queue.size(),
-                  static_cast<unsigned long long>(T.Submitted),
-                  static_cast<unsigned long long>(T.Completed),
-                  static_cast<unsigned long long>(T.Rejected));
-    S += Buf;
-    First = false;
-  }
-  S += "}, \"counters\": ";
-  return S + StatisticRegistry::instance().toJson() + "}";
+  return Head + StatisticRegistry::instance().toJson() + "}";
 }

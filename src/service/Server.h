@@ -8,8 +8,8 @@
 /// \file
 /// The persistent invocation service.  One single-threaded control plane
 /// (poll loop over the listening Unix socket, client connections, signal
-/// self-pipe, and executive channels) owns the warm ProgramCache, a
-/// weighted-fair admission queue, and the executives that run the jobs.
+/// self-pipe, and executive channels) owns the warm ProgramCache, one
+/// FIFO admission queue, and the executives that run the jobs.
 ///
 /// One job runner (service::runJob), two process lifetimes:
 ///
@@ -32,19 +32,10 @@
 /// (typed FailureCause, infra retry ladder, negative-verdict poisoning);
 /// a dead pooled executive is replaced.
 ///
-/// Admission is weighted fair queuing (start-time fair queuing over
-/// per-tenant FIFOs): each tenant carries a weight, a priority band, and
-/// an optional token bucket; jobs are served highest-priority-first, then
-/// by minimum finish tag, so one chatty tenant cannot starve the rest.
-/// With a single (anonymous) tenant this degenerates to exact FIFO.
-/// Backpressure is per-tenant: a full tenant queue answers Rejected
-/// without touching anyone else's budget.
-///
-/// Horizontal scaling: with Shards > 1 the parent binds the socket once,
-/// then forks N shard children that accept from the shared listening fd
-/// (kernel load-balances accepts); each shard is a full daemon with its
-/// own cache, pool, and queue.  The parent supervises and respawns
-/// shards, and forwards SIGTERM/SIGINT.
+/// Admission is FIFO against the worker budget: the head job either fits
+/// the remaining budget (and, if pooled, finds an idle executive) or
+/// every job waits, so no job overtakes another and a wide job cannot
+/// starve.  A full queue answers Rejected.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -60,27 +51,16 @@
 #include <optional>
 #include <string>
 #include <sys/types.h>
-#include <vector>
 
 namespace privateer {
 namespace service {
-
-/// Static per-tenant admission configuration (--tenant-weight).  Tenants
-/// not configured here are created on first submit with defaults.
-struct TenantConfig {
-  std::string Id;
-  double Weight = 1.0;     ///< WFQ share (finish tag = start + cost/weight)
-  int Priority = 0;        ///< higher bands are always served first
-  double RatePerSec = 0.0; ///< token bucket refill; 0 = unlimited
-  double Burst = 0.0;      ///< token bucket depth; 0 = 2*rate or unlimited
-};
 
 struct ServerOptions {
   std::string SocketPath;
   /// Total concurrent processes across jobs (each job: NumWorkers + 1
   /// executive).  Requests that can never fit are rejected.
   unsigned WorkerBudget = 16;
-  /// Bounded per-tenant admission queue (jobs waiting for budget).
+  /// Bounded admission queue (jobs waiting for budget).
   size_t QueueDepth = 16;
   size_t CacheEntries = 32;
   size_t MaxFrameBytes = kMaxFrameBytes;
@@ -89,17 +69,10 @@ struct ServerOptions {
   /// request's own value.
   double DefaultDeadlineSec = 0;
 
-  // --- Horizontal scale ---------------------------------------------------
+  // --- Executive pool -----------------------------------------------------
   /// Pre-warmed executive pool size; 0 disables the pool (every job forks
   /// a one-shot executive — the bench baseline).
   unsigned Executives = 4;
-  /// Acceptor shards.  1 = single daemon process (default).  N > 1 forks
-  /// N full daemons sharing the listening socket.
-  unsigned Shards = 1;
-  /// Static tenant table; unknown tenants get defaults on first submit.
-  std::vector<TenantConfig> Tenants;
-  /// Shard child: accept on this inherited fd instead of binding.
-  int InheritedListenFd = -1;
 
   // --- Per-job resource governance (0 = unlimited) -----------------------
   /// A limited job's executive (and its worker tree, which inherits the
@@ -121,7 +94,7 @@ struct ServerOptions {
   /// this long (scaled by timeoutScale()) is dropped.
   double WriteStallSec = 10.0;
   /// Finished replies remembered for idempotent resubmission (SubmitJob
-  /// IdempotencyKey); bounds each tenant's replay cache.
+  /// IdempotencyKey); bounds the replay window.
   size_t ReplayEntries = 128;
   /// In-daemon retries of infra-class failures: attempt 1 halves the
   /// workers, attempt 2 runs sequentially.  0 disables retrying.
@@ -139,7 +112,7 @@ public:
   Server(const Server &) = delete;
   Server &operator=(const Server &) = delete;
 
-  /// Binds and listens on Opts.SocketPath (or adopts InheritedListenFd),
+  /// Binds and listens on Opts.SocketPath,
   /// installs signal handlers (SIGTERM -> drain, SIGINT -> shutdown,
   /// SIGCHLD -> reap), and pre-forks the executive pool.
   bool start(std::string &Err);
@@ -149,8 +122,6 @@ public:
 
   /// start() + run() + perror, for forked daemon children in tests and
   /// bench harnesses: `if (fork() == 0) _exit(Server::serve(Opts));`
-  /// With Opts.Shards > 1 this becomes the shard parent: it binds once,
-  /// forks the shards, supervises them, and returns when they exit.
   static int serve(const ServerOptions &Opts);
 
 private:
@@ -167,9 +138,6 @@ private:
     /// wallSeconds() of the last write progress while Out was nonempty;
     /// 0 when Out is empty.
     double LastWriteProgress = 0;
-    /// SCM_RIGHTS descriptors received but not yet claimed by a SubmitJob
-    /// (a memfd's frame body may complete on a later read).
-    std::vector<int> PendingFds;
   };
 
   enum class KillCause : uint8_t { None, Deadline, ClientGone, Shutdown };
@@ -178,7 +146,6 @@ private:
     uint64_t Id = 0;
     int ConnFd = -1;
     JobRequest Req;
-    std::string Tenant; ///< resolved admission identity
     std::shared_ptr<CachedProgram> Prog;
     bool CacheHit = false;
     bool Running = false;
@@ -193,10 +160,6 @@ private:
     double SubmitT = 0, StartT = 0;
     double DeadlineAbs = 0; ///< wallSeconds() deadline; 0 = none
     unsigned Cost = 0;      ///< admission cost: NumWorkers + 1
-    /// SFQ tags assigned at enqueue: start = max(V, tenant last finish),
-    /// finish = start + cost/weight.  Service order is min finish tag
-    /// within the highest nonempty priority band.
-    double STag = 0, FTag = 0;
     /// Execution attempt ordinal; bumped by in-daemon infra retries
     /// (attempt 1 halves the workers, attempt 2 runs sequentially).
     unsigned Attempt = 0;
@@ -211,21 +174,6 @@ private:
     uint64_t ActiveJob = 0; ///< 0 = idle
     /// Forked for one job: never handed a second one, never respawned.
     bool OneShot = false;
-  };
-
-  /// Per-tenant WFQ state: FIFO queue, fair-queuing tags, token bucket,
-  /// replay window, and stats.
-  struct TenantState {
-    TenantConfig Cfg;
-    std::deque<uint64_t> Queue;
-    double LastFinish = 0; ///< finish tag of the most recent enqueue
-    double Tokens = 0;
-    double LastRefill = 0;
-    bool BucketPrimed = false;
-    /// Per-tenant idempotency replay window (bounded by ReplayEntries).
-    std::map<uint64_t, JobReply> Replay;
-    std::deque<uint64_t> ReplayOrder;
-    uint64_t Submitted = 0, Completed = 0, Rejected = 0;
   };
 
   // Event handlers.
@@ -255,14 +203,6 @@ private:
   /// the executive is replaced and the caller falls back to a one-shot.
   bool dispatchToExecutive(Job &J, Executive &E);
 
-  // WFQ admission.
-  TenantState &tenantState(const std::string &Id);
-  void refillBucket(TenantState &T, double Now);
-  /// Total jobs waiting across all tenant queues.
-  size_t queuedCount() const;
-  /// Removes \p Id from its tenant's queue (cancel / disconnect).
-  void unqueueJob(const Job &J);
-
   // Job lifecycle.
   void pumpQueue();
   void startJob(Job &J);
@@ -290,14 +230,9 @@ private:
   void flushConn(Conn &C);
   uint64_t &stat(const char *Name) const;
 
-  /// Shard parent: bind once, fork Opts.Shards children on the shared
-  /// listening socket, supervise and respawn them.
-  static int serveSharded(const ServerOptions &Opts);
-
   ServerOptions Opts;
   ProgramCache Cache;
   int ListenFd = -1;
-  bool OwnsSocketFile = true; ///< false in shard children
   int SigPipe[2] = {-1, -1};
   bool Draining = false;
   double StartTime = 0;
@@ -305,11 +240,16 @@ private:
   uint64_t NextExecId = 1;
   unsigned WorkersInUse = 0;
   size_t QueuePeak = 0;
-  double VirtualTime = 0; ///< SFQ virtual clock (start tag of last dispatch)
   std::map<int, Conn> Conns;
   std::map<uint64_t, Job> Jobs;
   std::map<uint64_t, Executive> Pool;
-  std::map<std::string, TenantState> Tenants;
+  /// Ids of admitted jobs waiting for budget, in arrival order.  A retried
+  /// job goes back to the front.
+  std::deque<uint64_t> Queue;
+  /// Finished replies by idempotency key, bounded by ReplayEntries; the
+  /// order deque evicts the oldest key first.
+  std::map<uint64_t, JobReply> Replay;
+  std::deque<uint64_t> ReplayOrder;
 };
 
 } // namespace service

@@ -1,11 +1,10 @@
-//===- tests/ServicePoolTest.cpp - Executive pool, WFQ, tenancy -----------===//
+//===- tests/ServicePoolTest.cpp - Executive pool and admission -----------===//
 //
-// The horizontal-scaling layer: pre-warmed executive processes (warm hits
-// fork nothing and parse nothing), crash-triage + respawn of a dead
-// executive, clean pool drain on SIGTERM, weighted fair queuing across
-// tenants (no starvation under a flood; heavier weights drain faster),
-// per-tenant token metering, per-tenant idempotency replay windows, and
-// LRU (not FIFO) program-cache eviction.
+// The warm path: pre-warmed executive processes (warm hits fork nothing
+// and parse nothing), crash-triage + respawn of a dead executive, clean
+// pool drain on SIGTERM, FIFO admission (queued jobs start in arrival
+// order), the bounded idempotency replay window, and LRU (not FIFO)
+// program-cache eviction.
 //
 //===----------------------------------------------------------------------===//
 
@@ -38,18 +37,18 @@ JobRequest quickJob(unsigned Salt = 1000) {
 }
 
 /// A job that holds its execution slot for ~\p BurnSec of cpu time before
-/// producing a normal reply — the WFQ tests use it to build a queue.
+/// producing a normal reply — the admission-order test uses it to build a
+/// queue.
 JobRequest burnJob(double BurnSec, unsigned Salt = 1000) {
   JobRequest Req = quickJob(Salt);
   Req.FaultBurnCpuSec = BurnSec;
   return Req;
 }
 
-// The pool's acceptance criterion: with the pool enabled and memfd
-// submission on, a cold job plus N warm resubmissions perform
-// exactly one parse/lowering and zero supervisor forks — every job is
-// answered by a pre-warmed executive that got the program image over
-// SCM_RIGHTS.
+// The pool's acceptance criterion: with the pool enabled, a cold job plus
+// N warm resubmissions perform exactly one parse/lowering and zero
+// supervisor forks — every job is answered by a pre-warmed executive that
+// got the program image over SCM_RIGHTS.
 TEST(ServicePool, WarmHitsSkipForkAndParse) {
   ServerOptions Opts;
   Opts.SocketPath = uniqueSocketPath();
@@ -58,8 +57,6 @@ TEST(ServicePool, WarmHitsSkipForkAndParse) {
   ASSERT_TRUE(D.forked());
 
   service::Client C;
-  C.Tenant = "pool-test";
-  C.UseMemfd = true;
   std::string Err;
   ASSERT_TRUE(C.connect(D.socket(), Err, 10 * timeoutScale())) << Err;
 
@@ -70,14 +67,12 @@ TEST(ServicePool, WarmHitsSkipForkAndParse) {
     ASSERT_EQ(R.Status, JobStatus::Ok) << R.Error;
     EXPECT_EQ(R.CacheHit, I > 0);
   }
-  EXPECT_EQ(C.memfdSubmits(), 1u + WarmJobs);
 
   std::string Json;
   ASSERT_TRUE(C.status(Json, Err)) << Err;
   EXPECT_EQ(jsonInt(Json, "supervisor_forks"), 0) << Json;
   EXPECT_EQ(jsonInt(Json, "cache_misses"), 1) << Json;
   EXPECT_EQ(jsonInt(Json, "pool_dispatches"), 1 + WarmJobs) << Json;
-  EXPECT_EQ(jsonInt(Json, "memfd_submissions"), 1 + WarmJobs) << Json;
   EXPECT_EQ(jsonInt(Json, "executives"), 2) << Json;
 }
 
@@ -109,8 +104,6 @@ TEST(ServicePool, DoacrossWarmHitsReplayImage) {
   ASSERT_FALSE(Expected.empty());
 
   service::Client C;
-  C.Tenant = "pool-doacross";
-  C.UseMemfd = true;
   std::string Err;
   ASSERT_TRUE(C.connect(D.socket(), Err, 10 * timeoutScale())) << Err;
 
@@ -134,7 +127,6 @@ TEST(ServicePool, DoacrossWarmHitsReplayImage) {
   EXPECT_EQ(jsonInt(Json, "supervisor_forks"), 0) << Json;
   EXPECT_EQ(jsonInt(Json, "cache_misses"), 1) << Json;
   EXPECT_EQ(jsonInt(Json, "pool_dispatches"), 1 + WarmJobs) << Json;
-  EXPECT_EQ(jsonInt(Json, "memfd_submissions"), 1 + WarmJobs) << Json;
   ASSERT_TRUE(D.alive());
 }
 
@@ -167,8 +159,6 @@ TEST(ServicePool, CommutativeWarmHitsReplayImage) {
   ASSERT_FALSE(Expected.empty());
 
   service::Client C;
-  C.Tenant = "pool-com";
-  C.UseMemfd = true;
   std::string Err;
   ASSERT_TRUE(C.connect(D.socket(), Err, 10 * timeoutScale())) << Err;
 
@@ -193,7 +183,6 @@ TEST(ServicePool, CommutativeWarmHitsReplayImage) {
   ASSERT_TRUE(C.status(Json, Err)) << Err;
   EXPECT_EQ(jsonInt(Json, "supervisor_forks"), 0) << Json;
   EXPECT_EQ(jsonInt(Json, "cache_misses"), 1) << Json;
-  EXPECT_EQ(jsonInt(Json, "memfd_submissions"), 1 + WarmJobs) << Json;
   EXPECT_GT(jsonInt(Json, "updates"), 0) << Json;
   EXPECT_GT(jsonInt(Json, "records-committed"), 0) << Json;
   ASSERT_TRUE(D.alive());
@@ -232,7 +221,9 @@ counterGroups(const std::string &Json) {
 // speculative job with injected misspeculation shows in counters the
 // daemon used to drop.  Status readers (jsonInt here, the benchmark's
 // statusCounter) take the first `"<key>": ` they find, so no counter key
-// may appear twice anywhere in the document.
+// may appear twice anywhere in the document.  The forked daemon starts
+// from this process's registry, which earlier tests in the same process
+// may have counted into, so the test checks its own job's delta.
 TEST(ServicePool, StatusFoldsEveryRuntimeCounter) {
   ServerOptions Opts;
   Opts.SocketPath = uniqueSocketPath();
@@ -243,6 +234,8 @@ TEST(ServicePool, StatusFoldsEveryRuntimeCounter) {
   service::Client C;
   std::string Err;
   ASSERT_TRUE(C.connect(D.socket(), Err, 10 * timeoutScale())) << Err;
+  std::string Before;
+  ASSERT_TRUE(C.status(Before, Err)) << Err;
   JobRequest Req;
   Req.ModuleText = fpPricingIrText(2000);
   Req.NumWorkers = 2;
@@ -256,12 +249,19 @@ TEST(ServicePool, StatusFoldsEveryRuntimeCounter) {
 
   std::string Json;
   ASSERT_TRUE(C.status(Json, Err)) << Err;
-  EXPECT_EQ(jsonInt(Json, "pool_dispatches"), 1) << Json;
+  EXPECT_EQ(jsonInt(Json, "pool_dispatches") -
+                jsonInt(Before, "pool_dispatches"),
+            1)
+      << Json;
   auto Groups = counterGroups(Json);
-  EXPECT_GE(Groups["runtime"]["misspecs"], 1) << Json;
-  EXPECT_GT(Groups["runtime"]["recovered_iters"], 0) << Json;
-  EXPECT_GT(Groups["checkpoint"]["dirty_chunks"], 0) << Json;
-  EXPECT_EQ(Groups["runtime"]["iterations"],
+  auto Base = counterGroups(Before);
+  auto Delta = [&](const char *Group, const char *Key) {
+    return Groups[Group][Key] - Base[Group][Key];
+  };
+  EXPECT_GE(Delta("runtime", "misspecs"), 1) << Json;
+  EXPECT_GT(Delta("runtime", "recovered_iters"), 0) << Json;
+  EXPECT_GT(Delta("checkpoint", "dirty_chunks"), 0) << Json;
+  EXPECT_EQ(Delta("runtime", "iterations"),
             static_cast<long long>(R.Iterations))
       << Json;
   for (const auto &[Group, Keys] : Groups)
@@ -339,19 +339,22 @@ TEST(ServicePool, SigtermDrainsPoolAndExitsZero) {
   EXPECT_EQ(R2.Status, JobStatus::Ok) << R2.Error;
 }
 
-/// Runs the WFQ contention experiment: jobs are submitted in \p Order
-/// (tenant id per job) against a budget that serves one job at a time,
-/// and the completion order is returned as indexes into \p Order.
-std::vector<int> wfqCompletionOrder(const std::string &Socket,
-                                    const std::vector<std::string> &Order,
-                                    std::string &FirstErr) {
+/// Runs the admission-order experiment: \p NumJobs burning jobs are
+/// submitted one after another against a budget that serves one job at a
+/// time, and the completion order is returned as submission indexes.
+/// Each submission waits until the daemon has accepted the one before it,
+/// so arrival order is submission order.
+std::vector<int> completionOrder(const std::string &Socket, int NumJobs,
+                                 std::string &FirstErr) {
   std::mutex Mu;
   std::vector<int> Done;
   std::vector<std::thread> Threads;
-  for (size_t I = 0; I < Order.size(); ++I) {
+  long long Accepted = jsonInt(
+      waitForStatus(Socket, [](const std::string &) { return true; }),
+      "jobs_accepted");
+  for (int I = 0; I < NumJobs; ++I) {
     Threads.emplace_back([&, I] {
       service::Client C;
-      C.Tenant = Order[I];
       std::string Err;
       if (!C.connect(Socket, Err, 10 * timeoutScale())) {
         std::lock_guard<std::mutex> L(Mu);
@@ -359,12 +362,10 @@ std::vector<int> wfqCompletionOrder(const std::string &Socket,
           FirstErr = "connect: " + Err;
         return;
       }
-      // Burn scales with the stagger below so a queue still builds when
-      // sanitizer CI stretches the timeout scale.
-      JobRequest Req = burnJob(0.2 * timeoutScale());
-      Req.TenantId = Order[I];
+      // Burn long enough that a queue builds behind the head job.
       JobReply R;
-      if (!C.submit(Req, R, Err, 600 * timeoutScale()) ||
+      if (!C.submit(burnJob(0.2 * timeoutScale()), R, Err,
+                    600 * timeoutScale()) ||
           R.Status != JobStatus::Ok) {
         std::lock_guard<std::mutex> L(Mu);
         if (FirstErr.empty())
@@ -372,207 +373,81 @@ std::vector<int> wfqCompletionOrder(const std::string &Socket,
         return;
       }
       std::lock_guard<std::mutex> L(Mu);
-      Done.push_back(static_cast<int>(I));
+      Done.push_back(I);
     });
-    // Stagger the submissions so the daemon sees them in index order and
-    // a queue builds behind the burning head job.
-    ::usleep(static_cast<useconds_t>(60'000 * timeoutScale()));
+    ++Accepted;
+    waitForStatus(Socket, [Accepted](const std::string &Json) {
+      return jsonInt(Json, "jobs_accepted") >= Accepted;
+    });
   }
   for (auto &T : Threads)
     T.join();
   return Done;
 }
 
-// Fairness under a flood: tenant A queues six jobs before tenant B's two
-// arrive.  FIFO would serve B last (positions 7 and 8); start-time fair
-// queuing interleaves, so both of B's jobs finish well before A's flood
-// drains.
-TEST(ServiceWfq, FloodedTenantDoesNotStarveOthers) {
+// Admission is FIFO: with one job running at a time, eight queued jobs
+// complete exactly in the order they arrived — no job overtakes another.
+TEST(ServicePool, QueuedJobsStartInArrivalOrder) {
   ServerOptions Opts;
   Opts.SocketPath = uniqueSocketPath();
   Opts.WorkerBudget = 3; // one NumWorkers=2 job at a time
   Opts.QueueDepth = 32;
-  Opts.Executives = 0; // WFQ is in admission, not the execution backend
+  Opts.Executives = 0; // the order is admission's, not the backend's
   ForkedDaemon D(Opts);
   ASSERT_TRUE(D.forked());
 
-  std::vector<std::string> Order = {"flood", "flood", "flood", "flood",
-                                    "flood", "flood", "victim", "victim"};
+  constexpr int NumJobs = 8;
   std::string Err;
-  std::vector<int> Done = wfqCompletionOrder(D.socket(), Order, Err);
+  std::vector<int> Done = completionOrder(D.socket(), NumJobs, Err);
   ASSERT_TRUE(Err.empty()) << Err;
-  ASSERT_EQ(Done.size(), Order.size());
-
-  // Completion rank of each of victim's jobs (indexes 6 and 7).
-  int WorstVictimRank = -1;
-  for (size_t Rank = 0; Rank < Done.size(); ++Rank)
-    if (Order[Done[Rank]] == "victim")
-      WorstVictimRank = static_cast<int>(Rank);
-  // Under FIFO the victim's second job completes last (rank 7); under
-  // WFQ both victim jobs interleave into the flood's fair share.
-  EXPECT_LE(WorstVictimRank, 5) << "victim starved behind the flood";
+  std::vector<int> Arrival(NumJobs);
+  for (int I = 0; I < NumJobs; ++I)
+    Arrival[I] = I;
+  EXPECT_EQ(Done, Arrival);
 
   std::string Json;
   service::Client C;
   ASSERT_TRUE(C.connect(D.socket(), Err)) << Err;
   ASSERT_TRUE(C.status(Json, Err)) << Err;
-  EXPECT_EQ(jsonInt(Json, "jobs_completed"), 8) << Json;
+  EXPECT_EQ(jsonInt(Json, "jobs_completed"), NumJobs) << Json;
 }
 
-// Weights skew the interleave: a weight-3 tenant's jobs accrue virtual
-// finish tags three times slower, so its backlog drains ahead of an
-// equal backlog from a weight-1 tenant.
-TEST(ServiceWfq, HeavierWeightDrainsProportionallyFaster) {
-  ServerOptions Opts;
-  Opts.SocketPath = uniqueSocketPath();
-  Opts.WorkerBudget = 3;
-  Opts.QueueDepth = 32;
-  Opts.Executives = 0;
-  TenantConfig Heavy;
-  Heavy.Id = "heavy";
-  Heavy.Weight = 3.0;
-  Opts.Tenants.push_back(Heavy);
-  ForkedDaemon D(Opts);
-  ASSERT_TRUE(D.forked());
-
-  std::vector<std::string> Order = {"heavy", "light", "heavy", "light",
-                                    "heavy", "light", "heavy", "light"};
-  std::string Err;
-  std::vector<int> Done = wfqCompletionOrder(D.socket(), Order, Err);
-  ASSERT_TRUE(Err.empty()) << Err;
-  ASSERT_EQ(Done.size(), Order.size());
-
-  int LastHeavyRank = -1, LastLightRank = -1;
-  for (size_t Rank = 0; Rank < Done.size(); ++Rank) {
-    if (Order[Done[Rank]] == "heavy")
-      LastHeavyRank = static_cast<int>(Rank);
-    else
-      LastLightRank = static_cast<int>(Rank);
-  }
-  EXPECT_LT(LastHeavyRank, LastLightRank)
-      << "weight-3 tenant should clear its backlog first";
-}
-
-// Token metering: a tenant limited to a 1-job bucket with a slow refill
-// gets its second job deferred (token_deferrals counts it) but never
-// dropped — the bucket refills and the job completes.
-TEST(ServiceWfq, TokenBucketDefersButServes) {
-  ServerOptions Opts;
-  Opts.SocketPath = uniqueSocketPath();
-  Opts.QueueDepth = 32;
-  TenantConfig Metered;
-  Metered.Id = "metered";
-  Metered.RatePerSec = 4.0;
-  Metered.Burst = 1.0;
-  Opts.Tenants.push_back(Metered);
-  ForkedDaemon D(Opts);
-  ASSERT_TRUE(D.forked());
-
-  std::string Err;
-  std::vector<std::thread> Threads;
-  std::vector<std::string> Errors(3);
-  for (int I = 0; I < 3; ++I)
-    Threads.emplace_back([&, I] {
-      service::Client C;
-      C.Tenant = "metered";
-      std::string E;
-      if (!C.connect(D.socket(), E, 10 * timeoutScale())) {
-        Errors[I] = E;
-        return;
-      }
-      JobReply R;
-      if (!C.submit(quickJob(), R, E, 300 * timeoutScale()) ||
-          R.Status != JobStatus::Ok)
-        Errors[I] = E.empty() ? R.Error : E;
-    });
-  for (auto &T : Threads)
-    T.join();
-  for (const std::string &E : Errors)
-    EXPECT_TRUE(E.empty()) << E;
-
-  std::string Json;
-  service::Client C;
-  ASSERT_TRUE(C.connect(D.socket(), Err)) << Err;
-  ASSERT_TRUE(C.status(Json, Err)) << Err;
-  EXPECT_EQ(jsonInt(Json, "jobs_completed"), 3) << Json;
-  EXPECT_GE(jsonInt(Json, "token_deferrals"), 1) << Json;
-}
-
-// Replay windows are per tenant: one tenant flooding its own window with
-// fresh idempotency keys must not evict another tenant's remembered
-// reply (the pre-tenancy global ring had exactly this flaw).
-TEST(ServiceTenant, ReplayWindowsAreIsolated) {
+// The idempotency replay window holds ReplayEntries finished replies:
+// with a window of 2, the oldest of three keys ages out and the newest
+// still replays.
+TEST(ServicePool, ReplayWindowAgesOutOldestKey) {
   ServerOptions Opts;
   Opts.SocketPath = uniqueSocketPath();
   Opts.ReplayEntries = 2;
   ForkedDaemon D(Opts);
   ASSERT_TRUE(D.forked());
 
+  service::Client C;
   std::string Err;
-  JobRequest Keyed = quickJob();
-  Keyed.TenantId = "alice";
-  Keyed.IdempotencyKey = 111;
-  {
-    service::Client C;
-    C.Tenant = "alice";
-    ASSERT_TRUE(C.connect(D.socket(), Err, 10 * timeoutScale())) << Err;
+  ASSERT_TRUE(C.connect(D.socket(), Err, 10 * timeoutScale())) << Err;
+  JobRequest Req = quickJob();
+  for (uint64_t K = 201; K <= 203; ++K) {
+    Req.IdempotencyKey = K;
     JobReply R;
-    ASSERT_TRUE(C.submit(Keyed, R, Err, 300 * timeoutScale())) << Err;
+    ASSERT_TRUE(C.submit(Req, R, Err, 300 * timeoutScale())) << Err;
     ASSERT_EQ(R.Status, JobStatus::Ok) << R.Error;
     EXPECT_FALSE(R.IdempotentReplay);
   }
 
-  // Bob burns through > ReplayEntries keys of his own.
-  {
-    service::Client C;
-    C.Tenant = "bob";
-    ASSERT_TRUE(C.connect(D.socket(), Err, 10 * timeoutScale())) << Err;
-    for (uint64_t K = 201; K <= 203; ++K) {
-      JobRequest Req = quickJob();
-      Req.TenantId = "bob";
-      Req.IdempotencyKey = K;
-      JobReply R;
-      ASSERT_TRUE(C.submit(Req, R, Err, 300 * timeoutScale())) << Err;
-      ASSERT_EQ(R.Status, JobStatus::Ok) << R.Error;
-    }
-  }
-
-  // Alice's key must still replay; with a shared window Bob's three keys
-  // would have evicted it.
-  {
-    service::Client C;
-    C.Tenant = "alice";
-    ASSERT_TRUE(C.connect(D.socket(), Err, 10 * timeoutScale())) << Err;
-    JobReply R;
-    ASSERT_TRUE(C.submit(Keyed, R, Err, 300 * timeoutScale())) << Err;
-    ASSERT_EQ(R.Status, JobStatus::Ok) << R.Error;
-    EXPECT_TRUE(R.IdempotentReplay)
-        << "alice's replay entry was evicted by bob's keys";
-  }
-
-  // Within Bob's own window of 2, his oldest key (201) aged out but the
-  // newest (203) replays.
-  {
-    service::Client C;
-    C.Tenant = "bob";
-    ASSERT_TRUE(C.connect(D.socket(), Err, 10 * timeoutScale())) << Err;
-    JobRequest Req = quickJob();
-    Req.TenantId = "bob";
-    Req.IdempotencyKey = 203;
-    JobReply R;
-    ASSERT_TRUE(C.submit(Req, R, Err, 300 * timeoutScale())) << Err;
-    EXPECT_TRUE(R.IdempotentReplay);
-    Req.IdempotencyKey = 201;
-    JobReply R2;
-    ASSERT_TRUE(C.submit(Req, R2, Err, 300 * timeoutScale())) << Err;
-    EXPECT_FALSE(R2.IdempotentReplay);
-  }
+  Req.IdempotencyKey = 203;
+  JobReply R;
+  ASSERT_TRUE(C.submit(Req, R, Err, 300 * timeoutScale())) << Err;
+  EXPECT_TRUE(R.IdempotentReplay);
+  Req.IdempotencyKey = 201;
+  JobReply R2;
+  ASSERT_TRUE(C.submit(Req, R2, Err, 300 * timeoutScale())) << Err;
+  EXPECT_FALSE(R2.IdempotentReplay);
 }
 
 // Program-cache eviction is LRU keyed by last hit, not FIFO by insertion:
 // renewing the oldest entry with a hit redirects the next eviction to
 // the stale one.
-TEST(ServiceTenant, CacheEvictionIsLruNotFifo) {
+TEST(ServicePool, CacheEvictionIsLruNotFifo) {
   ServerOptions Opts;
   Opts.SocketPath = uniqueSocketPath();
   Opts.CacheEntries = 2;
@@ -607,37 +482,6 @@ TEST(ServiceTenant, CacheEvictionIsLruNotFifo) {
   ASSERT_TRUE(C.status(Json, Err)) << Err;
   EXPECT_EQ(jsonInt(Json, "cache_misses"), 3) << Json;
   EXPECT_GE(jsonInt(Json, "cache_evictions"), 1) << Json;
-}
-
-// Per-tenant stats surface in the status JSON.
-TEST(ServiceTenant, StatusReportsPerTenantStats) {
-  ServerOptions Opts;
-  Opts.SocketPath = uniqueSocketPath();
-  TenantConfig TC;
-  TC.Id = "acme";
-  TC.Weight = 2.5;
-  TC.Priority = 1;
-  Opts.Tenants.push_back(TC);
-  ForkedDaemon D(Opts);
-  ASSERT_TRUE(D.forked());
-
-  service::Client C;
-  C.Tenant = "acme";
-  std::string Err;
-  ASSERT_TRUE(C.connect(D.socket(), Err, 10 * timeoutScale())) << Err;
-  JobReply R;
-  ASSERT_TRUE(C.submit(quickJob(), R, Err, 300 * timeoutScale())) << Err;
-  ASSERT_EQ(R.Status, JobStatus::Ok) << R.Error;
-
-  std::string Json;
-  ASSERT_TRUE(C.status(Json, Err)) << Err;
-  size_t Pos = Json.find("\"acme\"");
-  ASSERT_NE(Pos, std::string::npos) << Json;
-  std::string TenantBlock = Json.substr(Pos, 256);
-  EXPECT_NE(TenantBlock.find("\"submitted\": 1"), std::string::npos)
-      << TenantBlock;
-  EXPECT_NE(TenantBlock.find("\"completed\": 1"), std::string::npos)
-      << TenantBlock;
 }
 
 } // namespace

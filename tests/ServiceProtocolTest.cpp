@@ -19,9 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <sys/mman.h>
 #include <sys/socket.h>
-#include <sys/syscall.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -62,8 +60,6 @@ JobRequest sampleRequest() {
   R.FaultOomAttempts = 2;
   R.FaultAllocBytes = 1ULL << 47;
   R.FaultBurnCpuSec = 0.75;
-  R.TenantId = "tenant-42";
-  R.Submit = static_cast<uint8_t>(SubmitMode::InBand);
   R.Strat = static_cast<uint8_t>(Strategy::Pipeline);
   R.NumStages = 5;
   return R;
@@ -132,8 +128,6 @@ TEST(ServiceProtocol, JobRequestRoundTrip) {
   EXPECT_EQ(Out.FaultOomAttempts, In.FaultOomAttempts);
   EXPECT_EQ(Out.FaultAllocBytes, In.FaultAllocBytes);
   EXPECT_DOUBLE_EQ(Out.FaultBurnCpuSec, In.FaultBurnCpuSec);
-  EXPECT_EQ(Out.TenantId, In.TenantId);
-  EXPECT_EQ(Out.Submit, In.Submit);
   EXPECT_EQ(Out.Strat, In.Strat);
   EXPECT_EQ(Out.NumStages, In.NumStages);
 }
@@ -359,8 +353,9 @@ TEST(ServiceProtocol, DaemonSurvivesGarbageAndKeepsServing) {
 //
 // Every client lives in this repository and speaks kProtocolVersion, so
 // bodies in the older layouts (v2: no Engine byte; v3: no tenant/submit
-// tail; v4: no strategy/stage tail; v5: a reply with six counters) are
-// rejected outright, as are versions that never existed.
+// tail; v4: no strategy/stage tail; v5: a reply with six counters; v4 to
+// v6: a request carrying the tenant id and submit mode that v7 dropped)
+// are rejected outright, as are versions that never existed.
 
 void putU8(std::string &B, uint8_t V) { B.push_back(static_cast<char>(V)); }
 void putU32(std::string &B, uint32_t V) {
@@ -381,7 +376,8 @@ void putStr(std::string &B, const std::string &S) {
   B += S;
 }
 
-/// Encodes \p R exactly as a v2, v3 or v4 client would have.
+/// Encodes \p R exactly as a v2 to v6 client would have, with the anonymous
+/// tenant and in-band submission where the layout carries them.
 std::string encodeLegacyRequest(const JobRequest &R, uint8_t Version) {
   std::string B;
   putU8(B, Version);
@@ -416,8 +412,12 @@ std::string encodeLegacyRequest(const JobRequest &R, uint8_t Version) {
   putU64(B, R.FaultAllocBytes);
   putF64(B, R.FaultBurnCpuSec);
   if (Version >= 4) {
-    putStr(B, R.TenantId);
-    putU8(B, R.Submit);
+    putStr(B, ""); // tenant id
+    putU8(B, 0);   // submit mode: in-band
+  }
+  if (Version >= 5) {
+    putU8(B, R.Strat);
+    putU32(B, R.NumStages);
   }
   return B;
 }
@@ -452,7 +452,8 @@ std::string encodeV5Reply(const JobReply &R) {
 
 TEST(ServiceProtocol, CrossVersionRequestsRejected) {
   JobRequest In = sampleRequest();
-  for (uint8_t V : {uint8_t(2), uint8_t(3), uint8_t(4)}) {
+  for (uint8_t V :
+       {uint8_t(2), uint8_t(3), uint8_t(4), uint8_t(5), uint8_t(6)}) {
     JobRequest Out;
     std::string Err;
     EXPECT_FALSE(decodeJobRequest(encodeLegacyRequest(In, V), Out, Err))
@@ -472,7 +473,7 @@ TEST(ServiceProtocol, CrossVersionRequestsRejected) {
 
   // Any other version byte on a current-layout body, of either kind.
   for (uint8_t V : {uint8_t(0), uint8_t(1), uint8_t(4), uint8_t(5),
-                    uint8_t(kProtocolVersion + 1)}) {
+                    uint8_t(6), uint8_t(kProtocolVersion + 1)}) {
     std::string Body = encodeJobRequest(In);
     Body[0] = static_cast<char>(V);
     JobRequest Out;
@@ -488,120 +489,6 @@ TEST(ServiceProtocol, CrossVersionRequestsRejected) {
     EXPECT_NE(Err.find("unsupported protocol version"), std::string::npos)
         << Err;
   }
-}
-
-// --- Zero-copy submission edge cases -------------------------------------
-
-// A Memfd-mode submission whose SCM_RIGHTS payload is absent must be
-// rejected with a typed ParseError — and must not wedge the connection.
-TEST(ServiceProtocol, MemfdSubmissionWithoutFdRejected) {
-  ServerOptions Opts;
-  Opts.SocketPath = uniqueSocketPath();
-  ForkedDaemon D(Opts);
-  ASSERT_TRUE(D.forked());
-  {
-    service::Client Ready;
-    std::string Err;
-    ASSERT_TRUE(Ready.connect(D.socket(), Err, 10 * timeoutScale())) << Err;
-  }
-
-  JobRequest Req;
-  Req.Submit = static_cast<uint8_t>(SubmitMode::Memfd);
-  int Fd = rawConnect(D.socket());
-  ASSERT_GE(Fd, 0);
-  std::string Err;
-  ASSERT_TRUE(writeFrame(Fd, MsgType::SubmitJob, encodeJobRequest(Req), Err))
-      << Err;
-  MsgType Type;
-  std::string ReplyBody;
-  ASSERT_EQ(readFrame(Fd, Type, ReplyBody, Err, 60 * timeoutScale()),
-            ReadStatus::Ok)
-      << Err;
-  ASSERT_EQ(Type, MsgType::JobResult);
-  JobReply R;
-  ASSERT_TRUE(decodeJobReply(ReplyBody, R, Err)) << Err;
-  EXPECT_EQ(R.Status, JobStatus::ParseError);
-  EXPECT_NE(R.Error.find("file descriptor"), std::string::npos) << R.Error;
-
-  // Same connection still serves an honest in-band job.
-  JobRequest Ok;
-  Ok.ModuleText = reductionSumIrText(260);
-  Ok.NumWorkers = 2;
-  ASSERT_TRUE(writeFrame(Fd, MsgType::SubmitJob, encodeJobRequest(Ok), Err))
-      << Err;
-  ASSERT_EQ(readFrame(Fd, Type, ReplyBody, Err, 300 * timeoutScale()),
-            ReadStatus::Ok)
-      << Err;
-  ::close(Fd);
-  JobReply R2;
-  ASSERT_TRUE(decodeJobReply(ReplyBody, R2, Err)) << Err;
-  EXPECT_EQ(R2.Status, JobStatus::Ok) << R2.Error;
-  ASSERT_TRUE(D.alive());
-}
-
-// An unsealed memfd is untrusted input — the submitter could mutate it
-// after the daemon's size check — and must be rejected.
-TEST(ServiceProtocol, UnsealedMemfdRejected) {
-  ServerOptions Opts;
-  Opts.SocketPath = uniqueSocketPath();
-  ForkedDaemon D(Opts);
-  ASSERT_TRUE(D.forked());
-  {
-    service::Client Ready;
-    std::string Err;
-    ASSERT_TRUE(Ready.connect(D.socket(), Err, 10 * timeoutScale())) << Err;
-  }
-
-  std::string Text = reductionSumIrText(270);
-  int MemFd = static_cast<int>(
-      ::syscall(SYS_memfd_create, "unsealed-module", MFD_CLOEXEC));
-  if (MemFd < 0)
-    GTEST_SKIP() << "memfd_create unavailable";
-  ASSERT_EQ(::write(MemFd, Text.data(), Text.size()),
-            static_cast<ssize_t>(Text.size()));
-
-  JobRequest Req;
-  Req.Submit = static_cast<uint8_t>(SubmitMode::Memfd);
-  int Fd = rawConnect(D.socket());
-  ASSERT_GE(Fd, 0);
-  std::string Err;
-  ASSERT_TRUE(writeFrameWithFds(Fd, MsgType::SubmitJob,
-                                encodeJobRequest(Req), &MemFd, 1, Err))
-      << Err;
-  ::close(MemFd);
-  MsgType Type;
-  std::string ReplyBody;
-  ASSERT_EQ(readFrame(Fd, Type, ReplyBody, Err, 60 * timeoutScale()),
-            ReadStatus::Ok)
-      << Err;
-  ::close(Fd);
-  ASSERT_EQ(Type, MsgType::JobResult);
-  JobReply R;
-  ASSERT_TRUE(decodeJobReply(ReplyBody, R, Err)) << Err;
-  EXPECT_EQ(R.Status, JobStatus::ParseError);
-  EXPECT_NE(R.Error.find("sealed"), std::string::npos) << R.Error;
-
-  // A properly sealed memfd on a fresh connection is accepted.
-  std::string MErr;
-  int Sealed = sealedMemfd("sealed-module", Text.data(), Text.size(), MErr);
-  ASSERT_GE(Sealed, 0) << MErr;
-  int Fd2 = rawConnect(D.socket());
-  ASSERT_GE(Fd2, 0);
-  JobRequest Req2;
-  Req2.Submit = static_cast<uint8_t>(SubmitMode::Memfd);
-  Req2.NumWorkers = 2;
-  ASSERT_TRUE(writeFrameWithFds(Fd2, MsgType::SubmitJob,
-                                encodeJobRequest(Req2), &Sealed, 1, Err))
-      << Err;
-  ::close(Sealed);
-  ASSERT_EQ(readFrame(Fd2, Type, ReplyBody, Err, 300 * timeoutScale()),
-            ReadStatus::Ok)
-      << Err;
-  ::close(Fd2);
-  JobReply R2;
-  ASSERT_TRUE(decodeJobReply(ReplyBody, R2, Err)) << Err;
-  EXPECT_EQ(R2.Status, JobStatus::Ok) << R2.Error;
-  ASSERT_TRUE(D.alive());
 }
 
 } // namespace

@@ -51,11 +51,6 @@ int usage(const char *Argv0) {
       "                    never raise, the daemon's configured limit)\n"
       "  --cpu-sec <n>     per-job RLIMIT_CPU ceiling in seconds\n"
       "  --no-retry        disable transparent reconnect + resubmit\n"
-      "  --tenant <id>     multi-tenant identity for fair queuing (the\n"
-      "                    daemon meters and weighs each tenant apart)\n"
-      "  --memfd           zero-copy submission: module text travels in a\n"
-      "                    sealed memfd via SCM_RIGHTS (falls back\n"
-      "                    in-band when no memfd can be created)\n"
       "  --jobs <n>        submit the job n times over this connection\n"
       "  --status          print the daemon's status JSON and exit\n"
       "  --drain           ask the daemon to finish its queue and exit\n"
@@ -70,9 +65,9 @@ int usage(const char *Argv0) {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  std::string Socket, Path, Demo, Tenant;
+  std::string Socket, Path, Demo;
   bool Status = false, Drain = false, Shutdown = false, Quiet = false;
-  bool NoRetry = false, UseMemfd = false;
+  bool NoRetry = false;
   unsigned JobsToRun = 1;
   JobRequest Req;
 
@@ -121,10 +116,6 @@ int main(int Argc, char **Argv) {
       Req.MaxCpuSec = static_cast<uint32_t>(std::atoi(Argv[++I]));
     else if (A == "--no-retry")
       NoRetry = true;
-    else if (A == "--tenant" && I + 1 < Argc)
-      Tenant = Argv[++I];
-    else if (A == "--memfd")
-      UseMemfd = true;
     else if (A == "--jobs" && I + 1 < Argc)
       JobsToRun = static_cast<unsigned>(std::atoi(Argv[++I]));
     else if (A == "--status")
@@ -147,8 +138,6 @@ int main(int Argc, char **Argv) {
 
   Client C;
   C.Retry.Enabled = !NoRetry;
-  C.Tenant = Tenant;
-  C.UseMemfd = UseMemfd;
   std::string Err;
   if (!C.connect(Socket, Err)) {
     std::fprintf(stderr, "privateer-client: %s\n", Err.c_str());

@@ -27,8 +27,8 @@ int usage(const char *Argv0) {
       "  --socket <path>   Unix-domain socket to listen on (required)\n"
       "  --budget <n>      max concurrent processes across jobs, each job\n"
       "                    costing workers+1 (default 16)\n"
-      "  --queue <n>       admission queue depth; full -> reject (default "
-      "16)\n"
+      "  --queue <n>       FIFO admission queue depth; full -> reject\n"
+      "                    (default 16)\n"
       "  --cache <n>       warm program cache entries (default 32)\n"
       "  --deadline <sec>  default per-job deadline, scaled by\n"
       "                    PRIVATEER_TIMEOUT_SCALE (default: none)\n"
@@ -48,17 +48,11 @@ int usage(const char *Argv0) {
       "                    jobs; warm cache hits run with zero fork and\n"
       "                    zero parse (default 4, 0 = a one-shot\n"
       "                    executive forked per job)\n"
-      "  --shards <n>      acceptor shards: n independently forked daemon\n"
-      "                    processes sharing one listening socket, with\n"
-      "                    the kernel load-balancing accepts (default 1)\n"
-      "  --tenant-weight <name=w[:prio[:rate[:burst]]]>\n"
-      "                    weighted-fair-queuing config for one tenant:\n"
-      "                    weight (share of the worker budget), priority\n"
-      "                    band (higher preempts), token rate (jobs/sec,\n"
-      "                    0 = unmetered) and bucket burst; repeatable\n"
       "  --verbose         log accepts, jobs, and drains to stderr\n"
       "\n"
-      "Per-job requests can lower (never raise) the rlimit ceilings.\n"
+      "Jobs start in arrival order: the queue head waits until it fits\n"
+      "the budget, and no later job overtakes it.  Per-job requests can\n"
+      "lower (never raise) the rlimit ceilings.\n"
       "SIGTERM drains (stop accepting, finish the queue, reap\n"
       "executives); SIGINT cancels running jobs and exits.  A stale\n"
       "socket left by a crashed daemon is probed and reclaimed on start.\n",
@@ -97,40 +91,7 @@ int main(int Argc, char **Argv) {
       Opts.MaxRetries = static_cast<unsigned>(std::atoi(Argv[++I]));
     else if (A == "--executives" && I + 1 < Argc)
       Opts.Executives = static_cast<unsigned>(std::atoi(Argv[++I]));
-    else if (A == "--shards" && I + 1 < Argc)
-      Opts.Shards = static_cast<unsigned>(std::atoi(Argv[++I]));
-    else if (A == "--tenant-weight" && I + 1 < Argc) {
-      // name=weight[:priority[:rate[:burst]]]
-      std::string Spec = Argv[++I];
-      size_t Eq = Spec.find('=');
-      if (Eq == std::string::npos || Eq == 0) {
-        std::fprintf(stderr,
-                     "privateer-served: bad --tenant-weight '%s' "
-                     "(want name=w[:prio[:rate[:burst]]])\n",
-                     Spec.c_str());
-        return 2;
-      }
-      TenantConfig TC;
-      TC.Id = Spec.substr(0, Eq);
-      std::string Rest = Spec.substr(Eq + 1);
-      double Vals[4] = {1.0, 0.0, 0.0, 0.0};
-      for (int V = 0; V < 4 && !Rest.empty(); ++V) {
-        size_t Colon = Rest.find(':');
-        Vals[V] = std::atof(Rest.substr(0, Colon).c_str());
-        Rest = Colon == std::string::npos ? "" : Rest.substr(Colon + 1);
-      }
-      TC.Weight = Vals[0];
-      TC.Priority = static_cast<int>(Vals[1]);
-      TC.RatePerSec = Vals[2];
-      TC.Burst = Vals[3];
-      if (TC.Weight <= 0) {
-        std::fprintf(stderr,
-                     "privateer-served: tenant '%s' weight must be > 0\n",
-                     TC.Id.c_str());
-        return 2;
-      }
-      Opts.Tenants.push_back(TC);
-    } else if (A == "--verbose")
+    else if (A == "--verbose")
       Opts.Verbose = true;
     else
       return usage(Argv[0]);
