@@ -95,6 +95,9 @@ std::vector<BasicBlock *> Loop::exitBlocks(const Cfg &C) const {
 }
 
 std::optional<Loop::CanonicalIv> Loop::canonicalIv(const Cfg & /*C*/) const {
+  // The function entry cannot be entered from outside the loop.
+  if (Hdr == Hdr->parent()->entry())
+    return std::nullopt;
   // Header terminator: condbr (icmp lt IV, Bound), body, exit.
   Instruction *Term = Hdr->terminator();
   if (!Term || Term->opcode() != Opcode::CondBr)

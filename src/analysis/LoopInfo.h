@@ -58,7 +58,9 @@ public:
 
   /// A canonical counted loop: header phi IV with incoming 0-or-konstant
   /// from the preheader and IV+1 from the latch, and a header condbr on
-  /// icmp lt IV, Bound leaving the loop on false.
+  /// icmp lt IV, Bound leaving the loop on false.  The header is not the
+  /// function entry, and every field is set: the bytecode lowering
+  /// compiles the parallel-loop site from these guarantees.
   struct CanonicalIv {
     ir::Instruction *Phi = nullptr;      ///< The IV.
     ir::Value *Begin = nullptr;          ///< Initial value.

@@ -5,6 +5,7 @@
 #include "runtime/HeapKind.h"
 #include "support/ErrorHandling.h"
 
+#include <cassert>
 #include <cstring>
 
 using namespace privateer;
@@ -109,17 +110,19 @@ static_assert(static_cast<unsigned>(BcOp::CmpGe) -
 /// on incoming edges and copied at block entry (so all phis of a block read
 /// the pre-transfer state, as in the interpreter); constants and global
 /// addresses that cannot be folded into an Imm operand get materialized
-/// registers preloaded from the frame-entry template.
+/// registers preloaded from the frame-entry template.  The verifier bounds
+/// the plan to the 16-bit register fields (ir/Verifier.h), so every
+/// verified function lowers; the asserts below restate its guarantees, and
+/// allocReg re-checks the register bound in every build.
 class FunctionLowerer {
 public:
   FunctionLowerer(BytecodeProgram &Prog, BcFunction &BF, const Function &F,
-                  const LowerOptions &Opts, std::string &WhyNot)
-      : Prog(Prog), BF(BF), F(F), Opts(Opts), WhyNot(WhyNot) {}
+                  const LowerOptions &Opts)
+      : Prog(Prog), BF(BF), F(F), Opts(Opts) {}
 
-  bool lower() {
-    if (Opts.PlanLoop && Opts.PlanLoop->header()->parent() == &F &&
-        !preparePlan())
-      return false;
+  void lower() {
+    if (Opts.PlanLoop && Opts.PlanLoop->header()->parent() == &F)
+      preparePlan();
 
     // Pass 1: the register plan.
     for (const auto &A : F.arguments())
@@ -127,13 +130,10 @@ public:
     BF.NumArgs = static_cast<uint16_t>(F.arguments().size());
     if (Opts.Profile)
       PredReg = allocReg();
-    for (const auto &B : F.blocks()) {
-      if (!B->terminator())
-        return fail("block '" + B->name() + "' has no terminator");
+    for (const auto &B : F.blocks())
       for (const auto &I : B->instructions())
         if (I->type() != Type::Void)
           Regs[I.get()] = allocReg();
-    }
     // Phi staging plan.  A block's phis form a parallel copy: incoming
     // edges must write somewhere the block's own phi reads can't observe
     // mid-transfer.  Staging registers (plus a copy at block entry) give
@@ -156,32 +156,20 @@ public:
       for (const Instruction *Phi : Phis)
         Stage[Phi] = NeedStage ? allocReg() : Regs[Phi];
     }
-    if (Failed)
-      return false;
 
     // Pass 2: code emission.
-    for (const auto &B : F.blocks()) {
+    for (const auto &B : F.blocks())
       lowerBlock(B.get());
-      if (Failed)
-        return false;
-    }
-    for (const auto &[Pc, Target] : Fixups) {
-      auto It = BlockPc.find(Target);
-      if (It == BlockPc.end())
-        return fail("jump to unlowered block '" + Target->name() + "'");
-      BF.Code[Pc].Imm = It->second;
-    }
-    if (PlannedHeader) {
-      BcParLoopSite &Site = BF.ParSites.front();
-      if (!Site.BodyEntryPc || !Site.ExitEntryPc)
-        return fail("planned loop header edges were not lowered");
-    }
+    for (const auto &[Pc, Target] : Fixups)
+      BF.Code[Pc].Imm = BlockPc.at(Target);
+    assert((!PlannedHeader || (BF.ParSites.front().BodyEntryPc &&
+                               BF.ParSites.front().ExitEntryPc)) &&
+           "planned loop header edges were not lowered");
     BF.NumRegs = static_cast<uint16_t>(NextReg);
     BF.HasRetValue = F.returnType() != Type::Void;
     // Fusion would step over the events placed between a pair's halves.
-    if (!Failed && !Opts.Profile)
+    if (!Opts.Profile)
       fusePairs(BF);
-    return !Failed;
   }
 
 private:
@@ -189,8 +177,6 @@ private:
   BcFunction &BF;
   const Function &F;
   const LowerOptions &Opts;
-  std::string &WhyNot;
-  bool Failed = false;
 
   std::map<const Value *, uint16_t> Regs;
   std::map<const Instruction *, uint16_t> Stage;
@@ -204,18 +190,14 @@ private:
   /// control came from (0 at function entry).
   uint16_t PredReg = 0;
 
-  bool fail(const std::string &Why) {
-    if (!Failed)
-      WhyNot = "@" + F.name() + ": " + Why;
-    Failed = true;
-    return false;
-  }
-
+  /// ir::verifyModule's register bound (verifyBytecodeLimits in
+  /// ir/Verifier.cpp) must stay an upper bound of every allocReg call in
+  /// this plan; this check fails loudly, in every build, when it does not.
   uint16_t allocReg() {
-    if (NextReg >= Opts.MaxRegsPerFunction || NextReg >= 65535) {
-      fail("virtual register budget exceeded");
-      return 0;
-    }
+    if (NextReg >= 65535)
+      reportFatalError("lowering @" + F.name() +
+                       ": register plan exceeds 65535, above the verifier's "
+                       "bound (ir/Verifier.cpp verifyBytecodeLimits)");
     return static_cast<uint16_t>(NextReg++);
   }
 
@@ -268,25 +250,14 @@ private:
       auto It = GlobalRegs.find(G);
       if (It != GlobalRegs.end())
         return It->second;
-      auto GIt = Prog.GlobalIdx.find(G->name());
-      if (GIt == Prog.GlobalIdx.end()) {
-        fail("reference to global outside the module");
-        return 0;
-      }
       uint16_t R = allocReg();
       GlobalRegs[G] = R;
-      BF.GlobalInit.emplace_back(R, GIt->second);
+      BF.GlobalInit.emplace_back(R, Prog.GlobalIdx.at(G->name()));
       return R;
     }
     case ValueKind::Argument:
-    case ValueKind::Instruction: {
-      auto It = Regs.find(V);
-      if (It == Regs.end()) {
-        fail("use of value %" + V->name() + " from another function");
-        return 0;
-      }
-      return It->second;
-    }
+    case ValueKind::Instruction:
+      return Regs.at(V);
     }
     PRIVATEER_UNREACHABLE("bad value kind");
   }
@@ -311,30 +282,21 @@ private:
     if (S.HasHeap)
       S.Heap = I->allocHeap();
     BF.AllocSites.push_back(S);
-    if (BF.AllocSites.size() > 65535) {
-      fail("too many allocation sites");
-      return 0;
-    }
+    assert(BF.AllocSites.size() <= 65535 && "sites are values: bounded too");
     return static_cast<uint16_t>(BF.AllocSites.size() - 1);
   }
 
-  /// Validates the planned loop's shape against what the VM compiles in
-  /// (mirrors Interpreter::runPlannedLoop's assumptions) and creates the
-  /// function's BcParLoopSite.
-  bool preparePlan() {
+  /// Creates the function's BcParLoopSite.  The shape the VM compiles in
+  /// is what Loop::canonicalIv guarantees.
+  void preparePlan() {
     PlannedHeader = Opts.PlanLoop->header();
-    const Instruction *Term = PlannedHeader->terminator();
-    if (PlannedHeader == F.entry())
-      return fail("planned loop header is the function entry");
-    if (!Term || Term->opcode() != Opcode::CondBr)
-      return fail("planned loop header does not end in condbr");
-    if (!Opts.PlanLoop->contains(Term->blockRef(0)) ||
-        Opts.Iv.ExitBlock != Term->blockRef(1))
-      return fail("planned loop header successors do not match its IV");
-    if (!Opts.Iv.Phi || !Opts.Iv.Begin || !Opts.Iv.Bound)
-      return fail("planned loop has an incomplete canonical IV");
+    [[maybe_unused]] const Instruction *Term = PlannedHeader->terminator();
+    assert(PlannedHeader != F.entry() && Term->opcode() == Opcode::CondBr &&
+           Opts.PlanLoop->contains(Term->blockRef(0)) &&
+           Opts.Iv.ExitBlock == Term->blockRef(1) && Opts.Iv.Phi &&
+           Opts.Iv.Begin && Opts.Iv.Bound &&
+           "the planned loop must have its canonical IV");
     BF.ParSites.emplace_back();
-    return true;
   }
 
   /// Leading phis of \p B (the interpreter executes exactly these as the
@@ -356,18 +318,10 @@ private:
   uint32_t emitEdge(const BasicBlock *From, const BasicBlock *To) {
     uint32_t EdgePc = static_cast<uint32_t>(BF.Code.size());
     for (const Instruction *Phi : leadingPhis(To)) {
-      int Arm = -1;
-      for (unsigned A = 0; A < Phi->numBlockRefs(); ++A)
-        if (Phi->blockRef(A) == From) {
-          Arm = static_cast<int>(A);
-          break;
-        }
-      if (Arm < 0) {
-        fail("phi in '" + To->name() + "' has no arm for predecessor '" +
-             From->name() + "'");
-        return EdgePc;
-      }
-      const Value *Src = Phi->operand(static_cast<unsigned>(Arm));
+      unsigned Arm = 0;
+      while (Phi->blockRef(Arm) != From)
+        ++Arm; // The verifier gives each predecessor an arm.
+      const Value *Src = Phi->operand(Arm);
       int64_t Imm;
       if (asImm(Src, Imm))
         emit(BcOp::MovImm, Stage[Phi], 0, 0, Imm);
@@ -397,11 +351,7 @@ private:
     BlockPc[B] = static_cast<uint32_t>(BF.Code.size());
     if (Opts.Profile) {
       // The block's IR count feeds the instruction budget, which counts
-      // what the interpreter counts.
-      if (B->instructions().size() > 65535) {
-        fail("block '" + B->name() + "' is too long to profile");
-        return;
-      }
+      // what the interpreter counts; the verifier bounds it to 16 bits.
       Opts.Profile->Blocks.push_back(B);
       emit(BcOp::EvBlock, PredReg, 0,
            static_cast<uint16_t>(B->instructions().size()),
@@ -415,8 +365,6 @@ private:
     const auto &Insts = B->instructions();
     for (size_t Idx = Phis.size(); Idx < Insts.size(); ++Idx) {
       const Instruction &I = *Insts[Idx];
-      if (Failed)
-        return;
       if (!I.isTerminator()) {
         lowerInst(I);
         continue;
@@ -449,11 +397,11 @@ private:
         break;
       }
       default:
-        fail("unlowerable terminator");
+        PRIVATEER_UNREACHABLE("unlowerable terminator");
       }
       return; // Terminator ends the block.
     }
-    fail("block '" + B->name() + "' has no terminator");
+    PRIVATEER_UNREACHABLE("the verifier ends every block in a terminator");
   }
 
   void lowerIntBinop(const Instruction &I, BcOp RR, BcOp RI) {
@@ -492,13 +440,9 @@ private:
       uint16_t Ptr = regFor(I.operand(0));
       if (Opts.Profile)
         emit(BcOp::EvLoad, Ptr, 0, static_cast<uint16_t>(Bytes), siteId(I));
-      if (I.type() == Type::F64) {
-        if (Bytes != 8) {
-          fail("f64 load must be 8 bytes");
-          return;
-        }
-        emit(BcOp::Load8, Regs[&I], Ptr);
-      } else if (Bytes == 8)
+      assert((I.type() != Type::F64 || Bytes == 8) &&
+             "the verifier makes f64 loads 8 bytes");
+      if (Bytes == 8)
         emit(BcOp::Load8, Regs[&I], Ptr);
       else if (I.type() == Type::I64)
         emit(BcOp::LoadSx, Regs[&I], Ptr, static_cast<uint16_t>(Bytes));
@@ -598,18 +542,8 @@ private:
            regFor(I.operand(1)), regFor(I.operand(2)));
       return;
     case Opcode::Call: {
-      const Function *Callee = I.callee();
-      auto It = Prog.FunctionIdx.find(Callee->name());
-      if (It == Prog.FunctionIdx.end()) {
-        fail("call to function outside the module");
-        return;
-      }
-      if (I.numOperands() != Callee->arguments().size()) {
-        fail("call arity mismatch for @" + Callee->name());
-        return;
-      }
       BcCallSite Site;
-      Site.Callee = It->second;
+      Site.Callee = Prog.FunctionIdx.at(I.callee()->name());
       Site.ArgStart = static_cast<uint32_t>(BF.RegPool.size());
       Site.ArgCount = static_cast<uint16_t>(I.numOperands());
       for (unsigned A = 0; A < I.numOperands(); ++A)
@@ -684,19 +618,16 @@ private:
     case Opcode::Ret:
       break;
     }
-    fail("unlowerable opcode");
+    PRIVATEER_UNREACHABLE("unlowerable opcode");
   }
 };
 
 } // namespace
 
 std::unique_ptr<BytecodeProgram>
-bytecode::lowerModule(const Module &M, const LowerOptions &Opts,
-                      std::string &WhyNot) {
-  if (Opts.Profile && Opts.PlanLoop) {
-    WhyNot = "a profiling lowering takes no planned loop";
-    return nullptr;
-  }
+bytecode::lowerModule(const Module &M, const LowerOptions &Opts) {
+  assert(!(Opts.Profile && Opts.PlanLoop) &&
+         "a profiling lowering takes no planned loop");
   auto Prog = std::make_unique<BytecodeProgram>();
   for (const auto &G : M.globals()) {
     if (Opts.Profile)
@@ -717,11 +648,8 @@ bytecode::lowerModule(const Module &M, const LowerOptions &Opts,
     Prog->Functions.emplace_back();
     Prog->Functions.back().Name = F->name();
   }
-  for (size_t Idx = 0; Idx < M.functions().size(); ++Idx) {
-    FunctionLowerer FL(*Prog, Prog->Functions[Idx],
-                       *M.functions()[Idx], Opts, WhyNot);
-    if (!FL.lower())
-      return nullptr;
-  }
+  for (size_t Idx = 0; Idx < M.functions().size(); ++Idx)
+    FunctionLowerer(*Prog, Prog->Functions[Idx], *M.functions()[Idx], Opts)
+        .lower();
   return Prog;
 }

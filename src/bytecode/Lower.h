@@ -7,10 +7,11 @@
 ///
 /// \file
 /// One-pass lowering from the verified IR to the register bytecode of
-/// Bytecode.h.  The lowering is total over the current IR; the options
-/// carry explicit resource limits so callers always have a correct
-/// fallback: on any construct or limit the lowerer will not take, it
-/// returns null with a reason and the caller runs the interpreter instead.
+/// Bytecode.h.  The lowering is total: the verifier rejects every module
+/// that would exceed the encoding's 16-bit fields (ir/Verifier.h), and
+/// Loop::canonicalIv guarantees the planned loop's shape, so every
+/// verified module lowers in all three modes (plain, profiling and
+/// privatized) and the VM is the only engine that runs transformed code.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,10 +44,6 @@ struct LowerOptions {
   const analysis::Loop *PlanLoop = nullptr;
   /// Must be PlanLoop's canonical IV when PlanLoop is set.
   analysis::Loop::CanonicalIv Iv;
-  /// Virtual-register budget per function; lowering falls back (returns
-  /// null) beyond it.  The default is the instruction encoding's limit;
-  /// tests shrink it to exercise the interpreter-fallback path.
-  unsigned MaxRegsPerFunction = 65535;
   /// Set: lower for the training run.  Every block starts with an EvBlock
   /// event, accesses, allocations, frees and calls are bracketed by their
   /// events (in the interpreter's observer order), pair fusion is skipped,
@@ -55,11 +52,9 @@ struct LowerOptions {
   ProfileSites *Profile = nullptr;
 };
 
-/// Lowers \p M to bytecode.  Returns null and sets \p WhyNot when any
-/// function exceeds the options' limits or uses a shape the lowerer does
-/// not cover; the caller must then execute via the interpreter.
-std::unique_ptr<BytecodeProgram>
-lowerModule(const ir::Module &M, const LowerOptions &Opts, std::string &WhyNot);
+/// Lowers the verified module \p M to bytecode.
+std::unique_ptr<BytecodeProgram> lowerModule(const ir::Module &M,
+                                             const LowerOptions &Opts);
 
 } // namespace bytecode
 } // namespace privateer

@@ -11,11 +11,10 @@
 /// on GCC/Clang with a switch fallback.  The VM mirrors the interpreter's
 /// observable semantics exactly — same arithmetic edge cases (via
 /// interp/Semantics.h), same fatal-error messages, same deferred-output
-/// bytes, same runtime check/stat behavior — because the interpreter is
-/// its differential oracle.
+/// bytes — because the interpreter is its differential oracle.
 ///
-/// Parallel execution follows the interpreter's ParallelPlan contract:
-/// arming a plan makes ParLoopEnter instructions hand the planned loop's
+/// The VM is the only engine that runs privatized code: arming a
+/// ParallelPlan makes ParLoopEnter instructions hand the planned loop's
 /// iterations to Runtime::runParallel; with no plan armed they fall
 /// through to ordinary jumps, which is also what recovery and degraded
 /// re-execution rely on inside the runtime.
@@ -47,8 +46,8 @@ namespace bytecode {
 
 class VM {
 public:
-  /// Counterpart of Interpreter::ParallelPlan; the loop itself is already
-  /// compiled into the program's BcParLoopSite.
+  /// The parallel run's options; the loop itself is already compiled into
+  /// the program's BcParLoopSite.
   struct ParallelPlan {
     ParallelOptions Options;
     /// Accumulated across invocations of the loop.

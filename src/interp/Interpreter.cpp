@@ -3,6 +3,7 @@
 #include "interp/Interpreter.h"
 
 #include "interp/Semantics.h"
+#include "runtime/Runtime.h"
 #include "support/ErrorHandling.h"
 
 #include <cinttypes>
@@ -11,25 +12,18 @@ using namespace privateer;
 using namespace privateer::interp;
 using namespace privateer::ir;
 
-Interpreter::Interpreter(Module &M, MemoryManager &MM, InterpObserver *Obs)
+Interpreter::Interpreter(Module &M, PlainMemoryManager &MM,
+                         InterpObserver *Obs)
     : M(M), MM(MM), Obs(Obs) {}
 
 void Interpreter::initializeGlobals() {
   for (const auto &G : M.globals()) {
-    void *P = MM.allocate(G->sizeBytes(), nullptr, G.get());
-    std::memset(P, 0, G->sizeBytes());
+    void *P = MM.allocate(G->sizeBytes());
     GlobalAddrs[G.get()] = reinterpret_cast<uint64_t>(P);
     if (Obs)
       Obs->onGlobalAlloc(G.get(), reinterpret_cast<uint64_t>(P),
                          G->sizeBytes());
   }
-}
-
-uint64_t Interpreter::globalAddress(const GlobalVariable *G) const {
-  auto It = GlobalAddrs.find(G);
-  if (It == GlobalAddrs.end())
-    reportFatalError("global '" + G->name() + "' not initialized");
-  return It->second;
 }
 
 Cell Interpreter::run(const std::string &Name,
@@ -46,9 +40,12 @@ Cell Interpreter::eval(const Value *V, Frame &F) const {
     return Cell::fromInt(static_cast<const ConstantInt *>(V)->value());
   case ValueKind::ConstFloat:
     return Cell::fromFloat(static_cast<const ConstantFloat *>(V)->value());
-  case ValueKind::Global:
-    return Cell::fromPtr(
-        globalAddress(static_cast<const GlobalVariable *>(V)));
+  case ValueKind::Global: {
+    auto It = GlobalAddrs.find(static_cast<const GlobalVariable *>(V));
+    if (It == GlobalAddrs.end())
+      reportFatalError("global '" + V->name() + "' not initialized");
+    return Cell::fromPtr(It->second);
+  }
   case ValueKind::Argument:
   case ValueKind::Instruction: {
     auto It = F.Values.find(V);
@@ -66,10 +63,7 @@ Cell Interpreter::callFunction(Function *F, const std::vector<Cell> &Args) {
   Frame Frm;
   for (size_t I = 0; I < Args.size(); ++I)
     Frm.Values[F->arguments()[I].get()] = Args[I];
-  Cell Ret;
-  bool Returned = runBlocks(F->entry(), nullptr, nullptr, Frm, Ret);
-  if (!Returned)
-    reportFatalError("function @" + F->name() + " fell off the end");
+  Cell Ret = runBlocks(*F, Frm);
   // §4.4: "a corresponding deallocation is inserted at all function
   // exits" for replaced stack allocations.
   for (auto It = Frm.Allocas.rbegin(); It != Frm.Allocas.rend(); ++It)
@@ -77,25 +71,11 @@ Cell Interpreter::callFunction(Function *F, const std::vector<Cell> &Args) {
   return Ret;
 }
 
-bool Interpreter::runBlocks(BasicBlock *Start, const BasicBlock *Prev,
-                            const BasicBlock *StopAt, Frame &F,
-                            Cell &RetValue) {
-  BasicBlock *B = Start;
-  const BasicBlock *From = Prev;
+Cell Interpreter::runBlocks(const Function &Fn, Frame &F) {
+  BasicBlock *B = Fn.entry();
+  const BasicBlock *From = nullptr;
 
   while (true) {
-    // Speculative-DOALL intercept: entering the planned loop's header
-    // from outside the loop hands all iterations to the runtime.
-    if (Plan && !InParallelBody && B == Plan->TheLoop->header() &&
-        (!From || !Plan->TheLoop->contains(From))) {
-      BasicBlock *Exit = runPlannedLoop(F);
-      From = Plan->TheLoop->header();
-      B = Exit;
-      if (StopAt && B == StopAt)
-        return false;
-      continue;
-    }
-
     if (Obs)
       Obs->onBlockEnter(B, From);
 
@@ -131,8 +111,7 @@ bool Interpreter::runBlocks(BasicBlock *Start, const BasicBlock *Prev,
       if (I.isTerminator()) {
         switch (I.opcode()) {
         case Opcode::Ret:
-          RetValue = I.numOperands() ? eval(I.operand(0), F) : Cell();
-          return true;
+          return I.numOperands() ? eval(I.operand(0), F) : Cell();
         case Opcode::Br:
           From = B;
           B = I.blockRef(0);
@@ -151,17 +130,13 @@ bool Interpreter::runBlocks(BasicBlock *Start, const BasicBlock *Prev,
       if (I.type() != Type::Void)
         F.Values[&I] = Result;
     }
-    if (StopAt && B == StopAt)
-      return false;
   }
 }
 
 Cell Interpreter::execute(const Instruction &I, Frame &F) {
-  Runtime &Rt = Runtime::get();
   switch (I.opcode()) {
   case Opcode::Alloca: {
-    void *P = MM.allocate(I.accessBytes(), &I, nullptr);
-    std::memset(P, 0, I.accessBytes());
+    void *P = MM.allocate(I.accessBytes());
     F.Allocas.push_back(P);
     if (Obs)
       Obs->onAlloc(&I, reinterpret_cast<uint64_t>(P), I.accessBytes());
@@ -169,7 +144,7 @@ Cell Interpreter::execute(const Instruction &I, Frame &F) {
   }
   case Opcode::Malloc: {
     uint64_t Bytes = static_cast<uint64_t>(eval(I.operand(0), F).asInt());
-    void *P = MM.allocate(Bytes, &I, nullptr);
+    void *P = MM.allocate(Bytes);
     if (Obs)
       Obs->onAlloc(&I, reinterpret_cast<uint64_t>(P), Bytes);
     return Cell::fromPtr(reinterpret_cast<uint64_t>(P));
@@ -186,8 +161,7 @@ Cell Interpreter::execute(const Instruction &I, Frame &F) {
     uint64_t Bytes = I.accessBytes();
     if (Obs)
       Obs->onLoad(&I, Addr, Bytes);
-    if (I.type() == Type::F64) {
-      assert(Bytes == 8 && "f64 load must be 8 bytes");
+    if (I.type() == Type::F64) { // 8 bytes: the verifier checks it.
       double V;
       std::memcpy(&V, reinterpret_cast<void *>(Addr), 8);
       return Cell::fromFloat(V);
@@ -337,37 +311,14 @@ Cell Interpreter::execute(const Instruction &I, Frame &F) {
     formatPrint(I, F);
     return Cell();
   case Opcode::CheckHeap:
-    Rt.checkHeap(reinterpret_cast<void *>(eval(I.operand(0), F).asPtr()),
-                 I.expectedHeap());
-    return Cell();
   case Opcode::PrivateRead:
-    Rt.privateRead(reinterpret_cast<void *>(eval(I.operand(0), F).asPtr()),
-                   I.accessBytes());
-    return Cell();
   case Opcode::PrivateWrite:
-    Rt.privateWrite(reinterpret_cast<void *>(eval(I.operand(0), F).asPtr()),
-                    I.accessBytes());
-    return Cell();
   case Opcode::SpeculateEq:
-    Rt.speculateTrue(eval(I.operand(0), F).Raw == eval(I.operand(1), F).Raw,
-                     "value prediction failed");
-    return Cell();
   case Opcode::ComUpdate:
-    Rt.comUpdate(reinterpret_cast<void *>(eval(I.operand(1), F).asPtr()),
-                 I.comOp(), static_cast<unsigned>(I.accessBytes()),
-                 eval(I.operand(0), F).asInt());
-    return Cell();
   case Opcode::PostDep:
-    Rt.postDep(static_cast<uint64_t>(eval(I.operand(0), F).asInt()),
-               I.depChannel(),
-               eval(I.operand(1), F).Raw);
-    return Cell();
-  case Opcode::WaitDep: {
-    Cell R;
-    R.Raw = Rt.waitDep(static_cast<uint64_t>(eval(I.operand(0), F).asInt()),
-                       I.depChannel());
-    return R;
-  }
+  case Opcode::WaitDep:
+    reportFatalError(std::string("interpreter runs untransformed IR only: ") +
+                     opcodeName(I.opcode()));
   case Opcode::Phi:
   case Opcode::Br:
   case Opcode::CondBr:
@@ -375,42 +326,6 @@ Cell Interpreter::execute(const Instruction &I, Frame &F) {
     break;
   }
   PRIVATEER_UNREACHABLE("opcode handled elsewhere");
-}
-
-BasicBlock *Interpreter::runPlannedLoop(Frame &F) {
-  const analysis::Loop::CanonicalIv &Iv = Plan->Iv;
-  int64_t Begin = eval(Iv.Begin, F).asInt();
-  int64_t Bound = eval(Iv.Bound, F).asInt();
-  BasicBlock *Header = Plan->TheLoop->header();
-  BasicBlock *BodyStart = Header->terminator()->blockRef(0);
-  uint64_t N = Bound > Begin ? static_cast<uint64_t>(Bound - Begin) : 0;
-
-  if (N > 0) {
-    // Speculative waits on a pre-loop iteration must return immediately
-    // (the rewritten IR discards the value via select) instead of spinning
-    // for a token nobody will post.
-    Runtime::get().setDepFloor(Begin);
-    // Monolithic iteration body: pipeline strategy degrades to DOACROSS
-    // token scheduling (stage-split bodies go through runParallelStaged).
-    ParallelOptions POpt = Plan->Options;
-    POpt.NumStages = 0;
-    InvocationStats S = Runtime::get().runParallel(
-        N, POpt, [&](uint64_t I) {
-          F.Values[Iv.Phi] = Cell::fromInt(Begin + static_cast<int64_t>(I));
-          InParallelBody = true;
-          Cell Ret;
-          bool Returned = runBlocks(BodyStart, Header, Header, F, Ret);
-          InParallelBody = false;
-          if (Returned)
-            reportFatalError(
-                "planned DOALL loop returned out of its body");
-        });
-    Plan->Stats += S;
-  }
-
-  // After the loop, the IV holds the first value failing the bound check.
-  F.Values[Iv.Phi] = Cell::fromInt(Bound > Begin ? Bound : Begin);
-  return Iv.ExitBlock;
 }
 
 void Interpreter::trap(const char *Reason) const {

@@ -6,30 +6,26 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Executes IR modules over real host memory (pointers in the program are
-/// host addresses, so heap-tagged pointers work unchanged).  Three roles:
+/// Executes untransformed IR modules over plain host memory.  It is the
+/// bytecode VM's differential oracle, in two roles:
 ///
 ///  1. profiling runs — an InterpObserver receives every allocation,
 ///     access, block transfer, and call, feeding the §4.1 profilers (the
 ///     bytecode VM reports the same events in the same order, and is the
-///     default training engine; this one is its oracle and fallback);
-///  2. plain sequential execution of original or transformed programs
-///     (Privateer intrinsics lower onto the runtime, which ignores them
-///     outside a speculative worker);
-///  3. speculative DOALL execution — a ParallelPlan intercepts a chosen
-///     canonical loop and runs its iterations through
-///     Runtime::runParallel, each worker interpreting iterations against
-///     its copy-on-write heaps.
+///     default training engine);
+///  2. plain sequential execution, whose output bytes every VM run
+///     (sequential or privatized) must reproduce.
+///
+/// Privatized code runs only on the VM (bytecode/Lower.h lowers every
+/// verified module); the transformed opcodes are fatal here.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef PRIVATEER_INTERP_INTERPRETER_H
 #define PRIVATEER_INTERP_INTERPRETER_H
 
-#include "analysis/LoopInfo.h"
 #include "interp/MemoryManager.h"
 #include "ir/IR.h"
-#include "runtime/Runtime.h"
 
 #include <cstring>
 #include <map>
@@ -37,10 +33,10 @@
 
 namespace privateer {
 
-/// Which engine executes a module.  Bytecode is the default tier (the
-/// direct-threaded VM of src/bytecode); this tree-walking interpreter
-/// stays available as the differential oracle and as the automatic
-/// fallback for anything the lowerer declines.
+/// Which engine executes a sequential or training run.  Bytecode is the
+/// default tier (the direct-threaded VM of src/bytecode); this
+/// tree-walking interpreter is its differential oracle.  Privatized runs
+/// always use the VM.
 enum class ExecEngine : uint8_t {
   Bytecode = 0,
   Interp = 1,
@@ -112,31 +108,14 @@ public:
 
 class Interpreter {
 public:
-  /// Speculative-DOALL intercept: when execution reaches \p TheLoop's
-  /// header from outside, its iterations run through
-  /// Runtime::runParallel.
-  struct ParallelPlan {
-    const analysis::Loop *TheLoop = nullptr;
-    analysis::Loop::CanonicalIv Iv;
-    ParallelOptions Options;
-    /// Accumulated across invocations of the loop.
-    InvocationStats Stats;
-  };
-
-  Interpreter(ir::Module &M, MemoryManager &MM,
+  Interpreter(ir::Module &M, PlainMemoryManager &MM,
               InterpObserver *Obs = nullptr);
 
   /// Allocates and zero-fills all globals.  Must run before execution.
   void initializeGlobals();
 
-  uint64_t globalAddress(const ir::GlobalVariable *G) const;
-
   /// Calls @\p Name with \p Args; the function must exist.
   Cell run(const std::string &Name, const std::vector<Cell> &Args);
-
-  Cell callFunction(ir::Function *F, const std::vector<Cell> &Args);
-
-  void setParallelPlan(ParallelPlan *P) { Plan = P; }
 
   /// Hard bound on interpreted instructions (runaway-loop guard).
   static constexpr uint64_t kDefaultInstructionBudget = 2'000'000'000;
@@ -153,31 +132,23 @@ private:
     std::vector<void *> Allocas;
   };
 
+  Cell callFunction(ir::Function *F, const std::vector<Cell> &Args);
   Cell eval(const ir::Value *V, Frame &F) const;
   Cell execute(const ir::Instruction &I, Frame &F);
 
-  /// Runs blocks starting at \p Start until a Ret (returns true, value in
-  /// RetValue) or until control would enter \p StopAt (returns false).
-  /// \p StopAt null means run to Ret.
-  bool runBlocks(ir::BasicBlock *Start, const ir::BasicBlock *Prev,
-                 const ir::BasicBlock *StopAt, Frame &F, Cell &RetValue);
-
-  /// Executes the planned loop in parallel; frame is left as if the loop
-  /// exited normally.  Returns the loop's exit block.
-  ir::BasicBlock *runPlannedLoop(Frame &F);
+  /// Runs blocks from the entry of \p Fn until a Ret; returns its value.
+  Cell runBlocks(const ir::Function &Fn, Frame &F);
 
   void formatPrint(const ir::Instruction &I, Frame &F);
 
   [[noreturn]] void trap(const char *Reason) const;
 
   ir::Module &M;
-  MemoryManager &MM;
+  PlainMemoryManager &MM;
   InterpObserver *Obs;
-  ParallelPlan *Plan = nullptr;
   std::map<const ir::GlobalVariable *, uint64_t> GlobalAddrs;
   uint64_t Budget = kDefaultInstructionBudget;
   uint64_t Executed = 0;
-  bool InParallelBody = false;
   bool TrapsThrow = false;
 };
 

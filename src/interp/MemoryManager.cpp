@@ -10,7 +10,6 @@
 
 using namespace privateer;
 using namespace privateer::interp;
-using namespace privateer::ir;
 
 namespace {
 constexpr uint64_t kLiveMagic = 0x507249764c697645ull; // "PrIvLivE"
@@ -59,11 +58,6 @@ bool detail::BlockList::deallocate(void *P) {
 
 PlainMemoryManager::~PlainMemoryManager() = default;
 
-void *PlainMemoryManager::allocate(uint64_t Bytes, const Instruction *,
-                                   const GlobalVariable *) {
-  return Live.allocate(Bytes);
-}
-
 void *PlainMemoryManager::allocateTagged(uint64_t Bytes, bool, HeapKind,
                                          bool) {
   return Live.allocate(Bytes);
@@ -77,20 +71,6 @@ void PlainMemoryManager::deallocate(void *P) {
 }
 
 PrivateerMemoryManager::~PrivateerMemoryManager() = default;
-
-void *PrivateerMemoryManager::allocate(uint64_t Bytes,
-                                       const Instruction *Site,
-                                       const GlobalVariable *G) {
-  Runtime &Rt = Runtime::get();
-  if (Site && Site->hasAllocHeap())
-    return Rt.heapAlloc(Bytes, Site->allocHeap());
-  if (G && G->hasAssignedHeap()) {
-    void *P = Rt.heapAlloc(Bytes, G->assignedHeap());
-    std::memset(P, 0, Bytes);
-    return P;
-  }
-  return LivePlain.allocate(Bytes);
-}
 
 void *PrivateerMemoryManager::allocateTagged(uint64_t Bytes, bool HasHeap,
                                              HeapKind K, bool Zero) {

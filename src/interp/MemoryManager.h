@@ -6,17 +6,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Memory backends for the IR interpreter.  Profiling runs use plain host
-/// malloc; privatized (transformed) programs route annotated allocation
-/// sites and heap-assigned globals to the Privateer runtime's logical
-/// heaps — the operational half of §4.4 Replace Allocation.
+/// Memory backends for the interpreter and the bytecode VM.  The
+/// interpreter and sequential VM runs use plain host malloc; privatized
+/// programs on the VM route annotated allocation sites and heap-assigned
+/// globals to the Privateer runtime's logical heaps — the operational half
+/// of §4.4 Replace Allocation.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef PRIVATEER_INTERP_MEMORYMANAGER_H
 #define PRIVATEER_INTERP_MEMORYMANAGER_H
 
-#include "ir/IR.h"
+#include "runtime/HeapKind.h"
 
 namespace privateer {
 namespace interp {
@@ -55,15 +56,10 @@ class MemoryManager {
 public:
   virtual ~MemoryManager() = default;
 
-  /// Allocates storage for an Alloca/Malloc site (\p Site may carry a
-  /// heap assignment) or for a global (\p Site null, \p G set).
-  virtual void *allocate(uint64_t Bytes, const ir::Instruction *Site,
-                         const ir::GlobalVariable *G) = 0;
-
-  /// Same routing decision with the heap assignment already extracted as
-  /// plain data — the bytecode VM's entry point, where alloc sites and
-  /// globals are IR-free PODs (a BytecodeProgram is relocatable).  \p Zero
-  /// requests zero-fill even on the logical-heap path (globals).
+  /// Allocates storage for an alloc site or global whose heap assignment
+  /// (\p HasHeap, \p K) the bytecode program carries as plain data (a
+  /// BytecodeProgram is relocatable).  \p Zero requests zero-fill even on
+  /// the logical-heap path (globals).
   virtual void *allocateTagged(uint64_t Bytes, bool HasHeap, HeapKind K,
                                bool Zero) = 0;
   virtual void deallocate(void *P) = 0;
@@ -75,8 +71,8 @@ public:
 class PlainMemoryManager : public MemoryManager {
 public:
   ~PlainMemoryManager() override;
-  void *allocate(uint64_t Bytes, const ir::Instruction *Site,
-                 const ir::GlobalVariable *G) override;
+  /// Zeroed storage of \p Bytes: the interpreter's only allocator.
+  void *allocate(uint64_t Bytes) { return Live.allocate(Bytes); }
   void *allocateTagged(uint64_t Bytes, bool HasHeap, HeapKind K,
                        bool Zero) override;
   void deallocate(void *P) override;
@@ -91,8 +87,6 @@ private:
 class PrivateerMemoryManager : public MemoryManager {
 public:
   ~PrivateerMemoryManager() override;
-  void *allocate(uint64_t Bytes, const ir::Instruction *Site,
-                 const ir::GlobalVariable *G) override;
   void *allocateTagged(uint64_t Bytes, bool HasHeap, HeapKind K,
                        bool Zero) override;
   void deallocate(void *P) override;

@@ -2,6 +2,7 @@
 
 #include "ir/Verifier.h"
 
+#include <cstring>
 #include <map>
 #include <set>
 
@@ -10,11 +11,20 @@ using namespace privateer::ir;
 
 namespace {
 
+/// Bound of the bytecode encoding's 16-bit register, site and count fields.
+constexpr size_t kBytecodeLimit = 65535;
+
 class VerifierImpl {
 public:
   explicit VerifierImpl(const Module &M) : M(M) {}
 
   std::vector<std::string> run() {
+    for (const auto &G : M.globals())
+      if (!Globals.emplace(G->name(), G.get()).second)
+        Errors.push_back("global @" + G->name() + " is defined twice");
+    for (const auto &F : M.functions())
+      if (!Functions.emplace(F->name(), F.get()).second)
+        Errors.push_back("function @" + F->name() + " is defined twice");
     for (const auto &F : M.functions())
       verifyFunction(*F);
     return std::move(Errors);
@@ -57,8 +67,80 @@ private:
           SeenNonPhi = true;
         }
         verifyInstruction(F, *B, I);
+        verifyOperandScope(F, *B, I);
       }
+      if (B->instructions().size() > kBytecodeLimit)
+        error(F, B.get(),
+              "block has " + std::to_string(B->instructions().size()) +
+                  " instructions, above the bytecode limit of 65535");
     }
+    verifyBytecodeLimits(F);
+  }
+
+  /// Operands, callees and successors must belong to this function and
+  /// module: the bytecode lowering resolves each of them there.
+  void verifyOperandScope(const Function &F, const BasicBlock &B,
+                          const Instruction &I) {
+    for (unsigned A = 0; A < I.numOperands(); ++A) {
+      const Value *V = I.operand(A);
+      if ((V->kind() == ValueKind::Argument &&
+           static_cast<const Argument *>(V)->parent() != &F) ||
+          (V->kind() == ValueKind::Instruction &&
+           (!static_cast<const Instruction *>(V)->parent() ||
+            static_cast<const Instruction *>(V)->parent()->parent() != &F)))
+        error(F, &B, "operand %" + V->name() + " is from another function");
+      if (V->kind() == ValueKind::Global &&
+          !defines(Globals, static_cast<const GlobalVariable *>(V)))
+        error(F, &B, "operand @" + V->name() + " is not a module global");
+    }
+    if (I.opcode() == Opcode::Call && I.callee() &&
+        !defines(Functions, I.callee()))
+      error(F, &B, "callee @" + I.callee()->name() + " is not in the module");
+    for (unsigned S = 0; S < I.numBlockRefs(); ++S)
+      if (I.blockRef(S)->parent() != &F)
+        error(F, &B, "block '" + I.blockRef(S)->name() +
+                         "' is in another function");
+  }
+
+  /// The bytecode lowering's 16-bit register fields.  Its register plan
+  /// takes at most one register per argument, value, phi (staging),
+  /// distinct constant (operands and alloca sizes) and referenced global,
+  /// plus the profiling lowering's predecessor register.  Alloc sites are
+  /// values, so this also bounds the 16-bit alloc-site index.  The
+  /// lowerer's allocReg (bytecode/Lower.cpp) fails fatally should its plan
+  /// ever outgrow this bound.
+  void verifyBytecodeLimits(const Function &F) {
+    size_t Regs = F.arguments().size() + 1;
+    std::set<uint64_t> Consts;
+    std::set<const Value *> Referenced;
+    for (const auto &B : F.blocks())
+      for (const auto &I : B->instructions()) {
+        Regs += (I->type() != Type::Void) + (I->opcode() == Opcode::Phi);
+        if (I->opcode() == Opcode::Alloca)
+          Consts.insert(I->accessBytes());
+        for (unsigned A = 0; A < I->numOperands(); ++A) {
+          const Value *V = I->operand(A);
+          uint64_t Bits;
+          if (V->kind() == ValueKind::ConstInt) {
+            int64_t C = static_cast<const ConstantInt *>(V)->value();
+            std::memcpy(&Bits, &C, 8);
+            Consts.insert(Bits);
+          } else if (V->kind() == ValueKind::ConstFloat) {
+            double C = static_cast<const ConstantFloat *>(V)->value();
+            std::memcpy(&Bits, &C, 8);
+            Consts.insert(Bits);
+          } else if (V->kind() == ValueKind::Global) {
+            Referenced.insert(V);
+          }
+        }
+      }
+    Regs += Consts.size() + Referenced.size();
+    if (Regs > kBytecodeLimit)
+      error(F, nullptr,
+            "needs up to " + std::to_string(Regs) +
+                " registers (args + values + phi staging + distinct "
+                "constants + referenced globals + 1), above the bytecode "
+                "limit of 65535");
   }
 
   void verifyPhi(const Function &F, const BasicBlock &B,
@@ -107,6 +189,8 @@ private:
       WantAccessSize();
       if (I.operand(0)->type() != Type::Ptr)
         error(F, &B, "load pointer operand is not ptr-typed");
+      if (I.type() == Type::F64 && I.accessBytes() != 8)
+        error(F, &B, "f64 load must access 8 bytes");
       break;
     case Opcode::Store:
       WantOperands(2);
@@ -197,14 +281,28 @@ private:
       if (I.numOperands() == 2 && I.operand(1)->type() != Type::Ptr)
         error(F, &B, "comupdate pointer operand is not ptr-typed");
       break;
-    case Opcode::Phi:
     case Opcode::Print:
+      if (I.numOperands() > kBytecodeLimit)
+        error(F, &B, "print has more than 65535 operands");
+      break;
+    case Opcode::Phi:
       break;
     }
   }
 
+  /// Whether \p Names maps \p X's name to \p X itself: the lowering
+  /// resolves globals and callees by name.
+  template <typename T>
+  static bool defines(const std::map<std::string, const T *> &Names,
+                      const T *X) {
+    auto It = Names.find(X->name());
+    return It != Names.end() && It->second == X;
+  }
+
   const Module &M;
   std::vector<std::string> Errors;
+  std::map<std::string, const GlobalVariable *> Globals;
+  std::map<std::string, const Function *> Functions;
 };
 
 } // namespace

@@ -8,8 +8,11 @@
 /// \file
 /// Structural verification: every block ends in exactly one terminator,
 /// phis lead their block and cover each predecessor exactly once, operand
-/// types fit their opcode, calls match arity, and memory access sizes are
-/// sane.  Returns all diagnostics rather than stopping at the first.
+/// types fit their opcode, calls match arity, memory access sizes are
+/// sane, every operand, callee and successor belongs to its function and
+/// module, and each function fits the bytecode encoding's 16-bit limits.
+/// A module that verifies therefore lowers (bytecode/Lower.h).  Returns
+/// all diagnostics rather than stopping at the first.
 ///
 //===----------------------------------------------------------------------===//
 

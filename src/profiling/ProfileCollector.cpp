@@ -453,9 +453,8 @@ TrainingRun profiling::runTrainingProfile(Module &M, const FunctionAnalyses &FA,
   if (Engine == ExecEngine::Bytecode) {
     bytecode::LowerOptions LO;
     LO.Profile = &Sites;
-    BP = bytecode::lowerModule(M, LO, R.EngineNote);
+    BP = bytecode::lowerModule(M, LO);
   }
-  R.EngineUsed = BP ? ExecEngine::Bytecode : ExecEngine::Interp;
   ProfileCollector Collector(FA, BP ? &Sites : nullptr);
   Runtime &Rt = Runtime::get();
   std::FILE *Saved = Rt.sequentialOutput();

@@ -8,8 +8,8 @@
 /// \file
 /// The instrumented-training-run half of §4.1, as one collector.
 /// The training run feeds it from the bytecode VM (a profiling lowering's
-/// event opcodes) or, as the oracle and fallback, from the interpreter;
-/// both report the same events in the same order.
+/// event opcodes) or, as the oracle, from the interpreter; both report the
+/// same events in the same order.
 /// Maintains "an interval map from ranges of memory addresses to the name
 /// of the memory object which occupies that space", tracks loop activations
 /// (invocation + iteration counters per dynamic loop entry), object
@@ -256,11 +256,6 @@ struct TrainingRun {
   uint64_t Instructions = 0;
   uint64_t Blocks = 0, Loads = 0, Stores = 0, Allocs = 0; ///< events
   double WallMs = 0;
-  /// The engine that ran the program.  When the bytecode engine was asked
-  /// for and the lowerer declined, the interpreter ran and EngineNote says
-  /// why.
-  ExecEngine EngineUsed = ExecEngine::Interp;
-  std::string EngineNote;
   /// Why the program trapped (division or remainder by zero, or the
   /// instruction budget); empty when it ran to completion.  A trapped run
   /// leaves Prof empty.
@@ -270,7 +265,7 @@ struct TrainingRun {
 /// The §4.1 training run: runs @\p Entry(\p Args) over plain host memory
 /// under \p Budget IR instructions with a ProfileCollector attached, on
 /// \p Engine: the untransformed module lowered for profiling on the VM,
-/// or the interpreter (also when the lowerer declines).  The program's
+/// or the interpreter.  The verified module always lowers.  The program's
 /// output is discarded (the training run's output is never the job's),
 /// and its traps come back in TrainingRun::Trap instead of aborting the
 /// process.

@@ -94,8 +94,7 @@ std::unique_ptr<bytecode::BytecodeProgram> loadImage(int MemFd,
 } // namespace
 
 JobReply service::runJob(const ExecAssignment &A,
-                         const bytecode::BytecodeProgram *BP,
-                         const CachedProgram *Prog) {
+                         const bytecode::BytecodeProgram &BP) {
   const JobRequest &Req = A.Req;
 
   // Process-level faults kill this executive (the daemon triages the
@@ -170,31 +169,21 @@ JobReply service::runJob(const ExecAssignment &A,
   Par.Strat = static_cast<Strategy>(Req.Strat);
   Par.NumStages = Req.NumStages;
 
-  // No lowered program means the interpreter: either the job asked for it
-  // or the lowerer declined this program (asking again would not help).
   transform::PipelineOptions PO;
-  PO.Engine = BP ? transform::ExecEngine::Bytecode
-                 : transform::ExecEngine::Interp;
   PO.Strat = Par.Strat;
   PO.NumStages = Req.NumStages;
 
   double T0 = wallSeconds();
   try {
     if (A.UseParallel) {
-      transform::ExecutionResult E =
-          BP ? transform::executeLoadedParallel(*BP, PO, Par, RuntimeConfig(),
-                                                Out)
-             : transform::executePrivatized(*Prog->M, *Prog->FA,
-                                            Prog->Pipeline.Assignment, PO,
-                                            Par, RuntimeConfig(), Out);
+      transform::ExecutionResult E = transform::executeLoadedParallel(
+          BP, PO, Par, RuntimeConfig(), Out);
       R.ExitValue = E.ReturnValue.asInt();
       static_cast<RuntimeCounters &>(R) = E.Stats;
       R.MisspecReason = E.Stats.FirstMisspecReason;
       R.Status = JobStatus::Ok;
     } else {
-      interp::Cell V = BP ? transform::executeLoadedSequential(*BP, PO, Out)
-                          : transform::executeSequential(*Prog->M, PO, Out);
-      R.ExitValue = V.asInt();
+      R.ExitValue = transform::executeLoadedSequential(BP, PO, Out).asInt();
       R.Status = JobStatus::Ok;
     }
   } catch (const std::bad_alloc &) {
@@ -281,18 +270,17 @@ int service::executiveMain(int ChanFd) {
       BP = Programs.insert(K, std::move(Loaded));
     }
 
-    Reply(runJob(A, BP, nullptr));
+    Reply(runJob(A, *BP));
   }
 }
 
 int service::oneShotMain(int ChanFd, const ExecAssignment &A,
                          const CachedProgram &Prog) {
-  const bytecode::BytecodeProgram *BP = nullptr;
-  if (A.Req.Engine == 0)
-    BP = A.UseParallel ? Prog.LoweredPar.get() : Prog.LoweredSeq.get();
+  const bytecode::BytecodeProgram &BP =
+      A.UseParallel ? *Prog.LoweredPar : *Prog.LoweredSeq;
   std::string Err;
   return writeFrame(ChanFd, MsgType::JobResult,
-                    encodeJobReply(runJob(A, BP, &Prog)), Err)
+                    encodeJobReply(runJob(A, BP)), Err)
              ? 0
              : 4;
 }

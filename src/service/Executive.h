@@ -19,14 +19,15 @@
 ///    repeat assignment skips even deserialization.
 ///
 ///  - A one-shot executive is forked for one job the pool cannot take
-///    (per-job rlimits, interpreter engine, no image, or no pool).  It
-///    inherits the warm CachedProgram across fork, applies the job's
-///    rlimits, runs it, writes its reply and exits.
+///    (per-job rlimits, no image, or no pool).  It inherits the warm
+///    CachedProgram across fork, applies the job's rlimits, runs its
+///    lowered program, writes its reply and exits.
 ///
-/// Both call runJob.  An executive answers every outcome it can express
-/// (including typed out-of-memory) in band, and dies for the outcomes it
-/// cannot; the daemon triages the corpse and, for a pooled executive,
-/// replaces it.
+/// Both call runJob, and both run the bytecode VM: every cached program
+/// is lowered, so no job runs on the interpreter.  An executive answers
+/// every outcome it can express (including typed out-of-memory) in band,
+/// and dies for the outcomes it cannot; the daemon triages the corpse
+/// and, for a pooled executive, replaces it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,13 +46,10 @@ namespace service {
 struct CachedProgram;
 
 /// Runs one job: the fault-injection preamble, the request -> options
-/// mapping, output capture, execution and the stats copy.  A lowered
-/// program \p BP runs on the bytecode VM; otherwise \p Prog's module runs
-/// through executePrivatized/executeSequential (interpreter-engine jobs,
-/// or programs whose lowering declined).  Process-level fault knobs kill
-/// the calling process instead of returning.
-JobReply runJob(const ExecAssignment &A, const bytecode::BytecodeProgram *BP,
-                const CachedProgram *Prog);
+/// mapping, output capture, execution of the lowered program \p BP on the
+/// bytecode VM and the stats copy.  Process-level fault knobs kill the
+/// calling process instead of returning.
+JobReply runJob(const ExecAssignment &A, const bytecode::BytecodeProgram &BP);
 
 /// Runs the pooled-executive loop on \p ChanFd (the child end of the
 /// daemon's socketpair) until EOF.  Returns the process exit code (0 on a
@@ -59,8 +57,8 @@ JobReply runJob(const ExecAssignment &A, const bytecode::BytecodeProgram *BP,
 int executiveMain(int ChanFd);
 
 /// Body of a one-shot executive: runs \p A against the fork-inherited
-/// \p Prog and writes the reply on \p ChanFd.  Returns the process exit
-/// code (4 when the reply could not be written).
+/// \p Prog's lowered program and writes the reply on \p ChanFd.  Returns
+/// the process exit code (4 when the reply could not be written).
 int oneShotMain(int ChanFd, const ExecAssignment &A, const CachedProgram &Prog);
 
 } // namespace service

@@ -3,6 +3,7 @@
 #include "service/ProgramCache.h"
 
 #include "bytecode/Image.h"
+#include "bytecode/Lower.h"
 #include "ir/IRParser.h"
 #include "ir/Verifier.h"
 #include "support/Fnv.h"
@@ -94,10 +95,15 @@ ProgramCache::lookup(const std::string &Text, Strategy Strat, std::string &Err,
   PipeOpts.Strat = Strat;
   Entry->Pipeline =
       transform::runPrivateerPipeline(*Entry->M, *Entry->FA, PipeOpts);
-  if (!Entry->Pipeline.TrainingTrap.empty()) {
-    // A trap is a property of the text, like a verifier failure: cache
-    // the verdict so resubmits do not rerun the training run.
-    Err = "training run trapped: " + Entry->Pipeline.TrainingTrap;
+  const transform::PipelineResult &PR = Entry->Pipeline;
+  if (!PR.TrainingTrap.empty() || !PR.ModuleErrors.empty()) {
+    // A trap is a property of the text, like a verifier failure, and so
+    // is a rewrite that left the module failing the verifier (the module
+    // no longer lowers, for sequential jobs either): cache the verdict so
+    // resubmits do not rerun the training run.
+    Err = !PR.TrainingTrap.empty()
+              ? "training run trapped: " + PR.TrainingTrap
+              : "rewritten module: " + PR.ModuleErrors.front();
     Entry->ParseError = Err;
     Entry->FA.reset();
     Entry->M.reset();
@@ -105,13 +111,12 @@ ProgramCache::lookup(const std::string &Text, Strategy Strat, std::string &Err,
     return nullptr;
   }
   // Lower to bytecode once per program; every warm hit reuses the
-  // programs.  Failure is not an error — a one-shot executive runs the
-  // module on the interpreter instead.
+  // programs.  A verified module always lowers.
   std::string LowerWhy;
   if (Entry->Pipeline.Transformed)
     Entry->LoweredPar = transform::lowerForPrivatized(
         *Entry->M, *Entry->FA, Entry->Pipeline.Assignment, LowerWhy);
-  Entry->LoweredSeq = transform::lowerForSequential(*Entry->M, LowerWhy);
+  Entry->LoweredSeq = bytecode::lowerModule(*Entry->M, {});
 
   // Serialize each lowered program into a sealed memfd for the executive
   // pool.  Failure (no memfd support) silently disables pooled dispatch
@@ -122,11 +127,9 @@ ProgramCache::lookup(const std::string &Text, Strategy Strat, std::string &Err,
     Entry->ImagePar =
         sealedMemfd("privateer-img-par", Img.data(), Img.size(), MemfdErr);
   }
-  if (Entry->LoweredSeq) {
-    std::string Img = bytecode::serializeProgram(*Entry->LoweredSeq);
-    Entry->ImageSeq =
-        sealedMemfd("privateer-img-seq", Img.data(), Img.size(), MemfdErr);
-  }
+  std::string Img = bytecode::serializeProgram(*Entry->LoweredSeq);
+  Entry->ImageSeq =
+      sealedMemfd("privateer-img-seq", Img.data(), Img.size(), MemfdErr);
 
   Entry->PipelineSec = wallSeconds() - T0;
   StatisticRegistry::instance().real("service", "pipeline_sec") +=

@@ -9,10 +9,10 @@
 /// The daemon's warm program cache: module text is hashed with FNV-1a and
 /// the expensive front half of a Privateer run — parse, verify, training
 /// profile, classification, transformation — executes at most once per
-/// distinct program.  The cached transformed module, its analyses, and
-/// the heap assignment are then reused by every subsequent job: a
-/// one-shot executive inherits them read-only across fork(), so a warm
-/// submit pays only fork + execution.
+/// distinct program, and so does lowering it to bytecode (the VM runs
+/// every job).  The cached lowered programs are then reused by every
+/// subsequent job: a one-shot executive inherits them read-only across
+/// fork(), so a warm submit pays only fork + execution.
 ///
 /// Entries are handed out as shared_ptr: eviction (bounded LRU, keyed by
 /// last hit) drops the cache's reference, while jobs still queued against
@@ -56,13 +56,17 @@ struct CachedProgram {
   transform::PipelineResult Pipeline;
   /// Bytecode programs lowered once at cache-fill time (borrowing *M), so
   /// warm submits skip parse, pipeline, AND lowering: one-shot executives
-  /// inherit them read-only across fork().  Null when lowering declined —
-  /// the executive then runs the module on the interpreter.
+  /// inherit them read-only across fork().  Only a verified module is
+  /// lowered, and lowering never declines: a pipeline rewrite that left
+  /// *M failing the verifier is cached as a negative verdict instead.
+  /// LoweredPar is null only when the pipeline transformed nothing (the
+  /// daemon rejects speculative submits of such a program).
   std::shared_ptr<const bytecode::BytecodeProgram> LoweredPar;
   std::shared_ptr<const bytecode::BytecodeProgram> LoweredSeq;
-  /// Sealed memfds holding the serialized lowered programs (-1 = lowering
-  /// declined).  The daemon hands these to executives via SCM_RIGHTS; the
-  /// seals let the executive trust size and contents without copying.
+  /// Sealed memfds holding the serialized lowered programs (-1 = no
+  /// program, or no memfd support).  The daemon hands these to executives
+  /// via SCM_RIGHTS; the seals let the executive trust size and contents
+  /// without copying.
   int ImagePar = -1;
   int ImageSeq = -1;
   /// Monotonic fill ordinal: executives key their local caches by
@@ -79,8 +83,8 @@ struct CachedProgram {
   /// Negative verdict: set when an executive running this exact text died
   /// on a deterministic program-class signal (SIGSEGV/SIGBUS/SIGABRT/
   /// SIGFPE/SIGILL).  Later submits answer from PoisonReply instead of
-  /// crashing another executive.  M is null for entries caching a parse
-  /// or verifier error (ParseError holds the message).
+  /// crashing another executive.  M is null for entries caching a parse,
+  /// verifier, trap or rewrite error (ParseError holds the message).
   bool Poisoned = false;
   JobReply PoisonReply;
   std::string ParseError;
@@ -93,8 +97,9 @@ public:
   /// Looks up (or builds) the prepared program for \p Text compiled under
   /// \p Strat.  On a miss this runs the full pipeline in the calling
   /// process — the training run's output is swallowed.  Returns nullptr
-  /// with \p Err set when the text does not parse or verify, or when its
-  /// training run traps (division by zero, instruction budget); a program
+  /// with \p Err set when the text does not parse or verify, when its
+  /// training run traps (division by zero, instruction budget), or when a
+  /// pipeline rewrite leaves the module failing the verifier; a program
   /// whose pipeline finds no parallelizable loop is still cached
   /// (Pipeline.Transformed == false) so repeated submits stay cheap.
   std::shared_ptr<CachedProgram> lookup(const std::string &Text,

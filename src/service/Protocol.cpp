@@ -163,7 +163,6 @@ std::string service::encodeJobRequest(const JobRequest &R) {
   putU8(B, kProtocolVersion);
   putStr(B, R.ModuleText);
   putU8(B, static_cast<uint8_t>(R.Mode));
-  putU8(B, R.Engine);
 
   putU32(B, R.NumWorkers);
   putU64(B, R.CheckpointPeriod);
@@ -209,7 +208,7 @@ bool service::decodeJobRequest(const std::string &Body, JobRequest &R,
     return false;
   }
   bool Ok =
-      C.getStr(R.ModuleText) && C.getU8(Mode) && C.getU8(R.Engine) &&
+      C.getStr(R.ModuleText) && C.getU8(Mode) &&
       C.getU32(R.NumWorkers) && C.getU64(R.CheckpointPeriod) &&
       C.getU64(R.MaxSlotsPerEpoch) && C.getF64(R.InjectMisspecRate) &&
       C.getU64(R.InjectSeed) && C.getU8(Eager) &&
@@ -230,10 +229,6 @@ bool service::decodeJobRequest(const std::string &Body, JobRequest &R,
   }
   if (Mode > static_cast<uint8_t>(JobMode::Sequential)) {
     Err = "bad job mode " + std::to_string(Mode);
-    return false;
-  }
-  if (R.Engine > 1) {
-    Err = "bad engine " + std::to_string(R.Engine);
     return false;
   }
   if (R.Strat > static_cast<uint8_t>(Strategy::Pipeline)) {

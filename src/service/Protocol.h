@@ -44,7 +44,7 @@
 namespace privateer {
 namespace service {
 
-inline constexpr uint8_t kProtocolVersion = 7;
+inline constexpr uint8_t kProtocolVersion = 8;
 /// Default ceiling on one frame (module texts and job output both ride in
 /// frames; 64 MiB is far above any bundled program).
 inline constexpr size_t kMaxFrameBytes = 64u << 20;
@@ -66,7 +66,7 @@ enum class MsgType : uint8_t {
 /// How the daemon should execute the submitted module.
 enum class JobMode : uint8_t {
   Speculative = 0, ///< full pipeline result run under the parallel runtime
-  Sequential = 1,  ///< plain interpretation (baseline / fallback)
+  Sequential = 1,  ///< plain sequential run on the VM (the baseline)
 };
 
 /// Terminal state of one job, carried in JobResult.
@@ -123,11 +123,6 @@ inline bool isInfraFailure(FailureCause C) {
 struct JobRequest {
   std::string ModuleText;
   JobMode Mode = JobMode::Speculative;
-  /// Execution engine (mirrors transform::ExecEngine): 0 = direct-threaded
-  /// bytecode VM (default), 1 = tree-walking interpreter (the differential
-  /// oracle).  Bytecode silently falls back to the interpreter for
-  /// constructs the lowerer declines.
-  uint8_t Engine = 0;
   /// Scheduling strategy (mirrors privateer::Strategy): 0 = doall,
   /// 1 = doacross, 2 = pipeline.  Non-doall strategies let the pipeline's
   /// dependence-distance pre-pass rewrite provable carried dependences

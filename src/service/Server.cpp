@@ -339,10 +339,6 @@ size_t Server::pooledExecutives() const {
 bool Server::poolEligible(const Job &J) const {
   if (Opts.Executives == 0 || pooledExecutives() == 0)
     return false;
-  // Interpreter-engine jobs need the IR module; only lowered bytecode
-  // images travel to executives.
-  if (J.Req.Engine != 0)
-    return false;
   // Per-job rlimits need a disposable process; executives are long-lived.
   if (J.Req.MaxMemoryBytes != 0 || J.Req.MaxCpuSec != 0 ||
       J.Req.MaxOpenFiles != 0 || Opts.MaxMemoryBytes != 0 ||

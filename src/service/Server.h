@@ -21,11 +21,11 @@
 ///    caches the image by (key, generation), so a warm hit pays no fork,
 ///    no parse, and no lowering — just dispatch and execution.
 ///
-///  - One-shot executives.  Jobs the pool cannot run — interpreter
-///    engine, per-job rlimits, programs whose lowering declined, or a
-///    daemon with no pool — fork an executive for that job alone.  It
-///    inherits the cached program across fork, applies the rlimits, runs
-///    the job, replies and exits.
+///  - One-shot executives.  Jobs the pool cannot run — per-job rlimits, a
+///    program with no image (no memfd support), or a daemon with no pool
+///    — fork an executive for that job alone.  It inherits the cached
+///    lowered program across fork, applies the rlimits, runs the job on
+///    the VM, replies and exits.  No job runs on the interpreter.
 ///
 /// Both kinds reply with one JobResult frame on their channel.  A job
 /// whose executive dies without replying is triaged from its wait status

@@ -5,6 +5,7 @@
 #include "analysis/DepDistance.h"
 #include "bytecode/Lower.h"
 #include "bytecode/VM.h"
+#include "ir/Verifier.h"
 #include "profiling/ProfileCollector.h"
 #include "support/ErrorHandling.h"
 #include "transform/Doacross.h"
@@ -35,10 +36,8 @@ PipelineResult transform::runPrivateerPipeline(Module &M,
         Opt.ProfileBudget, Opt.Engine);
     char Ms[32];
     std::snprintf(Ms, sizeof(Ms), "%.2f", Run.WallMs);
-    std::string On = execEngineName(Run.EngineUsed);
-    if (!Run.EngineNote.empty())
-      On += " (lowering declined: " + Run.EngineNote + ")";
-    R.Log.push_back("profiled @" + TrainEntry + " on " + On + ": " +
+    R.Log.push_back("profiled @" + TrainEntry + " on " +
+                    execEngineName(Opt.Engine) + ": " +
                     std::to_string(Run.Instructions) + " instructions in " +
                     Ms + " ms, " + std::to_string(Run.Loads) + " loads, " +
                     std::to_string(Run.Stores) + " stores, " +
@@ -58,6 +57,7 @@ PipelineResult transform::runPrivateerPipeline(Module &M,
            R.TrainingProfile.loopStats(B).Weight;
   });
 
+  bool Rewritten = false; // M was changed in place: verify it again.
   std::vector<HeapAssignment> Candidates;
   for (Loop *L : Loops) {
     profiling::LoopStats S = R.TrainingProfile.loopStats(L);
@@ -89,6 +89,7 @@ PipelineResult transform::runPrivateerPipeline(Module &M,
                           ": doacross tokens cover too little");
         } else {
           DoacrossStats DS = applyDoacross(M, DP);
+          Rewritten = true;
           for (const std::string &E : DS.Errors)
             R.Log.push_back("doacross error: " + E);
           WhyNot.clear();
@@ -127,16 +128,23 @@ PipelineResult transform::runPrivateerPipeline(Module &M,
       selectLoops(Candidates, FA, R.TrainingProfile);
   if (Selected.empty()) {
     R.Log.push_back("no parallelizable loop selected");
-    return R;
+  } else {
+    // --- §4.4-4.6 Transformation of the heaviest selected loop. -----------
+    R.Assignment = Selected.front();
+    R.SelectedLoop = R.Assignment.TheLoop;
+    R.Stats = applyPrivatization(M, R.Assignment, FA, R.TrainingProfile);
+    for (const std::string &E : R.Stats.Errors)
+      R.Log.push_back("transform error: " + E);
+    Rewritten = true;
   }
-
-  // --- §4.4-4.6 Transformation of the heaviest selected loop. -------------
-  R.Assignment = Selected.front();
-  R.SelectedLoop = R.Assignment.TheLoop;
-  R.Stats = applyPrivatization(M, R.Assignment, FA, R.TrainingProfile);
-  for (const std::string &E : R.Stats.Errors)
-    R.Log.push_back("transform error: " + E);
-  R.Transformed = R.Stats.ok();
+  // The VM lowers only modules that verify, and a rewrite can push a
+  // function past a verifier limit (value prediction adds values and
+  // constants to the loop's function, which may sit at the register bound).
+  if (Rewritten)
+    R.ModuleErrors = ir::verifyModule(M);
+  for (const std::string &D : R.ModuleErrors)
+    R.Log.push_back("rewritten module: " + D);
+  R.Transformed = R.SelectedLoop && R.Stats.ok() && R.ModuleErrors.empty();
   if (R.Transformed)
     R.Log.push_back(
         "selected loop@" + R.SelectedLoop->header()->name() + ": " +
@@ -164,23 +172,15 @@ transform::lowerForPrivatized(const Module &M, const FunctionAnalyses &FA,
   LO.PlanLoop = L;
   LO.Iv = *Iv;
   std::unique_ptr<bytecode::BytecodeProgram> Prog =
-      bytecode::lowerModule(M, LO, WhyNot);
-  if (!Prog)
-    return nullptr;
+      bytecode::lowerModule(M, LO);
   // Bake the reduction registrations into the program: executing a
   // prelowered program (the service's executive pool ships them as flat
   // images) must not require the classification results at exec time.
   for (const auto &[O, ElemOp] : HA.ReduxOps) {
     if (!O.Global)
       continue;
-    auto It = Prog->GlobalIdx.find(O.Global->name());
-    if (It == Prog->GlobalIdx.end()) {
-      WhyNot = "reduction global '" + O.Global->name() +
-               "' missing from lowered program";
-      return nullptr;
-    }
     bytecode::BcReduxGlobal RG;
-    RG.GlobalIdx = It->second;
+    RG.GlobalIdx = Prog->GlobalIdx.at(O.Global->name());
     RG.Elem = ElemOp.first;
     RG.Op = ElemOp.second;
     Prog->ReduxGlobals.push_back(RG);
@@ -191,14 +191,8 @@ transform::lowerForPrivatized(const Module &M, const FunctionAnalyses &FA,
   for (const auto &[O, OpBytes] : HA.ComOps) {
     if (!O.Global)
       continue;
-    auto It = Prog->GlobalIdx.find(O.Global->name());
-    if (It == Prog->GlobalIdx.end()) {
-      WhyNot = "commutative global '" + O.Global->name() +
-               "' missing from lowered program";
-      return nullptr;
-    }
     bytecode::BcComGlobal CG;
-    CG.GlobalIdx = It->second;
+    CG.GlobalIdx = Prog->GlobalIdx.at(O.Global->name());
     CG.Op = OpBytes.first;
     CG.ElemBytes = OpBytes.second;
     Prog->ComGlobals.push_back(CG);
@@ -209,76 +203,15 @@ transform::lowerForPrivatized(const Module &M, const FunctionAnalyses &FA,
   return Prog;
 }
 
-std::shared_ptr<const bytecode::BytecodeProgram>
-transform::lowerForSequential(const Module &M, std::string &WhyNot) {
-  return bytecode::lowerModule(M, bytecode::LowerOptions(), WhyNot);
-}
-
 ExecutionResult transform::executePrivatized(
     Module &M, const FunctionAnalyses &FA, const HeapAssignment &HA,
     const PipelineOptions &Opt, const ParallelOptions &ParOpts,
     const RuntimeConfig &Config, std::FILE *Out) {
-  const Loop *L = HA.TheLoop;
-
-  // Engine selection before the runtime comes up: a lowered program runs
-  // on the VM; the interpreter takes over when the lowerer declines.
-  std::string EngineNote;
-  if (Opt.Engine == ExecEngine::Bytecode) {
-    if (auto BP = lowerForPrivatized(M, FA, HA, EngineNote))
-      return executeLoadedParallel(*BP, Opt, ParOpts, Config, Out);
-  }
-
-  Runtime &Rt = Runtime::get();
-  Rt.initialize(Config);
-  Rt.setSequentialOutput(Out);
-
-  ExecutionResult R;
-  R.EngineUsed = ExecEngine::Interp;
-  if (Opt.Engine == ExecEngine::Bytecode)
-    R.EngineNote = "bytecode lowering fell back to interpreter: " +
-                   EngineNote;
-  {
-    PrivateerMemoryManager MM;
-    Interpreter Interp(M, MM);
-    Interpreter::ParallelPlan Plan;
-    Plan.TheLoop = L;
-    auto Iv = L->canonicalIv(FA.cfg(L->header()->parent()));
-    if (!Iv)
-      reportFatalError("selected loop lost its canonical IV");
-    Plan.Iv = *Iv;
-    Plan.Options = ParOpts;
-    Plan.Options.Out = Out;
-    Plan.Options.NumDepChannels =
-        std::max(Plan.Options.NumDepChannels, HA.DoacrossChannels);
-    Interp.setParallelPlan(&Plan);
-    Interp.initializeGlobals();
-
-    // Register reduction-heap globals so workers start from the identity
-    // and checkpoints combine partials (§3.2).
-    for (const auto &[O, ElemOp] : HA.ReduxOps) {
-      if (!O.Global)
-        continue;
-      Rt.registerReduction(
-          reinterpret_cast<void *>(Interp.globalAddress(O.Global)),
-          O.Global->sizeBytes(), ElemOp.first, ElemOp.second);
-    }
-    // Commutative-heap globals: registration is bounds metadata for
-    // observability; the deferred records themselves carry addresses.
-    for (const auto &[O, OpBytes] : HA.ComOps) {
-      if (!O.Global)
-        continue;
-      Rt.registerCommutative(
-          reinterpret_cast<void *>(Interp.globalAddress(O.Global)),
-          O.Global->sizeBytes(), OpBytes.first, OpBytes.second);
-    }
-
-    R.ReturnValue = Interp.run(Opt.EntryFunction, Opt.EntryArgs);
-    R.Stats = Plan.Stats;
-  }
-
-  Rt.setSequentialOutput(nullptr);
-  Rt.shutdown();
-  return R;
+  std::string WhyNot;
+  auto BP = lowerForPrivatized(M, FA, HA, WhyNot);
+  if (!BP)
+    reportFatalError("privatized execution: " + WhyNot);
+  return executeLoadedParallel(*BP, Opt, ParOpts, Config, Out);
 }
 
 ExecutionResult transform::executeLoadedParallel(
@@ -290,7 +223,6 @@ ExecutionResult transform::executeLoadedParallel(
   Rt.setSequentialOutput(Out);
 
   ExecutionResult R;
-  R.EngineUsed = ExecEngine::Bytecode;
   {
     PrivateerMemoryManager MM;
     bytecode::VM Vm(BP, MM);
@@ -335,16 +267,9 @@ Cell transform::executeLoadedSequential(const bytecode::BytecodeProgram &BP,
 }
 
 Cell transform::executeSequential(Module &M, const PipelineOptions &Opt,
-                                  std::FILE *Out, ExecEngine *EngineUsed) {
-  std::shared_ptr<const bytecode::BytecodeProgram> BP;
-  if (Opt.Engine == ExecEngine::Bytecode) {
-    std::string WhyNot;
-    BP = lowerForSequential(M, WhyNot);
-  }
-  if (EngineUsed)
-    *EngineUsed = BP ? ExecEngine::Bytecode : ExecEngine::Interp;
-  if (BP)
-    return executeLoadedSequential(*BP, Opt, Out);
+                                  std::FILE *Out) {
+  if (Opt.Engine == ExecEngine::Bytecode)
+    return executeLoadedSequential(*bytecode::lowerModule(M, {}), Opt, Out);
 
   Runtime &Rt = Runtime::get();
   Rt.setSequentialOutput(Out);

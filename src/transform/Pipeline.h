@@ -12,12 +12,19 @@
 /// speculatively in parallel.  "The compiler system acts fully
 /// automatically without any guidance from the programmer."
 ///
+/// The transformed module runs only on the bytecode VM: lowering is total
+/// over verified modules, and the pipeline transforms only into a module
+/// that verifies (it reports a rewrite that breaks verification in
+/// PipelineResult::ModuleErrors).  The interpreter stays the oracle for sequential and
+/// training runs (PipelineOptions::Engine).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PRIVATEER_TRANSFORM_PIPELINE_H
 #define PRIVATEER_TRANSFORM_PIPELINE_H
 
 #include "interp/Interpreter.h"
+#include "runtime/Runtime.h"
 #include "transform/Privatizer.h"
 
 #include <memory>
@@ -45,10 +52,8 @@ struct PipelineOptions {
   std::string TrainingEntryFunction;
   /// Training-run instruction budget.
   uint64_t ProfileBudget = 500'000'000;
-  /// Requested execution engine, for the training run and for execution;
-  /// Bytecode silently falls back to Interp when lowering declines
-  /// (ExecutionResult::EngineUsed and the pipeline log report which
-  /// engine actually ran).
+  /// Engine of the training run and of executeSequential.  Privatized
+  /// execution always runs on the VM and ignores it.
   ExecEngine Engine = ExecEngine::Bytecode;
   /// Scheduling strategy.  Doall admits only dependence-free loops (the
   /// seed behavior).  Doacross and Pipeline additionally run the
@@ -74,6 +79,12 @@ struct PipelineResult {
   /// Why the training run trapped (empty when it completed); a trapped
   /// run leaves the module untouched and Transformed false.
   std::string TrainingTrap;
+  /// ir::verifyModule's diagnostics of the module after the pipeline
+  /// rewrote it (doacross pre-pass or privatization).  A rewrite can push a
+  /// function past a verifier limit, such as the register bound, and the
+  /// module is not rolled back: when non-empty, Transformed is false and
+  /// the module must be neither lowered nor run.
+  std::vector<std::string> ModuleErrors;
   std::vector<std::string> Log;
 };
 
@@ -87,15 +98,12 @@ PipelineResult runPrivateerPipeline(ir::Module &M,
 struct ExecutionResult {
   interp::Cell ReturnValue;
   InvocationStats Stats;
-  /// The engine that actually ran (Interp when bytecode lowering fell
-  /// back); EngineNote carries the fallback reason.
-  ExecEngine EngineUsed = ExecEngine::Interp;
-  std::string EngineNote;
 };
 
 /// Lowers \p M to bytecode for privatized execution: the HA's selected
 /// loop is compiled into the program as its parallel-interception site.
-/// Null (with \p WhyNot set) means callers must run the interpreter.
+/// Null (with \p WhyNot set) only when \p HA has no selected loop with a
+/// canonical IV, that is, when the pipeline did not transform \p M.
 /// The ProgramCache calls this once per program so warm daemon hits skip
 /// both parse and lowering.  The HA's reduction registrations are baked
 /// into the program (ReduxGlobals), making it self-contained: the
@@ -106,18 +114,13 @@ std::shared_ptr<const bytecode::BytecodeProgram>
 lowerForPrivatized(const ir::Module &M, const analysis::FunctionAnalyses &FA,
                    const classify::HeapAssignment &HA, std::string &WhyNot);
 
-/// Lowers \p M to bytecode for plain sequential execution (no loop
-/// interception).  Null (with \p WhyNot set) means interpreter fallback.
-std::shared_ptr<const bytecode::BytecodeProgram>
-lowerForSequential(const ir::Module &M, std::string &WhyNot);
-
 /// Executes the transformed module speculatively: logical heaps, tagged
 /// allocation, reduction registration, and the selected loop
 /// DOALL-parallelized across forked workers.  Initializes and shuts down
 /// the runtime internally.  Deferred output goes to \p Out (nullptr =
-/// stdout).  With Options.Engine == Bytecode the module is lowered and
-/// run through executeLoadedParallel; the interpreter runs it when the
-/// lowerer declines or Options.Engine is Interp.
+/// stdout).  The module is lowered and run through executeLoadedParallel
+/// on the VM whatever Options.Engine says; a module that does not lower
+/// is a fatal error.
 ExecutionResult executePrivatized(ir::Module &M,
                                   const analysis::FunctionAnalyses &FA,
                                   const classify::HeapAssignment &HA,
@@ -126,13 +129,12 @@ ExecutionResult executePrivatized(ir::Module &M,
                                   const RuntimeConfig &Config,
                                   std::FILE *Out);
 
-/// Plain sequential execution over host memory (works for original and
-/// transformed modules alike; checks are no-ops).  Output to \p Out.
-/// Honors Options.Engine with the same interpreter fallback;
-/// \p EngineUsed (optional) reports which engine ran.
+/// Plain sequential execution over host memory on Options.Engine.  Output
+/// to \p Out.  The VM runs original and transformed modules alike (checks
+/// are no-ops outside a worker); the interpreter runs untransformed ones
+/// only.
 interp::Cell executeSequential(ir::Module &M, const PipelineOptions &Options,
-                               std::FILE *Out,
-                               ExecEngine *EngineUsed = nullptr);
+                               std::FILE *Out);
 
 /// Speculative execution of a self-contained prelowered program (from
 /// lowerForPrivatized, possibly deserialized from a bytecode::Image): no

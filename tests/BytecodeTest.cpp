@@ -5,9 +5,9 @@
 // same runtime check counters, same fatal-error messages — because the
 // interpreter is its differential oracle.  These tests pin that contract
 // on the defined-semantics edge cases (INT64_MIN division, fptosi
-// saturation, malformed print formats), on the Figure 6 kernels through
-// the full privatization pipeline, and on the lowerer's declared
-// fallback behavior.
+// saturation, malformed print formats) and on the Figure 6 kernels
+// through the full privatization pipeline.  Lowering is total: every
+// verified module lowers plain, for profiling and privatized.
 //
 //===----------------------------------------------------------------------===//
 
@@ -15,6 +15,7 @@
 #include "bytecode/Image.h"
 #include "bytecode/Lower.h"
 #include "bytecode/VM.h"
+#include "GoldenProfile.h"
 #include "ir/IRParser.h"
 #include "ir/Verifier.h"
 #include "transform/Pipeline.h"
@@ -53,13 +54,12 @@ std::unique_ptr<ir::Module> parseOrDie(const std::string &Text) {
 /// Runs @main sequentially on the requested engine; returns the exit
 /// value and captures printed bytes.
 int64_t runSeq(const std::string &Text, ExecEngine Engine,
-               std::string *OutText = nullptr,
-               ExecEngine *Used = nullptr) {
+               std::string *OutText = nullptr) {
   auto M = parseOrDie(Text);
   PipelineOptions Opt;
   Opt.Engine = Engine;
   std::FILE *Out = std::tmpfile();
-  interp::Cell R = executeSequential(*M, Opt, Out, Used);
+  interp::Cell R = executeSequential(*M, Opt, Out);
   if (OutText)
     *OutText = readAll(Out);
   std::fclose(Out);
@@ -69,11 +69,8 @@ int64_t runSeq(const std::string &Text, ExecEngine Engine,
 /// Byte-compares both engines on @main and returns the (shared) result.
 int64_t runBothEngines(const std::string &Text) {
   std::string InterpOut, BcOut;
-  ExecEngine BcUsed = ExecEngine::Interp;
   int64_t InterpRet = runSeq(Text, ExecEngine::Interp, &InterpOut);
-  int64_t BcRet = runSeq(Text, ExecEngine::Bytecode, &BcOut, &BcUsed);
-  EXPECT_EQ(BcUsed, ExecEngine::Bytecode)
-      << "lowering unexpectedly declined:\n" << Text;
+  int64_t BcRet = runSeq(Text, ExecEngine::Bytecode, &BcOut);
   EXPECT_EQ(BcRet, InterpRet) << Text;
   EXPECT_EQ(BcOut, InterpOut) << Text;
   return InterpRet;
@@ -186,9 +183,7 @@ TEST(BytecodeSemantics, InstructionBudgetPinsRunawayLoops) {
                            "entry:\n  br loop\n"
                            "loop:\n  br loop\n}\n";
   auto M = parseOrDie(Text);
-  std::string WhyNot;
-  auto BP = bytecode::lowerModule(*M, bytecode::LowerOptions(), WhyNot);
-  ASSERT_NE(BP, nullptr) << WhyNot;
+  auto BP = bytecode::lowerModule(*M, bytecode::LowerOptions());
   interp::PlainMemoryManager MM;
   bytecode::VM Vm(*BP, MM);
   Vm.setInstructionBudget(10'000);
@@ -196,7 +191,8 @@ TEST(BytecodeSemantics, InstructionBudgetPinsRunawayLoops) {
   EXPECT_DEATH(Vm.run("main", {}), "instruction budget exceeded");
 }
 
-// --- Figure 6 kernels: full pipeline, bytecode vs. interpreter ----------
+// --- Figure 6 kernels: privatized VM runs vs. the interpreter's ---------
+// --- sequential run --------------------------------------------------
 
 class BytecodePipeline : public ::testing::TestWithParam<const char *> {};
 
@@ -216,7 +212,7 @@ TEST_P(BytecodePipeline, PrivatizedBytecodeByteMatchesInterp) {
   std::string Expected;
   int64_t ExpectedRet = runSeq(Text, ExecEngine::Interp, &Expected);
 
-  // Pipeline once; then run the privatized module on both engines.
+  // Pipeline once; then run the privatized module on the VM.
   auto M = parseOrDie(Text);
   analysis::FunctionAnalyses FA(*M);
   PipelineOptions Opt;
@@ -227,35 +223,18 @@ TEST_P(BytecodePipeline, PrivatizedBytecodeByteMatchesInterp) {
   std::fclose(Sink);
   ASSERT_TRUE(R.Transformed) << (R.Log.empty() ? "" : R.Log.back());
 
-  InvocationStats PerEngine[2];
-  for (ExecEngine Engine : {ExecEngine::Bytecode, ExecEngine::Interp}) {
-    PipelineOptions RunOpt;
-    RunOpt.Engine = Engine;
-    ParallelOptions Par;
-    Par.NumWorkers = 2;
-    Par.CheckpointPeriod = 16;
-    std::FILE *Out = std::tmpfile();
-    ExecutionResult E = executePrivatized(*M, FA, R.Assignment, RunOpt, Par,
-                                          RuntimeConfig(), Out);
-    std::string Got = readAll(Out);
-    std::fclose(Out);
-    EXPECT_EQ(E.EngineUsed, Engine)
-        << Name << ": requested engine did not run (" << E.EngineNote << ")";
-    EXPECT_EQ(Got, Expected) << Name << " on " << execEngineName(Engine);
-    EXPECT_EQ(E.ReturnValue.asInt(), ExpectedRet)
-        << Name << " on " << execEngineName(Engine);
-    EXPECT_EQ(E.Stats.Misspecs, 0u) << E.Stats.FirstMisspecReason;
-    PerEngine[Engine == ExecEngine::Interp] = E.Stats;
-  }
-
-  // Check/stat parity: both engines drive the same speculation machinery.
-  EXPECT_EQ(PerEngine[0].Iterations, PerEngine[1].Iterations) << Name;
-  EXPECT_EQ(PerEngine[0].SeparationChecks, PerEngine[1].SeparationChecks)
-      << Name;
-  EXPECT_EQ(PerEngine[0].PrivateReadCalls, PerEngine[1].PrivateReadCalls)
-      << Name;
-  EXPECT_EQ(PerEngine[0].PrivateWriteCalls, PerEngine[1].PrivateWriteCalls)
-      << Name;
+  ParallelOptions Par;
+  Par.NumWorkers = 2;
+  Par.CheckpointPeriod = 16;
+  std::FILE *Out = std::tmpfile();
+  ExecutionResult E = executePrivatized(*M, FA, R.Assignment, Opt, Par,
+                                        RuntimeConfig(), Out);
+  std::string Got = readAll(Out);
+  std::fclose(Out);
+  EXPECT_EQ(Got, Expected) << Name;
+  EXPECT_EQ(E.ReturnValue.asInt(), ExpectedRet) << Name;
+  EXPECT_EQ(E.Stats.Misspecs, 0u) << E.Stats.FirstMisspecReason;
+  EXPECT_GT(E.Stats.Iterations, 0u) << Name;
 }
 
 INSTANTIATE_TEST_SUITE_P(Fig6, BytecodePipeline,
@@ -264,27 +243,7 @@ INSTANTIATE_TEST_SUITE_P(Fig6, BytecodePipeline,
                            return std::string(I.param);
                          });
 
-// --- Fallback: the lowerer declines, the interpreter runs --------------
-
-TEST(BytecodeFallback, RegisterPressureDeclinesLowering) {
-  const std::string Text = "define i64 @main() {\n"
-                           "entry:\n"
-                           "  %a = add 1, 2\n"
-                           "  %b = add %a, 3\n"
-                           "  %c = add %b, %a\n"
-                           "  ret %c\n}\n";
-  auto M = parseOrDie(Text);
-  bytecode::LowerOptions LO;
-  LO.MaxRegsPerFunction = 2; // Too small for even this tiny body.
-  std::string WhyNot;
-  auto BP = bytecode::lowerModule(*M, LO, WhyNot);
-  EXPECT_EQ(BP, nullptr);
-  EXPECT_FALSE(WhyNot.empty());
-  EXPECT_NE(WhyNot.find("register"), std::string::npos) << WhyNot;
-
-  // Default budget lowers it fine, and the VM agrees with the oracle.
-  EXPECT_EQ(runBothEngines(Text), 9);
-}
+// --- Lowered programs ----------------------------------------------------
 
 TEST(BytecodeFallback, LoweredProgramsAreReusable) {
   // The service caches one lowered program per module and reuses it for
@@ -299,9 +258,7 @@ TEST(BytecodeFallback, LoweredProgramsAreReusable) {
                            "  print \"counter %d\\n\", %new\n"
                            "  ret %new\n}\n";
   auto M = parseOrDie(Text);
-  std::string WhyNot;
-  auto BP = transform::lowerForSequential(*M, WhyNot);
-  ASSERT_NE(BP, nullptr) << WhyNot;
+  auto BP = bytecode::lowerModule(*M, {});
   for (int Run = 0; Run < 2; ++Run) {
     std::FILE *Out = std::tmpfile();
     interp::Cell R =
@@ -323,9 +280,7 @@ TEST(BytecodeImage, RoundTripIsLossless) {
   for (const std::string &Text :
        {reductionSumIrText(700), dijkstraIrText(12)}) {
     auto M = parseOrDie(Text);
-    std::string WhyNot;
-    auto BP = transform::lowerForSequential(*M, WhyNot);
-    ASSERT_NE(BP, nullptr) << WhyNot;
+    auto BP = bytecode::lowerModule(*M, {});
 
     std::string Image = bytecode::serializeProgram(*BP);
     ASSERT_FALSE(Image.empty());
@@ -352,9 +307,7 @@ TEST(BytecodeImage, RoundTripIsLossless) {
 
 TEST(BytecodeImage, EveryTruncationFailsCleanly) {
   auto M = parseOrDie(reductionSumIrText(701));
-  std::string WhyNot;
-  auto BP = transform::lowerForSequential(*M, WhyNot);
-  ASSERT_NE(BP, nullptr) << WhyNot;
+  auto BP = bytecode::lowerModule(*M, {});
   std::string Image = bytecode::serializeProgram(*BP);
   ASSERT_GT(Image.size(), 64u);
 
@@ -387,17 +340,14 @@ TEST(BytecodeImage, EventOpcodesAreRejected) {
   bytecode::ProfileSites Sites;
   bytecode::LowerOptions LO;
   LO.Profile = &Sites;
-  std::string WhyNot;
-  auto Profiling = bytecode::lowerModule(*M, LO, WhyNot);
-  ASSERT_NE(Profiling, nullptr) << WhyNot;
+  auto Profiling = bytecode::lowerModule(*M, LO);
   std::string Image = bytecode::serializeProgram(*Profiling);
   std::string Err;
   EXPECT_EQ(bytecode::deserializeProgram(Image.data(), Image.size(), Err),
             nullptr);
   EXPECT_NE(Err.find("event opcode"), std::string::npos) << Err;
 
-  auto Plain = transform::lowerForSequential(*M, WhyNot);
-  ASSERT_NE(Plain, nullptr) << WhyNot;
+  auto Plain = bytecode::lowerModule(*M, {});
   for (unsigned Op = bytecode::kFirstEventOp; Op < bytecode::kNumBcOps;
        ++Op) {
     bytecode::BytecodeProgram Copy = *Plain;
@@ -412,6 +362,71 @@ TEST(BytecodeImage, EventOpcodesAreRejected) {
         << bytecode::bcOpName(static_cast<bytecode::BcOp>(Op));
     EXPECT_FALSE(Err.empty());
   }
+}
+
+// --- Totality: every verified module lowers -----------------------------
+//
+// The verifier rejects what the bytecode encoding cannot hold, and the
+// pipeline transforms only into a module that verifies, so the VM is the
+// one engine for privatized code.  Lowering asserts its invariants
+// (assert-enabled builds trip on a decline); here every program is also
+// checked for a verified transformed module and a compiled-in parallel
+// loop site.
+
+TEST(BytecodeLowering, EveryVerifiedModuleLowers) {
+  std::vector<golden::GoldenProgram> Programs = golden::goldenPrograms();
+  using Generator = std::string (*)(uint64_t, uint64_t &);
+  const std::pair<const char *, Generator> Generators[] = {
+      {"random-privatization", randomIrProgram},
+      {"random-dependence", randomDepLoopProgram},
+      {"random-commutative", randomComLoopProgram}};
+  for (const auto &[Name, Gen] : Generators)
+    for (uint64_t Seed = 1; Seed <= 50; ++Seed) {
+      uint64_t Iterations = 0;
+      Programs.push_back({std::string(Name) + ".seed" + std::to_string(Seed),
+                          Gen(Seed, Iterations), "main"});
+    }
+
+  unsigned Privatized = 0;
+  for (const golden::GoldenProgram &P : Programs) {
+    SCOPED_TRACE(P.Name);
+    auto M = parseOrDie(P.Text);
+    ASSERT_NE(M, nullptr);
+    EXPECT_FALSE(bytecode::lowerModule(*M, {})->Functions.empty());
+    bytecode::ProfileSites Sites;
+    bytecode::LowerOptions LO;
+    LO.Profile = &Sites;
+    EXPECT_FALSE(bytecode::lowerModule(*M, LO)->Functions.empty());
+
+    // Doacross also rewrites the carried dependences DOALL leaves alone.
+    analysis::FunctionAnalyses FA(*M);
+    PipelineOptions Opt;
+    Opt.Strat = Strategy::Doacross;
+    Opt.TrainingEntryFunction = P.Entry;
+    std::FILE *Sink = std::tmpfile();
+    Runtime::get().setSequentialOutput(Sink);
+    PipelineResult R = runPrivateerPipeline(*M, FA, Opt);
+    Runtime::get().setSequentialOutput(nullptr);
+    std::fclose(Sink);
+    if (!R.Transformed)
+      continue;
+    ++Privatized;
+    std::vector<std::string> Diags = ir::verifyModule(*M);
+    EXPECT_TRUE(Diags.empty()) << Diags.front();
+    std::string WhyNot;
+    auto BP = transform::lowerForPrivatized(*M, FA, R.Assignment, WhyNot);
+    ASSERT_NE(BP, nullptr) << WhyNot;
+    unsigned LoopSites = 0;
+    for (const bytecode::BcFunction &F : BP->Functions)
+      for (const bytecode::BcParLoopSite &S : F.ParSites) {
+        ++LoopSites;
+        EXPECT_NE(S.BodyEntryPc, 0u);
+        EXPECT_NE(S.ExitEntryPc, 0u);
+      }
+    EXPECT_EQ(LoopSites, 1u);
+  }
+  // Every program but the recurrence has a loop to privatize.
+  EXPECT_EQ(Privatized, Programs.size() - 1);
 }
 
 } // namespace

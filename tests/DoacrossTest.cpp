@@ -168,6 +168,7 @@ TEST(Doacross, ArrayRecurrenceParallelOutputIsExact) {
         sequentialOutput(arrayRecurrenceIrText(N, Dist), &ExpectedRet);
     ASSERT_NE(Expected.find("last "), std::string::npos);
 
+    // Both training engines; the privatized module always runs on the VM.
     for (ExecEngine Engine : {ExecEngine::Bytecode, ExecEngine::Interp}) {
       auto M = parseOrDie(arrayRecurrenceIrText(N, Dist));
       analysis::FunctionAnalyses FA(*M);
@@ -182,14 +183,13 @@ TEST(Doacross, ArrayRecurrenceParallelOutputIsExact) {
         Par.Strat = Strategy::Doacross;
         PipelineOptions Opt;
         Opt.Strat = Strategy::Doacross;
-        Opt.Engine = Engine;
         ExecutionResult E = executePrivatized(*M, FA, R.Assignment, Opt,
                                               Par, RuntimeConfig(), Out);
         std::string Got = readAll(Out);
         std::fclose(Out);
         EXPECT_EQ(Got, Expected)
-            << execEngineName(Engine) << ", " << Workers << " workers, "
-            << "dist " << Dist;
+            << "trained on " << execEngineName(Engine) << ", " << Workers
+            << " workers, dist " << Dist;
         EXPECT_EQ(E.ReturnValue.asInt(), ExpectedRet);
         EXPECT_EQ(E.Stats.Misspecs, 0u) << E.Stats.FirstMisspecReason;
         EXPECT_GT(E.Stats.DepPosts, 0u);
@@ -204,6 +204,7 @@ TEST(Doacross, ScalarCarryParallelOutputIsExact) {
   int64_t ExpectedRet = 0;
   std::string Expected = sequentialOutput(scalarCarryIrText(N), &ExpectedRet);
 
+  // Both training engines; the privatized module always runs on the VM.
   for (ExecEngine Engine : {ExecEngine::Bytecode, ExecEngine::Interp}) {
     auto M = parseOrDie(scalarCarryIrText(N));
     analysis::FunctionAnalyses FA(*M);
@@ -218,12 +219,11 @@ TEST(Doacross, ScalarCarryParallelOutputIsExact) {
     Par.Strat = Strategy::Doacross;
     PipelineOptions Opt;
     Opt.Strat = Strategy::Doacross;
-    Opt.Engine = Engine;
     ExecutionResult E = executePrivatized(*M, FA, R.Assignment, Opt, Par,
                                           RuntimeConfig(), Out);
     std::string Got = readAll(Out);
     std::fclose(Out);
-    EXPECT_EQ(Got, Expected) << execEngineName(Engine);
+    EXPECT_EQ(Got, Expected) << "trained on " << execEngineName(Engine);
     EXPECT_EQ(E.ReturnValue.asInt(), ExpectedRet);
     EXPECT_EQ(E.Stats.Misspecs, 0u) << E.Stats.FirstMisspecReason;
     EXPECT_GT(E.Stats.DepPosts, 0u);

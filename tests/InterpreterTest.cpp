@@ -2,6 +2,7 @@
 
 #include "interp/Interpreter.h"
 #include "ir/IRParser.h"
+#include "runtime/Runtime.h"
 
 #include <gtest/gtest.h>
 

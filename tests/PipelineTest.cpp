@@ -222,26 +222,31 @@ TEST(Pipeline, ReductionKernelClassifiedAndCombined) {
   std::fclose(Out);
   EXPECT_EQ(E.ReturnValue.asInt(), ExpectedSum);
   EXPECT_EQ(E.Stats.Misspecs, 0u) << E.Stats.FirstMisspecReason;
+}
 
-  // A module the lowerer declines (an f64 load of 4 bytes, in a function
-  // never called) still profiles, on the interpreter, and the log says
-  // why.
-  auto MD = parseOrDie(reductionSumIrText(N) +
-                       "define f64 @never_called() {\n"
-                       "entry:\n"
-                       "  %v = load f64, @acc, 4\n"
-                       "  ret %v\n"
-                       "}\n");
-  analysis::FunctionAnalyses FAD(*MD);
-  PipelineResult RD = runPrivateerPipeline(*MD, FAD, Opt);
-  EXPECT_TRUE(RD.Transformed);
-  ASSERT_FALSE(RD.Log.empty());
-  EXPECT_EQ(RD.Log.front().rfind("profiled @main on interp (lowering "
-                                 "declined: @never_called: f64 load must "
-                                 "be 8 bytes): ",
-                                 0),
-            0u)
-      << RD.Log.front();
+// Privatized code runs only on the VM: the interpreter, the sequential
+// oracle, refuses the transformed opcodes instead of running them.
+TEST(Pipeline, InterpreterRefusesTransformedModules) {
+  auto M = parseOrDie(dijkstraIrText(8));
+  analysis::FunctionAnalyses FA(*M);
+  std::FILE *TrainSink = std::tmpfile();
+  Runtime::get().setSequentialOutput(TrainSink);
+  PipelineResult R = runPrivateerPipeline(*M, FA, PipelineOptions());
+  Runtime::get().setSequentialOutput(nullptr);
+  std::fclose(TrainSink);
+  ASSERT_TRUE(R.Transformed) << (R.Log.empty() ? "" : R.Log.back());
+
+  PipelineOptions Interp;
+  Interp.Engine = ExecEngine::Interp;
+  EXPECT_DEATH(executeSequential(*M, Interp, std::tmpfile()),
+               "interpreter runs untransformed IR only");
+  // The VM runs the same module sequentially (checks are no-ops there).
+  std::FILE *Out = std::tmpfile();
+  EXPECT_EQ(executeSequential(*M, PipelineOptions(), Out).asInt(),
+            executePrivatized(*M, FA, R.Assignment, PipelineOptions(),
+                              ParallelOptions(), RuntimeConfig(), Out)
+                .ReturnValue.asInt());
+  std::fclose(Out);
 }
 
 TEST(Pipeline, GenuineRecurrenceIsNotParallelizable) {

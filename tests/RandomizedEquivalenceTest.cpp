@@ -264,12 +264,11 @@ TEST(ParallelEdgeCases, NonSpeculativeDoallMode) {
 // shape (scratch width, table/live-out sizes, arithmetic constants,
 // optional short-lived allocation, optional deferred print), runs it
 // through the full pipeline (profile -> classify -> transform), and then
-// executes the privatized loop in the *parallel runtime* across a
-// {workers x slots x EagerCommit x fault-injection x engine} matrix,
-// requiring byte-identical stdout and return value against plain
-// sequential interpretation of the untransformed program (the reference
-// is always the interpreter, so bytecode-engine configurations are true
-// cross-engine differentials).
+// executes the privatized loop on the VM in the *parallel runtime* across
+// a {workers x slots x EagerCommit x fault-injection} matrix, requiring
+// byte-identical stdout and return value against plain sequential
+// interpretation of the untransformed program (the reference is always
+// the interpreter, so every configuration is a cross-engine differential).
 //
 // PRIVATEER_RANDOM_SWEEP_SEEDS scales the sweep (default 25 for PR CI;
 // nightly CI runs hundreds).  PRIVATEER_TRACE, when set, traces every
@@ -352,15 +351,11 @@ TEST(RandomizedIrSweep, ParallelRuntimeMatchesSequentialAcrossMatrix) {
       }
       if (TraceEnv)
         Par.TracePath = TraceEnv;
-      // Random engine flip: roughly half the configurations execute on
-      // the bytecode VM, half on the interpreter, all against the same
-      // interp-sequential reference bytes.
-      transform::PipelineOptions RunOpt = Opt;
-      RunOpt.Engine = (Cfg.next() & 1) != 0 ? transform::ExecEngine::Interp
-                                            : transform::ExecEngine::Bytecode;
+      // Every configuration runs on the VM, against the interpreter's
+      // sequential reference bytes.
       std::FILE *Out = std::tmpfile();
       transform::ExecutionResult E = transform::executePrivatized(
-          *M, FA, R.Assignment, RunOpt, Par, RuntimeConfig(), Out);
+          *M, FA, R.Assignment, Opt, Par, RuntimeConfig(), Out);
       std::string Got = readAllFile(Out);
       std::fclose(Out);
       std::string Where = "seed " + std::to_string(Seed) + " conf " +
@@ -369,8 +364,7 @@ TEST(RandomizedIrSweep, ParallelRuntimeMatchesSequentialAcrossMatrix) {
                           std::to_string(Par.CheckpointPeriod) + " s" +
                           std::to_string(Par.MaxSlotsPerEpoch) +
                           (Par.EagerCommit ? " eager" : " postjoin") +
-                          (Faults ? " faults" : "") + " engine=" +
-                          transform::execEngineName(E.EngineUsed);
+                          (Faults ? " faults" : "");
       EXPECT_EQ(Got, Expected) << Where;
       EXPECT_EQ(E.ReturnValue.asInt(), RefRet.asInt()) << Where;
       if (!Faults)
@@ -386,8 +380,8 @@ TEST(RandomizedIrSweep, ParallelRuntimeMatchesSequentialAcrossMatrix) {
 // a loop-carried i64 scalar recurrence, an array recurrence a[i] =
 // f(a[i - x], i) at a fixed or variable (mask-bounded) distance, or both —
 // exactly the dependence shapes the DOACROSS pre-pass must prove and
-// rewrite into token forwarding.  The transformed loop then runs across a
-// {workers x stages x period x faults x engine x strategy} matrix,
+// rewrite into token forwarding.  The transformed loop then runs on the
+// VM across a {workers x stages x period x faults x strategy} matrix,
 // byte-compared against plain sequential interpretation of the pristine
 // program.  PRIVATEER_RANDOM_SWEEP_SEEDS scales the sweep for nightly CI.
 
@@ -452,8 +446,6 @@ TEST(RandomizedIrSweep, DoacrossPipelineMatchesSequentialAcrossMatrix) {
       if (TraceEnv)
         Par.TracePath = TraceEnv;
       transform::PipelineOptions RunOpt = Opt;
-      RunOpt.Engine = (Cfg.next() & 1) != 0 ? transform::ExecEngine::Interp
-                                            : transform::ExecEngine::Bytecode;
       // Half the configurations request the pipeline strategy with a
       // random stage count; over a monolithic planned loop it degrades to
       // the same token schedule, and the knob path itself is under test.
@@ -474,8 +466,7 @@ TEST(RandomizedIrSweep, DoacrossPipelineMatchesSequentialAcrossMatrix) {
           std::to_string(Par.MaxSlotsPerEpoch) +
           (Par.EagerCommit ? " eager" : " postjoin") +
           (Faults ? " faults" : "") + " strat=" + strategyName(Par.Strat) +
-          " stages=" + std::to_string(Par.NumStages) + " engine=" +
-          transform::execEngineName(E.EngineUsed);
+          " stages=" + std::to_string(Par.NumStages);
       EXPECT_EQ(Got, Expected) << Where;
       EXPECT_EQ(E.ReturnValue.asInt(), RefRet.asInt()) << Where;
       if (!Faults) {
@@ -494,8 +485,8 @@ TEST(RandomizedIrSweep, DoacrossPipelineMatchesSequentialAcrossMatrix) {
 // table cells — with recomputed store addresses, the shape the reduction
 // recognizer rejects (it demands pointer identity) and the commutative
 // recognizer claims.  The pipeline must classify the tables into the
-// sixth heap, and the parallel run must be byte-identical to sequential
-// interpretation across a {workers x period x faults x engine} matrix,
+// sixth heap, and the parallel run on the VM must be byte-identical to
+// sequential interpretation across a {workers x period x faults} matrix,
 // with zero misspeculation and nonzero folded records in the fault-free
 // configurations.
 
@@ -552,12 +543,9 @@ TEST(RandomizedIrSweep, CommutativeLoopsMatchSequentialAcrossMatrix) {
       }
       if (TraceEnv)
         Par.TracePath = TraceEnv;
-      transform::PipelineOptions RunOpt = Opt;
-      RunOpt.Engine = (Cfg.next() & 1) != 0 ? transform::ExecEngine::Interp
-                                            : transform::ExecEngine::Bytecode;
       std::FILE *Out = std::tmpfile();
       transform::ExecutionResult E = transform::executePrivatized(
-          *M, FA, R.Assignment, RunOpt, Par, RuntimeConfig(), Out);
+          *M, FA, R.Assignment, Opt, Par, RuntimeConfig(), Out);
       std::string Got = readAllFile(Out);
       std::fclose(Out);
       std::string Where = "seed " + std::to_string(Seed) + " conf " +
@@ -566,8 +554,7 @@ TEST(RandomizedIrSweep, CommutativeLoopsMatchSequentialAcrossMatrix) {
                           std::to_string(Par.CheckpointPeriod) + " s" +
                           std::to_string(Par.MaxSlotsPerEpoch) +
                           (Par.EagerCommit ? " eager" : " postjoin") +
-                          (Faults ? " faults" : "") + " engine=" +
-                          transform::execEngineName(E.EngineUsed);
+                          (Faults ? " faults" : "");
       EXPECT_EQ(Got, Expected) << Where;
       EXPECT_EQ(E.ReturnValue.asInt(), RefRet.asInt()) << Where;
       if (!Faults) {
@@ -610,7 +597,6 @@ TEST(RandomizedIrSweep, VmTrainingProfilesMatchInterpreter) {
           *M, FA, "main", {}, Budget, ExecEngine::Bytecode);
       ASSERT_EQ(Ref.Trap, "");
       ASSERT_EQ(Vm.Trap, "");
-      ASSERT_EQ(Vm.EngineUsed, ExecEngine::Bytecode) << Vm.EngineNote;
       EXPECT_EQ(Vm.Instructions, Ref.Instructions);
       EXPECT_EQ(Vm.Loads, Ref.Loads);
       EXPECT_EQ(Vm.Stores, Ref.Stores);

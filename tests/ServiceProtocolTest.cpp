@@ -33,7 +33,6 @@ JobRequest sampleRequest() {
   JobRequest R;
   R.ModuleText = "func @main() {\n}\n";
   R.Mode = JobMode::Sequential;
-  R.Engine = 1;
   R.NumWorkers = 7;
   R.CheckpointPeriod = 48;
   R.MaxSlotsPerEpoch = 12;
@@ -101,7 +100,6 @@ TEST(ServiceProtocol, JobRequestRoundTrip) {
   ASSERT_TRUE(decodeJobRequest(Body, Out, Err)) << Err;
   EXPECT_EQ(Out.ModuleText, In.ModuleText);
   EXPECT_EQ(Out.Mode, In.Mode);
-  EXPECT_EQ(Out.Engine, In.Engine);
   EXPECT_EQ(Out.NumWorkers, In.NumWorkers);
   EXPECT_EQ(Out.CheckpointPeriod, In.CheckpointPeriod);
   EXPECT_EQ(Out.MaxSlotsPerEpoch, In.MaxSlotsPerEpoch);
@@ -354,8 +352,9 @@ TEST(ServiceProtocol, DaemonSurvivesGarbageAndKeepsServing) {
 // Every client lives in this repository and speaks kProtocolVersion, so
 // bodies in the older layouts (v2: no Engine byte; v3: no tenant/submit
 // tail; v4: no strategy/stage tail; v5: a reply with six counters; v4 to
-// v6: a request carrying the tenant id and submit mode that v7 dropped)
-// are rejected outright, as are versions that never existed.
+// v6: a request carrying the tenant id and submit mode that v7 dropped;
+// v3 to v7: a request carrying the engine byte that v8 dropped) are
+// rejected outright, as are versions that never existed.
 
 void putU8(std::string &B, uint8_t V) { B.push_back(static_cast<char>(V)); }
 void putU32(std::string &B, uint32_t V) {
@@ -376,15 +375,16 @@ void putStr(std::string &B, const std::string &S) {
   B += S;
 }
 
-/// Encodes \p R exactly as a v2 to v6 client would have, with the anonymous
-/// tenant and in-band submission where the layout carries them.
+/// Encodes \p R exactly as a v2 to v7 client would have, with the bytecode
+/// engine, the anonymous tenant and in-band submission where the layout
+/// carries them.
 std::string encodeLegacyRequest(const JobRequest &R, uint8_t Version) {
   std::string B;
   putU8(B, Version);
   putStr(B, R.ModuleText);
   putU8(B, static_cast<uint8_t>(R.Mode));
   if (Version >= 3)
-    putU8(B, R.Engine);
+    putU8(B, 0); // engine: bytecode
   putU32(B, R.NumWorkers);
   putU64(B, R.CheckpointPeriod);
   putU64(B, R.MaxSlotsPerEpoch);
@@ -411,7 +411,7 @@ std::string encodeLegacyRequest(const JobRequest &R, uint8_t Version) {
   putU32(B, R.FaultOomAttempts);
   putU64(B, R.FaultAllocBytes);
   putF64(B, R.FaultBurnCpuSec);
-  if (Version >= 4) {
+  if (Version >= 4 && Version <= 6) {
     putStr(B, ""); // tenant id
     putU8(B, 0);   // submit mode: in-band
   }
@@ -452,8 +452,8 @@ std::string encodeV5Reply(const JobReply &R) {
 
 TEST(ServiceProtocol, CrossVersionRequestsRejected) {
   JobRequest In = sampleRequest();
-  for (uint8_t V :
-       {uint8_t(2), uint8_t(3), uint8_t(4), uint8_t(5), uint8_t(6)}) {
+  for (uint8_t V : {uint8_t(2), uint8_t(3), uint8_t(4), uint8_t(5),
+                    uint8_t(6), uint8_t(7)}) {
     JobRequest Out;
     std::string Err;
     EXPECT_FALSE(decodeJobRequest(encodeLegacyRequest(In, V), Out, Err))
@@ -473,7 +473,7 @@ TEST(ServiceProtocol, CrossVersionRequestsRejected) {
 
   // Any other version byte on a current-layout body, of either kind.
   for (uint8_t V : {uint8_t(0), uint8_t(1), uint8_t(4), uint8_t(5),
-                    uint8_t(6), uint8_t(kProtocolVersion + 1)}) {
+                    uint8_t(6), uint8_t(7), uint8_t(kProtocolVersion + 1)}) {
     std::string Body = encodeJobRequest(In);
     Body[0] = static_cast<char>(V);
     JobRequest Out;

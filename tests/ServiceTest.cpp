@@ -4,7 +4,7 @@
 // byte-identical outputs and a warm cache, executive-crash isolation,
 // client-disconnect cancellation, per-job deadlines, admission-control
 // backpressure, SIGTERM drain, sequential-mode fallback, and the jobs
-// that run on one-shot executives (interpreter engine, per-job rlimits).
+// that run on one-shot executives (per-job rlimits).
 //
 // Every daemon is forked (ForkedDaemon) before any test threads exist;
 // the test process itself only ever talks over sockets.
@@ -13,6 +13,7 @@
 
 #include "ServiceTestUtil.h"
 #include "ir/IRParser.h"
+#include "ir/Verifier.h"
 #include "service/Client.h"
 #include "service/Protocol.h"
 #include "transform/Pipeline.h"
@@ -447,6 +448,78 @@ TEST(Service, TrainingRunTrapIsTypedAndDaemonSurvives) {
   ASSERT_TRUE(D.alive());
 }
 
+/// dijkstraIrText(8) with @hot_loop's entry block padded by \p Pad adds.
+std::string paddedDijkstra(unsigned Pad) {
+  std::string T = dijkstraIrText(8);
+  const std::string Entry = "define void @hot_loop(i64 %n) {\nentry:\n";
+  std::string Fill;
+  for (unsigned K = 0; K < Pad; ++K)
+    Fill += "  %pad" + std::to_string(K) + " = add %n, 0\n";
+  size_t At = T.find(Entry);
+  EXPECT_NE(At, std::string::npos);
+  T.insert(At + Entry.size(), Fill);
+  return T;
+}
+
+// A module at the verifier's register bound verifies, but the pipeline's
+// value prediction adds values to the selected loop's function and pushes
+// it past the bound.  The daemon must not lower that module (neither for
+// speculative nor for sequential jobs): the submit gets a typed, cached
+// ParseError naming the bound, and the daemon keeps serving.
+TEST(Service, RewriteOverRegisterBoundIsTypedAndDaemonSurvives) {
+  // Calibrate: one pad per register makes the verifier report
+  // Base + 65535 registers; Base fewer pads put @hot_loop exactly at the
+  // bound.
+  std::string Err;
+  auto Over = ir::parseModule(paddedDijkstra(65535), Err);
+  ASSERT_NE(Over, nullptr) << Err;
+  unsigned Needed = 0;
+  for (const std::string &D : ir::verifyModule(*Over))
+    if (std::sscanf(D.c_str(), "@hot_loop: needs up to %u registers",
+                    &Needed) == 1)
+      break;
+  ASSERT_GT(Needed, 65535u) << "no register diagnostic for @hot_loop";
+  const std::string Text = paddedDijkstra(65535 - (Needed - 65535));
+  auto AtBound = ir::parseModule(Text, Err);
+  ASSERT_NE(AtBound, nullptr) << Err;
+  auto Diags = ir::verifyModule(*AtBound);
+  ASSERT_TRUE(Diags.empty()) << Diags.front();
+
+  ServerOptions Opts;
+  Opts.SocketPath = uniqueSocketPath();
+  Opts.WorkerBudget = 8;
+  ForkedDaemon D(Opts);
+  ASSERT_TRUE(D.forked());
+
+  service::Client C;
+  ASSERT_TRUE(C.connect(D.socket(), Err, 10 * timeoutScale())) << Err;
+
+  for (JobMode Mode : {JobMode::Sequential, JobMode::Speculative}) {
+    JobRequest Req;
+    Req.ModuleText = Text;
+    Req.Mode = Mode;
+    JobReply R;
+    ASSERT_TRUE(C.submit(Req, R, Err, 120 * timeoutScale())) << Err;
+    EXPECT_EQ(R.Status, JobStatus::ParseError) << R.Error;
+    EXPECT_NE(R.Error.find("rewritten module: "), std::string::npos)
+        << R.Error;
+    EXPECT_NE(R.Error.find("above the bytecode limit of 65535"),
+              std::string::npos)
+        << R.Error;
+  }
+
+  JobRequest Ok = quickJob();
+  JobReply R;
+  ASSERT_TRUE(C.submit(Ok, R, Err, 60 * timeoutScale())) << Err;
+  ASSERT_EQ(R.Status, JobStatus::Ok) << R.Error;
+  EXPECT_EQ(R.Output, sequentialOutput(Ok.ModuleText));
+
+  std::string Json;
+  ASSERT_TRUE(C.status(Json, Err)) << Err;
+  EXPECT_EQ(jsonInt(Json, "cache_misses"), 2) << "verdict not cached";
+  ASSERT_TRUE(D.alive());
+}
+
 // The scheduling strategy is part of a program's identity: the same
 // module text is refused under DOALL (the scalar carry defeats it),
 // served under DOACROSS and pipeline — and each strategy compiles its
@@ -507,53 +580,6 @@ TEST(Service, DoacrossStrategyServedAndCachedPerStrategy) {
   ASSERT_TRUE(C.status(Json, Err)) << Err;
   EXPECT_EQ(jsonInt(Json, "cache_misses"), 3) << Json;
   EXPECT_GE(jsonInt(Json, "cache_hits"), 1) << Json;
-  ASSERT_TRUE(D.alive());
-}
-
-// Interpreter-engine jobs never reach the pool (only lowered images
-// travel to pooled executives): each runs on a one-shot executive over
-// the fork-inherited module, and its output matches the bytecode job's
-// byte for byte, speculative and sequential alike.
-TEST(Service, InterpreterEngineJobsMatchBytecode) {
-  ServerOptions Opts;
-  Opts.SocketPath = uniqueSocketPath();
-  Opts.WorkerBudget = 8;
-  ForkedDaemon D(Opts);
-  ASSERT_TRUE(D.forked());
-
-  const std::string Text = reductionSumIrText(1500);
-  const std::string Expected = sequentialOutput(Text);
-  ASSERT_FALSE(Expected.empty());
-
-  service::Client C;
-  std::string Err;
-  ASSERT_TRUE(C.connect(D.socket(), Err, 10 * timeoutScale())) << Err;
-
-  for (JobMode Mode : {JobMode::Speculative, JobMode::Sequential}) {
-    SCOPED_TRACE(Mode == JobMode::Sequential ? "sequential" : "speculative");
-    JobRequest Req;
-    Req.ModuleText = Text;
-    Req.NumWorkers = 2;
-    Req.Mode = Mode;
-    JobReply Bc;
-    ASSERT_TRUE(C.submit(Req, Bc, Err, 300 * timeoutScale())) << Err;
-    ASSERT_EQ(Bc.Status, JobStatus::Ok) << Bc.Error;
-
-    Req.Engine = 1;
-    JobReply In;
-    ASSERT_TRUE(C.submit(Req, In, Err, 300 * timeoutScale())) << Err;
-    ASSERT_EQ(In.Status, JobStatus::Ok) << In.Error;
-    EXPECT_EQ(In.Output, Bc.Output);
-    EXPECT_EQ(In.Output, Expected);
-    EXPECT_EQ(In.ExitValue, Bc.ExitValue);
-    EXPECT_EQ(In.Iterations, Bc.Iterations);
-  }
-
-  std::string Json;
-  ASSERT_TRUE(C.status(Json, Err)) << Err;
-  EXPECT_EQ(jsonInt(Json, "supervisor_forks"), 2) << Json;
-  EXPECT_EQ(jsonInt(Json, "pool_dispatches"), 2) << Json;
-  EXPECT_EQ(jsonInt(Json, "cache_misses"), 1) << Json;
   ASSERT_TRUE(D.alive());
 }
 

@@ -38,9 +38,6 @@ int usage(const char *Argv0) {
                "usage: %s <program.pir> [options]\n"
                "  --emit            print the transformed module and stop\n"
                "  --seq             run sequentially (no speculation)\n"
-               "  --engine <e>      execution engine: bytecode (default,\n"
-               "                    direct-threaded VM) or interp (the\n"
-               "                    tree-walking oracle)\n"
                "  --strategy <s>    scheduling strategy: doall (default),\n"
                "                    doacross (token-forward provable carried\n"
                "                    dependences), or pipeline (staged)\n"
@@ -70,7 +67,6 @@ int main(int Argc, char **Argv) {
   std::string ProfileOut;
   std::string ConnectSock;
   bool Emit = false, Seq = false, Verbose = false;
-  ExecEngine Engine = ExecEngine::Bytecode;
   // Knob defaults are ParallelOptions' own (4 workers, derived period), so
   // the usage text, local runs, and service submissions all agree.
   ParallelOptions Par;
@@ -83,17 +79,6 @@ int main(int Argc, char **Argv) {
       Seq = true;
     else if (A == "--verbose")
       Verbose = true;
-    else if (A == "--engine" && I + 1 < Argc) {
-      std::string E = Argv[++I];
-      if (E == "bytecode")
-        Engine = ExecEngine::Bytecode;
-      else if (E == "interp")
-        Engine = ExecEngine::Interp;
-      else {
-        std::fprintf(stderr, "error: unknown engine '%s'\n", E.c_str());
-        return 2;
-      }
-    }
     else if (A == "--strategy" && I + 1 < Argc) {
       std::string S = Argv[++I];
       if (!strategyFromName(S, Par.Strat)) {
@@ -172,7 +157,6 @@ int main(int Argc, char **Argv) {
     Req.ModuleText = Text;
     Req.Mode = Seq ? service::JobMode::Sequential
                    : service::JobMode::Speculative;
-    Req.Engine = Engine == ExecEngine::Interp ? 1 : 0;
     Req.Strat = static_cast<uint8_t>(Par.Strat);
     Req.NumStages = Par.NumStages;
     Req.NumWorkers = Par.NumWorkers;
@@ -213,18 +197,14 @@ int main(int Argc, char **Argv) {
   }
 
   if (Seq) {
-    PipelineOptions SeqOpt;
-    SeqOpt.Engine = Engine;
-    ExecEngine Used = ExecEngine::Interp;
-    interp::Cell R = executeSequential(*M, SeqOpt, stdout, &Used);
-    std::fprintf(stderr, "[privateer-cc] sequential (%s) exit value: %lld\n",
-                 execEngineName(Used), static_cast<long long>(R.asInt()));
+    interp::Cell R = executeSequential(*M, PipelineOptions(), stdout);
+    std::fprintf(stderr, "[privateer-cc] sequential exit value: %lld\n",
+                 static_cast<long long>(R.asInt()));
     return 0;
   }
 
   analysis::FunctionAnalyses FA(*M);
   PipelineOptions Opt;
-  Opt.Engine = Engine;
   Opt.Strat = Par.Strat;
   Opt.NumStages = Par.NumStages;
   PipelineResult R = runPrivateerPipeline(*M, FA, Opt);
@@ -269,12 +249,9 @@ int main(int Argc, char **Argv) {
 
   ExecutionResult E = executePrivatized(*M, FA, R.Assignment, Opt, Par,
                                         RuntimeConfig(), stdout);
-  if (!E.EngineNote.empty())
-    std::fprintf(stderr, "[privateer-cc] %s\n", E.EngineNote.c_str());
   std::fprintf(stderr,
-               "[privateer-cc] engine %s: %llu iterations, %u workers, %llu "
+               "[privateer-cc] %llu iterations, %u workers, %llu "
                "checkpoints, %llu misspecs (%s), exit value %lld\n",
-               execEngineName(E.EngineUsed),
                static_cast<unsigned long long>(E.Stats.Iterations),
                Par.NumWorkers,
                static_cast<unsigned long long>(E.Stats.Checkpoints),
