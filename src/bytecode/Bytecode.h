@@ -120,7 +120,7 @@ namespace bytecode {
   X(AddImmLoad8)  /* r[C] = r[B] + Imm;   r[A] = 8-byte load r[C] */          \
   X(AddStore8)    /* r[Imm] = r[B] + r[C]; 8-byte store r[A] to r[Imm] */     \
   X(AddImmStore8) /* r[C] = r[B] + Imm;   8-byte store r[A] to r[C] */        \
-  /* DOACROSS / pipeline token forwarding (appended: keeps the fused       */\
+  /* DOACROSS token forwarding (appended: keeps the fused                  */\
   /* compare-family contiguity asserts valid)                              */\
   X(PostDep)      /* post token (iter r[A], value r[B]) on channel Imm */     \
   X(WaitDep)      /* r[A] = wait for iter r[B]'s token on channel Imm */      \

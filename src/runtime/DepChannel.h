@@ -6,13 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Post/wait token channels for speculative DOACROSS and pipeline
-/// scheduling (ROADMAP item 3).  A channel is a fixed-size ring of
-/// (tag, value) slots indexed by iteration number; the producer of a
-/// cross-iteration value posts it under tag Iter+1 and consumers accept a
-/// slot only on an exact tag match, so a slot left over from an earlier
-/// loop, epoch, or ring wrap reads as "not yet posted" instead of as a
-/// stale value.
+/// Post/wait token channels for speculative DOACROSS scheduling (ROADMAP
+/// item 3).  A channel is a fixed-size ring of (tag, value) slots indexed
+/// by iteration number; the producer of a cross-iteration value posts it
+/// under tag Iter+1 and consumers accept a slot only on an exact tag
+/// match, so a slot left over from an earlier loop, epoch, or ring wrap
+/// reads as "not yet posted" instead of as a stale value.
 ///
 /// The rings live in one MAP_SHARED region created by runParallel and
 /// inherited by every forked worker, which is what lets values cross the

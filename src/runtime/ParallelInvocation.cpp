@@ -145,7 +145,7 @@ void Runtime::runDegraded(uint64_t Begin, uint64_t End,
 }
 
 //===----------------------------------------------------------------------===//
-// Dependence-token channels (DOACROSS / pipeline, ROADMAP item 3)
+// Dependence-token channels (DOACROSS, ROADMAP item 3)
 //===----------------------------------------------------------------------===//
 
 void Runtime::ensureLocalDepRings(uint32_t Chan) {
@@ -266,42 +266,6 @@ uint64_t Runtime::waitDep(uint64_t Iter, uint32_t Chan) {
   }
 }
 
-InvocationStats Runtime::runParallelStaged(uint64_t NumIterations,
-                                           const ParallelOptions &Options,
-                                           const StagedIterationFn &Body) {
-  ParallelOptions Opt = Options;
-  uint32_t S = Opt.NumStages ? Opt.NumStages : Opt.NumWorkers;
-  S = std::max<uint32_t>(1, std::min<uint32_t>(S, Opt.NumWorkers));
-  Opt.Strat = Strategy::Pipeline;
-  Opt.NumStages = S;
-  Opt.NumWorkers = S; // One worker per stage.
-  Opt.NumDepChannels = std::max(Opt.NumDepChannels, S);
-  StageCount = S;
-  int64_t SavedFloor = DepFloor;
-  DepFloor = 0;
-  // In a worker, run this worker's stage of iteration I: wait on the
-  // previous stage's token for the same iteration, compute, post ours.
-  // Sequentially (recovery, degradation, the baseline), run the whole
-  // stage chain of I in order — the token value flows directly, so the
-  // re-execution is a legal linearization of the pipeline's two orders
-  // (stage order within an iteration, iteration order within a stage).
-  IterationFn Wrapper = [this, &Body, S](uint64_t I) {
-    if (Mode == ExecMode::Sequential) {
-      uint64_t In = 0;
-      for (uint32_t St = 0; St < S; ++St)
-        In = Body(I, St, In);
-      return;
-    }
-    uint32_t St = CurStage;
-    uint64_t In = St == 0 ? 0 : waitDep(I, St - 1);
-    postDep(I, St, Body(I, St, In));
-  };
-  InvocationStats Stats = runParallel(NumIterations, Opt, Wrapper);
-  StageCount = 0;
-  DepFloor = SavedFloor;
-  return Stats;
-}
-
 uint64_t privateer::checkpointPeriodFor(const ParallelOptions &Options,
                                         uint64_t NumIterations) {
   constexpr uint64_t kMax = shadow::kMaxCheckpointPeriod - 1;
@@ -354,7 +318,7 @@ InvocationStats Runtime::runParallel(uint64_t NumIterations,
   FaultInjector Fi(Options.Faults);
   Injector = Fi.enabled() ? &Fi : nullptr;
 
-  // Dependence-token channels (DOACROSS / pipeline): one MAP_SHARED ring
+  // Dependence-token channels (DOACROSS): one MAP_SHARED ring
   // region for the whole invocation.  It must outlive individual epochs —
   // a token committed in epoch k feeds the first iterations of epoch k+1 —
   // and forked workers inherit the mapping, which is how forwarded values
@@ -1041,10 +1005,6 @@ void Runtime::workerMain(unsigned Id, const EpochPlan &Plan,
   bool Spec = !Options.NonSpeculative;
   WorkerId = Id;
   NumWorkers = Options.NumWorkers;
-  // Pipeline: this worker IS one stage and visits every iteration in
-  // order; the cyclic-scheduling arithmetic below is bypassed.
-  bool Staged = Options.Strat == Strategy::Pipeline && Options.NumStages > 0;
-  CurStage = Staged ? Id : 0;
   EpochBase = Plan.BaseIter;
   PeriodLen = Plan.Period;
   LocalStats = WorkerStats();
@@ -1141,25 +1101,17 @@ void Runtime::workerMain(unsigned Id, const EpochPlan &Plan,
     uint64_t PeriodEnd = std::min(EpochEnd, PeriodStart + Plan.Period);
     bool Executed = false;
 
-    // This worker's iterations of period P: its cyclic share for DOALL /
-    // DOACROSS, every iteration for a pipeline stage.
+    // This worker's iterations of period P: its cyclic share.
     uint64_t First = PeriodStart;
-    uint64_t Step = Staged ? 1 : NumWorkers;
-    if (!Staged) {
-      uint64_t Phase = (First - Plan.BaseIter) % NumWorkers;
-      if (Phase != Id)
-        First += (Id + NumWorkers - Phase) % NumWorkers;
-    }
-    // One span per stage per period: the stage boundaries (not individual
-    // iterations) are what a pipeline timeline needs to show skew and
-    // fill/drain.  Zero cost when tracing is off.
-    uint64_t StagePassStartNs = Staged && TraceRing ? monotonicNanos() : 0;
+    uint64_t Phase = (First - Plan.BaseIter) % NumWorkers;
+    if (Phase != Id)
+      First += (Id + NumWorkers - Phase) % NumWorkers;
     // UsefulSec is CPU time of the whole period loop, bookkeeping below
     // included: two thread-CPU clock reads per period instead of per
     // iteration, which for short bodies cost more than the body itself.
     // A period cut short by misspecAbort contributes nothing.
     double UsefulStart = cpuSeconds();
-    for (uint64_t I = First; I < PeriodEnd; I += Step) {
+    for (uint64_t I = First; I < PeriodEnd; I += NumWorkers) {
       CurIter = I;
       Cb->WorkerIter[Id].store(I, std::memory_order_relaxed);
       if (++SinceBeat >= BeatEvery) {
@@ -1208,10 +1160,6 @@ void Runtime::workerMain(unsigned Id, const EpochPlan &Plan,
       }
     }
     LocalStats.UsefulSec += cpuSeconds() - UsefulStart;
-    if (StagePassStartNs)
-      TraceRing->push(trace::makeEvent(
-          trace::Kind::StagePass, TraceRow, monotonicNanos(),
-          StagePassStartNs, P, CurStage));
 
     if (Stopped)
       break;

@@ -54,6 +54,9 @@ struct RuntimeConfig {
 };
 
 /// How a parallel invocation schedules its iterations (ROADMAP item 3).
+/// A compile-time choice: the transform reads it to decide whether to
+/// forward cross-iteration dependences, and the runtime learns DOACROSS
+/// from the lowered image's dependence channels.
 enum class Strategy : uint8_t {
   /// Independent iterations, the paper's model: cross-iteration
   /// dependences must be speculated away entirely.
@@ -62,23 +65,7 @@ enum class Strategy : uint8_t {
   /// dependences flow through post/wait token channels (postDep/waitDep)
   /// at their analyzed dependence distance.
   Doacross = 1,
-  /// Staged pipeline: the body is split into NumStages stages, one per
-  /// worker; every stage visits every iteration in order and tokens flow
-  /// between consecutive stages (runParallelStaged).
-  Pipeline = 2,
 };
-
-inline const char *strategyName(Strategy S) {
-  switch (S) {
-  case Strategy::Doall:
-    return "doall";
-  case Strategy::Doacross:
-    return "doacross";
-  case Strategy::Pipeline:
-    return "pipeline";
-  }
-  return "?";
-}
 
 /// Parses a --strategy value; returns false on an unknown name.
 inline bool strategyFromName(const std::string &Name, Strategy &Out) {
@@ -86,8 +73,6 @@ inline bool strategyFromName(const std::string &Name, Strategy &Out) {
     Out = Strategy::Doall;
   else if (Name == "doacross")
     Out = Strategy::Doacross;
-  else if (Name == "pipeline")
-    Out = Strategy::Pipeline;
   else
     return false;
   return true;
@@ -134,17 +119,16 @@ struct ParallelOptions {
   /// Deferred-output sink; nullptr means stdout.
   std::FILE *Out = nullptr;
 
-  // --- Execution strategy (DOACROSS / pipeline, ROADMAP item 3) ----------
+  // --- Dependence forwarding (DOACROSS, ROADMAP item 3) -----------------
 
-  /// Scheduling strategy.  Doacross and Pipeline need NumDepChannels > 0
-  /// to map the shared token rings.
+  /// Not read by the runtime, which learns DOACROSS from NumDepChannels.
+  /// Kept only because the end-to-end benchmark (perfbench/src/IrJobs.cpp)
+  /// assigns it, and that tree changes only together with the benchmark.
   Strategy Strat = Strategy::Doall;
-  /// Dep-token channels the invocation uses: one per forwarded dependence
-  /// (DOACROSS) or per stage boundary (pipeline).  >0 maps a MAP_SHARED
-  /// ring region inherited by workers; 0 keeps DOALL behavior.
+  /// Dep-token channels the invocation uses, one per forwarded dependence.
+  /// >0 maps a MAP_SHARED ring region inherited by workers; 0 keeps DOALL
+  /// behavior.
   uint32_t NumDepChannels = 0;
-  /// Pipeline stage count for runParallelStaged; clamped to NumWorkers.
-  uint32_t NumStages = 0;
 
   // --- Fault tolerance ---------------------------------------------------
 
@@ -338,7 +322,7 @@ public:
   /// recovery engine.
   void runSequential(uint64_t Begin, uint64_t End, const IterationFn &Body);
 
-  // --- Dependence forwarding (DOACROSS / pipeline, ROADMAP item 3) -------
+  // --- Dependence forwarding (DOACROSS, ROADMAP item 3) -----------------
 
   /// post: publishes the cross-iteration value produced by iteration
   /// \p Iter on channel \p Chan.  Inside an invocation the token lands in
@@ -362,23 +346,6 @@ public:
   /// spinning.  The execution engines set it right before entering the
   /// planned loop.
   void setDepFloor(int64_t Floor) { DepFloor = Floor; }
-
-  /// Stage body for runParallelStaged: (iteration, stage, token from the
-  /// previous stage) -> token for the next stage.  Stage 0 receives 0.
-  using StagedIterationFn =
-      std::function<uint64_t(uint64_t, uint32_t, uint64_t)>;
-
-  /// Pipeline driver: stage s (one per worker, NumStages clamped to
-  /// NumWorkers) processes every iteration in order, waiting on stage
-  /// s-1's token for the same iteration and posting its own on channel s.
-  /// Shares the DOALL epoch/checkpoint machinery — checkpoint slots act
-  /// as stage-commit points (a slot commits only once every stage has
-  /// merged its period) — so misspeculation rolls back the stage suffix
-  /// past the committed frontier and re-runs the remaining (iteration,
-  /// stage) pairs sequentially in order.
-  InvocationStats runParallelStaged(uint64_t NumIterations,
-                                    const ParallelOptions &Options,
-                                    const StagedIterationFn &Body);
 
   ExecMode mode() const { return Mode; }
 
@@ -469,7 +436,7 @@ private:
   trace::Ring *TraceRing = nullptr;
   std::FILE *SeqOut = nullptr; ///< Sink for immediate (sequential) output.
 
-  // --- Dependence-token channels (DOACROSS / pipeline) -------------------
+  // --- Dependence-token channels (DOACROSS) ------------------------------
   /// Base of the channel rings.  During an invocation this is the
   /// MAP_SHARED region created by runParallel (workers inherit the
   /// mapping); outside invocations it may point at lazily grown
@@ -483,10 +450,6 @@ private:
   uint32_t LocalDepChanCount = 0;
   int64_t DepFloor = INT64_MIN;
   uint64_t DepWaitNs = 0; ///< Spin bound for speculative waits (0 = none).
-  /// Staged-pipeline state, live only inside runParallelStaged.
-  const StagedIterationFn *StagedBody = nullptr;
-  uint32_t StageCount = 0;
-  uint32_t CurStage = 0; ///< This worker's stage.
   /// Grows the process-local fallback rings to cover \p Chan.
   void ensureLocalDepRings(uint32_t Chan);
 };

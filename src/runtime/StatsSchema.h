@@ -67,8 +67,8 @@
   X(ResourceFailures, Sum, "fault", "resource-failures", Main)                 \
   X(DegradedEpochs, Sum, "fault", "degraded-epochs", Main)                     \
   X(DegradedIterations, Sum, "fault", "degraded-iterations", Main)             \
-  /* DOACROSS / pipeline tokens: posted, consumed, spin rounds blocked,        \
-     waits that gave up and misspeculated. */                                  \
+  /* DOACROSS tokens: posted, consumed, spin rounds blocked, waits that        \
+     gave up and misspeculated. */                                             \
   X(DepPosts, Sum, "dep", "posts", Worker)                                     \
   X(DepWaits, Sum, "dep", "waits", Worker)                                     \
   X(DepWaitSpins, Sum, "dep", "wait-spins", Worker)                            \

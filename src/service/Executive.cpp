@@ -151,27 +151,19 @@ JobReply service::runJob(const ExecAssignment &A,
   ParallelOptions Par;
   Par.NumWorkers = Req.NumWorkers;
   Par.CheckpointPeriod = Req.CheckpointPeriod;
-  Par.MaxSlotsPerEpoch = Req.MaxSlotsPerEpoch;
   Par.InjectMisspecRate = Req.InjectMisspecRate;
   Par.InjectSeed = Req.InjectSeed;
-  Par.EagerCommit = Req.EagerCommit;
   // Scaled like the per-job deadline: sanitizer builds run several-fold
   // slower and the watchdog must not reap healthy workers.
   Par.StallTimeoutSec = Req.StallTimeoutSec * timeoutScale();
   Par.TracePath = Req.TracePath;
-  Par.Faults.Seed = Req.FaultSeed;
-  Par.Faults.KillWorker = Req.FaultKillWorker;
-  Par.Faults.KillAtIter = Req.FaultKillAtIter;
   Par.Faults.StallWorker = Req.FaultStallWorker;
   Par.Faults.StallAtIter = Req.FaultStallAtIter;
   Par.Faults.StallSeconds = Req.FaultStallSeconds;
-  Par.Faults.KillRate = Req.FaultKillRate;
-  Par.Strat = static_cast<Strategy>(Req.Strat);
-  Par.NumStages = Req.NumStages;
 
+  // The strategy was a compile-time choice, already applied by the
+  // daemon's program cache; the image carries its dependence channels.
   transform::PipelineOptions PO;
-  PO.Strat = Par.Strat;
-  PO.NumStages = Req.NumStages;
 
   double T0 = wallSeconds();
   try {

@@ -166,10 +166,8 @@ std::string service::encodeJobRequest(const JobRequest &R) {
 
   putU32(B, R.NumWorkers);
   putU64(B, R.CheckpointPeriod);
-  putU64(B, R.MaxSlotsPerEpoch);
   putF64(B, R.InjectMisspecRate);
   putU64(B, R.InjectSeed);
-  putU8(B, R.EagerCommit ? 1 : 0);
   putF64(B, R.StallTimeoutSec);
   putF64(B, R.DeadlineSec);
   putStr(B, R.TracePath);
@@ -178,27 +176,22 @@ std::string service::encodeJobRequest(const JobRequest &R) {
   putU32(B, R.MaxCpuSec);
   putU32(B, R.MaxOpenFiles);
   putU8(B, R.FaultKillSupervisor ? 1 : 0);
-  putU32(B, R.FaultKillWorker);
-  putU64(B, R.FaultKillAtIter);
   putU32(B, R.FaultStallWorker);
   putU64(B, R.FaultStallAtIter);
   putF64(B, R.FaultStallSeconds);
-  putF64(B, R.FaultKillRate);
-  putU64(B, R.FaultSeed);
   putU32(B, R.FaultSupervisorSignal);
   putU32(B, R.FaultSupervisorExit);
   putU32(B, R.FaultOomAttempts);
   putU64(B, R.FaultAllocBytes);
   putF64(B, R.FaultBurnCpuSec);
   putU8(B, R.Strat);
-  putU32(B, R.NumStages);
   return B;
 }
 
 bool service::decodeJobRequest(const std::string &Body, JobRequest &R,
                                std::string &Err) {
   Cursor C(Body);
-  uint8_t Version = 0, Mode = 0, Eager = 0, KillSup = 0;
+  uint8_t Version = 0, Mode = 0, KillSup = 0;
   if (!C.getU8(Version)) {
     Err = "empty SubmitJob body";
     return false;
@@ -210,19 +203,16 @@ bool service::decodeJobRequest(const std::string &Body, JobRequest &R,
   bool Ok =
       C.getStr(R.ModuleText) && C.getU8(Mode) &&
       C.getU32(R.NumWorkers) && C.getU64(R.CheckpointPeriod) &&
-      C.getU64(R.MaxSlotsPerEpoch) && C.getF64(R.InjectMisspecRate) &&
-      C.getU64(R.InjectSeed) && C.getU8(Eager) &&
+      C.getF64(R.InjectMisspecRate) && C.getU64(R.InjectSeed) &&
       C.getF64(R.StallTimeoutSec) && C.getF64(R.DeadlineSec) &&
       C.getStr(R.TracePath) && C.getU64(R.IdempotencyKey) &&
       C.getU64(R.MaxMemoryBytes) && C.getU32(R.MaxCpuSec) &&
       C.getU32(R.MaxOpenFiles) && C.getU8(KillSup) &&
-      C.getU32(R.FaultKillWorker) && C.getU64(R.FaultKillAtIter) &&
       C.getU32(R.FaultStallWorker) && C.getU64(R.FaultStallAtIter) &&
-      C.getF64(R.FaultStallSeconds) && C.getF64(R.FaultKillRate) &&
-      C.getU64(R.FaultSeed) && C.getU32(R.FaultSupervisorSignal) &&
+      C.getF64(R.FaultStallSeconds) && C.getU32(R.FaultSupervisorSignal) &&
       C.getU32(R.FaultSupervisorExit) && C.getU32(R.FaultOomAttempts) &&
       C.getU64(R.FaultAllocBytes) && C.getF64(R.FaultBurnCpuSec) &&
-      C.getU8(R.Strat) && C.getU32(R.NumStages);
+      C.getU8(R.Strat);
   if (!Ok) {
     Err = "truncated SubmitJob body";
     return false;
@@ -231,12 +221,11 @@ bool service::decodeJobRequest(const std::string &Body, JobRequest &R,
     Err = "bad job mode " + std::to_string(Mode);
     return false;
   }
-  if (R.Strat > static_cast<uint8_t>(Strategy::Pipeline)) {
+  if (R.Strat > static_cast<uint8_t>(Strategy::Doacross)) {
     Err = "bad strategy " + std::to_string(R.Strat);
     return false;
   }
   R.Mode = static_cast<JobMode>(Mode);
-  R.EagerCommit = Eager != 0;
   R.FaultKillSupervisor = KillSup != 0;
   return true;
 }

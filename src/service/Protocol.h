@@ -44,7 +44,7 @@
 namespace privateer {
 namespace service {
 
-inline constexpr uint8_t kProtocolVersion = 8;
+inline constexpr uint8_t kProtocolVersion = 9;
 /// Default ceiling on one frame (module texts and job output both ride in
 /// frames; 64 MiB is far above any bundled program).
 inline constexpr size_t kMaxFrameBytes = 64u << 20;
@@ -118,25 +118,22 @@ inline bool isInfraFailure(FailureCause C) {
 }
 
 /// A SubmitJob body: the program plus the subset of ParallelOptions and
-/// FaultPlan knobs a remote caller may set.  Defaults mirror
-/// ParallelOptions so an empty request behaves like local privateer-cc.
+/// FaultPlan knobs a remote caller sets.  Defaults mirror ParallelOptions
+/// so an empty request behaves like local privateer-cc; every knob not
+/// carried here keeps its ParallelOptions / FaultPlan default.
 struct JobRequest {
   std::string ModuleText;
   JobMode Mode = JobMode::Speculative;
   /// Scheduling strategy (mirrors privateer::Strategy): 0 = doall,
-  /// 1 = doacross, 2 = pipeline.  Non-doall strategies let the pipeline's
-  /// dependence-distance pre-pass rewrite provable carried dependences
-  /// into token forwarding.
+  /// 1 = doacross.  Doacross lets the pipeline's dependence-distance
+  /// pre-pass rewrite provable carried dependences into token forwarding;
+  /// the daemon compiles and caches each strategy separately.
   uint8_t Strat = 0;
-  /// Pipeline stage count hint, 0 = derive from the worker count.
-  uint32_t NumStages = 0;
   uint32_t NumWorkers = 4;
   /// 0 = derive from the loop (checkpointPeriodFor).
   uint64_t CheckpointPeriod = 0;
-  uint64_t MaxSlotsPerEpoch = 32;
   double InjectMisspecRate = 0.0;
   uint64_t InjectSeed = 1;
-  bool EagerCommit = true;
   double StallTimeoutSec = 10.0;
   /// Wall-clock deadline for the whole job once it starts executing; the
   /// daemon multiplies it by timeoutScale() (PRIVATEER_TIMEOUT_SCALE) so
@@ -164,13 +161,11 @@ struct JobRequest {
   /// The executive raises SIGKILL on itself mid-job; the daemon must report
   /// the job Crashed and keep serving the same connection.
   bool FaultKillSupervisor = false;
-  uint32_t FaultKillWorker = ~0u;
-  uint64_t FaultKillAtIter = ~0ULL;
+  /// A targeted worker stall (FaultPlan::StallWorker and friends); drives
+  /// the per-job deadline and the watchdog through the daemon.
   uint32_t FaultStallWorker = ~0u;
   uint64_t FaultStallAtIter = ~0ULL;
   double FaultStallSeconds = 3600.0;
-  double FaultKillRate = 0.0;
-  uint64_t FaultSeed = 1;
   /// The executive raises this signal on itself before running (0 = off);
   /// drives the executive-death signal matrix.
   uint32_t FaultSupervisorSignal = 0;

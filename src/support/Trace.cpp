@@ -55,8 +55,6 @@ const char *kindName(Kind K) {
     return "lock_broken";
   case Kind::RingDrops:
     return "ring_drops";
-  case Kind::StagePass:
-    return "stage_pass";
   case Kind::DepPost:
     return "dep_post";
   case Kind::DepWait:
@@ -76,7 +74,6 @@ bool kindIsSpan(Kind K) {
   case Kind::CommitPostJoin:
   case Kind::Recovery:
   case Kind::Degraded:
-  case Kind::StagePass:
   case Kind::DepWait:
     return true;
   default:

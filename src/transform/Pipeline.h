@@ -56,14 +56,11 @@ struct PipelineOptions {
   /// execution always runs on the VM and ignores it.
   ExecEngine Engine = ExecEngine::Bytecode;
   /// Scheduling strategy.  Doall admits only dependence-free loops (the
-  /// seed behavior).  Doacross and Pipeline additionally run the
-  /// dependence-distance pre-pass (analysis/DepDistance.h), rewriting
-  /// provable carried dependences into token forwarding before
-  /// classification judges the loop.
+  /// seed behavior).  Doacross additionally runs the dependence-distance
+  /// pre-pass (analysis/DepDistance.h), rewriting provable carried
+  /// dependences into token forwarding before classification judges the
+  /// loop.
   Strategy Strat = Strategy::Doall;
-  /// Stage count hint for Strategy::Pipeline (0 = pick from the worker
-  /// count at execution time).
-  uint32_t NumStages = 0;
   /// When false, recognized commutative clusters are ignored and their
   /// objects classify as the paper's five heaps would (the fallback arm of
   /// the commutative bench gate).

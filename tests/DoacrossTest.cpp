@@ -180,9 +180,7 @@ TEST(Doacross, ArrayRecurrenceParallelOutputIsExact) {
         ParallelOptions Par;
         Par.NumWorkers = Workers;
         Par.CheckpointPeriod = 8;
-        Par.Strat = Strategy::Doacross;
         PipelineOptions Opt;
-        Opt.Strat = Strategy::Doacross;
         ExecutionResult E = executePrivatized(*M, FA, R.Assignment, Opt,
                                               Par, RuntimeConfig(), Out);
         std::string Got = readAll(Out);
@@ -216,9 +214,7 @@ TEST(Doacross, ScalarCarryParallelOutputIsExact) {
     ParallelOptions Par;
     Par.NumWorkers = 4;
     Par.CheckpointPeriod = 8;
-    Par.Strat = Strategy::Doacross;
     PipelineOptions Opt;
-    Opt.Strat = Strategy::Doacross;
     ExecutionResult E = executePrivatized(*M, FA, R.Assignment, Opt, Par,
                                           RuntimeConfig(), Out);
     std::string Got = readAll(Out);
@@ -245,10 +241,8 @@ TEST(Doacross, RecoversFromInjectedMisspeculation) {
   ParallelOptions Par;
   Par.NumWorkers = 4;
   Par.CheckpointPeriod = 8;
-  Par.Strat = Strategy::Doacross;
   Par.InjectMisspecRate = 0.05;
   PipelineOptions Opt;
-  Opt.Strat = Strategy::Doacross;
   ExecutionResult E = executePrivatized(*M, FA, R.Assignment, Opt, Par,
                                         RuntimeConfig(), Out);
   std::string Got = readAll(Out);
@@ -256,37 +250,6 @@ TEST(Doacross, RecoversFromInjectedMisspeculation) {
   EXPECT_EQ(Got, Expected);
   EXPECT_EQ(E.ReturnValue.asInt(), ExpectedRet);
   EXPECT_GE(E.Stats.Misspecs, 1u);
-}
-
-TEST(Doacross, PipelineStrategyDegradesToTokenScheduling) {
-  // Strategy::Pipeline over an IR loop (monolithic body) runs the same
-  // token-forwarded schedule; NumStages is ignored by the planned-loop
-  // path rather than mis-scheduling whole iterations per stage worker.
-  constexpr uint64_t N = 300;
-  int64_t ExpectedRet = 0;
-  std::string Expected =
-      sequentialOutput(arrayRecurrenceIrText(N, 2), &ExpectedRet);
-
-  auto M = parseOrDie(arrayRecurrenceIrText(N, 2));
-  analysis::FunctionAnalyses FA(*M);
-  PipelineResult R = runPipeline(*M, FA, Strategy::Pipeline);
-  ASSERT_TRUE(R.Transformed) << (R.Log.empty() ? "" : R.Log.back());
-
-  std::FILE *Out = std::tmpfile();
-  ParallelOptions Par;
-  Par.NumWorkers = 4;
-  Par.CheckpointPeriod = 8;
-  Par.Strat = Strategy::Pipeline;
-  Par.NumStages = 4;
-  PipelineOptions Opt;
-  Opt.Strat = Strategy::Pipeline;
-  ExecutionResult E = executePrivatized(*M, FA, R.Assignment, Opt, Par,
-                                        RuntimeConfig(), Out);
-  std::string Got = readAll(Out);
-  std::fclose(Out);
-  EXPECT_EQ(Got, Expected);
-  EXPECT_EQ(E.ReturnValue.asInt(), ExpectedRet);
-  EXPECT_EQ(E.Stats.Misspecs, 0u) << E.Stats.FirstMisspecReason;
 }
 
 TEST(Doacross, LargeEpochsNeverRecycleALiveToken) {
@@ -320,7 +283,6 @@ TEST(Doacross, LargeEpochsNeverRecycleALiveToken) {
   Par.NumWorkers = W;
   Par.CheckpointPeriod = 64;
   Par.MaxSlotsPerEpoch = 1024; // 65,536 iterations, four rings' worth.
-  Par.Strat = Strategy::Doacross;
   Par.NumDepChannels = 1;
   Par.StallTimeoutSec = 5 * timeoutScale();
   InvocationStats S = Rt.runParallel(N, Par, Body);

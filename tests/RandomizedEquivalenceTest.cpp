@@ -374,14 +374,14 @@ TEST(RandomizedIrSweep, ParallelRuntimeMatchesSequentialAcrossMatrix) {
   }
 }
 
-// --- Randomized dependence-loop sweep (DOACROSS / pipeline) -------------
+// --- Randomized dependence-loop sweep (DOACROSS) ------------------------
 //
 // Each seed generates a loop that is deliberately NOT DOALL-parallelizable:
 // a loop-carried i64 scalar recurrence, an array recurrence a[i] =
 // f(a[i - x], i) at a fixed or variable (mask-bounded) distance, or both —
 // exactly the dependence shapes the DOACROSS pre-pass must prove and
 // rewrite into token forwarding.  The transformed loop then runs on the
-// VM across a {workers x stages x period x faults x strategy} matrix,
+// VM across a {workers x period x slots x commit mode x faults} matrix,
 // byte-compared against plain sequential interpretation of the pristine
 // program.  PRIVATEER_RANDOM_SWEEP_SEEDS scales the sweep for nightly CI.
 
@@ -409,9 +409,8 @@ TEST(RandomizedIrSweep, DoacrossPipelineMatchesSequentialAcrossMatrix) {
     std::string Expected = readAllFile(RefOut);
     std::fclose(RefOut);
 
-    // Pipeline under Strategy::Doacross (the Pipeline strategy's pre-pass
-    // is identical; only the runtime schedule differs, and that is swept
-    // per configuration below).
+    // Pipeline under Strategy::Doacross; the runtime configuration is
+    // swept below.
     auto M = ir::parseModule(Text, Err);
     ASSERT_NE(M, nullptr) << Err;
     analysis::FunctionAnalyses FA(*M);
@@ -445,18 +444,13 @@ TEST(RandomizedIrSweep, DoacrossPipelineMatchesSequentialAcrossMatrix) {
       }
       if (TraceEnv)
         Par.TracePath = TraceEnv;
-      transform::PipelineOptions RunOpt = Opt;
-      // Half the configurations request the pipeline strategy with a
-      // random stage count; over a monolithic planned loop it degrades to
-      // the same token schedule, and the knob path itself is under test.
-      bool Piped = (Cfg.next() & 1) != 0;
-      Par.Strat = Piped ? Strategy::Pipeline : Strategy::Doacross;
-      Par.NumStages = Piped ? 2 + static_cast<uint32_t>(Cfg.nextBelow(3)) : 0;
-      RunOpt.Strat = Par.Strat;
-      RunOpt.NumStages = Par.NumStages;
+      // Two draws that once picked a scheduling strategy and stage count;
+      // still consumed so every seed keeps its worker/period/slot matrix.
+      if (Cfg.next() & 1)
+        Cfg.nextBelow(3);
       std::FILE *Out = std::tmpfile();
       transform::ExecutionResult E = transform::executePrivatized(
-          *M, FA, R.Assignment, RunOpt, Par, RuntimeConfig(), Out);
+          *M, FA, R.Assignment, Opt, Par, RuntimeConfig(), Out);
       std::string Got = readAllFile(Out);
       std::fclose(Out);
       std::string Where =
@@ -465,8 +459,7 @@ TEST(RandomizedIrSweep, DoacrossPipelineMatchesSequentialAcrossMatrix) {
           std::to_string(Par.CheckpointPeriod) + " s" +
           std::to_string(Par.MaxSlotsPerEpoch) +
           (Par.EagerCommit ? " eager" : " postjoin") +
-          (Faults ? " faults" : "") + " strat=" + strategyName(Par.Strat) +
-          " stages=" + std::to_string(Par.NumStages);
+          (Faults ? " faults" : "");
       EXPECT_EQ(Got, Expected) << Where;
       EXPECT_EQ(E.ReturnValue.asInt(), RefRet.asInt()) << Where;
       if (!Faults) {

@@ -521,121 +521,115 @@ TEST_F(RuntimeFaultTest, RandomizedWorkerKillsConvergeDeterministically) {
   expectSequentialResult(Out, N);
 }
 
-// --- Staged pipeline (runParallelStaged) rollback ----------------------
+// --- DOACROSS token chain rollback ------------------------------------
 //
-// Three stages: stage 0 produces I*I+7, stage 1 transforms it, stage 2
-// stores the result.  The value crosses stages only through dependence
-// tokens, so losing any (iteration, stage) pair without a correct
-// stage-suffix rollback would surface as a wrong or missing Out[I].
+// A distance-1 chain: iteration I waits for I-1's token on channel 0,
+// stores prev*5 + I*I + 7 and posts it.  At W=3 every token crosses to
+// another worker, so the chain is a pipeline whose stages are the
+// workers, and losing an iteration without a correct rollback and
+// in-order sequential re-post would surface as a wrong Out[I] downstream.
 
-namespace staged {
+namespace doacross {
 
-long expected(uint64_t I) {
-  return static_cast<long>(I) * static_cast<long>(I) * 3 + 22; // (I*I+7)*3+1
-}
+uint64_t step(uint64_t Prev, uint64_t I) { return Prev * 5 + I * I + 7; }
 
-Runtime::StagedIterationFn makeBody(long *Out) {
-  return [Out](uint64_t I, uint32_t St, uint64_t In) -> uint64_t {
-    switch (St) {
-    case 0:
-      return I * I + 7;
-    case 1:
-      return In * 3 + 1;
-    default:
-      private_write(&Out[I], sizeof(long));
-      Out[I] = static_cast<long>(In);
-      return In;
-    }
+IterationFn makeBody(long *Out) {
+  return [Out](uint64_t I) {
+    Runtime &Rt = Runtime::get();
+    uint64_t V = step(Rt.waitDep(I - 1, 0), I);
+    Rt.postDep(I, 0, V);
+    private_write(&Out[I], sizeof(long));
+    Out[I] = static_cast<long>(V);
   };
 }
 
-} // namespace staged
+ParallelOptions options() {
+  ParallelOptions Opt;
+  Opt.NumWorkers = 3;
+  Opt.CheckpointPeriod = 8;
+  Opt.NumDepChannels = 1;
+  // Iteration 0's wait targets iteration -1, which nobody posts.
+  Runtime::get().setDepFloor(0);
+  return Opt;
+}
+
+void expectChain(const long *Out, uint64_t N) {
+  uint64_t V = 0;
+  for (uint64_t I = 0; I < N; ++I) {
+    V = step(V, I);
+    ASSERT_EQ(Out[I], static_cast<long>(V)) << "iteration " << I;
+  }
+}
+
+} // namespace doacross
 
 TEST_F(RuntimeFaultTest, HealthyStagedPipelineMatchesSequential) {
   constexpr uint64_t N = 200;
   long *Out = makeOut(N);
 
-  ParallelOptions Opt;
-  Opt.NumWorkers = 3;
-  Opt.NumStages = 3;
-  Opt.CheckpointPeriod = 8;
-
-  InvocationStats Stats =
-      Runtime::get().runParallelStaged(N, Opt, staged::makeBody(Out));
+  InvocationStats Stats = Runtime::get().runParallel(
+      N, doacross::options(), doacross::makeBody(Out));
 
   EXPECT_EQ(Stats.Misspecs, 0u) << Stats.FirstMisspecReason;
   EXPECT_GT(Stats.DepPosts, 0u);
   EXPECT_GT(Stats.DepWaits, 0u);
-  for (uint64_t I = 0; I < N; ++I)
-    ASSERT_EQ(Out[I], staged::expected(I)) << "iteration " << I;
+  doacross::expectChain(Out, N);
 }
 
 TEST_F(RuntimeFaultTest, StageWorkerKilledMidPipelineRecovers) {
   constexpr uint64_t N = 200;
   long *Out = makeOut(N);
 
-  ParallelOptions Opt;
-  Opt.NumWorkers = 3;
-  Opt.NumStages = 3;
-  Opt.CheckpointPeriod = 8;
-  // The middle stage dies at iteration 17: its committed prefix stays,
-  // the stage suffix past the frontier rolls back, and recovery re-runs
-  // the remaining (iteration, stage) pairs sequentially in order.
+  ParallelOptions Opt = doacross::options();
+  // Iteration 16 is in worker 1's cyclic share (16 % 3 == 1).  Its token
+  // never arrives; the committed prefix stays and recovery re-runs and
+  // re-posts the rest of the chain in order.
   Opt.Faults.KillWorker = 1;
-  Opt.Faults.KillAtIter = 17;
+  Opt.Faults.KillAtIter = 16;
 
   InvocationStats Stats =
-      Runtime::get().runParallelStaged(N, Opt, staged::makeBody(Out));
+      Runtime::get().runParallel(N, Opt, doacross::makeBody(Out));
 
   EXPECT_GE(Stats.Misspecs, 1u);
   EXPECT_GT(Stats.RecoveredIterations, 0u);
-  for (uint64_t I = 0; I < N; ++I)
-    ASSERT_EQ(Out[I], staged::expected(I)) << "iteration " << I;
+  doacross::expectChain(Out, N);
 }
 
 TEST_F(RuntimeFaultTest, CorruptStageCommitSlotRollsBackToFrontier) {
   constexpr uint64_t N = 200;
   long *Out = makeOut(N);
 
-  ParallelOptions Opt;
-  Opt.NumWorkers = 3;
-  Opt.NumStages = 3;
-  Opt.CheckpointPeriod = 8;
-  Opt.Faults.CorruptSlot = 1; // Tear a stage-commit slot header mid-epoch.
+  ParallelOptions Opt = doacross::options();
+  Opt.Faults.CorruptSlot = 1; // Tear a slot header mid-epoch.
 
   InvocationStats Stats =
-      Runtime::get().runParallelStaged(N, Opt, staged::makeBody(Out));
+      Runtime::get().runParallel(N, Opt, doacross::makeBody(Out));
 
   EXPECT_GE(Stats.Misspecs, 1u);
   EXPECT_NE(Stats.FirstMisspecReason.find("corrupt"), std::string::npos)
       << Stats.FirstMisspecReason;
-  for (uint64_t I = 0; I < N; ++I)
-    ASSERT_EQ(Out[I], staged::expected(I)) << "iteration " << I;
+  doacross::expectChain(Out, N);
 }
 
 TEST_F(RuntimeFaultTest, StalledStageProducerIsReclaimedNotDeadlocked) {
   constexpr uint64_t N = 120;
   long *Out = makeOut(N);
 
-  ParallelOptions Opt;
-  Opt.NumWorkers = 3;
-  Opt.NumStages = 3;
-  Opt.CheckpointPeriod = 8;
+  ParallelOptions Opt = doacross::options();
   Opt.StallTimeoutSec = 0.3 * timeoutScale();
-  // Stage 0 — the pipeline's only producer — hangs forever at iteration
-  // 5.  Stages 1 and 2 block in waitDep for tokens that will never come;
-  // without the watchdog (or the bounded dependence wait) the join would
-  // deadlock and this test would never finish.
+  // Worker 0 hangs forever at iteration 6, before posting its token.
+  // Worker 1 blocks in waitDep for it at iteration 7; without the
+  // watchdog (or the bounded dependence wait) the join would deadlock and
+  // this test would never finish.
   Opt.Faults.StallWorker = 0;
-  Opt.Faults.StallAtIter = 5;
+  Opt.Faults.StallAtIter = 6;
   Opt.Faults.StallSeconds = 3600.0;
 
   InvocationStats Stats =
-      Runtime::get().runParallelStaged(N, Opt, staged::makeBody(Out));
+      Runtime::get().runParallel(N, Opt, doacross::makeBody(Out));
 
   EXPECT_GE(Stats.Misspecs, 1u);
-  for (uint64_t I = 0; I < N; ++I)
-    ASSERT_EQ(Out[I], staged::expected(I)) << "iteration " << I;
+  doacross::expectChain(Out, N);
 }
 
 } // namespace

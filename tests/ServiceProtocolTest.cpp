@@ -35,21 +35,15 @@ JobRequest sampleRequest() {
   R.Mode = JobMode::Sequential;
   R.NumWorkers = 7;
   R.CheckpointPeriod = 48;
-  R.MaxSlotsPerEpoch = 12;
   R.InjectMisspecRate = 0.125;
   R.InjectSeed = 42;
-  R.EagerCommit = false;
   R.StallTimeoutSec = 2.5;
   R.DeadlineSec = 9.75;
   R.TracePath = "/tmp/trace.json";
   R.FaultKillSupervisor = true;
-  R.FaultKillWorker = 3;
-  R.FaultKillAtIter = 1234567;
   R.FaultStallWorker = 1;
   R.FaultStallAtIter = 89;
   R.FaultStallSeconds = 6.5;
-  R.FaultKillRate = 0.001;
-  R.FaultSeed = 99;
   R.IdempotencyKey = 0xdeadbeefcafef00dULL;
   R.MaxMemoryBytes = 3ULL << 30;
   R.MaxCpuSec = 17;
@@ -59,8 +53,7 @@ JobRequest sampleRequest() {
   R.FaultOomAttempts = 2;
   R.FaultAllocBytes = 1ULL << 47;
   R.FaultBurnCpuSec = 0.75;
-  R.Strat = static_cast<uint8_t>(Strategy::Pipeline);
-  R.NumStages = 5;
+  R.Strat = static_cast<uint8_t>(Strategy::Doacross);
   return R;
 }
 
@@ -102,21 +95,15 @@ TEST(ServiceProtocol, JobRequestRoundTrip) {
   EXPECT_EQ(Out.Mode, In.Mode);
   EXPECT_EQ(Out.NumWorkers, In.NumWorkers);
   EXPECT_EQ(Out.CheckpointPeriod, In.CheckpointPeriod);
-  EXPECT_EQ(Out.MaxSlotsPerEpoch, In.MaxSlotsPerEpoch);
   EXPECT_DOUBLE_EQ(Out.InjectMisspecRate, In.InjectMisspecRate);
   EXPECT_EQ(Out.InjectSeed, In.InjectSeed);
-  EXPECT_EQ(Out.EagerCommit, In.EagerCommit);
   EXPECT_DOUBLE_EQ(Out.StallTimeoutSec, In.StallTimeoutSec);
   EXPECT_DOUBLE_EQ(Out.DeadlineSec, In.DeadlineSec);
   EXPECT_EQ(Out.TracePath, In.TracePath);
   EXPECT_EQ(Out.FaultKillSupervisor, In.FaultKillSupervisor);
-  EXPECT_EQ(Out.FaultKillWorker, In.FaultKillWorker);
-  EXPECT_EQ(Out.FaultKillAtIter, In.FaultKillAtIter);
   EXPECT_EQ(Out.FaultStallWorker, In.FaultStallWorker);
   EXPECT_EQ(Out.FaultStallAtIter, In.FaultStallAtIter);
   EXPECT_DOUBLE_EQ(Out.FaultStallSeconds, In.FaultStallSeconds);
-  EXPECT_DOUBLE_EQ(Out.FaultKillRate, In.FaultKillRate);
-  EXPECT_EQ(Out.FaultSeed, In.FaultSeed);
   EXPECT_EQ(Out.IdempotencyKey, In.IdempotencyKey);
   EXPECT_EQ(Out.MaxMemoryBytes, In.MaxMemoryBytes);
   EXPECT_EQ(Out.MaxCpuSec, In.MaxCpuSec);
@@ -127,13 +114,12 @@ TEST(ServiceProtocol, JobRequestRoundTrip) {
   EXPECT_EQ(Out.FaultAllocBytes, In.FaultAllocBytes);
   EXPECT_DOUBLE_EQ(Out.FaultBurnCpuSec, In.FaultBurnCpuSec);
   EXPECT_EQ(Out.Strat, In.Strat);
-  EXPECT_EQ(Out.NumStages, In.NumStages);
 }
 
 // A strategy byte beyond the defined enum must not pass validation.
 TEST(ServiceProtocol, BadStrategyByteRejected) {
   JobRequest In = sampleRequest();
-  In.Strat = static_cast<uint8_t>(Strategy::Pipeline) + 1;
+  In.Strat = static_cast<uint8_t>(Strategy::Doacross) + 1;
   std::string Body = encodeJobRequest(In);
   JobRequest Out;
   std::string Err;
@@ -353,8 +339,10 @@ TEST(ServiceProtocol, DaemonSurvivesGarbageAndKeepsServing) {
 // bodies in the older layouts (v2: no Engine byte; v3: no tenant/submit
 // tail; v4: no strategy/stage tail; v5: a reply with six counters; v4 to
 // v6: a request carrying the tenant id and submit mode that v7 dropped;
-// v3 to v7: a request carrying the engine byte that v8 dropped) are
-// rejected outright, as are versions that never existed.
+// v3 to v7: a request carrying the engine byte that v8 dropped; v2 to v8:
+// a request carrying the slot, eager-commit, worker-kill and stage knobs
+// that v9 dropped) are rejected outright, as are versions that never
+// existed.
 
 void putU8(std::string &B, uint8_t V) { B.push_back(static_cast<char>(V)); }
 void putU32(std::string &B, uint32_t V) {
@@ -375,22 +363,23 @@ void putStr(std::string &B, const std::string &S) {
   B += S;
 }
 
-/// Encodes \p R exactly as a v2 to v7 client would have, with the bytecode
+/// Encodes \p R exactly as a v2 to v8 client would have, with the bytecode
 /// engine, the anonymous tenant and in-band submission where the layout
-/// carries them.
+/// carries them, and the defaults of the knobs v9 dropped (slots per epoch,
+/// eager commit, targeted and random worker kills, stage count).
 std::string encodeLegacyRequest(const JobRequest &R, uint8_t Version) {
   std::string B;
   putU8(B, Version);
   putStr(B, R.ModuleText);
   putU8(B, static_cast<uint8_t>(R.Mode));
-  if (Version >= 3)
+  if (Version >= 3 && Version <= 7)
     putU8(B, 0); // engine: bytecode
   putU32(B, R.NumWorkers);
   putU64(B, R.CheckpointPeriod);
-  putU64(B, R.MaxSlotsPerEpoch);
+  putU64(B, 32); // max slots per epoch
   putF64(B, R.InjectMisspecRate);
   putU64(B, R.InjectSeed);
-  putU8(B, R.EagerCommit ? 1 : 0);
+  putU8(B, 1); // eager commit
   putF64(B, R.StallTimeoutSec);
   putF64(B, R.DeadlineSec);
   putStr(B, R.TracePath);
@@ -399,13 +388,13 @@ std::string encodeLegacyRequest(const JobRequest &R, uint8_t Version) {
   putU32(B, R.MaxCpuSec);
   putU32(B, R.MaxOpenFiles);
   putU8(B, R.FaultKillSupervisor ? 1 : 0);
-  putU32(B, R.FaultKillWorker);
-  putU64(B, R.FaultKillAtIter);
+  putU32(B, ~0u);   // kill worker: none
+  putU64(B, ~0ULL); // kill at iteration: none
   putU32(B, R.FaultStallWorker);
   putU64(B, R.FaultStallAtIter);
   putF64(B, R.FaultStallSeconds);
-  putF64(B, R.FaultKillRate);
-  putU64(B, R.FaultSeed);
+  putF64(B, 0.0); // kill rate
+  putU64(B, 1);   // fault seed
   putU32(B, R.FaultSupervisorSignal);
   putU32(B, R.FaultSupervisorExit);
   putU32(B, R.FaultOomAttempts);
@@ -417,7 +406,7 @@ std::string encodeLegacyRequest(const JobRequest &R, uint8_t Version) {
   }
   if (Version >= 5) {
     putU8(B, R.Strat);
-    putU32(B, R.NumStages);
+    putU32(B, 0); // stage count
   }
   return B;
 }
@@ -453,13 +442,12 @@ std::string encodeV5Reply(const JobReply &R) {
 TEST(ServiceProtocol, CrossVersionRequestsRejected) {
   JobRequest In = sampleRequest();
   for (uint8_t V : {uint8_t(2), uint8_t(3), uint8_t(4), uint8_t(5),
-                    uint8_t(6), uint8_t(7)}) {
+                    uint8_t(6), uint8_t(7), uint8_t(8)}) {
     JobRequest Out;
     std::string Err;
     EXPECT_FALSE(decodeJobRequest(encodeLegacyRequest(In, V), Out, Err))
         << "v" << int(V) << " request decoded";
-    EXPECT_NE(Err.find("unsupported protocol version"), std::string::npos)
-        << Err;
+    EXPECT_EQ(Err, "unsupported protocol version " + std::to_string(V));
   }
 
   {
@@ -473,7 +461,8 @@ TEST(ServiceProtocol, CrossVersionRequestsRejected) {
 
   // Any other version byte on a current-layout body, of either kind.
   for (uint8_t V : {uint8_t(0), uint8_t(1), uint8_t(4), uint8_t(5),
-                    uint8_t(6), uint8_t(7), uint8_t(kProtocolVersion + 1)}) {
+                    uint8_t(6), uint8_t(7), uint8_t(8),
+                    uint8_t(kProtocolVersion + 1)}) {
     std::string Body = encodeJobRequest(In);
     Body[0] = static_cast<char>(V);
     JobRequest Out;

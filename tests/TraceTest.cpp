@@ -378,11 +378,11 @@ TEST(TraceSmoke, UntracedRunRecordsNoTimeline) {
   EXPECT_EQ(Tc.eventCount(), 0u);
 }
 
-TEST(TraceSmoke, StagedRunEmitsStageBoundaryEvents) {
-  // A traced pipeline run must land stage_pass spans (one per stage per
-  // checkpoint period) and dep_post instants on the timeline, so stage
-  // skew and fill/drain are visible per worker row.
-  std::string TracePath = ::testing::TempDir() + "privateer-trace-staged.json";
+TEST(TraceSmoke, DoacrossRunEmitsDepPostEvents) {
+  // A traced DOACROSS run must land dep_post instants on the timeline, so
+  // token hand-offs between worker rows are visible.
+  std::string TracePath =
+      ::testing::TempDir() + "privateer-trace-doacross.json";
   std::remove(TracePath.c_str());
 
   RuntimeConfig C;
@@ -391,36 +391,37 @@ TEST(TraceSmoke, StagedRunEmitsStageBoundaryEvents) {
   C.ReduxBytes = 1u << 16;
   C.ShortLivedBytes = 1u << 16;
   C.UnrestrictedBytes = 1u << 16;
-  Runtime::get().initialize(C);
+  Runtime &Rt = Runtime::get();
+  Rt.initialize(C);
 
+  // A distance-1 chain: Out[I] = Out[I-1] * 5 + I + 3, forwarded as a
+  // token on channel 0.
   constexpr uint64_t N = 128;
   auto *Out =
       static_cast<long *>(h_alloc(N * sizeof(long), HeapKind::Private));
   ParallelOptions Par;
   Par.NumWorkers = 3;
-  Par.NumStages = 3;
   Par.CheckpointPeriod = 8;
+  Par.NumDepChannels = 1;
   Par.TracePath = TracePath;
-  InvocationStats S = Runtime::get().runParallelStaged(
-      N, Par, [Out](uint64_t I, uint32_t St, uint64_t In) -> uint64_t {
-        if (St == 0)
-          return I + 3;
-        if (St == 1)
-          return In * 5;
-        private_write(&Out[I], sizeof(long));
-        Out[I] = static_cast<long>(In);
-        return In;
-      });
+  Rt.setDepFloor(0);
+  InvocationStats S = Rt.runParallel(N, Par, [&Rt, Out](uint64_t I) {
+    uint64_t V = Rt.waitDep(I - 1, 0) * 5 + I + 3;
+    Rt.postDep(I, 0, V);
+    private_write(&Out[I], sizeof(long));
+    Out[I] = static_cast<long>(V);
+  });
   EXPECT_EQ(S.Misspecs, 0u) << S.FirstMisspecReason;
-  for (uint64_t I = 0; I < N; ++I)
-    ASSERT_EQ(Out[I], static_cast<long>((I + 3) * 5)) << "iteration " << I;
+  uint64_t V = 0;
+  for (uint64_t I = 0; I < N; ++I) {
+    V = V * 5 + I + 3;
+    ASSERT_EQ(Out[I], static_cast<long>(V)) << "iteration " << I;
+  }
 
   std::string Json = readWholeFile(TracePath);
   ASSERT_FALSE(Json.empty()) << "trace file missing: " << TracePath;
-  EXPECT_NE(Json.find("\"stage_pass\""), std::string::npos);
   EXPECT_NE(Json.find("\"dep_post\""), std::string::npos);
   StatisticRegistry &Sr = StatisticRegistry::instance();
-  EXPECT_GT(Sr.counter("trace", "stage_pass"), 0u);
   EXPECT_GT(Sr.counter("trace", "dep_post"), 0u);
 
   trace::Collector::instance().enable(std::string()); // Disarm.

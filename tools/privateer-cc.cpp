@@ -38,11 +38,9 @@ int usage(const char *Argv0) {
                "usage: %s <program.pir> [options]\n"
                "  --emit            print the transformed module and stop\n"
                "  --seq             run sequentially (no speculation)\n"
-               "  --strategy <s>    scheduling strategy: doall (default),\n"
+               "  --strategy <s>    scheduling strategy: doall (default) or\n"
                "                    doacross (token-forward provable carried\n"
-               "                    dependences), or pipeline (staged)\n"
-               "  --stages <n>      pipeline stage count hint (default: one\n"
-               "                    per worker)\n"
+               "                    dependences)\n"
                "  --workers <n>     speculative workers (default 4)\n"
                "  --period <k>      checkpoint period, 1-252 (default 0:\n"
                "                    derived from the trip count, 64-252)\n"
@@ -70,6 +68,7 @@ int main(int Argc, char **Argv) {
   // Knob defaults are ParallelOptions' own (4 workers, derived period), so
   // the usage text, local runs, and service submissions all agree.
   ParallelOptions Par;
+  Strategy Strat = Strategy::Doall;
 
   for (int I = 1; I < Argc; ++I) {
     std::string A = Argv[I];
@@ -79,22 +78,16 @@ int main(int Argc, char **Argv) {
       Seq = true;
     else if (A == "--verbose")
       Verbose = true;
-    else if (A == "--strategy" && I + 1 < Argc) {
-      std::string S = Argv[++I];
-      if (!strategyFromName(S, Par.Strat)) {
+    else if ((A == "--strategy" && I + 1 < Argc) ||
+             A.rfind("--strategy=", 0) == 0) {
+      std::string S = A == "--strategy"
+                          ? std::string(Argv[++I])
+                          : A.substr(std::strlen("--strategy="));
+      if (!strategyFromName(S, Strat)) {
         std::fprintf(stderr, "error: unknown strategy '%s'\n", S.c_str());
         return 2;
       }
     }
-    else if (A.rfind("--strategy=", 0) == 0) {
-      std::string S = A.substr(std::strlen("--strategy="));
-      if (!strategyFromName(S, Par.Strat)) {
-        std::fprintf(stderr, "error: unknown strategy '%s'\n", S.c_str());
-        return 2;
-      }
-    }
-    else if (A == "--stages" && I + 1 < Argc)
-      Par.NumStages = static_cast<uint32_t>(std::atoi(Argv[++I]));
     else if (A == "--workers" && I + 1 < Argc)
       Par.NumWorkers = static_cast<unsigned>(std::atoi(Argv[++I]));
     else if (A == "--period" && I + 1 < Argc)
@@ -157,8 +150,7 @@ int main(int Argc, char **Argv) {
     Req.ModuleText = Text;
     Req.Mode = Seq ? service::JobMode::Sequential
                    : service::JobMode::Speculative;
-    Req.Strat = static_cast<uint8_t>(Par.Strat);
-    Req.NumStages = Par.NumStages;
+    Req.Strat = static_cast<uint8_t>(Strat);
     Req.NumWorkers = Par.NumWorkers;
     Req.CheckpointPeriod = Par.CheckpointPeriod;
     Req.InjectMisspecRate = Par.InjectMisspecRate;
@@ -205,8 +197,7 @@ int main(int Argc, char **Argv) {
 
   analysis::FunctionAnalyses FA(*M);
   PipelineOptions Opt;
-  Opt.Strat = Par.Strat;
-  Opt.NumStages = Par.NumStages;
+  Opt.Strat = Strat;
   PipelineResult R = runPrivateerPipeline(*M, FA, Opt);
 
   if (Verbose)

@@ -35,10 +35,8 @@ int usage(const char *Argv0) {
       "  --socket <path>   daemon socket (required)\n"
       "  --demo <name>     built-in program: dijkstra | redsum\n"
       "  --seq             run the job sequentially (no speculation)\n"
-      "  --strategy <s>    scheduling strategy: doall (default), doacross,\n"
-      "                    or pipeline\n"
-      "  --stages <n>      pipeline stage count hint (default: one per\n"
-      "                    worker)\n"
+      "  --strategy <s>    scheduling strategy: doall (default) or\n"
+      "                    doacross\n"
       "  --workers <n>     speculative workers (default 4)\n"
       "  --period <k>      checkpoint period, 1-252 (default 0: derived\n"
       "                    from the trip count, 64-252)\n"
@@ -79,25 +77,18 @@ int main(int Argc, char **Argv) {
       Demo = Argv[++I];
     else if (A == "--seq")
       Req.Mode = JobMode::Sequential;
-    else if (A == "--strategy" && I + 1 < Argc) {
+    else if ((A == "--strategy" && I + 1 < Argc) ||
+             A.rfind("--strategy=", 0) == 0) {
       Strategy S;
-      if (!strategyFromName(Argv[++I], S)) {
-        std::fprintf(stderr, "error: unknown strategy '%s'\n", Argv[I]);
-        return 2;
-      }
-      Req.Strat = static_cast<uint8_t>(S);
-    }
-    else if (A.rfind("--strategy=", 0) == 0) {
-      Strategy S;
-      std::string Name = A.substr(std::strlen("--strategy="));
+      std::string Name = A == "--strategy"
+                             ? std::string(Argv[++I])
+                             : A.substr(std::strlen("--strategy="));
       if (!strategyFromName(Name, S)) {
         std::fprintf(stderr, "error: unknown strategy '%s'\n", Name.c_str());
         return 2;
       }
       Req.Strat = static_cast<uint8_t>(S);
     }
-    else if (A == "--stages" && I + 1 < Argc)
-      Req.NumStages = static_cast<uint32_t>(std::atoi(Argv[++I]));
     else if (A == "--workers" && I + 1 < Argc)
       Req.NumWorkers = static_cast<uint32_t>(std::atoi(Argv[++I]));
     else if (A == "--period" && I + 1 < Argc)
