@@ -293,9 +293,8 @@ SimBreakdown privateer::simulatePrivateer(const MachineModel &M,
       bool Misspec = false;
       uint64_t MisspecPeriod = 0;
       uint64_t Committed = Next;
-      double SlotCommitWall = 0;
-      // Eager pump: the main process's commit pipeline.  Slot P's commit
-      // begins when its last merge lands and the previous commit is done.
+      // The runtime's commit pump: slot P's commit begins when its last
+      // merge lands and the previous commit is done.
       double CommitClock = SpawnSec;
 
       for (uint64_t P = 0; P < NumPeriods && !Misspec; ++P) {
@@ -335,10 +334,7 @@ SimBreakdown privateer::simulatePrivateer(const MachineModel &M,
         }
         if (!Misspec || P != MisspecPeriod) {
           Committed = PeriodStart + PeriodIters;
-          if (Opt.EagerCommit)
-            CommitClock = std::max(CommitClock, SlotFree) + CommitP;
-          else
-            SlotCommitWall += CommitP;
+          CommitClock = std::max(CommitClock, SlotFree) + CommitP;
           B.CheckpointSec += CommitP;
         }
       }
@@ -348,12 +344,10 @@ SimBreakdown privateer::simulatePrivateer(const MachineModel &M,
       // one finishes ("Join ... imbalance among the workers").
       for (double C : Clock)
         B.SpawnJoinSec += Last - C;
-      // With the pump, only the commit stream's overhang past the slowest
-      // worker stalls the join; commits hidden under execution cost no
-      // worker capacity (they run in the otherwise-idle main process).
-      double CommitTail = Opt.EagerCommit
-                              ? std::max(0.0, CommitClock - Last)
-                              : SlotCommitWall;
+      // Only the commit stream's overhang past the slowest worker stalls
+      // the join; commits hidden under execution cost no worker capacity
+      // (they run in the otherwise-idle main process).
+      double CommitTail = std::max(0.0, CommitClock - Last);
       double EpochWall = Last + CommitTail + M.JoinBaseSec;
       B.SpawnJoinSec += (CommitTail + M.JoinBaseSec) * Workers;
       B.WallSec += EpochWall;

@@ -143,12 +143,6 @@ struct SimOptions {
   /// Fraction of iterations that misspeculate (Figure 9 injection).
   double MisspecRate = 0.0;
   uint64_t Seed = 7;
-  /// Model the runtime's in-epoch commit pump: each slot's commit starts
-  /// as soon as its last merge lands (pipelined behind the previous
-  /// commit), so only the part of the commit stream that outlives the
-  /// slowest worker shows up as end-of-epoch tail.  Off reproduces the
-  /// join-then-commit serial tail of the paper's literal §5.2 sequence.
-  bool EagerCommit = true;
 };
 
 /// Capacity accounting in the units of paper Figure 8: CPU-seconds of the

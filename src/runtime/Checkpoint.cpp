@@ -30,8 +30,6 @@ bool CheckpointRegion::create(const Config &C) {
   Cfg = C;
   NumChunks = dirtyChunkCount(C.PrivateBytes);
   MaskWords = dirtyMaskWords(NumChunks);
-  ChunkCap = C.SlotChunkCapacity ? std::min(C.SlotChunkCapacity, NumChunks)
-                                 : NumChunks;
 
   // Sparse slot layout: header, dirty-mask union, chunk directory (one
   // uint32 per footprint chunk, 0 = unallocated else entry index + 1),
@@ -43,7 +41,7 @@ bool CheckpointRegion::create(const Config &C) {
   OffMask = alignUp(sizeof(SlotHeader));
   OffDir = OffMask + alignUp(MaskWords * sizeof(uint64_t));
   OffEntries = OffDir + alignUp(NumChunks * sizeof(uint32_t));
-  OffRedux = OffEntries + ChunkCap * (2 * kDirtyChunkBytes);
+  OffRedux = OffEntries + NumChunks * (2 * kDirtyChunkBytes);
   OffIo = OffRedux + alignUp(C.ReduxBytes);
   OffCom = OffIo + alignUp(C.IoCapacity);
   SlotStride = OffCom + alignUp(C.ComCapacity);
@@ -135,7 +133,7 @@ bool CheckpointRegion::slotHeaderSane(uint64_t P) const {
   return slotStableSane(P) && H->IoBytes <= Cfg.IoCapacity &&
          H->ComBytes <= Cfg.ComCapacity &&
          Merged <= Cfg.NumWorkers && H->ExecutedMerges <= Merged &&
-         H->ChunksUsed <= ChunkCap;
+         H->ChunksUsed <= NumChunks;
 }
 
 void CheckpointRegion::workerMerge(uint64_t P, const uint8_t *LocalShadow,
@@ -182,9 +180,9 @@ void CheckpointRegion::workerMerge(uint64_t P, const uint8_t *LocalShadow,
         uint64_t C = WI * 64 + Bit;
         uint32_t E = Dir[C];
         if (E == 0) {
-          if (H->ChunksUsed >= ChunkCap) {
-            // Capacity exhausted: the slot cannot represent this merge.
-            // Mark it incomplete; the committer treats that as
+          if (H->ChunksUsed >= NumChunks) {
+            // No free entry: only a scribbled ChunksUsed gets here.  Mark
+            // the slot incomplete; the committer treats that as
             // misspeculation and re-executes the period sequentially.
             H->ChunkOverflow = 1;
             continue;

@@ -81,10 +81,11 @@ struct SlotHeader {
   /// Mergers that actually executed iterations; the first of these
   /// initializes the slot's reduction partial.
   uint32_t ExecutedMerges = 0;
-  /// Chunk entries allocated so far (bounded by the slot's capacity).
+  /// Chunk entries allocated so far.  A slot holds an entry for every
+  /// footprint chunk, so only a scribbled count can reach the bound.
   uint32_t ChunksUsed = 0;
-  /// A merge needed more chunk entries than the slot carries; the slot is
-  /// incomplete and must be recovered, never committed.
+  /// A merge found no free chunk entry (ChunksUsed was scribbled); the
+  /// slot is incomplete and must be recovered, never committed.
   uint32_t ChunkOverflow = 0;
   uint64_t BaseIter = 0;
   uint64_t NumIters = 0;
@@ -136,11 +137,6 @@ public:
     uint64_t Period = 0;       ///< Checkpoint period k.
     uint64_t EpochIters = 0;   ///< Iterations in this epoch.
     unsigned NumWorkers = 0;
-    /// Distinct dirty chunks one slot can hold.  0 (the default) covers
-    /// the full footprint, so merges can never overflow; a smaller cap
-    /// shrinks SlotStride (and the region) for huge footprints, at the
-    /// price of a conservative misspeculation if a period out-dirties it.
-    uint64_t SlotChunkCapacity = 0;
   };
 
   CheckpointRegion() = default;
@@ -157,8 +153,8 @@ public:
   const Config &config() const { return Cfg; }
   SlotHeader *slot(uint64_t P) const;
 
-  /// Entries one slot can hold.
-  uint64_t slotChunkCapacity() const { return ChunkCap; }
+  /// Entries one slot can hold: one per chunk of the covered footprint.
+  uint64_t slotChunkCapacity() const { return NumChunks; }
 
   /// Union of the contributors' dirty-chunk masks for slot \p P (one bit
   /// per chunk of the private footprint, in the shared region).
@@ -174,7 +170,7 @@ public:
   /// Subset of slotHeaderSane that checks only the fields no healthy worker
   /// ever writes (BaseIter, NumIters — fixed at create()).  Safe to poll at
   /// any time, so the in-epoch commit pump can catch a scribbled header the
-  /// moment it appears instead of waiting for the post-join sweep.
+  /// moment it appears instead of waiting for the join.
   bool slotStableSane(uint64_t P) const;
 
   /// Worker side: merges this worker's period-\p P state into slot P.
@@ -234,7 +230,6 @@ private:
   uint8_t *Region = nullptr;
   uint64_t NumChunks = 0;
   uint64_t MaskWords = 0;
-  uint64_t ChunkCap = 0;
   uint64_t OffMask = 0;
   uint64_t OffDir = 0;
   uint64_t OffEntries = 0;

@@ -100,6 +100,10 @@ inline constexpr uint64_t kComRecordBytes = 16;
 /// heap holds allocations; overflow is a conservative misspeculation.
 inline constexpr uint64_t kComLogBytesPerSlot = 1u << 20;
 
+/// One slot's deferred-output section; a period whose records do not fit
+/// misspeculates and re-emits its output through sequential recovery.
+inline constexpr uint64_t kIoBytesPerSlot = 1u << 20;
+
 /// Serializes \p Records into \p Buf (capacity \p Cap bytes), setting
 /// \p Used.  Returns false (and leaves \p Used at 0) when they do not fit —
 /// the caller marks the slot overflowed and keeps the records.

@@ -39,6 +39,15 @@ namespace {
 
 constexpr int kMisspecExit = 42;
 
+/// Adaptive degradation: after kBackoffAfterMisspecEpochs consecutive
+/// misspeculating epochs, the next backoff window runs sequentially.  The
+/// window starts at kBackoffBasePeriods checkpoint periods and doubles on
+/// every consecutive degradation up to kBackoffMaxPeriods, bounding the
+/// worst-case slowdown to a constant factor over sequential.
+constexpr unsigned kBackoffAfterMisspecEpochs = 3;
+constexpr uint64_t kBackoffBasePeriods = 1;
+constexpr uint64_t kBackoffMaxPeriods = 64;
+
 /// Runs the enclosing scope at SCHED_IDLE when \p Enable is set, so an
 /// overlapped commit walk consumes only CPU capacity the workers leave
 /// idle.  On a saturated (or single-core) host an ordinary-priority commit
@@ -145,7 +154,7 @@ void Runtime::runDegraded(uint64_t Begin, uint64_t End,
 }
 
 //===----------------------------------------------------------------------===//
-// Dependence-token channels (DOACROSS, ROADMAP item 3)
+// Dependence-token channels (DOACROSS, DESIGN.md §15)
 //===----------------------------------------------------------------------===//
 
 void Runtime::ensureLocalDepRings(uint32_t Chan) {
@@ -281,8 +290,12 @@ InvocationStats Runtime::runParallel(uint64_t NumIterations,
                                      const IterationFn &Body) {
   assert(Initialized && "runtime not initialized");
   assert(Mode == ExecMode::Sequential && "nested parallel invocation");
-  assert(Options.NumWorkers >= 1 && Options.NumWorkers <= kMaxWorkers &&
-         "worker count out of range");
+  // The control block holds per-worker arrays of kMaxWorkers entries, and
+  // zero workers would commit nothing: reject both in every build.
+  if (Options.NumWorkers < 1 || Options.NumWorkers > kMaxWorkers)
+    reportFatalError("runParallel: worker count " +
+                     std::to_string(Options.NumWorkers) + " outside [1, " +
+                     std::to_string(kMaxWorkers) + "]");
 
   InvocationStats Stats;
   double WallStart = wallSeconds();
@@ -350,14 +363,9 @@ InvocationStats Runtime::runParallel(uint64_t NumIterations,
   // re-post in order) lands in LocalStats, folded in below like a worker's.
   LocalStats = WorkerStats();
 
-  // Adaptive degradation state: after K consecutive misspeculating epochs,
-  // run M periods sequentially before retrying speculation; M backs off
-  // exponentially while hostility persists, bounding worst-case slowdown
-  // to a constant factor over sequential on adversarial inputs.
+  // Adaptive degradation state (see kBackoffAfterMisspecEpochs).
   unsigned ConsecMisspecEpochs = 0;
-  uint64_t BasePeriods = std::max<uint64_t>(1, Options.DegradeBasePeriods);
-  uint64_t MaxPeriods = std::max(BasePeriods, Options.DegradeMaxPeriods);
-  uint64_t BackoffPeriods = BasePeriods;
+  uint64_t BackoffPeriods = kBackoffBasePeriods;
 
   uint64_t Next = 0;
   if (DepMapFailed) {
@@ -369,15 +377,14 @@ InvocationStats Runtime::runParallel(uint64_t NumIterations,
     Next = NumIterations;
   }
   while (Next < NumIterations) {
-    if (Options.DegradeAfterMisspecEpochs != 0 &&
-        ConsecMisspecEpochs >= Options.DegradeAfterMisspecEpochs) {
+    if (ConsecMisspecEpochs >= kBackoffAfterMisspecEpochs) {
       uint64_t End =
           std::min(NumIterations, Next + BackoffPeriods * Period);
       runDegraded(Next, End, Options, Body, Stats,
                   "adaptive backoff after consecutive misspeculating "
                   "epochs");
       Next = End;
-      BackoffPeriods = std::min(BackoffPeriods * 2, MaxPeriods);
+      BackoffPeriods = std::min(BackoffPeriods * 2, kBackoffMaxPeriods);
       ConsecMisspecEpochs = 0; // Give speculation another chance.
       continue;
     }
@@ -402,7 +409,7 @@ InvocationStats Runtime::runParallel(uint64_t NumIterations,
     if (!Res.Misspec) {
       Next = Res.CommittedEnd;
       ConsecMisspecEpochs = 0;
-      BackoffPeriods = BasePeriods;
+      BackoffPeriods = kBackoffBasePeriods;
       continue;
     }
 
@@ -514,13 +521,12 @@ Runtime::EpochResult Runtime::runEpoch(const EpochPlan &Plan,
     C.NumSlots = Plan.NumSlots;
     C.PrivateBytes = PrivateHighWater;
     C.ReduxBytes = ReduxCovered;
-    C.IoCapacity = Options.IoCapacityPerSlot;
+    C.IoCapacity = kIoBytesPerSlot;
     C.ComCapacity = ComCovered > 0 ? kComLogBytesPerSlot : 0;
     C.BaseIter = Plan.BaseIter;
     C.Period = Plan.Period;
     C.EpochIters = Plan.EpochIters;
     C.NumWorkers = W;
-    C.SlotChunkCapacity = Options.CheckpointSlotChunks;
     if (!TheRegion.create(C)) {
       Res.Degraded = true;
       if (errno == ENOMEM) {
@@ -598,12 +604,12 @@ Runtime::EpochResult Runtime::runEpoch(const EpochPlan &Plan,
   // heartbeat goes stale for longer than the stall timeout — its last
   // reported iteration is treated as misspeculated and recovered through
   // the sequential path, exactly like any other abnormal death.  The
-  // commit-pump half (EagerCommit) polls slot headers between reaps and
-  // commits each checkpoint the moment every worker has published its
-  // merge, so the end-of-epoch serial commit tail collapses to at most the
-  // last slot, and a commit-time misspeculation raises the global flag
-  // while workers are still running instead of after they drained the
-  // whole epoch.
+  // commit-pump half polls slot headers between reaps and commits each
+  // checkpoint, in iteration order (§5.2), the moment every worker has
+  // published its merge.  It is the only commit path: the end-of-epoch
+  // serial commit tail collapses to at most the last slot, and a
+  // commit-time misspeculation raises the global flag while workers are
+  // still running instead of after they drained the whole epoch.
   uint64_t StallNs =
       Options.StallTimeoutSec > 0
           ? static_cast<uint64_t>(Options.StallTimeoutSec * 1e9)
@@ -612,7 +618,7 @@ Runtime::EpochResult Runtime::runEpoch(const EpochPlan &Plan,
   std::vector<bool> StallKilled(W, false);
   unsigned Remaining = W;
 
-  // Commit state shared by the in-epoch pump and the post-join sweep.
+  // Commit state of the pump.
   std::vector<IoRecord> CommittedIo;
   CheckpointScanStats CommitScan;
   uint8_t *MasterShadow = reinterpret_cast<uint8_t *>(Shadow.base());
@@ -621,7 +627,6 @@ Runtime::EpochResult Runtime::runEpoch(const EpochPlan &Plan,
   uint64_t EpochEnd = Plan.BaseIter + Plan.EpochIters;
   uint64_t NextCommit = 0;    // First slot not yet committed, in order.
   bool CommitStopped = false; // A commit failed; Res carries the verdict.
-  bool Pump = Spec && Options.EagerCommit;
 
   auto slotEnd = [&](uint64_t P) {
     return std::min(EpochEnd, Plan.BaseIter + (P + 1) * Plan.Period);
@@ -637,9 +642,9 @@ Runtime::EpochResult Runtime::runEpoch(const EpochPlan &Plan,
   // A commit failure observed by the pump mid-epoch.  Record the verdict,
   // then raise the global flag so live workers stop spending iterations on
   // periods that can no longer commit (§5.3 has them poll after every
-  // iteration); without the pump they would only learn after running the
-  // epoch to the end.  The iterations the cut-off saves are tallied from
-  // each live worker's remaining cyclic share past the doomed period.
+  // iteration) instead of running the epoch to the end.  The iterations
+  // the cut-off saves are tallied from each live worker's remaining cyclic
+  // share past the doomed period.
   auto failCommit = [&](uint64_t P, const std::string &Why) {
     CommitStopped = true;
     Res.Misspec = true;
@@ -671,7 +676,7 @@ Runtime::EpochResult Runtime::runEpoch(const EpochPlan &Plan,
   // One pump pass: commit every slot that is ready, in iteration order.
   // Never reads Cb->MisspecReason (a worker that just won the flag race may
   // still be writing it); worker-raised misspeculation is classified after
-  // join like before.
+  // join.
   auto pumpStep = [&]() {
     while (NextCommit < Plan.NumSlots && !CommitStopped) {
       uint64_t P = NextCommit;
@@ -682,7 +687,7 @@ Runtime::EpochResult Runtime::runEpoch(const EpochPlan &Plan,
       // The stable header fields (BaseIter, NumIters) are written once at
       // create() and never by a healthy worker, so they can be checked at
       // any time — this is how the pump catches a scribbled header
-      // mid-epoch rather than leaving it to the post-join sweep.
+      // mid-epoch rather than leaving it to the join.
       if (!TheRegion.slotStableSane(P)) {
         failCommit(P, "corrupted checkpoint slot header");
         return;
@@ -735,9 +740,11 @@ Runtime::EpochResult Runtime::runEpoch(const EpochPlan &Plan,
 
   // Between polls the join sleeps in sigtimedwait, woken early by any
   // SIGCHLD.  Stall checks only need a few passes per timeout window; the
-  // pump wants lower commit latency while uncommitted slots remain.
-  uint64_t CheckNs =
-      StallNs ? std::clamp<uint64_t>(StallNs / 8, 1000000, 50000000) : 0;
+  // pump wants lower commit latency while uncommitted slots remain.  With
+  // neither left, the sleep only bounds the wait for the next exit.
+  uint64_t CheckNs = StallNs ? std::clamp<uint64_t>(StallNs / 8, 1000000,
+                                                    50000000)
+                             : 50000000;
   constexpr uint64_t kPumpPollNs = 200000; // 200us
   while (Remaining > 0) {
     bool Reaped = false;
@@ -745,7 +752,7 @@ Runtime::EpochResult Runtime::runEpoch(const EpochPlan &Plan,
       if (!Alive[I])
         continue;
       int Status = 0;
-      pid_t R = waitpid(Pids[I], &Status, (StallNs || Pump) ? WNOHANG : 0);
+      pid_t R = waitpid(Pids[I], &Status, WNOHANG);
       if (R == 0)
         continue; // Still running.
       if (R < 0)
@@ -795,27 +802,22 @@ Runtime::EpochResult Runtime::runEpoch(const EpochPlan &Plan,
         }
       }
     }
-    bool Pumping = Pump && !CommitStopped && NextCommit < Plan.NumSlots;
+    bool Pumping = Spec && !CommitStopped && NextCommit < Plan.NumSlots;
     if (Pumping)
       pumpStep();
     drainTraceRings();
     if (!Reaped) {
       // A SIGCHLD delivered before this point stays pending (the signal is
       // blocked), so sigtimedwait returns immediately: no lost wake-ups.
-      uint64_t SleepNs = Pumping ? kPumpPollNs
-                         : CheckNs ? CheckNs
-                                   : 0;
-      if (SleepNs == 0 && Pump) // Pump done, watchdog off: block on exits.
-        SleepNs = 50000000;
+      uint64_t SleepNs = Pumping ? kPumpPollNs : CheckNs;
       timespec Ts{static_cast<time_t>(SleepNs / 1000000000),
                   static_cast<long>(SleepNs % 1000000000)};
       sigtimedwait(&ChldMask, nullptr, &Ts);
     }
   }
   // Final pump pass so an epoch whose last merge landed between the last
-  // poll and the last reap still commits everything eagerly (this is also
-  // what keeps the post-join sweep's work to at most the final slot).
-  if (Pump && !CommitStopped)
+  // poll and the last reap still commits everything it can.
+  if (Spec)
     pumpStep();
   drainTraceRings(); // All workers reaped: rings are quiescent from here.
   sigprocmask(SIG_SETMASK, &OldMask, nullptr);
@@ -830,71 +832,35 @@ Runtime::EpochResult Runtime::runEpoch(const EpochPlan &Plan,
            : kNoMisspec;
 
   if (Spec) {
-    // Post-join sweep: commit, in iteration order (§5.2), whatever the
-    // pump did not get to — at most the final slot when the pump ran, the
-    // whole epoch when EagerCommit is off.  All workers are reaped by now,
-    // so a still-held slot lock is orphaned by definition, and an
+    // The join classifies; it never commits.  A slot the final pump pass
+    // left uncommitted (unless a commit failed) is doomed by a worker's
+    // flag or was not merged by every worker.  All workers are reaped by
+    // now, so a still-held slot lock is orphaned by definition, and an
     // incomplete merge count means a worker was lost; neither condition is
-    // decidable mid-epoch, which is why only the sweep checks them.
-    for (uint64_t P = NextCommit; P < Plan.NumSlots && !CommitStopped;
-         ++P) {
+    // decidable mid-epoch, which is why only the join checks them.
+    if (!CommitStopped && NextCommit < Plan.NumSlots) {
+      uint64_t P = NextCommit;
+      SlotHeader *H = TheRegion.slot(P);
+      Res.Misspec = true;
+      Res.MisspecPeriodEnd = slotEnd(P);
       if (Flag && P >= MisspecPeriod) {
-        Res.Misspec = true;
         Res.Reason = Cb->MisspecReason;
         Res.MisspecPeriodEnd = slotEnd(MisspecPeriod);
-        break;
-      }
-      SlotHeader *H = TheRegion.slot(P);
-      uint64_t SlotEnd = slotEnd(P);
-      if (H->Lock.holder() != 0) {
+      } else if (H->Lock.holder() != 0) {
         H->Lock.forceBreak();
         ++Stats.LocksBroken;
         if (TraceOn)
           Tc.record(trace::Kind::LockBroken, 0, monotonicNanos(), 0, 0,
                     static_cast<uint32_t>(P));
-        Res.Misspec = true;
         Res.Reason = "checkpoint slot lock orphaned by a dead worker";
-        Res.MisspecPeriodEnd = SlotEnd;
-        break;
-      }
-      if (!TheRegion.slotHeaderSane(P)) {
-        Res.Misspec = true;
+      } else if (!TheRegion.slotHeaderSane(P)) {
         Res.Reason = "corrupted checkpoint slot header";
-        Res.MisspecPeriodEnd = SlotEnd;
-        break;
-      }
-      if (H->Poisoned.load(std::memory_order_relaxed)) {
-        Res.Misspec = true;
+      } else if (H->Poisoned.load(std::memory_order_relaxed)) {
         Res.Reason = "checkpoint slot torn by a worker that died holding "
                      "its lock";
-        Res.MisspecPeriodEnd = SlotEnd;
-        break;
-      }
-      if (H->WorkersMerged.load(std::memory_order_acquire) != W) {
-        Res.Misspec = true;
+      } else {
         Res.Reason = "incomplete checkpoint (worker lost)";
-        Res.MisspecPeriodEnd = SlotEnd;
-        break;
       }
-      std::string Why;
-      uint64_t TraceT0 = TraceOn ? monotonicNanos() : 0;
-      uint64_t ScanBefore = CommitScan.BytesScanned;
-      CheckpointRegion::CommitStatus St = TheRegion.commitSlot(
-          P, MasterShadow, MasterPrivate, Redux,
-          heap(HeapKind::Redux).base(), heap(HeapKind::Commutative).base(),
-          ComCovered, CommittedIo, Why, &CommitScan);
-      if (St == CheckpointRegion::CommitStatus::Misspec) {
-        Res.Misspec = true;
-        Res.Reason = Why;
-        Res.MisspecPeriodEnd = SlotEnd;
-        break;
-      }
-      if (TraceOn)
-        Tc.record(trace::Kind::CommitPostJoin, 0, monotonicNanos(), TraceT0,
-                  CommitScan.BytesScanned - ScanBefore,
-                  static_cast<uint32_t>(P));
-      Res.CommittedEnd = SlotEnd;
-      ++Stats.Checkpoints;
     }
     Stats.CheckpointDirtyChunks += CommitScan.DirtyChunks;
     Stats.CheckpointBytesScanned += CommitScan.BytesScanned;
@@ -915,16 +881,17 @@ Runtime::EpochResult Runtime::runEpoch(const EpochPlan &Plan,
     }
   }
 
-  // A worker death can set the misspec flag without the commit loop
-  // noticing (e.g. the earliest misspeculated period lies beyond the slots
-  // this epoch planned); never report a clean epoch while the flag is up.
+  // A worker death can set the misspec flag without the join's
+  // classification noticing (e.g. the earliest misspeculated period lies
+  // beyond the slots this epoch planned); never report a clean epoch while
+  // the flag is up.
   if (Spec && Flag && !Res.Misspec) {
     Res.Misspec = true;
     Res.Reason = Cb->MisspecReason;
   }
   // The pump records its own misspecs inside failCommit (CommitStopped);
-  // everything classified after join — worker-raised flags, sweep-detected
-  // torn/lost slots — gets one consolidated record here, reason attached.
+  // everything classified after join — worker-raised flags, orphaned locks,
+  // lost workers — gets one consolidated record here, reason attached.
   if (TraceOn && Res.Misspec && !CommitStopped)
     Tc.record(trace::Kind::Misspec, 0, monotonicNanos(),
               Flag ? Cb->EarliestMisspecIter.load(std::memory_order_relaxed)

@@ -53,7 +53,7 @@ struct RuntimeConfig {
   size_t CommutativeBytes = 1u << 20;
 };
 
-/// How a parallel invocation schedules its iterations (ROADMAP item 3).
+/// How a parallel invocation schedules its iterations (DESIGN.md §15).
 /// A compile-time choice: the transform reads it to decide whether to
 /// forward cross-iteration dependences, and the runtime learns DOACROSS
 /// from the lowered image's dependence channels.
@@ -102,24 +102,10 @@ struct ParallelOptions {
   /// Write-protect the read-only heap in workers; a stray store becomes a
   /// SIGSEGV which the worker converts into misspeculation.
   bool ProtectReadOnly = true;
-  size_t IoCapacityPerSlot = 1u << 20;
-  /// Distinct dirty 4 KiB chunks one checkpoint slot can hold.  0 (the
-  /// default) sizes slots for the whole private footprint, so merges can
-  /// never overflow; a smaller bound shrinks the checkpoint region for
-  /// huge footprints at the price of a conservative misspeculation when a
-  /// period dirties more chunks than the slot can represent.
-  uint64_t CheckpointSlotChunks = 0;
-  /// In-epoch commit pump: the main process polls slot headers while the
-  /// workers are still running and commits each checkpoint the moment all
-  /// workers have merged it, overlapping the commit walk with speculative
-  /// execution and raising the misspeculation flag mid-epoch when a
-  /// commit-time (phase-2) violation is found.  Off reproduces the paper's
-  /// literal join-then-commit sequence, which stays useful as a baseline.
-  bool EagerCommit = true;
   /// Deferred-output sink; nullptr means stdout.
   std::FILE *Out = nullptr;
 
-  // --- Dependence forwarding (DOACROSS, ROADMAP item 3) -----------------
+  // --- Dependence forwarding (DOACROSS, DESIGN.md §15) ------------------
 
   /// Not read by the runtime, which learns DOACROSS from NumDepChannels.
   /// Kept only because the end-to-end benchmark (perfbench/src/IrJobs.cpp)
@@ -137,14 +123,6 @@ struct ParallelOptions {
   /// sequentially.  0 disables the watchdog (join blocks forever, as the
   /// paper's optimistic fault model assumes).
   double StallTimeoutSec = 10.0;
-  /// Graceful degradation: after this many consecutive misspeculating
-  /// epochs, run the next backoff window sequentially before retrying
-  /// speculation.  0 disables adaptive degradation.
-  unsigned DegradeAfterMisspecEpochs = 3;
-  /// Initial sequential backoff window, in checkpoint periods; doubles on
-  /// every consecutive degradation (exponential backoff) up to the cap.
-  uint64_t DegradeBasePeriods = 1;
-  uint64_t DegradeMaxPeriods = 64;
   /// Deterministic fault injection (tests and bench_fault); inert by
   /// default.
   FaultPlan Faults;
@@ -322,7 +300,7 @@ public:
   /// recovery engine.
   void runSequential(uint64_t Begin, uint64_t End, const IterationFn &Body);
 
-  // --- Dependence forwarding (DOACROSS, ROADMAP item 3) -----------------
+  // --- Dependence forwarding (DOACROSS, DESIGN.md §15) ------------------
 
   /// post: publishes the cross-iteration value produced by iteration
   /// \p Iter on channel \p Chan.  Inside an invocation the token lands in

@@ -39,8 +39,6 @@ const char *kindName(Kind K) {
     return "checkpoint_scan";
   case Kind::CommitEager:
     return "commit_eager";
-  case Kind::CommitPostJoin:
-    return "commit_postjoin";
   case Kind::Misspec:
     return "misspec";
   case Kind::EarlyCutoff:
@@ -71,7 +69,6 @@ bool kindIsSpan(Kind K) {
   case Kind::Epoch:
   case Kind::SlotMerge:
   case Kind::CommitEager:
-  case Kind::CommitPostJoin:
   case Kind::Recovery:
   case Kind::Degraded:
   case Kind::DepWait:

@@ -50,7 +50,6 @@ enum class Kind : uint16_t {
   SlotMerge,       ///< Span, worker row: Arg = slot, B = executed flag.
   CheckpointScan,  ///< Worker row: Arg = slot, A = bytes scanned, B = skipped.
   CommitEager,     ///< Span: Arg = slot, B = bytes scanned by the commit.
-  CommitPostJoin,  ///< Span: Arg = slot, B = bytes scanned by the commit.
   Misspec,         ///< Arg = reason code, A = iteration, B = period.
   EarlyCutoff,     ///< Arg = period, A = iterations saved.
   RecoveryClamp,   ///< A = classified period end, B = committed frontier.

@@ -2,9 +2,10 @@
 //
 // Direct tests of CheckpointRegion's sparse dirty-chunk layout: merges fold
 // only the chunks a worker's dirty mask names, commits walk the union mask,
-// slot headers clamp over-provisioned epochs instead of wrapping, bounded
-// chunk capacity overflows to a conservative misspeculation, and deferred
-// I/O survives a slot-buffer overflow for the recovery path to replay.
+// slot headers clamp over-provisioned epochs instead of wrapping, a
+// scribbled chunk count overflows to a conservative misspeculation, and
+// deferred I/O survives a slot-buffer overflow for the recovery path to
+// replay.
 //
 //===----------------------------------------------------------------------===//
 
@@ -27,8 +28,8 @@ protected:
   static constexpr uint64_t kFootprint = 16 * kDirtyChunkBytes; // 16 chunks.
 
   void makeRegion(uint64_t NumSlots, uint64_t Period, uint64_t EpochIters,
-                  uint64_t SlotChunkCapacity = 0, uint64_t IoCapacity = 4096,
-                  uint64_t BaseIter = 0, uint64_t ComCapacity = 0) {
+                  uint64_t IoCapacity = 4096, uint64_t BaseIter = 0,
+                  uint64_t ComCapacity = 0) {
     CheckpointRegion::Config C;
     C.NumSlots = NumSlots;
     C.PrivateBytes = kFootprint;
@@ -39,7 +40,6 @@ protected:
     C.Period = Period;
     C.EpochIters = EpochIters;
     C.NumWorkers = 2;
-    C.SlotChunkCapacity = SlotChunkCapacity;
     ASSERT_TRUE(Region.create(C));
     LocalShadow.assign(kFootprint, shadow::kLiveIn);
     LocalPrivate.assign(kFootprint, 0);
@@ -159,8 +159,7 @@ TEST_F(CheckpointRegionTest, OverProvisionedSlotsClampToEmpty) {
   // nominal base (130) lies past the epoch end (125).  NumIters must clamp
   // to zero, not wrap to ~2^64.
   makeRegion(/*NumSlots=*/4, /*Period=*/10, /*EpochIters=*/25,
-             /*SlotChunkCapacity=*/0, /*IoCapacity=*/4096,
-             /*BaseIter=*/100);
+             /*IoCapacity=*/4096, /*BaseIter=*/100);
   EXPECT_EQ(Region.slot(0)->NumIters, 10u);
   EXPECT_EQ(Region.slot(2)->NumIters, 5u);
   EXPECT_EQ(Region.slot(3)->BaseIter, 130u);
@@ -177,9 +176,12 @@ TEST_F(CheckpointRegionTest, OverProvisionedSlotsClampToEmpty) {
 }
 
 TEST_F(CheckpointRegionTest, ChunkCapacityOverflowBecomesMisspec) {
-  makeRegion(/*NumSlots=*/1, /*Period=*/8, /*EpochIters=*/8,
-             /*SlotChunkCapacity=*/1);
-  EXPECT_EQ(Region.slotChunkCapacity(), 1u);
+  // A slot holds an entry for every footprint chunk, so only a scribbled
+  // ChunksUsed can exhaust it; the merge must then mark the slot
+  // incomplete rather than allocate an entry past the slot.
+  makeRegion(/*NumSlots=*/1, /*Period=*/8, /*EpochIters=*/8);
+  Region.slot(0)->ChunksUsed =
+      static_cast<uint32_t>(Region.slotChunkCapacity());
   workerWrite(0 * kDirtyChunkBytes + 5, 0x33);
   workerWrite(7 * kDirtyChunkBytes + 5, 0x44);
   Region.workerMerge(0, LocalShadow.data(), LocalPrivate.data(), Mask.data(),
@@ -198,7 +200,7 @@ TEST_F(CheckpointRegionTest, ChunkCapacityOverflowBecomesMisspec) {
 TEST_F(CheckpointRegionTest, DefaultCapacityCoversWholeFootprintLosslessly) {
   makeRegion(/*NumSlots=*/1, /*Period=*/8, /*EpochIters=*/8);
   EXPECT_EQ(Region.slotChunkCapacity(), dirtyChunkCount(kFootprint));
-  // Dirty every chunk: with the default capacity this can never overflow.
+  // Dirty every chunk: a slot holds them all, so this can never overflow.
   for (uint64_t C = 0; C < dirtyChunkCount(kFootprint); ++C)
     workerWrite(C * kDirtyChunkBytes, static_cast<uint8_t>(C + 1));
   Region.workerMerge(0, LocalShadow.data(), LocalPrivate.data(), Mask.data(),
@@ -215,8 +217,7 @@ TEST_F(CheckpointRegionTest, DefaultCapacityCoversWholeFootprintLosslessly) {
 
 TEST_F(CheckpointRegionTest, CommutativeRecordsFromBothWorkersFoldAtCommit) {
   makeRegion(/*NumSlots=*/1, /*Period=*/8, /*EpochIters=*/8,
-             /*SlotChunkCapacity=*/0, /*IoCapacity=*/4096, /*BaseIter=*/0,
-             /*ComCapacity=*/4096);
+             /*IoCapacity=*/4096, /*BaseIter=*/0, /*ComCapacity=*/4096);
   std::vector<int64_t> Heap(4, 0);
   uint64_t Base = reinterpret_cast<uint64_t>(Heap.data());
   uint64_t Span = Heap.size() * sizeof(int64_t);
@@ -248,7 +249,7 @@ TEST_F(CheckpointRegionTest, CommutativeLogOverflowBecomesMisspec) {
   // One 16-byte record fits; the second append must overflow, keep the
   // records with the worker, and poison the slot.
   makeRegion(/*NumSlots=*/1, /*Period=*/8, /*EpochIters=*/8,
-             /*SlotChunkCapacity=*/0, /*IoCapacity=*/4096, /*BaseIter=*/0,
+             /*IoCapacity=*/4096, /*BaseIter=*/0,
              /*ComCapacity=*/kComRecordBytes);
   std::vector<int64_t> Heap(1, 0);
   uint64_t Base = reinterpret_cast<uint64_t>(Heap.data());
@@ -272,8 +273,7 @@ TEST_F(CheckpointRegionTest, CommutativeLogOverflowBecomesMisspec) {
 
 TEST_F(CheckpointRegionTest, OutOfHeapComRecordRejectsWholeLogUntouched) {
   makeRegion(/*NumSlots=*/1, /*Period=*/8, /*EpochIters=*/8,
-             /*SlotChunkCapacity=*/0, /*IoCapacity=*/4096, /*BaseIter=*/0,
-             /*ComCapacity=*/4096);
+             /*IoCapacity=*/4096, /*BaseIter=*/0, /*ComCapacity=*/4096);
   std::vector<int64_t> Heap(2, 0);
   uint64_t Base = reinterpret_cast<uint64_t>(Heap.data());
   uint64_t Span = Heap.size() * sizeof(int64_t);
@@ -294,7 +294,7 @@ TEST_F(CheckpointRegionTest, OutOfHeapComRecordRejectsWholeLogUntouched) {
 
 TEST_F(CheckpointRegionTest, IoOverflowKeepsWorkerRecordsForRecovery) {
   makeRegion(/*NumSlots=*/1, /*Period=*/8, /*EpochIters=*/8,
-             /*SlotChunkCapacity=*/0, /*IoCapacity=*/32);
+             /*IoCapacity=*/32);
   Io.push_back(IoRecord{0, 0, std::string(128, 'x')}); // Can't fit in 32 B.
   Region.workerMerge(0, LocalShadow.data(), LocalPrivate.data(), Mask.data(),
                      NoRedux, 0, Io, Com, true, ctx());

@@ -213,8 +213,8 @@ TEST_F(EpochBookkeepingTest, OrphanedLockInOneEpochIsCountedOnce) {
   EXPECT_EQ(Stats.Epochs, 2u);
   EXPECT_EQ(Stats.Misspecs, 1u) << Stats.FirstMisspecReason;
   EXPECT_EQ(Stats.Checkpoints, 2u);
-  // Broken at most once, by the surviving worker or by the post-join
-  // sweep; a count carried into epoch 1 would report it twice.
+  // Broken at most once, by the surviving worker or by the join; a count
+  // carried into epoch 1 would report it twice.
   EXPECT_LE(Stats.LocksBroken, 1u);
 }
 

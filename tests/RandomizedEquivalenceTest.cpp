@@ -265,14 +265,15 @@ TEST(ParallelEdgeCases, NonSpeculativeDoallMode) {
 // optional short-lived allocation, optional deferred print), runs it
 // through the full pipeline (profile -> classify -> transform), and then
 // executes the privatized loop on the VM in the *parallel runtime* across
-// a {workers x slots x EagerCommit x fault-injection} matrix, requiring
+// a {workers x slots x tracing x fault-injection} matrix, requiring
 // byte-identical stdout and return value against plain sequential
 // interpretation of the untransformed program (the reference is always
 // the interpreter, so every configuration is a cross-engine differential).
 //
 // PRIVATEER_RANDOM_SWEEP_SEEDS scales the sweep (default 25 for PR CI;
-// nightly CI runs hundreds).  PRIVATEER_TRACE, when set, traces every
-// parallel run to that path so nightly failures come with a timeline.
+// nightly CI runs hundreds).  Half the configurations run traced (see
+// sweepTracePath), so every sweep also checks that tracing leaves the
+// output byte-identical.
 
 std::string readAllFile(std::FILE *F) {
   std::string Out;
@@ -282,6 +283,19 @@ std::string readAllFile(std::FILE *F) {
   while ((N = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
     Out.append(Buf, N);
   return Out;
+}
+
+/// The trace file of sweep configuration \p Conf, or "" for an untraced
+/// one.  PRIVATEER_TRACE, when set, traces every run to that path so
+/// nightly failures come with a timeline; otherwise the odd configurations
+/// trace to a temporary file the caller removes after the run.
+std::string sweepTracePath(const char *TraceEnv, unsigned Conf,
+                           const char *Matrix) {
+  if (TraceEnv)
+    return TraceEnv;
+  if ((Conf & 1) == 0)
+    return "";
+  return ::testing::TempDir() + "privateer-sweep-" + Matrix + ".json";
 }
 
 /// One sweep configuration's checkpoint period: 0 (derived from the trip
@@ -333,7 +347,7 @@ TEST(RandomizedIrSweep, ParallelRuntimeMatchesSequentialAcrossMatrix) {
         << "pipeline rejected generated program:\n"
         << (R.Log.empty() ? "" : R.Log.back()) << "\n" << Text;
 
-    // {EagerCommit on/off} x {faults on/off}; workers and slot budget
+    // {traced/untraced} x {faults on/off}; workers and slot budget
     // drawn per configuration so the sweep covers the matrix across seeds.
     DeterministicRng Cfg(Seed ^ 0xC0FFEEULL);
     for (unsigned Conf = 0; Conf < 4; ++Conf) {
@@ -341,7 +355,7 @@ TEST(RandomizedIrSweep, ParallelRuntimeMatchesSequentialAcrossMatrix) {
       Par.NumWorkers = WorkerChoices[Cfg.nextBelow(5)];
       Par.CheckpointPeriod = drawPeriod(Cfg);
       Par.MaxSlotsPerEpoch = 2 + Cfg.nextBelow(15);
-      Par.EagerCommit = (Conf & 1) != 0;
+      Par.TracePath = sweepTracePath(TraceEnv, Conf, "privatization");
       bool Faults = (Conf & 2) != 0;
       if (Faults) {
         Par.InjectMisspecRate = 0.03;
@@ -349,8 +363,6 @@ TEST(RandomizedIrSweep, ParallelRuntimeMatchesSequentialAcrossMatrix) {
         Par.Faults.Seed = Seed;
         Par.Faults.KillRate = 0.01;
       }
-      if (TraceEnv)
-        Par.TracePath = TraceEnv;
       // Every configuration runs on the VM, against the interpreter's
       // sequential reference bytes.
       std::FILE *Out = std::tmpfile();
@@ -358,12 +370,14 @@ TEST(RandomizedIrSweep, ParallelRuntimeMatchesSequentialAcrossMatrix) {
           *M, FA, R.Assignment, Opt, Par, RuntimeConfig(), Out);
       std::string Got = readAllFile(Out);
       std::fclose(Out);
+      if (!TraceEnv && !Par.TracePath.empty())
+        std::remove(Par.TracePath.c_str());
       std::string Where = "seed " + std::to_string(Seed) + " conf " +
                           std::to_string(Conf) + " w" +
                           std::to_string(Par.NumWorkers) + " k" +
                           std::to_string(Par.CheckpointPeriod) + " s" +
                           std::to_string(Par.MaxSlotsPerEpoch) +
-                          (Par.EagerCommit ? " eager" : " postjoin") +
+                          (Par.TracePath.empty() ? "" : " traced") +
                           (Faults ? " faults" : "");
       EXPECT_EQ(Got, Expected) << Where;
       EXPECT_EQ(E.ReturnValue.asInt(), RefRet.asInt()) << Where;
@@ -381,7 +395,7 @@ TEST(RandomizedIrSweep, ParallelRuntimeMatchesSequentialAcrossMatrix) {
 // f(a[i - x], i) at a fixed or variable (mask-bounded) distance, or both —
 // exactly the dependence shapes the DOACROSS pre-pass must prove and
 // rewrite into token forwarding.  The transformed loop then runs on the
-// VM across a {workers x period x slots x commit mode x faults} matrix,
+// VM across a {workers x period x slots x tracing x faults} matrix,
 // byte-compared against plain sequential interpretation of the pristine
 // program.  PRIVATEER_RANDOM_SWEEP_SEEDS scales the sweep for nightly CI.
 
@@ -434,7 +448,7 @@ TEST(RandomizedIrSweep, DoacrossPipelineMatchesSequentialAcrossMatrix) {
       Par.NumWorkers = WorkerChoices[Cfg.nextBelow(5)];
       Par.CheckpointPeriod = drawPeriod(Cfg);
       Par.MaxSlotsPerEpoch = 2 + Cfg.nextBelow(15);
-      Par.EagerCommit = (Conf & 1) != 0;
+      Par.TracePath = sweepTracePath(TraceEnv, Conf, "dependence");
       bool Faults = (Conf & 2) != 0;
       if (Faults) {
         Par.InjectMisspecRate = 0.03;
@@ -442,8 +456,6 @@ TEST(RandomizedIrSweep, DoacrossPipelineMatchesSequentialAcrossMatrix) {
         Par.Faults.Seed = Seed;
         Par.Faults.KillRate = 0.01;
       }
-      if (TraceEnv)
-        Par.TracePath = TraceEnv;
       // Two draws that once picked a scheduling strategy and stage count;
       // still consumed so every seed keeps its worker/period/slot matrix.
       if (Cfg.next() & 1)
@@ -453,12 +465,14 @@ TEST(RandomizedIrSweep, DoacrossPipelineMatchesSequentialAcrossMatrix) {
           *M, FA, R.Assignment, Opt, Par, RuntimeConfig(), Out);
       std::string Got = readAllFile(Out);
       std::fclose(Out);
+      if (!TraceEnv && !Par.TracePath.empty())
+        std::remove(Par.TracePath.c_str());
       std::string Where =
           "seed " + std::to_string(Seed) + " conf " + std::to_string(Conf) +
           " w" + std::to_string(Par.NumWorkers) + " k" +
           std::to_string(Par.CheckpointPeriod) + " s" +
           std::to_string(Par.MaxSlotsPerEpoch) +
-          (Par.EagerCommit ? " eager" : " postjoin") +
+          (Par.TracePath.empty() ? "" : " traced") +
           (Faults ? " faults" : "");
       EXPECT_EQ(Got, Expected) << Where;
       EXPECT_EQ(E.ReturnValue.asInt(), RefRet.asInt()) << Where;
@@ -526,7 +540,7 @@ TEST(RandomizedIrSweep, CommutativeLoopsMatchSequentialAcrossMatrix) {
       Par.NumWorkers = WorkerChoices[Cfg.nextBelow(5)];
       Par.CheckpointPeriod = drawPeriod(Cfg);
       Par.MaxSlotsPerEpoch = 2 + Cfg.nextBelow(15);
-      Par.EagerCommit = (Conf & 1) != 0;
+      Par.TracePath = sweepTracePath(TraceEnv, Conf, "commutative");
       bool Faults = (Conf & 2) != 0;
       if (Faults) {
         Par.InjectMisspecRate = 0.03;
@@ -534,19 +548,19 @@ TEST(RandomizedIrSweep, CommutativeLoopsMatchSequentialAcrossMatrix) {
         Par.Faults.Seed = Seed;
         Par.Faults.KillRate = 0.01;
       }
-      if (TraceEnv)
-        Par.TracePath = TraceEnv;
       std::FILE *Out = std::tmpfile();
       transform::ExecutionResult E = transform::executePrivatized(
           *M, FA, R.Assignment, Opt, Par, RuntimeConfig(), Out);
       std::string Got = readAllFile(Out);
       std::fclose(Out);
+      if (!TraceEnv && !Par.TracePath.empty())
+        std::remove(Par.TracePath.c_str());
       std::string Where = "seed " + std::to_string(Seed) + " conf " +
                           std::to_string(Conf) + " w" +
                           std::to_string(Par.NumWorkers) + " k" +
                           std::to_string(Par.CheckpointPeriod) + " s" +
                           std::to_string(Par.MaxSlotsPerEpoch) +
-                          (Par.EagerCommit ? " eager" : " postjoin") +
+                          (Par.TracePath.empty() ? "" : " traced") +
                           (Faults ? " faults" : "");
       EXPECT_EQ(Got, Expected) << Where;
       EXPECT_EQ(E.ReturnValue.asInt(), RefRet.asInt()) << Where;

@@ -41,7 +41,7 @@ int usage(const char *Argv0) {
                "  --strategy <s>    scheduling strategy: doall (default) or\n"
                "                    doacross (token-forward provable carried\n"
                "                    dependences)\n"
-               "  --workers <n>     speculative workers (default 4)\n"
+               "  --workers <n>     speculative workers, 1-64 (default 4)\n"
                "  --period <k>      checkpoint period, 1-252 (default 0:\n"
                "                    derived from the trip count, 64-252)\n"
                "  --inject <rate>   inject misspeculation (fraction)\n"
@@ -88,8 +88,15 @@ int main(int Argc, char **Argv) {
         return 2;
       }
     }
-    else if (A == "--workers" && I + 1 < Argc)
-      Par.NumWorkers = static_cast<unsigned>(std::atoi(Argv[++I]));
+    else if (A == "--workers" && I + 1 < Argc) {
+      long N = std::atol(Argv[++I]);
+      if (N < 1 || N > static_cast<long>(kMaxWorkers)) {
+        std::fprintf(stderr, "error: --workers must be 1-%u, got '%s'\n",
+                     kMaxWorkers, Argv[I]);
+        return 2;
+      }
+      Par.NumWorkers = static_cast<unsigned>(N);
+    }
     else if (A == "--period" && I + 1 < Argc)
       Par.CheckpointPeriod = static_cast<uint64_t>(std::atoll(Argv[++I]));
     else if (A == "--inject" && I + 1 < Argc)
