@@ -171,7 +171,6 @@ MachineModel MachineModel::calibrate() {
     ParallelOptions Opt;
     Opt.NumWorkers = Workers;
     Opt.CheckpointPeriod = 64;
-    Opt.ProtectReadOnly = false;
     double Best = 1e9;
     for (int Rep = 0; Rep < 3; ++Rep) {
       InvocationStats S = Rt.runParallel(Workers, Opt, [](uint64_t) {});

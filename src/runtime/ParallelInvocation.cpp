@@ -1001,28 +1001,28 @@ void Runtime::workerMain(unsigned Id, const EpochPlan &Plan,
         !heap(HeapKind::Commutative).tryRemapCopyOnWrite() ||
         !Shadow.tryRemapCopyOnWrite())
       misspecAbort("copy-on-write remap failed in worker");
-    if (Options.ProtectReadOnly) {
-      heap(HeapKind::ReadOnly).protectReadOnly();
-      ActiveWorkerCb = Cb;
-      ActiveWorkerId = Id;
-      ActiveWorkerPeriodBase = Plan.BaseIter;
-      ActiveWorkerPeriodLen = Plan.Period;
-      ActiveWorkerTraceRing = TraceRing;
-      // The handler runs on its own stack (SA_ONSTACK) so an iteration
-      // body that overflows the worker stack still reports misspeculation
-      // instead of dying unclassified.
-      stack_t Ss;
-      std::memset(&Ss, 0, sizeof(Ss));
-      Ss.ss_sp = WorkerAltStack;
-      Ss.ss_size = sizeof(WorkerAltStack);
-      sigaltstack(&Ss, nullptr);
-      struct sigaction Sa;
-      std::memset(&Sa, 0, sizeof(Sa));
-      Sa.sa_handler = workerSegvHandler;
-      Sa.sa_flags = SA_ONSTACK;
-      sigaction(SIGSEGV, &Sa, nullptr);
-      sigaction(SIGBUS, &Sa, nullptr);
-    }
+    // Write-protect the read-only heap: a stray store becomes a SIGSEGV,
+    // which the handler below converts into misspeculation.
+    heap(HeapKind::ReadOnly).protectReadOnly();
+    ActiveWorkerCb = Cb;
+    ActiveWorkerId = Id;
+    ActiveWorkerPeriodBase = Plan.BaseIter;
+    ActiveWorkerPeriodLen = Plan.Period;
+    ActiveWorkerTraceRing = TraceRing;
+    // The handler runs on its own stack (SA_ONSTACK) so an iteration
+    // body that overflows the worker stack still reports misspeculation
+    // instead of dying unclassified.
+    stack_t Ss;
+    std::memset(&Ss, 0, sizeof(Ss));
+    Ss.ss_sp = WorkerAltStack;
+    Ss.ss_size = sizeof(WorkerAltStack);
+    sigaltstack(&Ss, nullptr);
+    struct sigaction Sa;
+    std::memset(&Sa, 0, sizeof(Sa));
+    Sa.sa_handler = workerSegvHandler;
+    Sa.sa_flags = SA_ONSTACK;
+    sigaction(SIGSEGV, &Sa, nullptr);
+    sigaction(SIGBUS, &Sa, nullptr);
     // "The reduction heap is replaced and bytes within those pages are
     // initialized with the identity value for the reduction operator."
     Redux.fillIdentity();

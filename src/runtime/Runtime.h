@@ -99,9 +99,6 @@ struct ParallelOptions {
   /// checkpoints; heaps stay shared.  Only sound for loops that are truly
   /// independent.
   bool NonSpeculative = false;
-  /// Write-protect the read-only heap in workers; a stray store becomes a
-  /// SIGSEGV which the worker converts into misspeculation.
-  bool ProtectReadOnly = true;
   /// Deferred-output sink; nullptr means stdout.
   std::FILE *Out = nullptr;
 

@@ -8,9 +8,9 @@
 /// \file
 /// A small synchronous client for the invocation service: one connection,
 /// one outstanding job at a time (the protocol the daemon enforces), with
-/// the module text inside the SubmitJob frame.  privateer-client,
-/// `privateer-cc --connect`, the service tests, bench_service and
-/// perfbench all speak through this class.
+/// the module text inside the SubmitJob frame.  privateer-client, the
+/// service tests, bench_service and perfbench all speak through this
+/// class.
 ///
 /// submit() is resilient by default: every request is stamped with a
 /// client-generated idempotency key, and a transport failure (daemon

@@ -3,20 +3,23 @@
 #include "service/Executive.h"
 
 #include "bytecode/Image.h"
-#include "service/ProgramCache.h"
 #include "support/Timing.h"
 #include "transform/Pipeline.h"
 
+#include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <map>
 #include <memory>
 #include <new>
 #include <sys/mman.h>
+#include <sys/resource.h>
 #include <sys/stat.h>
+#include <sys/wait.h>
+#include <tuple>
 #include <unistd.h>
 #include <vector>
 
@@ -30,43 +33,36 @@ namespace {
 /// an executive outlives many daemon cache generations.
 class LocalPrograms {
 public:
-  explicit LocalPrograms(size_t Max = 32) : Max(Max) {}
-
   using Key = std::tuple<uint64_t, uint64_t, bool>;
 
   const bytecode::BytecodeProgram *find(const Key &K) {
     auto It = Map.find(K);
     if (It == Map.end())
       return nullptr;
-    touch(K);
-    return It->second.get();
+    It->second.LastUse = ++Clock;
+    return It->second.Prog.get();
   }
 
   const bytecode::BytecodeProgram *
   insert(const Key &K, std::unique_ptr<bytecode::BytecodeProgram> P) {
-    while (Map.size() >= Max && !Order.empty()) {
-      Map.erase(Order.back());
-      Order.pop_back();
-    }
-    touch(K);
-    auto &Slot = Map[K];
-    Slot = std::move(P);
-    return Slot.get();
+    if (Map.size() >= kMaxPrograms)
+      Map.erase(std::min_element(Map.begin(), Map.end(),
+                                 [](const auto &A, const auto &B) {
+                                   return A.second.LastUse < B.second.LastUse;
+                                 }));
+    Entry &E = Map[K];
+    E = Entry{++Clock, std::move(P)};
+    return E.Prog.get();
   }
 
 private:
-  void touch(const Key &K) {
-    for (auto It = Order.begin(); It != Order.end(); ++It)
-      if (*It == K) {
-        Order.erase(It);
-        break;
-      }
-    Order.push_front(K);
-  }
-
-  size_t Max;
-  std::map<Key, std::unique_ptr<bytecode::BytecodeProgram>> Map;
-  std::deque<Key> Order; ///< front = most recently used
+  static constexpr size_t kMaxPrograms = 32;
+  struct Entry {
+    uint64_t LastUse = 0;
+    std::unique_ptr<bytecode::BytecodeProgram> Prog;
+  };
+  std::map<Key, Entry> Map;
+  uint64_t Clock = 0;
 };
 
 /// Maps the sealed image memfd, deserializes, closes the fd.
@@ -89,6 +85,31 @@ std::unique_ptr<bytecode::BytecodeProgram> loadImage(int MemFd,
   ::munmap(P, Bytes);
   ::close(MemFd);
   return Prog;
+}
+
+/// Applies the job's rlimits (the daemon already folded its own ceilings
+/// into them; 0 means none) to this process and, across fork, to its
+/// worker tree.
+void applyJobLimits(const JobRequest &Req) {
+  if (uint64_t Mem = Req.MaxMemoryBytes) {
+    rlimit L{static_cast<rlim_t>(Mem), static_cast<rlim_t>(Mem)};
+    ::setrlimit(RLIMIT_AS, &L);
+  }
+  if (uint32_t Cpu = Req.MaxCpuSec) {
+    // Scaled like deadlines: sanitizer builds are several-fold slower and
+    // must not burn their CPU budget on healthy work.  Hard limit sits a
+    // little above the soft one so SIGXCPU fires first, with SIGKILL as
+    // the kernel's backstop.
+    rlim_t Soft = static_cast<rlim_t>(
+        std::max(1.0, std::ceil(static_cast<double>(Cpu) * timeoutScale())));
+    rlimit L{Soft, Soft + 2};
+    ::setrlimit(RLIMIT_CPU, &L);
+  }
+  if (uint32_t Files = Req.MaxOpenFiles) {
+    rlim_t V = static_cast<rlim_t>(std::max<uint32_t>(Files, 8));
+    rlimit L{V, V};
+    ::setrlimit(RLIMIT_NOFILE, &L);
+  }
 }
 
 } // namespace
@@ -226,14 +247,14 @@ int service::executiveMain(int ChanFd) {
 
     // The daemon attaches the image fd to every assignment (a kernel dup
     // is cheaper than tracking which executive holds what); keep the
-    // first, drop any strays.
+    // first, drop any strays.  An assignment without one is malformed.
     ExecAssignment A;
     bool Ok = Type == MsgType::ExecAssign && decodeExecAssign(Body, A, Err);
     int ImgFd = Fds.empty() ? -1 : Fds.front();
     for (size_t I = 1; I < Fds.size(); ++I)
       ::close(Fds[I]);
     Fds.clear();
-    if (!Ok) {
+    if (!Ok || ImgFd < 0) {
       if (ImgFd >= 0)
         ::close(ImgFd);
       return 2;
@@ -243,18 +264,12 @@ int service::executiveMain(int ChanFd) {
     LocalPrograms::Key K{A.ProgramKey, A.Generation, A.UseParallel};
     const bytecode::BytecodeProgram *BP = Programs.find(K);
     if (BP) {
-      if (ImgFd >= 0)
-        ::close(ImgFd);
+      ::close(ImgFd);
     } else {
-      JobReply R;
-      R.Status = JobStatus::InternalError;
-      if (ImgFd < 0) {
-        R.Error = "executive: assignment without a program image";
-        Reply(R);
-        continue;
-      }
       auto Loaded = loadImage(ImgFd, Err);
       if (!Loaded) {
+        JobReply R;
+        R.Status = JobStatus::InternalError;
         R.Error = "executive: bad program image: " + Err;
         Reply(R);
         continue;
@@ -262,17 +277,39 @@ int service::executiveMain(int ChanFd) {
       BP = Programs.insert(K, std::move(Loaded));
     }
 
-    Reply(runJob(A, *BP));
-  }
-}
+    if (!A.Req.limited()) {
+      Reply(runJob(A, *BP));
+      continue;
+    }
 
-int service::oneShotMain(int ChanFd, const ExecAssignment &A,
-                         const CachedProgram &Prog) {
-  const bytecode::BytecodeProgram &BP =
-      A.UseParallel ? *Prog.LoweredPar : *Prog.LoweredSeq;
-  std::string Err;
-  return writeFrame(ChanFd, MsgType::JobResult,
-                    encodeJobReply(runJob(A, BP)), Err)
-             ? 0
-             : 4;
+    // A limited job runs in a disposable child that wears its rlimits and
+    // writes the reply itself.  If the child dies, this executive dies the
+    // same way: the daemon triages, poisons, retries and respawns exactly
+    // as for any dead executive.
+    pid_t Pid = ::fork();
+    if (Pid < 0) {
+      JobReply R;
+      R.Status = JobStatus::InternalError;
+      R.Cause = FailureCause::InfraFork;
+      R.Error = std::string("fork: ") + std::strerror(errno);
+      Reply(R);
+      continue;
+    }
+    if (Pid == 0) {
+      applyJobLimits(A.Req);
+      Reply(runJob(A, *BP));
+      ::_exit(0);
+    }
+    int St = 0;
+    while (::waitpid(Pid, &St, 0) < 0 && errno == EINTR) {
+    }
+    if (WIFSIGNALED(St)) {
+      int Sig = WTERMSIG(St);
+      ::signal(Sig, SIG_DFL);
+      ::raise(Sig);
+      ::_exit(128 + Sig); // a signal whose default action is not to die
+    }
+    if (WIFEXITED(St) && WEXITSTATUS(St) != 0)
+      ::_exit(WEXITSTATUS(St));
+  }
 }

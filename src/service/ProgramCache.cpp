@@ -2,6 +2,7 @@
 
 #include "service/ProgramCache.h"
 
+#include "analysis/FunctionAnalyses.h"
 #include "bytecode/Image.h"
 #include "bytecode/Lower.h"
 #include "ir/IRParser.h"
@@ -9,6 +10,7 @@
 #include "support/Fnv.h"
 #include "support/Statistics.h"
 #include "support/Timing.h"
+#include "transform/Pipeline.h"
 
 #include <unistd.h>
 
@@ -24,7 +26,8 @@ CachedProgram::~CachedProgram() {
 
 std::shared_ptr<CachedProgram>
 ProgramCache::lookup(const std::string &Text, Strategy Strat, std::string &Err,
-                     bool &Hit) {
+                     bool &Hit, bool &Transient) {
+  Transient = false;
   // The strategy is part of the program's identity: the doacross pre-pass
   // rewrites the module, so the same text compiles to different programs
   // under different strategies and they must not alias in the cache.
@@ -73,63 +76,61 @@ ProgramCache::lookup(const std::string &Text, Strategy Strat, std::string &Err,
   Entry->Generation = NextGeneration++;
   Entry->Text = Text;
   Entry->Strat = Strat;
-  Entry->M = ir::parseModule(Text, Err);
-  if (!Entry->M) {
-    Err = "parse error: " + Err;
+  auto Negative = [&](std::string Why) {
+    Err = std::move(Why);
     Entry->ParseError = Err;
     Insert(Entry);
     return nullptr;
-  }
-  auto Diags = ir::verifyModule(*Entry->M);
-  if (!Diags.empty()) {
-    Err = "verifier: " + Diags.front();
-    Entry->ParseError = Err;
-    Entry->M.reset();
-    Insert(Entry);
-    return nullptr;
-  }
+  };
 
-  Entry->FA = std::make_unique<analysis::FunctionAnalyses>(*Entry->M);
+  std::unique_ptr<ir::Module> M = ir::parseModule(Text, Err);
+  if (!M)
+    return Negative("parse error: " + Err);
+  auto Diags = ir::verifyModule(*M);
+  if (!Diags.empty())
+    return Negative("verifier: " + Diags.front());
 
+  analysis::FunctionAnalyses FA(*M);
   transform::PipelineOptions PipeOpts;
   PipeOpts.Strat = Strat;
-  Entry->Pipeline =
-      transform::runPrivateerPipeline(*Entry->M, *Entry->FA, PipeOpts);
-  const transform::PipelineResult &PR = Entry->Pipeline;
-  if (!PR.TrainingTrap.empty() || !PR.ModuleErrors.empty()) {
-    // A trap is a property of the text, like a verifier failure, and so
-    // is a rewrite that left the module failing the verifier (the module
-    // no longer lowers, for sequential jobs either): cache the verdict so
-    // resubmits do not rerun the training run.
-    Err = !PR.TrainingTrap.empty()
-              ? "training run trapped: " + PR.TrainingTrap
-              : "rewritten module: " + PR.ModuleErrors.front();
-    Entry->ParseError = Err;
-    Entry->FA.reset();
-    Entry->M.reset();
-    Insert(Entry);
+  transform::PipelineResult PR =
+      transform::runPrivateerPipeline(*M, FA, PipeOpts);
+  // A trap is a property of the text, like a verifier failure, and so is
+  // a rewrite that left the module failing the verifier (the module no
+  // longer lowers, for sequential jobs either): cache the verdict so
+  // resubmits do not rerun the training run.
+  if (!PR.TrainingTrap.empty())
+    return Negative("training run trapped: " + PR.TrainingTrap);
+  if (!PR.ModuleErrors.empty())
+    return Negative("rewritten module: " + PR.ModuleErrors.front());
+  Entry->Transformed = PR.Transformed;
+  if (!PR.Log.empty())
+    Entry->LastLog = PR.Log.back();
+
+  // Lower once per program (a verified module always lowers) and seal each
+  // lowered program into a memfd.  A failed seal is transient, so the
+  // entry is not cached and the next submit tries again.
+  auto Seal = [&](const char *Name, const bytecode::BytecodeProgram &BP) {
+    std::string Img = bytecode::serializeProgram(BP);
+    std::string Why;
+    int Fd = sealedMemfd(Name, Img.data(), Img.size(), Why);
+    if (Fd < 0 && Err.empty())
+      Err = "program image: " + Why;
+    return Fd;
+  };
+  Err.clear();
+  std::string LowerWhy;
+  if (PR.Transformed) {
+    auto Par = transform::lowerForPrivatized(*M, FA, PR.Assignment, LowerWhy);
+    if (!Par)
+      return Negative("lowering: " + LowerWhy);
+    Entry->ImagePar = Seal("privateer-img-par", *Par);
+  }
+  Entry->ImageSeq = Seal("privateer-img-seq", *bytecode::lowerModule(*M, {}));
+  if (!Err.empty()) {
+    Transient = true;
     return nullptr;
   }
-  // Lower to bytecode once per program; every warm hit reuses the
-  // programs.  A verified module always lowers.
-  std::string LowerWhy;
-  if (Entry->Pipeline.Transformed)
-    Entry->LoweredPar = transform::lowerForPrivatized(
-        *Entry->M, *Entry->FA, Entry->Pipeline.Assignment, LowerWhy);
-  Entry->LoweredSeq = bytecode::lowerModule(*Entry->M, {});
-
-  // Serialize each lowered program into a sealed memfd for the executive
-  // pool.  Failure (no memfd support) silently disables pooled dispatch
-  // for this entry; one-shot executives still serve it.
-  std::string MemfdErr;
-  if (Entry->LoweredPar) {
-    std::string Img = bytecode::serializeProgram(*Entry->LoweredPar);
-    Entry->ImagePar =
-        sealedMemfd("privateer-img-par", Img.data(), Img.size(), MemfdErr);
-  }
-  std::string Img = bytecode::serializeProgram(*Entry->LoweredSeq);
-  Entry->ImageSeq =
-      sealedMemfd("privateer-img-seq", Img.data(), Img.size(), MemfdErr);
 
   Entry->PipelineSec = wallSeconds() - T0;
   StatisticRegistry::instance().real("service", "pipeline_sec") +=

@@ -8,30 +8,25 @@
 /// \file
 /// The daemon's warm program cache: module text is hashed with FNV-1a and
 /// the expensive front half of a Privateer run — parse, verify, training
-/// profile, classification, transformation — executes at most once per
-/// distinct program, and so does lowering it to bytecode (the VM runs
-/// every job).  The cached lowered programs are then reused by every
-/// subsequent job: a one-shot executive inherits them read-only across
-/// fork(), so a warm submit pays only fork + execution.
+/// profile, classification, transformation, lowering to bytecode —
+/// executes at most once per distinct program.  What the cache keeps is
+/// only what the daemon reads afterwards: each lowered program serialized
+/// into a sealed memfd (bytecode/Image.h), so dispatching a warm job to an
+/// executive is one SCM_RIGHTS hand-off, with no fork, no parse, and no
+/// lowering anywhere on the path.  The module, its analyses and the
+/// lowered programs die with the miss that built them.
 ///
 /// Entries are handed out as shared_ptr: eviction (bounded LRU, keyed by
 /// last hit) drops the cache's reference, while jobs still queued against
 /// the entry keep it alive until dispatch.
-///
-/// For the pre-warmed executive pool the cache also serializes each
-/// lowered program into a sealed memfd (bytecode/Image.h): dispatching a
-/// warm job to an executive is then one SCM_RIGHTS hand-off, with no
-/// fork, no parse, and no lowering anywhere on the path.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef PRIVATEER_SERVICE_PROGRAMCACHE_H
 #define PRIVATEER_SERVICE_PROGRAMCACHE_H
 
-#include "analysis/FunctionAnalyses.h"
-#include "ir/IR.h"
+#include "runtime/Runtime.h"
 #include "service/Protocol.h"
-#include "transform/Pipeline.h"
 
 #include <list>
 #include <map>
@@ -41,9 +36,7 @@
 namespace privateer {
 namespace service {
 
-/// One fully prepared program.  The PipelineResult's loop / global
-/// pointers point into *M, and FA holds analyses over *M, so the three
-/// must live and die together.
+/// One fully prepared program, reduced to its sealed images.
 struct CachedProgram {
   uint64_t Key = 0;
   std::string Text; ///< verbatim module text (collision check)
@@ -51,22 +44,11 @@ struct CachedProgram {
   /// different program from the doall compilation of the same text, so the
   /// strategy participates in both the key and the collision check.
   Strategy Strat = Strategy::Doall;
-  std::unique_ptr<ir::Module> M;
-  std::unique_ptr<analysis::FunctionAnalyses> FA;
-  transform::PipelineResult Pipeline;
-  /// Bytecode programs lowered once at cache-fill time (borrowing *M), so
-  /// warm submits skip parse, pipeline, AND lowering: one-shot executives
-  /// inherit them read-only across fork().  Only a verified module is
-  /// lowered, and lowering never declines: a pipeline rewrite that left
-  /// *M failing the verifier is cached as a negative verdict instead.
-  /// LoweredPar is null only when the pipeline transformed nothing (the
-  /// daemon rejects speculative submits of such a program).
-  std::shared_ptr<const bytecode::BytecodeProgram> LoweredPar;
-  std::shared_ptr<const bytecode::BytecodeProgram> LoweredSeq;
-  /// Sealed memfds holding the serialized lowered programs (-1 = no
-  /// program, or no memfd support).  The daemon hands these to executives
-  /// via SCM_RIGHTS; the seals let the executive trust size and contents
-  /// without copying.
+  /// Sealed memfds holding the serialized lowered programs.  The daemon
+  /// hands these to executives via SCM_RIGHTS; the seals let the executive
+  /// trust size and contents without copying.  ImagePar is -1 only when
+  /// the pipeline transformed nothing (the daemon rejects speculative
+  /// submits of such a program); ImageSeq is always set.
   int ImagePar = -1;
   int ImageSeq = -1;
   /// Monotonic fill ordinal: executives key their local caches by
@@ -74,6 +56,10 @@ struct CachedProgram {
   /// replacing different text) never aliases a stale cached program.
   uint64_t Generation = 0;
   double PipelineSec = 0; ///< cost of the cold half, paid once
+  /// Whether the pipeline transformed a loop, and its last log line (the
+  /// reason a speculative submit of an untransformed program is refused).
+  bool Transformed = false;
+  std::string LastLog;
 
   CachedProgram() = default;
   CachedProgram(const CachedProgram &) = delete;
@@ -83,8 +69,8 @@ struct CachedProgram {
   /// Negative verdict: set when an executive running this exact text died
   /// on a deterministic program-class signal (SIGSEGV/SIGBUS/SIGABRT/
   /// SIGFPE/SIGILL).  Later submits answer from PoisonReply instead of
-  /// crashing another executive.  M is null for entries caching a parse,
-  /// verifier, trap or rewrite error (ParseError holds the message).
+  /// crashing another executive.  ParseError is set for entries caching a
+  /// parse, verifier, trap or rewrite error, which have no images.
   bool Poisoned = false;
   JobReply PoisonReply;
   std::string ParseError;
@@ -99,12 +85,14 @@ public:
   /// process — the training run's output is swallowed.  Returns nullptr
   /// with \p Err set when the text does not parse or verify, when its
   /// training run traps (division by zero, instruction budget), or when a
-  /// pipeline rewrite leaves the module failing the verifier; a program
-  /// whose pipeline finds no parallelizable loop is still cached
-  /// (Pipeline.Transformed == false) so repeated submits stay cheap.
+  /// pipeline rewrite leaves the module failing the verifier; these
+  /// verdicts are cached.  It also returns nullptr, with \p Transient set
+  /// and nothing cached, when an image cannot be sealed (EMFILE and ENOMEM
+  /// pass).  A program whose pipeline finds no parallelizable loop is
+  /// still cached (Transformed == false) so repeated submits stay cheap.
   std::shared_ptr<CachedProgram> lookup(const std::string &Text,
                                         Strategy Strat, std::string &Err,
-                                        bool &Hit);
+                                        bool &Hit, bool &Transient);
 
   size_t size() const { return Entries.size(); }
   uint64_t hits() const { return Hits; }

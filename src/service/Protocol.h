@@ -149,12 +149,15 @@ struct JobRequest {
   uint64_t IdempotencyKey = 0;
 
   // --- Per-job resource ceilings (0 = daemon default) --------------------
-  /// The job's one-shot executive (and, inherited across fork, its whole
-  /// worker tree) runs under these rlimits.  A request can lower but never
-  /// raise the daemon's configured ceiling.
+  /// A limited job runs in a disposable child of its executive, under
+  /// these rlimits together with its whole worker tree.  A request can
+  /// lower but never raise the daemon's configured ceiling.
   uint64_t MaxMemoryBytes = 0; ///< RLIMIT_AS
   uint32_t MaxCpuSec = 0;      ///< RLIMIT_CPU, scaled by timeoutScale()
   uint32_t MaxOpenFiles = 0;   ///< RLIMIT_NOFILE
+  bool limited() const {
+    return MaxMemoryBytes != 0 || MaxCpuSec != 0 || MaxOpenFiles != 0;
+  }
 
   // --- Fault injection (tests and bench_service) -------------------------
   // The "Supervisor" knobs act on the executive running the job.

@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cmath>
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
@@ -185,11 +184,15 @@ bool Server::start(std::string &Err) {
   ::sigaction(SIGINT, &Sa, nullptr);
   ::signal(SIGPIPE, SIG_IGN);
 
+  if (Opts.Executives == 0) {
+    Err = "the executive pool needs at least one executive";
+    return false;
+  }
   // Pre-fork the executive pool while the process is still pristine (no
   // client fds, empty cache) — the cheapest possible fork.
   for (unsigned I = 0; I < Opts.Executives; ++I) {
     std::string PoolErr;
-    if (!spawnExecutive(nullptr, PoolErr)) {
+    if (!spawnExecutive(PoolErr)) {
       Err = "executive pool: " + PoolErr;
       return false;
     }
@@ -201,7 +204,7 @@ bool Server::start(std::string &Err) {
                  "[privateer-served] listening on %s (budget %u, queue %zu, "
                  "executives %zu)\n",
                  Opts.SocketPath.c_str(), Opts.WorkerBudget, Opts.QueueDepth,
-                 pooledExecutives());
+                 Pool.size());
   return true;
 }
 
@@ -217,8 +220,7 @@ int Server::serve(const ServerOptions &O) {
 
 // --- Executives -----------------------------------------------------------
 
-Server::Executive *Server::spawnExecutive(const Job *OneShot,
-                                          std::string &Err) {
+Server::Executive *Server::spawnExecutive(std::string &Err) {
   int Sv[2];
   if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, Sv) < 0) {
     Err = std::string("socketpair: ") + std::strerror(errno);
@@ -233,9 +235,12 @@ Server::Executive *Server::spawnExecutive(const Job *OneShot,
   }
   if (Pid == 0) {
     // Executive child: its own process group (deadline kills reach its
-    // worker tree without touching the daemon), default signals, and no
-    // daemon fds beyond its channel.
+    // worker tree without touching the daemon), default signals, no core
+    // dumps of its multi-GiB tagged heaps, and no daemon fds beyond its
+    // channel.
     ::setpgid(0, 0);
+    rlimit Core{0, 0};
+    ::setrlimit(RLIMIT_CORE, &Core);
     ::signal(SIGTERM, SIG_DFL);
     ::signal(SIGINT, SIG_DFL);
     ::signal(SIGCHLD, SIG_DFL);
@@ -251,10 +256,7 @@ Server::Executive *Server::spawnExecutive(const Job *OneShot,
     for (auto &[Id, E] : Pool)
       if (E.ChanFd >= 0)
         ::close(E.ChanFd);
-    if (!OneShot)
-      ::_exit(executiveMain(Sv[1]));
-    applyJobLimits(OneShot->Req);
-    ::_exit(oneShotMain(Sv[1], assignmentFor(*OneShot), *OneShot->Prog));
+    ::_exit(executiveMain(Sv[1]));
   }
   ::close(Sv[1]);
   // Mirror the child's setpgid so a kill(-pid) that races its startup
@@ -266,8 +268,7 @@ Server::Executive *Server::spawnExecutive(const Job *OneShot,
   E.Pid = Pid;
   E.ChanFd = Sv[0];
   E.Frames = FrameAssembler(Opts.MaxFrameBytes);
-  E.OneShot = OneShot != nullptr;
-  ++stat(OneShot ? "supervisor_forks" : "executives_spawned");
+  ++stat("executives_spawned");
   return &Pool.emplace(E.Id, std::move(E)).first->second;
 }
 
@@ -275,14 +276,13 @@ void Server::retireExecutive(uint64_t ExecId) {
   auto It = Pool.find(ExecId);
   if (It == Pool.end())
     return;
-  bool OneShot = It->second.OneShot;
   if (It->second.ChanFd >= 0)
     ::close(It->second.ChanFd);
   Pool.erase(It);
-  if (OneShot || Draining)
+  if (Draining)
     return;
   std::string Err;
-  if (spawnExecutive(nullptr, Err)) {
+  if (spawnExecutive(Err)) {
     ++stat("executives_respawned");
     if (Opts.Verbose)
       std::fprintf(stderr, "[privateer-served] executive %llu replaced\n",
@@ -295,8 +295,7 @@ void Server::retireExecutive(uint64_t ExecId) {
 
 void Server::shutdownPool() {
   // Closing the channel is the drain signal: executiveMain returns 0 on
-  // EOF, and a one-shot executive has already replied.  Stragglers
-  // (wedged mid-job) get SIGKILL after a grace window.
+  // EOF.  Stragglers (wedged mid-job) get SIGKILL after a grace window.
   for (auto &[Id, E] : Pool)
     if (E.ChanFd >= 0) {
       ::close(E.ChanFd);
@@ -326,43 +325,34 @@ void Server::shutdownPool() {
 
 Server::Executive *Server::idleExecutive() {
   for (auto &[Id, E] : Pool)
-    if (!E.OneShot && E.ActiveJob == 0 && E.ChanFd >= 0)
+    if (E.ActiveJob == 0 && E.ChanFd >= 0)
       return &E;
   return nullptr;
 }
 
-size_t Server::pooledExecutives() const {
-  return std::count_if(Pool.begin(), Pool.end(),
-                       [](const auto &P) { return !P.second.OneShot; });
-}
-
-bool Server::poolEligible(const Job &J) const {
-  if (Opts.Executives == 0 || pooledExecutives() == 0)
-    return false;
-  // Per-job rlimits need a disposable process; executives are long-lived.
-  if (J.Req.MaxMemoryBytes != 0 || J.Req.MaxCpuSec != 0 ||
-      J.Req.MaxOpenFiles != 0 || Opts.MaxMemoryBytes != 0 ||
-      Opts.MaxCpuSec != 0 || Opts.MaxOpenFiles != 0)
-    return false;
-  if (!J.Prog)
-    return false;
-  int Img = J.Req.Mode == JobMode::Sequential ? J.Prog->ImageSeq
-                                              : J.Prog->ImagePar;
-  return Img >= 0;
-}
-
-ExecAssignment Server::assignmentFor(const Job &J) {
+ExecAssignment Server::assignmentFor(const Job &J) const {
   ExecAssignment A;
   A.ProgramKey = J.Prog->Key;
   A.Generation = J.Prog->Generation;
   A.UseParallel = J.Req.Mode != JobMode::Sequential;
   A.Attempt = J.Attempt;
   A.Req = J.Req;
-  A.Req.ModuleText.clear(); // the program is cached or travels by fd
+  A.Req.ModuleText.clear(); // the program travels by fd
+  // Effective ceiling: the request can lower the daemon's but never raise
+  // it (0 on either side means none).
+  auto Effective = [](uint64_t Mine, uint64_t Daemon) -> uint64_t {
+    return Mine == 0 || Daemon == 0 ? std::max(Mine, Daemon)
+                                    : std::min(Mine, Daemon);
+  };
+  A.Req.MaxMemoryBytes = Effective(J.Req.MaxMemoryBytes, Opts.MaxMemoryBytes);
+  A.Req.MaxCpuSec =
+      static_cast<uint32_t>(Effective(J.Req.MaxCpuSec, Opts.MaxCpuSec));
+  A.Req.MaxOpenFiles =
+      static_cast<uint32_t>(Effective(J.Req.MaxOpenFiles, Opts.MaxOpenFiles));
   return A;
 }
 
-bool Server::dispatchToExecutive(Job &J, Executive &E) {
+bool Server::startJob(Job &J, Executive &E) {
   ExecAssignment A = assignmentFor(J);
   int Img = A.UseParallel ? J.Prog->ImagePar : J.Prog->ImageSeq;
   std::string Err;
@@ -376,6 +366,27 @@ bool Server::dispatchToExecutive(Job &J, Executive &E) {
     return false;
   }
   ++stat("pool_dispatches");
+  if (A.Req.limited())
+    ++stat("supervisor_forks"); // the executive runs it in a child
+  E.ActiveJob = J.Id;
+  J.ExecId = E.Id;
+  J.Pid = E.Pid;
+  J.Running = true;
+  J.StartT = wallSeconds();
+  double DeadlineSec =
+      J.Req.DeadlineSec > 0 ? J.Req.DeadlineSec : Opts.DefaultDeadlineSec;
+  if (DeadlineSec > 0)
+    J.DeadlineAbs = J.StartT + DeadlineSec * timeoutScale();
+  WorkersInUse += J.Cost;
+  if (Opts.Verbose)
+    std::fprintf(stderr,
+                 "[privateer-served] job %llu -> executive %d (%s%s, %u "
+                 "workers, cache %s)\n",
+                 static_cast<unsigned long long>(J.Id),
+                 static_cast<int>(E.Pid),
+                 J.Req.Mode == JobMode::Sequential ? "seq" : "spec",
+                 A.Req.limited() ? ", limited" : "", J.Req.NumWorkers,
+                 J.CacheHit ? "hit" : "miss");
   return true;
 }
 
@@ -417,9 +428,9 @@ void Server::readExecutive(Executive &E) {
   }
 
   if (Dead) {
-    // EOF or hard error: the executive is gone (a one-shot executive
-    // closes its channel by exiting).  An unanswered job is triaged when
-    // SIGCHLD reaps the corpse; here we just stop polling the channel.
+    // EOF or hard error: the executive is gone.  An unanswered job is
+    // triaged when SIGCHLD reaps the corpse; here we just stop polling the
+    // channel.
     ::close(E.ChanFd);
     E.ChanFd = -1;
   }
@@ -798,10 +809,13 @@ void Server::handleSubmit(Conn &C, const std::string &Body) {
     protocolError(C, "second SubmitJob while a job is outstanding");
     return;
   }
-  if (Req.NumWorkers == 0)
-    Req.NumWorkers = 1;
-  if (Req.NumWorkers > kMaxWorkers)
-    Req.NumWorkers = kMaxWorkers;
+  if (Req.NumWorkers < 1 || Req.NumWorkers > kMaxWorkers) {
+    ++stat("jobs_rejected");
+    Reject(JobStatus::Rejected, "NumWorkers must be 1-" +
+                                    std::to_string(kMaxWorkers) + ", got " +
+                                    std::to_string(Req.NumWorkers));
+    return;
+  }
   unsigned Cost = Req.NumWorkers + 1;
   if (Cost > Opts.WorkerBudget) {
     ++stat("jobs_rejected");
@@ -817,15 +831,15 @@ void Server::handleSubmit(Conn &C, const std::string &Body) {
   }
 
   // Warm program cache: parse + pipeline happen at most once per program.
-  bool Hit = false;
+  bool Hit = false, Transient = false;
   std::shared_ptr<CachedProgram> Prog = Cache.lookup(
-      Req.ModuleText, static_cast<Strategy>(Req.Strat), Err, Hit);
+      Req.ModuleText, static_cast<Strategy>(Req.Strat), Err, Hit, Transient);
   stat("cache_hits") = Cache.hits();
   stat("cache_misses") = Cache.misses();
   stat("cache_evictions") = Cache.evictions();
   if (!Prog) {
     ++stat("jobs_failed");
-    Reject(JobStatus::ParseError, Err);
+    Reject(Transient ? JobStatus::InternalError : JobStatus::ParseError, Err);
     return;
   }
   if (Prog->Poisoned) {
@@ -839,11 +853,11 @@ void Server::handleSubmit(Conn &C, const std::string &Body) {
     sendFrame(C, MsgType::JobResult, encodeJobReply(R));
     return;
   }
-  if (Req.Mode == JobMode::Speculative && !Prog->Pipeline.Transformed) {
+  if (Req.Mode == JobMode::Speculative && !Prog->Transformed) {
     ++stat("jobs_failed");
     std::string Why = "no parallelizable loop";
-    if (!Prog->Pipeline.Log.empty())
-      Why += ": " + Prog->Pipeline.Log.back();
+    if (!Prog->LastLog.empty())
+      Why += ": " + Prog->LastLog;
     Reject(JobStatus::NotParallelizable, Why);
     return;
   }
@@ -868,8 +882,8 @@ void Server::handleSubmit(Conn &C, const std::string &Body) {
 
 void Server::pumpQueue() {
   // FIFO against the worker budget: the head job either fits the
-  // remaining budget — and, if pooled, finds an idle executive — or every
-  // job waits.  No overtaking, so a wide job cannot starve.
+  // remaining budget and finds an idle executive, or every job waits.  No
+  // overtaking, so a wide job cannot starve.
   while (true) {
     // Drop stale ids (jobs canceled while queued).
     while (!Queue.empty() && Jobs.find(Queue.front()) == Jobs.end())
@@ -879,87 +893,32 @@ void Server::pumpQueue() {
     Job &Head = Jobs.find(Queue.front())->second;
     if (WorkersInUse + Head.Cost > Opts.WorkerBudget)
       return;
-    if (poolEligible(Head) && !idleExecutive())
-      return; // a pooled head waits for an executive, never forks
+    if (Pool.empty()) {
+      // Every respawn failed.  socketpair/fork failures (EMFILE,
+      // EAGAIN/ENOMEM under load) are infra-class: the head job goes
+      // through the retry ladder like any other resource exhaustion.
+      std::string Err;
+      if (!spawnExecutive(Err)) {
+        Queue.pop_front();
+        JobReply R;
+        R.Status = JobStatus::InternalError;
+        R.Cause = FailureCause::InfraFork;
+        R.Error = Err;
+        retryOrFail(Head, std::move(R));
+        continue;
+      }
+    }
+    Executive *E = idleExecutive();
+    if (!E)
+      return;
     Queue.pop_front();
-    startJob(Head);
-  }
-}
-
-void Server::startJob(Job &J) {
-  // Fast path: hand the job to a pre-warmed executive.  No fork, no
-  // parse, no lowering — the sealed program image travels by fd.
-  Executive *E = poolEligible(J) ? idleExecutive() : nullptr;
-  if (E && !dispatchToExecutive(J, *E)) {
-    retireExecutive(E->Id); // dispatch failed: the channel is broken
-    E = nullptr;
-  }
-  // Otherwise a one-shot executive.  socketpair/fork failures (EMFILE,
-  // EAGAIN/ENOMEM under load) are infra-class: they go through the retry
-  // ladder like any other resource exhaustion.
-  if (!E) {
-    std::string Err;
-    E = spawnExecutive(&J, Err);
-    if (!E) {
-      JobReply R;
-      R.Status = JobStatus::InternalError;
-      R.Cause = FailureCause::InfraFork;
-      R.Error = Err;
-      retryOrFail(J, std::move(R));
+    if (!startJob(Head, *E)) {
+      // The channel is broken: replace the executive.  The job keeps its
+      // place at the front of the queue for the next pass.
+      retireExecutive(E->Id);
+      Queue.push_front(Head.Id);
       return;
     }
-  }
-  E->ActiveJob = J.Id;
-  J.ExecId = E->Id;
-  J.Pid = E->Pid;
-  J.Running = true;
-  J.StartT = wallSeconds();
-  double DeadlineSec =
-      J.Req.DeadlineSec > 0 ? J.Req.DeadlineSec : Opts.DefaultDeadlineSec;
-  if (DeadlineSec > 0)
-    J.DeadlineAbs = J.StartT + DeadlineSec * timeoutScale();
-  WorkersInUse += J.Cost;
-  if (Opts.Verbose)
-    std::fprintf(stderr,
-                 "[privateer-served] job %llu -> %s executive %d (%s, %u "
-                 "workers, cache %s)\n",
-                 static_cast<unsigned long long>(J.Id),
-                 E->OneShot ? "one-shot" : "pooled", static_cast<int>(E->Pid),
-                 J.Req.Mode == JobMode::Sequential ? "seq" : "spec",
-                 J.Req.NumWorkers, J.CacheHit ? "hit" : "miss");
-}
-
-void Server::applyJobLimits(const JobRequest &Req) {
-  // A crashing executive must not dump multi-GiB tagged heaps to disk.
-  rlimit Core{0, 0};
-  ::setrlimit(RLIMIT_CORE, &Core);
-  // Effective ceiling: the request can lower the daemon's default but
-  // never raise it (0 on either side means "no opinion").
-  auto Effective = [](uint64_t Mine, uint64_t Daemon) -> uint64_t {
-    if (Mine == 0)
-      return Daemon;
-    if (Daemon == 0)
-      return Mine;
-    return std::min(Mine, Daemon);
-  };
-  if (uint64_t Mem = Effective(Req.MaxMemoryBytes, Opts.MaxMemoryBytes)) {
-    rlimit L{static_cast<rlim_t>(Mem), static_cast<rlim_t>(Mem)};
-    ::setrlimit(RLIMIT_AS, &L);
-  }
-  if (uint64_t Cpu = Effective(Req.MaxCpuSec, Opts.MaxCpuSec)) {
-    // Scaled like deadlines: sanitizer builds are several-fold slower and
-    // must not burn their CPU budget on healthy work.  Hard limit sits a
-    // little above the soft one so SIGXCPU fires first, with SIGKILL as
-    // the kernel's backstop.
-    rlim_t Soft = static_cast<rlim_t>(
-        std::max(1.0, std::ceil(static_cast<double>(Cpu) * timeoutScale())));
-    rlimit L{Soft, Soft + 2};
-    ::setrlimit(RLIMIT_CPU, &L);
-  }
-  if (uint64_t Files = Effective(Req.MaxOpenFiles, Opts.MaxOpenFiles)) {
-    rlim_t V = static_cast<rlim_t>(std::max<uint64_t>(Files, 8));
-    rlimit L{V, V};
-    ::setrlimit(RLIMIT_NOFILE, &L);
   }
 }
 
@@ -973,8 +932,8 @@ void Server::reapChildren() {
                             [Pid](const auto &P) { return P.second.Pid == Pid; });
     if (EIt == Pool.end())
       continue;
-    // A reply may still sit in the dead executive's channel (a one-shot
-    // executive exits right after writing it); collect it first.
+    // A reply may still sit in the dead executive's channel; collect it
+    // first.
     Executive &E = EIt->second;
     uint64_t JobId = E.ActiveJob;
     if (E.ChanFd >= 0)
@@ -1278,10 +1237,9 @@ std::string Server::statusJson() const {
   stat("cache_hits") = Cache.hits();
   stat("cache_misses") = Cache.misses();
   stat("cache_evictions") = Cache.evictions();
-  size_t Idle = 0;
-  for (const auto &[Id, E] : Pool)
-    if (!E.OneShot && E.ActiveJob == 0 && E.ChanFd >= 0)
-      ++Idle;
+  size_t Idle = std::count_if(Pool.begin(), Pool.end(), [](const auto &P) {
+    return P.second.ActiveJob == 0 && P.second.ChanFd >= 0;
+  });
   char Head[640];
   std::snprintf(Head, sizeof(Head),
                 "{\"pid\": %d, \"uptime_sec\": %.3f, \"draining\": %s, "
@@ -1292,6 +1250,6 @@ std::string Server::statusJson() const {
                 static_cast<int>(::getpid()), wallSeconds() - StartTime,
                 Draining ? "true" : "false", Queue.size(),
                 Jobs.size() - Queue.size(), WorkersInUse, Opts.WorkerBudget,
-                Cache.size(), pooledExecutives(), Idle);
+                Cache.size(), Pool.size(), Idle);
   return Head + StatisticRegistry::instance().toJson() + "}";
 }

@@ -11,31 +11,26 @@
 /// self-pipe, and executive channels) owns the warm ProgramCache, one
 /// FIFO admission queue, and the executives that run the jobs.
 ///
-/// One job runner (service::runJob), two process lifetimes:
+/// One job runner (service::runJob), one executive lifetime.  N
+/// executives are forked once at startup, each a blank process waiting on
+/// a private socketpair.  Every job is dispatched as one ExecAssign frame
+/// whose program rides out-of-band: the ProgramCache's lowered bytecode,
+/// serialized into a sealed memfd, handed over via SCM_RIGHTS.  The
+/// executive maps and caches the image by (key, generation), so a warm hit
+/// pays no fork, no parse, and no lowering — just dispatch and execution.
+/// A job with rlimits (per-request or daemon-wide) runs in a disposable
+/// child of its executive, which dies the way the child died; the daemon
+/// forks only to fill the pool.
 ///
-///  - Pooled executives (the fast path).  N executives are forked once at
-///    startup, each a blank process waiting on a private socketpair.  A
-///    warm job is dispatched as one ExecAssign frame whose program rides
-///    out-of-band: the ProgramCache's lowered bytecode, serialized into a
-///    sealed memfd, handed over via SCM_RIGHTS.  The executive maps and
-///    caches the image by (key, generation), so a warm hit pays no fork,
-///    no parse, and no lowering — just dispatch and execution.
-///
-///  - One-shot executives.  Jobs the pool cannot run — per-job rlimits, a
-///    program with no image (no memfd support), or a daemon with no pool
-///    — fork an executive for that job alone.  It inherits the cached
-///    lowered program across fork, applies the rlimits, runs the job on
-///    the VM, replies and exits.  No job runs on the interpreter.
-///
-/// Both kinds reply with one JobResult frame on their channel.  A job
+/// An executive replies with one JobResult frame on its channel.  A job
 /// whose executive dies without replying is triaged from its wait status
-/// (typed FailureCause, infra retry ladder, negative-verdict poisoning);
-/// a dead pooled executive is replaced.
+/// (typed FailureCause, infra retry ladder, negative-verdict poisoning),
+/// and the dead executive is replaced.
 ///
 /// Admission is FIFO against the worker budget: the head job either fits
-/// the remaining budget (and, if pooled, finds an idle executive) or
-/// every job waits, so no job overtakes another and a wide job cannot
-/// starve.  A full queue answers Rejected.
+/// the remaining budget and finds an idle executive, or every job waits,
+/// so no job overtakes another and a wide job cannot starve.  A full
+/// queue answers Rejected.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -70,17 +65,15 @@ struct ServerOptions {
   double DefaultDeadlineSec = 0;
 
   // --- Executive pool -----------------------------------------------------
-  /// Pre-warmed executive pool size; 0 disables the pool (every job forks
-  /// a one-shot executive — the bench baseline).
+  /// Pre-warmed executive processes; at least 1.
   unsigned Executives = 4;
 
   // --- Per-job resource governance (0 = unlimited) -----------------------
-  /// A limited job's executive (and its worker tree, which inherits the
-  /// limits across fork) runs under these rlimits; per-job requests can
-  /// lower but never raise them.  RLIMIT_CORE is always 0: a crashing
-  /// executive must not dump multi-GiB tagged heaps to disk.  Jobs with
-  /// any rlimit (daemon-wide or per-request) run on a one-shot executive:
-  /// pooled ones are long-lived and cannot wear per-job limits.
+  /// A limited job's disposable child (and its worker tree, which inherits
+  /// the limits across fork) runs under these rlimits; per-job requests
+  /// can lower but never raise them.  Every executive runs with
+  /// RLIMIT_CORE 0: a crashing executive must not dump multi-GiB tagged
+  /// heaps to disk.
   uint64_t MaxMemoryBytes = 0; ///< RLIMIT_AS
   uint32_t MaxCpuSec = 0;      ///< RLIMIT_CPU (scaled by timeoutScale())
   uint32_t MaxOpenFiles = 0;   ///< RLIMIT_NOFILE
@@ -172,8 +165,6 @@ private:
     int ChanFd = -1; ///< daemon end of the socketpair
     FrameAssembler Frames;
     uint64_t ActiveJob = 0; ///< 0 = idle
-    /// Forked for one job: never handed a second one, never respawned.
-    bool OneShot = false;
   };
 
   // Event handlers.
@@ -186,27 +177,21 @@ private:
   void protocolError(Conn &C, const std::string &Why);
 
   // Executives.
-  /// Forks an executive on a fresh socketpair: a pooled one when
-  /// \p OneShot is null, else one that runs that job alone and exits.
-  Executive *spawnExecutive(const Job *OneShot, std::string &Err);
-  /// Drops \p ExecId from the table; a pooled executive is replaced.
+  /// Forks an executive on a fresh socketpair.
+  Executive *spawnExecutive(std::string &Err);
+  /// Drops \p ExecId from the table and, unless draining, replaces it.
   void retireExecutive(uint64_t ExecId);
   void shutdownPool();
   Executive *idleExecutive();
-  size_t pooledExecutives() const;
-  /// The assignment that runs \p J's current attempt.
-  static ExecAssignment assignmentFor(const Job &J);
-  /// True when the pool can run \p J: bytecode engine, lowered image
-  /// available for the requested mode, and no per-job rlimits.
-  bool poolEligible(const Job &J) const;
-  /// Hands \p J to \p E (ExecAssign + image fd).  False on send failure —
-  /// the executive is replaced and the caller falls back to a one-shot.
-  bool dispatchToExecutive(Job &J, Executive &E);
+  /// The assignment that runs \p J's current attempt, with the daemon's
+  /// rlimit ceilings folded into its request.
+  ExecAssignment assignmentFor(const Job &J) const;
+  /// Hands \p J to \p E (ExecAssign + image fd) and starts its clock.
+  /// False on send failure: the caller retires the executive.
+  bool startJob(Job &J, Executive &E);
 
   // Job lifecycle.
   void pumpQueue();
-  void startJob(Job &J);
-  void applyJobLimits(const JobRequest &Req);
   void reapChildren();
   void finishJob(Job &J);
   /// Decodes the wait status of an executive that died without replying

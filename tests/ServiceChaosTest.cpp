@@ -111,18 +111,24 @@ std::string frameBytes(MsgType Type, const std::string &Body) {
   return Frame;
 }
 
-/// Both process kinds run the same job runner, so the scenarios below run
-/// once against pooled executives (the default) and once with the pool
-/// off, where every job gets a one-shot executive; the typed replies must
-/// be identical.  The counters prove which kind served the jobs.
-void expectProcessKind(const std::string &Json, unsigned Executives) {
-  if (Executives > 0) {
-    EXPECT_GT(jsonInt(Json, "pool_dispatches"), 0) << Json;
-    EXPECT_EQ(jsonInt(Json, "supervisor_forks"), 0) << Json;
-  } else {
-    EXPECT_EQ(jsonInt(Json, "pool_dispatches"), 0) << Json;
-    EXPECT_GT(jsonInt(Json, "supervisor_forks"), 0) << Json;
-  }
+/// A limited job runs in a disposable child of its executive, which dies
+/// the way the child died, so the scenarios below run once on the
+/// executives themselves and once with every job limited; the typed
+/// replies must be identical.  The counters prove where the jobs ran, and
+/// that the pool replaced exactly the executives the scenario killed.
+JobRequest limitedIf(bool Limited, JobRequest Req) {
+  if (Limited)
+    Req.MaxOpenFiles = 256;
+  return Req;
+}
+
+void expectProcessKind(const std::string &Json, bool Limited,
+                       long long Respawns) {
+  EXPECT_GT(jsonInt(Json, "pool_dispatches"), 0) << Json;
+  EXPECT_EQ(jsonInt(Json, "supervisor_forks"),
+            Limited ? jsonInt(Json, "pool_dispatches") : 0)
+      << Json;
+  EXPECT_EQ(jsonInt(Json, "executives_respawned"), Respawns) << Json;
 }
 
 // --- Executive-death signal matrix ---------------------------------------
@@ -131,11 +137,10 @@ void expectProcessKind(const std::string &Json, unsigned Executives) {
 // correct typed failure cause, free the worker budget, and leave the
 // daemon serving the same connection.
 
-void signalMatrix(unsigned Executives) {
+void signalMatrix(bool Limited) {
   ServerOptions Opts;
   Opts.SocketPath = uniqueSocketPath();
   Opts.WorkerBudget = 8;
-  Opts.Executives = Executives;
   ForkedDaemon D(Opts);
   ASSERT_TRUE(D.forked());
 
@@ -162,7 +167,8 @@ void signalMatrix(unsigned Executives) {
     SCOPED_TRACE(S.Name);
     // Distinct module text per scenario: deterministic crash signals
     // poison the cached program, and cross-talk would mask the matrix.
-    JobRequest Req = quickJob(2000 + static_cast<uint64_t>(Idx++));
+    JobRequest Req =
+        limitedIf(Limited, quickJob(2000 + static_cast<uint64_t>(Idx++)));
     Req.FaultSupervisorSignal = S.Signal;
     Req.FaultSupervisorExit = S.Exit;
     JobReply R;
@@ -176,7 +182,9 @@ void signalMatrix(unsigned Executives) {
 
     // The same connection keeps working after every crash.
     JobReply Ok;
-    ASSERT_TRUE(C.submit(quickJob(), Ok, Err, 60 * timeoutScale())) << Err;
+    ASSERT_TRUE(C.submit(limitedIf(Limited, quickJob()), Ok, Err,
+                         60 * timeoutScale()))
+        << Err;
     EXPECT_EQ(Ok.Status, JobStatus::Ok) << Ok.Error;
   }
 
@@ -185,12 +193,12 @@ void signalMatrix(unsigned Executives) {
   EXPECT_EQ(jsonInt(Json, "jobs_crashed"), 5);
   EXPECT_EQ(jsonInt(Json, "workers_in_use"), 0) << "budget leaked";
   EXPECT_EQ(jsonInt(Json, "retries"), 0) << "program-class failures retried";
-  expectProcessKind(Json, Executives);
+  expectProcessKind(Json, Limited, 5);
   ASSERT_TRUE(D.alive());
 }
 
-TEST(ServiceChaos, SupervisorSignalMatrix) { signalMatrix(4); }
-TEST(ServiceChaos, SupervisorSignalMatrixOneShot) { signalMatrix(0); }
+TEST(ServiceChaos, SupervisorSignalMatrix) { signalMatrix(false); }
+TEST(ServiceChaos, SupervisorSignalMatrixLimited) { signalMatrix(true); }
 
 // A deterministic program-class crash poisons the cached program: the
 // same text answers from the negative verdict instead of crashing a
@@ -244,11 +252,10 @@ TEST(ServiceChaos, NegativeVerdictForCrashingProgram) {
 // Two injected OOM attempts: the daemon retries with halved workers, then
 // sequential, and the third attempt's output is byte-identical to plain
 // sequential execution.
-void oomRetryLadder(unsigned Executives) {
+void oomRetryLadder(bool Limited) {
   ServerOptions Opts;
   Opts.SocketPath = uniqueSocketPath();
   Opts.WorkerBudget = 8;
-  Opts.Executives = Executives;
   ForkedDaemon D(Opts);
   ASSERT_TRUE(D.forked());
 
@@ -263,6 +270,7 @@ void oomRetryLadder(unsigned Executives) {
   Req.ModuleText = Text;
   Req.NumWorkers = 4;
   Req.FaultOomAttempts = 2;
+  Req = limitedIf(Limited, Req);
   JobReply R;
   ASSERT_TRUE(C.submit(Req, R, Err, 120 * timeoutScale())) << Err;
   EXPECT_EQ(R.Status, JobStatus::Ok) << R.Error;
@@ -275,12 +283,12 @@ void oomRetryLadder(unsigned Executives) {
   EXPECT_EQ(jsonInt(Json, "retry_success"), 1);
   EXPECT_EQ(jsonInt(Json, "jobs_completed"), 1);
   EXPECT_EQ(jsonInt(Json, "workers_in_use"), 0);
-  expectProcessKind(Json, Executives);
+  expectProcessKind(Json, Limited, 0);
   ASSERT_TRUE(D.alive());
 }
 
-TEST(ServiceChaos, OomRetryLadderRecovers) { oomRetryLadder(4); }
-TEST(ServiceChaos, OomRetryLadderRecoversOneShot) { oomRetryLadder(0); }
+TEST(ServiceChaos, OomRetryLadderRecovers) { oomRetryLadder(false); }
+TEST(ServiceChaos, OomRetryLadderRecoversLimited) { oomRetryLadder(true); }
 
 // When every attempt hits the failure, the retry budget runs out and the
 // client gets the typed final verdict.
@@ -315,7 +323,7 @@ TEST(ServiceChaos, OomRetriesExhaustedYieldTypedFailure) {
 
 // A real allocation bomb: the executive's failed allocation becomes a
 // typed OutOfMemory verdict, never a daemon casualty.
-void allocationBomb(unsigned Executives) {
+void allocationBomb(bool Limited) {
 #if PRIVATEER_ASAN
   const char *AsanOpts = ::getenv("ASAN_OPTIONS");
   if (!AsanOpts ||
@@ -327,7 +335,6 @@ void allocationBomb(unsigned Executives) {
   ServerOptions Opts;
   Opts.SocketPath = uniqueSocketPath();
   Opts.WorkerBudget = 8;
-  Opts.Executives = Executives;
   ForkedDaemon D(Opts);
   ASSERT_TRUE(D.forked());
 
@@ -335,7 +342,7 @@ void allocationBomb(unsigned Executives) {
   std::string Err;
   ASSERT_TRUE(C.connect(D.socket(), Err, 10 * timeoutScale())) << Err;
 
-  JobRequest Req = quickJob(4100);
+  JobRequest Req = limitedIf(Limited, quickJob(4100));
   Req.FaultAllocBytes = 1ULL << 62; // 4 EiB: beyond any VA layout
   JobReply R;
   ASSERT_TRUE(C.submit(Req, R, Err, 120 * timeoutScale())) << Err;
@@ -344,17 +351,19 @@ void allocationBomb(unsigned Executives) {
   ASSERT_TRUE(D.alive());
 
   JobReply Ok;
-  ASSERT_TRUE(C.submit(quickJob(), Ok, Err, 60 * timeoutScale())) << Err;
+  ASSERT_TRUE(C.submit(limitedIf(Limited, quickJob()), Ok, Err,
+                       60 * timeoutScale()))
+      << Err;
   EXPECT_EQ(Ok.Status, JobStatus::Ok) << Ok.Error;
 
   std::string Json;
   ASSERT_TRUE(C.status(Json, Err)) << Err;
   EXPECT_EQ(jsonInt(Json, "jobs_resource_limit"), 1);
-  expectProcessKind(Json, Executives);
+  expectProcessKind(Json, Limited, 0);
 }
 
-TEST(ServiceChaos, AllocationBombIsTypedOom) { allocationBomb(4); }
-TEST(ServiceChaos, AllocationBombIsTypedOomOneShot) { allocationBomb(0); }
+TEST(ServiceChaos, AllocationBombIsTypedOom) { allocationBomb(false); }
+TEST(ServiceChaos, AllocationBombIsTypedOomLimited) { allocationBomb(true); }
 
 // RLIMIT_CPU: a spinning executive draws SIGXCPU and the client sees a
 // typed CPU-budget verdict.

@@ -18,8 +18,12 @@
 #include <gtest/gtest.h>
 
 #include <csignal>
+#include <cstdlib>
+#include <dirent.h>
+#include <fstream>
 #include <map>
 #include <mutex>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -309,6 +313,57 @@ TEST(ServicePool, ExecutiveCrashIsTriagedAndReplaced) {
   ASSERT_TRUE(D.alive());
 }
 
+// Every executive runs with RLIMIT_CORE 0 from the moment it is forked:
+// one killed by SIGSEGV or SIGABRT must not write a core of its tagged
+// heaps, whether or not its job wore rlimits.
+TEST(ServicePool, ExecutivesNeverDumpCore) {
+  ServerOptions Opts;
+  Opts.SocketPath = uniqueSocketPath();
+  Opts.Executives = 3;
+  ForkedDaemon D(Opts);
+  ASSERT_TRUE(D.forked());
+  waitForStatus(D.socket(), [](const std::string &) { return true; });
+
+  std::vector<pid_t> Executives;
+  DIR *Proc = ::opendir("/proc");
+  ASSERT_NE(Proc, nullptr);
+  while (dirent *Ent = ::readdir(Proc)) {
+    pid_t Pid = static_cast<pid_t>(std::atoi(Ent->d_name));
+    if (Pid <= 0)
+      continue;
+    // /proc/<pid>/stat: "pid (comm) state ppid ..."; comm may hold spaces,
+    // so parse after the last ')'.
+    std::ifstream Stat("/proc/" + std::to_string(Pid) + "/stat");
+    std::string Line;
+    if (!std::getline(Stat, Line) || Line.rfind(')') == std::string::npos)
+      continue;
+    std::istringstream Rest(Line.substr(Line.rfind(')') + 1));
+    char State;
+    pid_t Parent = 0;
+    if (Rest >> State >> Parent && Parent == D.pid())
+      Executives.push_back(Pid);
+  }
+  ::closedir(Proc);
+  ASSERT_EQ(Executives.size(), 3u);
+
+  for (pid_t Pid : Executives) {
+    std::ifstream Limits("/proc/" + std::to_string(Pid) + "/limits");
+    std::string Line;
+    bool Found = false;
+    while (std::getline(Limits, Line))
+      if (Line.rfind("Max core file size", 0) == 0) {
+        Found = true;
+        std::istringstream Fields(Line.substr(18));
+        std::string Soft, Hard;
+        Fields >> Soft >> Hard;
+        EXPECT_EQ(Soft, "0") << "executive " << Pid << ": " << Line;
+        EXPECT_EQ(Hard, "0") << "executive " << Pid << ": " << Line;
+      }
+    EXPECT_TRUE(Found) << "executive " << Pid << " has no core limit line";
+  }
+  ASSERT_TRUE(D.alive());
+}
+
 // SIGTERM drains the queue, then the pool: every executive gets a clean
 // channel close and the daemon exits 0 with no orphans holding the
 // socket.
@@ -392,7 +447,7 @@ TEST(ServicePool, QueuedJobsStartInArrivalOrder) {
   Opts.SocketPath = uniqueSocketPath();
   Opts.WorkerBudget = 3; // one NumWorkers=2 job at a time
   Opts.QueueDepth = 32;
-  Opts.Executives = 0; // the order is admission's, not the backend's
+  Opts.Executives = 1; // the order is admission's, not the pool's
   ForkedDaemon D(Opts);
   ASSERT_TRUE(D.forked());
 

@@ -67,9 +67,9 @@ JobRequest stallingJob() {
   return Req;
 }
 
-JobRequest quickJob() {
+JobRequest quickJob(uint64_t N = 1000) {
   JobRequest Req;
-  Req.ModuleText = reductionSumIrText(1000);
+  Req.ModuleText = reductionSumIrText(N);
   Req.NumWorkers = 2;
   return Req;
 }
@@ -572,9 +572,10 @@ TEST(Service, DoacrossStrategyServedAndCachedPerStrategy) {
   ASSERT_TRUE(D.alive());
 }
 
-// A per-job rlimit cannot be worn by a long-lived pooled executive: the
-// job runs on a one-shot executive under the limit, and the same job
-// without one goes back to the pool.
+// A per-job rlimit cannot be worn by a long-lived executive: the job is
+// dispatched like any other, and its executive runs it in a disposable
+// child under the limit.  The same job without one runs on the executive
+// itself.
 TEST(Service, RlimitJobRunsOneShot) {
   ServerOptions Opts;
   Opts.SocketPath = uniqueSocketPath();
@@ -596,7 +597,7 @@ TEST(Service, RlimitJobRunsOneShot) {
   std::string Json;
   ASSERT_TRUE(C.status(Json, Err)) << Err;
   EXPECT_EQ(jsonInt(Json, "supervisor_forks"), 1) << Json;
-  EXPECT_EQ(jsonInt(Json, "pool_dispatches"), 0) << Json;
+  EXPECT_EQ(jsonInt(Json, "pool_dispatches"), 1) << Json;
 
   JobReply R2;
   ASSERT_TRUE(C.submit(quickJob(), R2, Err, 300 * timeoutScale())) << Err;
@@ -604,7 +605,94 @@ TEST(Service, RlimitJobRunsOneShot) {
   EXPECT_EQ(R2.Output, R.Output);
   ASSERT_TRUE(C.status(Json, Err)) << Err;
   EXPECT_EQ(jsonInt(Json, "supervisor_forks"), 1) << Json;
-  EXPECT_EQ(jsonInt(Json, "pool_dispatches"), 1) << Json;
+  EXPECT_EQ(jsonInt(Json, "pool_dispatches"), 2) << Json;
+  ASSERT_TRUE(D.alive());
+}
+
+// A limited job's child killed by a signal takes its executive with it:
+// the reply carries the same typed verdict as any executive death, the
+// program is poisoned, the pool refills, and the next unlimited job of a
+// warm program is a cache-hit pool dispatch.
+TEST(Service, LimitedChildDeathIsTriagedAndPoolRefills) {
+  ServerOptions Opts;
+  Opts.SocketPath = uniqueSocketPath();
+  Opts.WorkerBudget = 8;
+  Opts.Executives = 2;
+  ForkedDaemon D(Opts);
+  ASSERT_TRUE(D.forked());
+
+  service::Client C;
+  std::string Err;
+  ASSERT_TRUE(C.connect(D.socket(), Err, 10 * timeoutScale())) << Err;
+  JobReply Warm;
+  ASSERT_TRUE(C.submit(quickJob(), Warm, Err, 300 * timeoutScale())) << Err;
+  ASSERT_EQ(Warm.Status, JobStatus::Ok) << Warm.Error;
+
+  JobRequest Bad = quickJob(1001);
+  Bad.MaxOpenFiles = 256;
+  Bad.FaultSupervisorSignal = SIGSEGV;
+  JobReply R;
+  ASSERT_TRUE(C.submit(Bad, R, Err, 300 * timeoutScale())) << Err;
+  EXPECT_EQ(R.Status, JobStatus::Crashed) << R.Error;
+  EXPECT_EQ(R.Cause, FailureCause::Signal);
+  EXPECT_EQ(R.TermSignal, static_cast<uint32_t>(SIGSEGV));
+  EXPECT_EQ(R.Attempts, 1u);
+
+  JobReply Poisoned;
+  ASSERT_TRUE(C.submit(quickJob(1001), Poisoned, Err, 300 * timeoutScale()))
+      << Err;
+  EXPECT_EQ(Poisoned.Status, JobStatus::Crashed);
+  EXPECT_NE(Poisoned.Error.find("negative verdict"), std::string::npos)
+      << Poisoned.Error;
+
+  std::string Json;
+  ASSERT_TRUE(C.status(Json, Err)) << Err;
+  EXPECT_EQ(jsonInt(Json, "executives"), 2) << Json;
+  EXPECT_EQ(jsonInt(Json, "executives_respawned"), 1) << Json;
+  EXPECT_EQ(jsonInt(Json, "supervisor_forks"), 1) << Json;
+  EXPECT_EQ(jsonInt(Json, "pool_dispatches"), 2) << Json;
+
+  JobReply Next;
+  ASSERT_TRUE(C.submit(quickJob(), Next, Err, 300 * timeoutScale())) << Err;
+  ASSERT_EQ(Next.Status, JobStatus::Ok) << Next.Error;
+  EXPECT_TRUE(Next.CacheHit);
+  EXPECT_EQ(Next.Output, Warm.Output);
+  ASSERT_TRUE(C.status(Json, Err)) << Err;
+  EXPECT_EQ(jsonInt(Json, "supervisor_forks"), 1) << Json;
+  EXPECT_EQ(jsonInt(Json, "pool_dispatches"), 3) << Json;
+  EXPECT_EQ(jsonInt(Json, "workers_in_use"), 0) << Json;
+  ASSERT_TRUE(D.alive());
+}
+
+// The daemon answers a worker count outside [1, kMaxWorkers] with a
+// typed rejection instead of silently changing it.
+TEST(Service, OutOfRangeWorkerCountIsRejected) {
+  ServerOptions Opts;
+  Opts.SocketPath = uniqueSocketPath();
+  Opts.WorkerBudget = 2 * kMaxWorkers;
+  ForkedDaemon D(Opts);
+  ASSERT_TRUE(D.forked());
+
+  service::Client C;
+  std::string Err;
+  ASSERT_TRUE(C.connect(D.socket(), Err, 10 * timeoutScale())) << Err;
+  for (uint32_t W : {0u, kMaxWorkers + 1}) {
+    SCOPED_TRACE(W);
+    JobRequest Req = quickJob();
+    Req.NumWorkers = W;
+    JobReply R;
+    ASSERT_TRUE(C.submit(Req, R, Err, 60 * timeoutScale())) << Err;
+    EXPECT_EQ(R.Status, JobStatus::Rejected) << R.Error;
+    EXPECT_NE(R.Error.find("NumWorkers must be 1-" +
+                           std::to_string(kMaxWorkers)),
+              std::string::npos)
+        << R.Error;
+  }
+
+  std::string Json;
+  ASSERT_TRUE(C.status(Json, Err)) << Err;
+  EXPECT_EQ(jsonInt(Json, "jobs_rejected"), 2) << Json;
+  EXPECT_EQ(jsonInt(Json, "jobs_accepted"), 0) << Json;
   ASSERT_TRUE(D.alive());
 }
 

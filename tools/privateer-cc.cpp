@@ -11,8 +11,8 @@
 //   privateer-cc prog.pir --workers 8 --period 32 --inject 0.01
 //   privateer-cc prog.pir --demo dijkstra      # ignore file, use the
 //                                              # bundled dijkstra program
-//   privateer-cc prog.pir --connect /tmp/p.sock  # submit to a running
-//                                                # privateer-served daemon
+//
+// To run a program on a privateer-served daemon, use privateer-client.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,7 +20,6 @@
 #include "ir/IRPrinter.h"
 #include "ir/Verifier.h"
 #include "profiling/ProfileSerialization.h"
-#include "service/Client.h"
 #include "transform/Pipeline.h"
 #include "workloads/IrPrograms.h"
 
@@ -49,9 +48,6 @@ int usage(const char *Argv0) {
                "                    timeline of the parallel run to <f>\n"
                "  --demo <name>     built-in program: dijkstra | redsum\n"
                "  --profile-out <f> save the training profile to <f>\n"
-               "  --connect <sock>  submit the job to the privateer-served\n"
-               "                    daemon on <sock> instead of running the\n"
-               "                    pipeline locally\n"
                "  --verbose         print the pipeline log\n",
                Argv0);
   return 2;
@@ -63,10 +59,9 @@ int main(int Argc, char **Argv) {
   std::string Path;
   std::string Demo;
   std::string ProfileOut;
-  std::string ConnectSock;
   bool Emit = false, Seq = false, Verbose = false;
   // Knob defaults are ParallelOptions' own (4 workers, derived period), so
-  // the usage text, local runs, and service submissions all agree.
+  // the usage text and local runs agree.
   ParallelOptions Par;
   Strategy Strat = Strategy::Doall;
 
@@ -109,8 +104,6 @@ int main(int Argc, char **Argv) {
       Demo = Argv[++I];
     else if (A == "--profile-out" && I + 1 < Argc)
       ProfileOut = Argv[++I];
-    else if (A == "--connect" && I + 1 < Argc)
-      ConnectSock = Argv[++I];
     else if (A.rfind("--", 0) == 0)
       return usage(Argv[0]);
     else
@@ -138,48 +131,6 @@ int main(int Argc, char **Argv) {
     Text = Ss.str();
   } else {
     return usage(Argv[0]);
-  }
-
-  if (!ConnectSock.empty()) {
-    // Remote mode: the daemon owns the pipeline (and its warm cache);
-    // this process just ships the module text and prints the result.
-    if (Emit) {
-      std::fprintf(stderr, "error: --emit is a local-only option\n");
-      return 2;
-    }
-    service::Client C;
-    std::string CErr;
-    if (!C.connect(ConnectSock, CErr)) {
-      std::fprintf(stderr, "privateer-cc: %s\n", CErr.c_str());
-      return 1;
-    }
-    service::JobRequest Req;
-    Req.ModuleText = Text;
-    Req.Mode = Seq ? service::JobMode::Sequential
-                   : service::JobMode::Speculative;
-    Req.Strat = static_cast<uint8_t>(Strat);
-    Req.NumWorkers = Par.NumWorkers;
-    Req.CheckpointPeriod = Par.CheckpointPeriod;
-    Req.InjectMisspecRate = Par.InjectMisspecRate;
-    Req.TracePath = Par.TracePath;
-    service::JobReply R;
-    if (!C.submit(Req, R, CErr)) {
-      std::fprintf(stderr, "privateer-cc: %s\n", CErr.c_str());
-      return 1;
-    }
-    std::fwrite(R.Output.data(), 1, R.Output.size(), stdout);
-    std::fprintf(stderr,
-                 "[privateer-cc] served job: %s, cache %s, %llu iterations, "
-                 "%llu misspecs (%s), exit value %lld\n",
-                 service::jobStatusName(R.Status),
-                 R.CacheHit ? "hit" : "miss",
-                 static_cast<unsigned long long>(R.Iterations),
-                 static_cast<unsigned long long>(R.Misspecs),
-                 R.MisspecReason.empty() ? "none" : R.MisspecReason.c_str(),
-                 static_cast<long long>(R.ExitValue));
-    if (!R.Error.empty())
-      std::fprintf(stderr, "[privateer-cc] %s\n", R.Error.c_str());
-    return R.Status == service::JobStatus::Ok ? 0 : 1;
   }
 
   std::string Err;

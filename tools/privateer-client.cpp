@@ -37,7 +37,7 @@ int usage(const char *Argv0) {
       "  --seq             run the job sequentially (no speculation)\n"
       "  --strategy <s>    scheduling strategy: doall (default) or\n"
       "                    doacross\n"
-      "  --workers <n>     speculative workers (default 4)\n"
+      "  --workers <n>     speculative workers, 1-64 (default 4)\n"
       "  --period <k>      checkpoint period, 1-252 (default 0: derived\n"
       "                    from the trip count, 64-252)\n"
       "  --inject <rate>   inject misspeculation (fraction)\n"
@@ -89,8 +89,15 @@ int main(int Argc, char **Argv) {
       }
       Req.Strat = static_cast<uint8_t>(S);
     }
-    else if (A == "--workers" && I + 1 < Argc)
-      Req.NumWorkers = static_cast<uint32_t>(std::atoi(Argv[++I]));
+    else if (A == "--workers" && I + 1 < Argc) {
+      long N = std::atol(Argv[++I]);
+      if (N < 1 || N > static_cast<long>(kMaxWorkers)) {
+        std::fprintf(stderr, "error: --workers must be 1-%u, got '%s'\n",
+                     kMaxWorkers, Argv[I]);
+        return 2;
+      }
+      Req.NumWorkers = static_cast<uint32_t>(N);
+    }
     else if (A == "--period" && I + 1 < Argc)
       Req.CheckpointPeriod = static_cast<uint64_t>(std::atoll(Argv[++I]));
     else if (A == "--inject" && I + 1 < Argc)

@@ -32,22 +32,22 @@ int usage(const char *Argv0) {
       "  --cache <n>       warm program cache entries (default 32)\n"
       "  --deadline <sec>  default per-job deadline, scaled by\n"
       "                    PRIVATEER_TIMEOUT_SCALE (default: none)\n"
-      "  --max-mem-mb <n>  RLIMIT_AS for every executive + worker tree,\n"
-      "                    in MiB (default: unlimited)\n"
-      "  --max-cpu <sec>   RLIMIT_CPU per executive, scaled by\n"
+      "  --max-mem-mb <n>  RLIMIT_AS for every job + worker tree, in MiB\n"
+      "                    (default: unlimited)\n"
+      "  --max-cpu <sec>   RLIMIT_CPU per job, scaled by\n"
       "                    PRIVATEER_TIMEOUT_SCALE (default: unlimited)\n"
-      "  --max-fds <n>     RLIMIT_NOFILE per executive (default: "
-      "unlimited)\n"
+      "  --max-fds <n>     RLIMIT_NOFILE per job (default: unlimited)\n"
       "  --conn-buffer <b> per-connection outbound buffer cap in bytes;\n"
       "                    slower readers are dropped (default 4 MiB)\n"
       "  --write-stall <s> drop a client making no read progress for this\n"
       "                    long while replies are pending (default 10)\n"
       "  --retries <n>     in-daemon retries of infra failures with a\n"
       "                    degraded config (default 2, 0 disables)\n"
-      "  --executives <n>  pre-warmed executive processes reused across\n"
-      "                    jobs; warm cache hits run with zero fork and\n"
-      "                    zero parse (default 4, 0 = a one-shot\n"
-      "                    executive forked per job)\n"
+      "  --executives <n>  pre-warmed executive processes that run every\n"
+      "                    job; warm cache hits run with zero fork and\n"
+      "                    zero parse, and a job with rlimits runs in a\n"
+      "                    disposable child of its executive (default 4,\n"
+      "                    must be > 0)\n"
       "  --verbose         log accepts, jobs, and drains to stderr\n"
       "\n"
       "Jobs start in arrival order: the queue head waits until it fits\n"
@@ -98,8 +98,10 @@ int main(int Argc, char **Argv) {
   }
   if (Opts.SocketPath.empty())
     return usage(Argv[0]);
-  if (Opts.WorkerBudget == 0 || Opts.QueueDepth == 0) {
-    std::fprintf(stderr, "privateer-served: budget and queue must be > 0\n");
+  if (Opts.WorkerBudget == 0 || Opts.QueueDepth == 0 ||
+      Opts.Executives == 0) {
+    std::fprintf(stderr, "privateer-served: budget, queue and executives "
+                         "must be > 0\n");
     return 2;
   }
   return Server::serve(Opts);
