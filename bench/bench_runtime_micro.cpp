@@ -211,13 +211,10 @@ struct CkptBuffers {
 /// create/destroy stays untimed: it happens once per epoch, not per period.
 uint64_t sparseMergeCommitNs(CkptBuffers &B) {
   CheckpointRegion::Config C;
-  C.NumSlots = 1;
+  C.Plan = {0, 64, 64, 1}; // One slot, one worker.
   C.PrivateBytes = kCkptFootprint;
   C.ReduxBytes = 0;
   C.IoCapacity = 4096;
-  C.Period = 64;
-  C.EpochIters = 64;
-  C.NumWorkers = 1;
   CheckpointRegion R;
   if (!R.create(C))
     return 0;
@@ -422,7 +419,6 @@ InvocationStats overlapRun(unsigned Workers, uint64_t Slots, uint8_t *Buf,
   ParallelOptions Opt;
   Opt.NumWorkers = Workers;
   Opt.CheckpointPeriod = kOvPeriod;
-  Opt.MaxSlotsPerEpoch = Slots; // One epoch per invocation.
   auto Body = [Buf](uint64_t I) {
     timespec Ts{0, kOvSleepUs * 1000};
     nanosleep(&Ts, nullptr);
@@ -456,6 +452,7 @@ int runOverlapReport(const std::string &Path) {
     bool Pass;
   };
   const unsigned WorkerList[] = {2, 4};
+  // At most ParallelOptions::MaxSlotsPerEpoch: one epoch per invocation.
   const uint64_t SlotList[] = {2, 4, 8, 16};
   std::vector<Point> Points;
   bool Pass = true;
@@ -1038,9 +1035,6 @@ ComWallArm comWallArm(bool Commutative, unsigned Touches,
   auto *Tab = static_cast<int64_t *>(
       h_alloc(kComWallCells * sizeof(int64_t),
               Commutative ? HeapKind::Commutative : HeapKind::Private));
-  if (Commutative)
-    Runtime::get().registerCommutative(Tab, kComWallCells * sizeof(int64_t),
-                                       ComOp::Add, 8);
   ParallelOptions Opt;
   Opt.NumWorkers = 4;
   Opt.CheckpointPeriod = 64;

@@ -216,15 +216,6 @@ struct BcReduxGlobal {
   ReduxOp Op = ReduxOp::Add;
 };
 
-/// A commutative-heap global the runtime is told about before the planned
-/// loop runs (observability and bounds metadata; the deferred records carry
-/// their own addresses).
-struct BcComGlobal {
-  uint32_t GlobalIdx = 0;
-  ComOp Op = ComOp::Add;
-  uint8_t ElemBytes = 8;
-};
-
 struct BcFunction {
   std::string Name;
   uint16_t NumArgs = 0;
@@ -255,8 +246,6 @@ struct BytecodeProgram {
   /// invocation (baked in by lowerForPrivatized from the HeapAssignment,
   /// so executing a prelowered program needs no classification results).
   std::vector<BcReduxGlobal> ReduxGlobals;
-  /// Commutative-heap globals, likewise baked in by lowerForPrivatized.
-  std::vector<BcComGlobal> ComGlobals;
   /// Dependence-token channels the DOACROSS transform allocated; baked in
   /// so executing a prelowered program (e.g. in a warm executive) can size
   /// the runtime's token rings without the classification results.

@@ -10,7 +10,8 @@ using namespace privateer::bytecode;
 namespace {
 
 constexpr uint64_t kImageMagic = 0x5052495642434947ull; // "PRIVBCIG"
-constexpr uint32_t kImageVersion = 3; // v2: + NumDepChannels; v3: + ComGlobals
+// v2: + NumDepChannels; v3: + commutative registrations; v4: - them.
+constexpr uint32_t kImageVersion = 4;
 
 // Hard ceilings on embedded counts: an image is at most tens of MB, so a
 // count beyond these is corruption, not a big program.
@@ -292,12 +293,6 @@ std::string bytecode::serializeProgram(const BytecodeProgram &Prog) {
     putU8(B, static_cast<uint8_t>(R.Elem));
     putU8(B, static_cast<uint8_t>(R.Op));
   }
-  putU64(B, Prog.ComGlobals.size());
-  for (const BcComGlobal &G : Prog.ComGlobals) {
-    putU32(B, G.GlobalIdx);
-    putU8(B, static_cast<uint8_t>(G.Op));
-    putU8(B, G.ElemBytes);
-  }
   putU64(B, Prog.Functions.size());
   for (const BcFunction &F : Prog.Functions)
     putFunction(B, F);
@@ -348,21 +343,6 @@ bytecode::deserializeProgram(const void *Image, size_t Bytes,
       return Bad("bad reduction registration");
     R.Elem = static_cast<ReduxElem>(Elem);
     R.Op = static_cast<ReduxOp>(Op);
-  }
-  uint64_t NumCom = C.getCount(6);
-  if (C.Fail)
-    return Bad(C.Why);
-  Prog->ComGlobals.resize(NumCom);
-  for (BcComGlobal &G : Prog->ComGlobals) {
-    G.GlobalIdx = C.getU32();
-    uint8_t Op = C.getU8(), ElemBytes = C.getU8();
-    if (C.Fail)
-      return Bad(C.Why);
-    if (G.GlobalIdx >= NumGlobals || Op >= kNumComOps ||
-        (ElemBytes != 1 && ElemBytes != 2 && ElemBytes != 4 && ElemBytes != 8))
-      return Bad("bad commutative registration");
-    G.Op = static_cast<ComOp>(Op);
-    G.ElemBytes = ElemBytes;
   }
   uint64_t NumFunctions = C.getCount(0);
   if (C.Fail || NumFunctions > kMaxVecElems)

@@ -104,13 +104,10 @@ MachineModel MachineModel::calibrate() {
     std::vector<uint8_t> MasterPriv(Footprint, 0);
     std::vector<uint64_t> Mask(dirtyMaskWords(Chunks), 0);
     CheckpointRegion::Config C;
-    C.NumSlots = 1;
+    C.Plan = {0, 64, 64, 1}; // One slot, one worker.
     C.PrivateBytes = Footprint;
     C.ReduxBytes = 0;
     C.IoCapacity = 4096;
-    C.Period = 64;
-    C.EpochIters = 64;
-    C.NumWorkers = 1;
     MergeContext Ctx;
     Ctx.SelfPid = static_cast<uint32_t>(getpid());
     uint8_t CkTs = shadow::timestampFor(3, 0);

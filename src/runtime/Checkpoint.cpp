@@ -26,7 +26,8 @@ CheckpointRegion::~CheckpointRegion() { destroy(); }
 
 bool CheckpointRegion::create(const Config &C) {
   assert(!Region && "region already created");
-  assert(C.NumSlots > 0 && C.NumWorkers > 0 && "empty checkpoint region");
+  assert(C.Plan.End > C.Plan.Begin && C.Plan.NumWorkers > 0 &&
+         "empty checkpoint region");
   Cfg = C;
   NumChunks = dirtyChunkCount(C.PrivateBytes);
   MaskWords = dirtyMaskWords(NumChunks);
@@ -45,23 +46,17 @@ bool CheckpointRegion::create(const Config &C) {
   OffIo = OffRedux + alignUp(C.ReduxBytes);
   OffCom = OffIo + alignUp(C.IoCapacity);
   SlotStride = OffCom + alignUp(C.ComCapacity);
-  RegionBytes = (SlotStride * C.NumSlots + 4095) & ~uint64_t(4095);
+  RegionBytes = (SlotStride * C.Plan.numSlots() + 4095) & ~uint64_t(4095);
   void *P = mmap(nullptr, RegionBytes, PROT_READ | PROT_WRITE,
                  MAP_SHARED | MAP_ANONYMOUS, -1, 0);
   if (P == MAP_FAILED)
     return false;
   Region = static_cast<uint8_t *>(P);
-  uint64_t EpochEnd = C.BaseIter + C.EpochIters;
-  for (uint64_t S = 0; S < C.NumSlots; ++S) {
+  for (uint64_t S = 0, E = C.Plan.numSlots(); S < E; ++S) {
     SlotHeader *H = slot(S);
     new (H) SlotHeader();
-    H->BaseIter = C.BaseIter + S * C.Period;
-    // When NumSlots over-provisions the epoch the nominal slot base lies
-    // past the epoch end; clamp to an empty slot instead of letting
-    // End - BaseIter wrap to a huge iteration count.
-    H->NumIters = H->BaseIter < EpochEnd
-                      ? std::min(EpochEnd, H->BaseIter + C.Period) - H->BaseIter
-                      : 0;
+    H->BaseIter = C.Plan.periodBegin(S);
+    H->NumIters = C.Plan.periodEnd(S) - H->BaseIter;
   }
   return true;
 }
@@ -74,7 +69,7 @@ void CheckpointRegion::destroy() {
 }
 
 SlotHeader *CheckpointRegion::slot(uint64_t P) const {
-  assert(P < Cfg.NumSlots && "slot index out of range");
+  assert(P < Cfg.Plan.numSlots() && "slot index out of range");
   return reinterpret_cast<SlotHeader *>(Region + P * SlotStride);
 }
 
@@ -117,14 +112,8 @@ uint64_t CheckpointRegion::chunkSpan(uint64_t C) const {
 
 bool CheckpointRegion::slotStableSane(uint64_t P) const {
   const SlotHeader *H = slot(P);
-  uint64_t ExpectBase = Cfg.BaseIter + P * Cfg.Period;
-  uint64_t EpochEnd = Cfg.BaseIter + Cfg.EpochIters;
-  uint64_t ExpectIters =
-      ExpectBase < EpochEnd
-          ? std::min(EpochEnd, ExpectBase + Cfg.Period) - ExpectBase
-          : 0;
-  return H->BaseIter == ExpectBase && H->NumIters == ExpectIters &&
-         H->NumIters <= Cfg.Period;
+  return H->BaseIter == Cfg.Plan.periodBegin(P) &&
+         H->NumIters == Cfg.Plan.periodEnd(P) - H->BaseIter;
 }
 
 bool CheckpointRegion::slotHeaderSane(uint64_t P) const {
@@ -132,7 +121,7 @@ bool CheckpointRegion::slotHeaderSane(uint64_t P) const {
   uint32_t Merged = H->WorkersMerged.load(std::memory_order_acquire);
   return slotStableSane(P) && H->IoBytes <= Cfg.IoCapacity &&
          H->ComBytes <= Cfg.ComCapacity &&
-         Merged <= Cfg.NumWorkers && H->ExecutedMerges <= Merged &&
+         Merged <= Cfg.Plan.NumWorkers && H->ExecutedMerges <= Merged &&
          H->ChunksUsed <= NumChunks;
 }
 

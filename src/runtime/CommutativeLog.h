@@ -118,36 +118,6 @@ bool serializeComRecords(const std::vector<ComRecord> &Records, uint8_t *Buf,
 bool applyComRecords(const uint8_t *Buf, uint64_t Used, uint64_t HeapLo,
                      uint64_t HeapSpan, uint64_t &Applied);
 
-//===----------------------------------------------------------------------===//
-// Registry
-//===----------------------------------------------------------------------===//
-
-/// One registered commutative object (a global the classifier routed to
-/// the commutative heap).  Registration is observability and bounds
-/// metadata: unlike reductions there is no identity fill and no per-object
-/// combine walk — the log records carry everything commit needs.
-struct ComObject {
-  uint64_t Addr = 0;
-  uint64_t SizeBytes = 0;
-  ComOp Op = ComOp::Add;
-  uint8_t ElemBytes = 8;
-};
-
-class CommutativeRegistry {
-public:
-  void registerObject(void *Addr, uint64_t SizeBytes, ComOp Op,
-                      uint8_t ElemBytes) {
-    Objects.push_back({reinterpret_cast<uint64_t>(Addr), SizeBytes, Op,
-                       ElemBytes});
-  }
-
-  void clear() { Objects.clear(); }
-  const std::vector<ComObject> &objects() const { return Objects; }
-
-private:
-  std::vector<ComObject> Objects;
-};
-
 } // namespace privateer
 
 #endif // PRIVATEER_RUNTIME_COMMUTATIVELOG_H

@@ -131,6 +131,13 @@ struct ControlBlock {
       MisspecReason[I] = Reason[I];
   }
 
+  /// True once a misspeculation at or before period \p P is raised: P can
+  /// no longer commit, so nobody runs, merges or commits it (§5.3).
+  bool periodDoomed(uint64_t P) const {
+    return MisspecFlag.load(std::memory_order_acquire) &&
+           P >= EarliestMisspecPeriod.load(std::memory_order_relaxed);
+  }
+
   /// Atomically lowers \p Target to \p Value if smaller.
   static void storeMin(std::atomic<uint64_t> &Target, uint64_t Value) {
     uint64_t Cur = Target.load(std::memory_order_relaxed);

@@ -35,8 +35,9 @@ namespace depchan {
 /// Slots per channel ring (power of two).  A ring must out-span the largest
 /// skew between a token's producer and its consumers: one epoch plus the
 /// dependence distance, since workers whose chains never cross (distance a
-/// multiple of W) can drift a whole epoch apart.  runParallel caps epochs
-/// at kRingSlots - kMaxDistance iterations when dep channels are mapped.
+/// multiple of W) can drift a whole epoch apart.  No epoch is longer than
+/// kRingSlots - kMaxDistance iterations: Runtime.h asserts it statically
+/// beside ParallelOptions::MaxSlotsPerEpoch.
 constexpr uint32_t kRingSlots = 16384;
 
 /// Largest dependence distance a channel may carry; the dependence-distance
@@ -68,8 +69,8 @@ inline void post(DepSlot *Base, uint32_t Chan, uint64_t Iter, uint64_t V) {
 /// Non-blocking probe: true (with *V filled in) when iteration \p Iter's
 /// token is present on \p Chan.  The relaxed value read is ordered by the
 /// acquire tag load; a producer kRingSlots iterations ahead could in
-/// principle overwrite Value between the two loads, but the epoch cap
-/// keeps producer/consumer skew below the ring size.
+/// principle overwrite Value between the two loads, but an epoch's length
+/// bounds producer/consumer skew below the ring size.
 inline bool probe(DepSlot *Base, uint32_t Chan, uint64_t Iter, uint64_t *V) {
   DepSlot &S = slotFor(Base, Chan, Iter);
   if (S.Tag.load(std::memory_order_acquire) != Iter + 1)

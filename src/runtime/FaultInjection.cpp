@@ -63,7 +63,7 @@ bool FaultInjector::shouldFailFork() {
 void FaultInjector::maybeCorruptSlot(CheckpointRegion &Region) {
   if (Plan.CorruptSlot == kNoFaultIter || CorruptDone)
     return;
-  if (Plan.CorruptSlot >= Region.config().NumSlots)
+  if (Plan.CorruptSlot >= Region.config().Plan.numSlots())
     return;
   CorruptDone = true;
   SlotHeader *H = Region.slot(Plan.CorruptSlot);

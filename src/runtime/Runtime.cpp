@@ -125,7 +125,6 @@ void Runtime::shutdown() {
   // Their pages are freed there, not here; freeing them here measured as
   // slow as unmapping (DESIGN.md §7).
   Redux.clear();
-  Com.clear();
   Initialized = false;
 }
 
@@ -157,13 +156,6 @@ void Runtime::registerReduction(void *P, size_t Bytes, ReduxElem Elem,
   assert(heap(HeapKind::Redux).contains(P) &&
          "reduction object must live in the redux heap");
   Redux.registerObject(P, Bytes, Elem, Op);
-}
-
-void Runtime::registerCommutative(void *P, size_t Bytes, ComOp Op,
-                                  uint8_t ElemBytes) {
-  assert(heap(HeapKind::Commutative).contains(P) &&
-         "commutative object must live in the commutative heap");
-  Com.registerObject(P, Bytes, Op, ElemBytes);
 }
 
 void Runtime::comUpdate(void *P, ComOp Op, unsigned Bytes, int64_t Value) {

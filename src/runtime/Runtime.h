@@ -31,6 +31,7 @@
 #include "runtime/FaultInjection.h"
 #include "runtime/HeapKind.h"
 #include "runtime/Reduction.h"
+#include "runtime/ShadowMetadata.h"
 #include "runtime/SharedHeap.h"
 #include "runtime/StatsSchema.h"
 #include "support/Trace.h"
@@ -89,9 +90,9 @@ struct ParallelOptions {
   unsigned NumWorkers = 4;
   /// Checkpoint period k; 0 (the default) derives it: checkpointPeriodFor.
   uint64_t CheckpointPeriod = 0;
-  /// Upper bound on checkpoint slots per fork/join epoch; a long loop runs
-  /// as several consecutive epochs.
-  uint64_t MaxSlotsPerEpoch = 32;
+  /// Checkpoint slots per fork/join epoch; a longer loop runs as several
+  /// consecutive epochs.
+  static constexpr uint64_t MaxSlotsPerEpoch = 32;
   /// Fraction of iterations that artificially misspeculate (Figure 9).
   double InjectMisspecRate = 0.0;
   uint64_t InjectSeed = 1;
@@ -131,6 +132,16 @@ struct ParallelOptions {
   /// tracing fully off: workers skip the ring pushes entirely.
   std::string TracePath;
 };
+
+/// Longest checkpoint period: timestamp 255 is the slots' conflict code.
+inline constexpr uint64_t kMaxPeriod = shadow::kMaxCheckpointPeriod - 1;
+
+// A DOACROSS token ring must out-span an epoch plus the dependence
+// distance, or a worker running ahead recycles a slot a sibling has yet to
+// read.  The longest epoch is MaxSlotsPerEpoch periods of kMaxPeriod.
+static_assert(ParallelOptions::MaxSlotsPerEpoch * kMaxPeriod <=
+                  depchan::kRingSlots - depchan::kMaxDistance,
+              "an epoch must fit in a dependence-token ring");
 
 /// The checkpoint period of an N-iteration runParallel: an explicit one
 /// clamped to [1, 252] (timestamp 255 is the slots' conflict code), else
@@ -201,13 +212,6 @@ public:
   /// with its element type and associative/commutative operator.
   void registerReduction(void *P, size_t Bytes, ReduxElem Elem, ReduxOp Op);
   ReductionRegistry &reductions() { return Redux; }
-
-  /// Declares a commutative-update object (must lie in the commutative
-  /// heap) with its agreed operator and element width.  Pure observability
-  /// metadata: the deferred records carry their own addresses, so unlike
-  /// reductions no identity fill or registry-driven combine is needed.
-  void registerCommutative(void *P, size_t Bytes, ComOp Op,
-                           uint8_t ElemBytes);
 
   // --- Speculation interface (inserted by the compiler, §4.5-4.6) --------
 
@@ -325,14 +329,6 @@ public:
   ExecMode mode() const { return Mode; }
 
 private:
-
-  struct EpochPlan {
-    uint64_t BaseIter;
-    uint64_t EpochIters;
-    uint64_t Period;
-    uint64_t NumSlots;
-  };
-
   /// Runs one fork/join epoch; returns iterations committed and whether a
   /// misspeculation stopped the epoch early.
   struct EpochResult {
@@ -371,7 +367,6 @@ private:
   SharedHeap Heaps[kNumHeapKinds];
   SharedHeap Shadow;
   ReductionRegistry Redux;
-  CommutativeRegistry Com;
 
   // Invocation-scoped state (valid between runEpoch set-up and tear-down).
   ExecMode Mode = ExecMode::Sequential;
@@ -383,11 +378,8 @@ private:
   /// inherit the pointer (and the injector it addresses) across fork.
   FaultInjector *Injector = nullptr;
   unsigned WorkerId = 0;
-  unsigned NumWorkers = 0;
   uint64_t CurIter = 0;
   uint8_t CurTs = 0;
-  uint64_t EpochBase = 0;
-  uint64_t PeriodLen = 1;
   uint64_t PrivateHighWater = 0;
   /// Per-worker dirty-chunk bitmap of the private heap for the current
   /// checkpoint period, set by the privateRead/privateWrite fast paths.

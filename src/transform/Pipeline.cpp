@@ -185,18 +185,6 @@ transform::lowerForPrivatized(const Module &M, const FunctionAnalyses &FA,
     RG.Op = ElemOp.second;
     Prog->ReduxGlobals.push_back(RG);
   }
-  // Commutative-heap registrations ride along for the same reason: a warm
-  // executive folding com logs at commit needs the object bounds with no
-  // classification state in the process.
-  for (const auto &[O, OpBytes] : HA.ComOps) {
-    if (!O.Global)
-      continue;
-    bytecode::BcComGlobal CG;
-    CG.GlobalIdx = Prog->GlobalIdx.at(O.Global->name());
-    CG.Op = OpBytes.first;
-    CG.ElemBytes = OpBytes.second;
-    Prog->ComGlobals.push_back(CG);
-  }
   // Same self-containment for token rings: a warm executive sizes them
   // from the image alone.
   Prog->NumDepChannels = HA.DoacrossChannels;
@@ -237,10 +225,6 @@ ExecutionResult transform::executeLoadedParallel(
       Rt.registerReduction(
           reinterpret_cast<void *>(Vm.globalAddress(RG.GlobalIdx)),
           BP.Globals[RG.GlobalIdx].SizeBytes, RG.Elem, RG.Op);
-    for (const bytecode::BcComGlobal &CG : BP.ComGlobals)
-      Rt.registerCommutative(
-          reinterpret_cast<void *>(Vm.globalAddress(CG.GlobalIdx)),
-          BP.Globals[CG.GlobalIdx].SizeBytes, CG.Op, CG.ElemBytes);
     R.ReturnValue = Vm.run(Opt.EntryFunction, Opt.EntryArgs);
     R.Stats = Plan.Stats;
   }

@@ -81,10 +81,6 @@ void CommutativeWorkload::setUp() {
     std::memset(Hist, 0, Buckets * sizeof(int64_t));
     for (uint64_t B = 0; B < Buckets; ++B)
       HMin[B] = kMinInit;
-    Runtime::get().registerCommutative(Hist, Buckets * sizeof(int64_t),
-                                       ComOp::Add, 8);
-    Runtime::get().registerCommutative(HMin, Buckets * sizeof(int64_t),
-                                       ComOp::Min, 8);
     break;
   case Kind::Degree:
     Src = static_cast<int64_t *>(
@@ -98,15 +94,11 @@ void CommutativeWorkload::setUp() {
       Src[E] = static_cast<int64_t>((E * 2654435761u) % Nodes);
       Dst[E] = static_cast<int64_t>((E * 40503 + 17) % Nodes);
     }
-    Runtime::get().registerCommutative(Deg, Nodes * sizeof(int64_t),
-                                       ComOp::Add, 8);
     break;
   case Kind::Dedup:
     Seen = static_cast<int64_t *>(
         h_alloc(Words * sizeof(int64_t), HeapKind::Commutative));
     std::memset(Seen, 0, Words * sizeof(int64_t));
-    Runtime::get().registerCommutative(Seen, Words * sizeof(int64_t),
-                                       ComOp::Or, 8);
     break;
   }
 }
@@ -122,9 +114,9 @@ void CommutativeWorkload::tearDown() {
 }
 
 void CommutativeWorkload::body(uint64_t I) {
-  uint64_t H = mixKey(I, Rounds);
   switch (K) {
   case Kind::Histogram: {
+    uint64_t H = mixKey(I, Rounds);
     uint64_t B = H % Buckets;
     com_update(&Hist[B], ComOp::Add, 8, 1);
     com_update(&HMin[B], ComOp::Min, 8, static_cast<int64_t>(H % 4096));
@@ -135,7 +127,7 @@ void CommutativeWorkload::body(uint64_t I) {
     com_update(&Deg[Dst[I]], ComOp::Add, 8, 1);
     break;
   case Kind::Dedup: {
-    uint64_t Bit = H % (Words * 64);
+    uint64_t Bit = mixKey(I, Rounds) % (Words * 64);
     com_update(&Seen[Bit / 64], ComOp::Or, 8,
                static_cast<int64_t>(1ull << (Bit % 64)));
     break;

@@ -2,7 +2,7 @@
 //
 // Direct tests of CheckpointRegion's sparse dirty-chunk layout: merges fold
 // only the chunks a worker's dirty mask names, commits walk the union mask,
-// slot headers clamp over-provisioned epochs instead of wrapping, a
+// a short last slot's header rejects torn iteration counts, a
 // scribbled chunk count overflows to a conservative misspeculation, and
 // deferred I/O survives a slot-buffer overflow for the recovery path to
 // replay.
@@ -26,20 +26,17 @@ namespace {
 class CheckpointRegionTest : public ::testing::Test {
 protected:
   static constexpr uint64_t kFootprint = 16 * kDirtyChunkBytes; // 16 chunks.
+  /// One period of eight iterations for two workers.
+  static constexpr EpochPlan kOneSlot{0, 8, 8, 2};
 
-  void makeRegion(uint64_t NumSlots, uint64_t Period, uint64_t EpochIters,
-                  uint64_t IoCapacity = 4096, uint64_t BaseIter = 0,
+  void makeRegion(const EpochPlan &Plan, uint64_t IoCapacity = 4096,
                   uint64_t ComCapacity = 0) {
     CheckpointRegion::Config C;
-    C.NumSlots = NumSlots;
+    C.Plan = Plan;
     C.PrivateBytes = kFootprint;
     C.ReduxBytes = 0;
     C.IoCapacity = IoCapacity;
     C.ComCapacity = ComCapacity;
-    C.BaseIter = BaseIter;
-    C.Period = Period;
-    C.EpochIters = EpochIters;
-    C.NumWorkers = 2;
     ASSERT_TRUE(Region.create(C));
     LocalShadow.assign(kFootprint, shadow::kLiveIn);
     LocalPrivate.assign(kFootprint, 0);
@@ -80,7 +77,7 @@ protected:
 };
 
 TEST_F(CheckpointRegionTest, SparseMergeAndCommitApplyOnlyDirtyChunks) {
-  makeRegion(/*NumSlots=*/1, /*Period=*/8, /*EpochIters=*/8);
+  makeRegion(kOneSlot);
   workerWrite(/*chunk 1*/ 1 * kDirtyChunkBytes + 17, 0xAB);
   workerWrite(/*chunk 9*/ 9 * kDirtyChunkBytes + 4090, 0xCD,
               shadow::kFirstTimestamp + 3);
@@ -118,7 +115,7 @@ TEST_F(CheckpointRegionTest, SparseMergeAndCommitApplyOnlyDirtyChunks) {
 }
 
 TEST_F(CheckpointRegionTest, DirtyMasksUnionAcrossWorkers) {
-  makeRegion(/*NumSlots=*/1, /*Period=*/8, /*EpochIters=*/8);
+  makeRegion(kOneSlot);
   workerWrite(2 * kDirtyChunkBytes + 8, 0x11);
   Region.workerMerge(0, LocalShadow.data(), LocalPrivate.data(), Mask.data(),
                      NoRedux, 0, Io, Com, true, ctx());
@@ -142,7 +139,7 @@ TEST_F(CheckpointRegionTest, DirtyMasksUnionAcrossWorkers) {
 }
 
 TEST_F(CheckpointRegionTest, CommitDetectsFlowDependenceInsideDirtyChunk) {
-  makeRegion(/*NumSlots=*/1, /*Period=*/8, /*EpochIters=*/8);
+  makeRegion(kOneSlot);
   workerReadLiveIn(3 * kDirtyChunkBytes + 77);
   Region.workerMerge(0, LocalShadow.data(), LocalPrivate.data(), Mask.data(),
                      NoRedux, 0, Io, Com, true, ctx());
@@ -154,23 +151,18 @@ TEST_F(CheckpointRegionTest, CommitDetectsFlowDependenceInsideDirtyChunk) {
   EXPECT_NE(Why.find("flow dependence"), std::string::npos) << Why;
 }
 
-TEST_F(CheckpointRegionTest, OverProvisionedSlotsClampToEmpty) {
-  // 4 slots x period 10 over-provision a 25-iteration epoch: slot 3's
-  // nominal base (130) lies past the epoch end (125).  NumIters must clamp
-  // to zero, not wrap to ~2^64.
-  makeRegion(/*NumSlots=*/4, /*Period=*/10, /*EpochIters=*/25,
-             /*IoCapacity=*/4096, /*BaseIter=*/100);
+TEST_F(CheckpointRegionTest, ShortLastSlotRejectsTornIterationCounts) {
+  // Iterations [100, 125) in periods of 10: three slots, the last holding
+  // only the five iterations left.
+  makeRegion({/*Begin=*/100, /*End=*/125, /*Period=*/10, /*NumWorkers=*/2});
   EXPECT_EQ(Region.slot(0)->NumIters, 10u);
+  EXPECT_EQ(Region.slot(2)->BaseIter, 120u);
   EXPECT_EQ(Region.slot(2)->NumIters, 5u);
-  EXPECT_EQ(Region.slot(3)->BaseIter, 130u);
-  EXPECT_EQ(Region.slot(3)->NumIters, 0u) << "empty slot must not wrap";
-  for (uint64_t S = 0; S < 4; ++S)
+  for (uint64_t S = 0; S < 3; ++S)
     EXPECT_TRUE(Region.slotHeaderSane(S)) << "slot " << S;
-  // A wrapped value (what the unclamped subtraction used to produce, and
-  // what a torn header can still contain) must be rejected.
-  Region.slot(3)->NumIters = ~0ULL - 129;
-  EXPECT_FALSE(Region.slotHeaderSane(3));
-  Region.slot(3)->NumIters = 0;
+  // A wrapped count (what a torn header can contain) must be rejected.
+  Region.slot(2)->NumIters = ~0ULL - 119;
+  EXPECT_FALSE(Region.slotHeaderSane(2));
   Region.slot(2)->NumIters = 10; // Ignores the epoch-end clamp.
   EXPECT_FALSE(Region.slotHeaderSane(2));
 }
@@ -179,7 +171,7 @@ TEST_F(CheckpointRegionTest, ChunkCapacityOverflowBecomesMisspec) {
   // A slot holds an entry for every footprint chunk, so only a scribbled
   // ChunksUsed can exhaust it; the merge must then mark the slot
   // incomplete rather than allocate an entry past the slot.
-  makeRegion(/*NumSlots=*/1, /*Period=*/8, /*EpochIters=*/8);
+  makeRegion(kOneSlot);
   Region.slot(0)->ChunksUsed =
       static_cast<uint32_t>(Region.slotChunkCapacity());
   workerWrite(0 * kDirtyChunkBytes + 5, 0x33);
@@ -198,7 +190,7 @@ TEST_F(CheckpointRegionTest, ChunkCapacityOverflowBecomesMisspec) {
 }
 
 TEST_F(CheckpointRegionTest, DefaultCapacityCoversWholeFootprintLosslessly) {
-  makeRegion(/*NumSlots=*/1, /*Period=*/8, /*EpochIters=*/8);
+  makeRegion(kOneSlot);
   EXPECT_EQ(Region.slotChunkCapacity(), dirtyChunkCount(kFootprint));
   // Dirty every chunk: a slot holds them all, so this can never overflow.
   for (uint64_t C = 0; C < dirtyChunkCount(kFootprint); ++C)
@@ -216,8 +208,7 @@ TEST_F(CheckpointRegionTest, DefaultCapacityCoversWholeFootprintLosslessly) {
 }
 
 TEST_F(CheckpointRegionTest, CommutativeRecordsFromBothWorkersFoldAtCommit) {
-  makeRegion(/*NumSlots=*/1, /*Period=*/8, /*EpochIters=*/8,
-             /*IoCapacity=*/4096, /*BaseIter=*/0, /*ComCapacity=*/4096);
+  makeRegion(kOneSlot, /*IoCapacity=*/4096, /*ComCapacity=*/4096);
   std::vector<int64_t> Heap(4, 0);
   uint64_t Base = reinterpret_cast<uint64_t>(Heap.data());
   uint64_t Span = Heap.size() * sizeof(int64_t);
@@ -248,8 +239,7 @@ TEST_F(CheckpointRegionTest, CommutativeRecordsFromBothWorkersFoldAtCommit) {
 TEST_F(CheckpointRegionTest, CommutativeLogOverflowBecomesMisspec) {
   // One 16-byte record fits; the second append must overflow, keep the
   // records with the worker, and poison the slot.
-  makeRegion(/*NumSlots=*/1, /*Period=*/8, /*EpochIters=*/8,
-             /*IoCapacity=*/4096, /*BaseIter=*/0,
+  makeRegion(kOneSlot, /*IoCapacity=*/4096,
              /*ComCapacity=*/kComRecordBytes);
   std::vector<int64_t> Heap(1, 0);
   uint64_t Base = reinterpret_cast<uint64_t>(Heap.data());
@@ -272,8 +262,7 @@ TEST_F(CheckpointRegionTest, CommutativeLogOverflowBecomesMisspec) {
 }
 
 TEST_F(CheckpointRegionTest, OutOfHeapComRecordRejectsWholeLogUntouched) {
-  makeRegion(/*NumSlots=*/1, /*Period=*/8, /*EpochIters=*/8,
-             /*IoCapacity=*/4096, /*BaseIter=*/0, /*ComCapacity=*/4096);
+  makeRegion(kOneSlot, /*IoCapacity=*/4096, /*ComCapacity=*/4096);
   std::vector<int64_t> Heap(2, 0);
   uint64_t Base = reinterpret_cast<uint64_t>(Heap.data());
   uint64_t Span = Heap.size() * sizeof(int64_t);
@@ -293,8 +282,7 @@ TEST_F(CheckpointRegionTest, OutOfHeapComRecordRejectsWholeLogUntouched) {
 }
 
 TEST_F(CheckpointRegionTest, IoOverflowKeepsWorkerRecordsForRecovery) {
-  makeRegion(/*NumSlots=*/1, /*Period=*/8, /*EpochIters=*/8,
-             /*IoCapacity=*/32);
+  makeRegion(kOneSlot, /*IoCapacity=*/32);
   Io.push_back(IoRecord{0, 0, std::string(128, 'x')}); // Can't fit in 32 B.
   Region.workerMerge(0, LocalShadow.data(), LocalPrivate.data(), Mask.data(),
                      NoRedux, 0, Io, Com, true, ctx());

@@ -239,7 +239,7 @@ TEST(Commutative, RecoversFromInjectedMisspeculation) {
   EXPECT_GE(E.Stats.Misspecs, 1u);
 }
 
-TEST(Commutative, ImageRoundTripCarriesComGlobalsToWarmExecution) {
+TEST(Commutative, ImageRoundTripRunsCommutativeUpdatesWarm) {
   const std::string Text = histogramIrText(600, 16, 4);
   std::string Expected = sequentialReference(Text);
 
@@ -252,17 +252,14 @@ TEST(Commutative, ImageRoundTripCarriesComGlobalsToWarmExecution) {
   std::string WhyNot;
   auto Prog = lowerForPrivatized(*M, FA, R.Assignment, WhyNot);
   ASSERT_NE(Prog, nullptr) << WhyNot;
-  ASSERT_EQ(Prog->ComGlobals.size(), 2u);
 
-  // Serialize and reload: the v3 image section must deliver the same
-  // commutative registrations to a process with no classification state.
+  // Serialize and reload: the image alone, in a process with no
+  // classification state, must run the commutative updates exactly (the
+  // logged records carry their own addresses).
   std::string Image = bytecode::serializeProgram(*Prog);
   std::string Err;
   auto Loaded = bytecode::deserializeProgram(Image.data(), Image.size(), Err);
   ASSERT_NE(Loaded, nullptr) << Err;
-  ASSERT_EQ(Loaded->ComGlobals.size(), 2u);
-  EXPECT_EQ(Loaded->ComGlobals[0].GlobalIdx, Prog->ComGlobals[0].GlobalIdx);
-  EXPECT_EQ(Loaded->ComGlobals[0].Op, Prog->ComGlobals[0].Op);
 
   std::FILE *Out = std::tmpfile();
   ParallelOptions Par;
@@ -275,28 +272,6 @@ TEST(Commutative, ImageRoundTripCarriesComGlobalsToWarmExecution) {
   EXPECT_EQ(Got, Expected);
   EXPECT_EQ(E.Stats.Misspecs, 0u) << E.Stats.FirstMisspecReason;
   EXPECT_GT(E.Stats.ComRecordsCommitted, 0u);
-}
-
-TEST(Commutative, TamperedComImageSectionIsRejected) {
-  auto M = parseOrDie(histogramIrText(100, 8, 2));
-  analysis::FunctionAnalyses FA(*M);
-  PipelineOptions Opt;
-  PipelineResult R = runPipeline(*M, FA, Opt);
-  ASSERT_TRUE(R.Transformed);
-  std::string WhyNot;
-  auto Prog = lowerForPrivatized(*M, FA, R.Assignment, WhyNot);
-  ASSERT_NE(Prog, nullptr) << WhyNot;
-  ASSERT_FALSE(Prog->ComGlobals.empty());
-
-  // Corrupt the registration in place: an out-of-range operator must fail
-  // deserialization loudly, not reach the runtime.
-  bytecode::BytecodeProgram Tampered = *Prog;
-  Tampered.ComGlobals[0].Op = static_cast<ComOp>(kNumComOps);
-  std::string Image = bytecode::serializeProgram(Tampered);
-  std::string Err;
-  EXPECT_EQ(bytecode::deserializeProgram(Image.data(), Image.size(), Err),
-            nullptr);
-  EXPECT_NE(Err.find("commutative"), std::string::npos) << Err;
 }
 
 } // namespace

@@ -2,7 +2,7 @@
 //
 // The control block is mapped once per parallel invocation and re-armed at
 // every epoch start, and the trace rings get their own mapping only when
-// tracing.  These tests run many one-slot epochs through one block, put a
+// tracing.  These tests run many epochs through one block, put a
 // misspeculation, a worker death or an orphaned lock into an early epoch
 // only, and check that nothing from that epoch leaks into the later ones.
 // They also check that InvocationStats totals add every field.
@@ -124,7 +124,13 @@ TEST(ControlBlockReset, ClearsEpochStateForTheEpochsWorkersOnly) {
 }
 
 TEST_F(EpochBookkeepingTest, EarlyMisspecDoesNotLeakIntoLaterEpochs) {
-  constexpr uint64_t N = 64, Period = 8;
+  // Eight epochs through one control block.
+  constexpr uint64_t Period = 8;
+  constexpr uint64_t EpochLen = ParallelOptions::MaxSlotsPerEpoch * Period;
+  constexpr uint64_t N = 8 * EpochLen;
+  // In the second epoch's last period, so recovery ends at the epoch's
+  // boundary and the later epochs keep theirs.
+  constexpr uint64_t BadIter = 2 * EpochLen - Period + 3;
   long *Out = makeOut(N);
   std::FILE *Tmp = std::tmpfile();
   ASSERT_NE(Tmp, nullptr);
@@ -132,7 +138,6 @@ TEST_F(EpochBookkeepingTest, EarlyMisspecDoesNotLeakIntoLaterEpochs) {
   ParallelOptions Opt;
   Opt.NumWorkers = 3;
   Opt.CheckpointPeriod = Period;
-  Opt.MaxSlotsPerEpoch = 1; // Eight epochs through one control block.
   Opt.Out = Tmp;
   InvocationStats Stats = Runtime::get().runParallel(N, Opt, [&](uint64_t I) {
     private_write(&Out[I], sizeof(long));
@@ -141,7 +146,7 @@ TEST_F(EpochBookkeepingTest, EarlyMisspecDoesNotLeakIntoLaterEpochs) {
                                static_cast<unsigned long long>(I));
     // Only the second epoch misspeculates; recovery re-runs it
     // sequentially, where the check is a no-op.
-    speculate(I != 11, "early-epoch test misspeculation");
+    speculate(I != BadIter, "early-epoch test misspeculation");
   });
 
   std::string Expected;
@@ -153,7 +158,7 @@ TEST_F(EpochBookkeepingTest, EarlyMisspecDoesNotLeakIntoLaterEpochs) {
 
   // A flag, earliest-period or reason left over from epoch 1 would fail
   // every later epoch.
-  EXPECT_EQ(Stats.Epochs, N / Period);
+  EXPECT_EQ(Stats.Epochs, N / EpochLen);
   EXPECT_EQ(Stats.Misspecs, 1u) << Stats.FirstMisspecReason;
   EXPECT_EQ(Stats.Checkpoints, N / Period - 1);
   EXPECT_EQ(Stats.RecoveredIterations, Period);
@@ -163,20 +168,21 @@ TEST_F(EpochBookkeepingTest, EarlyMisspecDoesNotLeakIntoLaterEpochs) {
 }
 
 TEST_F(EpochBookkeepingTest, DeadWorkerStatsDoNotLeakFromEarlierEpoch) {
-  constexpr uint64_t N = 32, Period = 8;
+  constexpr uint64_t Period = 8;
+  constexpr uint64_t EpochLen = ParallelOptions::MaxSlotsPerEpoch * Period;
+  constexpr uint64_t N = 4 * EpochLen;
   constexpr uint64_t HeavyWrites = 100;
   long *Out = makeOut(N);
 
   ParallelOptions Opt;
   Opt.NumWorkers = 2;
   Opt.CheckpointPeriod = Period;
-  Opt.MaxSlotsPerEpoch = 1;
   // Worker 1 dies on its first iteration of epoch 1 and never writes its
   // stats entry; the entry must read as zero, not as epoch 0's.
   Opt.Faults.KillWorker = 1;
-  Opt.Faults.KillAtIter = Period + 1;
+  Opt.Faults.KillAtIter = EpochLen + 1;
   InvocationStats Stats = Runtime::get().runParallel(N, Opt, [&](uint64_t I) {
-    uint64_t Writes = I < Period ? HeavyWrites : 1;
+    uint64_t Writes = I < EpochLen ? HeavyWrites : 1;
     for (uint64_t K = 0; K < Writes; ++K)
       private_write(&Out[I], sizeof(long));
     Out[I] = expected(I);
@@ -185,11 +191,12 @@ TEST_F(EpochBookkeepingTest, DeadWorkerStatsDoNotLeakFromEarlierEpoch) {
   expectSequentialResult(Out, N);
   EXPECT_EQ(Stats.Misspecs, 1u) << Stats.FirstMisspecReason;
   EXPECT_EQ(Stats.Checkpoints, N / Period - 1);
-  // Epoch 0 writes Period * HeavyWrites, epochs 2 and 3 one per iteration;
-  // in epoch 1 only worker 0's share (at most Period / 2) can count.
-  uint64_t Clean = Period * HeavyWrites + (N - 2 * Period);
+  // Epoch 0 writes EpochLen * HeavyWrites, and the epochs after the
+  // recovered period one per iteration; in epoch 1 only worker 0's share
+  // (at most EpochLen / 2) can count.
+  uint64_t Clean = EpochLen * HeavyWrites + (N - EpochLen - Period);
   EXPECT_GE(Stats.PrivateWriteCalls, Clean);
-  EXPECT_LE(Stats.PrivateWriteCalls, Clean + Period / 2);
+  EXPECT_LE(Stats.PrivateWriteCalls, Clean + EpochLen / 2);
 }
 
 TEST_F(EpochBookkeepingTest, OrphanedLockInOneEpochIsCountedOnce) {
@@ -199,9 +206,9 @@ TEST_F(EpochBookkeepingTest, OrphanedLockInOneEpochIsCountedOnce) {
   ParallelOptions Opt;
   Opt.NumWorkers = 2;
   Opt.CheckpointPeriod = Period;
-  // Epoch 0 has slots 0 and 1, epoch 1 only slot 0: the lock death on
+  // Epoch 0 has slots 0 to 2.  Its misspeculation at slot 1 ends it
+  // there, and the recovery leaves epoch 1 only slot 0: the lock death on
   // slot 1 happens in the first epoch only.
-  Opt.MaxSlotsPerEpoch = 2;
   Opt.Faults.LockDeathWorker = 1;
   Opt.Faults.LockDeathSlot = 1;
   InvocationStats Stats = Runtime::get().runParallel(N, Opt, [&](uint64_t I) {

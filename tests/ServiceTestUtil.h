@@ -14,6 +14,7 @@
 #include "support/Timing.h"
 
 #include <csignal>
+#include <cstdio>
 #include <string>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -32,6 +33,7 @@ inline std::string uniqueSocketPath() {
 class ForkedDaemon {
 public:
   explicit ForkedDaemon(service::ServerOptions Opts) : Opts(Opts) {
+    std::fflush(nullptr); // The child must not re-emit buffered stdout.
     Pid = ::fork();
     if (Pid == 0)
       ::_exit(service::Server::serve(this->Opts));

@@ -311,13 +311,14 @@ TEST(TraceSmoke, MultiEpochRunRecordsEveryWorkerInEveryEpoch) {
   Runtime::get().initialize(C);
 
   constexpr unsigned W = 3;
-  constexpr uint64_t N = 48, Period = 8;
+  constexpr uint64_t Period = 1;
+  constexpr uint64_t EpochLen = ParallelOptions::MaxSlotsPerEpoch * Period;
+  constexpr uint64_t N = 6 * EpochLen;
   auto *Out =
       static_cast<long *>(h_alloc(N * sizeof(long), HeapKind::Private));
   ParallelOptions Par;
   Par.NumWorkers = W;
   Par.CheckpointPeriod = Period;
-  Par.MaxSlotsPerEpoch = 1;
   Par.TracePath = TracePath;
   StatisticRegistry &Sr = StatisticRegistry::instance();
   uint64_t Dropped0 = Sr.counter("trace", "dropped");
@@ -326,7 +327,7 @@ TEST(TraceSmoke, MultiEpochRunRecordsEveryWorkerInEveryEpoch) {
     Out[I] = static_cast<long>(I);
   });
   ASSERT_EQ(S.Misspecs, 0u) << S.FirstMisspecReason;
-  ASSERT_EQ(S.Epochs, N / Period);
+  ASSERT_EQ(S.Epochs, N / EpochLen);
 
   std::string Json = readWholeFile(TracePath);
   ASSERT_FALSE(Json.empty()) << "trace file missing: " << TracePath;
