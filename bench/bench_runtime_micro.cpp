@@ -222,13 +222,12 @@ uint64_t sparseMergeCommitNs(CkptBuffers &B) {
   Ctx.SelfPid = static_cast<uint32_t>(getpid());
   std::vector<IoRecord> Io;
   std::vector<ComRecord> Com;
-  std::string Why;
   ReductionRegistry NoRedux;
   uint64_t T0 = monotonicNanos();
   R.workerMerge(0, B.LocalShadow.data(), B.LocalPriv.data(), B.Mask.data(),
                 NoRedux, 0, Io, Com, true, Ctx);
   R.commitSlot(0, B.MasterShadow.data(), B.MasterPriv.data(), NoRedux, 0, 0,
-               0, Io, Why);
+               0, Io);
   uint64_t Ns = monotonicNanos() - T0;
   R.destroy();
   return Ns;

@@ -127,11 +127,10 @@ MachineModel MachineModel::calibrate() {
               return;
             std::vector<IoRecord> Io;
             std::vector<ComRecord> Com;
-            std::string Why;
             R.workerMerge(0, LocalShadow.data(), LocalPriv.data(),
                           Mask.data(), NoRedux, 0, Io, Com, true, Ctx);
             R.commitSlot(0, MasterShadow.data(), MasterPriv.data(), NoRedux,
-                         0, 0, 0, Io, Why);
+                         0, 0, 0, Io);
             R.destroy();
           },
           Calls);

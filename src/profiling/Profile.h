@@ -30,16 +30,11 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
 namespace privateer {
-namespace analysis {
-class FunctionAnalyses;
-} // namespace analysis
-
 namespace profiling {
 
 /// Static identity of a memory object: a global, or an allocation site
@@ -145,10 +140,6 @@ public:
 private:
   friend class ProfileCollector;
   friend std::string serializeProfile(const Profile &P, const ir::Module &M);
-  friend std::optional<Profile>
-  deserializeProfile(const std::string &Text, const ir::Module &M,
-                     const analysis::FunctionAnalyses &FA,
-                     std::string &Error);
 
   std::set<ObjectKey> Objects;
   std::map<const ir::Instruction *, std::set<ObjectKey>> InstObjects;

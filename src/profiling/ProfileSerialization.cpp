@@ -20,41 +20,9 @@ std::string instRef(const Instruction *I) {
          std::to_string(B->indexOf(I));
 }
 
-const Instruction *resolveInst(const Module &M, const std::string &Ref) {
-  size_t A = Ref.find('@');
-  size_t B = Ref.find('@', A + 1);
-  if (A == std::string::npos || B == std::string::npos)
-    return nullptr;
-  Function *F = M.functionByName(Ref.substr(0, A));
-  if (!F)
-    return nullptr;
-  BasicBlock *Blk = F->blockByName(Ref.substr(A + 1, B - A - 1));
-  if (!Blk)
-    return nullptr;
-  size_t Idx = std::stoull(Ref.substr(B + 1));
-  if (Idx >= Blk->instructions().size())
-    return nullptr;
-  return Blk->instructions()[Idx].get();
-}
-
 /// Stable loop coordinate: function@header.
 std::string loopRef(const Loop *L) {
   return L->header()->parent()->name() + "@" + L->header()->name();
-}
-
-const Loop *resolveLoop(const Module &M, const FunctionAnalyses &FA,
-                        const std::string &Ref) {
-  size_t A = Ref.find('@');
-  if (A == std::string::npos)
-    return nullptr;
-  Function *F = M.functionByName(Ref.substr(0, A));
-  if (!F)
-    return nullptr;
-  std::string Header = Ref.substr(A + 1);
-  for (const auto &L : FA.loops(F).loops())
-    if (L->header()->name() == Header)
-      return L.get();
-  return nullptr;
 }
 
 /// Object token: "G:<name>" or "S:<instref>|<context-or-minus>".
@@ -63,28 +31,6 @@ std::string objectRef(const ObjectKey &K) {
     return "G:" + K.Global->name();
   return "S:" + instRef(K.AllocSite) + "|" +
          (K.Context.empty() ? "-" : K.Context);
-}
-
-std::optional<ObjectKey> resolveObject(const Module &M,
-                                       const std::string &Ref) {
-  ObjectKey K;
-  if (Ref.rfind("G:", 0) == 0) {
-    K.Global = M.globalByName(Ref.substr(2));
-    if (!K.Global)
-      return std::nullopt;
-    return K;
-  }
-  if (Ref.rfind("S:", 0) != 0)
-    return std::nullopt;
-  size_t Bar = Ref.find('|');
-  if (Bar == std::string::npos)
-    return std::nullopt;
-  K.AllocSite = resolveInst(M, Ref.substr(2, Bar - 2));
-  if (!K.AllocSite)
-    return std::nullopt;
-  std::string Ctx = Ref.substr(Bar + 1);
-  K.Context = Ctx == "-" ? "" : Ctx;
-  return K;
 }
 
 } // namespace
@@ -146,121 +92,6 @@ std::string profiling::serializeProfile(const Profile &P, const Module &M) {
     Out += "\n";
   }
   return Out;
-}
-
-std::optional<Profile>
-profiling::deserializeProfile(const std::string &Text, const Module &M,
-                              const FunctionAnalyses &FA,
-                              std::string &Error) {
-  Profile P;
-  std::istringstream In(Text);
-  std::string Line;
-  unsigned LineNo = 0;
-  auto Fail = [&](const std::string &Msg) {
-    Error = "line " + std::to_string(LineNo) + ": " + Msg;
-    return std::optional<Profile>();
-  };
-
-  if (!std::getline(In, Line) || Line.rfind("privateer-profile", 0) != 0) {
-    Error = "missing profile header";
-    return std::nullopt;
-  }
-  ++LineNo;
-
-  while (std::getline(In, Line)) {
-    ++LineNo;
-    if (Line.empty())
-      continue;
-    std::istringstream S(Line);
-    std::string Kw;
-    S >> Kw;
-    if (Kw == "object") {
-      std::string Ref;
-      S >> Ref;
-      auto K = resolveObject(M, Ref);
-      if (!K)
-        return Fail("unresolved object " + Ref);
-      P.Objects.insert(*K);
-    } else if (Kw == "globalbase") {
-      std::string Name;
-      uint64_t Base;
-      S >> Name >> Base;
-      GlobalVariable *G = M.globalByName(Name);
-      if (!G)
-        return Fail("unknown global " + Name);
-      P.GlobalBases[G] = Base;
-    } else if (Kw == "instobj") {
-      std::string IRef;
-      S >> IRef;
-      const Instruction *I = resolveInst(M, IRef);
-      if (!I)
-        return Fail("unresolved instruction " + IRef);
-      std::string ORef;
-      while (S >> ORef) {
-        auto K = resolveObject(M, ORef);
-        if (!K)
-          return Fail("unresolved object " + ORef);
-        P.InstObjects[I].insert(*K);
-      }
-    } else if (Kw == "lifetime") {
-      std::string ORef, LRef;
-      uint64_t Seen, Bad;
-      S >> ORef >> LRef >> Seen >> Bad;
-      auto K = resolveObject(M, ORef);
-      const Loop *L = resolveLoop(M, FA, LRef);
-      if (!K || !L)
-        return Fail("unresolved lifetime entry");
-      P.Lifetime[{*K, L}] = {Seen, Bad};
-    } else if (Kw == "flowdep") {
-      std::string LRef, SRef, DRef;
-      S >> LRef >> SRef >> DRef;
-      const Loop *L = resolveLoop(M, FA, LRef);
-      const Instruction *Src = resolveInst(M, SRef);
-      const Instruction *Dst = resolveInst(M, DRef);
-      if (!L || !Src || !Dst)
-        return Fail("unresolved flow dep");
-      P.FlowDeps[L].insert(FlowDep{Src, Dst});
-    } else if (Kw == "depdist") {
-      std::string LRef, SRef, DRef;
-      DepDistance DS;
-      S >> LRef >> SRef >> DRef >> DS.Min >> DS.Max >> DS.Samples;
-      const Loop *L = resolveLoop(M, FA, LRef);
-      const Instruction *Src = resolveInst(M, SRef);
-      const Instruction *Dst = resolveInst(M, DRef);
-      if (!L || !Src || !Dst)
-        return Fail("unresolved dep distance");
-      P.DepDistances[{L, FlowDep{Src, Dst}}] = DS;
-    } else if (Kw == "pred") {
-      std::string IRef, LRef;
-      uint64_t Addr, Bytes;
-      int64_t Value;
-      S >> IRef >> LRef >> Addr >> Bytes >> Value;
-      const Instruction *I = resolveInst(M, IRef);
-      const Loop *L = resolveLoop(M, FA, LRef);
-      if (!I || !L)
-        return Fail("unresolved prediction");
-      P.Predictables[{I, L}] = PredictableLoad{I, Addr, Bytes, Value};
-    } else if (Kw == "loop") {
-      std::string LRef;
-      LoopStats St;
-      S >> LRef >> St.Invocations >> St.Iterations >> St.Weight;
-      const Loop *L = resolveLoop(M, FA, LRef);
-      if (!L)
-        return Fail("unresolved loop " + LRef);
-      P.Loops[L] = St;
-    } else if (Kw == "branch") {
-      std::string IRef;
-      uint64_t Taken, Total;
-      S >> IRef >> Taken >> Total;
-      const Instruction *I = resolveInst(M, IRef);
-      if (!I)
-        return Fail("unresolved branch " + IRef);
-      P.Branches[I] = {Taken, Total};
-    } else {
-      return Fail("unknown record '" + Kw + "'");
-    }
-  }
-  return P;
 }
 
 std::string profiling::normalizedProfile(const Profile &P, const Module &M) {

@@ -6,23 +6,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Text serialization of training profiles, enabling the paper's workflow
-/// of profiling once on a training input and compiling later ("Each
-/// benchmark is profiled with a training input (train)", §6).  Entities
-/// are identified by stable names — functions and blocks by name,
-/// instructions by their index within a block, loops by their header —
-/// so a profile saved against a module can be re-attached to a freshly
-/// parsed copy of the same module.
+/// Text rendering of training profiles, written by `privateer-cc
+/// --profile-out` and compared by the golden-profile tests.  Entities are
+/// identified by stable names — functions and blocks by name, instructions
+/// by their index within a block, loops by their header — so the text is
+/// the same for every parse of the same module.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef PRIVATEER_PROFILING_PROFILESERIALIZATION_H
 #define PRIVATEER_PROFILING_PROFILESERIALIZATION_H
 
-#include "analysis/FunctionAnalyses.h"
 #include "profiling/Profile.h"
 
-#include <optional>
 #include <string>
 
 namespace privateer {
@@ -37,13 +33,6 @@ std::string serializeProfile(const Profile &P, const ir::Module &M);
 /// addresses, pointer values) are rewritten, an address inside a global as
 /// "@name+offset" and any other as "heap", and the lines are sorted.
 std::string normalizedProfile(const Profile &P, const ir::Module &M);
-
-/// Parses a serialized profile against \p M / \p FA.  Returns nullopt and
-/// sets \p Error if any reference fails to resolve (the module changed).
-std::optional<Profile> deserializeProfile(const std::string &Text,
-                                          const ir::Module &M,
-                                          const analysis::FunctionAnalyses &FA,
-                                          std::string &Error);
 
 } // namespace profiling
 } // namespace privateer

@@ -20,6 +20,33 @@ using namespace privateer;
 namespace {
 constexpr uint64_t kSlotAlign = 64;
 uint64_t alignUp(uint64_t N) { return (N + kSlotAlign - 1) & ~(kSlotAlign - 1); }
+
+using trace::Reason;
+constexpr SlotFailure kCorruptHeader{"corrupted checkpoint slot header",
+                                     Reason::CorruptSlot};
+constexpr SlotFailure kTornSlot{
+    "checkpoint slot torn by a worker that died holding its lock",
+    Reason::TornSlot};
+constexpr SlotFailure kOrphanedLock{
+    "checkpoint slot lock orphaned by a dead worker", Reason::OrphanedLock};
+constexpr SlotFailure kWorkerLost{"incomplete checkpoint (worker lost)",
+                                  Reason::WorkerLost};
+constexpr SlotFailure kChunkOverflow{
+    "checkpoint slot chunk capacity exhausted", Reason::ChunkOverflow};
+constexpr SlotFailure kIoOverflow{"deferred-output buffer overflow",
+                                  Reason::IoOverflow};
+constexpr SlotFailure kComOverflow{"commutative-log capacity exhausted",
+                                   Reason::ComOverflow};
+constexpr SlotFailure kSamePeriodConflict{
+    "private byte both read live-in and written within one checkpoint "
+    "period (conservative)",
+    Reason::SamePeriodConflict};
+constexpr SlotFailure kFlowDependence{
+    "loop-carried flow dependence: read of a value written in an earlier "
+    "checkpoint period",
+    Reason::FlowDependence};
+constexpr SlotFailure kCorruptComLog{"corrupted commutative log record",
+                                     Reason::CorruptSlot};
 } // namespace
 
 CheckpointRegion::~CheckpointRegion() { destroy(); }
@@ -110,19 +137,16 @@ uint64_t CheckpointRegion::chunkSpan(uint64_t C) const {
   return std::min(kDirtyChunkBytes, Cfg.PrivateBytes - Base);
 }
 
-bool CheckpointRegion::slotStableSane(uint64_t P) const {
+bool CheckpointRegion::slotHeaderSane(uint64_t P, bool Quiescent) const {
   const SlotHeader *H = slot(P);
-  return H->BaseIter == Cfg.Plan.periodBegin(P) &&
-         H->NumIters == Cfg.Plan.periodEnd(P) - H->BaseIter;
-}
-
-bool CheckpointRegion::slotHeaderSane(uint64_t P) const {
-  const SlotHeader *H = slot(P);
+  if (H->BaseIter != Cfg.Plan.periodBegin(P) ||
+      H->NumIters != Cfg.Plan.periodEnd(P) - H->BaseIter)
+    return false;
   uint32_t Merged = H->WorkersMerged.load(std::memory_order_acquire);
-  return slotStableSane(P) && H->IoBytes <= Cfg.IoCapacity &&
-         H->ComBytes <= Cfg.ComCapacity &&
-         Merged <= Cfg.Plan.NumWorkers && H->ExecutedMerges <= Merged &&
-         H->ChunksUsed <= NumChunks;
+  return !Quiescent ||
+         (H->IoBytes <= Cfg.IoCapacity && H->ComBytes <= Cfg.ComCapacity &&
+          Merged <= Cfg.Plan.NumWorkers && H->ExecutedMerges <= Merged &&
+          H->ChunksUsed <= NumChunks);
 }
 
 void CheckpointRegion::workerMerge(uint64_t P, const uint8_t *LocalShadow,
@@ -291,29 +315,31 @@ void CheckpointRegion::workerMerge(uint64_t P, const uint8_t *LocalShadow,
   H->Lock.unlock();
 }
 
-CheckpointRegion::CommitStatus CheckpointRegion::commitSlot(
+SlotFailure CheckpointRegion::commitSlot(
     uint64_t P, uint8_t *MasterShadow, uint8_t *MasterPrivate,
     const ReductionRegistry &Redux, uint64_t ReduxBase,
     uint64_t ComHeapBase, uint64_t ComHeapSpan,
-    std::vector<IoRecord> &OutIo, std::string &MisspecWhy,
-    CheckpointScanStats *Scan) const {
-  SlotHeader *H = slot(P);
-  if (H->ChunkOverflow) {
-    MisspecWhy = "checkpoint slot chunk capacity exhausted";
-    return CommitStatus::Misspec;
-  }
-  if (H->IoOverflow) {
-    MisspecWhy = "deferred-output buffer overflow";
-    return CommitStatus::Misspec;
-  }
-  if (H->ComOverflow) {
-    MisspecWhy = "commutative-log capacity exhausted";
-    return CommitStatus::Misspec;
-  }
-
+    std::vector<IoRecord> &OutIo, CheckpointScanStats *Scan) const {
+  const SlotHeader *H = slot(P);
   const uint64_t *SlotMask = slotDirtyMask(P);
   const uint32_t *Dir = slotChunkDir(P);
   uint64_t WalkedChunks = 0, Scanned = 0, Skipped = 0;
+  auto account = [&] {
+    if (Scan) {
+      Scan->DirtyChunks += WalkedChunks;
+      Scan->BytesScanned += Scanned;
+      Scan->BytesSkipped += Skipped;
+    }
+  };
+  // The phase-2 verdict on one slot byte: a same-period read-live-in and
+  // write, or a live-in read of a byte an earlier period wrote.
+  auto violation = [&](uint8_t Code, uint64_t Off) -> SlotFailure {
+    if (Code == kSlotConflict)
+      return kSamePeriodConflict;
+    if (Code == shadow::kReadLiveIn && MasterShadow[Off] == shadow::kOldWrite)
+      return kFlowDependence;
+    return {};
+  };
 
   // Pass 1: detect phase-2 privacy violations before mutating master state
   // so a misspeculating slot leaves the committed image untouched.  Only
@@ -344,44 +370,17 @@ CheckpointRegion::CommitStatus CheckpointRegion::commitSlot(
           continue;
         }
         Scanned += 8;
-        for (uint64_t K = J; K < J + 8; ++K) {
-          uint8_t Code = Meta[K];
-          if (Code == kSlotConflict) {
-            MisspecWhy = "private byte both read live-in and written within "
-                         "one checkpoint period (conservative)";
-            if (Scan) {
-              Scan->DirtyChunks += WalkedChunks;
-              Scan->BytesScanned += Scanned;
-              Scan->BytesSkipped += Skipped;
-            }
-            return CommitStatus::Misspec;
+        for (uint64_t K = J; K < J + 8; ++K)
+          if (SlotFailure Bad = violation(Meta[K], Base + K)) {
+            account();
+            return Bad;
           }
-          if (Code == shadow::kReadLiveIn &&
-              MasterShadow[Base + K] == shadow::kOldWrite) {
-            MisspecWhy = "loop-carried flow dependence: read of a value "
-                         "written in an earlier checkpoint period";
-            if (Scan) {
-              Scan->DirtyChunks += WalkedChunks;
-              Scan->BytesScanned += Scanned;
-              Scan->BytesSkipped += Skipped;
-            }
-            return CommitStatus::Misspec;
-          }
-        }
       }
       for (; J < Span; ++J) {
         ++Scanned;
-        uint8_t Code = Meta[J];
-        if (Code == kSlotConflict) {
-          MisspecWhy = "private byte both read live-in and written within "
-                       "one checkpoint period (conservative)";
-          return CommitStatus::Misspec;
-        }
-        if (Code == shadow::kReadLiveIn &&
-            MasterShadow[Base + J] == shadow::kOldWrite) {
-          MisspecWhy = "loop-carried flow dependence: read of a value "
-                       "written in an earlier checkpoint period";
-          return CommitStatus::Misspec;
+        if (SlotFailure Bad = violation(Meta[J], Base + J)) {
+          account();
+          return Bad;
         }
       }
     } while (M);
@@ -431,11 +430,7 @@ CheckpointRegion::CommitStatus CheckpointRegion::commitSlot(
     } while (M);
   }
 
-  if (Scan) {
-    Scan->DirtyChunks += WalkedChunks;
-    Scan->BytesScanned += Scanned;
-    Scan->BytesSkipped += Skipped;
-  }
+  account();
 
   // Combine reduction partials into the committed accumulators.  A slot
   // nobody executed iterations for holds no partial at all.
@@ -454,14 +449,83 @@ CheckpointRegion::CommitStatus CheckpointRegion::commitSlot(
     uint64_t Applied = 0;
     if (ComHeapSpan == 0 ||
         !applyComRecords(slotCom(P), H->ComBytes, ComHeapBase, ComHeapSpan,
-                         Applied)) {
-      MisspecWhy = "corrupted commutative log record";
-      return CommitStatus::Misspec;
-    }
+                         Applied))
+      return kCorruptComLog;
     if (Scan)
       Scan->ComRecords += Applied;
   }
 
   deserializeIoRecords(slotIo(P), H->IoBytes, OutIo);
-  return CommitStatus::Ok;
+  return {};
+}
+
+CommitFrontier::Verdict CommitFrontier::verdict(bool WorkersGone) {
+  if (!pending())
+    return Verdict::Wait;
+  uint64_t P = Next;
+  // A worker doomed P; its reason is readable once it has exited.
+  if (Cb->periodDoomed(P)) {
+    if (!WorkersGone)
+      return Verdict::Wait;
+    failFromFlag(Plan.periodEnd(
+        Cb->EarliestMisspecPeriod.load(std::memory_order_relaxed)));
+    return Verdict::Fail;
+  }
+  SlotHeader *H = Region->slot(P);
+  if (!Region->slotHeaderSane(P, /*Quiescent=*/false))
+    return fail(P, kCorruptHeader);
+  if (H->Poisoned.load(std::memory_order_relaxed))
+    return fail(P, kTornSlot);
+  // All W merges published make the slot quiescent (a held lock only means
+  // the last merger has not dropped it yet).  Short of W it waits while
+  // any worker lives; once all are reaped, a held lock is orphaned and a
+  // missing merge is a lost worker.
+  bool Merged =
+      H->WorkersMerged.load(std::memory_order_acquire) == Plan.NumWorkers;
+  if (!Merged && !WorkersGone)
+    return Verdict::Wait;
+  if (!Merged && H->Lock.holder() != 0) {
+    H->Lock.unlock(); // Its holder is dead: break it.
+    return fail(P, kOrphanedLock);
+  }
+  if (!Region->slotHeaderSane(P))
+    return fail(P, kCorruptHeader);
+  if (!Merged)
+    return fail(P, kWorkerLost);
+  if (H->ChunkOverflow)
+    return fail(P, kChunkOverflow);
+  if (H->IoOverflow)
+    return fail(P, kIoOverflow);
+  if (H->ComOverflow)
+    return fail(P, kComOverflow);
+  return Verdict::Commit;
+}
+
+bool CommitFrontier::committed(const SlotFailure &Walk) {
+  if (Walk) {
+    fail(Next, Walk);
+    return false;
+  }
+  ++Next;
+  return true;
+}
+
+bool CommitFrontier::finish() {
+  bool Raised = !failed() && Cb->MisspecFlag.load(std::memory_order_acquire);
+  if (Raised)
+    failFromFlag(Plan.End);
+  else if (!Region)
+    Next = Plan.numSlots();
+  return Raised;
+}
+
+CommitFrontier::Verdict CommitFrontier::fail(uint64_t P,
+                                             const SlotFailure &Why) {
+  F = {Why.Why, Why.Code, P, Plan.periodEnd(P)};
+  return Verdict::Fail;
+}
+
+void CommitFrontier::failFromFlag(uint64_t End) {
+  F = {Cb->MisspecReason, trace::reasonCode(Cb->MisspecReason),
+       Cb->EarliestMisspecPeriod.load(std::memory_order_relaxed), End};
 }

@@ -51,6 +51,7 @@
 #include "runtime/DeferredIO.h"
 #include "runtime/DirtyChunks.h"
 #include "runtime/Reduction.h"
+#include "support/Trace.h"
 
 #include <algorithm>
 #include <string>
@@ -110,16 +111,12 @@ struct SlotHeader {
   /// orphaned by a dead worker and break it instead of deadlocking.
   OwnerLock Lock;
   /// Set when a worker broke this slot's lock away from a dead holder: the
-  /// merge data may be torn mid-update, so the committer must treat the
-  /// slot as incomplete.
+  /// merge data may be torn mid-update, so the slot must not commit.
   std::atomic<uint32_t> Poisoned{0};
-  /// Count of workers that merged this slot.  This is the publication point
-  /// for eager commit: each merger increments it with release order as the
-  /// last store of its merge (still under the slot lock), and the main
-  /// process's commit pump polls it with acquire order — observing the
-  /// value reach NumWorkers therefore makes every contributor's merge data
-  /// visible, so the slot can be committed while the epoch is still
-  /// running.
+  /// Count of workers that merged this slot: the publication point for
+  /// eager commit.  Each merger release-increments it as the last store of
+  /// its merge (still under the lock); the commit frontier's acquire load
+  /// seeing NumWorkers makes every contributor's merge data visible.
   std::atomic<uint32_t> WorkersMerged{0};
   /// Mergers that actually executed iterations; the first of these
   /// initializes the slot's reduction partial.
@@ -139,6 +136,14 @@ struct SlotHeader {
   /// exactly like ChunkOverflow.
   uint64_t ComBytes = 0;
   uint32_t ComOverflow = 0;
+};
+
+/// Why a slot cannot commit: a fixed message and its trace code.  Empty
+/// (false) when nothing is wrong.
+struct SlotFailure {
+  const char *Why = nullptr;
+  trace::Reason Code = trace::Reason::Generic;
+  explicit operator bool() const { return Why != nullptr; }
 };
 
 /// Byte-walk accounting for one merge or commit: how many dirty chunks
@@ -201,16 +206,12 @@ public:
 
   /// True when slot \p P's header is consistent with the epoch plan.  A
   /// header torn by a crashed writer (or the fault injector) fails this
-  /// and must be treated as misspeculation, not walked.  Only valid once
-  /// the slot is quiescent (all workers merged it, or all workers reaped):
-  /// the dynamic counters it checks are legitimately in motion before then.
-  bool slotHeaderSane(uint64_t P) const;
-
-  /// Subset of slotHeaderSane that checks only the fields no healthy worker
-  /// ever writes (BaseIter, NumIters — fixed at create()).  Safe to poll at
-  /// any time, so the in-epoch commit pump can catch a scribbled header the
-  /// moment it appears instead of waiting for the join.
-  bool slotStableSane(uint64_t P) const;
+  /// and must be treated as misspeculation, not walked.  Its dynamic
+  /// counters are legitimately in motion until the slot is quiescent (all
+  /// workers merged it, or all are reaped); before then \p Quiescent =
+  /// false checks only BaseIter and NumIters, which no healthy worker
+  /// writes, so a scribble is caught the moment it appears.
+  bool slotHeaderSane(uint64_t P, bool Quiescent = true) const;
 
   /// Worker side: merges this worker's period-\p P state into slot P.
   /// \p LocalShadow / \p LocalPrivate point at the worker's COW views of
@@ -232,26 +233,20 @@ public:
                    std::vector<ComRecord> &PendingCom, bool Executed,
                    const MergeContext &Ctx);
 
-  enum class CommitStatus { Ok, Misspec };
-
-  /// Main-process side: applies slot \p P to the committed master state.
-  /// \p MasterShadow and \p MasterPrivate are the main process's
-  /// MAP_SHARED views of the covered range; redux partials are combined
-  /// into the master redux heap; deferred output is appended to \p OutIo.
-  /// Detects phase-2 privacy violations, reported through \p MisspecWhy.
+  /// Main-process side: applies slot \p P, which CommitFrontier cleared,
+  /// to the master state: \p MasterShadow and \p MasterPrivate (the main
+  /// process's views of the covered range), the master redux heap, and
+  /// \p OutIo for deferred output.  A phase-2 privacy violation, or a com
+  /// record outside [\p ComHeapBase, + \p ComHeapSpan) (a corrupted log;
+  /// span 0 disables the com fold), fails it before anything is applied.
   /// Walks only the slot's dirty chunks; \p Scan, when non-null, receives
-  /// the walk accounting.  \p ComHeapBase / \p ComHeapSpan bound the
-  /// commutative heap: every logged record is validated against them
-  /// before the slot's com section is folded into the master heap (a
-  /// record outside the heap means the shared log was corrupted — treated
-  /// as misspeculation before anything is applied).  Span 0 disables the
-  /// com fold.
-  CommitStatus commitSlot(uint64_t P, uint8_t *MasterShadow,
-                          uint8_t *MasterPrivate,
-                          const ReductionRegistry &Redux, uint64_t ReduxBase,
-                          uint64_t ComHeapBase, uint64_t ComHeapSpan,
-                          std::vector<IoRecord> &OutIo, std::string &MisspecWhy,
-                          CheckpointScanStats *Scan = nullptr) const;
+  /// the walk accounting.
+  SlotFailure commitSlot(uint64_t P, uint8_t *MasterShadow,
+                         uint8_t *MasterPrivate,
+                         const ReductionRegistry &Redux, uint64_t ReduxBase,
+                         uint64_t ComHeapBase, uint64_t ComHeapSpan,
+                         std::vector<IoRecord> &OutIo,
+                         CheckpointScanStats *Scan = nullptr) const;
 
 private:
   uint32_t *slotChunkDir(uint64_t P) const;
@@ -277,6 +272,67 @@ private:
   uint64_t OffCom = 0;
   uint64_t SlotStride = 0;
   uint64_t RegionBytes = 0;
+};
+
+/// The ordered commit of one epoch's slots (paper §5.2–5.3): the only
+/// code that decides whether a slot may commit.  It keeps the next slot to
+/// commit, which only moves forward, and the first failure, which stops
+/// it.  No syscalls: the commit pump asks it, and CommitFrontierTest asks
+/// it through every small interleaving of merges and faults.
+class CommitFrontier {
+public:
+  enum class Verdict { Commit, Wait, Fail };
+
+  /// Why the epoch stopped, the period blamed, and recovery's end.
+  struct Failure {
+    std::string Reason;
+    trace::Reason Code = trace::Reason::Generic;
+    uint64_t Period = 0;
+    uint64_t End = 0;
+  };
+
+  /// \p Region is null for a non-speculative epoch, which keeps no
+  /// checkpoints and commits whole unless a worker raised misspeculation.
+  CommitFrontier(const EpochPlan &Plan, CheckpointRegion *Region,
+                 const ControlBlock &Cb)
+      : Plan(Plan), Region(Region), Cb(&Cb) {}
+
+  /// What slot next() may do now; Wait once nothing is pending.  With
+  /// \p WorkersGone (all reaped, nothing merges any more) a pending slot
+  /// commits or fails.  Fail records the failure.
+  Verdict verdict(bool WorkersGone);
+  /// Takes the result of commitSlot(next()) after verdict() said Commit:
+  /// the slot commits, or its failure is recorded.  True when committed.
+  bool committed(const SlotFailure &Walk);
+  /// After the join: true when a misspeculation raised past every slot,
+  /// or in a non-speculative epoch, fails the epoch here; else a
+  /// non-speculative epoch commits whole.
+  bool finish();
+
+  uint64_t next() const { return Next; }
+  bool pending() const {
+    return Region && !failed() && Next < Plan.numSlots();
+  }
+  bool failed() const { return !F.Reason.empty(); }
+  const Failure &failure() const { return F; }
+  /// First iteration not committed.
+  uint64_t committedEnd() const {
+    return Next == Plan.numSlots() ? Plan.End : Plan.periodBegin(Next);
+  }
+  /// End of the recovery window from committedEnd().  A watchdog may blame
+  /// an iteration of a period the pump already committed; committed slots
+  /// are valid by construction, so recovery never restarts behind them.
+  uint64_t recoveryEnd() const { return std::max(F.End, committedEnd()); }
+
+private:
+  Verdict fail(uint64_t P, const SlotFailure &Why);
+  void failFromFlag(uint64_t End);
+
+  EpochPlan Plan;
+  CheckpointRegion *Region;
+  const ControlBlock *Cb;
+  uint64_t Next = 0;
+  Failure F;
 };
 
 } // namespace privateer

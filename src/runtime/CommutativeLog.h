@@ -34,7 +34,7 @@
 ///
 /// Misspeculation interaction: a log is squashed with its worker (records
 /// die with the process) and a slot whose log section overflows is marked
-/// ComOverflow, which commitSlot converts into ordinary misspeculation —
+/// ComOverflow, which the commit frontier turns into misspeculation —
 /// the period is then recovered sequentially, where updates apply directly.
 ///
 //===----------------------------------------------------------------------===//

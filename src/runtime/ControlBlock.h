@@ -76,10 +76,6 @@ public:
   /// PID of the current holder, 0 when free.
   uint32_t holder() const { return Holder.load(std::memory_order_acquire); }
 
-  /// Main-process-side: clears a lock known to be orphaned (all workers
-  /// already reaped).
-  void forceBreak() { Holder.store(0, std::memory_order_release); }
-
 private:
   std::atomic<uint32_t> Holder{0};
 };

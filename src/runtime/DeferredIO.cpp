@@ -11,7 +11,7 @@ bool privateer::serializeIoRecords(const std::vector<IoRecord> &Records,
                                    uint64_t &Used) {
   for (const IoRecord &R : Records) {
     uint64_t Need = 8 + 4 + 4 + R.Text.size();
-    if (Used + Need > Cap)
+    if (Used > Cap || Need > Cap - Used) // A scribbled Used must not wrap.
       return false;
     std::memcpy(Buf + Used, &R.Iteration, 8);
     Used += 8;

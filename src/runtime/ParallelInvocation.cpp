@@ -80,14 +80,9 @@ private:
   bool Lowered = false;
 };
 
-/// The worker active in this process, for the SIGSEGV handler that
-/// converts stores to the protected read-only heap into misspeculation.
-/// ActiveWorkerPlan is the worker's epoch plan, which misspecAbort reads
-/// too; it lives in runParallel's frame, which a worker never returns to.
-ControlBlock *ActiveWorkerCb = nullptr;
-unsigned ActiveWorkerId = 0;
+/// The worker's epoch plan, which misspecAbort reads; it lives in
+/// runParallel's frame, which a worker never returns to.
 const EpochPlan *ActiveWorkerPlan = nullptr;
-trace::Ring *ActiveWorkerTraceRing = nullptr;
 
 /// Alternate signal stack for the worker's SIGSEGV/SIGBUS handler: a
 /// stack-overflowing iteration body must still be classified as
@@ -96,23 +91,11 @@ trace::Ring *ActiveWorkerTraceRing = nullptr;
 /// glibc; each forked worker gets its own copy-on-write instance.
 alignas(16) char WorkerAltStack[64 * 1024];
 
+/// A store to the protected read-only heap is misspeculation.
+/// misspecAbort touches only atomics, plain stores and a string scan
+/// before _exit, so it may run in the signal handler.
 void workerSegvHandler(int /*Sig*/) {
-  // Signal-safe misspeculation report: record position, set flag, die.
-  ControlBlock *Cb = ActiveWorkerCb;
-  if (Cb) {
-    uint64_t Iter =
-        Cb->WorkerIter[ActiveWorkerId].load(std::memory_order_relaxed);
-    uint64_t Period = ActiveWorkerPlan->periodOf(Iter);
-    Cb->raiseMisspec(Iter, Period, "fault: store to a protected heap");
-    // The ring push is atomics + a POD store, so it is as signal-safe as
-    // the flag raise above.
-    if (ActiveWorkerTraceRing)
-      ActiveWorkerTraceRing->push(trace::makeEvent(
-          trace::Kind::Misspec, static_cast<uint16_t>(1 + ActiveWorkerId),
-          monotonicNanos(), Iter, Period,
-          static_cast<uint32_t>(trace::Reason::ProtectedStore)));
-  }
-  _exit(kMisspecExit);
+  Runtime::get().misspecAbort("fault: store to a protected heap");
 }
 
 } // namespace
@@ -475,9 +458,6 @@ Runtime::EpochResult Runtime::runEpoch(const EpochPlan &Plan,
   bool Spec = !Options.NonSpeculative;
 
   EpochResult Res;
-  Res.CommittedEnd = Plan.Begin;
-  Res.Misspec = false;
-  Res.MisspecPeriodEnd = Plan.End;
 
   // Shared coordination state, created before the first fork so every
   // worker and the main process observe one instance.  A failed map
@@ -591,17 +571,13 @@ Runtime::EpochResult Runtime::runEpoch(const EpochPlan &Plan,
   if (Spec && Injector)
     Injector->maybeCorruptSlot(TheRegion);
 
-  // Join and commit as one poll-reap-commit state machine.  The watchdog
-  // half reaps exits without blocking and SIGKILLs any worker whose
-  // heartbeat goes stale for longer than the stall timeout — its last
-  // reported iteration is treated as misspeculated and recovered through
-  // the sequential path, exactly like any other abnormal death.  The
-  // commit-pump half polls slot headers between reaps and commits each
-  // checkpoint, in iteration order (§5.2), the moment every worker has
-  // published its merge.  It is the only commit path: the end-of-epoch
-  // serial commit tail collapses to at most the last slot, and a
-  // commit-time misspeculation raises the global flag while workers are
-  // still running instead of after they drained the whole epoch.
+  // Join and commit as one poll-reap-commit loop.  The watchdog half reaps
+  // exits without blocking and SIGKILLs any worker whose heartbeat goes
+  // stale for longer than the stall timeout; its last reported iteration
+  // is misspeculated, like any other abnormal death.  The pump half asks
+  // the commit frontier between reaps and commits each slot it clears, in
+  // iteration order (§5.2): the only commit path, so a commit-time
+  // misspeculation stops workers while they are still running.
   uint64_t StallNs =
       Options.StallTimeoutSec > 0
           ? static_cast<uint64_t>(Options.StallTimeoutSec * 1e9)
@@ -610,30 +586,30 @@ Runtime::EpochResult Runtime::runEpoch(const EpochPlan &Plan,
   std::vector<bool> StallKilled(W, false);
   unsigned Remaining = W;
 
-  // Commit state of the pump.
+  // Commit state of the pump: the frontier decides, the pump commits.
   std::vector<IoRecord> CommittedIo;
   CheckpointScanStats CommitScan;
   uint8_t *MasterShadow = reinterpret_cast<uint8_t *>(Shadow.base());
   uint8_t *MasterPrivate =
       reinterpret_cast<uint8_t *>(heap(HeapKind::Private).base());
-  uint64_t NextCommit = 0;    // First slot not yet committed, in order.
-  bool CommitStopped = false; // A commit failed; Res carries the verdict.
+  CommitFrontier Frontier(Plan, Spec ? &TheRegion : nullptr, *Cb);
 
-  // A commit failure observed by the pump mid-epoch.  Record the verdict,
-  // then raise the global flag so live workers stop spending iterations on
-  // periods that can no longer commit (§5.3 has them poll after every
-  // iteration) instead of running the epoch to the end.  The iterations
-  // the cut-off saves are tallied from each live worker's remaining cyclic
-  // share past the doomed period.
-  auto failCommit = [&](uint64_t P, const std::string &Why) {
-    CommitStopped = true;
-    Res.Misspec = true;
-    Res.Reason = Why;
-    Res.MisspecPeriodEnd = Plan.periodEnd(P);
-    uint64_t CutStart = Plan.periodBegin(P);
+  // The frontier's failure, once recorded.  While workers live, raise the
+  // flag so they stop spending iterations on periods that can no longer
+  // commit (§5.3 has them poll after every iteration); the iterations the
+  // cut-off saves are each live worker's cyclic share past that period.
+  auto onFail = [&] {
+    const CommitFrontier::Failure &F = Frontier.failure();
+    uint64_t CutStart = Plan.periodBegin(F.Period);
+    if (F.Code == trace::Reason::OrphanedLock) {
+      ++Stats.LocksBroken; // The frontier broke it at the join.
+      if (TraceOn)
+        Tc.record(trace::Kind::LockBroken, 0, monotonicNanos(), 0, 0,
+                  static_cast<uint32_t>(F.Period));
+    }
     if (TraceOn)
-      Tc.record(trace::Kind::Misspec, 0, monotonicNanos(), CutStart, P,
-                static_cast<uint32_t>(trace::reasonCode(Why.c_str())), Why);
+      Tc.record(trace::Kind::Misspec, 0, monotonicNanos(), CutStart,
+                F.Period, static_cast<uint32_t>(F.Code), F.Reason);
     if (Remaining == 0)
       return;
     ++Stats.EarlyCutoffs;
@@ -649,70 +625,42 @@ Runtime::EpochResult Runtime::runEpoch(const EpochPlan &Plan,
     if (TraceOn)
       Tc.record(trace::Kind::EarlyCutoff, 0, monotonicNanos(),
                 Stats.EarlyCutoffItersSaved - SavedBefore, 0,
-                static_cast<uint32_t>(P));
-    Cb->raiseMisspec(CutStart, P, Why.c_str());
+                static_cast<uint32_t>(F.Period));
+    Cb->raiseMisspec(CutStart, F.Period, F.Reason.c_str());
   };
-  // One pump pass: commit every slot that is ready, in iteration order.
-  // Never reads Cb->MisspecReason (a worker that just won the flag race may
-  // still be writing it); worker-raised misspeculation is classified after
-  // join.
-  auto pumpStep = [&]() {
-    while (NextCommit < NumSlots && !CommitStopped) {
-      uint64_t P = NextCommit;
-      if (Cb->periodDoomed(P))
-        return; // This period is doomed by a worker; nothing more commits.
-      SlotHeader *H = TheRegion.slot(P);
-      // The stable header fields (BaseIter, NumIters) are written once at
-      // create() and never by a healthy worker, so they can be checked at
-      // any time — this is how the pump catches a scribbled header
-      // mid-epoch rather than leaving it to the join.
-      if (!TheRegion.slotStableSane(P)) {
-        failCommit(P, "corrupted checkpoint slot header");
+  // One pump pass: commit every slot the frontier clears, in iteration
+  // order.  A commit that overlaps live workers runs at idle priority.
+  auto pumpStep = [&](bool WorkersGone) {
+    for (;;) {
+      CommitFrontier::Verdict V = Frontier.verdict(WorkersGone);
+      if (V == CommitFrontier::Verdict::Wait)
         return;
-      }
-      if (H->Poisoned.load(std::memory_order_relaxed)) {
-        failCommit(P, "checkpoint slot torn by a worker that died holding "
-                      "its lock");
-        return;
-      }
-      if (H->WorkersMerged.load(std::memory_order_acquire) != W)
-        return; // Not all contributors have published; poll again later.
-      // Every contributor has release-published its merge, so the slot is
-      // quiescent and fully visible (a still-held lock only means the last
-      // merger has not dropped it yet).  Run the full header check now
-      // that its dynamic counters are final.
-      if (!TheRegion.slotHeaderSane(P)) {
-        failCommit(P, "corrupted checkpoint slot header");
-        return;
-      }
+      if (V == CommitFrontier::Verdict::Fail)
+        return onFail();
+      uint64_t P = Frontier.next();
       bool Overlapped = Remaining > 0;
       double T0 = Overlapped ? wallSeconds() : 0;
       uint64_t TraceT0 = TraceOn ? monotonicNanos() : 0;
       uint64_t ScanBefore = CommitScan.BytesScanned;
-      std::string Why;
-      CheckpointRegion::CommitStatus St;
+      bool Committed;
       {
         ScopedIdlePriority IdleWhileWorkersRun(Overlapped);
-        St = TheRegion.commitSlot(P, MasterShadow, MasterPrivate, Redux,
-                                  heap(HeapKind::Redux).base(),
-                                  heap(HeapKind::Commutative).base(),
-                                  ComCovered, CommittedIo, Why, &CommitScan);
+        Committed = Frontier.committed(TheRegion.commitSlot(
+            P, MasterShadow, MasterPrivate, Redux,
+            heap(HeapKind::Redux).base(), heap(HeapKind::Commutative).base(),
+            ComCovered, CommittedIo, &CommitScan));
       }
       if (Overlapped) {
         Stats.OverlapSec += wallSeconds() - T0;
         ++Stats.EagerSlots;
       }
-      if (St == CheckpointRegion::CommitStatus::Misspec) {
-        failCommit(P, Why);
-        return;
-      }
+      if (!Committed)
+        return onFail();
       if (TraceOn)
         Tc.record(trace::Kind::CommitEager, 0, monotonicNanos(), TraceT0,
                   CommitScan.BytesScanned - ScanBefore,
                   static_cast<uint32_t>(P));
-      Res.CommittedEnd = Plan.periodEnd(P);
       ++Stats.Checkpoints;
-      ++NextCommit;
     }
   };
 
@@ -780,9 +728,9 @@ Runtime::EpochResult Runtime::runEpoch(const EpochPlan &Plan,
         }
       }
     }
-    bool Pumping = Spec && !CommitStopped && NextCommit < NumSlots;
+    bool Pumping = Frontier.pending();
     if (Pumping)
-      pumpStep();
+      pumpStep(/*WorkersGone=*/false);
     drainTraceRings();
     if (!Reaped) {
       // A SIGCHLD delivered before this point stays pending (the signal is
@@ -793,53 +741,16 @@ Runtime::EpochResult Runtime::runEpoch(const EpochPlan &Plan,
       sigtimedwait(&ChldMask, nullptr, &Ts);
     }
   }
-  // Final pump pass so an epoch whose last merge landed between the last
-  // poll and the last reap still commits everything it can.
-  if (Spec)
-    pumpStep();
+  // Final pass with every worker reaped: the frontier commits what the last
+  // merges made ready, then classifies the first slot left, if any.
+  pumpStep(/*WorkersGone=*/true);
   drainTraceRings(); // All workers reaped: rings are quiescent from here.
   sigprocmask(SIG_SETMASK, &OldMask, nullptr);
 
   for (unsigned I = 0; I < W; ++I)
     Stats.addWorker(Cb->Stats[I]);
   Stats.LocksBroken += Cb->LocksBroken.load(std::memory_order_relaxed);
-
-  bool Flag = Cb->MisspecFlag.load(std::memory_order_acquire) != 0;
-  uint64_t MisspecPeriod =
-      Flag ? Cb->EarliestMisspecPeriod.load(std::memory_order_relaxed)
-           : kNoMisspec;
-
   if (Spec) {
-    // The join classifies; it never commits.  A slot the final pump pass
-    // left uncommitted (unless a commit failed) is doomed by a worker's
-    // flag or was not merged by every worker.  All workers are reaped by
-    // now, so a still-held slot lock is orphaned by definition, and an
-    // incomplete merge count means a worker was lost; neither condition is
-    // decidable mid-epoch, which is why only the join checks them.
-    if (!CommitStopped && NextCommit < NumSlots) {
-      uint64_t P = NextCommit;
-      SlotHeader *H = TheRegion.slot(P);
-      Res.Misspec = true;
-      Res.MisspecPeriodEnd = Plan.periodEnd(P);
-      if (Cb->periodDoomed(P)) {
-        Res.Reason = Cb->MisspecReason;
-        Res.MisspecPeriodEnd = Plan.periodEnd(MisspecPeriod);
-      } else if (H->Lock.holder() != 0) {
-        H->Lock.forceBreak();
-        ++Stats.LocksBroken;
-        if (TraceOn)
-          Tc.record(trace::Kind::LockBroken, 0, monotonicNanos(), 0, 0,
-                    static_cast<uint32_t>(P));
-        Res.Reason = "checkpoint slot lock orphaned by a dead worker";
-      } else if (!TheRegion.slotHeaderSane(P)) {
-        Res.Reason = "corrupted checkpoint slot header";
-      } else if (H->Poisoned.load(std::memory_order_relaxed)) {
-        Res.Reason = "checkpoint slot torn by a worker that died holding "
-                     "its lock";
-      } else {
-        Res.Reason = "incomplete checkpoint (worker lost)";
-      }
-    }
     Stats.CheckpointDirtyChunks += CommitScan.DirtyChunks;
     Stats.CheckpointBytesScanned += CommitScan.BytesScanned;
     Stats.CheckpointBytesSkipped += CommitScan.BytesSkipped;
@@ -850,45 +761,19 @@ Runtime::EpochResult Runtime::runEpoch(const EpochPlan &Plan,
     // "take effect only when the checkpoint is marked non-speculative":
     // only output from committed checkpoints is emitted.
     flushIo(CommittedIo, Options.Out);
-  } else {
-    if (Flag) {
-      Res.Misspec = true;
-      Res.Reason = Cb->MisspecReason;
-    } else {
-      Res.CommittedEnd = Plan.End;
-    }
   }
 
-  // A worker death can set the misspec flag without the join's
-  // classification noticing (e.g. the earliest misspeculated period lies
-  // beyond the slots this epoch planned); never report a clean epoch while
-  // the flag is up.
-  if (Spec && Flag && !Res.Misspec) {
-    Res.Misspec = true;
-    Res.Reason = Cb->MisspecReason;
-  }
-  // The pump records its own misspecs inside failCommit (CommitStopped);
-  // everything classified after join — worker-raised flags, orphaned locks,
-  // lost workers — gets one consolidated record here, reason attached.
-  if (TraceOn && Res.Misspec && !CommitStopped)
-    Tc.record(trace::Kind::Misspec, 0, monotonicNanos(),
-              Flag ? Cb->EarliestMisspecIter.load(std::memory_order_relaxed)
-                   : Res.CommittedEnd,
-              Flag ? MisspecPeriod : 0,
-              static_cast<uint32_t>(trace::reasonCode(Res.Reason.c_str())),
-              Res.Reason);
-  // Eager commits can outrun a late, conservative misspeculation
-  // classification: a watchdog kill may report its victim's last known
-  // iteration inside a period the pump already committed (the worker
-  // merged that period and stalled before starting the next one).
-  // Committed slots are valid by construction — every worker published its
-  // merge and validation passed — so recovery must never restart behind
-  // them; clamp the recovery window to begin at the committed frontier.
+  if (Frontier.finish())
+    onFail();
+  Res.CommittedEnd = Frontier.committedEnd();
+  Res.Misspec = Frontier.failed();
   if (Res.Misspec) {
-    if (TraceOn && Res.MisspecPeriodEnd < Res.CommittedEnd)
-      Tc.record(trace::Kind::RecoveryClamp, 0, monotonicNanos(),
-                Res.MisspecPeriodEnd, Res.CommittedEnd, 0);
-    Res.MisspecPeriodEnd = std::max(Res.MisspecPeriodEnd, Res.CommittedEnd);
+    const CommitFrontier::Failure &F = Frontier.failure();
+    Res.Reason = F.Reason;
+    Res.MisspecPeriodEnd = Frontier.recoveryEnd();
+    if (TraceOn && F.End < Res.CommittedEnd)
+      Tc.record(trace::Kind::RecoveryClamp, 0, monotonicNanos(), F.End,
+                Res.CommittedEnd, 0);
   }
 
   if (TraceOn) {
@@ -980,9 +865,6 @@ void Runtime::workerMain(unsigned Id, const EpochPlan &Plan,
     // Write-protect the read-only heap: a stray store becomes a SIGSEGV,
     // which the handler below converts into misspeculation.
     heap(HeapKind::ReadOnly).protectReadOnly();
-    ActiveWorkerCb = Cb;
-    ActiveWorkerId = Id;
-    ActiveWorkerTraceRing = TraceRing;
     // The handler runs on its own stack (SA_ONSTACK) so an iteration
     // body that overflows the worker stack still reports misspeculation
     // instead of dying unclassified.

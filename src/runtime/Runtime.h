@@ -332,12 +332,12 @@ private:
   /// Runs one fork/join epoch; returns iterations committed and whether a
   /// misspeculation stopped the epoch early.
   struct EpochResult {
-    uint64_t CommittedEnd;  ///< First uncommitted iteration.
-    bool Misspec;
+    uint64_t CommittedEnd = 0; ///< First uncommitted iteration.
+    bool Misspec = false;
     /// Speculative execution could not even start (fork or mmap failure);
     /// the caller must run this epoch sequentially.  Nothing committed.
     bool Degraded = false;
-    uint64_t MisspecPeriodEnd; ///< First iteration after the bad period.
+    uint64_t MisspecPeriodEnd = 0; ///< End of the recovery window.
     std::string Reason;
   };
   EpochResult runEpoch(const EpochPlan &Plan, const ParallelOptions &Options,

@@ -84,29 +84,17 @@ Reason reasonCode(const char *Why) {
   auto Has = [&](const char *Needle) { return std::strstr(Why, Needle); };
   if (Has("inject"))
     return Reason::Injected;
-  if (Has("flow dep"))
-    return Reason::FlowDependence;
-  if (Has("same period") || Has("same-period") || Has("slot conflict"))
-    return Reason::SamePeriodConflict;
-  if (Has("separation"))
+  if (Has("separation") || Has("pointer outside"))
     return Reason::SeparationCheck;
-  if (Has("privacy") || Has("bounds"))
+  if (Has("privacy"))
     return Reason::PrivacyBounds;
-  if (Has("short-lived") || Has("short lived"))
+  if (Has("short-lived"))
     return Reason::ShortLivedEscape;
-  if (Has("io ") || Has("I/O") || Has("io buffer") || Has("io overflow"))
-    return Reason::IoOverflow;
-  if (Has("chunk"))
-    return Reason::ChunkOverflow;
-  if (Has("corrupt") || Has("poison") || Has("insane"))
-    return Reason::CorruptSlot;
-  if (Has("torn"))
-    return Reason::TornSlot;
-  if (Has("stall") || Has("watchdog"))
+  if (Has("watchdog"))
     return Reason::Watchdog;
-  if (Has("lost") || Has("died") || Has("exit"))
+  if (Has("terminated abnormally"))
     return Reason::WorkerLost;
-  if (Has("protect") || Has("read-only"))
+  if (Has("protected"))
     return Reason::ProtectedStore;
   return Reason::Generic;
 }
@@ -141,6 +129,10 @@ const char *reasonName(Reason R) {
     return "worker_lost";
   case Reason::ProtectedStore:
     return "protected_store";
+  case Reason::ComOverflow:
+    return "com_overflow";
+  case Reason::OrphanedLock:
+    return "orphaned_lock";
   case Reason::kNumReasons:
     break;
   }

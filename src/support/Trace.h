@@ -87,10 +87,14 @@ enum class Reason : uint32_t {
   Watchdog,
   WorkerLost,
   ProtectedStore,
+  ComOverflow,
+  OrphanedLock,
   kNumReasons
 };
 
-/// Substring classification of a misspeculation reason message.
+/// Substring classification of a reason that arrives as text: a worker's
+/// misspecAbort message or the main process's note on a dead worker.
+/// Failures the commit frontier decides carry their code directly.
 Reason reasonCode(const char *Why);
 const char *reasonName(Reason R);
 

@@ -5,7 +5,8 @@
 // a short last slot's header rejects torn iteration counts, a
 // scribbled chunk count overflows to a conservative misspeculation, and
 // deferred I/O survives a slot-buffer overflow for the recovery path to
-// replay.
+// replay.  Overflowed slots are refused by the commit frontier's verdict,
+// which every commit passes first.
 //
 //===----------------------------------------------------------------------===//
 
@@ -26,8 +27,9 @@ namespace {
 class CheckpointRegionTest : public ::testing::Test {
 protected:
   static constexpr uint64_t kFootprint = 16 * kDirtyChunkBytes; // 16 chunks.
-  /// One period of eight iterations for two workers.
+  /// One period of eight iterations for two workers, or for one.
   static constexpr EpochPlan kOneSlot{0, 8, 8, 2};
+  static constexpr EpochPlan kOneWorker{0, 8, 8, 1};
 
   void makeRegion(const EpochPlan &Plan, uint64_t IoCapacity = 4096,
                   uint64_t ComCapacity = 0) {
@@ -67,7 +69,31 @@ protected:
     markDirtyChunks(Mask.data(), dirtyChunkCount(kFootprint), Off, 1);
   }
 
+  /// Commits slot \p P into the master image; true when the walk refused
+  /// it, with the reason in Why.
+  bool commitFails(uint64_t P, uint64_t ComBase = 0, uint64_t ComSpan = 0,
+                   CheckpointScanStats *Scan = nullptr) {
+    SlotFailure Bad =
+        Region.commitSlot(P, MasterShadow.data(), MasterPrivate.data(),
+                          NoRedux, 0, ComBase, ComSpan, OutIo, Scan);
+    Why = Bad ? Bad.Why : "";
+    return static_cast<bool>(Bad);
+  }
+
+  /// The frontier's verdict on slot 0 once every worker is reaped; a
+  /// failure's reason lands in Why and its trace code in Code.
+  CommitFrontier::Verdict verdictAtJoin() {
+    Cb.resetForEpoch(Region.config().Plan.NumWorkers, 0, 0);
+    CommitFrontier Frontier(Region.config().Plan, &Region, Cb);
+    CommitFrontier::Verdict V = Frontier.verdict(/*WorkersGone=*/true);
+    Why = Frontier.failure().Reason;
+    Code = Frontier.failure().Code;
+    return V;
+  }
+
   CheckpointRegion Region;
+  ControlBlock Cb;
+  trace::Reason Code = trace::Reason::Generic;
   ReductionRegistry NoRedux;
   std::vector<uint8_t> LocalShadow, LocalPrivate, MasterShadow, MasterPrivate;
   std::vector<uint64_t> Mask;
@@ -100,9 +126,7 @@ TEST_F(CheckpointRegionTest, SparseMergeAndCommitApplyOnlyDirtyChunks) {
   EXPECT_EQ(SlotMask[0], (1ULL << 1) | (1ULL << 9));
 
   CheckpointScanStats CommitScan;
-  ASSERT_EQ(Region.commitSlot(0, MasterShadow.data(), MasterPrivate.data(),
-                              NoRedux, 0, 0, 0, OutIo, Why, &CommitScan),
-            CheckpointRegion::CommitStatus::Ok)
+  ASSERT_FALSE(commitFails(0, 0, 0, &CommitScan))
       << Why;
   EXPECT_EQ(CommitScan.DirtyChunks, 2u);
   EXPECT_EQ(MasterPrivate[1 * kDirtyChunkBytes + 17], 0xAB);
@@ -130,9 +154,7 @@ TEST_F(CheckpointRegionTest, DirtyMasksUnionAcrossWorkers) {
 
   EXPECT_EQ(Region.slotDirtyMask(0)[0], (1ULL << 2) | (1ULL << 14));
   EXPECT_EQ(Region.slot(0)->ChunksUsed, 2u);
-  ASSERT_EQ(Region.commitSlot(0, MasterShadow.data(), MasterPrivate.data(),
-                              NoRedux, 0, 0, 0, OutIo, Why),
-            CheckpointRegion::CommitStatus::Ok)
+  ASSERT_FALSE(commitFails(0))
       << Why;
   EXPECT_EQ(MasterPrivate[2 * kDirtyChunkBytes + 8], 0x11);
   EXPECT_EQ(MasterPrivate[14 * kDirtyChunkBytes + 8], 0x22);
@@ -145,9 +167,7 @@ TEST_F(CheckpointRegionTest, CommitDetectsFlowDependenceInsideDirtyChunk) {
                      NoRedux, 0, Io, Com, true, ctx());
   // An earlier committed period wrote the byte: phase-2 must reject.
   MasterShadow[3 * kDirtyChunkBytes + 77] = shadow::kOldWrite;
-  EXPECT_EQ(Region.commitSlot(0, MasterShadow.data(), MasterPrivate.data(),
-                              NoRedux, 0, 0, 0, OutIo, Why),
-            CheckpointRegion::CommitStatus::Misspec);
+  EXPECT_TRUE(commitFails(0));
   EXPECT_NE(Why.find("flow dependence"), std::string::npos) << Why;
 }
 
@@ -171,7 +191,7 @@ TEST_F(CheckpointRegionTest, ChunkCapacityOverflowBecomesMisspec) {
   // A slot holds an entry for every footprint chunk, so only a scribbled
   // ChunksUsed can exhaust it; the merge must then mark the slot
   // incomplete rather than allocate an entry past the slot.
-  makeRegion(kOneSlot);
+  makeRegion(kOneWorker);
   Region.slot(0)->ChunksUsed =
       static_cast<uint32_t>(Region.slotChunkCapacity());
   workerWrite(0 * kDirtyChunkBytes + 5, 0x33);
@@ -180,10 +200,9 @@ TEST_F(CheckpointRegionTest, ChunkCapacityOverflowBecomesMisspec) {
                      NoRedux, 0, Io, Com, true, ctx());
   EXPECT_EQ(Region.slot(0)->ChunkOverflow, 1u);
   EXPECT_TRUE(Region.slotHeaderSane(0));
-  EXPECT_EQ(Region.commitSlot(0, MasterShadow.data(), MasterPrivate.data(),
-                              NoRedux, 0, 0, 0, OutIo, Why),
-            CheckpointRegion::CommitStatus::Misspec);
+  EXPECT_EQ(verdictAtJoin(), CommitFrontier::Verdict::Fail);
   EXPECT_NE(Why.find("chunk capacity"), std::string::npos) << Why;
+  EXPECT_EQ(Code, trace::Reason::ChunkOverflow);
   // Nothing from the overflowed slot reached the master image.
   EXPECT_EQ(MasterPrivate[0 * kDirtyChunkBytes + 5], 0);
   EXPECT_EQ(MasterPrivate[7 * kDirtyChunkBytes + 5], 0);
@@ -198,9 +217,7 @@ TEST_F(CheckpointRegionTest, DefaultCapacityCoversWholeFootprintLosslessly) {
   Region.workerMerge(0, LocalShadow.data(), LocalPrivate.data(), Mask.data(),
                      NoRedux, 0, Io, Com, true, ctx());
   EXPECT_EQ(Region.slot(0)->ChunkOverflow, 0u);
-  ASSERT_EQ(Region.commitSlot(0, MasterShadow.data(), MasterPrivate.data(),
-                              NoRedux, 0, 0, 0, OutIo, Why),
-            CheckpointRegion::CommitStatus::Ok)
+  ASSERT_FALSE(commitFails(0))
       << Why;
   for (uint64_t C = 0; C < dirtyChunkCount(kFootprint); ++C)
     EXPECT_EQ(MasterPrivate[C * kDirtyChunkBytes],
@@ -226,10 +243,7 @@ TEST_F(CheckpointRegionTest, CommutativeRecordsFromBothWorkersFoldAtCommit) {
                      NoRedux, 0, Io, Com, true, ctx());
 
   CheckpointScanStats CommitScan;
-  ASSERT_EQ(Region.commitSlot(0, MasterShadow.data(), MasterPrivate.data(),
-                              NoRedux, 0, Base, Span, OutIo, Why,
-                              &CommitScan),
-            CheckpointRegion::CommitStatus::Ok)
+  ASSERT_FALSE(commitFails(0, Base, Span, &CommitScan))
       << Why;
   EXPECT_EQ(CommitScan.ComRecords, 4u);
   EXPECT_EQ(Heap[0], 12) << "adds from both workers must combine";
@@ -254,10 +268,9 @@ TEST_F(CheckpointRegionTest, CommutativeLogOverflowBecomesMisspec) {
   EXPECT_EQ(Region.slot(0)->ComOverflow, 1u);
   ASSERT_EQ(Com.size(), 1u) << "overflowed records stay with the worker";
 
-  EXPECT_EQ(Region.commitSlot(0, MasterShadow.data(), MasterPrivate.data(),
-                              NoRedux, 0, Base, sizeof(int64_t), OutIo, Why),
-            CheckpointRegion::CommitStatus::Misspec);
+  EXPECT_EQ(verdictAtJoin(), CommitFrontier::Verdict::Fail);
   EXPECT_NE(Why.find("capacity"), std::string::npos) << Why;
+  EXPECT_EQ(Code, trace::Reason::ComOverflow);
   EXPECT_EQ(Heap[0], 0) << "nothing from the poisoned slot may commit";
 }
 
@@ -274,15 +287,13 @@ TEST_F(CheckpointRegionTest, OutOfHeapComRecordRejectsWholeLogUntouched) {
   Com.push_back(ComRecord{Base + Span, 1, ComOp::Add, 8});
   Region.workerMerge(0, LocalShadow.data(), LocalPrivate.data(), Mask.data(),
                      NoRedux, 0, Io, Com, true, ctx());
-  EXPECT_EQ(Region.commitSlot(0, MasterShadow.data(), MasterPrivate.data(),
-                              NoRedux, 0, Base, Span, OutIo, Why),
-            CheckpointRegion::CommitStatus::Misspec);
+  EXPECT_TRUE(commitFails(0, Base, Span));
   EXPECT_NE(Why.find("corrupted commutative"), std::string::npos) << Why;
   EXPECT_EQ(Heap[0], 0) << "validation precedes every application";
 }
 
 TEST_F(CheckpointRegionTest, IoOverflowKeepsWorkerRecordsForRecovery) {
-  makeRegion(kOneSlot, /*IoCapacity=*/32);
+  makeRegion(kOneWorker, /*IoCapacity=*/32);
   Io.push_back(IoRecord{0, 0, std::string(128, 'x')}); // Can't fit in 32 B.
   Region.workerMerge(0, LocalShadow.data(), LocalPrivate.data(), Mask.data(),
                      NoRedux, 0, Io, Com, true, ctx());
@@ -291,10 +302,9 @@ TEST_F(CheckpointRegionTest, IoOverflowKeepsWorkerRecordsForRecovery) {
   // misspec recovery re-executes the period would lose the output.
   ASSERT_EQ(Io.size(), 1u);
   EXPECT_EQ(Io[0].Text.size(), 128u);
-  EXPECT_EQ(Region.commitSlot(0, MasterShadow.data(), MasterPrivate.data(),
-                              NoRedux, 0, 0, 0, OutIo, Why),
-            CheckpointRegion::CommitStatus::Misspec);
+  EXPECT_EQ(verdictAtJoin(), CommitFrontier::Verdict::Fail);
   EXPECT_NE(Why.find("overflow"), std::string::npos) << Why;
+  EXPECT_EQ(Code, trace::Reason::IoOverflow);
 }
 
 } // namespace

@@ -1,10 +1,11 @@
 //===- tests/TraceTest.cpp - Runtime tracing tests ------------------------===//
 //
 // Unit tests for the SPSC trace ring (overflow accounting, wraparound,
-// no-tearing under a concurrent producer) and an end-to-end smoke test
-// that traces a speculative parallel run of the reduction workload and
-// checks the emitted Chrome-trace JSON is loadable and contains the
-// kinds of events a timeline is useless without.
+// no-tearing under a concurrent producer), the reason codes given to the
+// misspeculation texts workers and the main process raise, and an
+// end-to-end smoke test that traces a speculative parallel run of the
+// reduction workload and checks the emitted Chrome-trace JSON is loadable
+// and contains the kinds of events a timeline is useless without.
 //
 //===----------------------------------------------------------------------===//
 
@@ -26,6 +27,7 @@
 #include <memory>
 #include <sstream>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <sys/wait.h>
@@ -55,6 +57,44 @@ trace::Event sealedEvent(uint64_t Seq) {
       E.Worker != 3)
     return ::testing::AssertionFailure() << "torn kind/worker at seq " << Seq;
   return ::testing::AssertionSuccess();
+}
+
+TEST(TraceReason, EveryTextReasonFilesUnderItsCode) {
+  // Every literal reason the runtime raises as text (Runtime.cpp,
+  // ParallelInvocation.cpp, VM.cpp), with the code the timeline shows.
+  using R = trace::Reason;
+  const std::pair<const char *, R> Table[] = {
+      {"comupdate of a pointer outside the commutative heap",
+       R::SeparationCheck},
+      {"separation check failed: pointer outside assumed heap",
+       R::SeparationCheck},
+      {"private_read of a pointer outside the private heap",
+       R::SeparationCheck},
+      {"private_write of a pointer outside the private heap",
+       R::SeparationCheck},
+      {"privacy violation: read of a value written in an earlier iteration",
+       R::PrivacyBounds},
+      {"privacy violation: overwrite of a byte previously read as live-in "
+       "(conservative)",
+       R::PrivacyBounds},
+      {"fault: store to a protected heap", R::ProtectedStore},
+      {"dep channel beyond the invocation's ring region", R::Generic},
+      {"dependence producer misspeculated", R::Generic},
+      {"dependence wait timed out", R::Generic},
+      {"worker 2 stalled; killed by watchdog (status 0x9)", R::Watchdog},
+      {"worker 1 terminated abnormally (status 0x9)", R::WorkerLost},
+      {"copy-on-write remap failed in worker", R::Generic},
+      {"short-lived object outlived its iteration", R::ShortLivedEscape},
+      {"injected misspeculation", R::Injected},
+      {"value prediction failed", R::Generic},
+  };
+  for (const auto &[Why, Code] : Table)
+    EXPECT_EQ(trace::reasonName(trace::reasonCode(Why)),
+              std::string(trace::reasonName(Code)))
+        << Why;
+  EXPECT_EQ(trace::reasonCode(nullptr), R::Generic);
+  for (uint32_t C = 0; C < static_cast<uint32_t>(R::kNumReasons); ++C)
+    EXPECT_STRNE(trace::reasonName(static_cast<R>(C)), "unknown") << C;
 }
 
 TEST(TraceRing, OverflowCountsDropsWithoutCorruptingEarlierEvents) {
