@@ -47,7 +47,6 @@
 #ifndef PRIVATEER_BYTECODE_BYTECODE_H
 #define PRIVATEER_BYTECODE_BYTECODE_H
 
-#include "runtime/CommutativeLog.h"
 #include "runtime/HeapKind.h"
 #include "runtime/Reduction.h"
 
@@ -126,7 +125,7 @@ namespace bytecode {
   X(WaitDep)      /* r[A] = wait for iter r[B]'s token on channel Imm */      \
   /* commutative-update heap (appended, keeping prior opcode values) */       \
   X(CheckHeapCommutative) /* same contract as the other CheckHeap* */         \
-  X(ComUpdate)    /* deferred update at r[A] with r[B]; C = bytes|op<<4, */   \
+  X(ComUpdate)    /* commutative update at r[A] with r[B]; C = bytes|op<<4,*/ \
                   /* Imm = expected tag bits (check fused in) */              \
   /* training-run events (profiling lowering only; appended, and never     */\
   /* in an image).  Imm indexes the lowering's ProfileSites tables.        */\
@@ -194,10 +193,15 @@ struct BcParLoopSite {
 };
 
 /// Heap routing of one Alloca/Malloc site, captured from the privatizer's
-/// annotation at lower time (paper §4.4 Replace Allocation).
+/// annotation at lower time (paper §4.4 Replace Allocation).  A site whose
+/// objects are reduction or commutative objects registers each with the
+/// runtime as it allocates it.
 struct BcAllocSite {
   bool HasHeap = false;
   HeapKind Heap = HeapKind::Private;
+  bool Reduces = false;
+  ReduxElem Elem = ReduxElem::I64;
+  ReduxOp Op = ReduxOp::Add;
 };
 
 /// One module global: everything the VM needs to allocate and address it.
@@ -208,8 +212,8 @@ struct BcGlobal {
   HeapKind Heap = HeapKind::Private;
 };
 
-/// A reduction-heap global the runtime must be told about before the
-/// planned loop runs (identity init + checkpoint-time combine).
+/// A reduction or commutative global the runtime must be told about before
+/// the planned loop runs (identity init + checkpoint-time combine).
 struct BcReduxGlobal {
   uint32_t GlobalIdx = 0;
   ReduxElem Elem = ReduxElem::I64;

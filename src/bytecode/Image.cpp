@@ -10,8 +10,9 @@ using namespace privateer::bytecode;
 namespace {
 
 constexpr uint64_t kImageMagic = 0x5052495642434947ull; // "PRIVBCIG"
-// v2: + NumDepChannels; v3: + commutative registrations; v4: - them.
-constexpr uint32_t kImageVersion = 4;
+// v2: + NumDepChannels; v3: + commutative registrations; v4: - them;
+// v5: bitwise and sub-word reductions, alloc-site reductions.
+constexpr uint32_t kImageVersion = 5;
 
 // Hard ceilings on embedded counts: an image is at most tens of MB, so a
 // count beyond these is corruption, not a big program.
@@ -162,7 +163,22 @@ void putFunction(std::string &B, const BcFunction &F) {
   for (const BcAllocSite &S : F.AllocSites) {
     putU8(B, S.HasHeap ? 1 : 0);
     putU8(B, static_cast<uint8_t>(S.Heap));
+    putU8(B, S.Reduces ? 1 : 0);
+    putU8(B, static_cast<uint8_t>(S.Elem));
+    putU8(B, static_cast<uint8_t>(S.Op));
   }
+}
+
+bool getReduction(Cursor &C, ReduxElem &Elem, ReduxOp &Op) {
+  uint8_t E = C.getU8(), O = C.getU8();
+  Elem = static_cast<ReduxElem>(E);
+  Op = static_cast<ReduxOp>(O);
+  if (!C.Fail && (E > uint8_t(ReduxElem::F64) || O > uint8_t(ReduxOp::Max) ||
+                  !reduxValid(Elem, Op))) {
+    C.Fail = true;
+    C.Why = "bad reduction registration";
+  }
+  return !C.Fail;
 }
 
 bool getHeapKind(Cursor &C, HeapKind &K) {
@@ -263,11 +279,14 @@ bool getFunction(Cursor &C, BcFunction &F, uint32_t NumFunctions,
       return false;
     }
   }
-  uint64_t NAlloc = C.getCount(2);
+  uint64_t NAlloc = C.getCount(5);
   F.AllocSites.resize(C.Fail ? 0 : NAlloc);
   for (BcAllocSite &S : F.AllocSites) {
     S.HasHeap = C.getU8() != 0;
     if (!getHeapKind(C, S.Heap))
+      return false;
+    S.Reduces = C.getU8() != 0;
+    if (!getReduction(C, S.Elem, S.Op))
       return false;
   }
   return !C.Fail;
@@ -335,14 +354,10 @@ bytecode::deserializeProgram(const void *Image, size_t Bytes,
   Prog->ReduxGlobals.resize(NumRedux);
   for (BcReduxGlobal &R : Prog->ReduxGlobals) {
     R.GlobalIdx = C.getU32();
-    uint8_t Elem = C.getU8(), Op = C.getU8();
-    if (C.Fail)
+    if (!getReduction(C, R.Elem, R.Op))
       return Bad(C.Why);
-    if (R.GlobalIdx >= NumGlobals || Elem > uint8_t(ReduxElem::F64) ||
-        Op > uint8_t(ReduxOp::Max))
+    if (R.GlobalIdx >= NumGlobals)
       return Bad("bad reduction registration");
-    R.Elem = static_cast<ReduxElem>(Elem);
-    R.Op = static_cast<ReduxOp>(Op);
   }
   uint64_t NumFunctions = C.getCount(0);
   if (C.Fail || NumFunctions > kMaxVecElems)

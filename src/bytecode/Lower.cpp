@@ -7,6 +7,7 @@
 
 #include <cassert>
 #include <cstring>
+#include <tuple>
 
 using namespace privateer;
 using namespace privateer::bytecode;
@@ -281,6 +282,11 @@ private:
     S.HasHeap = I->hasAllocHeap();
     if (S.HasHeap)
       S.Heap = I->allocHeap();
+    if (Opts.SiteReductions) {
+      auto It = Opts.SiteReductions->find(I);
+      if ((S.Reduces = It != Opts.SiteReductions->end()))
+        std::tie(S.Elem, S.Op) = It->second;
+    }
     BF.AllocSites.push_back(S);
     assert(BF.AllocSites.size() <= 65535 && "sites are values: bounded too");
     return static_cast<uint16_t>(BF.AllocSites.size() - 1);

@@ -21,6 +21,7 @@
 #include "analysis/LoopInfo.h"
 #include "bytecode/Bytecode.h"
 
+#include <map>
 #include <memory>
 #include <string>
 
@@ -50,6 +51,10 @@ struct LowerOptions {
   /// and the tables the events index are filled in here.  Requires no
   /// PlanLoop.
   ProfileSites *Profile = nullptr;
+  /// Alloc sites whose objects the runtime must register as reductions,
+  /// with their element type and operator.
+  const std::map<const ir::Instruction *, std::pair<ReduxElem, ReduxOp>>
+      *SiteReductions = nullptr;
 };
 
 /// Lowers the verified module \p M to bytecode.

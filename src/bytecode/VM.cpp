@@ -231,6 +231,8 @@ dispatch:
     const BcAllocSite &S = Fn.AllocSites[I->B];
     void *P = MM.allocateTagged(Bytes, S.HasHeap, S.Heap, /*Zero=*/false);
     std::memset(P, 0, Bytes);
+    if (S.Reduces)
+      MM.registerReduction(P, Bytes, S.Elem, S.Op);
     Frm.Allocas.push_back(P);
     R[I->A] = reinterpret_cast<uint64_t>(P);
   }
@@ -238,8 +240,10 @@ dispatch:
   BC_HANDLER(Malloc) {
     uint64_t Bytes = R[I->C];
     const BcAllocSite &S = Fn.AllocSites[I->B];
-    R[I->A] = reinterpret_cast<uint64_t>(
-        MM.allocateTagged(Bytes, S.HasHeap, S.Heap, /*Zero=*/false));
+    void *P = MM.allocateTagged(Bytes, S.HasHeap, S.Heap, /*Zero=*/false);
+    if (S.Reduces)
+      MM.registerReduction(P, Bytes, S.Elem, S.Op);
+    R[I->A] = reinterpret_cast<uint64_t>(P);
   }
   BC_NEXT();
   BC_HANDLER(Free) { MM.deallocate(reinterpret_cast<void *>(R[I->A])); }

@@ -125,7 +125,10 @@ std::optional<ComOp> comOpForOpcode(Opcode Op) {
 /// Both demand: i64-typed sign-extending loads (floats are not byte-exact
 /// under reassociation), matching access widths, and single-use chains so
 /// the old value cannot escape.  x must be independent of r — guaranteed
-/// by the use counts: r's only uses are inside the cluster.
+/// by the use counts: r's only uses are inside the cluster.  Pattern B
+/// also demands 8-byte cells: trunc(min(sext(r), x)) stops commuting once
+/// x leaves a narrower cell's range, while pattern A's operators wrap
+/// exactly at any width.
 bool matchComCluster(const Instruction *Store,
                      const std::map<const Value *, unsigned> &Uses,
                      const std::set<const Instruction *> &InLoop,
@@ -168,7 +171,7 @@ bool matchComCluster(const Instruction *Store,
     return false;
   }
 
-  if (Comb->opcode() != Opcode::Select)
+  if (Comb->opcode() != Opcode::Select || Store->accessBytes() != 8)
     return false;
   Value *CondV = Comb->operand(0);
   if (CondV->kind() != ValueKind::Instruction)
@@ -491,8 +494,8 @@ HeapAssignment classify::classifyLoop(const Loop &L,
   for (const ObjectKey &O : Com)
     HA.Notes.push_back(
         std::string("commutative ") + O.str() + ": " +
-        comOpName(HA.ComOps[O].first) + "/" +
-        std::to_string(HA.ComOps[O].second) + "B, deferred combine");
+        reduxOpName(HA.ComOps[O].first) + "/" +
+        std::to_string(HA.ComOps[O].second) + "B, combined at commit");
 
   HA.Parallelizable = Unrestricted.empty();
   if (!HA.Parallelizable)

@@ -83,6 +83,11 @@ void *PrivateerMemoryManager::allocateTagged(uint64_t Bytes, bool HasHeap,
   return LivePlain.allocate(Bytes);
 }
 
+void PrivateerMemoryManager::registerReduction(void *P, uint64_t Bytes,
+                                               ReduxElem Elem, ReduxOp Op) {
+  Runtime::get().registerReduction(P, Bytes, Elem, Op);
+}
+
 void PrivateerMemoryManager::deallocate(void *P) {
   if (!P)
     return;

@@ -18,6 +18,7 @@
 #define PRIVATEER_INTERP_MEMORYMANAGER_H
 
 #include "runtime/HeapKind.h"
+#include "runtime/Reduction.h"
 
 namespace privateer {
 namespace interp {
@@ -63,6 +64,9 @@ public:
   virtual void *allocateTagged(uint64_t Bytes, bool HasHeap, HeapKind K,
                                bool Zero) = 0;
   virtual void deallocate(void *P) = 0;
+  /// Declares the \p Bytes at \p P, just allocated for a reduction site, a
+  /// reduction object; host memory needs no registration.
+  virtual void registerReduction(void *, uint64_t, ReduxElem, ReduxOp) {}
 };
 
 /// Host malloc/free; owns outstanding blocks so leaked program memory is
@@ -90,6 +94,8 @@ public:
   void *allocateTagged(uint64_t Bytes, bool HasHeap, HeapKind K,
                        bool Zero) override;
   void deallocate(void *P) override;
+  void registerReduction(void *P, uint64_t Bytes, ReduxElem Elem,
+                         ReduxOp Op) override;
 
 private:
   detail::BlockList LivePlain;

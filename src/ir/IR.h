@@ -25,8 +25,8 @@
 #ifndef PRIVATEER_IR_IR_H
 #define PRIVATEER_IR_IR_H
 
-#include "runtime/CommutativeLog.h"
 #include "runtime/HeapKind.h"
+#include "runtime/Reduction.h"
 
 #include <cassert>
 #include <cstdint>
@@ -160,10 +160,10 @@ enum class Opcode : uint8_t {
   // channel id travels in the access-bytes payload slot.
   PostDep, // Operands 0, 1: iteration, value; payload: channel.
   WaitDep, // Operand 0: target iteration; payload: channel; yields i64.
-  // Deferred commutative update: a recognized load-op-store cluster on a
+  // Commutative update: a recognized load-op-store cluster on a
   // Commutative-classified object folded into one instruction.  In
-  // speculative workers the update is appended to the per-worker log and
-  // combined at commit; everywhere else it applies immediately.
+  // speculative workers it updates the worker's copy of the object, which
+  // combines into the master at commit; everywhere else the object itself.
   ComUpdate, // Operand 0: value (i64), operand 1: pointer; payload:
              // commutative op + access bytes.
 };

@@ -182,7 +182,7 @@ void printInstruction(const Instruction &I, std::string &Out) {
            std::to_string(I.depChannel());
     break;
   case Opcode::ComUpdate:
-    Out += std::string("comupdate ") + comOpName(I.comOp()) + ", " +
+    Out += std::string("comupdate ") + reduxOpName(I.comOp()) + ", " +
            valueRef(I.operand(0)) + ", " + valueRef(I.operand(1)) + ", " +
            std::to_string(I.accessBytes());
     break;

@@ -126,11 +126,10 @@ MachineModel MachineModel::calibrate() {
             if (!R.create(C))
               return;
             std::vector<IoRecord> Io;
-            std::vector<ComRecord> Com;
             R.workerMerge(0, LocalShadow.data(), LocalPriv.data(),
-                          Mask.data(), NoRedux, 0, Io, Com, true, Ctx);
+                          Mask.data(), NoRedux, Io, true, Ctx);
             R.commitSlot(0, MasterShadow.data(), MasterPriv.data(), NoRedux,
-                         0, 0, 0, Io);
+                         Io);
             R.destroy();
           },
           Calls);

@@ -35,8 +35,6 @@ constexpr SlotFailure kChunkOverflow{
     "checkpoint slot chunk capacity exhausted", Reason::ChunkOverflow};
 constexpr SlotFailure kIoOverflow{"deferred-output buffer overflow",
                                   Reason::IoOverflow};
-constexpr SlotFailure kComOverflow{"commutative-log capacity exhausted",
-                                   Reason::ComOverflow};
 constexpr SlotFailure kSamePeriodConflict{
     "private byte both read live-in and written within one checkpoint "
     "period (conservative)",
@@ -45,8 +43,6 @@ constexpr SlotFailure kFlowDependence{
     "loop-carried flow dependence: read of a value written in an earlier "
     "checkpoint period",
     Reason::FlowDependence};
-constexpr SlotFailure kCorruptComLog{"corrupted commutative log record",
-                                     Reason::CorruptSlot};
 } // namespace
 
 CheckpointRegion::~CheckpointRegion() { destroy(); }
@@ -61,7 +57,8 @@ bool CheckpointRegion::create(const Config &C) {
 
   // Sparse slot layout: header, dirty-mask union, chunk directory (one
   // uint32 per footprint chunk, 0 = unallocated else entry index + 1),
-  // packed (meta, values) chunk entries, redux partial, deferred output.
+  // packed (meta, values) chunk entries, reduction partials, deferred
+  // output.
   // The region is a fresh zero-filled anonymous mapping each epoch, and
   // entries are materialized only when a chunk is first dirtied, so
   // physical memory tracks bytes touched even though the virtual
@@ -71,8 +68,7 @@ bool CheckpointRegion::create(const Config &C) {
   OffEntries = OffDir + alignUp(NumChunks * sizeof(uint32_t));
   OffRedux = OffEntries + NumChunks * (2 * kDirtyChunkBytes);
   OffIo = OffRedux + alignUp(C.ReduxBytes);
-  OffCom = OffIo + alignUp(C.IoCapacity);
-  SlotStride = OffCom + alignUp(C.ComCapacity);
+  SlotStride = OffIo + alignUp(C.IoCapacity);
   RegionBytes = (SlotStride * C.Plan.numSlots() + 4095) & ~uint64_t(4095);
   void *P = mmap(nullptr, RegionBytes, PROT_READ | PROT_WRITE,
                  MAP_SHARED | MAP_ANONYMOUS, -1, 0);
@@ -128,10 +124,6 @@ uint8_t *CheckpointRegion::slotIo(uint64_t P) const {
   return Region + P * SlotStride + OffIo;
 }
 
-uint8_t *CheckpointRegion::slotCom(uint64_t P) const {
-  return Region + P * SlotStride + OffCom;
-}
-
 uint64_t CheckpointRegion::chunkSpan(uint64_t C) const {
   uint64_t Base = C << kDirtyChunkShift;
   return std::min(kDirtyChunkBytes, Cfg.PrivateBytes - Base);
@@ -144,8 +136,7 @@ bool CheckpointRegion::slotHeaderSane(uint64_t P, bool Quiescent) const {
     return false;
   uint32_t Merged = H->WorkersMerged.load(std::memory_order_acquire);
   return !Quiescent ||
-         (H->IoBytes <= Cfg.IoCapacity && H->ComBytes <= Cfg.ComCapacity &&
-          Merged <= Cfg.Plan.NumWorkers && H->ExecutedMerges <= Merged &&
+         (H->IoBytes <= Cfg.IoCapacity && Merged <= Cfg.Plan.NumWorkers && H->ExecutedMerges <= Merged &&
           H->ChunksUsed <= NumChunks);
 }
 
@@ -153,9 +144,7 @@ void CheckpointRegion::workerMerge(uint64_t P, const uint8_t *LocalShadow,
                                    const uint8_t *LocalPrivate,
                                    const uint64_t *DirtyMask,
                                    const ReductionRegistry &Redux,
-                                   uint64_t ReduxBase,
                                    std::vector<IoRecord> &PendingIo,
-                                   std::vector<ComRecord> &PendingCom,
                                    bool Executed, const MergeContext &Ctx) {
   SlotHeader *H = slot(P);
   bool Broke = H->Lock.lockOrBreak(Ctx.SelfPid, [&Ctx] {
@@ -262,16 +251,10 @@ void CheckpointRegion::workerMerge(uint64_t P, const uint8_t *LocalShadow,
       Ctx.Scan->BytesSkipped += Skipped;
     }
 
-    // Reduction partials: first contributor copies, later ones combine.
-    if (Cfg.ReduxBytes > 0) {
-      int64_t SlotBias = reinterpret_cast<int64_t>(slotRedux(P)) -
-                         static_cast<int64_t>(ReduxBase);
-      if (H->ExecutedMerges == 0)
-        std::memcpy(slotRedux(P), reinterpret_cast<void *>(ReduxBase),
-                    Cfg.ReduxBytes);
-      else
-        Redux.combine(SlotBias, 0);
-    }
+    // Reduction and commutative partials: the first contributor copies,
+    // later ones combine.
+    if (Cfg.ReduxBytes > 0)
+      Redux.mergeInto(slotRedux(P), H->ExecutedMerges == 0);
 
     // Deferred output.  On overflow the records must stay with the worker:
     // the misspec recovery re-executes the period sequentially and emits
@@ -283,25 +266,6 @@ void CheckpointRegion::workerMerge(uint64_t P, const uint8_t *LocalShadow,
         PendingIo.clear();
       else
         H->IoOverflow = 1;
-    }
-
-    // Deferred commutative updates: append this worker's typed records to
-    // the slot's com log (mergers already serialize under the slot lock).
-    // Overflowed records stay with the worker for the same reason as
-    // overflowed output: the sequential recovery re-executes the period
-    // and applies the updates directly.
-    if (!PendingCom.empty()) {
-      uint64_t Appended = 0;
-      if (Cfg.ComCapacity >= H->ComBytes &&
-          serializeComRecords(PendingCom, slotCom(P) + H->ComBytes,
-                              Cfg.ComCapacity - H->ComBytes, Appended)) {
-        H->ComBytes += Appended;
-        if (Ctx.Scan)
-          Ctx.Scan->ComRecords += PendingCom.size();
-        PendingCom.clear();
-      } else {
-        H->ComOverflow = 1;
-      }
     }
     ++H->ExecutedMerges;
   }
@@ -317,9 +281,8 @@ void CheckpointRegion::workerMerge(uint64_t P, const uint8_t *LocalShadow,
 
 SlotFailure CheckpointRegion::commitSlot(
     uint64_t P, uint8_t *MasterShadow, uint8_t *MasterPrivate,
-    const ReductionRegistry &Redux, uint64_t ReduxBase,
-    uint64_t ComHeapBase, uint64_t ComHeapSpan,
-    std::vector<IoRecord> &OutIo, CheckpointScanStats *Scan) const {
+    const ReductionRegistry &Redux, std::vector<IoRecord> &OutIo,
+    CheckpointScanStats *Scan) const {
   const SlotHeader *H = slot(P);
   const uint64_t *SlotMask = slotDirtyMask(P);
   const uint32_t *Dir = slotChunkDir(P);
@@ -432,28 +395,12 @@ SlotFailure CheckpointRegion::commitSlot(
 
   account();
 
-  // Combine reduction partials into the committed accumulators.  A slot
-  // nobody executed iterations for holds no partial at all.
-  if (Cfg.ReduxBytes > 0 && H->ExecutedMerges > 0) {
-    int64_t SlotBias = reinterpret_cast<int64_t>(slotRedux(P)) -
-                       static_cast<int64_t>(ReduxBase);
-    Redux.combine(0, SlotBias);
-  }
-
-  // Fold the slot's commutative log into the master heap.  The operators
-  // are associative and commutative over wrapping integers, so the order
-  // records were appended in (and the order workers merged in) does not
-  // matter; every interleaving yields the sequential bytes.  Validation
-  // happens wholesale before the first store.
-  if (H->ComBytes > 0) {
-    uint64_t Applied = 0;
-    if (ComHeapSpan == 0 ||
-        !applyComRecords(slotCom(P), H->ComBytes, ComHeapBase, ComHeapSpan,
-                         Applied))
-      return kCorruptComLog;
-    if (Scan)
-      Scan->ComRecords += Applied;
-  }
+  // Combine the reduction and commutative partials into the committed
+  // objects.  A slot nobody executed iterations for holds no partial.  The
+  // operators are associative and commutative (integers wrap), so the
+  // order the workers merged in does not matter.
+  if (Cfg.ReduxBytes > 0 && H->ExecutedMerges > 0)
+    Redux.commitFrom(slotRedux(P));
 
   deserializeIoRecords(slotIo(P), H->IoBytes, OutIo);
   return {};
@@ -496,8 +443,6 @@ CommitFrontier::Verdict CommitFrontier::verdict(bool WorkersGone) {
     return fail(P, kChunkOverflow);
   if (H->IoOverflow)
     return fail(P, kIoOverflow);
-  if (H->ComOverflow)
-    return fail(P, kComOverflow);
   return Verdict::Commit;
 }
 

@@ -11,9 +11,9 @@
 /// in shared memory created before fork.  "Workers acquire a lock on a
 /// single checkpoint object, not the whole checkpoint system, to avoid
 /// barrier penalties": each worker merges its speculative state (private
-/// values, shadow metadata, reduction partials, deferred output) into the
-/// slot for a period as soon as it finishes its share of that period's
-/// iterations, then keeps running.
+/// values, shadow metadata, reduction and commutative partials, deferred
+/// output) into the slot for a period as soon as it finishes its share of
+/// that period's iterations, then keeps running.
 ///
 /// Privacy validation is two-phase (§5.1).  Phase 1 is the inline Table 2
 /// test in each worker.  Phase 2 happens here: worker merges record
@@ -46,7 +46,6 @@
 #ifndef PRIVATEER_RUNTIME_CHECKPOINT_H
 #define PRIVATEER_RUNTIME_CHECKPOINT_H
 
-#include "runtime/CommutativeLog.h"
 #include "runtime/ControlBlock.h"
 #include "runtime/DeferredIO.h"
 #include "runtime/DirtyChunks.h"
@@ -62,6 +61,10 @@ namespace privateer {
 class FaultInjector;
 
 inline constexpr uint8_t kSlotConflict = 255;
+
+/// One slot's deferred-output section; a period whose records do not fit
+/// misspeculates and re-emits its output through sequential recovery.
+inline constexpr uint64_t kIoBytesPerSlot = 1u << 20;
 
 /// The schedule of one fork/join epoch (paper §5.2), and the only code that
 /// knows it: iterations [Begin, End) run in checkpoint periods of Period
@@ -119,7 +122,7 @@ struct SlotHeader {
   /// seeing NumWorkers makes every contributor's merge data visible.
   std::atomic<uint32_t> WorkersMerged{0};
   /// Mergers that actually executed iterations; the first of these
-  /// initializes the slot's reduction partial.
+  /// initializes the slot's reduction partials.
   uint32_t ExecutedMerges = 0;
   /// Chunk entries allocated so far.  A slot holds an entry for every
   /// footprint chunk, so only a scribbled count can reach the bound.
@@ -131,11 +134,6 @@ struct SlotHeader {
   uint64_t NumIters = 0;
   uint64_t IoBytes = 0;
   uint32_t IoOverflow = 0;
-  /// Serialized commutative-update records appended by mergers, applied in
-  /// one fold by the committer.  Overflow marks the slot unrepresentable,
-  /// exactly like ChunkOverflow.
-  uint64_t ComBytes = 0;
-  uint32_t ComOverflow = 0;
 };
 
 /// Why a slot cannot commit: a fixed message and its trace code.  Empty
@@ -154,8 +152,6 @@ struct CheckpointScanStats {
   uint64_t DirtyChunks = 0;
   uint64_t BytesScanned = 0;
   uint64_t BytesSkipped = 0;
-  /// Commutative-update records serialized (merge) or folded (commit).
-  uint64_t ComRecords = 0;
 };
 
 /// Identity and plumbing a worker carries into workerMerge so the slot lock
@@ -176,11 +172,10 @@ public:
   struct Config {
     EpochPlan Plan;            ///< One slot per period of the epoch.
     uint64_t PrivateBytes = 0; ///< Bytes of private heap covered (high water).
-    uint64_t ReduxBytes = 0;   ///< Bytes of redux heap covered.
-    uint64_t IoCapacity = 0;   ///< Per-slot deferred-output capacity.
-    /// Per-slot commutative-log capacity in bytes (a multiple of
-    /// kComRecordBytes); 0 when the invocation uses no commutative heap.
-    uint64_t ComCapacity = 0;
+    /// Bytes of the registry's packed image of reduction and commutative
+    /// objects (ReductionRegistry::packedBytes).
+    uint64_t ReduxBytes = 0;
+    uint64_t IoCapacity = 0; ///< Per-slot deferred-output capacity.
   };
 
   CheckpointRegion() = default;
@@ -216,35 +211,28 @@ public:
   /// Worker side: merges this worker's period-\p P state into slot P.
   /// \p LocalShadow / \p LocalPrivate point at the worker's COW views of
   /// the covered byte range; \p DirtyMask names the chunks this worker
-  /// touched during the period (only those are folded); \p ReduxBase is
-  /// the redux heap base address.  \p PendingIo is consumed (moved into
+  /// touched during the period (only those are folded); \p Redux's objects
+  /// hold the worker's partials.  \p PendingIo is consumed (moved into
   /// the slot) unless the slot's I/O buffer overflows, in which case the
   /// records stay with the worker and the slot is marked overflowed so the
   /// misspec recovery re-executes (and re-emits) the period.  When
   /// \p Executed is false the worker ran no iterations of P and only
   /// registers presence.
-  /// \p PendingCom is consumed the same way as \p PendingIo: serialized
-  /// into the slot's com-log section, or left with the worker (slot marked
-  /// overflowed) when it does not fit.
   void workerMerge(uint64_t P, const uint8_t *LocalShadow,
                    const uint8_t *LocalPrivate, const uint64_t *DirtyMask,
-                   const ReductionRegistry &Redux, uint64_t ReduxBase,
-                   std::vector<IoRecord> &PendingIo,
-                   std::vector<ComRecord> &PendingCom, bool Executed,
+                   const ReductionRegistry &Redux,
+                   std::vector<IoRecord> &PendingIo, bool Executed,
                    const MergeContext &Ctx);
 
   /// Main-process side: applies slot \p P, which CommitFrontier cleared,
   /// to the master state: \p MasterShadow and \p MasterPrivate (the main
-  /// process's views of the covered range), the master redux heap, and
-  /// \p OutIo for deferred output.  A phase-2 privacy violation, or a com
-  /// record outside [\p ComHeapBase, + \p ComHeapSpan) (a corrupted log;
-  /// span 0 disables the com fold), fails it before anything is applied.
-  /// Walks only the slot's dirty chunks; \p Scan, when non-null, receives
-  /// the walk accounting.
+  /// process's views of the covered range), \p Redux's master objects, and
+  /// \p OutIo for deferred output.  A phase-2 privacy violation fails it
+  /// before anything is applied.  Walks only the slot's dirty chunks;
+  /// \p Scan, when non-null, receives the walk accounting.
   SlotFailure commitSlot(uint64_t P, uint8_t *MasterShadow,
                          uint8_t *MasterPrivate,
-                         const ReductionRegistry &Redux, uint64_t ReduxBase,
-                         uint64_t ComHeapBase, uint64_t ComHeapSpan,
+                         const ReductionRegistry &Redux,
                          std::vector<IoRecord> &OutIo,
                          CheckpointScanStats *Scan = nullptr) const;
 
@@ -255,7 +243,6 @@ private:
   uint8_t *entryValues(uint64_t P, uint32_t Entry) const;
   uint8_t *slotRedux(uint64_t P) const;
   uint8_t *slotIo(uint64_t P) const;
-  uint8_t *slotCom(uint64_t P) const;
 
   /// Bytes of chunk \p C that lie inside the covered footprint.
   uint64_t chunkSpan(uint64_t C) const;
@@ -269,7 +256,6 @@ private:
   uint64_t OffEntries = 0;
   uint64_t OffRedux = 0;
   uint64_t OffIo = 0;
-  uint64_t OffCom = 0;
   uint64_t SlotStride = 0;
   uint64_t RegionBytes = 0;
 };

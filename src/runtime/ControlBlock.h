@@ -37,9 +37,9 @@ inline constexpr uint64_t kNoMisspec = ~0ULL;
 /// A process-shared mutex whose holder is identified by PID, so that a
 /// survivor can detect a lock orphaned by a dead process and break it
 /// instead of deadlocking.  Workers are processes, potentially timesharing
-/// one core, so the slow path yields rather than spinning; every so often
-/// it probes the holder with kill(pid, 0) and steals the lock if the
-/// holder is gone.
+/// one core, so the slow path yields rather than spinning.  It probes the
+/// holder with kill(pid, 0) before its first yield and every 64 yields
+/// after, and steals the lock if the holder is gone.
 class OwnerLock {
 public:
   /// Acquires the lock for \p SelfPid.  Returns true if acquisition
@@ -49,14 +49,13 @@ public:
   /// patient waiter for a hung worker.
   template <typename BeatFn>
   bool lockOrBreak(uint32_t SelfPid, BeatFn Beat) {
-    unsigned Spins = 0;
-    for (;;) {
+    for (unsigned Spins = 0;; ++Spins) {
       uint32_t Cur = 0;
       if (Holder.compare_exchange_weak(Cur, SelfPid,
                                        std::memory_order_acquire,
                                        std::memory_order_relaxed))
         return false;
-      if (++Spins % 256 == 0) {
+      if (Spins % 64 == 0) {
         Beat();
         // Probe the holder; ESRCH means it died while holding the lock.
         uint32_t Owner = Holder.load(std::memory_order_relaxed);

@@ -22,10 +22,10 @@
 ///
 /// Commutative is the sixth classification (beyond the paper's five):
 /// objects whose every loop access is a recognized read-modify-write with a
-/// commutative-associative integer operator.  Speculative stores to it are
-/// deferred into per-worker update logs and folded into the master heap at
-/// checkpoint-commit time (runtime/CommutativeLog.h), so cross-worker
-/// updates to the same cell never misspeculate.
+/// commutative-associative integer operator.  Its objects are registered
+/// reductions (runtime/Reduction.h): each speculative worker updates its
+/// own copy, and checkpoint commits combine the copies into the master, so
+/// cross-worker updates to the same cell never misspeculate.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -260,12 +260,14 @@ uint64_t Runtime::waitDep(uint64_t Iter, uint32_t Chan) {
 }
 
 uint64_t privateer::checkpointPeriodFor(const ParallelOptions &Options,
-                                        uint64_t NumIterations) {
+                                        uint64_t NumIterations,
+                                        bool PrivateFree) {
   if (Options.CheckpointPeriod != 0)
     return std::clamp<uint64_t>(Options.CheckpointPeriod, 1, kMaxPeriod);
   uint64_t Quarters = 4 * uint64_t{std::max(1u, Options.NumWorkers)};
-  return std::clamp<uint64_t>((NumIterations + Quarters - 1) / Quarters, 64,
-                              kMaxPeriod);
+  uint64_t Period =
+      std::max<uint64_t>((NumIterations + Quarters - 1) / Quarters, 64);
+  return PrivateFree ? Period : std::min(Period, kMaxPeriod);
 }
 
 InvocationStats Runtime::runParallel(uint64_t NumIterations,
@@ -304,8 +306,12 @@ InvocationStats Runtime::runParallel(uint64_t NumIterations,
                                  heap(HeapKind::Private).highWater()));
 
   // Every plan of the invocation is built here: an epoch of at most
-  // MaxSlotsPerEpoch periods, or a sequential backoff window.
-  uint64_t Period = checkpointPeriodFor(Options, NumIterations);
+  // MaxSlotsPerEpoch periods, or a sequential backoff window.  Only private
+  // bytes carry timestamps, so a loop that starts with none (and forwards
+  // no dependences) is planned by its trip count alone.
+  PrivateFree = heap(HeapKind::Private).liveCount() == 0 &&
+                Options.NumDepChannels == 0;
+  uint64_t Period = checkpointPeriodFor(Options, NumIterations, PrivateFree);
   auto planFrom = [&](uint64_t Begin, uint64_t Periods) {
     return EpochPlan::starting(Begin, NumIterations, Period, Periods,
                                Options.NumWorkers);
@@ -480,11 +486,6 @@ Runtime::EpochResult Runtime::runEpoch(const EpochPlan &Plan,
 
   CheckpointRegion TheRegion;
   PrivateHighWater = heap(HeapKind::Private).highWater();
-  uint64_t ReduxCovered =
-      Redux.spanEnd(heap(HeapKind::Redux).base());
-  // Commutative-heap span covered by commit-time record validation; the
-  // slot com-log sections are only paid for when the heap is in use.
-  uint64_t ComCovered = heap(HeapKind::Commutative).highWater();
   if (Spec) {
     // Per-worker dirty-chunk bitmap, sized before fork so every worker's
     // COW copy covers the footprint; workers set bits from the
@@ -496,9 +497,8 @@ Runtime::EpochResult Runtime::runEpoch(const EpochPlan &Plan,
     CheckpointRegion::Config C;
     C.Plan = Plan;
     C.PrivateBytes = PrivateHighWater;
-    C.ReduxBytes = ReduxCovered;
+    C.ReduxBytes = Redux.packedBytes();
     C.IoCapacity = kIoBytesPerSlot;
-    C.ComCapacity = ComCovered > 0 ? kComLogBytesPerSlot : 0;
     if (!TheRegion.create(C)) {
       Res.Degraded = true;
       if (errno == ENOMEM) {
@@ -646,9 +646,7 @@ Runtime::EpochResult Runtime::runEpoch(const EpochPlan &Plan,
       {
         ScopedIdlePriority IdleWhileWorkersRun(Overlapped);
         Committed = Frontier.committed(TheRegion.commitSlot(
-            P, MasterShadow, MasterPrivate, Redux,
-            heap(HeapKind::Redux).base(), heap(HeapKind::Commutative).base(),
-            ComCovered, CommittedIo, &CommitScan));
+            P, MasterShadow, MasterPrivate, Redux, CommittedIo, &CommitScan));
       }
       if (Overlapped) {
         Stats.OverlapSec += wallSeconds() - T0;
@@ -754,10 +752,8 @@ Runtime::EpochResult Runtime::runEpoch(const EpochPlan &Plan,
     Stats.CheckpointDirtyChunks += CommitScan.DirtyChunks;
     Stats.CheckpointBytesScanned += CommitScan.BytesScanned;
     Stats.CheckpointBytesSkipped += CommitScan.BytesSkipped;
-    Stats.ComRecordsCommitted += CommitScan.ComRecords;
-    for (uint64_t P = 0; P < NumSlots; ++P)
-      if (TheRegion.slot(P)->ComOverflow)
-        ++Stats.ComOverflows;
+    // Every committed slot combined each commutative copy once.
+    Stats.ComRecordsCommitted += comObjects() * Frontier.next();
     // "take effect only when the checkpoint is marked non-speculative":
     // only output from committed checkpoints is emitted.
     flushIo(CommittedIo, Options.Out);
@@ -837,7 +833,6 @@ void Runtime::workerMain(unsigned Id, const EpochPlan &Plan,
   ActiveWorkerPlan = &Plan;
   LocalStats = WorkerStats();
   PendingIo.clear();
-  PendingCom.clear();
   IoSequence = 0;
 
   // This worker's SPSC trace ring in the shared ring mapping; row 1 + Id
@@ -860,11 +855,15 @@ void Runtime::workerMain(unsigned Id, const EpochPlan &Plan,
         !heap(HeapKind::Redux).tryRemapCopyOnWrite() ||
         !heap(HeapKind::Unrestricted).tryRemapCopyOnWrite() ||
         !heap(HeapKind::Commutative).tryRemapCopyOnWrite() ||
-        !Shadow.tryRemapCopyOnWrite())
+        (!PrivateFree && !Shadow.tryRemapCopyOnWrite()))
       misspecAbort("copy-on-write remap failed in worker");
     // Write-protect the read-only heap: a stray store becomes a SIGSEGV,
-    // which the handler below converts into misspeculation.
-    heap(HeapKind::ReadOnly).protectReadOnly();
+    // which the handler below converts into misspeculation.  A private-free
+    // plan's periods outrun the one-byte timestamps, so its shadow admits
+    // no access at all: every privacy check faults the same way.
+    heap(HeapKind::ReadOnly).protect(PROT_READ);
+    if (PrivateFree)
+      Shadow.protect(PROT_NONE);
     // The handler runs on its own stack (SA_ONSTACK) so an iteration
     // body that overflows the worker stack still reports misspeculation
     // instead of dying unclassified.
@@ -988,8 +987,7 @@ void Runtime::workerMain(unsigned Id, const EpochPlan &Plan,
       uint64_t ScanBefore = MergeScan.BytesScanned;
       uint64_t SkipBefore = MergeScan.BytesSkipped;
       Region->workerMerge(P, LocalShadow, LocalPrivate, DirtyMask.data(),
-                          Redux, heap(HeapKind::Redux).base(), PendingIo,
-                          PendingCom, Executed, MergeCtx);
+                          Redux, PendingIo, Executed, MergeCtx);
       if (TraceRing) {
         uint64_t MergeEndNs = monotonicNanos();
         TraceRing->push(trace::makeEvent(trace::Kind::SlotMerge, TraceRow,
@@ -1006,7 +1004,7 @@ void Runtime::workerMain(unsigned Id, const EpochPlan &Plan,
       LocalStats.CheckpointDirtyChunks = MergeScan.DirtyChunks;
       LocalStats.CheckpointBytesScanned = MergeScan.BytesScanned;
       LocalStats.CheckpointBytesSkipped = MergeScan.BytesSkipped;
-      LocalStats.ComRecordsMerged = MergeScan.ComRecords;
+      LocalStats.ComRecordsMerged += Executed ? comObjects() : 0;
       if (Executed) {
         // Local post-checkpoint reset (§5.1): writes age into old-write,
         // validated live-in reads revert to live-in.  Codes >= 2 can only

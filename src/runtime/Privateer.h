@@ -59,9 +59,9 @@ inline void speculate(bool Cond, const char *What) {
   Runtime::get().speculateTrue(Cond, What);
 }
 
-/// Deferred commutative update (com_update): the separation check is fused
-/// in, the store is logged and folded at commit, never validated for
-/// privacy.
+/// Commutative update (com_update) of a registered commutative object: the
+/// separation check is fused in, a worker updates its own copy, which the
+/// commit combines into the master, and nothing is validated for privacy.
 inline void com_update(void *P, ComOp Op, unsigned Bytes, int64_t Value) {
   Runtime::get().comUpdate(P, Op, Bytes, Value);
 }

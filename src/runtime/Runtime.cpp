@@ -148,13 +148,22 @@ void Runtime::heapDealloc(void *P, HeapKind K) {
   assert(Initialized && "runtime not initialized");
   assert(addressInHeap(reinterpret_cast<uint64_t>(P), K) &&
          "pointer freed into the wrong logical heap");
+  // A worker's slot partials are laid out by the registry it forked with.
+  if ((K == HeapKind::Redux || K == HeapKind::Commutative) &&
+      Redux.unregisterObject(P) && Mode == ExecMode::SpeculativeWorker)
+    misspecAbort("reduction object freed inside the parallel loop");
   heap(K).deallocate(P);
 }
 
 void Runtime::registerReduction(void *P, size_t Bytes, ReduxElem Elem,
                                 ReduxOp Op) {
-  assert(heap(HeapKind::Redux).contains(P) &&
-         "reduction object must live in the redux heap");
+  assert((heap(HeapKind::Redux).contains(P) ||
+          (heap(HeapKind::Commutative).contains(P) &&
+           reduxIntElem(reduxElemSize(Elem)) == Elem)) &&
+         "reduction object outside the redux and commutative heaps");
+  // Merges lay out slot partials by the registry the workers forked with.
+  if (Mode == ExecMode::SpeculativeWorker)
+    misspecAbort("reduction object allocated inside the parallel loop");
   Redux.registerObject(P, Bytes, Elem, Op);
 }
 
@@ -162,12 +171,13 @@ void Runtime::comUpdate(void *P, ComOp Op, unsigned Bytes, int64_t Value) {
   uint64_t Addr = reinterpret_cast<uint64_t>(P);
   if (Mode != ExecMode::SpeculativeWorker) {
     // Sequential execution, recovery, and non-speculative workers apply
-    // the fold immediately; the heaps behave as ordinary memory (§3.2).
+    // the fold to the object itself; the heaps behave as ordinary memory
+    // (§3.2).
     applyComUpdate(Addr, Op, Bytes, Value);
     return;
   }
   // The separation check is fused into the update: one tag compare, then
-  // append to the pending log instead of touching the heap.
+  // the update of this worker's copy.
   ++LocalStats.SeparationChecks;
   if (!addressInHeap(Addr, HeapKind::Commutative))
     misspecAbort("comupdate of a pointer outside the commutative heap");

@@ -25,7 +25,6 @@
 #define PRIVATEER_RUNTIME_RUNTIME_H
 
 #include "runtime/Checkpoint.h"
-#include "runtime/CommutativeLog.h"
 #include "runtime/ControlBlock.h"
 #include "runtime/DepChannel.h"
 #include "runtime/FaultInjection.h"
@@ -36,6 +35,7 @@
 #include "runtime/StatsSchema.h"
 #include "support/Trace.h"
 
+#include <algorithm>
 #include <cstdarg>
 #include <cstdio>
 #include <functional>
@@ -133,21 +133,26 @@ struct ParallelOptions {
   std::string TracePath;
 };
 
-/// Longest checkpoint period: timestamp 255 is the slots' conflict code.
+/// Longest checkpoint period of a loop with private objects: timestamp 255
+/// is the slots' conflict code.
 inline constexpr uint64_t kMaxPeriod = shadow::kMaxCheckpointPeriod - 1;
 
 // A DOACROSS token ring must out-span an epoch plus the dependence
 // distance, or a worker running ahead recycles a slot a sibling has yet to
-// read.  The longest epoch is MaxSlotsPerEpoch periods of kMaxPeriod.
+// read.  The longest DOACROSS epoch is MaxSlotsPerEpoch periods of
+// kMaxPeriod (a loop with dependence channels keeps the cap).
 static_assert(ParallelOptions::MaxSlotsPerEpoch * kMaxPeriod <=
                   depchan::kRingSlots - depchan::kMaxDistance,
               "an epoch must fit in a dependence-token ring");
 
 /// The checkpoint period of an N-iteration runParallel: an explicit one
 /// clamped to [1, 252] (timestamp 255 is the slots' conflict code), else
-/// clamp(ceil(N / 4W), 64, 252) (DESIGN.md §9 "Checkpoint period").
+/// clamp(ceil(N / 4W), 64, 252).  A \p PrivateFree invocation (no live
+/// private object, no dependence channels) keeps no timestamps, so its
+/// derived period is max(ceil(N / 4W), 64) with no cap (DESIGN.md §9
+/// "Checkpoint period").
 uint64_t checkpointPeriodFor(const ParallelOptions &Options,
-                             uint64_t NumIterations);
+                             uint64_t NumIterations, bool PrivateFree = false);
 
 /// Dynamic counters of one invocation; the raw material for Table 3 and
 /// Figure 8.  The counters and seconds are declared in StatsSchema.h;
@@ -208,8 +213,11 @@ public:
 
   SharedHeap &heap(HeapKind K);
 
-  /// Declares a reduction-privatized object (must lie in the redux heap)
-  /// with its element type and associative/commutative operator.
+  /// Declares a reduction-privatized object with its element type and
+  /// associative/commutative operator.  It must lie in the redux heap, or
+  /// in the commutative heap with an integer element.  Every object a
+  /// parallel loop updates there must be registered before the loop runs;
+  /// freeing the object forgets it.
   void registerReduction(void *P, size_t Bytes, ReduxElem Elem, ReduxOp Op);
   ReductionRegistry &reductions() { return Redux; }
 
@@ -235,13 +243,12 @@ public:
   /// Unconditional misspeculation report from a speculative worker.
   [[noreturn]] void misspecAbort(const char *Reason);
 
-  /// com_update: deferred commutative update of \p Bytes at \p P with
-  /// operator \p Op and operand \p Value.  The separation check is fused
-  /// in: a speculative worker verifies the commutative-heap tag (misspec on
-  /// mismatch) and appends a typed record to its pending log — the store
-  /// itself is deferred until commit, so no privacy validation runs.
-  /// Everywhere else (sequential, recovery, non-speculative workers) the
-  /// update applies immediately with the same load-combine-store fold.
+  /// com_update: commutative update of \p Bytes at \p P with operator
+  /// \p Op and operand \p Value, applied by applyComUpdate everywhere.  The
+  /// separation check is fused in: a speculative worker verifies the
+  /// commutative-heap tag (misspec on mismatch) and updates its own copy of
+  /// the registered object, which started at the operator's identity and
+  /// combines into the master at commit, so no privacy validation runs.
   void comUpdate(void *P, ComOp Op, unsigned Bytes, int64_t Value);
 
   // --- Fast-path speculation entry points (bytecode VM) ------------------
@@ -268,13 +275,12 @@ public:
   void privateWriteTagged(uint64_t Addr, size_t Bytes);
 
   /// comUpdate with the mode test and commutative-heap tag check already
-  /// done by the caller: counts the update and appends the record to the
-  /// worker's pending log.
+  /// done by the caller: counts the update and applies it to the worker's
+  /// copy.
   void comUpdateTagged(uint64_t Addr, ComOp Op, unsigned Bytes,
                        int64_t Value) {
     ++LocalStats.ComUpdates;
-    PendingCom.push_back(
-        ComRecord{Addr, Value, Op, static_cast<uint8_t>(Bytes)});
+    applyComUpdate(Addr, Op, Bytes, Value);
   }
 
   /// Deferred printf (I/O deferral): buffered and committed in iteration
@@ -362,6 +368,16 @@ private:
 
   void flushIo(std::vector<IoRecord> &Records, std::FILE *Out);
 
+  /// Registered objects in the commutative heap: the copies each merge and
+  /// each commit combine.
+  uint64_t comObjects() const {
+    return std::count_if(Redux.objects().begin(), Redux.objects().end(),
+                         [](const ReduxObject &O) {
+                           return addressInHeap(O.Address,
+                                                HeapKind::Commutative);
+                         });
+  }
+
   bool Initialized = false;
   RuntimeConfig Config;
   SharedHeap Heaps[kNumHeapKinds];
@@ -381,6 +397,11 @@ private:
   uint64_t CurIter = 0;
   uint8_t CurTs = 0;
   uint64_t PrivateHighWater = 0;
+  /// The invocation started with no live private object and no dependence
+  /// channels: its periods ignore the timestamp cap, so its speculative
+  /// workers map the shadow PROT_NONE and any privacy check faults into
+  /// misspeculation.
+  bool PrivateFree = false;
   /// Per-worker dirty-chunk bitmap of the private heap for the current
   /// checkpoint period, set by the privateRead/privateWrite fast paths.
   /// Sized in runEpoch before fork; each worker mutates its own COW copy
@@ -389,9 +410,6 @@ private:
   uint64_t DirtyChunkLimit = 0;
   std::vector<IoRecord> PendingIo;
   uint32_t IoSequence = 0;
-  /// Deferred commutative updates of the current checkpoint period;
-  /// serialized into the slot's com-log section at merge time.
-  std::vector<ComRecord> PendingCom;
   WorkerStats LocalStats;
   /// Tracing, armed per invocation by ParallelOptions::TracePath.  The
   /// per-worker SPSC rings get their own MAP_SHARED mapping, made only

@@ -29,6 +29,8 @@
 #ifndef PRIVATEER_RUNTIME_SHADOWMETADATA_H
 #define PRIVATEER_RUNTIME_SHADOWMETADATA_H
 
+#include "runtime/DirtyChunks.h"
+
 #include <algorithm>
 #include <cstdint>
 
@@ -123,12 +125,12 @@ inline bool applyReadRange(uint8_t *Meta, uint64_t N, uint8_t CurrentTs) {
   return Slow(N);
 }
 
-/// Applies the Write rule to \p N consecutive metadata bytes; same fast
-/// path as applyReadRange.  Returns false on the first misspeculating
-/// (read-live-in) byte.
+/// Applies the Write rule to \p N consecutive metadata bytes.  Only a
+/// read-live-in byte refuses a write, so a word without one becomes the
+/// current timestamp whole, whatever earlier iterations left in it.
+/// Returns false on the first misspeculating (read-live-in) byte.
 inline bool applyWriteRange(uint8_t *Meta, uint64_t N, uint8_t CurrentTs) {
   const uint64_t TsWord = 0x0101010101010101ULL * CurrentTs;
-  const uint64_t OldWriteWord = 0x0101010101010101ULL * kOldWrite;
   uint64_t I = 0;
   auto Slow = [&](uint64_t End) {
     for (; I < End; ++I) {
@@ -146,12 +148,12 @@ inline bool applyWriteRange(uint8_t *Meta, uint64_t N, uint8_t CurrentTs) {
   while (I + 8 <= N) {
     uint64_t W;
     __builtin_memcpy(&W, Meta + I, 8);
-    if (W == TsWord || W == 0 || W == OldWriteWord) {
+    if (!wordHasByte(W, kReadLiveIn)) {
       __builtin_memcpy(Meta + I, &TsWord, 8);
       I += 8;
       continue;
     }
-    if (!Slow(I + 8)) // Mixed word: per-byte rules (advances I).
+    if (!Slow(I + 8)) // A read-live-in byte: per-byte rules up to it.
       return false;
   }
   return Slow(N);

@@ -184,9 +184,8 @@ bool SharedHeap::tryRemapCopyOnWrite() {
   return Got == reinterpret_cast<void *>(Base);
 }
 
-void SharedHeap::protectReadOnly() {
+void SharedHeap::protect(int Prot) {
   assert(isCreated() && "heap not created");
-  if (mprotect(reinterpret_cast<void *>(Base), Bytes, PROT_READ) != 0)
-    reportFatalError(std::string("mprotect read-only: ") +
-                     std::strerror(errno));
+  if (mprotect(reinterpret_cast<void *>(Base), Bytes, Prot) != 0)
+    reportFatalError(std::string("mprotect: ") + std::strerror(errno));
 }

@@ -95,9 +95,10 @@ public:
   /// program.
   [[nodiscard]] bool tryRemapCopyOnWrite();
 
-  /// Write-protects the current mapping; any store raises SIGSEGV, which
-  /// the worker translates into misspeculation.
-  void protectReadOnly();
+  /// Sets the current mapping's protection to \p Prot (PROT_READ or
+  /// PROT_NONE); any access it forbids raises SIGSEGV, which the worker
+  /// translates into misspeculation.
+  void protect(int Prot);
 
 private:
   uint64_t Base = 0;

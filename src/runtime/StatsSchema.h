@@ -73,8 +73,9 @@
   X(DepWaits, Sum, "dep", "waits", Worker)                                     \
   X(DepWaitSpins, Sum, "dep", "wait-spins", Worker)                            \
   X(DepWaitTimeouts, Sum, "dep", "wait-timeouts", Worker)                      \
-  /* Commutative heap: updates logged, records serialized into slots,          \
-     records folded into the master heap, overflowed slot sections. */         \
+  /* Commutative heap: updates workers applied to their copies, copies        \
+     combined by merges and by commits (one per object and slot), and          \
+     overflows, always 0 since copies replaced the update log. */              \
   X(ComUpdates, Sum, "com", "updates", Worker)                                 \
   X(ComRecordsMerged, Sum, "com", "records-merged", Worker)                    \
   X(ComRecordsCommitted, Sum, "com", "records-committed", Main)                \

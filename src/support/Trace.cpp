@@ -129,8 +129,6 @@ const char *reasonName(Reason R) {
     return "worker_lost";
   case Reason::ProtectedStore:
     return "protected_store";
-  case Reason::ComOverflow:
-    return "com_overflow";
   case Reason::OrphanedLock:
     return "orphaned_lock";
   case Reason::kNumReasons:

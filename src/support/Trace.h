@@ -87,7 +87,6 @@ enum class Reason : uint32_t {
   Watchdog,
   WorkerLost,
   ProtectedStore,
-  ComOverflow,
   OrphanedLock,
   kNumReasons
 };

@@ -168,23 +168,37 @@ transform::lowerForPrivatized(const Module &M, const FunctionAnalyses &FA,
     WhyNot = "selected loop lost its canonical IV";
     return nullptr;
   }
-  bytecode::LowerOptions LO;
-  LO.PlanLoop = L;
-  LO.Iv = *Iv;
-  std::unique_ptr<bytecode::BytecodeProgram> Prog =
-      bytecode::lowerModule(M, LO);
   // Bake the reduction registrations into the program: executing a
   // prelowered program (the service's executive pool ships them as flat
   // images) must not require the classification results at exec time.
-  for (const auto &[O, ElemOp] : HA.ReduxOps) {
-    if (!O.Global)
+  // Every reduction and commutative object registers, or its workers'
+  // updates would never reach the master: globals once their storage
+  // exists, heap objects as their allocation site creates them.
+  std::map<profiling::ObjectKey, std::pair<ReduxElem, ReduxOp>> Reductions =
+      HA.ReduxOps;
+  for (const auto &[O, OpWidth] : HA.ComOps)
+    Reductions[O] = {reduxIntElem(OpWidth.second), OpWidth.first};
+  std::map<const Instruction *, std::pair<ReduxElem, ReduxOp>> Sites;
+  for (const auto &[O, ElemOp] : Reductions) {
+    if (!O.AllocSite)
       continue;
-    bytecode::BcReduxGlobal RG;
-    RG.GlobalIdx = Prog->GlobalIdx.at(O.Global->name());
-    RG.Elem = ElemOp.first;
-    RG.Op = ElemOp.second;
-    Prog->ReduxGlobals.push_back(RG);
+    auto [It, New] = Sites.try_emplace(O.AllocSite, ElemOp);
+    if (!New && It->second != ElemOp) {
+      WhyNot = "allocation site %" + O.AllocSite->name() +
+               " reduces with two operators";
+      return nullptr;
+    }
   }
+  bytecode::LowerOptions LO;
+  LO.PlanLoop = L;
+  LO.Iv = *Iv;
+  LO.SiteReductions = &Sites;
+  std::unique_ptr<bytecode::BytecodeProgram> Prog =
+      bytecode::lowerModule(M, LO);
+  for (const auto &[O, ElemOp] : Reductions)
+    if (O.Global)
+      Prog->ReduxGlobals.push_back({Prog->GlobalIdx.at(O.Global->name()),
+                                    ElemOp.first, ElemOp.second});
   // Same self-containment for token rings: a warm executive sizes them
   // from the image alone.
   Prog->NumDepChannels = HA.DoacrossChannels;

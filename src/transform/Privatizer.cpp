@@ -141,7 +141,7 @@ TransformStats transform::applyPrivatization(Module &M,
   // --- §4.5 / §4.6: separation and privacy checks. ------------------------
   // Commutative-cluster members are rewritten below, not instrumented: the
   // ComUpdate that replaces them fuses its own separation check, and the
-  // cluster's load/store must not be privacy-validated (deferred updates
+  // cluster's load/store must not be privacy-validated (per-worker copies
   // make cross-worker writes to one cell legal by construction).
   std::set<const Instruction *> ComMembers;
   for (const ComCluster &C : HA.ComClusters) {

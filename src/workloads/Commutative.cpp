@@ -72,13 +72,19 @@ HeapSites CommutativeWorkload::ourSites() const {
 }
 
 void CommutativeWorkload::setUp() {
+  // Each table is a commutative object: registered, it gets one copy per
+  // worker that the checkpoints combine.
+  auto Table = [](uint64_t Count, ComOp Op) {
+    void *P = h_alloc(Count * sizeof(int64_t), HeapKind::Commutative);
+    std::memset(P, 0, Count * sizeof(int64_t));
+    Runtime::get().registerReduction(P, Count * sizeof(int64_t),
+                                     ReduxElem::I64, Op);
+    return static_cast<int64_t *>(P);
+  };
   switch (K) {
   case Kind::Histogram:
-    Hist = static_cast<int64_t *>(
-        h_alloc(Buckets * sizeof(int64_t), HeapKind::Commutative));
-    HMin = static_cast<int64_t *>(
-        h_alloc(Buckets * sizeof(int64_t), HeapKind::Commutative));
-    std::memset(Hist, 0, Buckets * sizeof(int64_t));
+    Hist = Table(Buckets, ComOp::Add);
+    HMin = Table(Buckets, ComOp::Min);
     for (uint64_t B = 0; B < Buckets; ++B)
       HMin[B] = kMinInit;
     break;
@@ -87,18 +93,14 @@ void CommutativeWorkload::setUp() {
         h_alloc(Iterations * sizeof(int64_t), HeapKind::ReadOnly));
     Dst = static_cast<int64_t *>(
         h_alloc(Iterations * sizeof(int64_t), HeapKind::ReadOnly));
-    Deg = static_cast<int64_t *>(
-        h_alloc(Nodes * sizeof(int64_t), HeapKind::Commutative));
-    std::memset(Deg, 0, Nodes * sizeof(int64_t));
+    Deg = Table(Nodes, ComOp::Add);
     for (uint64_t E = 0; E < Iterations; ++E) {
       Src[E] = static_cast<int64_t>((E * 2654435761u) % Nodes);
       Dst[E] = static_cast<int64_t>((E * 40503 + 17) % Nodes);
     }
     break;
   case Kind::Dedup:
-    Seen = static_cast<int64_t *>(
-        h_alloc(Words * sizeof(int64_t), HeapKind::Commutative));
-    std::memset(Seen, 0, Words * sizeof(int64_t));
+    Seen = Table(Words, ComOp::Or);
     break;
   }
 }

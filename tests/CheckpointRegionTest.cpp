@@ -3,9 +3,9 @@
 // Direct tests of CheckpointRegion's sparse dirty-chunk layout: merges fold
 // only the chunks a worker's dirty mask names, commits walk the union mask,
 // a short last slot's header rejects torn iteration counts, a
-// scribbled chunk count overflows to a conservative misspeculation, and
-// deferred I/O survives a slot-buffer overflow for the recovery path to
-// replay.  Overflowed slots are refused by the commit frontier's verdict,
+// scribbled chunk count overflows to a conservative misspeculation,
+// commutative copies combine at commit, and deferred I/O survives a
+// slot-buffer overflow for the recovery path to replay.  Overflowed slots are refused by the commit frontier's verdict,
 // which every commit passes first.
 //
 //===----------------------------------------------------------------------===//
@@ -31,14 +31,12 @@ protected:
   static constexpr EpochPlan kOneSlot{0, 8, 8, 2};
   static constexpr EpochPlan kOneWorker{0, 8, 8, 1};
 
-  void makeRegion(const EpochPlan &Plan, uint64_t IoCapacity = 4096,
-                  uint64_t ComCapacity = 0) {
+  void makeRegion(const EpochPlan &Plan, uint64_t IoCapacity = 4096) {
     CheckpointRegion::Config C;
     C.Plan = Plan;
     C.PrivateBytes = kFootprint;
-    C.ReduxBytes = 0;
+    C.ReduxBytes = Redux.packedBytes();
     C.IoCapacity = IoCapacity;
-    C.ComCapacity = ComCapacity;
     ASSERT_TRUE(Region.create(C));
     LocalShadow.assign(kFootprint, shadow::kLiveIn);
     LocalPrivate.assign(kFootprint, 0);
@@ -71,11 +69,10 @@ protected:
 
   /// Commits slot \p P into the master image; true when the walk refused
   /// it, with the reason in Why.
-  bool commitFails(uint64_t P, uint64_t ComBase = 0, uint64_t ComSpan = 0,
-                   CheckpointScanStats *Scan = nullptr) {
-    SlotFailure Bad =
-        Region.commitSlot(P, MasterShadow.data(), MasterPrivate.data(),
-                          NoRedux, 0, ComBase, ComSpan, OutIo, Scan);
+  bool commitFails(uint64_t P, CheckpointScanStats *Scan = nullptr) {
+    SlotFailure Bad = Region.commitSlot(P, MasterShadow.data(),
+                                        MasterPrivate.data(), Redux, OutIo,
+                                        Scan);
     Why = Bad ? Bad.Why : "";
     return static_cast<bool>(Bad);
   }
@@ -94,11 +91,10 @@ protected:
   CheckpointRegion Region;
   ControlBlock Cb;
   trace::Reason Code = trace::Reason::Generic;
-  ReductionRegistry NoRedux;
+  ReductionRegistry Redux;
   std::vector<uint8_t> LocalShadow, LocalPrivate, MasterShadow, MasterPrivate;
   std::vector<uint64_t> Mask;
   std::vector<IoRecord> Io, OutIo;
-  std::vector<ComRecord> Com;
   std::string Why;
 };
 
@@ -111,7 +107,7 @@ TEST_F(CheckpointRegionTest, SparseMergeAndCommitApplyOnlyDirtyChunks) {
 
   CheckpointScanStats MergeScan;
   Region.workerMerge(0, LocalShadow.data(), LocalPrivate.data(), Mask.data(),
-                     NoRedux, 0, Io, Com, /*Executed=*/true, ctx(&MergeScan));
+                     Redux, Io, /*Executed=*/true, ctx(&MergeScan));
   EXPECT_EQ(MergeScan.DirtyChunks, 2u);
   // Only the two dirty chunks were walked at all; everything outside them
   // cost nothing.
@@ -126,7 +122,7 @@ TEST_F(CheckpointRegionTest, SparseMergeAndCommitApplyOnlyDirtyChunks) {
   EXPECT_EQ(SlotMask[0], (1ULL << 1) | (1ULL << 9));
 
   CheckpointScanStats CommitScan;
-  ASSERT_FALSE(commitFails(0, 0, 0, &CommitScan))
+  ASSERT_FALSE(commitFails(0, &CommitScan))
       << Why;
   EXPECT_EQ(CommitScan.DirtyChunks, 2u);
   EXPECT_EQ(MasterPrivate[1 * kDirtyChunkBytes + 17], 0xAB);
@@ -142,7 +138,7 @@ TEST_F(CheckpointRegionTest, DirtyMasksUnionAcrossWorkers) {
   makeRegion(kOneSlot);
   workerWrite(2 * kDirtyChunkBytes + 8, 0x11);
   Region.workerMerge(0, LocalShadow.data(), LocalPrivate.data(), Mask.data(),
-                     NoRedux, 0, Io, Com, true, ctx());
+                     Redux, Io, true, ctx());
 
   // Second worker: fresh view, different chunk.
   LocalShadow.assign(kFootprint, shadow::kLiveIn);
@@ -150,7 +146,7 @@ TEST_F(CheckpointRegionTest, DirtyMasksUnionAcrossWorkers) {
   workerWrite(14 * kDirtyChunkBytes + 8, 0x22,
               shadow::kFirstTimestamp + 1);
   Region.workerMerge(0, LocalShadow.data(), LocalPrivate.data(), Mask.data(),
-                     NoRedux, 0, Io, Com, true, ctx());
+                     Redux, Io, true, ctx());
 
   EXPECT_EQ(Region.slotDirtyMask(0)[0], (1ULL << 2) | (1ULL << 14));
   EXPECT_EQ(Region.slot(0)->ChunksUsed, 2u);
@@ -164,7 +160,7 @@ TEST_F(CheckpointRegionTest, CommitDetectsFlowDependenceInsideDirtyChunk) {
   makeRegion(kOneSlot);
   workerReadLiveIn(3 * kDirtyChunkBytes + 77);
   Region.workerMerge(0, LocalShadow.data(), LocalPrivate.data(), Mask.data(),
-                     NoRedux, 0, Io, Com, true, ctx());
+                     Redux, Io, true, ctx());
   // An earlier committed period wrote the byte: phase-2 must reject.
   MasterShadow[3 * kDirtyChunkBytes + 77] = shadow::kOldWrite;
   EXPECT_TRUE(commitFails(0));
@@ -197,7 +193,7 @@ TEST_F(CheckpointRegionTest, ChunkCapacityOverflowBecomesMisspec) {
   workerWrite(0 * kDirtyChunkBytes + 5, 0x33);
   workerWrite(7 * kDirtyChunkBytes + 5, 0x44);
   Region.workerMerge(0, LocalShadow.data(), LocalPrivate.data(), Mask.data(),
-                     NoRedux, 0, Io, Com, true, ctx());
+                     Redux, Io, true, ctx());
   EXPECT_EQ(Region.slot(0)->ChunkOverflow, 1u);
   EXPECT_TRUE(Region.slotHeaderSane(0));
   EXPECT_EQ(verdictAtJoin(), CommitFrontier::Verdict::Fail);
@@ -215,7 +211,7 @@ TEST_F(CheckpointRegionTest, DefaultCapacityCoversWholeFootprintLosslessly) {
   for (uint64_t C = 0; C < dirtyChunkCount(kFootprint); ++C)
     workerWrite(C * kDirtyChunkBytes, static_cast<uint8_t>(C + 1));
   Region.workerMerge(0, LocalShadow.data(), LocalPrivate.data(), Mask.data(),
-                     NoRedux, 0, Io, Com, true, ctx());
+                     Redux, Io, true, ctx());
   EXPECT_EQ(Region.slot(0)->ChunkOverflow, 0u);
   ASSERT_FALSE(commitFails(0))
       << Why;
@@ -224,79 +220,35 @@ TEST_F(CheckpointRegionTest, DefaultCapacityCoversWholeFootprintLosslessly) {
               static_cast<uint8_t>(C + 1));
 }
 
-TEST_F(CheckpointRegionTest, CommutativeRecordsFromBothWorkersFoldAtCommit) {
-  makeRegion(kOneSlot, /*IoCapacity=*/4096, /*ComCapacity=*/4096);
-  std::vector<int64_t> Heap(4, 0);
-  uint64_t Base = reinterpret_cast<uint64_t>(Heap.data());
-  uint64_t Span = Heap.size() * sizeof(int64_t);
+TEST_F(CheckpointRegionTest, CommutativeCopiesFromBothWorkersCombineAtCommit) {
+  int64_t Cells[2] = {};
+  Redux.registerObject(&Cells[0], 8, ReduxElem::I64, ComOp::Add);
+  Redux.registerObject(&Cells[1], 8, ReduxElem::I64, ComOp::Max);
+  makeRegion(kOneSlot);
+  // Each worker's copy starts at the identity and takes only its own
+  // updates; the first merge copies it, the second combines.
+  auto Worker = [&](int64_t Add, int64_t Max) {
+    Redux.fillIdentity();
+    applyComUpdate(reinterpret_cast<uint64_t>(&Cells[0]), ComOp::Add, 8, Add);
+    applyComUpdate(reinterpret_cast<uint64_t>(&Cells[1]), ComOp::Max, 8, Max);
+    Region.workerMerge(0, LocalShadow.data(), LocalPrivate.data(),
+                       Mask.data(), Redux, Io, true, ctx());
+  };
+  Worker(5, 100);
+  Worker(7, 42);
 
-  Com.push_back(ComRecord{Base, 5, ComOp::Add, 8});
-  Com.push_back(ComRecord{Base + 8, 100, ComOp::Max, 8});
-  Region.workerMerge(0, LocalShadow.data(), LocalPrivate.data(), Mask.data(),
-                     NoRedux, 0, Io, Com, true, ctx());
-  EXPECT_TRUE(Com.empty()) << "merged records must leave the worker";
-
-  // Second worker appends to the same slot's com-log section.
-  Com.push_back(ComRecord{Base, 7, ComOp::Add, 8});
-  Com.push_back(ComRecord{Base + 8, 42, ComOp::Max, 8});
-  Region.workerMerge(0, LocalShadow.data(), LocalPrivate.data(), Mask.data(),
-                     NoRedux, 0, Io, Com, true, ctx());
-
-  CheckpointScanStats CommitScan;
-  ASSERT_FALSE(commitFails(0, Base, Span, &CommitScan))
-      << Why;
-  EXPECT_EQ(CommitScan.ComRecords, 4u);
-  EXPECT_EQ(Heap[0], 12) << "adds from both workers must combine";
-  EXPECT_EQ(Heap[1], 100) << "max keeps the larger contribution";
-}
-
-TEST_F(CheckpointRegionTest, CommutativeLogOverflowBecomesMisspec) {
-  // One 16-byte record fits; the second append must overflow, keep the
-  // records with the worker, and poison the slot.
-  makeRegion(kOneSlot, /*IoCapacity=*/4096,
-             /*ComCapacity=*/kComRecordBytes);
-  std::vector<int64_t> Heap(1, 0);
-  uint64_t Base = reinterpret_cast<uint64_t>(Heap.data());
-
-  Com.push_back(ComRecord{Base, 1, ComOp::Add, 8});
-  Region.workerMerge(0, LocalShadow.data(), LocalPrivate.data(), Mask.data(),
-                     NoRedux, 0, Io, Com, true, ctx());
-  EXPECT_TRUE(Com.empty());
-  Com.push_back(ComRecord{Base, 2, ComOp::Add, 8});
-  Region.workerMerge(0, LocalShadow.data(), LocalPrivate.data(), Mask.data(),
-                     NoRedux, 0, Io, Com, true, ctx());
-  EXPECT_EQ(Region.slot(0)->ComOverflow, 1u);
-  ASSERT_EQ(Com.size(), 1u) << "overflowed records stay with the worker";
-
-  EXPECT_EQ(verdictAtJoin(), CommitFrontier::Verdict::Fail);
-  EXPECT_NE(Why.find("capacity"), std::string::npos) << Why;
-  EXPECT_EQ(Code, trace::Reason::ComOverflow);
-  EXPECT_EQ(Heap[0], 0) << "nothing from the poisoned slot may commit";
-}
-
-TEST_F(CheckpointRegionTest, OutOfHeapComRecordRejectsWholeLogUntouched) {
-  makeRegion(kOneSlot, /*IoCapacity=*/4096, /*ComCapacity=*/4096);
-  std::vector<int64_t> Heap(2, 0);
-  uint64_t Base = reinterpret_cast<uint64_t>(Heap.data());
-  uint64_t Span = Heap.size() * sizeof(int64_t);
-
-  // A good record followed by one pointing outside the heap: validation
-  // must reject the log before applying anything, so the good record's
-  // effect never reaches the master heap.
-  Com.push_back(ComRecord{Base, 9, ComOp::Add, 8});
-  Com.push_back(ComRecord{Base + Span, 1, ComOp::Add, 8});
-  Region.workerMerge(0, LocalShadow.data(), LocalPrivate.data(), Mask.data(),
-                     NoRedux, 0, Io, Com, true, ctx());
-  EXPECT_TRUE(commitFails(0, Base, Span));
-  EXPECT_NE(Why.find("corrupted commutative"), std::string::npos) << Why;
-  EXPECT_EQ(Heap[0], 0) << "validation precedes every application";
+  Cells[0] = 30; // The master's values before the commit.
+  Cells[1] = 50;
+  ASSERT_FALSE(commitFails(0)) << Why;
+  EXPECT_EQ(Cells[0], 42) << "adds from both workers must combine";
+  EXPECT_EQ(Cells[1], 100) << "max keeps the larger contribution";
 }
 
 TEST_F(CheckpointRegionTest, IoOverflowKeepsWorkerRecordsForRecovery) {
   makeRegion(kOneWorker, /*IoCapacity=*/32);
   Io.push_back(IoRecord{0, 0, std::string(128, 'x')}); // Can't fit in 32 B.
   Region.workerMerge(0, LocalShadow.data(), LocalPrivate.data(), Mask.data(),
-                     NoRedux, 0, Io, Com, true, ctx());
+                     Redux, Io, true, ctx());
   EXPECT_EQ(Region.slot(0)->IoOverflow, 1u);
   // The records must stay with the worker: dropping them before the
   // misspec recovery re-executes the period would lose the output.

@@ -257,6 +257,42 @@ TEST(Classification, CommutativeMinMaxOrientationVariants) {
   }
 }
 
+TEST(Classification, CommutativeMinMaxOnlyAtEightBytes) {
+  // trunc(min(sext(cell), v)) stops commuting once v leaves a narrower
+  // cell's range, so sub-word min/max clusters stay out of the commutative
+  // heap; the wrapping operators of pattern A classify at any width.
+  for (const char *Bytes : {"1", "2", "4"}) {
+    SCOPED_TRACE(std::string(Bytes) + "-byte cells");
+    auto MinMax = prepare(comKernel(std::string("  %p = gep @tab, %off\n"
+                                                "  %old = load i64, %p, ") +
+                                    Bytes +
+                                    "\n"
+                                    "  %cc = icmp lt, %old, %v\n"
+                                    "  %new = select %cc, %old, %v\n"
+                                    "  %q = gep @tab, %off\n"
+                                    "  store %new, %q, " +
+                                    Bytes + "\n"));
+    const Loop *L = loopNamed(*MinMax.FA, *MinMax.M, "kernel", "loop");
+    ASSERT_NE(L, nullptr);
+    HeapAssignment HA = classifyLoop(*L, *MinMax.FA, MinMax.P);
+    EXPECT_NE(kindOfGlobal(HA, *MinMax.M, "tab"), HeapKind::Commutative);
+    EXPECT_TRUE(HA.ComOps.empty());
+
+    auto Add = prepare(comKernel(std::string("  %p = gep @tab, %off\n"
+                                             "  %old = load i64, %p, ") +
+                                 Bytes +
+                                 "\n"
+                                 "  %new = add %old, %v\n"
+                                 "  %q = gep @tab, %off\n"
+                                 "  store %new, %q, " +
+                                 Bytes + "\n"));
+    L = loopNamed(*Add.FA, *Add.M, "kernel", "loop");
+    ASSERT_NE(L, nullptr);
+    HA = classifyLoop(*L, *Add.FA, Add.P);
+    EXPECT_EQ(kindOfGlobal(HA, *Add.M, "tab"), HeapKind::Commutative);
+  }
+}
+
 TEST(Classification, CommutativeRejectsMixedOperatorsOnOneObject) {
   // One cell updated with add, a second cell of the same object with xor:
   // no single combine operator exists, so the object must not classify

@@ -9,9 +9,7 @@
 // injected at any step.  The faults are the runtime's own: a kill; a
 // death holding a slot lock, before or after publishing its merge; a
 // watchdog kill of a worker stalled between periods; a scribbled slot
-// header (through FaultInjector); a com-log record outside the
-// commutative heap, which the commit walk rejects; and a worker-raised
-// misspeculation.  A dead worker is reaped, raising the flag the way the
+// header (through FaultInjector); and a worker-raised misspeculation.  A dead worker is reaped, raising the flag the way the
 // runtime's reaper does, at any later step.  The pump runs either after
 // every step or only at the join, which bounds when a ready slot commits
 // from both sides.
@@ -67,7 +65,6 @@ enum class Op : uint8_t {
   PublishKill,    ///< Fault: merges, then dies before dropping the lock.
   StallKill,      ///< Fault: the watchdog kills it between periods.
   Misspec,        ///< Fault: raises misspeculation in its next slot.
-  BadLog,         ///< Fault: merges a com record outside the com heap.
   Scribble,       ///< Fault: FaultInjector tears slot Arg's header.
 };
 
@@ -77,10 +74,9 @@ struct Step {
 };
 
 std::string describe(const Step &S) {
-  static const char *Names[] = {"merge",      "quit",    "reap",
-                                "kill",       "lock-kill", "publish-kill",
-                                "stall-kill", "misspec", "bad-log",
-                                "scribble"};
+  static const char *Names[] = {"merge",     "quit",         "reap",
+                                "kill",      "lock-kill",    "publish-kill",
+                                "stall-kill", "misspec",     "scribble"};
   return std::string(Names[static_cast<unsigned>(S.What)]) +
          (S.What == Op::Scribble ? " slot " : " w") + std::to_string(S.Arg);
 }
@@ -100,7 +96,7 @@ struct Model {
   CommitFrontier Frontier;
   std::vector<Worker> Workers;
   std::vector<unsigned> Merges, Commits;
-  std::vector<bool> Scribbled, BadLog;
+  std::vector<bool> Scribbled;
   bool Faulted = false;
   std::string Trace; ///< The schedule so far; not part of the state.
 };
@@ -118,7 +114,6 @@ public:
     CheckpointRegion::Config C;
     C.Plan = Plan;
     C.IoCapacity = kIoCapacity;
-    C.ComCapacity = kComRecordBytes;
     Created = Region.create(C);
     Cb.resetForEpoch(W, Plan.Begin, 0);
   }
@@ -137,7 +132,6 @@ public:
             std::vector<Worker>(Plan.NumWorkers),
             std::vector<unsigned>(Plan.numSlots(), 0),
             std::vector<unsigned>(Plan.numSlots(), 0),
-            std::vector<bool>(Plan.numSlots(), false),
             std::vector<bool>(Plan.numSlots(), false), false, ""};
     explore(M);
     if (Violation.empty())
@@ -195,8 +189,7 @@ private:
            std::to_string(Wk.Next) + "@" + std::to_string(Wk.DeathIter) + ",";
     for (unsigned P = 0; P < Plan.numSlots(); ++P)
       K += {static_cast<char>('0' + M.Merges[P]),
-            static_cast<char>('0' + M.Commits[P]), M.Scribbled[P] ? 's' : '-',
-            M.BadLog[P] ? 'b' : '-'};
+            static_cast<char>('0' + M.Commits[P]), M.Scribbled[P] ? 's' : '-'};
     K += M.Faulted ? 'f' : '-';
     return K;
   }
@@ -263,34 +256,28 @@ private:
         continue;
       for (Op F : {Op::Kill, Op::LockKill, Op::PublishKill, Op::StallKill})
         En.push_back({F, I});
-      if (share(I, M.Workers[I].Next)) {
+      if (share(I, M.Workers[I].Next))
         En.push_back({Op::Misspec, I});
-        En.push_back({Op::BadLog, I});
-      }
     }
     for (uint64_t P = M.Frontier.next(); P < Plan.numSlots(); ++P)
       En.push_back({Op::Scribble, static_cast<unsigned>(P)});
     return En;
   }
 
-  /// Worker \p W merges its next slot; with \p BadLog its com log holds a
-  /// record just past the commutative heap, as a corrupted log would.
-  void merge(Model &M, unsigned W, bool BadLog = false) {
+  /// Worker \p W merges its next slot.
+  void merge(Model &M, unsigned W) {
     uint64_t P = M.Workers[W].Next++;
     bool Executed = share(W, P) > 0;
     std::vector<IoRecord> Io;
     if (Executed)
       Io.push_back({Plan.firstAtOrAfter(W, Plan.periodBegin(P)), 0,
                     record(W, P)});
-    std::vector<ComRecord> Com;
-    if (BadLog)
-      Com.push_back({comBase() + sizeof(ComHeap), 1, ComOp::Add, 8});
     MergeContext Ctx;
     Ctx.SelfPid = static_cast<uint32_t>(getpid());
     Ctx.WorkerId = W;
     Ctx.LocksBroken = &Cb.LocksBroken;
-    Region.workerMerge(P, nullptr, nullptr, nullptr, NoRedux, 0, Io, Com,
-                       Executed, Ctx);
+    Region.workerMerge(P, nullptr, nullptr, nullptr, NoRedux, Io, Executed,
+                       Ctx);
     ++M.Merges[P];
   }
 
@@ -305,12 +292,7 @@ private:
     Worker &Wk = M.Workers[S.Arg];
     switch (S.What) {
     case Op::Merge:
-    case Op::BadLog:
-      if (S.What == Op::BadLog) {
-        M.BadLog[Wk.Next] = true;
-        M.Faulted = true;
-      }
-      merge(M, S.Arg, S.What == Op::BadLog);
+      merge(M, S.Arg);
       if (Wk.Next == Plan.numSlots() || Cb.periodDoomed(Wk.Next))
         Wk.St = State::Exited;
       break;
@@ -389,14 +371,11 @@ private:
       if (M.Scribbled[P])
         return fail(M, Slot + " cleared with a scribbled header");
       std::vector<IoRecord> Out;
-      if (!F.committed(Region.commitSlot(P, nullptr, nullptr, NoRedux, 0,
-                                         comBase(), sizeof(ComHeap), Out))) {
+      if (!F.committed(Region.commitSlot(P, nullptr, nullptr, NoRedux, Out))) {
         if (F.next() != P)
           return fail(M, "a failed commit moved the frontier");
         return checkFailure(M);
       }
-      if (M.BadLog[P])
-        return fail(M, Slot + " committed a corrupted com log");
       if (F.next() != P + 1)
         return fail(M, Slot + " committed but the frontier is at " +
                            std::to_string(F.next()));
@@ -469,8 +448,6 @@ private:
   CheckpointRegion Region;
   bool Created = false;
   uint8_t *Page = nullptr;
-  int64_t ComHeap[2] = {}; ///< The commutative heap no honest worker logs to.
-  uint64_t comBase() const { return reinterpret_cast<uint64_t>(ComHeap); }
   size_t Used = 0; ///< Bytes of the page the slots occupy.
   ReductionRegistry NoRedux;
   std::unordered_set<std::string> Seen;

@@ -2,11 +2,11 @@
 //
 // The sixth logical heap: recognition of commutative update clusters the
 // reduction recognizer rejects (data-dependent counter bumps, min/max
-// maps, bitmap ORs), combine-at-commit merge through the checkpoint slots,
-// byte-exact equivalence against sequential execution on both engines,
-// recovery under injected misspeculation, and the A/B fallback arm where
-// the same programs classify Private and pay deterministic privacy
-// misspeculation.
+// maps, bitmap ORs), per-worker copies combined through the checkpoint
+// slots, byte-exact equivalence against sequential execution on both
+// engines, heap-allocated objects, sub-word min/max, recovery under
+// injected misspeculation, and the A/B fallback arm where the same
+// programs classify Private and pay deterministic privacy misspeculation.
 //
 //===----------------------------------------------------------------------===//
 
@@ -131,9 +131,9 @@ TEST(Commutative, HistogramParallelOutputIsExactOnBothEngines) {
           << execEngineName(Engine) << " " << Workers
           << " workers: " << E.Stats.FirstMisspecReason;
       if (Workers > 1) {
-        EXPECT_GT(E.Stats.ComUpdates, 0u) << "workers must defer updates";
+        EXPECT_GT(E.Stats.ComUpdates, 0u) << "workers must update copies";
         EXPECT_GT(E.Stats.ComRecordsCommitted, 0u)
-            << "commit must fold the logged updates";
+            << "commits must combine the workers' copies";
         EXPECT_EQ(E.Stats.ComOverflows, 0u);
       }
     }
@@ -233,8 +233,8 @@ TEST(Commutative, RecoversFromInjectedMisspeculation) {
                                         RuntimeConfig(), Out);
   std::string Got = readAll(Out);
   std::fclose(Out);
-  // Squashed workers' deferred records die with the process; sequential
-  // recovery re-applies the period's updates directly.
+  // Squashed workers' copies die with the process; sequential recovery
+  // re-applies the period's updates directly.
   EXPECT_EQ(Got, Expected);
   EXPECT_GE(E.Stats.Misspecs, 1u);
 }
@@ -255,7 +255,7 @@ TEST(Commutative, ImageRoundTripRunsCommutativeUpdatesWarm) {
 
   // Serialize and reload: the image alone, in a process with no
   // classification state, must run the commutative updates exactly (the
-  // logged records carry their own addresses).
+  // image carries the tables' registrations).
   std::string Image = bytecode::serializeProgram(*Prog);
   std::string Err;
   auto Loaded = bytecode::deserializeProgram(Image.data(), Image.size(), Err);
@@ -272,6 +272,143 @@ TEST(Commutative, ImageRoundTripRunsCommutativeUpdatesWarm) {
   EXPECT_EQ(Got, Expected);
   EXPECT_EQ(E.Stats.Misspecs, 0u) << E.Stats.FirstMisspecReason;
   EXPECT_GT(E.Stats.ComRecordsCommitted, 0u);
+}
+
+/// Compiles \p Text through the pipeline and runs the selected loop at
+/// \p Workers workers with the derived checkpoint period.
+std::string runPrivatized(const std::string &Text, unsigned Workers,
+                          InvocationStats *Stats = nullptr) {
+  auto M = parseOrDie(Text);
+  analysis::FunctionAnalyses FA(*M);
+  PipelineOptions Opt;
+  PipelineResult R = runPipeline(*M, FA, Opt);
+  EXPECT_TRUE(R.Transformed) << (R.Log.empty() ? "" : R.Log.back());
+  if (!R.Transformed)
+    return "";
+  std::FILE *Out = std::tmpfile();
+  ParallelOptions Par;
+  Par.NumWorkers = Workers;
+  ExecutionResult E = executePrivatized(*M, FA, R.Assignment, Opt, Par,
+                                        RuntimeConfig(), Out);
+  std::string Got = readAll(Out);
+  std::fclose(Out);
+  if (Stats)
+    *Stats = E.Stats;
+  return Got;
+}
+
+TEST(Commutative, HeapAllocatedObjectsKeepEveryUpdate) {
+  // A reduction cell and a commutative table that main mallocs (its
+  // recomputed cell address keeps it out of the reduction class): their
+  // allocation sites, not globals, carry the registrations, and a
+  // registration lost would drop every worker's updates without a single
+  // misspeculation.
+  const std::string Text = "global @accp 8\n"
+                           "global @tabp 8\n"
+                           "define void @kernel(i64 %n) {\n"
+                           "entry:\n"
+                           "  %acc = load ptr, @accp, 8\n"
+                           "  %tab = load ptr, @tabp, 8\n"
+                           "  br loop\n"
+                           "loop:\n"
+                           "  %i = phi [entry: 0], [latch: %inext]\n"
+                           "  %c = icmp lt, %i, %n\n"
+                           "  condbr %c, body, exit\n"
+                           "body:\n"
+                           "  %sq = mul %i, %i\n"
+                           "  %f = srem %sq, 1000\n"
+                           "  %old = load i64, %acc, 8\n"
+                           "  %new = add %old, %f\n"
+                           "  store %new, %acc, 8\n"
+                           "  %b = srem %sq, 16\n"
+                           "  %off = mul %b, 8\n"
+                           "  %p = gep %tab, %off\n"
+                           "  %told = load i64, %p, 8\n"
+                           "  %tnew = add %told, %f\n"
+                           "  %q = gep %tab, %off\n"
+                           "  store %tnew, %q, 8\n"
+                           "  br latch\n"
+                           "latch:\n"
+                           "  %inext = add %i, 1\n"
+                           "  br loop\n"
+                           "exit:\n"
+                           "  ret\n"
+                           "}\n"
+                           "define i64 @main() {\n"
+                           "entry:\n"
+                           "  %a = malloc 8\n"
+                           "  store 7, %a, 8\n"
+                           "  store %a, @accp, 8\n"
+                           "  %t = malloc 128\n"
+                           "  store %t, @tabp, 8\n"
+                           "  call @kernel(40000)\n"
+                           "  %r = load i64, %a, 8\n"
+                           "  %t9 = gep %t, 72\n"
+                           "  %x = load i64, %t9, 8\n"
+                           "  print \"acc %d tab9 %d\\n\", %r, %x\n"
+                           "  ret %r\n"
+                           "}\n";
+  std::string Expected = sequentialReference(Text);
+  ASSERT_EQ(Expected.rfind("acc 18460007 ", 0), 0u) << Expected;
+  for (unsigned Workers : {1u, 2u}) {
+    InvocationStats S;
+    EXPECT_EQ(runPrivatized(Text, Workers, &S), Expected)
+        << Workers << " workers";
+    EXPECT_EQ(S.Misspecs, 0u) << S.FirstMisspecReason;
+    EXPECT_GT(S.ComRecordsCommitted, 0u) << "the table must be commutative";
+  }
+}
+
+TEST(Commutative, SubWordMinMaxMatchesSequential) {
+  // A 1-byte min cell: min(sext(cell), v) truncated back depends on the
+  // order once v leaves the byte's range (-300 wraps to -44), so the cell
+  // must not become a commutative object, and parallel output must equal
+  // the sequential -100 on every run.
+  const std::string Text = "global @cell 1\n"
+                           "define void @kernel(i64 %n) {\n"
+                           "entry:\n"
+                           "  br loop\n"
+                           "loop:\n"
+                           "  %i = phi [entry: 0], [latch: %inext]\n"
+                           "  %c = icmp lt, %i, %n\n"
+                           "  condbr %c, body, exit\n"
+                           "body:\n"
+                           "  %odd = and %i, 1\n"
+                           "  %up = mul %odd, 200\n"
+                           "  %v = sub %up, 300\n"
+                           "  %old = load i64, @cell, 1\n"
+                           "  %cc = icmp lt, %old, %v\n"
+                           "  %new = select %cc, %old, %v\n"
+                           "  store %new, @cell, 1\n"
+                           "  br latch\n"
+                           "latch:\n"
+                           "  %inext = add %i, 1\n"
+                           "  br loop\n"
+                           "exit:\n"
+                           "  ret\n"
+                           "}\n"
+                           "define i64 @main() {\n"
+                           "entry:\n"
+                           "  store 5, @cell, 1\n"
+                           "  call @kernel(4000)\n"
+                           "  %r = load i64, @cell, 1\n"
+                           "  print \"cell %d\\n\", %r\n"
+                           "  ret %r\n"
+                           "}\n";
+  std::string Expected = sequentialReference(Text);
+  ASSERT_EQ(Expected, "cell -100\n");
+
+  auto M = parseOrDie(Text);
+  analysis::FunctionAnalyses FA(*M);
+  PipelineResult R = runPipeline(*M, FA, PipelineOptions());
+  EXPECT_TRUE(R.Assignment.ComOps.empty());
+  if (!R.Transformed)
+    return; // Left sequential: nothing can reorder.
+  EXPECT_NE(heapOfGlobal(*M, "cell"), HeapKind::Commutative);
+  for (int Run = 0; Run < 4; ++Run)
+    for (unsigned Workers : {2u, 4u})
+      EXPECT_EQ(runPrivatized(Text, Workers), Expected)
+          << Workers << " workers, run " << Run;
 }
 
 } // namespace

@@ -519,7 +519,7 @@ TEST(RandomizedIrSweep, DoacrossPipelineMatchesSequentialAcrossMatrix) {
 // recognizer claims.  The pipeline must classify the tables into the
 // sixth heap, and the parallel run on the VM must be byte-identical to
 // sequential interpretation across a {workers x period x faults} matrix,
-// with zero misspeculation and nonzero folded records in the fault-free
+// with zero misspeculation and nonzero combined copies in the fault-free
 // configurations.
 
 TEST(RandomizedIrSweep, CommutativeLoopsMatchSequentialAcrossMatrix) {

@@ -46,6 +46,23 @@ TEST(CheckpointPeriodRule, DerivedPeriodIsClampedQuarterShare) {
   EXPECT_EQ(periodFor(0, 1ull << 40, 1), 252u);
 }
 
+TEST(CheckpointPeriodRule, PrivateFreeLoopsPlanByTripCount) {
+  auto PrivateFree = [](uint64_t Requested, uint64_t N, unsigned W) {
+    ParallelOptions Opt;
+    Opt.CheckpointPeriod = Requested;
+    Opt.NumWorkers = W;
+    return checkpointPeriodFor(Opt, N, /*PrivateFree=*/true);
+  };
+  // ceil(N / 4W), at least 64, with no cap: no timestamps to overflow.
+  EXPECT_EQ(PrivateFree(0, 40000, 2), 5000u);
+  EXPECT_EQ(PrivateFree(0, 300000, 4), 18750u);
+  EXPECT_EQ(PrivateFree(0, 1000, 2), 125u);
+  EXPECT_EQ(PrivateFree(0, 100, 4), 64u);
+  // Explicit periods keep their clamp.
+  EXPECT_EQ(PrivateFree(1000, 40000, 2), 252u);
+  EXPECT_EQ(PrivateFree(16, 40000, 2), 16u);
+}
+
 TEST(CheckpointPeriodRule, ExplicitPeriodIsHonoured) {
   EXPECT_EQ(periodFor(1, 40000, 2), 1u);
   EXPECT_EQ(periodFor(16, 40000, 2), 16u);

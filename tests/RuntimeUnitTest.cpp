@@ -9,11 +9,16 @@
 
 #include "runtime/Privateer.h"
 #include "support/DeterministicRng.h"
+#include "support/Timing.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 using namespace privateer;
 
@@ -119,8 +124,8 @@ TEST(ReductionAlgebra, IdentityAndCombinePerOpAndType) {
   Reg.fillIdentity();
   EXPECT_EQ(A[0], 0);
   B = {5, -3, 7, 0};
-  Reg.combine(0, reinterpret_cast<int64_t>(B.data()) -
-                     reinterpret_cast<int64_t>(A.data()));
+  Reg.commitFrom(
+      reinterpret_cast<const uint8_t *>(B.data()));
   EXPECT_EQ(A[1], -3);
 
   std::vector<double> F(2), G(2);
@@ -130,8 +135,8 @@ TEST(ReductionAlgebra, IdentityAndCombinePerOpAndType) {
   RegF.fillIdentity();
   EXPECT_EQ(F[0], 1.0);
   G = {2.5, 4.0};
-  RegF.combine(0, reinterpret_cast<int64_t>(G.data()) -
-                      reinterpret_cast<int64_t>(F.data()));
+  RegF.commitFrom(
+      reinterpret_cast<const uint8_t *>(G.data()));
   EXPECT_EQ(F[0], 2.5);
   EXPECT_EQ(F[1], 4.0);
 
@@ -142,8 +147,8 @@ TEST(ReductionAlgebra, IdentityAndCombinePerOpAndType) {
   RegM.fillIdentity();
   EXPECT_EQ(Mn[0], std::numeric_limits<int32_t>::max());
   Src = {3, -1, 9};
-  RegM.combine(0, reinterpret_cast<int64_t>(Src.data()) -
-                      reinterpret_cast<int64_t>(Mn.data()));
+  RegM.commitFrom(
+      reinterpret_cast<const uint8_t *>(Src.data()));
   EXPECT_EQ(Mn[0], 3);
   EXPECT_EQ(Mn[1], -1);
 
@@ -154,8 +159,8 @@ TEST(ReductionAlgebra, IdentityAndCombinePerOpAndType) {
   RegX.fillIdentity();
   EXPECT_EQ(Mx[0], -std::numeric_limits<float>::infinity());
   Sf = {1.5f, -2.0f};
-  RegX.combine(0, reinterpret_cast<int64_t>(Sf.data()) -
-                      reinterpret_cast<int64_t>(Mx.data()));
+  RegX.commitFrom(
+      reinterpret_cast<const uint8_t *>(Sf.data()));
   EXPECT_EQ(Mx[0], 1.5f);
 }
 
@@ -174,8 +179,8 @@ TEST(ReductionAlgebra, FloatMinMaxIdentitiesAreInfinities) {
   // survive the combine, not collapse to numeric_limits::max().
   Src = {std::numeric_limits<double>::infinity(),
          std::numeric_limits<double>::max()};
-  RegMn.combine(0, reinterpret_cast<int64_t>(Src.data()) -
-                       reinterpret_cast<int64_t>(Mn.data()));
+  RegMn.commitFrom(
+      reinterpret_cast<const uint8_t *>(Src.data()));
   EXPECT_EQ(Mn[0], std::numeric_limits<double>::infinity());
   EXPECT_EQ(Mn[1], std::numeric_limits<double>::max());
 
@@ -187,8 +192,8 @@ TEST(ReductionAlgebra, FloatMinMaxIdentitiesAreInfinities) {
   EXPECT_EQ(Mx[0], -std::numeric_limits<float>::infinity());
   Sf = {-std::numeric_limits<float>::infinity(),
         std::numeric_limits<float>::lowest()};
-  RegMx.combine(0, reinterpret_cast<int64_t>(Sf.data()) -
-                       reinterpret_cast<int64_t>(Mx.data()));
+  RegMx.commitFrom(
+      reinterpret_cast<const uint8_t *>(Sf.data()));
   EXPECT_EQ(Mx[0], -std::numeric_limits<float>::infinity());
   EXPECT_EQ(Mx[1], std::numeric_limits<float>::lowest());
 }
@@ -242,14 +247,106 @@ TEST(ReductionAlgebra, CombineIsOrderIndependentForIntegers) {
                        ReduxOp::Add);
     Reg.fillIdentity();
     for (int W : Order)
-      Reg.combine(0, reinterpret_cast<int64_t>(Partials[W].data()) -
-                         reinterpret_cast<int64_t>(Acc.data()));
+      Reg.commitFrom(
+      reinterpret_cast<const uint8_t *>(Partials[W].data()));
     return Acc;
   };
   std::vector<int> Fwd{0, 1, 2, 3, 4}, Rev{4, 3, 2, 1, 0},
       Mix{2, 0, 4, 1, 3};
   EXPECT_EQ(CombineInOrder(Fwd), CombineInOrder(Rev));
   EXPECT_EQ(CombineInOrder(Fwd), CombineInOrder(Mix));
+}
+
+TEST(ReductionAlgebra, WorkerCopiesOfEveryIntegerOperatorMatchSequential) {
+  // One object per width and operator (min/max only at 8 bytes, as the
+  // classifier admits them), packed into one slot image.  Three workers'
+  // copies start at the identity, take their share of a random update
+  // stream, merge, and commit into the master: the bytes must equal the
+  // stream applied in order to the master.
+  struct Obj {
+    unsigned Width;
+    ComOp Op;
+    alignas(8) uint8_t Cells[24];
+  };
+  std::vector<Obj> Objs;
+  for (unsigned Width : {1u, 2u, 4u, 8u})
+    for (unsigned Op = 0; Op < (Width == 8 ? 7u : 5u); ++Op)
+      Objs.push_back({Width, static_cast<ComOp>(Op), {}});
+  DeterministicRng Rng(31);
+  ReductionRegistry Reg;
+  for (Obj &O : Objs) {
+    for (uint8_t &B : O.Cells)
+      B = static_cast<uint8_t>(Rng.next());
+    Reg.registerObject(O.Cells, sizeof(O.Cells), reduxIntElem(O.Width), O.Op);
+  }
+  struct Update {
+    size_t Obj;
+    unsigned Cell;
+    int64_t Value;
+  };
+  std::vector<Update> Stream;
+  for (int K = 0; K < 600; ++K) {
+    size_t I = Rng.nextBelow(Objs.size());
+    Stream.push_back({I,
+                      static_cast<unsigned>(Rng.nextBelow(24 / Objs[I].Width)),
+                      static_cast<int64_t>(Rng.next() | 1)});
+  }
+  auto Apply = [&](const Update &U) {
+    const Obj &O = Objs[U.Obj];
+    applyComUpdate(reinterpret_cast<uint64_t>(O.Cells) + U.Cell * O.Width,
+                   O.Op, O.Width, U.Value);
+  };
+  auto Snapshot = [&] {
+    std::string S;
+    for (const Obj &O : Objs)
+      S.append(reinterpret_cast<const char *>(O.Cells), sizeof(O.Cells));
+    return S;
+  };
+  auto Restore = [&](const std::string &S) {
+    for (size_t I = 0; I < Objs.size(); ++I)
+      std::memcpy(Objs[I].Cells, S.data() + I * 24, 24);
+  };
+
+  std::string Master = Snapshot();
+  for (const Update &U : Stream)
+    Apply(U);
+  std::string Sequential = Snapshot();
+
+  std::vector<uint8_t> Packed(Reg.packedBytes());
+  for (unsigned W = 0; W < 3; ++W) {
+    Reg.fillIdentity();
+    for (size_t K = W; K < Stream.size(); K += 3)
+      Apply(Stream[K]);
+    Reg.mergeInto(Packed.data(), /*First=*/W == 0);
+  }
+  Restore(Master);
+  Reg.commitFrom(Packed.data());
+  EXPECT_EQ(Snapshot(), Sequential);
+}
+
+TEST(OwnerLock, BreaksAReapedHoldersLockBeforeTheFirstYield) {
+  // A holder that died is caught by the probe before the first yield, not
+  // after a batch of them: 256 yields cost tens of microseconds however
+  // fast the host, one probe about one.  The fastest of five breaks must
+  // show it.
+  uint64_t FastestNs = ~0ULL;
+  for (int Rep = 0; Rep < 5; ++Rep) {
+    pid_t Child = fork();
+    if (Child == 0)
+      _exit(0);
+    ASSERT_GT(Child, 0);
+    ASSERT_EQ(waitpid(Child, nullptr, 0), Child);
+    OwnerLock Lock;
+    ASSERT_FALSE(Lock.lockOrBreak(static_cast<uint32_t>(Child), [] {}));
+    unsigned Probes = 0;
+    uint64_t T0 = monotonicNanos();
+    EXPECT_TRUE(Lock.lockOrBreak(static_cast<uint32_t>(getpid()),
+                                 [&Probes] { ++Probes; }));
+    FastestNs = std::min(FastestNs, monotonicNanos() - T0);
+    EXPECT_EQ(Probes, 1u);
+    EXPECT_EQ(Lock.holder(), static_cast<uint32_t>(getpid()));
+  }
+  EXPECT_LT(FastestNs, 10000u);
 }
 
 TEST(DeferredIo, SerializeDeserializeRoundTrip) {

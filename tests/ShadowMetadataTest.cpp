@@ -139,6 +139,35 @@ TEST_P(RangeFastPathProperty, MatchesPerByteReference) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RangeFastPathProperty,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
 
+TEST(ShadowMetadata, WriteRangeWordRuleMatchesPerByteOnRandomWords) {
+  // Only a read-live-in byte refuses a write, so a whole word of other
+  // codes, earlier iterations' timestamps and the slot alphabet's 254 and
+  // 255 included, becomes the current timestamp at once.  Half the ranges
+  // hold no read-live-in byte and take the word path end to end.
+  DeterministicRng Rng(77);
+  const uint8_t Ts = timestampFor(9, 0);
+  const uint8_t Codes[] = {kLiveIn, kOldWrite, kReadLiveIn, kFirstTimestamp,
+                           Ts,      254,       255};
+  for (int Trial = 0; Trial < 2000; ++Trial) {
+    size_t N = 8 * (1 + Rng.nextBelow(32));
+    bool AllowReadLiveIn = Rng.next() & 1;
+    alignas(8) uint8_t Fast[256];
+    std::vector<uint8_t> Ref(N);
+    for (size_t I = 0; I < N; ++I) {
+      uint8_t C;
+      do
+        C = Codes[Rng.nextBelow(7)];
+      while (C == kReadLiveIn && !(AllowReadLiveIn && Rng.nextBelow(16) == 0));
+      Fast[I] = Ref[I] = C;
+    }
+    bool RefOk = refWriteRange(Ref, Ts);
+    ASSERT_EQ(applyWriteRange(Fast, N, Ts), RefOk) << "trial " << Trial;
+    // A refused write stops at the same byte on both paths.
+    for (size_t I = 0; I < N; ++I)
+      ASSERT_EQ(Fast[I], Ref[I]) << "trial " << Trial << " byte " << I;
+  }
+}
+
 // --- Word-boundary properties of the range fast paths ------------------
 //
 // The fast paths consume an unaligned head byte-by-byte, then whole

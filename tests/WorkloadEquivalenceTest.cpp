@@ -90,10 +90,15 @@ INSTANTIATE_TEST_SUITE_P(
                       Case{"swaptions", 4, 0.02}, Case{"alvinn", 2, 0.0},
                       Case{"alvinn", 4, 0.0}, Case{"alvinn", 4, 0.02},
                       Case{"enc-md5", 2, 0.0}, Case{"enc-md5", 4, 0.0},
-                      Case{"enc-md5", 4, 0.02}, Case{"histogram", 2, 0.0},
-                      Case{"histogram", 4, 0.0}, Case{"histogram", 4, 0.02},
+                      Case{"enc-md5", 4, 0.02}, Case{"histogram", 1, 0.0},
+                      Case{"histogram", 2, 0.0}, Case{"histogram", 4, 0.0},
+                      Case{"histogram", 1, 0.02}, Case{"histogram", 2, 0.02},
+                      Case{"histogram", 4, 0.02},
+                      Case{"degree-count", 1, 0.0},
+                      Case{"degree-count", 2, 0.0},
                       Case{"degree-count", 4, 0.0},
-                      Case{"degree-count", 4, 0.02}, Case{"dedup", 4, 0.0},
+                      Case{"degree-count", 4, 0.02}, Case{"dedup", 1, 0.0},
+                      Case{"dedup", 2, 0.0}, Case{"dedup", 4, 0.0},
                       Case{"dedup", 4, 0.02}),
     caseName);
 
