@@ -43,7 +43,7 @@ int main() {
   T.addRow(Geo);
   T.print();
 
-  // Beyond-paper irregular workloads: the commutative heap parallelizes
+  // Beyond-paper irregular workloads: the reduction heap parallelizes
   // them too, but they stay out of the paper-figure geomean above.
   std::printf("\nCommutative-update workloads (beyond the paper set)\n\n");
   TableWriter TC(Header);

@@ -134,19 +134,6 @@ void BM_ReductionCombine(benchmark::State &State) {
 }
 BENCHMARK(BM_ReductionCombine);
 
-/// One com_update on a warm 64 KiB table, as every engine applies it.
-void BM_ComUpdate(benchmark::State &State) {
-  std::vector<int64_t> Table(8192, 0);
-  uint64_t Base = reinterpret_cast<uint64_t>(Table.data());
-  uint64_t Key = 1;
-  for (auto _ : State) {
-    Key = Key * 6364136223846793005ULL + 1442695040888963407ULL;
-    applyComUpdate(Base + 8 * (Key >> 51), ComOp::Add, 8, 1);
-  }
-  benchmark::DoNotOptimize(Table.data());
-}
-BENCHMARK(BM_ComUpdate);
-
 void BM_TraceRingPush(benchmark::State &State) {
   // The cost a worker pays per traced event on its fast path: one bounds
   // check, one 32-byte POD store, one release cursor bump.  Drain in
@@ -949,18 +936,18 @@ int runDoacrossReport(const std::string &Path) {
   return Pass ? 0 : 1;
 }
 
-// ---- --commutative-report: sixth-heap A/B gate -------------------------
+// ---- --commutative-report: reduction-heap A/B gate on irregular updates --
 //
-// The commutative-heap acceptance bench, in two halves.
+// The acceptance bench for commutative updates, in two halves.
 //
 // Classification half: the irregular histogram and degree-count programs
-// run through the full pipeline twice, once with commutative
-// classification on (each worker updates its own copy of the tables,
-// combined at commit) and once with it off (the five-class fallback
-// privatizes the tables off the warmup-only training profile and pays
-// privacy misspeculation for every colliding epoch).  Both arms profile
-// the same @train entry, so the only difference is the sixth heap.  The
-// commutative arm's time over the sequential run is printed, not gated.
+// run through the full pipeline twice, once with reduction recognition on
+// (the tables go to the reduction heap, each worker updates its own copy,
+// combined at commit) and once with it off (the tables privatize off the
+// warmup-only training profile and pay privacy misspeculation for every
+// colliding epoch).  Both arms profile the same @train entry, so the only
+// difference is the recognizer.  The reduction arm's time over the
+// sequential run is printed, not gated.
 //
 // Wall-clock half: the same A/B on the real forked runtime with native
 // bodies.  As in the DOACROSS and overlap reports, each iteration sleeps a
@@ -971,15 +958,15 @@ int runDoacrossReport(const std::string &Path) {
 // and re-pays its sleeps in sequential recovery.
 //
 // CI runs this mode; the exit code enforces the acceptance criteria:
-// zero misspeculation and byte-exact output under commutative
-// classification, nonzero misspeculation under the fallback, and at
-// least a 2x wall-clock win at 4 workers.
+// zero misspeculation and byte-exact output with reductions on, nonzero
+// misspeculation and no combined copy under the fallback, and at least a
+// 2x wall-clock win at 4 workers.
 
 // Wall-clock A/B parameters.  64 iterations per checkpoint period land on
 // kComWallHot cells, so every period of the private-heap fallback contains
 // a cross-iteration read-after-write collision by pigeonhole and
-// misspeculates deterministically; the commutative arm's updates touch
-// only each worker's copy and never misspeculate.
+// misspeculates deterministically; the reduction arm's updates touch only
+// each worker's copy and never misspeculate.
 constexpr uint64_t kComWallIters = 512;
 constexpr long kComWallSleepUs = 300;
 constexpr uint64_t kComWallCells = 64;
@@ -1023,15 +1010,15 @@ double comWallSequential(unsigned Touches, std::vector<int64_t> &Expected) {
 struct ComWallArm {
   double Sec = 0;          ///< Median wall time of one run.
   uint64_t Misspecs = 0;   ///< Summed across reps (gate: 0 vs >0).
-  uint64_t Folded = 0;     ///< Commutative copies combined, summed.
+  uint64_t Folded = 0;     ///< Reduction copies combined, summed.
   bool Exact = true;       ///< Table matched the baseline in every rep.
 };
 
-/// One arm of the native A/B: the counter table is a registered
-/// commutative object (com_update) or, for the fallback, lives in the
-/// private heap with the load/store RMW the five-class classifier would
-/// emit.
-ComWallArm comWallArm(bool Commutative, unsigned Touches,
+/// One arm of the native A/B: the counter table is a registered reduction
+/// object updated with a plain read-modify-write or, for the fallback,
+/// lives in the private heap with the privacy-checked RMW the classifier
+/// emits when reductions are off.
+ComWallArm comWallArm(bool Reduce, unsigned Touches,
                       const std::vector<int64_t> &Expected) {
   RuntimeConfig C;
   C.PrivateBytes = 1u << 20;
@@ -1039,24 +1026,25 @@ ComWallArm comWallArm(bool Commutative, unsigned Touches,
   C.ReduxBytes = 1u << 16;
   C.ShortLivedBytes = 1u << 16;
   C.UnrestrictedBytes = 1u << 16;
-  C.CommutativeBytes = 1u << 20;
   Runtime::get().initialize(C);
   auto *Tab = static_cast<int64_t *>(
       h_alloc(kComWallCells * sizeof(int64_t),
-              Commutative ? HeapKind::Commutative : HeapKind::Private));
-  if (Commutative)
+              Reduce ? HeapKind::Redux : HeapKind::Private));
+  if (Reduce)
     Runtime::get().registerReduction(Tab, kComWallCells * sizeof(int64_t),
-                                     ReduxElem::I64, ComOp::Add);
+                                     ReduxElem::I64, ReduxOp::Add);
   ParallelOptions Opt;
   Opt.NumWorkers = 4;
   Opt.CheckpointPeriod = 64;
-  auto Body = [Tab, Commutative, Touches](uint64_t I) {
+  auto Body = [Tab, Reduce, Touches](uint64_t I) {
     timespec Ts{0, kComWallSleepUs * 1000};
     nanosleep(&Ts, nullptr);
+    if (Reduce)
+      check_heap(Tab, HeapKind::Redux);
     for (unsigned T = 0; T < Touches; ++T) {
       int64_t *P = &Tab[comWallCell(I, T)];
-      if (Commutative) {
-        com_update(P, ComOp::Add, 8, 1);
+      if (Reduce) {
+        *P += 1;
       } else {
         private_read(P, sizeof(int64_t));
         int64_t V = *P;
@@ -1104,7 +1092,6 @@ int runCommutativeReport(const std::string &Path) {
   struct Arm {
     double WallSec = 0;
     uint64_t Misspecs = 0;
-    uint64_t ComUpdates = 0;
     uint64_t ComRecordsCommitted = 0;
     bool Exact = false;
   };
@@ -1134,11 +1121,11 @@ int runCommutativeReport(const std::string &Path) {
       std::fclose(Out);
     }
 
-    for (bool EnableCom : {true, false}) {
+    for (bool Enable : {true, false}) {
       auto M = ir::parseModule(J.Text, Err);
       analysis::FunctionAnalyses FA(*M);
       transform::PipelineOptions Opt;
-      Opt.EnableCommutative = EnableCom;
+      Opt.EnableReductions = Enable;
       // Paper §6: profile train, evaluate ref.  The warmup-only training
       // entry keeps both arms honest: the fallback arm classifies the
       // tables private (no collision in training) and production pays.
@@ -1152,7 +1139,7 @@ int runCommutativeReport(const std::string &Path) {
       if (!R.Transformed) {
         std::fprintf(stderr, "commutative report: %s (%s arm) not "
                              "parallelizable: %s\n",
-                     J.Name, EnableCom ? "commutative" : "fallback",
+                     J.Name, Enable ? "commutative" : "fallback",
                      R.Log.empty() ? "" : R.Log.back().c_str());
         return 1;
       }
@@ -1168,10 +1155,9 @@ int runCommutativeReport(const std::string &Path) {
       std::string Got = readStream(Out);
       std::fclose(Out);
 
-      Arm &A = EnableCom ? P.Com : P.Fallback;
+      Arm &A = Enable ? P.Com : P.Fallback;
       A.WallSec = Sec;
       A.Misspecs = E.Stats.Misspecs;
-      A.ComUpdates = E.Stats.ComUpdates;
       A.ComRecordsCommitted = E.Stats.ComRecordsCommitted;
       A.Exact = Got == Expected;
     }
@@ -1205,7 +1191,7 @@ int runCommutativeReport(const std::string &Path) {
     const Point &P = Points[I];
     bool Ok = P.Com.Exact && P.Fallback.Exact && P.Com.Misspecs == 0 &&
               P.Com.ComRecordsCommitted > 0 && P.Fallback.Misspecs > 0 &&
-              P.Fallback.ComUpdates == 0;
+              P.Fallback.ComRecordsCommitted == 0;
     Pass &= Ok;
     std::printf("%-13s pipeline: seq %.2f ms | commutative %.2f ms "
                 "(%.2fx of seq), misspecs=%llu, combined=%llu copies | "
@@ -1221,13 +1207,12 @@ int runCommutativeReport(const std::string &Path) {
         F,
         "    {\"name\": \"%s\", \"sequential_sec\": %.6f,\n"
         "     \"commutative\": {\"wall_sec\": %.6f, \"misspecs\": %llu, "
-        "\"com_updates\": %llu, \"com_records_committed\": %llu, "
+        "\"com_records_committed\": %llu, "
         "\"exact\": %s},\n"
         "     \"fallback\": {\"wall_sec\": %.6f, \"misspecs\": %llu, "
         "\"exact\": %s}}%s\n",
         P.Name, P.SeqSec, P.Com.WallSec,
         static_cast<unsigned long long>(P.Com.Misspecs),
-        static_cast<unsigned long long>(P.Com.ComUpdates),
         static_cast<unsigned long long>(P.Com.ComRecordsCommitted),
         P.Com.Exact ? "true" : "false", P.Fallback.WallSec,
         static_cast<unsigned long long>(P.Fallback.Misspecs),

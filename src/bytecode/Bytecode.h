@@ -123,10 +123,6 @@ namespace bytecode {
   /* compare-family contiguity asserts valid)                              */\
   X(PostDep)      /* post token (iter r[A], value r[B]) on channel Imm */     \
   X(WaitDep)      /* r[A] = wait for iter r[B]'s token on channel Imm */      \
-  /* commutative-update heap (appended, keeping prior opcode values) */       \
-  X(CheckHeapCommutative) /* same contract as the other CheckHeap* */         \
-  X(ComUpdate)    /* commutative update at r[A] with r[B]; C = bytes|op<<4,*/ \
-                  /* Imm = expected tag bits (check fused in) */              \
   /* training-run events (profiling lowering only; appended, and never     */\
   /* in an image).  Imm indexes the lowering's ProfileSites tables.        */\
   X(EvBlock)  /* block Imm entered from block r[A] (r[A] = Imm after); */     \
@@ -194,8 +190,8 @@ struct BcParLoopSite {
 
 /// Heap routing of one Alloca/Malloc site, captured from the privatizer's
 /// annotation at lower time (paper §4.4 Replace Allocation).  A site whose
-/// objects are reduction or commutative objects registers each with the
-/// runtime as it allocates it.
+/// objects are reduction objects registers each with the runtime as it
+/// allocates it.
 struct BcAllocSite {
   bool HasHeap = false;
   HeapKind Heap = HeapKind::Private;
@@ -212,7 +208,7 @@ struct BcGlobal {
   HeapKind Heap = HeapKind::Private;
 };
 
-/// A reduction or commutative global the runtime must be told about before
+/// A reduction global the runtime must be told about before
 /// the planned loop runs (identity init + checkpoint-time combine).
 struct BcReduxGlobal {
   uint32_t GlobalIdx = 0;

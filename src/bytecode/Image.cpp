@@ -11,8 +11,9 @@ namespace {
 
 constexpr uint64_t kImageMagic = 0x5052495642434947ull; // "PRIVBCIG"
 // v2: + NumDepChannels; v3: + commutative registrations; v4: - them;
-// v5: bitwise and sub-word reductions, alloc-site reductions.
-constexpr uint32_t kImageVersion = 5;
+// v5: bitwise and sub-word reductions, alloc-site reductions; v6: - the
+// commutative heap and its update and check opcodes.
+constexpr uint32_t kImageVersion = 6;
 
 // Hard ceilings on embedded counts: an image is at most tens of MB, so a
 // count beyond these is corruption, not a big program.

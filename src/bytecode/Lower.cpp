@@ -581,7 +581,7 @@ private:
       static const BcOp PerClass[] = {
           BcOp::CheckHeapRo,           BcOp::CheckHeapPrivate,
           BcOp::CheckHeapRedux,        BcOp::CheckHeapShortLived,
-          BcOp::CheckHeapUnrestricted, BcOp::CheckHeapCommutative};
+          BcOp::CheckHeapUnrestricted};
       static_assert(sizeof(PerClass) / sizeof(PerClass[0]) == kNumHeapKinds,
                     "per-class check table must cover every heap kind");
       HeapKind K = I.expectedHeap();
@@ -596,16 +596,6 @@ private:
     case Opcode::PrivateWrite:
       emit(BcOp::PrivWrite, regFor(I.operand(0)), 0, 0,
            static_cast<int64_t>(I.accessBytes()));
-      return;
-    case Opcode::ComUpdate:
-      // Separation check is fused into the handler: Imm carries the
-      // commutative heap's tag bits, C packs the access width and the
-      // combining operator.
-      emit(BcOp::ComUpdate, regFor(I.operand(1)), regFor(I.operand(0)),
-           static_cast<uint16_t>(I.accessBytes() |
-                                 (static_cast<unsigned>(I.comOp()) << 4)),
-           static_cast<int64_t>(heapTag(HeapKind::Commutative)
-                                << kHeapTagShift));
       return;
     case Opcode::SpeculateEq:
       emit(BcOp::SpecEq, regFor(I.operand(0)), regFor(I.operand(1)));

@@ -463,8 +463,6 @@ dispatch:
   BC_NEXT();
   BC_HANDLER(CheckHeapUnrestricted) { BC_CHECKHEAP_BODY(); }
   BC_NEXT();
-  BC_HANDLER(CheckHeapCommutative) { BC_CHECKHEAP_BODY(); }
-  BC_NEXT();
 #undef BC_CHECKHEAP_BODY
 
   BC_HANDLER(PrivRead) {
@@ -569,23 +567,6 @@ dispatch:
   BC_NEXT();
   BC_HANDLER(WaitDep) {
     R[I->A] = Rt.waitDep(R[I->B], static_cast<uint32_t>(I->Imm));
-  }
-  BC_NEXT();
-
-  BC_HANDLER(ComUpdate) {
-    // C packs width (low nibble) and combining operator (high bits); Imm
-    // holds the commutative heap's tag bits so the separation check is one
-    // mask-AND+compare, same as the CheckHeap* family.
-    unsigned Bytes = I->C & 0xF;
-    ComOp Op = static_cast<ComOp>(I->C >> 4);
-    if (Spec) {
-      Rt.countSeparationCheck();
-      if ((R[I->A] & kHeapTagMask) != static_cast<uint64_t>(I->Imm))
-        Rt.misspecAbort("comupdate of a pointer outside the commutative heap");
-      Rt.comUpdateTagged(R[I->A], Op, Bytes, sI(R[I->B]));
-    } else {
-      applyComUpdate(R[I->A], Op, Bytes, sI(R[I->B]));
-    }
   }
   BC_NEXT();
 

@@ -30,40 +30,8 @@ std::vector<const Instruction *> loopInstructions(const Loop &L,
   return Out;
 }
 
-bool isReduxOpcode(Opcode Op) {
-  return Op == Opcode::Add || Op == Opcode::FAdd || Op == Opcode::Mul ||
-         Op == Opcode::FMul;
-}
-
-/// Recognizes the syntactic reduction pattern of Algorithm 2: a store of
-/// `v = op(r, x)` back through the same pointer SSA value a load `r` used,
-/// with an associative and commutative `op`.
-bool isReductionPair(const Instruction *Store, const Instruction **LoadOut) {
-  Value *V = Store->operand(0);
-  Value *P = Store->operand(1);
-  if (V->kind() != ValueKind::Instruction)
-    return false;
-  auto *Op = static_cast<Instruction *>(V);
-  if (!isReduxOpcode(Op->opcode()))
-    return false;
-  for (unsigned A = 0; A < 2; ++A) {
-    Value *Side = Op->operand(A);
-    if (Side->kind() != ValueKind::Instruction)
-      continue;
-    auto *Ld = static_cast<Instruction *>(Side);
-    if (Ld->opcode() == Opcode::Load && Ld->operand(0) == P &&
-        Ld->accessBytes() == Store->accessBytes()) {
-      *LoadOut = Ld;
-      return true;
-    }
-  }
-  return false;
-}
-
 /// Structural address equality: the same SSA value, or geps recomputing
-/// the same address (equal bases, equal offsets).  The reduction
-/// recognizer insists on pointer *identity*; recomputed geps are one of
-/// the shapes that push an update to the commutative class instead.
+/// the same address (equal bases, equal offsets).
 bool sameAddress(const Value *A, const Value *B) {
   if (A == B)
     return true;
@@ -82,7 +50,7 @@ bool sameAddress(const Value *A, const Value *B) {
 }
 
 /// Number of operand slots referencing each value, across the whole
-/// module.  Cluster recognition needs single-use guarantees: the loaded
+/// module.  Update recognition needs single-use guarantees: the loaded
 /// value must feed only the combine, and the combine only the store —
 /// otherwise the old cell value escapes and the update is not a pure fold.
 std::map<const Value *, unsigned> countUses(const ir::Module &M) {
@@ -95,59 +63,61 @@ std::map<const Value *, unsigned> countUses(const ir::Module &M) {
   return Uses;
 }
 
-std::optional<ComOp> comOpForOpcode(Opcode Op) {
+std::optional<ReduxOp> reduxOpForOpcode(Opcode Op) {
   switch (Op) {
   case Opcode::Add:
-    return ComOp::Add;
+  case Opcode::FAdd:
+    return ReduxOp::Add;
   case Opcode::Mul:
-    return ComOp::Mul;
+  case Opcode::FMul:
+    return ReduxOp::Mul;
   case Opcode::And:
-    return ComOp::And;
+    return ReduxOp::And;
   case Opcode::Or:
-    return ComOp::Or;
+    return ReduxOp::Or;
   case Opcode::Xor:
-    return ComOp::Xor;
+    return ReduxOp::Xor;
   default:
     return std::nullopt;
   }
 }
 
-/// Recognizes the commutative-update cluster ending at \p Store.
+/// Recognizes the reduction update ending at \p Store.
 ///
-/// Pattern A (integer fold):   r = load p; v = op(r, x); store v, q
-/// with op in {add, mul, and, or, xor} and p, q the same address.
+/// Pattern A (fold):       r = load p; v = op(r, x); store v, q
+/// with p, q the same address and op one of add, mul, and, or, xor on
+/// i64-typed sign-extending loads of 1-8 bytes, or fadd, fmul on f64 cells
+/// (Algorithm 2's shape).
 ///
-/// Pattern B (min/max map):    r = load p; c = icmp pred, a, b;
-///                             v = select c, t, f; store v, q
+/// Pattern B (min/max):    r = load p; c = icmp pred, a, b;
+///                         v = select c, t, f; store v, q
 /// where {a,b} = {t,f} = {r,x} and pred is an ordering, so v is exactly
 /// min(r,x) or max(r,x).
 ///
-/// Both demand: i64-typed sign-extending loads (floats are not byte-exact
-/// under reassociation), matching access widths, and single-use chains so
-/// the old value cannot escape.  x must be independent of r — guaranteed
-/// by the use counts: r's only uses are inside the cluster.  Pattern B
-/// also demands 8-byte cells: trunc(min(sext(r), x)) stops commuting once
-/// x leaves a narrower cell's range, while pattern A's operators wrap
-/// exactly at any width.
-bool matchComCluster(const Instruction *Store,
-                     const std::map<const Value *, unsigned> &Uses,
-                     const std::set<const Instruction *> &InLoop,
-                     ComCluster &Out) {
+/// Both demand matching access widths and single-use chains, so the old
+/// value cannot escape and x is independent of r.  Pattern B also demands
+/// 8-byte cells: trunc(min(sext(r), x)) stops commuting once x leaves a
+/// narrower cell's range, while pattern A's integer operators wrap exactly
+/// at any width.
+bool matchReduxUpdate(const Instruction *Store,
+                      const std::map<const Value *, unsigned> &Uses,
+                      const std::set<const Instruction *> &InLoop,
+                      ReduxUpdate &Out) {
   auto UseCount = [&](const Value *V) {
     auto It = Uses.find(V);
     return It == Uses.end() ? 0u : It->second;
   };
-  auto IsClusterLoad = [&](const Value *V, unsigned WantUses,
-                           const Instruction **LdOut) {
+  auto IsUpdateLoad = [&](const Value *V, Type T, unsigned WantUses) {
     if (V->kind() != ValueKind::Instruction)
       return false;
     auto *Ld = static_cast<const Instruction *>(V);
-    if (Ld->opcode() != Opcode::Load || Ld->type() != Type::I64 ||
+    if (Ld->opcode() != Opcode::Load || Ld->type() != T ||
         !InLoop.count(Ld) || UseCount(Ld) != WantUses ||
         Ld->accessBytes() != Store->accessBytes() ||
         !sameAddress(Ld->operand(0), Store->operand(1)))
       return false;
-    *LdOut = Ld;
+    Out.Load = Ld;
+    Out.Store = Store;
     return true;
   };
 
@@ -158,17 +128,15 @@ bool matchComCluster(const Instruction *Store,
   if (!InLoop.count(Comb) || UseCount(Comb) != 1)
     return false;
 
-  if (auto COp = comOpForOpcode(Comb->opcode())) {
+  if (auto Op = reduxOpForOpcode(Comb->opcode())) {
     // Pattern A.  The load feeds only the combine.
-    for (unsigned A = 0; A < 2; ++A) {
-      const Instruction *Ld = nullptr;
-      if (IsClusterLoad(Comb->operand(A), 1, &Ld)) {
-        Out = ComCluster{Ld, Store, Comb, nullptr, Comb->operand(1 - A),
-                         *COp};
-        return true;
-      }
-    }
-    return false;
+    bool Float =
+        Comb->opcode() == Opcode::FAdd || Comb->opcode() == Opcode::FMul;
+    Type T = Float ? Type::F64 : Type::I64;
+    Out.Op = *Op;
+    Out.Elem = Float ? ReduxElem::F64 : reduxIntElem(Store->accessBytes());
+    return IsUpdateLoad(Comb->operand(0), T, 1) ||
+           IsUpdateLoad(Comb->operand(1), T, 1);
   }
 
   if (Comb->opcode() != Opcode::Select || Store->accessBytes() != 8)
@@ -193,19 +161,11 @@ bool matchComCluster(const Instruction *Store,
   // "a < b ? a : b" is min; swapping either the predicate direction or
   // the select arms flips it.
   bool PredIsLess = Pred == CmpPred::Lt || Pred == CmpPred::Le;
-  ComOp MinMax = (PredIsLess == Straight) ? ComOp::Min : ComOp::Max;
-  // One compare operand is the cluster load (used by compare + select),
+  Out.Op = (PredIsLess == Straight) ? ReduxOp::Min : ReduxOp::Max;
+  Out.Elem = ReduxElem::I64;
+  // One compare operand is the update's load (used by compare + select),
   // the other is the folded-in value.
-  const Instruction *Ld = nullptr;
-  if (IsClusterLoad(A, 2, &Ld) && UseCount(A) == 2) {
-    Out = ComCluster{Ld, Store, Comb, Cmp, B, MinMax};
-    return true;
-  }
-  if (IsClusterLoad(B, 2, &Ld) && UseCount(B) == 2) {
-    Out = ComCluster{Ld, Store, Comb, Cmp, A, MinMax};
-    return true;
-  }
-  return false;
+  return IsUpdateLoad(A, Type::I64, 2) || IsUpdateLoad(B, Type::I64, 2);
 }
 
 /// Instruction-level footprint for the dependence-refinement loop of
@@ -218,7 +178,7 @@ InstFootprint instFootprint(const Instruction *I, const Footprint &Fp,
                             const Profile &P) {
   InstFootprint Out;
   const std::set<ObjectKey> &Objs = P.objectsAccessedBy(I);
-  if (Fp.ReduxAccesses.count(I) || Fp.ComAccesses.count(I)) {
+  if (Fp.ReduxAccesses.count(I)) {
     Out.X = Objs;
     return Out;
   }
@@ -257,42 +217,23 @@ Footprint classify::getFootprint(const Loop &L, const FunctionAnalyses &FA,
   std::vector<const Instruction *> Insts = loopInstructions(L, FA);
   std::set<const Instruction *> InLoop(Insts.begin(), Insts.end());
 
-  // Recognize reduction pairs first.
-  for (const Instruction *I : Insts) {
-    if (I->opcode() != Opcode::Store)
-      continue;
-    const Instruction *Ld = nullptr;
-    if (isReductionPair(I, &Ld) && InLoop.count(Ld)) {
-      Out.ReduxAccesses.insert(I);
-      Out.ReduxAccesses.insert(Ld);
-      const auto &Objs = P.objectsAccessedBy(I);
-      Out.Redux.insert(Objs.begin(), Objs.end());
-      const auto &LdObjs = P.objectsAccessedBy(Ld);
-      Out.Redux.insert(LdObjs.begin(), LdObjs.end());
-    }
-  }
-  // Then commutative-update clusters among the stores the reduction
-  // recognizer passed over (recomputed pointers, bitwise ops, min/max).
+  // Recognize reduction updates first.
   std::map<const Value *, unsigned> Uses =
       countUses(*L.header()->parent()->parent());
   for (const Instruction *I : Insts) {
-    if (I->opcode() != Opcode::Store || Out.ReduxAccesses.count(I))
+    ReduxUpdate U;
+    if (I->opcode() != Opcode::Store || !matchReduxUpdate(I, Uses, InLoop, U))
       continue;
-    ComCluster C;
-    if (matchComCluster(I, Uses, InLoop, C) &&
-        !Out.ReduxAccesses.count(C.Load)) {
-      Out.ComClusters.push_back(C);
-      Out.ComAccesses.insert(C.Store);
-      Out.ComAccesses.insert(C.Load);
-      const auto &StObjs = P.objectsAccessedBy(C.Store);
-      Out.Com.insert(StObjs.begin(), StObjs.end());
-      const auto &LdObjs = P.objectsAccessedBy(C.Load);
-      Out.Com.insert(LdObjs.begin(), LdObjs.end());
+    Out.ReduxUpdates.push_back(U);
+    for (const Instruction *Acc : {U.Load, U.Store}) {
+      Out.ReduxAccesses.insert(Acc);
+      const auto &Objs = P.objectsAccessedBy(Acc);
+      Out.Redux.insert(Objs.begin(), Objs.end());
     }
   }
   // Remaining accesses populate the read and write footprints.
   for (const Instruction *I : Insts) {
-    if (Out.ReduxAccesses.count(I) || Out.ComAccesses.count(I))
+    if (Out.ReduxAccesses.count(I))
       continue;
     const auto &Objs = P.objectsAccessedBy(I);
     if (I->opcode() == Opcode::Load)
@@ -307,7 +248,7 @@ HeapAssignment classify::classifyLoop(const Loop &L,
                                       const FunctionAnalyses &FA,
                                       const Profile &P,
                                       const std::set<FlowDep> *CoveredDeps,
-                                      bool EnableCommutative) {
+                                      bool EnableReductions) {
   HeapAssignment HA;
   HA.TheLoop = &L;
   HA.Fp = getFootprint(L, FA, P);
@@ -315,58 +256,44 @@ HeapAssignment classify::classifyLoop(const Loop &L,
 
   // Short-lived: allocated and freed within one iteration of L.
   std::set<ObjectKey> ShortLived;
-  for (const ObjectKey &O : setUnion(Fp.Read, Fp.Write))
-    if (P.isShortLived(O, &L))
-      ShortLived.insert(O);
-  for (const ObjectKey &O : Fp.Redux)
+  for (const ObjectKey &O : setUnion(setUnion(Fp.Read, Fp.Write), Fp.Redux))
     if (P.isShortLived(O, &L))
       ShortLived.insert(O);
 
-  // Reduction heap: objects accessed *only* through reduction operations.
-  // (The paper's Algorithm 1 pseudo-code tests membership in the
-  // read/write footprints, but §4.2's prose — "If the compiler does not
-  // expect an object in the reduction set to be accessed by loads or
-  // stores elsewhere in the loop" — makes the intent clear; the
-  // conference text's condition appears to have lost a negation.)
+  // Reduction heap: objects accessed *only* through recognized updates,
+  // all agreeing on operator and element (a cell folded with add here and
+  // mul there is order-sensitive across the two operators, so mixed
+  // objects are rejected).  (The paper's Algorithm 1 pseudo-code tests
+  // membership in the read/write footprints, but §4.2's prose — "If the
+  // compiler does not expect an object in the reduction set to be accessed
+  // by loads or stores elsewhere in the loop" — makes the intent clear;
+  // the conference text's condition appears to have lost a negation.)
   std::set<ObjectKey> Redux;
-  for (const ObjectKey &O : Fp.Redux)
-    if (!Fp.Read.count(O) && !Fp.Write.count(O) && !Fp.Com.count(O) &&
-        !ShortLived.count(O))
-      Redux.insert(O);
-
-  // Commutative heap: objects accessed *only* through recognized
-  // commutative-update clusters, all agreeing on operator and width (a
-  // cell folded with add here and max there is order-sensitive across
-  // the two operators, so mixed objects are rejected).
-  std::set<ObjectKey> Com;
-  if (EnableCommutative) {
-    std::map<ObjectKey, std::pair<ComOp, uint8_t>> Want;
+  if (EnableReductions) {
+    std::map<ObjectKey, std::pair<ReduxElem, ReduxOp>> Want;
     std::set<ObjectKey> Mixed;
-    for (const ComCluster &C : Fp.ComClusters) {
-      std::pair<ComOp, uint8_t> OpW{
-          C.Op, static_cast<uint8_t>(C.Store->accessBytes())};
-      for (const Instruction *Acc : {C.Store, C.Load})
+    for (const ReduxUpdate &U : Fp.ReduxUpdates)
+      for (const Instruction *Acc : {U.Store, U.Load})
         for (const ObjectKey &O : P.objectsAccessedBy(Acc)) {
-          auto [It, New] = Want.try_emplace(O, OpW);
-          if (!New && It->second != OpW)
+          auto [It, New] = Want.try_emplace(O, U.Elem, U.Op);
+          if (!New && It->second != std::make_pair(U.Elem, U.Op))
             Mixed.insert(O);
         }
-    }
-    for (const ObjectKey &O : Fp.Com)
-      if (!Fp.Read.count(O) && !Fp.Write.count(O) && !Fp.Redux.count(O) &&
-          !ShortLived.count(O) && !Mixed.count(O)) {
-        Com.insert(O);
-        HA.ComOps[O] = Want[O];
+    for (const ObjectKey &O : Fp.Redux)
+      if (!Fp.Read.count(O) && !Fp.Write.count(O) && !ShortLived.count(O) &&
+          !Mixed.count(O)) {
+        Redux.insert(O);
+        HA.ReduxOps[O] = Want[O];
       }
   }
-  // Rejected cluster objects (or all of them when commutative
-  // classification is off) fall back into the ordinary footprints and
-  // classify as the paper's five classes would — typically private, where
-  // cross-worker bumps of one cell surface as benign misspeculation.
+  // Rejected update objects (or all of them when reductions are off) fall
+  // back into the ordinary footprints and classify as plain loads and
+  // stores would — typically private, where cross-worker updates of one
+  // cell surface as misspeculation.
   std::set<ObjectKey> ReadFp = Fp.Read;
   std::set<ObjectKey> WriteFp = Fp.Write;
-  for (const ObjectKey &O : Fp.Com)
-    if (!Com.count(O)) {
+  for (const ObjectKey &O : Fp.Redux)
+    if (!Redux.count(O)) {
       ReadFp.insert(O);
       WriteFp.insert(O);
     }
@@ -392,7 +319,6 @@ HeapAssignment classify::classifyLoop(const Loop &L,
                                          setUnion(B.R, B.X));
     setSubtract(F, ShortLived);
     setSubtract(F, Redux);
-    setSubtract(F, Com);
     if (F.empty())
       continue;
 
@@ -426,12 +352,6 @@ HeapAssignment classify::classifyLoop(const Loop &L,
     Unrestricted.insert(F.begin(), F.end());
   }
 
-  // Com objects with a profiled (uncovered) cross-iteration dep through
-  // their clusters keep commutative semantics — the fold is
-  // order-independent, which is the whole point — so Com was subtracted
-  // above; anything else that surfaced a dep is unrestricted.
-  setSubtract(Unrestricted, Com);
-
   // Private: everything else written.  Read-only: everything else read.
   std::set<ObjectKey> Private = WriteFp;
   setSubtract(Private, ShortLived);
@@ -447,8 +367,6 @@ HeapAssignment classify::classifyLoop(const Loop &L,
     HA.ObjectHeaps[O] = HeapKind::ShortLived;
   for (const ObjectKey &O : Redux)
     HA.ObjectHeaps[O] = HeapKind::Redux;
-  for (const ObjectKey &O : Com)
-    HA.ObjectHeaps[O] = HeapKind::Commutative;
   for (const ObjectKey &O : Unrestricted)
     HA.ObjectHeaps[O] = HeapKind::Unrestricted;
   for (const ObjectKey &O : Private)
@@ -461,41 +379,11 @@ HeapAssignment classify::classifyLoop(const Loop &L,
     HA.Predictions.push_back(Pred);
   }
 
-  // Record each reduction object's element type and operator for runtime
-  // registration: taken from the store half of its load-op-store pattern.
-  for (const Instruction *I : Fp.ReduxAccesses) {
-    if (I->opcode() != Opcode::Store)
-      continue;
-    auto *Op = static_cast<const Instruction *>(I->operand(0));
-    bool IsFloat =
-        Op->opcode() == Opcode::FAdd || Op->opcode() == Opcode::FMul;
-    bool IsMul =
-        Op->opcode() == Opcode::Mul || Op->opcode() == Opcode::FMul;
-    ReduxElem Elem = I->accessBytes() == 8
-                         ? (IsFloat ? ReduxElem::F64 : ReduxElem::I64)
-                         : (IsFloat ? ReduxElem::F32 : ReduxElem::I32);
-    ReduxOp ROp = IsMul ? ReduxOp::Mul : ReduxOp::Add;
-    for (const ObjectKey &O : P.objectsAccessedBy(I))
-      if (Redux.count(O))
-        HA.ReduxOps[O] = {Elem, ROp};
-  }
-
-  // Keep only the clusters whose every touched object classified
-  // Commutative: those the privatizer folds into ComUpdate.  The rest
-  // stay plain load-op-store and get ordinary privacy checks.
-  for (const ComCluster &C : Fp.ComClusters) {
-    bool AllCom = true;
-    for (const Instruction *Acc : {C.Store, C.Load})
-      for (const ObjectKey &O : P.objectsAccessedBy(Acc))
-        AllCom &= Com.count(O) != 0;
-    if (AllCom)
-      HA.ComClusters.push_back(C);
-  }
-  for (const ObjectKey &O : Com)
-    HA.Notes.push_back(
-        std::string("commutative ") + O.str() + ": " +
-        reduxOpName(HA.ComOps[O].first) + "/" +
-        std::to_string(HA.ComOps[O].second) + "B, combined at commit");
+  for (const auto &[O, ElemOp] : HA.ReduxOps)
+    HA.Notes.push_back(std::string("reduction ") + O.str() + ": " +
+                       reduxOpName(ElemOp.second) + "/" +
+                       std::to_string(reduxElemSize(ElemOp.first)) +
+                       "B, combined at commit");
 
   HA.Parallelizable = Unrestricted.empty();
   if (!HA.Parallelizable)

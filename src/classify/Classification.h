@@ -24,37 +24,27 @@
 namespace privateer {
 namespace classify {
 
-/// A recognized commutative-update cluster: a load-op-store of the same
-/// address that the reduction recognizer rejects (recomputed pointer,
-/// bitwise operator, or a min/max compare+select).  If every access to an
-/// object is such a cluster with one agreed operator, the object can live
-/// on the commutative heap and the privatizer folds each cluster into a
-/// single ComUpdate instruction.
-struct ComCluster {
+/// A recognized reduction update: a load-op-store of one address whose
+/// loaded value feeds only the combine, and the combine only the store.
+/// The loop keeps it as plain loads and stores; in a speculative worker
+/// they update that worker's identity-initialized copy of the object.
+struct ReduxUpdate {
   const ir::Instruction *Load = nullptr;
   const ir::Instruction *Store = nullptr;
-  /// The combining instruction: a binop (pattern A) or the select of a
-  /// compare+select min/max (pattern B, where Cmp is the icmp).
-  const ir::Instruction *Combine = nullptr;
-  const ir::Instruction *Cmp = nullptr;
-  ir::Value *X = nullptr; ///< The folded-in operand (independent of Load).
-  ComOp Op = ComOp::Add;
+  ReduxElem Elem = ReduxElem::I64;
+  ReduxOp Op = ReduxOp::Add;
 };
 
 /// Per-loop footprints of Algorithm 2, as sets of object names.
 struct Footprint {
   std::set<profiling::ObjectKey> Read;
   std::set<profiling::ObjectKey> Write;
+  /// Objects touched by recognized reduction updates (candidates for
+  /// HeapKind::Redux; rejected ones fall back to Read/Write).
   std::set<profiling::ObjectKey> Redux;
-  /// Objects touched by commutative-update clusters (candidates for
-  /// HeapKind::Commutative; rejected ones fall back to Read/Write).
-  std::set<profiling::ObjectKey> Com;
-  /// Loads/stores recognized as parts of reduction (load-op-store)
-  /// patterns; the transformation skips privacy checks for them.
+  /// The loads and stores of those updates.
   std::set<const ir::Instruction *> ReduxAccesses;
-  /// Loads/stores belonging to commutative-update clusters.
-  std::set<const ir::Instruction *> ComAccesses;
-  std::vector<ComCluster> ComClusters;
+  std::vector<ReduxUpdate> ReduxUpdates;
 };
 
 /// A value prediction the transformation must install: the first read of
@@ -74,14 +64,9 @@ struct HeapAssignment {
   std::map<profiling::ObjectKey, HeapKind> ObjectHeaps;
   std::vector<ValuePrediction> Predictions;
   /// Element type and operator of each reduction-heap object, for runtime
-  /// registration (identity init + checkpoint combine).
+  /// registration (identity init + checkpoint combine).  Every update of
+  /// the object agrees on both; mixed objects are rejected.
   std::map<profiling::ObjectKey, std::pair<ReduxElem, ReduxOp>> ReduxOps;
-  /// Operator and element width of each commutative-heap object (every
-  /// cluster on the object agrees on both; mixed objects are rejected).
-  std::map<profiling::ObjectKey, std::pair<ComOp, uint8_t>> ComOps;
-  /// The clusters the privatizer must fold into ComUpdate instructions —
-  /// only those whose every touched object classified Commutative.
-  std::vector<ComCluster> ComClusters;
   Footprint Fp;
 
   /// True when no object is unrestricted: every profiled cross-iteration
@@ -107,15 +92,15 @@ Footprint getFootprint(const analysis::Loop &L,
 /// Algorithm 1 plus value-prediction refinement.  \p CoveredDeps names
 /// profiled flow dependences the DOACROSS pre-pass forwards through token
 /// rings; they are carved out of the unrestricted set.  When
-/// \p EnableCommutative is false, recognized commutative clusters fall
-/// back into the ordinary footprints and classify as the paper's five
-/// classes would (typically private — the A/B arm of the bench gate).
+/// \p EnableReductions is false, recognized reduction updates fall back
+/// into the ordinary footprints and classify as plain loads and stores
+/// would (typically private — the A/B arm of the bench gate).
 HeapAssignment classifyLoop(const analysis::Loop &L,
                             const analysis::FunctionAnalyses &FA,
                             const profiling::Profile &P,
                             const std::set<profiling::FlowDep> *CoveredDeps =
                                 nullptr,
-                            bool EnableCommutative = true);
+                            bool EnableReductions = true);
 
 /// §4.3 selection: among \p Candidates, keep parallelizable canonical
 /// loops, drop loops incompatible with a heavier selection (simultaneously

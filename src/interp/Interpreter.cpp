@@ -314,7 +314,6 @@ Cell Interpreter::execute(const Instruction &I, Frame &F) {
   case Opcode::PrivateRead:
   case Opcode::PrivateWrite:
   case Opcode::SpeculateEq:
-  case Opcode::ComUpdate:
   case Opcode::PostDep:
   case Opcode::WaitDep:
     reportFatalError(std::string("interpreter runs untransformed IR only: ") +

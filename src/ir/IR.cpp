@@ -97,8 +97,6 @@ const char *ir::opcodeName(Opcode Op) {
     return "postdep";
   case Opcode::WaitDep:
     return "waitdep";
-  case Opcode::ComUpdate:
-    return "comupdate";
   }
   return "<bad-opcode>";
 }

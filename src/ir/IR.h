@@ -26,7 +26,6 @@
 #define PRIVATEER_IR_IR_H
 
 #include "runtime/HeapKind.h"
-#include "runtime/Reduction.h"
 
 #include <cassert>
 #include <cstdint>
@@ -160,12 +159,6 @@ enum class Opcode : uint8_t {
   // channel id travels in the access-bytes payload slot.
   PostDep, // Operands 0, 1: iteration, value; payload: channel.
   WaitDep, // Operand 0: target iteration; payload: channel; yields i64.
-  // Commutative update: a recognized load-op-store cluster on a
-  // Commutative-classified object folded into one instruction.  In
-  // speculative workers it updates the worker's copy of the object, which
-  // combines into the master at commit; everywhere else the object itself.
-  ComUpdate, // Operand 0: value (i64), operand 1: pointer; payload:
-             // commutative op + access bytes.
 };
 
 const char *opcodeName(Opcode Op);
@@ -215,7 +208,7 @@ public:
   uint64_t accessBytes() const {
     assert((Op == Opcode::Load || Op == Opcode::Store ||
             Op == Opcode::Alloca || Op == Opcode::PrivateRead ||
-            Op == Opcode::PrivateWrite || Op == Opcode::ComUpdate) &&
+            Op == Opcode::PrivateWrite) &&
            "opcode carries no byte count");
     return Bytes;
   }
@@ -232,12 +225,6 @@ public:
            "not a dependence-token op");
     Bytes = C;
   }
-
-  ComOp comOp() const {
-    assert(Op == Opcode::ComUpdate && "not a commutative update");
-    return COp;
-  }
-  void setComOp(ComOp O) { COp = O; }
 
   CmpPred cmpPred() const {
     assert((Op == Opcode::ICmp || Op == Opcode::FCmp) && "not a compare");
@@ -282,7 +269,6 @@ private:
   std::vector<BasicBlock *> Blocks;
   uint64_t Bytes = 0;
   CmpPred Pred = CmpPred::Eq;
-  ComOp COp = ComOp::Add;
   Function *Callee = nullptr;
   std::string Format;
   HeapKind Heap = HeapKind::Unrestricted;

@@ -554,24 +554,6 @@ private:
       I->setDepChannel(static_cast<uint32_t>(std::stoull(Args[1])));
       return true;
     }
-    if (Mn == "comupdate") {
-      auto Args = splitArgs(Tail);
-      if (Args.size() != 4)
-        return failB("comupdate wants: <op>, <value>, <ptr>, <bytes>");
-      static const std::map<std::string, ComOp> ComOps = {
-          {"add", ComOp::Add}, {"mul", ComOp::Mul}, {"and", ComOp::And},
-          {"or", ComOp::Or},   {"xor", ComOp::Xor}, {"min", ComOp::Min},
-          {"max", ComOp::Max}};
-      auto O = ComOps.find(Args[0]);
-      if (O == ComOps.end())
-        return failB("unknown commutative op '" + Args[0] + "'");
-      Instruction *I = Create(Opcode::ComUpdate, Type::Void);
-      I->setComOp(O->second);
-      if (!addValueOperand(I, Args[1]) || !addValueOperand(I, Args[2]))
-        return false;
-      I->setAccessBytes(std::stoull(Args[3]));
-      return true;
-    }
     if (Mn == "speculate_eq") {
       auto Args = splitArgs(Tail);
       if (Args.size() != 2)

@@ -181,11 +181,6 @@ void printInstruction(const Instruction &I, std::string &Out) {
     Out += "waitdep " + valueRef(I.operand(0)) + ", " +
            std::to_string(I.depChannel());
     break;
-  case Opcode::ComUpdate:
-    Out += std::string("comupdate ") + reduxOpName(I.comOp()) + ", " +
-           valueRef(I.operand(0)) + ", " + valueRef(I.operand(1)) + ", " +
-           std::to_string(I.accessBytes());
-    break;
   }
   Out += "\n";
 }

@@ -275,12 +275,6 @@ private:
     case Opcode::WaitDep:
       WantOperands(1);
       break;
-    case Opcode::ComUpdate:
-      WantOperands(2);
-      WantAccessSize();
-      if (I.numOperands() == 2 && I.operand(1)->type() != Type::Ptr)
-        error(F, &B, "comupdate pointer operand is not ptr-typed");
-      break;
     case Opcode::Print:
       if (I.numOperands() > kBytecodeLimit)
         error(F, &B, "print has more than 65535 operands");

@@ -251,7 +251,7 @@ void CheckpointRegion::workerMerge(uint64_t P, const uint8_t *LocalShadow,
       Ctx.Scan->BytesSkipped += Skipped;
     }
 
-    // Reduction and commutative partials: the first contributor copies,
+    // Reduction partials: the first contributor copies,
     // later ones combine.
     if (Cfg.ReduxBytes > 0)
       Redux.mergeInto(slotRedux(P), H->ExecutedMerges == 0);
@@ -395,7 +395,7 @@ SlotFailure CheckpointRegion::commitSlot(
 
   account();
 
-  // Combine the reduction and commutative partials into the committed
+  // Combine the reduction partials into the committed
   // objects.  A slot nobody executed iterations for holds no partial.  The
   // operators are associative and commutative (integers wrap), so the
   // order the workers merged in does not matter.

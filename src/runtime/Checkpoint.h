@@ -11,9 +11,9 @@
 /// in shared memory created before fork.  "Workers acquire a lock on a
 /// single checkpoint object, not the whole checkpoint system, to avoid
 /// barrier penalties": each worker merges its speculative state (private
-/// values, shadow metadata, reduction and commutative partials, deferred
-/// output) into the slot for a period as soon as it finishes its share of
-/// that period's iterations, then keeps running.
+/// values, shadow metadata, reduction partials, deferred output) into the
+/// slot for a period as soon as it finishes its share of that period's
+/// iterations, then keeps running.
 ///
 /// Privacy validation is two-phase (§5.1).  Phase 1 is the inline Table 2
 /// test in each worker.  Phase 2 happens here: worker merges record
@@ -172,8 +172,8 @@ public:
   struct Config {
     EpochPlan Plan;            ///< One slot per period of the epoch.
     uint64_t PrivateBytes = 0; ///< Bytes of private heap covered (high water).
-    /// Bytes of the registry's packed image of reduction and commutative
-    /// objects (ReductionRegistry::packedBytes).
+    /// Bytes of the registry's packed image of reduction objects
+    /// (ReductionRegistry::packedBytes).
     uint64_t ReduxBytes = 0;
     uint64_t IoCapacity = 0; ///< Per-slot deferred-output capacity.
   };

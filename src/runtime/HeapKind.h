@@ -18,14 +18,10 @@
 /// Tag assignment (bits 46..44):
 ///   0b001 ReadOnly      0b010 Private       0b011 Shadow (= Private|bit44)
 ///   0b100 Redux         0b101 ShortLived    0b110 Unrestricted
-///   0b111 Commutative
 ///
-/// Commutative is the sixth classification (beyond the paper's five):
-/// objects whose every loop access is a recognized read-modify-write with a
-/// commutative-associative integer operator.  Its objects are registered
-/// reductions (runtime/Reduction.h): each speculative worker updates its
-/// own copy, and checkpoint commits combine the copies into the master, so
-/// cross-worker updates to the same cell never misspeculate.
+/// Tag 0b111 is unused.  Every associative update the classifier
+/// recognizes (sums, products, bitwise folds, min/max) lives in the redux
+/// heap, whatever its operator.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,23 +32,21 @@
 
 namespace privateer {
 
-/// The access-pattern classifications of paper §4.2 plus the commutative
-/// extension.  Shadow is an internal region holding privacy metadata; it is
-/// never a classification.
+/// The access-pattern classifications of paper §4.2.  Shadow is an internal
+/// region holding privacy metadata; it is never a classification.
 enum class HeapKind : uint8_t {
   ReadOnly = 0,
   Private = 1,
   Redux = 2,
   ShortLived = 3,
   Unrestricted = 4,
-  Commutative = 5,
 };
 
 /// Must track the enum above: every HeapKind switch in the tree is audited
 /// to cover all kinds with no default, so adding a kind without growing
 /// this count (or vice versa) fails to compile right here.
-inline constexpr unsigned kNumHeapKinds = 6;
-static_assert(static_cast<unsigned>(HeapKind::Commutative) + 1 ==
+inline constexpr unsigned kNumHeapKinds = 5;
+static_assert(static_cast<unsigned>(HeapKind::Unrestricted) + 1 ==
                   kNumHeapKinds,
               "kNumHeapKinds must cover the last HeapKind enumerator");
 
@@ -68,8 +62,6 @@ inline constexpr const char *heapKindName(HeapKind K) {
     return "short-lived";
   case HeapKind::Unrestricted:
     return "unrestricted";
-  case HeapKind::Commutative:
-    return "commutative";
   }
   // Unreachable for in-range kinds; out-of-range bytes (e.g. a corrupted
   // image) must be rejected by the caller before casting to HeapKind.
@@ -98,13 +90,11 @@ inline constexpr uint64_t heapTag(HeapKind K) {
     return 0b101;
   case HeapKind::Unrestricted:
     return 0b110;
-  case HeapKind::Commutative:
-    return 0b111;
   }
   return 0;
 }
 
-static_assert(heapTag(HeapKind::Commutative) == 0b111 &&
+static_assert(heapTag(HeapKind::Unrestricted) == 0b110 &&
                   heapTag(HeapKind::ReadOnly) == 0b001,
               "every logical heap must own a distinct non-zero 3-bit tag");
 

@@ -752,8 +752,8 @@ Runtime::EpochResult Runtime::runEpoch(const EpochPlan &Plan,
     Stats.CheckpointDirtyChunks += CommitScan.DirtyChunks;
     Stats.CheckpointBytesScanned += CommitScan.BytesScanned;
     Stats.CheckpointBytesSkipped += CommitScan.BytesSkipped;
-    // Every committed slot combined each commutative copy once.
-    Stats.ComRecordsCommitted += comObjects() * Frontier.next();
+    // Every committed slot combined each reduction copy once.
+    Stats.ComRecordsCommitted += Redux.objects().size() * Frontier.next();
     // "take effect only when the checkpoint is marked non-speculative":
     // only output from committed checkpoints is emitted.
     flushIo(CommittedIo, Options.Out);
@@ -854,7 +854,6 @@ void Runtime::workerMain(unsigned Id, const EpochPlan &Plan,
         !heap(HeapKind::ShortLived).tryRemapCopyOnWrite() ||
         !heap(HeapKind::Redux).tryRemapCopyOnWrite() ||
         !heap(HeapKind::Unrestricted).tryRemapCopyOnWrite() ||
-        !heap(HeapKind::Commutative).tryRemapCopyOnWrite() ||
         (!PrivateFree && !Shadow.tryRemapCopyOnWrite()))
       misspecAbort("copy-on-write remap failed in worker");
     // Write-protect the read-only heap: a stray store becomes a SIGSEGV,
@@ -1004,7 +1003,7 @@ void Runtime::workerMain(unsigned Id, const EpochPlan &Plan,
       LocalStats.CheckpointDirtyChunks = MergeScan.DirtyChunks;
       LocalStats.CheckpointBytesScanned = MergeScan.BytesScanned;
       LocalStats.CheckpointBytesSkipped = MergeScan.BytesSkipped;
-      LocalStats.ComRecordsMerged += Executed ? comObjects() : 0;
+      LocalStats.ComRecordsMerged += Executed ? Redux.objects().size() : 0;
       if (Executed) {
         // Local post-checkpoint reset (§5.1): writes age into old-write,
         // validated live-in reads revert to live-in.  Codes >= 2 can only

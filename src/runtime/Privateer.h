@@ -59,13 +59,6 @@ inline void speculate(bool Cond, const char *What) {
   Runtime::get().speculateTrue(Cond, What);
 }
 
-/// Commutative update (com_update) of a registered commutative object: the
-/// separation check is fused in, a worker updates its own copy, which the
-/// commit combines into the master, and nothing is validated for privacy.
-inline void com_update(void *P, ComOp Op, unsigned Bytes, int64_t Value) {
-  Runtime::get().comUpdate(P, Op, Bytes, Value);
-}
-
 } // namespace privateer
 
 #endif // PRIVATEER_RUNTIME_PRIVATEER_H

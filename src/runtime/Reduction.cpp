@@ -137,18 +137,6 @@ void combineObject(const ReduxObject &O, uint64_t Dst, uint64_t Src) {
 
 size_t packedSize(const ReduxObject &O) { return (O.Bytes + 7) & ~size_t(7); }
 
-/// A sub-word cell, sign-extended: the IR's i64 load.
-template <typename T> void updateCell(uint64_t Addr, ComOp Op, int64_t V) {
-  T Cell;
-  std::memcpy(&Cell, reinterpret_cast<const void *>(Addr), sizeof(T));
-  int64_t Next = 0;
-  withOp(Op, [&](auto K) {
-    Next = combineAs<decltype(K)::value, int64_t>(Cell, V);
-  });
-  T Out = static_cast<T>(Next);
-  std::memcpy(reinterpret_cast<void *>(Addr), &Out, sizeof(T));
-}
-
 } // namespace
 
 const char *privateer::reduxOpName(ReduxOp Op) {
@@ -169,22 +157,6 @@ const char *privateer::reduxOpName(ReduxOp Op) {
     return "max";
   }
   return "<invalid>";
-}
-
-void privateer::applyComUpdate(uint64_t Addr, ComOp Op, unsigned Bytes,
-                               int64_t Value) {
-  // Fixed-width copies: a variable-length memcpy here compiles to two
-  // `rep movsq` per update.
-  switch (Bytes) {
-  case 1:
-    return updateCell<int8_t>(Addr, Op, Value);
-  case 2:
-    return updateCell<int16_t>(Addr, Op, Value);
-  case 4:
-    return updateCell<int32_t>(Addr, Op, Value);
-  default:
-    return updateCell<int64_t>(Addr, Op, Value);
-  }
 }
 
 void ReductionRegistry::registerObject(void *Address, size_t Bytes,

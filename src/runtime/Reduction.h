@@ -13,10 +13,10 @@
 /// worker's copy of the reduction heap is "initialized with the identity
 /// value for the reduction operator" (§3.2); checkpoints combine partials.
 ///
-/// Commutative-heap objects (HeapKind::Commutative) register here too:
-/// each is updated only through com_update with one operator and one
-/// width, so it is a reduction object whose updates the loop applies
-/// through a single read-modify-write.  Integer operators wrap in two's
+/// The loop itself updates a reduction object with plain loads and stores:
+/// in a speculative worker they land in that worker's copy.  Beside the
+/// paper's sums and products, the classifier admits bitwise and min/max
+/// folds and sub-word integer cells.  Integer operators wrap in two's
 /// complement, which makes every combine order byte-identical to
 /// sequential execution.
 ///
@@ -35,9 +35,6 @@ namespace privateer {
 /// in two's complement and Min/Max compare signed; And, Or and Xor apply
 /// to integer elements only.
 enum class ReduxOp : uint8_t { Add, Mul, And, Or, Xor, Min, Max };
-
-/// A commutative update folds its operand in with a reduction operator.
-using ComOp = ReduxOp;
 
 const char *reduxOpName(ReduxOp Op);
 
@@ -75,14 +72,7 @@ inline constexpr bool reduxValid(ReduxElem E, ReduxOp Op) {
          Op == ReduxOp::Min || Op == ReduxOp::Max;
 }
 
-/// com_update's one definition, shared by sequential execution, recovery,
-/// the bytecode VM and a speculative worker's copy: load \p Bytes (1, 2, 4
-/// or 8) at \p Addr, sign-extend to 64 bits (the IR's i64 load semantics),
-/// fold in \p Value with \p Op in 64-bit wrapping arithmetic and store the
-/// low \p Bytes back.
-void applyComUpdate(uint64_t Addr, ComOp Op, unsigned Bytes, int64_t Value);
-
-/// One registered reduction object, in the redux or commutative heap.
+/// One registered reduction object, in the redux heap.
 struct ReduxObject {
   uint64_t Address; ///< Base address.
   size_t Bytes;     ///< Total size (multiple of element size).

@@ -88,8 +88,6 @@ void Runtime::initialize(const RuntimeConfig &C) {
       return C.ShortLivedBytes;
     case HeapKind::Unrestricted:
       return C.UnrestrictedBytes;
-    case HeapKind::Commutative:
-      return C.CommutativeBytes;
     }
     reportFatalError("unknown heap kind in initialize()");
   };
@@ -121,7 +119,7 @@ void Runtime::shutdown() {
     trace::Collector::instance().flush(Err);
   }
   // The heaps stay mapped (parked): the next initialize in this process
-  // reuses them instead of paying for seven memfds, mmaps and munmaps.
+  // reuses them instead of paying for six memfds, mmaps and munmaps.
   // Their pages are freed there, not here; freeing them here measured as
   // slow as unmapping (DESIGN.md §7).
   Redux.clear();
@@ -149,39 +147,20 @@ void Runtime::heapDealloc(void *P, HeapKind K) {
   assert(addressInHeap(reinterpret_cast<uint64_t>(P), K) &&
          "pointer freed into the wrong logical heap");
   // A worker's slot partials are laid out by the registry it forked with.
-  if ((K == HeapKind::Redux || K == HeapKind::Commutative) &&
-      Redux.unregisterObject(P) && Mode == ExecMode::SpeculativeWorker)
+  if (K == HeapKind::Redux && Redux.unregisterObject(P) &&
+      Mode == ExecMode::SpeculativeWorker)
     misspecAbort("reduction object freed inside the parallel loop");
   heap(K).deallocate(P);
 }
 
 void Runtime::registerReduction(void *P, size_t Bytes, ReduxElem Elem,
                                 ReduxOp Op) {
-  assert((heap(HeapKind::Redux).contains(P) ||
-          (heap(HeapKind::Commutative).contains(P) &&
-           reduxIntElem(reduxElemSize(Elem)) == Elem)) &&
-         "reduction object outside the redux and commutative heaps");
+  assert(heap(HeapKind::Redux).contains(P) &&
+         "reduction object outside the redux heap");
   // Merges lay out slot partials by the registry the workers forked with.
   if (Mode == ExecMode::SpeculativeWorker)
     misspecAbort("reduction object allocated inside the parallel loop");
   Redux.registerObject(P, Bytes, Elem, Op);
-}
-
-void Runtime::comUpdate(void *P, ComOp Op, unsigned Bytes, int64_t Value) {
-  uint64_t Addr = reinterpret_cast<uint64_t>(P);
-  if (Mode != ExecMode::SpeculativeWorker) {
-    // Sequential execution, recovery, and non-speculative workers apply
-    // the fold to the object itself; the heaps behave as ordinary memory
-    // (§3.2).
-    applyComUpdate(Addr, Op, Bytes, Value);
-    return;
-  }
-  // The separation check is fused into the update: one tag compare, then
-  // the update of this worker's copy.
-  ++LocalStats.SeparationChecks;
-  if (!addressInHeap(Addr, HeapKind::Commutative))
-    misspecAbort("comupdate of a pointer outside the commutative heap");
-  comUpdateTagged(Addr, Op, Bytes, Value);
 }
 
 void Runtime::checkHeap(const void *P, HeapKind Expected) {

@@ -35,7 +35,6 @@
 #include "runtime/StatsSchema.h"
 #include "support/Trace.h"
 
-#include <algorithm>
 #include <cstdarg>
 #include <cstdio>
 #include <functional>
@@ -51,7 +50,6 @@ struct RuntimeConfig {
   size_t ReduxBytes = 1u << 20;
   size_t ShortLivedBytes = 8u << 20;
   size_t UnrestrictedBytes = 4u << 20;
-  size_t CommutativeBytes = 1u << 20;
 };
 
 /// How a parallel invocation schedules its iterations (DESIGN.md §15).
@@ -214,8 +212,8 @@ public:
   SharedHeap &heap(HeapKind K);
 
   /// Declares a reduction-privatized object with its element type and
-  /// associative/commutative operator.  It must lie in the redux heap, or
-  /// in the commutative heap with an integer element.  Every object a
+  /// associative/commutative operator.  It must lie in the redux heap.
+  /// Every object a
   /// parallel loop updates there must be registered before the loop runs;
   /// freeing the object forgets it.
   void registerReduction(void *P, size_t Bytes, ReduxElem Elem, ReduxOp Op);
@@ -243,14 +241,6 @@ public:
   /// Unconditional misspeculation report from a speculative worker.
   [[noreturn]] void misspecAbort(const char *Reason);
 
-  /// com_update: commutative update of \p Bytes at \p P with operator
-  /// \p Op and operand \p Value, applied by applyComUpdate everywhere.  The
-  /// separation check is fused in: a speculative worker verifies the
-  /// commutative-heap tag (misspec on mismatch) and updates its own copy of
-  /// the registered object, which started at the operator's identity and
-  /// combines into the master at commit, so no privacy validation runs.
-  void comUpdate(void *P, ComOp Op, unsigned Bytes, int64_t Value);
-
   // --- Fast-path speculation entry points (bytecode VM) ------------------
   //
   // The bytecode engine hoists the per-call mode test out of its inlined
@@ -273,15 +263,6 @@ public:
 
   /// privateWrite counterpart of privateReadTagged.
   void privateWriteTagged(uint64_t Addr, size_t Bytes);
-
-  /// comUpdate with the mode test and commutative-heap tag check already
-  /// done by the caller: counts the update and applies it to the worker's
-  /// copy.
-  void comUpdateTagged(uint64_t Addr, ComOp Op, unsigned Bytes,
-                       int64_t Value) {
-    ++LocalStats.ComUpdates;
-    applyComUpdate(Addr, Op, Bytes, Value);
-  }
 
   /// Deferred printf (I/O deferral): buffered and committed in iteration
   /// order with the enclosing checkpoint; immediate elsewhere.
@@ -367,16 +348,6 @@ private:
                                const IterationFn &Body);
 
   void flushIo(std::vector<IoRecord> &Records, std::FILE *Out);
-
-  /// Registered objects in the commutative heap: the copies each merge and
-  /// each commit combine.
-  uint64_t comObjects() const {
-    return std::count_if(Redux.objects().begin(), Redux.objects().end(),
-                         [](const ReduxObject &O) {
-                           return addressInHeap(O.Address,
-                                                HeapKind::Commutative);
-                         });
-  }
 
   bool Initialized = false;
   RuntimeConfig Config;

@@ -73,9 +73,10 @@
   X(DepWaits, Sum, "dep", "waits", Worker)                                     \
   X(DepWaitSpins, Sum, "dep", "wait-spins", Worker)                            \
   X(DepWaitTimeouts, Sum, "dep", "wait-timeouts", Worker)                      \
-  /* Commutative heap: updates workers applied to their copies, copies        \
-     combined by merges and by commits (one per object and slot), and          \
-     overflows, always 0 since copies replaced the update log. */              \
+  /* Reduction copies combined by merges and by commits (one per registered    \
+     object and slot).  Updates and overflows are always 0: reductions are     \
+     plain loads and stores, and per-worker copies replaced the update log.    \
+     Both fields stay because perfbench reads them. */                         \
   X(ComUpdates, Sum, "com", "updates", Worker)                                 \
   X(ComRecordsMerged, Sum, "com", "records-merged", Worker)                    \
   X(ComRecordsCommitted, Sum, "com", "records-committed", Main)                \

@@ -68,7 +68,7 @@ PipelineResult transform::runPrivateerPipeline(Module &M,
     HeapAssignment HA;
     if (Ready)
       HA = classifyLoop(*L, FA, R.TrainingProfile, nullptr,
-                        Opt.EnableCommutative);
+                        Opt.EnableReductions);
 
     // DOACROSS pre-pass: when the strategy allows it and plain DOALL is
     // off the table, try to rewrite the loop's carried dependences into
@@ -83,7 +83,7 @@ PipelineResult transform::runPrivateerPipeline(Module &M,
                         (DP.WhyNot.empty() ? "?" : DP.WhyNot.front()) + ")");
       } else {
         HeapAssignment Trial = classifyLoop(*L, FA, R.TrainingProfile,
-                                            &DP.Covered, Opt.EnableCommutative);
+                                            &DP.Covered, Opt.EnableReductions);
         if (!Trial.Parallelizable) {
           R.Log.push_back("loop@" + L->header()->name() +
                           ": doacross tokens cover too little");
@@ -171,15 +171,11 @@ transform::lowerForPrivatized(const Module &M, const FunctionAnalyses &FA,
   // Bake the reduction registrations into the program: executing a
   // prelowered program (the service's executive pool ships them as flat
   // images) must not require the classification results at exec time.
-  // Every reduction and commutative object registers, or its workers'
-  // updates would never reach the master: globals once their storage
-  // exists, heap objects as their allocation site creates them.
-  std::map<profiling::ObjectKey, std::pair<ReduxElem, ReduxOp>> Reductions =
-      HA.ReduxOps;
-  for (const auto &[O, OpWidth] : HA.ComOps)
-    Reductions[O] = {reduxIntElem(OpWidth.second), OpWidth.first};
+  // Every reduction object registers, or its workers' updates would never
+  // reach the master: globals once their storage exists, heap objects as
+  // their allocation site creates them.
   std::map<const Instruction *, std::pair<ReduxElem, ReduxOp>> Sites;
-  for (const auto &[O, ElemOp] : Reductions) {
+  for (const auto &[O, ElemOp] : HA.ReduxOps) {
     if (!O.AllocSite)
       continue;
     auto [It, New] = Sites.try_emplace(O.AllocSite, ElemOp);
@@ -195,7 +191,7 @@ transform::lowerForPrivatized(const Module &M, const FunctionAnalyses &FA,
   LO.SiteReductions = &Sites;
   std::unique_ptr<bytecode::BytecodeProgram> Prog =
       bytecode::lowerModule(M, LO);
-  for (const auto &[O, ElemOp] : Reductions)
+  for (const auto &[O, ElemOp] : HA.ReduxOps)
     if (O.Global)
       Prog->ReduxGlobals.push_back({Prog->GlobalIdx.at(O.Global->name()),
                                     ElemOp.first, ElemOp.second});

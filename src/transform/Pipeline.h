@@ -61,10 +61,10 @@ struct PipelineOptions {
   /// dependences into token forwarding before classification judges the
   /// loop.
   Strategy Strat = Strategy::Doall;
-  /// When false, recognized commutative clusters are ignored and their
-  /// objects classify as the paper's five heaps would (the fallback arm of
-  /// the commutative bench gate).
-  bool EnableCommutative = true;
+  /// When false, no reduction update is recognized: those objects classify
+  /// as plain loads and stores would (the fallback arm of the commutative
+  /// bench gate).
+  bool EnableReductions = true;
 };
 
 struct PipelineResult {

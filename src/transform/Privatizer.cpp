@@ -3,7 +3,6 @@
 #include "transform/Privatizer.h"
 
 #include <algorithm>
-#include <functional>
 #include <map>
 
 using namespace privateer;
@@ -139,19 +138,6 @@ TransformStats transform::applyPrivatization(Module &M,
     return Stats;
 
   // --- §4.5 / §4.6: separation and privacy checks. ------------------------
-  // Commutative-cluster members are rewritten below, not instrumented: the
-  // ComUpdate that replaces them fuses its own separation check, and the
-  // cluster's load/store must not be privacy-validated (per-worker copies
-  // make cross-worker writes to one cell legal by construction).
-  std::set<const Instruction *> ComMembers;
-  for (const ComCluster &C : HA.ComClusters) {
-    ComMembers.insert(C.Load);
-    ComMembers.insert(C.Store);
-    ComMembers.insert(C.Combine);
-    if (C.Cmp)
-      ComMembers.insert(C.Cmp);
-  }
-
   Inserter Ins;
   for (Instruction *I : instrumentationScope(L, FA)) {
     bool IsLoad = I->opcode() == Opcode::Load;
@@ -181,13 +167,10 @@ TransformStats transform::applyPrivatization(Module &M,
     HeapKind K = *Kinds.begin();
     Value *Ptr = I->operand(IsLoad ? 0 : 1);
 
-    if (K == HeapKind::Commutative) {
-      if (!ComMembers.count(I))
-        Stats.Errors.push_back(
-            "access %" + I->name() +
-            " touches a commutative object outside a recognized cluster");
-      continue;
-    }
+    // Classification puts an object in the reduction heap only when every
+    // access to it is a recognized update, so each store there is one.
+    if (K == HeapKind::Redux && IsStore)
+      ++Stats.ComUpdatesInstalled;
     if (K == HeapKind::Private) {
       // DOACROSS fallback loads read private-heap bytes that the
       // forwarding select discards for in-loop targets; validating them
@@ -212,21 +195,6 @@ TransformStats transform::applyPrivatization(Module &M,
   }
   if (!Stats.ok())
     return Stats;
-
-  // --- Commutative-cluster rewrite: load-op-store -> comupdate. -----------
-  // The update's operands (the folded-in value and the pointer) dominate
-  // the store by SSA dominance through the single-use chain, so inserting
-  // at the store's position is always legal.
-  for (const ComCluster &C : HA.ComClusters) {
-    auto *Store = const_cast<Instruction *>(C.Store);
-    auto CU = std::make_unique<Instruction>(Opcode::ComUpdate, Type::Void);
-    CU->setComOp(C.Op);
-    CU->addOperand(C.X);
-    CU->addOperand(Store->operand(1));
-    CU->setAccessBytes(Store->accessBytes());
-    Ins.before(Store, std::move(CU));
-    ++Stats.ComUpdatesInstalled;
-  }
 
   // --- Value prediction (§4.3 refinement; Figure 2b lines 78-80). --------
   if (!HA.Predictions.empty()) {
@@ -289,24 +257,6 @@ TransformStats transform::applyPrivatization(Module &M,
   }
 
   Ins.apply();
-
-  // Delete the replaced cluster instructions (back-to-front per block so
-  // recorded indices stay valid).  Their only uses were inside the
-  // cluster, so nothing dangles.
-  std::map<BasicBlock *, std::vector<size_t>> Removals;
-  for (const ComCluster &C : HA.ComClusters)
-    for (const Instruction *Dead :
-         {C.Store, C.Combine, C.Cmp, C.Load}) {
-      if (!Dead)
-        continue;
-      BasicBlock *B = Dead->parent();
-      Removals[B].push_back(B->indexOf(Dead));
-    }
-  for (auto &[B, Idxs] : Removals) {
-    std::sort(Idxs.begin(), Idxs.end(), std::greater<size_t>());
-    for (size_t Idx : Idxs)
-      B->removeAt(Idx);
-  }
   return Stats;
 }
 

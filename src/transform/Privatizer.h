@@ -38,8 +38,8 @@ struct TransformStats {
   unsigned PrivacyChecks = 0;
   unsigned PrivacyChecksElided = 0;
   unsigned PredictionsInstalled = 0;
-  /// Recognized load-op-store clusters folded into ComUpdate instructions
-  /// (the separation check is fused into the update itself).
+  /// Recognized reduction updates: stores into the reduction heap, which
+  /// stay plain loads and stores.
   unsigned ComUpdatesInstalled = 0;
   std::vector<std::string> Errors;
   bool ok() const { return Errors.empty(); }

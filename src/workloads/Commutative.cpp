@@ -4,6 +4,7 @@
 
 #include "runtime/Privateer.h"
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -58,24 +59,24 @@ HeapSites CommutativeWorkload::ourSites() const {
   HeapSites S;
   switch (K) {
   case Kind::Histogram:
-    S.Commutative = 2;
+    S.Redux = 2;
     break;
   case Kind::Degree:
     S.ReadOnly = 2;
-    S.Commutative = 1;
+    S.Redux = 1;
     break;
   case Kind::Dedup:
-    S.Commutative = 1;
+    S.Redux = 1;
     break;
   }
   return S;
 }
 
 void CommutativeWorkload::setUp() {
-  // Each table is a commutative object: registered, it gets one copy per
+  // Each table is a reduction object: registered, it gets one copy per
   // worker that the checkpoints combine.
-  auto Table = [](uint64_t Count, ComOp Op) {
-    void *P = h_alloc(Count * sizeof(int64_t), HeapKind::Commutative);
+  auto Table = [](uint64_t Count, ReduxOp Op) {
+    void *P = h_alloc(Count * sizeof(int64_t), HeapKind::Redux);
     std::memset(P, 0, Count * sizeof(int64_t));
     Runtime::get().registerReduction(P, Count * sizeof(int64_t),
                                      ReduxElem::I64, Op);
@@ -83,8 +84,8 @@ void CommutativeWorkload::setUp() {
   };
   switch (K) {
   case Kind::Histogram:
-    Hist = Table(Buckets, ComOp::Add);
-    HMin = Table(Buckets, ComOp::Min);
+    Hist = Table(Buckets, ReduxOp::Add);
+    HMin = Table(Buckets, ReduxOp::Min);
     for (uint64_t B = 0; B < Buckets; ++B)
       HMin[B] = kMinInit;
     break;
@@ -93,14 +94,14 @@ void CommutativeWorkload::setUp() {
         h_alloc(Iterations * sizeof(int64_t), HeapKind::ReadOnly));
     Dst = static_cast<int64_t *>(
         h_alloc(Iterations * sizeof(int64_t), HeapKind::ReadOnly));
-    Deg = Table(Nodes, ComOp::Add);
+    Deg = Table(Nodes, ReduxOp::Add);
     for (uint64_t E = 0; E < Iterations; ++E) {
       Src[E] = static_cast<int64_t>((E * 2654435761u) % Nodes);
       Dst[E] = static_cast<int64_t>((E * 40503 + 17) % Nodes);
     }
     break;
   case Kind::Dedup:
-    Seen = Table(Words, ComOp::Or);
+    Seen = Table(Words, ReduxOp::Or);
     break;
   }
 }
@@ -108,7 +109,7 @@ void CommutativeWorkload::setUp() {
 void CommutativeWorkload::tearDown() {
   for (int64_t *P : {Hist, HMin, Deg, Seen})
     if (P)
-      h_dealloc(P, HeapKind::Commutative);
+      h_dealloc(P, HeapKind::Redux);
   for (int64_t *P : {Src, Dst})
     if (P)
       h_dealloc(P, HeapKind::ReadOnly);
@@ -116,22 +117,27 @@ void CommutativeWorkload::tearDown() {
 }
 
 void CommutativeWorkload::body(uint64_t I) {
+  // One separation check per table; every update is then a plain
+  // read-modify-write of this worker's copy.
   switch (K) {
   case Kind::Histogram: {
+    check_heap(Hist, HeapKind::Redux);
+    check_heap(HMin, HeapKind::Redux);
     uint64_t H = mixKey(I, Rounds);
     uint64_t B = H % Buckets;
-    com_update(&Hist[B], ComOp::Add, 8, 1);
-    com_update(&HMin[B], ComOp::Min, 8, static_cast<int64_t>(H % 4096));
+    Hist[B] += 1;
+    HMin[B] = std::min(HMin[B], static_cast<int64_t>(H % 4096));
     break;
   }
   case Kind::Degree:
-    com_update(&Deg[Src[I]], ComOp::Add, 8, 1);
-    com_update(&Deg[Dst[I]], ComOp::Add, 8, 1);
+    check_heap(Deg, HeapKind::Redux);
+    Deg[Src[I]] += 1;
+    Deg[Dst[I]] += 1;
     break;
   case Kind::Dedup: {
+    check_heap(Seen, HeapKind::Redux);
     uint64_t Bit = mixKey(I, Rounds) % (Words * 64);
-    com_update(&Seen[Bit / 64], ComOp::Or, 8,
-               static_cast<int64_t>(1ull << (Bit % 64)));
+    Seen[Bit / 64] |= static_cast<int64_t>(1ull << (Bit % 64));
     break;
   }
   }

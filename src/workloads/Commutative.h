@@ -10,11 +10,12 @@
 /// programs: a hashed histogram (counter bumps + a min map), graph degree
 /// counting over a fixed edge list, and duplicate detection through a
 /// shared bitmap.  Each hot iteration read-modify-writes a data-dependent
-/// cell of a shared table — not a reduction (the cell varies per
-/// iteration, the old value never escapes) and not privatizable (cells
-/// collide across iterations), but commutative: the privatized body defers
-/// every update through `com_update` and the checkpoint commit folds the
-/// logs, so speculation never misspeculates on the collisions.
+/// cell of a shared table.  The cells collide across iterations, so the
+/// tables are not privatizable, but every update folds in with one
+/// associative operator and the old value never escapes: each table is a
+/// reduction object.  The privatized body updates it with plain loads and
+/// stores into the worker's identity-initialized copy, and the checkpoint
+/// commit combines the copies, so the collisions never misspeculate.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -60,7 +61,7 @@ private:
   uint64_t Buckets = 0;
   int64_t *Hist = nullptr;
   int64_t *HMin = nullptr;
-  // Degree: read-only edge endpoints, commutative per-node counters.
+  // Degree: read-only edge endpoints, per-node counters.
   uint64_t Nodes = 0;
   int64_t *Src = nullptr;
   int64_t *Dst = nullptr;

@@ -56,21 +56,20 @@ std::string scalarCarryIrText(uint64_t N);
 /// Irregular histogram: each iteration hashes its index for \p Rounds
 /// mixing steps, bumps a data-dependent counter in @hist (load-add-store
 /// through a recomputed gep), and folds a min into the same bucket of
-/// @hmin (load-icmp-select-store).  The recomputed store pointers defeat
-/// the reduction recognizer; the commutative recognizer claims both
-/// objects (Add + Min clusters) and classification assigns the
-/// commutative heap.  The key stream drifts: the first Buckets iterations
-/// touch distinct buckets, the rest hammer a hot quarter of the table.
-/// @train profiles only the warmup, so under the five-heap fallback the
-/// arrays classify private and the drift surfaces as privacy
-/// misspeculation — the A/B arm of the commutative bench gate.
+/// @hmin (load-icmp-select-store).  The reduction recognizer claims both
+/// objects (Add and Min updates through recomputed geps) and
+/// classification assigns the reduction heap.  The key stream drifts: the
+/// first Buckets iterations touch distinct buckets, the rest hammer a hot
+/// quarter of the table.  @train profiles only the warmup, so with
+/// reductions off the arrays classify private and the drift surfaces as
+/// privacy misspeculation — the A/B arm of the commutative bench gate.
 std::string histogramIrText(uint64_t N, uint64_t Buckets, uint64_t Rounds);
 
 /// Graph degree counting: edge endpoints come from read-only @src/@dst
-/// arrays; the hot loop bumps @deg at both endpoints (two Add clusters on
+/// arrays; the hot loop bumps @deg at both endpoints (two Add updates of
 /// one object).  The first Nodes/2 edges pair distinct endpoints (the
 /// warmup @train profiles); later edges concentrate on a hot quarter of
-/// the nodes, so under the five-heap fallback privacy validation
+/// the nodes, so with reductions off privacy validation
 /// misspeculates on the hub collisions.  Requires an even \p Nodes.
 std::string degreeCountIrText(uint64_t Nodes, uint64_t Edges,
                               uint64_t Rounds);
@@ -78,7 +77,7 @@ std::string degreeCountIrText(uint64_t Nodes, uint64_t Edges,
 /// Duplicate detection via a shared bitmap: each iteration ORs one bit
 /// into a data-dependent word of @seen (load-or-store).  The bitmap is
 /// summed sequentially after the loop, so the hot loop's only accesses to
-/// @seen are commutative clusters.
+/// @seen are Or updates.
 std::string dedupIrText(uint64_t N, uint64_t Words, uint64_t Rounds);
 
 } // namespace privateer

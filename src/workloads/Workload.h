@@ -32,15 +32,13 @@
 
 namespace privateer {
 
-/// Static allocation-site counts per logical heap (Table 3 columns, plus
-/// the commutative heap this reproduction adds beyond the paper's five).
+/// Static allocation-site counts per logical heap (Table 3 columns).
 struct HeapSites {
   unsigned Private = 0;
   unsigned ShortLived = 0;
   unsigned ReadOnly = 0;
   unsigned Redux = 0;
   unsigned Unrestricted = 0;
-  unsigned Commutative = 0;
 };
 
 /// The paper's Table 3 row for side-by-side reporting.

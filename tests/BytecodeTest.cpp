@@ -333,6 +333,25 @@ TEST(BytecodeImage, EveryTruncationFailsCleanly) {
   }
 }
 
+TEST(BytecodeImage, OlderVersionIsRejected) {
+  // The version word follows the 8-byte magic, little-endian.  Version 6
+  // dropped the commutative heap and its opcodes, so a version-5 image
+  // may carry heap kinds and opcodes this build no longer has.
+  auto M = parseOrDie(reductionSumIrText(64));
+  std::string Image =
+      bytecode::serializeProgram(*bytecode::lowerModule(*M, {}));
+  std::string Err;
+  ASSERT_NE(bytecode::deserializeProgram(Image.data(), Image.size(), Err),
+            nullptr)
+      << Err;
+  ASSERT_GT(Image.size(), 12u);
+  EXPECT_EQ(static_cast<uint8_t>(Image[8]), 6u);
+  Image[8] = 5;
+  EXPECT_EQ(bytecode::deserializeProgram(Image.data(), Image.size(), Err),
+            nullptr);
+  EXPECT_NE(Err.find("version"), std::string::npos) << Err;
+}
+
 TEST(BytecodeImage, EventOpcodesAreRejected) {
   // A profiling lowering's events index pointer tables of the lowering
   // process, so no image may carry one: the loader refuses each of them.

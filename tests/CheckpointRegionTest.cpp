@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -222,15 +223,15 @@ TEST_F(CheckpointRegionTest, DefaultCapacityCoversWholeFootprintLosslessly) {
 
 TEST_F(CheckpointRegionTest, CommutativeCopiesFromBothWorkersCombineAtCommit) {
   int64_t Cells[2] = {};
-  Redux.registerObject(&Cells[0], 8, ReduxElem::I64, ComOp::Add);
-  Redux.registerObject(&Cells[1], 8, ReduxElem::I64, ComOp::Max);
+  Redux.registerObject(&Cells[0], 8, ReduxElem::I64, ReduxOp::Add);
+  Redux.registerObject(&Cells[1], 8, ReduxElem::I64, ReduxOp::Max);
   makeRegion(kOneSlot);
   // Each worker's copy starts at the identity and takes only its own
-  // updates; the first merge copies it, the second combines.
+  // plain updates; the first merge copies it, the second combines.
   auto Worker = [&](int64_t Add, int64_t Max) {
     Redux.fillIdentity();
-    applyComUpdate(reinterpret_cast<uint64_t>(&Cells[0]), ComOp::Add, 8, Add);
-    applyComUpdate(reinterpret_cast<uint64_t>(&Cells[1]), ComOp::Max, 8, Max);
+    Cells[0] += Add;
+    Cells[1] = std::max(Cells[1], Max);
     Region.workerMerge(0, LocalShadow.data(), LocalPrivate.data(),
                        Mask.data(), Redux, Io, true, ctx());
   };

@@ -166,7 +166,7 @@ TEST(Classification, MixedReductionAndPlainAccessIsNotRedux) {
       << "the accumulator's true recurrence must block DOALL";
 }
 
-// --- Commutative-update recognizer (sixth heap) -------------------------
+// --- Reduction updates beyond Algorithm 2's shape -----------------------
 
 /// Wraps a table-update snippet in the canonical irregular kernel: a
 /// hashed cell index (collides across iterations), the update, and a
@@ -192,12 +192,12 @@ std::string comKernel(const std::string &Update) {
 TEST(Classification, CommutativePatternAOpsClassifyToComHeap) {
   struct {
     const char *Inst;
-    ComOp Op;
-  } Cases[] = {{"add", ComOp::Add},
-               {"mul", ComOp::Mul},
-               {"and", ComOp::And},
-               {"or", ComOp::Or},
-               {"xor", ComOp::Xor}};
+    ReduxOp Op;
+  } Cases[] = {{"add", ReduxOp::Add},
+               {"mul", ReduxOp::Mul},
+               {"and", ReduxOp::And},
+               {"or", ReduxOp::Or},
+               {"xor", ReduxOp::Xor}};
   for (const auto &C : Cases) {
     SCOPED_TRACE(C.Inst);
     auto R = prepare(comKernel(std::string("  %p = gep @tab, %off\n"
@@ -212,14 +212,14 @@ TEST(Classification, CommutativePatternAOpsClassifyToComHeap) {
     HeapAssignment HA = classifyLoop(*L, *R.FA, R.P);
     EXPECT_TRUE(HA.Parallelizable)
         << "benign commutative collisions must not block DOALL";
-    EXPECT_EQ(kindOfGlobal(HA, *R.M, "tab"), HeapKind::Commutative);
+    EXPECT_EQ(kindOfGlobal(HA, *R.M, "tab"), HeapKind::Redux);
     ObjectKey K;
     K.Global = R.M->globalByName("tab");
-    auto It = HA.ComOps.find(K);
-    ASSERT_NE(It, HA.ComOps.end());
-    EXPECT_EQ(It->second.first, C.Op);
-    EXPECT_EQ(It->second.second, 8);
-    EXPECT_EQ(HA.ComClusters.size(), 1u);
+    auto It = HA.ReduxOps.find(K);
+    ASSERT_NE(It, HA.ReduxOps.end());
+    EXPECT_EQ(It->second.second, C.Op);
+    EXPECT_EQ(It->second.first, ReduxElem::I64);
+    EXPECT_EQ(HA.Fp.ReduxUpdates.size(), 1u);
   }
 }
 
@@ -230,12 +230,12 @@ TEST(Classification, CommutativeMinMaxOrientationVariants) {
   struct {
     const char *Cmp;
     const char *Sel;
-    ComOp Op;
+    ReduxOp Op;
   } Cases[] = {
-      {"lt", "  %new = select %cc, %old, %v\n", ComOp::Min},
-      {"gt", "  %new = select %cc, %old, %v\n", ComOp::Max},
-      {"lt", "  %new = select %cc, %v, %old\n", ComOp::Max},
-      {"ge", "  %new = select %cc, %v, %old\n", ComOp::Min},
+      {"lt", "  %new = select %cc, %old, %v\n", ReduxOp::Min},
+      {"gt", "  %new = select %cc, %old, %v\n", ReduxOp::Max},
+      {"lt", "  %new = select %cc, %v, %old\n", ReduxOp::Max},
+      {"ge", "  %new = select %cc, %v, %old\n", ReduxOp::Min},
   };
   for (const auto &C : Cases) {
     SCOPED_TRACE(std::string(C.Cmp) + " / " + C.Sel);
@@ -248,18 +248,18 @@ TEST(Classification, CommutativeMinMaxOrientationVariants) {
     const Loop *L = loopNamed(*R.FA, *R.M, "kernel", "loop");
     ASSERT_NE(L, nullptr);
     HeapAssignment HA = classifyLoop(*L, *R.FA, R.P);
-    EXPECT_EQ(kindOfGlobal(HA, *R.M, "tab"), HeapKind::Commutative);
+    EXPECT_EQ(kindOfGlobal(HA, *R.M, "tab"), HeapKind::Redux);
     ObjectKey K;
     K.Global = R.M->globalByName("tab");
-    auto It = HA.ComOps.find(K);
-    ASSERT_NE(It, HA.ComOps.end());
-    EXPECT_EQ(It->second.first, C.Op);
+    auto It = HA.ReduxOps.find(K);
+    ASSERT_NE(It, HA.ReduxOps.end());
+    EXPECT_EQ(It->second.second, C.Op);
   }
 }
 
 TEST(Classification, CommutativeMinMaxOnlyAtEightBytes) {
   // trunc(min(sext(cell), v)) stops commuting once v leaves a narrower
-  // cell's range, so sub-word min/max clusters stay out of the commutative
+  // cell's range, so sub-word min/max updates stay out of the reduction
   // heap; the wrapping operators of pattern A classify at any width.
   for (const char *Bytes : {"1", "2", "4"}) {
     SCOPED_TRACE(std::string(Bytes) + "-byte cells");
@@ -275,8 +275,8 @@ TEST(Classification, CommutativeMinMaxOnlyAtEightBytes) {
     const Loop *L = loopNamed(*MinMax.FA, *MinMax.M, "kernel", "loop");
     ASSERT_NE(L, nullptr);
     HeapAssignment HA = classifyLoop(*L, *MinMax.FA, MinMax.P);
-    EXPECT_NE(kindOfGlobal(HA, *MinMax.M, "tab"), HeapKind::Commutative);
-    EXPECT_TRUE(HA.ComOps.empty());
+    EXPECT_NE(kindOfGlobal(HA, *MinMax.M, "tab"), HeapKind::Redux);
+    EXPECT_TRUE(HA.ReduxOps.empty());
 
     auto Add = prepare(comKernel(std::string("  %p = gep @tab, %off\n"
                                              "  %old = load i64, %p, ") +
@@ -289,14 +289,14 @@ TEST(Classification, CommutativeMinMaxOnlyAtEightBytes) {
     L = loopNamed(*Add.FA, *Add.M, "kernel", "loop");
     ASSERT_NE(L, nullptr);
     HA = classifyLoop(*L, *Add.FA, Add.P);
-    EXPECT_EQ(kindOfGlobal(HA, *Add.M, "tab"), HeapKind::Commutative);
+    EXPECT_EQ(kindOfGlobal(HA, *Add.M, "tab"), HeapKind::Redux);
   }
 }
 
 TEST(Classification, CommutativeRejectsMixedOperatorsOnOneObject) {
   // One cell updated with add, a second cell of the same object with xor:
   // no single combine operator exists, so the object must not classify
-  // commutative (and the collisions then block DOALL).
+  // redux (and the collisions then block DOALL).
   auto R = prepare(comKernel("  %p = gep @tab, %off\n"
                              "  %old = load i64, %p, 8\n"
                              "  %new = add %old, %v\n"
@@ -312,14 +312,14 @@ TEST(Classification, CommutativeRejectsMixedOperatorsOnOneObject) {
   const Loop *L = loopNamed(*R.FA, *R.M, "kernel", "loop");
   ASSERT_NE(L, nullptr);
   HeapAssignment HA = classifyLoop(*L, *R.FA, R.P);
-  EXPECT_NE(kindOfGlobal(HA, *R.M, "tab"), HeapKind::Commutative);
-  EXPECT_TRUE(HA.ComOps.empty());
+  EXPECT_NE(kindOfGlobal(HA, *R.M, "tab"), HeapKind::Redux);
+  EXPECT_TRUE(HA.ReduxOps.empty());
 }
 
 TEST(Classification, CommutativeRejectsObservedIntermediate) {
-  // The cell is re-read outside the cluster after the update: deferring
-  // the store would change what that load observes, so the object must
-  // fall back to the ordinary footprints.
+  // The cell is re-read outside the update after it: a worker's copy
+  // holds only its own partial, so that load would observe the wrong
+  // value, and the object must fall back to the ordinary footprints.
   const std::string T = "global @trace 512\n" +
                         comKernel("  %p = gep @tab, %off\n"
                                   "  %old = load i64, %p, 8\n"
@@ -335,12 +335,12 @@ TEST(Classification, CommutativeRejectsObservedIntermediate) {
   const Loop *L = loopNamed(*R.FA, *R.M, "kernel", "loop");
   ASSERT_NE(L, nullptr);
   HeapAssignment HA = classifyLoop(*L, *R.FA, R.P);
-  EXPECT_NE(kindOfGlobal(HA, *R.M, "tab"), HeapKind::Commutative);
+  EXPECT_NE(kindOfGlobal(HA, *R.M, "tab"), HeapKind::Redux);
 }
 
 TEST(Classification, CommutativeRejectsAccessWidthMismatch) {
-  // An 8-byte load folded into a 4-byte store cannot be replayed as one
-  // typed record; the cluster must be rejected.
+  // An 8-byte load folded into a 4-byte store has no one element type to
+  // combine copies in; the update must be rejected.
   auto R = prepare(comKernel("  %p = gep @tab, %off\n"
                              "  %old = load i64, %p, 8\n"
                              "  %new = add %old, %v\n"
@@ -349,24 +349,29 @@ TEST(Classification, CommutativeRejectsAccessWidthMismatch) {
   const Loop *L = loopNamed(*R.FA, *R.M, "kernel", "loop");
   ASSERT_NE(L, nullptr);
   HeapAssignment HA = classifyLoop(*L, *R.FA, R.P);
-  EXPECT_NE(kindOfGlobal(HA, *R.M, "tab"), HeapKind::Commutative);
-  EXPECT_TRUE(HA.ComOps.empty());
+  EXPECT_NE(kindOfGlobal(HA, *R.M, "tab"), HeapKind::Redux);
+  EXPECT_TRUE(HA.ReduxOps.empty());
 }
 
 TEST(Classification, ReductionRecognizerTakesPrecedenceOverCommutative) {
-  // Load and store through the SAME gep register: the reduction pair's
-  // pointer-identity requirement holds, so the object is claimed by the
-  // redux heap, not the commutative one.
-  auto R = prepare(comKernel("  %p = gep @tab, %off\n"
-                             "  %old = load i64, %p, 8\n"
-                             "  %new = add %old, %v\n"
-                             "  store %new, %p, 8\n"));
-  const Loop *L = loopNamed(*R.FA, *R.M, "kernel", "loop");
-  ASSERT_NE(L, nullptr);
-  HeapAssignment HA = classifyLoop(*L, *R.FA, R.P);
-  EXPECT_EQ(kindOfGlobal(HA, *R.M, "tab"), HeapKind::Redux);
-  EXPECT_TRUE(HA.ComOps.empty());
-  EXPECT_TRUE(HA.ComClusters.empty());
+  // One recognizer covers both address shapes: a load and store through
+  // the same gep register (Algorithm 2's pointer identity) and through a
+  // recomputed gep classify alike, as one update into the redux heap.
+  for (bool SameReg : {true, false}) {
+    SCOPED_TRACE(SameReg ? "same register" : "recomputed gep");
+    auto R = prepare(comKernel(std::string("  %p = gep @tab, %off\n"
+                                           "  %old = load i64, %p, 8\n"
+                                           "  %new = add %old, %v\n") +
+                               (SameReg ? "  store %new, %p, 8\n"
+                                        : "  %q = gep @tab, %off\n"
+                                          "  store %new, %q, 8\n")));
+    const Loop *L = loopNamed(*R.FA, *R.M, "kernel", "loop");
+    ASSERT_NE(L, nullptr);
+    HeapAssignment HA = classifyLoop(*L, *R.FA, R.P);
+    EXPECT_EQ(kindOfGlobal(HA, *R.M, "tab"), HeapKind::Redux);
+    EXPECT_EQ(HA.ReduxOps.size(), 1u);
+    EXPECT_EQ(HA.Fp.ReduxUpdates.size(), 1u);
+  }
 }
 
 TEST(Classification, WriteOnlyObjectIsPrivateReadOnlyObjectIsReadOnly) {

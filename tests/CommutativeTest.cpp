@@ -1,12 +1,13 @@
-//===- tests/CommutativeTest.cpp - Commutative-update heap end to end -----===//
+//===- tests/CommutativeTest.cpp - Commutative updates end to end ---------===//
 //
-// The sixth logical heap: recognition of commutative update clusters the
-// reduction recognizer rejects (data-dependent counter bumps, min/max
-// maps, bitmap ORs), per-worker copies combined through the checkpoint
-// slots, byte-exact equivalence against sequential execution on both
-// engines, heap-allocated objects, sub-word min/max, recovery under
-// injected misspeculation, and the A/B fallback arm where the same
-// programs classify Private and pay deterministic privacy misspeculation.
+// Reductions beyond Algorithm 2's shape: recognition of data-dependent
+// counter bumps, min/max maps and bitmap ORs as reduction updates,
+// per-worker copies combined through the checkpoint slots, byte-exact
+// equivalence against sequential execution on both engines,
+// heap-allocated objects, sub-word min/max, updates whose old value
+// escapes or whose operators mix, recovery under injected misspeculation,
+// and the A/B fallback arm where the same programs classify Private and
+// pay deterministic privacy misspeculation.
 //
 //===----------------------------------------------------------------------===//
 
@@ -78,24 +79,23 @@ TEST(Commutative, HistogramClassifiesBothObjectsCommutative) {
   PipelineResult R = runPipeline(*M, FA, Opt);
   ASSERT_TRUE(R.Transformed) << (R.Log.empty() ? "" : R.Log.back());
 
-  // Data-dependent bucket addresses defeat the reduction recognizer; the
-  // commutative recognizer claims the add clusters on @hist and the
-  // min-map clusters on @hmin.
-  EXPECT_EQ(heapOfGlobal(*M, "hist"), HeapKind::Commutative);
-  EXPECT_EQ(heapOfGlobal(*M, "hmin"), HeapKind::Commutative);
-  ASSERT_EQ(R.Assignment.ComOps.size(), 2u);
-  for (const auto &[O, OpBytes] : R.Assignment.ComOps) {
+  // Data-dependent bucket addresses through recomputed geps: the
+  // reduction recognizer claims the add updates on @hist and the min-map
+  // updates on @hmin.
+  EXPECT_EQ(heapOfGlobal(*M, "hist"), HeapKind::Redux);
+  EXPECT_EQ(heapOfGlobal(*M, "hmin"), HeapKind::Redux);
+  ASSERT_EQ(R.Assignment.ReduxOps.size(), 2u);
+  for (const auto &[O, ElemOp] : R.Assignment.ReduxOps) {
     ASSERT_NE(O.Global, nullptr);
     if (O.Global->name() == "hist")
-      EXPECT_EQ(OpBytes.first, ComOp::Add);
+      EXPECT_EQ(ElemOp.second, ReduxOp::Add);
     else if (O.Global->name() == "hmin")
-      EXPECT_EQ(OpBytes.first, ComOp::Min);
+      EXPECT_EQ(ElemOp.second, ReduxOp::Min);
     else
-      ADD_FAILURE() << "unexpected commutative object " << O.Global->name();
-    EXPECT_EQ(OpBytes.second, 8u);
+      ADD_FAILURE() << "unexpected reduction object " << O.Global->name();
+    EXPECT_EQ(ElemOp.first, ReduxElem::I64);
   }
-  EXPECT_GT(R.Stats.ComUpdatesInstalled, 0u);
-  EXPECT_EQ(R.Assignment.ReduxOps.size(), 0u);
+  EXPECT_EQ(R.Stats.ComUpdatesInstalled, 2u);
 
   // The transformed module still verifies.
   auto Diags = verifyModule(*M);
@@ -131,7 +131,6 @@ TEST(Commutative, HistogramParallelOutputIsExactOnBothEngines) {
           << execEngineName(Engine) << " " << Workers
           << " workers: " << E.Stats.FirstMisspecReason;
       if (Workers > 1) {
-        EXPECT_GT(E.Stats.ComUpdates, 0u) << "workers must update copies";
         EXPECT_GT(E.Stats.ComRecordsCommitted, 0u)
             << "commits must combine the workers' copies";
         EXPECT_EQ(E.Stats.ComOverflows, 0u);
@@ -143,11 +142,11 @@ TEST(Commutative, HistogramParallelOutputIsExactOnBothEngines) {
 TEST(Commutative, DegreeCountAndDedupParallelizeExactly) {
   struct Case {
     const char *ComGlobal;
-    ComOp Op;
+    ReduxOp Op;
     std::string Text;
   } Cases[] = {
-      {"deg", ComOp::Add, degreeCountIrText(24, 500, 4)},
-      {"seen", ComOp::Or, dedupIrText(500, 8, 4)},
+      {"deg", ReduxOp::Add, degreeCountIrText(24, 500, 4)},
+      {"seen", ReduxOp::Or, dedupIrText(500, 8, 4)},
   };
   for (const Case &C : Cases) {
     std::string Expected = sequentialReference(C.Text);
@@ -157,9 +156,9 @@ TEST(Commutative, DegreeCountAndDedupParallelizeExactly) {
     PipelineResult R = runPipeline(*M, FA, Opt);
     ASSERT_TRUE(R.Transformed)
         << C.ComGlobal << ": " << (R.Log.empty() ? "" : R.Log.back());
-    EXPECT_EQ(heapOfGlobal(*M, C.ComGlobal), HeapKind::Commutative);
-    ASSERT_EQ(R.Assignment.ComOps.size(), 1u);
-    EXPECT_EQ(R.Assignment.ComOps.begin()->second.first, C.Op);
+    EXPECT_EQ(heapOfGlobal(*M, C.ComGlobal), HeapKind::Redux);
+    ASSERT_EQ(R.Assignment.ReduxOps.size(), 1u);
+    EXPECT_EQ(R.Assignment.ReduxOps.begin()->second.second, C.Op);
 
     std::FILE *Out = std::tmpfile();
     ParallelOptions Par;
@@ -183,20 +182,20 @@ TEST(Commutative, FallbackClassificationPaysPrivacyMisspeculation) {
   auto M = parseOrDie(Text);
   analysis::FunctionAnalyses FA(*M);
   PipelineOptions Opt;
-  Opt.EnableCommutative = false;
+  Opt.EnableReductions = false;
   // Profile the warmup-only training entry, as the paper profiles train
-  // and evaluates ref: the training run touches each bucket once, so the
-  // five-class fallback sees no cross-iteration flow and optimistically
-  // privatizes the arrays.
+  // and evaluates ref: the training run touches each bucket once, so with
+  // no reduction recognized classification sees no cross-iteration flow
+  // and optimistically privatizes the arrays.
   Opt.TrainingEntryFunction = "train";
   PipelineResult R = runPipeline(*M, FA, Opt);
   ASSERT_TRUE(R.Transformed) << (R.Log.empty() ? "" : R.Log.back());
 
-  // Without the sixth heap the histogram arrays classify as the paper's
-  // five classes would: private, with every production iteration past the
-  // warmup reading live-in bytes an earlier iteration wrote.
+  // Without reductions the histogram arrays classify private, with every
+  // production iteration past the warmup reading live-in bytes an earlier
+  // iteration wrote.
   EXPECT_EQ(heapOfGlobal(*M, "hist"), HeapKind::Private);
-  EXPECT_EQ(R.Assignment.ComOps.size(), 0u);
+  EXPECT_EQ(R.Assignment.ReduxOps.size(), 0u);
 
   std::FILE *Out = std::tmpfile();
   ParallelOptions Par;
@@ -207,11 +206,11 @@ TEST(Commutative, FallbackClassificationPaysPrivacyMisspeculation) {
   std::string Got = readAll(Out);
   std::fclose(Out);
   // Recovery keeps the output exact, but the colliding buckets cost
-  // genuine misspeculation the commutative heap avoids entirely.
+  // genuine misspeculation the reduction heap avoids entirely.
   EXPECT_EQ(Got, Expected);
   EXPECT_GT(E.Stats.Misspecs, 0u)
       << "fallback arm should misspeculate on cross-iteration buckets";
-  EXPECT_EQ(E.Stats.ComUpdates, 0u);
+  EXPECT_EQ(E.Stats.ComRecordsCommitted, 0u);
 }
 
 TEST(Commutative, RecoversFromInjectedMisspeculation) {
@@ -254,7 +253,7 @@ TEST(Commutative, ImageRoundTripRunsCommutativeUpdatesWarm) {
   ASSERT_NE(Prog, nullptr) << WhyNot;
 
   // Serialize and reload: the image alone, in a process with no
-  // classification state, must run the commutative updates exactly (the
+  // classification state, must run the reduction updates exactly (the
   // image carries the tables' registrations).
   std::string Image = bytecode::serializeProgram(*Prog);
   std::string Err;
@@ -298,11 +297,10 @@ std::string runPrivatized(const std::string &Text, unsigned Workers,
 }
 
 TEST(Commutative, HeapAllocatedObjectsKeepEveryUpdate) {
-  // A reduction cell and a commutative table that main mallocs (its
-  // recomputed cell address keeps it out of the reduction class): their
-  // allocation sites, not globals, carry the registrations, and a
-  // registration lost would drop every worker's updates without a single
-  // misspeculation.
+  // A reduction cell and a table updated through a recomputed cell
+  // address, both malloced by main: their allocation sites, not globals,
+  // carry the registrations, and a registration lost would drop every
+  // worker's updates without a single misspeculation.
   const std::string Text = "global @accp 8\n"
                            "global @tabp 8\n"
                            "define void @kernel(i64 %n) {\n"
@@ -355,14 +353,104 @@ TEST(Commutative, HeapAllocatedObjectsKeepEveryUpdate) {
     EXPECT_EQ(runPrivatized(Text, Workers, &S), Expected)
         << Workers << " workers";
     EXPECT_EQ(S.Misspecs, 0u) << S.FirstMisspecReason;
-    EXPECT_GT(S.ComRecordsCommitted, 0u) << "the table must be commutative";
+    EXPECT_GT(S.ComRecordsCommitted, 0u) << "the copies must combine";
   }
+}
+
+/// The accumulator kernel of the two tests below: @main runs \p Setup,
+/// then @kernel runs \p Body (which sees %i) \p N times, then @main runs
+/// \p Print.
+std::string accumulatorKernel(const std::string &Globals,
+                              const std::string &Setup,
+                              const std::string &Body, uint64_t N,
+                              const std::string &Print) {
+  return Globals +
+         "define void @kernel(i64 %n) {\n"
+         "entry:\n  br loop\n"
+         "loop:\n  %i = phi [entry: 0], [latch: %inext]\n"
+         "  %c = icmp lt, %i, %n\n  condbr %c, body, exit\n"
+         "body:\n" +
+         Body +
+         "  br latch\n"
+         "latch:\n  %inext = add %i, 1\n  br loop\n"
+         "exit:\n  ret\n}\n"
+         "define i64 @main() {\nentry:\n" +
+         Setup + "  call @kernel(" + std::to_string(N) + ")\n" + Print +
+         "  ret 0\n}\n";
+}
+
+/// \p Text must compute \p Expected sequentially, must not register
+/// @acc as a reduction, and if the pipeline parallelizes anything, two
+/// workers must print \p Expected too.
+void expectAccumulatorStaysExact(const std::string &Text,
+                                 const std::string &Expected) {
+  ASSERT_EQ(sequentialReference(Text), Expected);
+  auto M = parseOrDie(Text);
+  analysis::FunctionAnalyses FA(*M);
+  PipelineOptions Opt;
+  PipelineResult R = runPipeline(*M, FA, Opt);
+  EXPECT_TRUE(R.Assignment.ReduxOps.empty())
+      << "@acc is not a pure fold: a worker's copy would lose updates";
+  if (!R.Transformed)
+    return; // Left sequential: nothing can reorder.
+  std::FILE *Out = std::tmpfile();
+  ParallelOptions Par;
+  Par.NumWorkers = 2;
+  executePrivatized(*M, FA, R.Assignment, Opt, Par, RuntimeConfig(), Out);
+  EXPECT_EQ(readAll(Out), Expected);
+  std::fclose(Out);
+}
+
+TEST(Commutative, EscapingLoadIsNotAReduction) {
+  // The old value of @acc is logged as well as incremented: it escapes
+  // the update, so each iteration must see every earlier increment.  A
+  // worker's identity-initialized copy would log its own partial count.
+  expectAccumulatorStaysExact(
+      accumulatorKernel("global @acc 8\nglobal @log 80000\n", "",
+                        "  %old = load i64, @acc, 8\n"
+                        "  %new = add %old, 1\n"
+                        "  store %new, @acc, 8\n"
+                        "  %off = mul %i, 8\n"
+                        "  %p = gep @log, %off\n"
+                        "  store %old, %p, 8\n",
+                        10000,
+                        "  br sum\n"
+                        "sum:\n"
+                        "  %j = phi [entry: 0], [sum: %jnext]\n"
+                        "  %s = phi [entry: 0], [sum: %snext]\n"
+                        "  %joff = mul %j, 8\n"
+                        "  %q = gep @log, %joff\n"
+                        "  %x = load i64, %q, 8\n"
+                        "  %snext = add %s, %x\n"
+                        "  %jnext = add %j, 1\n"
+                        "  %more = icmp lt, %jnext, 10000\n"
+                        "  condbr %more, sum, done\n"
+                        "done:\n"
+                        "  print \"sum %d\\n\", %snext\n"),
+      "sum 49995000\n");
+}
+
+TEST(Commutative, MixedOperatorsOnOneAccumulatorStaySequential) {
+  // acc = (acc + 3) * 5 through two updates: add and mul do not commute
+  // with each other, so no one operator combines the workers' copies.
+  expectAccumulatorStaysExact(
+      accumulatorKernel("global @acc 8\n", "  store 1, @acc, 8\n",
+                        "  %a = load i64, @acc, 8\n"
+                        "  %b = add %a, 3\n"
+                        "  store %b, @acc, 8\n"
+                        "  %x = load i64, @acc, 8\n"
+                        "  %y = mul %x, 5\n"
+                        "  store %y, @acc, 8\n",
+                        1000,
+                        "  %r = load i64, @acc, 8\n"
+                        "  print \"acc %d\\n\", %r\n"),
+      "acc 6558522681250756169\n");
 }
 
 TEST(Commutative, SubWordMinMaxMatchesSequential) {
   // A 1-byte min cell: min(sext(cell), v) truncated back depends on the
   // order once v leaves the byte's range (-300 wraps to -44), so the cell
-  // must not become a commutative object, and parallel output must equal
+  // must not become a reduction object, and parallel output must equal
   // the sequential -100 on every run.
   const std::string Text = "global @cell 1\n"
                            "define void @kernel(i64 %n) {\n"
@@ -401,10 +489,10 @@ TEST(Commutative, SubWordMinMaxMatchesSequential) {
   auto M = parseOrDie(Text);
   analysis::FunctionAnalyses FA(*M);
   PipelineResult R = runPipeline(*M, FA, PipelineOptions());
-  EXPECT_TRUE(R.Assignment.ComOps.empty());
+  EXPECT_TRUE(R.Assignment.ReduxOps.empty());
   if (!R.Transformed)
     return; // Left sequential: nothing can reorder.
-  EXPECT_NE(heapOfGlobal(*M, "cell"), HeapKind::Commutative);
+  EXPECT_NE(heapOfGlobal(*M, "cell"), HeapKind::Redux);
   for (int Run = 0; Run < 4; ++Run)
     for (unsigned Workers : {2u, 4u})
       EXPECT_EQ(runPrivatized(Text, Workers), Expected)

@@ -19,6 +19,7 @@
 #include "transform/Pipeline.h"
 #include "workloads/IrPrograms.h"
 #include "workloads/Workload.h"
+#include "PlainUpdate.h"
 
 #include <gtest/gtest.h>
 
@@ -46,7 +47,6 @@ RuntimeConfig smallConfig() {
   C.ReduxBytes = 1u << 16;
   C.ShortLivedBytes = 1u << 16;
   C.UnrestrictedBytes = 1u << 16;
-  C.CommutativeBytes = 1u << 16;
   return C;
 }
 
@@ -224,15 +224,16 @@ TEST(PrivateFreePlan, LivePrivateObjectsAndDependenceChannelsKeepTheCap) {
   Rt.shutdown();
 }
 
-/// Random reduction and commutative objects at every width and operator
-/// (min/max only at 8 bytes, as the classifier admits them), updated by a
-/// seeded body that also allocates short-lived nodes and defers output.
+/// Random reduction objects at every width and operator (min/max only at 8
+/// bytes, as the classifier admits them), updated with plain
+/// read-modify-writes by a seeded body that also allocates short-lived
+/// nodes and defers output.
 class RandomComBody {
 public:
   struct Object {
     uint8_t *Base;
     unsigned Width, Cells;
-    ComOp Op;
+    ReduxOp Op;
   };
 
   explicit RandomComBody(uint64_t Seed) : Seed(Seed) {
@@ -241,7 +242,7 @@ public:
       static const unsigned Widths[] = {1, 2, 4, 8};
       Object O;
       O.Width = Widths[Rng.nextBelow(4)];
-      O.Op = static_cast<ComOp>(Rng.nextBelow(O.Width == 8 ? 7 : 5));
+      O.Op = static_cast<ReduxOp>(Rng.nextBelow(O.Width == 8 ? 7 : 5));
       O.Cells = 1 + Rng.nextBelow(24);
       O.Base = nullptr;
       Objects.push_back(O);
@@ -253,7 +254,7 @@ public:
     Runtime &Rt = Runtime::get();
     for (Object &O : Objects) {
       size_t Bytes = size_t(O.Width) * O.Cells;
-      O.Base = static_cast<uint8_t *>(h_alloc(Bytes, HeapKind::Commutative));
+      O.Base = static_cast<uint8_t *>(h_alloc(Bytes, HeapKind::Redux));
       for (size_t B = 0; B < Bytes; ++B)
         O.Base[B] = static_cast<uint8_t>(0x5A ^ B);
       Rt.registerReduction(O.Base, Bytes, reduxIntElem(O.Width), O.Op);
@@ -265,9 +266,9 @@ public:
     for (const Object &O : Objects) {
       uint64_t Cell = Rng.nextBelow(O.Cells);
       int64_t V = static_cast<int64_t>(Rng.next());
-      if (O.Op == ComOp::Mul)
+      if (O.Op == ReduxOp::Mul)
         V |= 1; // Keep products from collapsing to zero.
-      com_update(O.Base + Cell * O.Width, O.Op, O.Width, V);
+      plainUpdate(O.Base + Cell * O.Width, O.Width, O.Op, V);
     }
     if (I % 5 == 0) {
       auto *Node = static_cast<int64_t *>(h_alloc(16, HeapKind::ShortLived));
@@ -337,7 +338,7 @@ TEST(PrivateFreePlan, RandomizedSweepDrawsPeriodsBeyondTheCap) {
     if (!Faults) {
       EXPECT_EQ(Par.Misspecs, 0u) << Par.FirstMisspecReason;
       EXPECT_EQ(Par.Checkpoints, 4u * W);
-      EXPECT_GT(Par.ComUpdates, 0u);
+      EXPECT_GT(Par.ComRecordsCommitted, 0u);
     }
   }
 }

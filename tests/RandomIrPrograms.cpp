@@ -294,7 +294,7 @@ std::string randomDepLoopProgram(uint64_t Seed, uint64_t &IterationsOut) {
 }
 
 /// Seeded generator of a commutative-update kernel: one or two hashed
-/// tables, each updated through a randomly chosen ComOp (pattern A folds
+/// tables, each updated through a randomly chosen ReduxOp (pattern A folds
 /// or pattern B min/max with randomized predicate direction and select
 /// arm order), plus per-iteration live-out stores and optional deferred
 /// output.

@@ -514,13 +514,12 @@ TEST(RandomizedIrSweep, DoacrossPipelineMatchesSequentialAcrossMatrix) {
 //
 // Each seed generates an irregular loop whose cross-iteration flow
 // dependences are all benign commutative read-modify-writes on hashed
-// table cells — with recomputed store addresses, the shape the reduction
-// recognizer rejects (it demands pointer identity) and the commutative
-// recognizer claims.  The pipeline must classify the tables into the
-// sixth heap, and the parallel run on the VM must be byte-identical to
-// sequential interpretation across a {workers x period x faults} matrix,
-// with zero misspeculation and nonzero combined copies in the fault-free
-// configurations.
+// table cells, with recomputed store addresses: reduction updates beyond
+// Algorithm 2's pointer-identity shape.  The pipeline must classify the
+// tables into the reduction heap, and the parallel run on the VM must be
+// byte-identical to sequential interpretation across a {workers x period
+// x faults} matrix, with zero misspeculation and nonzero combined copies
+// in the fault-free configurations.
 
 TEST(RandomizedIrSweep, CommutativeLoopsMatchSequentialAcrossMatrix) {
   unsigned Seeds = 25;
@@ -592,7 +591,6 @@ TEST(RandomizedIrSweep, CommutativeLoopsMatchSequentialAcrossMatrix) {
       if (!Faults) {
         EXPECT_EQ(E.Stats.Misspecs, 0u)
             << Where << ": " << E.Stats.FirstMisspecReason;
-        EXPECT_GT(E.Stats.ComUpdates, 0u) << Where;
         EXPECT_GT(E.Stats.ComRecordsCommitted, 0u) << Where;
       }
     }

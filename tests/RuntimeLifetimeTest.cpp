@@ -107,7 +107,6 @@ RuntimeConfig smallConfig() {
   C.ReduxBytes = 1u << 20;
   C.ShortLivedBytes = 1u << 20;
   C.UnrestrictedBytes = 1u << 20;
-  C.CommutativeBytes = 1u << 20;
   return C;
 }
 

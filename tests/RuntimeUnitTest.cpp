@@ -10,6 +10,7 @@
 #include "runtime/Privateer.h"
 #include "support/DeterministicRng.h"
 #include "support/Timing.h"
+#include "PlainUpdate.h"
 
 #include <gtest/gtest.h>
 
@@ -265,13 +266,13 @@ TEST(ReductionAlgebra, WorkerCopiesOfEveryIntegerOperatorMatchSequential) {
   // stream applied in order to the master.
   struct Obj {
     unsigned Width;
-    ComOp Op;
+    ReduxOp Op;
     alignas(8) uint8_t Cells[24];
   };
   std::vector<Obj> Objs;
   for (unsigned Width : {1u, 2u, 4u, 8u})
     for (unsigned Op = 0; Op < (Width == 8 ? 7u : 5u); ++Op)
-      Objs.push_back({Width, static_cast<ComOp>(Op), {}});
+      Objs.push_back({Width, static_cast<ReduxOp>(Op), {}});
   DeterministicRng Rng(31);
   ReductionRegistry Reg;
   for (Obj &O : Objs) {
@@ -292,9 +293,8 @@ TEST(ReductionAlgebra, WorkerCopiesOfEveryIntegerOperatorMatchSequential) {
                       static_cast<int64_t>(Rng.next() | 1)});
   }
   auto Apply = [&](const Update &U) {
-    const Obj &O = Objs[U.Obj];
-    applyComUpdate(reinterpret_cast<uint64_t>(O.Cells) + U.Cell * O.Width,
-                   O.Op, O.Width, U.Value);
+    Obj &O = Objs[U.Obj];
+    plainUpdate(O.Cells + U.Cell * O.Width, O.Width, O.Op, U.Value);
   };
   auto Snapshot = [&] {
     std::string S;

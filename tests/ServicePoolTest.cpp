@@ -134,11 +134,11 @@ TEST(ServicePool, DoacrossWarmHitsReplayImage) {
   ASSERT_TRUE(D.alive());
 }
 
-// A commutative-heap job (sixth heap) rides the warm path too: the v3
-// image carries the com-global registration table, so pre-warmed
-// executives replay deferred-update loops byte-exactly with zero
-// misspeculation, and the daemon folds the reply's com stats into its
-// status JSON ("com" counter group).
+// A job with irregular reduction updates rides the warm path too: the
+// image carries the reduction-global registration table, so pre-warmed
+// executives replay the loop byte-exactly with zero misspeculation, and
+// the daemon folds the reply's com stats into its status JSON ("com"
+// counter group).
 TEST(ServicePool, CommutativeWarmHitsReplayImage) {
   ServerOptions Opts;
   Opts.SocketPath = uniqueSocketPath();
@@ -179,7 +179,6 @@ TEST(ServicePool, CommutativeWarmHitsReplayImage) {
     EXPECT_EQ(R.Output, Expected) << "job " << I << " diverged";
     EXPECT_EQ(R.Misspecs, 0u)
         << "job " << I << " misspeculated: " << R.MisspecReason;
-    EXPECT_GT(R.ComUpdates, 0u) << "job " << I;
     EXPECT_GT(R.ComRecordsCommitted, 0u) << "job " << I;
   }
 
@@ -187,7 +186,6 @@ TEST(ServicePool, CommutativeWarmHitsReplayImage) {
   ASSERT_TRUE(C.status(Json, Err)) << Err;
   EXPECT_EQ(jsonInt(Json, "supervisor_forks"), 0) << Json;
   EXPECT_EQ(jsonInt(Json, "cache_misses"), 1) << Json;
-  EXPECT_GT(jsonInt(Json, "updates"), 0) << Json;
   EXPECT_GT(jsonInt(Json, "records-committed"), 0) << Json;
   ASSERT_TRUE(D.alive());
 }

@@ -64,8 +64,6 @@ TEST(TraceReason, EveryTextReasonFilesUnderItsCode) {
   // ParallelInvocation.cpp, VM.cpp), with the code the timeline shows.
   using R = trace::Reason;
   const std::pair<const char *, R> Table[] = {
-      {"comupdate of a pointer outside the commutative heap",
-       R::SeparationCheck},
       {"separation check failed: pointer outside assumed heap",
        R::SeparationCheck},
       {"private_read of a pointer outside the private heap",
