@@ -117,6 +117,41 @@ TEST(Classification, PureReductionGoesToReduxHeap) {
   EXPECT_EQ(HA.ReduxOps.begin()->second.first, ReduxElem::I64);
 }
 
+TEST(Classification, FloatAccumulatorsReduceAsF64) {
+  // Algorithm 2's fadd and fmul on an 8-byte f64 cell.
+  for (const char *Inst : {"fadd", "fmul"}) {
+    SCOPED_TRACE(Inst);
+    auto R = prepare(std::string("global @acc 8\n"
+                                 "define void @kernel(i64 %n) {\n"
+                                 "entry:\n  br loop\n"
+                                 "loop:\n"
+                                 "  %i = phi [entry: 0], [latch: %inext]\n"
+                                 "  %c = icmp lt, %i, %n\n"
+                                 "  condbr %c, body, exit\n"
+                                 "body:\n"
+                                 "  %f = sitofp %i\n"
+                                 "  %old = load f64, @acc, 8\n"
+                                 "  %new = ") +
+                     Inst +
+                     " %old, %f\n"
+                     "  store %new, @acc, 8\n"
+                     "  br latch\n"
+                     "latch:\n  %inext = add %i, 1\n  br loop\n"
+                     "exit:\n  ret\n}\n"
+                     "define i64 @main() {\nentry:\n  call @kernel(50)\n"
+                     "  ret 0\n}\n");
+    const Loop *L = loopNamed(*R.FA, *R.M, "kernel", "loop");
+    ASSERT_NE(L, nullptr);
+    HeapAssignment HA = classifyLoop(*L, *R.FA, R.P);
+    EXPECT_TRUE(HA.Parallelizable);
+    EXPECT_EQ(kindOfGlobal(HA, *R.M, "acc"), HeapKind::Redux);
+    ASSERT_EQ(HA.ReduxOps.size(), 1u);
+    EXPECT_EQ(HA.ReduxOps.begin()->second.first, ReduxElem::F64);
+    EXPECT_EQ(HA.ReduxOps.begin()->second.second,
+              std::string(Inst) == "fadd" ? ReduxOp::Add : ReduxOp::Mul);
+  }
+}
+
 TEST(Classification, RecurrenceIsUnrestricted) {
   auto R = prepare(recurrenceIrText(50));
   const Loop *L = loopNamed(*R.FA, *R.M, "kernel", "loop");

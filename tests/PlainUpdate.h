@@ -1,4 +1,4 @@
-//===- tests/PlainUpdate.h - The plain RMW of a reduction update -*- C++ -*-===//
+//===- tests/PlainUpdate.h - The RMW of a reduction update ------*- C++ -*-===//
 //
 // Part of the Privateer reproduction of "Speculative Separation for
 // Privatization and Reductions" (PLDI 2012).
