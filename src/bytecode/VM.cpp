@@ -437,8 +437,7 @@ dispatch:
     std::vector<Cell> Args(PS.ArgCount);
     for (uint16_t A = 0; A < PS.ArgCount; ++A)
       Args[A].Raw = R[Fn.RegPool[PS.ArgStart + A]];
-    std::string Out = sem::formatPrintedText(PS.Format, Args);
-    Rt.deferPrintf("%s", Out.c_str());
+    Rt.deferText(sem::formatPrintedText(PS.Format, Args));
   }
   BC_NEXT();
 

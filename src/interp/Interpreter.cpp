@@ -338,6 +338,5 @@ void Interpreter::formatPrint(const Instruction &I, Frame &F) {
   Args.reserve(I.numOperands());
   for (unsigned A = 0; A < I.numOperands(); ++A)
     Args.push_back(eval(I.operand(A), F));
-  std::string Out = sem::formatPrintedText(I.printFormat(), Args);
-  Runtime::get().deferPrintf("%s", Out.c_str());
+  Runtime::get().deferText(sem::formatPrintedText(I.printFormat(), Args));
 }

@@ -93,7 +93,9 @@ MachineModel MachineModel::calibrate() {
   // --- Checkpoint costs: solve Fixed + DirtyBytes*PerByte by running the
   // shipping merge+commit on a real sparse region at two dirty working
   // sets.  Region create/destroy is timed separately and subtracted: it
-  // happens once per epoch, not once per period. --------------------------
+  // happens once per epoch, not once per period.  The merge ages the
+  // shadow and clears the mask it folds, so every call re-seeds the dirty
+  // chunks first, and that re-seed is timed alone and subtracted too. ----
   {
     const uint64_t Footprint = 4u << 20;
     const uint64_t Chunks = dirtyChunkCount(Footprint);
@@ -111,17 +113,18 @@ MachineModel MachineModel::calibrate() {
     MergeContext Ctx;
     Ctx.SelfPid = static_cast<uint32_t>(getpid());
     uint8_t CkTs = shadow::timestampFor(3, 0);
-    auto RoundTrip = [&](uint64_t Dirty, int Calls) {
-      std::fill(Mask.begin(), Mask.end(), 0);
-      std::fill(LocalShadow.begin(), LocalShadow.end(), shadow::kLiveIn);
+    auto Reseed = [&](uint64_t Dirty) {
       for (uint64_t Ch = 0; Ch < Dirty; ++Ch) {
         uint64_t Off = Ch * kDirtyChunkBytes;
         std::fill(LocalShadow.begin() + Off,
                   LocalShadow.begin() + Off + kDirtyChunkBytes, CkTs);
         markDirtyChunks(Mask.data(), Chunks, Off, kDirtyChunkBytes);
       }
-      return timePerCall(
+    };
+    auto RoundTrip = [&](uint64_t Dirty, int Calls) {
+      double WithSeed = timePerCall(
           [&] {
+            Reseed(Dirty);
             CheckpointRegion R;
             if (!R.create(C))
               return;
@@ -133,6 +136,7 @@ MachineModel MachineModel::calibrate() {
             R.destroy();
           },
           Calls);
+      return WithSeed - timePerCall([&] { Reseed(Dirty); }, Calls);
     };
     double Create = timePerCall(
         [&] {

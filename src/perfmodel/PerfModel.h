@@ -8,8 +8,9 @@
 /// \file
 /// A discrete-event model of Privateer's parallel execution on a W-core
 /// shared-memory machine, standing in for the paper's 24-core Xeon X7460
-/// testbed (this reproduction host has a single core; see DESIGN.md
-/// substitution #2).
+/// testbed beyond the host's own cores (measured timings at W <= nproc
+/// come from perfbench; see DESIGN.md substitution #2).  Its output is
+/// modeled, not measured.
 ///
 /// Calibration has two halves:
 ///  - per-workload *counts* (useful seconds per iteration, private

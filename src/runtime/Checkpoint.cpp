@@ -19,7 +19,12 @@ using namespace privateer;
 
 namespace {
 constexpr uint64_t kSlotAlign = 64;
-uint64_t alignUp(uint64_t N) { return (N + kSlotAlign - 1) & ~(kSlotAlign - 1); }
+constexpr uint64_t kPageBytes = 4096;
+static_assert(kDirtyChunkBytes % kPageBytes == 0,
+              "a chunk must cover whole pages of a slot plane");
+uint64_t alignUp(uint64_t N, uint64_t A = kSlotAlign) {
+  return (N + A - 1) & ~(A - 1);
+}
 
 using trace::Reason;
 constexpr SlotFailure kCorruptHeader{"corrupted checkpoint slot header",
@@ -31,8 +36,6 @@ constexpr SlotFailure kOrphanedLock{
     "checkpoint slot lock orphaned by a dead worker", Reason::OrphanedLock};
 constexpr SlotFailure kWorkerLost{"incomplete checkpoint (worker lost)",
                                   Reason::WorkerLost};
-constexpr SlotFailure kChunkOverflow{
-    "checkpoint slot chunk capacity exhausted", Reason::ChunkOverflow};
 constexpr SlotFailure kIoOverflow{"deferred-output buffer overflow",
                                   Reason::IoOverflow};
 constexpr SlotFailure kSamePeriodConflict{
@@ -43,6 +46,45 @@ constexpr SlotFailure kFlowDependence{
     "loop-carried flow dependence: read of a value written in an earlier "
     "checkpoint period",
     Reason::FlowDependence};
+
+/// Calls \p Visit(C) for each chunk C set in the \p Words-word \p Mask,
+/// in order, until it returns false.
+template <typename Fn>
+void forEachChunk(const uint64_t *Mask, uint64_t Words, Fn Visit) {
+  for (uint64_t WI = 0; WI < Words; ++WI)
+    for (uint64_t M = Mask[WI]; M; M &= M - 1)
+      if (!Visit(WI * 64 + static_cast<uint64_t>(__builtin_ctzll(M))))
+        return;
+}
+
+/// Walks bytes [0, \p Span) of one chunk a word at a time, in the style of
+/// applyReadRange: words \p Skip accepts (read from \p Bytes) are counted
+/// skipped, and each byte of the others and of a short tail goes to
+/// \p Visit, counted scanned, until it returns false.  Heap bases are
+/// page-aligned, so every full word inside a chunk is aligned.
+template <typename SkipFn, typename ByteFn>
+bool walkChunk(const uint8_t *Bytes, uint64_t Span, CheckpointScanStats &Walk,
+               SkipFn Skip, ByteFn Visit) {
+  uint64_t J = 0;
+  for (; J + 8 <= Span; J += 8) {
+    uint64_t W;
+    __builtin_memcpy(&W, Bytes + J, 8);
+    if (Skip(W)) {
+      Walk.BytesSkipped += 8;
+      continue;
+    }
+    Walk.BytesScanned += 8;
+    for (uint64_t K = J; K < J + 8; ++K)
+      if (!Visit(K))
+        return false;
+  }
+  for (; J < Span; ++J) {
+    ++Walk.BytesScanned;
+    if (!Visit(J))
+      return false;
+  }
+  return true;
+}
 } // namespace
 
 CheckpointRegion::~CheckpointRegion() { destroy(); }
@@ -55,21 +97,22 @@ bool CheckpointRegion::create(const Config &C) {
   NumChunks = dirtyChunkCount(C.PrivateBytes);
   MaskWords = dirtyMaskWords(NumChunks);
 
-  // Sparse slot layout: header, dirty-mask union, chunk directory (one
-  // uint32 per footprint chunk, 0 = unallocated else entry index + 1),
-  // packed (meta, values) chunk entries, reduction partials, deferred
-  // output.
-  // The region is a fresh zero-filled anonymous mapping each epoch, and
-  // entries are materialized only when a chunk is first dirtied, so
-  // physical memory tracks bytes touched even though the virtual
-  // reservation covers the capacity.
+  // Flat slot layout: header, dirty-mask union, metadata plane, value
+  // plane, reduction partials, deferred output.  Chunk C sits at
+  // C * kDirtyChunkBytes in both planes, which start on a page boundary,
+  // so a dirty chunk costs exactly two slot pages.  The region is a fresh
+  // zero-filled anonymous mapping each epoch, paged in on first touch, so
+  // physical memory tracks the chunks merged even though the virtual
+  // reservation covers the whole footprint twice per slot.  Without a
+  // footprint there are no planes to align, and slots stay compact.
+  uint64_t PlaneAlign = NumChunks ? kPageBytes : kSlotAlign;
   OffMask = alignUp(sizeof(SlotHeader));
-  OffDir = OffMask + alignUp(MaskWords * sizeof(uint64_t));
-  OffEntries = OffDir + alignUp(NumChunks * sizeof(uint32_t));
-  OffRedux = OffEntries + NumChunks * (2 * kDirtyChunkBytes);
+  OffMeta = alignUp(OffMask + MaskWords * sizeof(uint64_t), PlaneAlign);
+  OffValues = OffMeta + NumChunks * kDirtyChunkBytes;
+  OffRedux = OffValues + NumChunks * kDirtyChunkBytes;
   OffIo = OffRedux + alignUp(C.ReduxBytes);
-  SlotStride = OffIo + alignUp(C.IoCapacity);
-  RegionBytes = (SlotStride * C.Plan.numSlots() + 4095) & ~uint64_t(4095);
+  SlotStride = alignUp(OffIo + C.IoCapacity, PlaneAlign);
+  RegionBytes = alignUp(SlotStride * C.Plan.numSlots(), kPageBytes);
   void *P = mmap(nullptr, RegionBytes, PROT_READ | PROT_WRITE,
                  MAP_SHARED | MAP_ANONYMOUS, -1, 0);
   if (P == MAP_FAILED)
@@ -100,20 +143,12 @@ uint64_t *CheckpointRegion::slotDirtyMask(uint64_t P) const {
   return reinterpret_cast<uint64_t *>(Region + P * SlotStride + OffMask);
 }
 
-uint32_t *CheckpointRegion::slotChunkDir(uint64_t P) const {
-  return reinterpret_cast<uint32_t *>(Region + P * SlotStride + OffDir);
+uint8_t *CheckpointRegion::slotMeta(uint64_t P) const {
+  return Region + P * SlotStride + OffMeta;
 }
 
-uint8_t *CheckpointRegion::slotEntries(uint64_t P) const {
-  return Region + P * SlotStride + OffEntries;
-}
-
-uint8_t *CheckpointRegion::entryMeta(uint64_t P, uint32_t Entry) const {
-  return slotEntries(P) + uint64_t(Entry) * (2 * kDirtyChunkBytes);
-}
-
-uint8_t *CheckpointRegion::entryValues(uint64_t P, uint32_t Entry) const {
-  return entryMeta(P, Entry) + kDirtyChunkBytes;
+uint8_t *CheckpointRegion::slotValues(uint64_t P) const {
+  return Region + P * SlotStride + OffValues;
 }
 
 uint8_t *CheckpointRegion::slotRedux(uint64_t P) const {
@@ -136,13 +171,13 @@ bool CheckpointRegion::slotHeaderSane(uint64_t P, bool Quiescent) const {
     return false;
   uint32_t Merged = H->WorkersMerged.load(std::memory_order_acquire);
   return !Quiescent ||
-         (H->IoBytes <= Cfg.IoCapacity && Merged <= Cfg.Plan.NumWorkers && H->ExecutedMerges <= Merged &&
-          H->ChunksUsed <= NumChunks);
+         (H->IoBytes <= Cfg.IoCapacity && Merged <= Cfg.Plan.NumWorkers &&
+          H->ExecutedMerges <= Merged);
 }
 
-void CheckpointRegion::workerMerge(uint64_t P, const uint8_t *LocalShadow,
+void CheckpointRegion::workerMerge(uint64_t P, uint8_t *LocalShadow,
                                    const uint8_t *LocalPrivate,
-                                   const uint64_t *DirtyMask,
+                                   uint64_t *DirtyMask,
                                    const ReductionRegistry &Redux,
                                    std::vector<IoRecord> &PendingIo,
                                    bool Executed, const MergeContext &Ctx) {
@@ -164,97 +199,67 @@ void CheckpointRegion::workerMerge(uint64_t P, const uint8_t *LocalShadow,
 
   if (Executed) {
     // Fold this worker's per-byte facts into the slot alphabet, visiting
-    // only the chunks this worker's dirty mask names.  Codes >= 2 carry
-    // period-local information, and such codes only arise from Table 2
-    // transitions applied by instrumented accesses — which also set the
-    // dirty bit for the chunk — so skipping clean chunks loses nothing.
+    // only the chunks this worker's dirty mask names, and age each folded
+    // byte in the worker's shadow: the §5.1 checkpoint reset.  Codes >= 2
+    // carry period-local information, and such codes only arise from
+    // Table 2 transitions applied by instrumented accesses — which also
+    // set the dirty bit for the chunk — so skipping clean chunks loses
+    // nothing, and the words the fold skips (every byte < 2) are exactly
+    // those the reset leaves unchanged.
+    uint8_t *MetaPlane = slotMeta(P);
+    uint8_t *ValuePlane = slotValues(P);
+    CheckpointScanStats Walk;
+    forEachChunk(DirtyMask, MaskWords, [&](uint64_t C) {
+      ++Walk.DirtyChunks;
+      uint64_t Base = C << kDirtyChunkShift;
+      uint8_t *Meta = MetaPlane + Base;
+      uint8_t *Values = ValuePlane + Base;
+      uint8_t *Shadow = LocalShadow + Base;
+      const uint8_t *Priv = LocalPrivate + Base;
+      auto foldByte = [&](uint64_t I) {
+        uint8_t Local = Shadow[I];
+        if (Local < shadow::kReadLiveIn)
+          return true;
+        Shadow[I] = shadow::resetAtCheckpoint(Local);
+        uint8_t &SlotCode = Meta[I];
+        if (Local == shadow::kReadLiveIn) {
+          if (SlotCode == 0 || SlotCode == shadow::kReadLiveIn)
+            SlotCode = shadow::kReadLiveIn;
+          else
+            SlotCode = kSlotConflict; // Read-live-in meets another's write.
+        } else if (SlotCode == 0) { // A write into an untouched byte.
+          SlotCode = Local;
+          Values[I] = Priv[I];
+        } else if (SlotCode == shadow::kReadLiveIn ||
+                   SlotCode == kSlotConflict) {
+          SlotCode = kSlotConflict;
+        } else if (Local >= SlotCode) {
+          // Output dependence between workers: the later iteration's
+          // value survives, exactly as in the sequential program.
+          SlotCode = Local;
+          Values[I] = Priv[I];
+        }
+        return true;
+      };
+      return walkChunk(
+          Shadow, chunkSpan(C), Walk,
+          [](uint64_t W) { return wordAllBelowReadLiveIn(W); }, foldByte);
+    });
     uint64_t *SlotMask = slotDirtyMask(P);
-    uint32_t *Dir = slotChunkDir(P);
-    uint64_t FoldedChunks = 0, Scanned = 0, Skipped = 0;
     for (uint64_t WI = 0; WI < MaskWords; ++WI) {
-      uint64_t M = DirtyMask ? DirtyMask[WI] : 0;
-      if (!M)
-        continue;
-      SlotMask[WI] |= M;
-      do {
-        unsigned Bit = static_cast<unsigned>(__builtin_ctzll(M));
-        M &= M - 1;
-        uint64_t C = WI * 64 + Bit;
-        uint32_t E = Dir[C];
-        if (E == 0) {
-          if (H->ChunksUsed >= NumChunks) {
-            // No free entry: only a scribbled ChunksUsed gets here.  Mark
-            // the slot incomplete; the committer treats that as
-            // misspeculation and re-executes the period sequentially.
-            H->ChunkOverflow = 1;
-            continue;
-          }
-          E = ++H->ChunksUsed;
-          Dir[C] = E; // Entry index + 1; fresh mapping is already zero.
-        }
-        ++FoldedChunks;
-        uint8_t *Meta = entryMeta(P, E - 1);
-        uint8_t *Values = entryValues(P, E - 1);
-        uint64_t Base = C << kDirtyChunkShift;
-        uint64_t Span = chunkSpan(C);
-        const uint8_t *Shadow = LocalShadow + Base;
-        const uint8_t *Priv = LocalPrivate + Base;
-        uint64_t J = 0;
-        auto foldByte = [&](uint64_t I) {
-          uint8_t Local = Shadow[I];
-          if (Local < shadow::kReadLiveIn)
-            return;
-          uint8_t &SlotCode = Meta[I];
-          if (Local == shadow::kReadLiveIn) {
-            if (SlotCode == 0 || SlotCode == shadow::kReadLiveIn)
-              SlotCode = shadow::kReadLiveIn;
-            else
-              SlotCode = kSlotConflict; // Read-live-in meets another's write.
-          } else {
-            // Local is a write timestamp.
-            if (SlotCode == 0) {
-              SlotCode = Local;
-              Values[I] = Priv[I];
-            } else if (SlotCode == shadow::kReadLiveIn ||
-                       SlotCode == kSlotConflict) {
-              SlotCode = kSlotConflict;
-            } else if (Local >= SlotCode) {
-              // Output dependence between workers: the later iteration's
-              // value survives, exactly as in the sequential program.
-              SlotCode = Local;
-              Values[I] = Priv[I];
-            }
-          }
-        };
-        // Word-at-a-time skip in the style of applyReadRange: heap bases
-        // are page-aligned, so every full word inside a chunk is aligned.
-        for (; J + 8 <= Span; J += 8) {
-          uint64_t W;
-          __builtin_memcpy(&W, Shadow + J, 8);
-          if (wordAllBelowReadLiveIn(W)) {
-            Skipped += 8;
-            continue;
-          }
-          Scanned += 8;
-          for (uint64_t K = J; K < J + 8; ++K)
-            foldByte(K);
-        }
-        for (; J < Span; ++J) {
-          ++Scanned;
-          foldByte(J);
-        }
-      } while (M);
+      SlotMask[WI] |= DirtyMask[WI];
+      DirtyMask[WI] = 0;
     }
-    if (Ctx.Scan) {
-      Ctx.Scan->DirtyChunks += FoldedChunks;
-      Ctx.Scan->BytesScanned += Scanned;
-      Ctx.Scan->BytesSkipped += Skipped;
-    }
+    if (Ctx.Scan)
+      *Ctx.Scan += Walk;
 
-    // Reduction partials: the first contributor copies,
-    // later ones combine.
-    if (Cfg.ReduxBytes > 0)
+    // Reduction partials: the first contributor copies, later ones
+    // combine.  The worker's copies then restart the next period from the
+    // identity.
+    if (Cfg.ReduxBytes > 0) {
       Redux.mergeInto(slotRedux(P), H->ExecutedMerges == 0);
+      Redux.fillIdentity();
+    }
 
     // Deferred output.  On overflow the records must stay with the worker:
     // the misspec recovery re-executes the period sequentially and emits
@@ -285,115 +290,58 @@ SlotFailure CheckpointRegion::commitSlot(
     CheckpointScanStats *Scan) const {
   const SlotHeader *H = slot(P);
   const uint64_t *SlotMask = slotDirtyMask(P);
-  const uint32_t *Dir = slotChunkDir(P);
-  uint64_t WalkedChunks = 0, Scanned = 0, Skipped = 0;
-  auto account = [&] {
-    if (Scan) {
-      Scan->DirtyChunks += WalkedChunks;
-      Scan->BytesScanned += Scanned;
-      Scan->BytesSkipped += Skipped;
-    }
-  };
-  // The phase-2 verdict on one slot byte: a same-period read-live-in and
-  // write, or a live-in read of a byte an earlier period wrote.
-  auto violation = [&](uint8_t Code, uint64_t Off) -> SlotFailure {
-    if (Code == kSlotConflict)
-      return kSamePeriodConflict;
-    if (Code == shadow::kReadLiveIn && MasterShadow[Off] == shadow::kOldWrite)
-      return kFlowDependence;
-    return {};
-  };
+  const uint8_t *MetaPlane = slotMeta(P);
+  const uint8_t *ValuePlane = slotValues(P);
+  CheckpointScanStats Walk;
+  SlotFailure Bad;
 
   // Pass 1: detect phase-2 privacy violations before mutating master state
-  // so a misspeculating slot leaves the committed image untouched.  Only
-  // read-live-in (2) and conflict (255) bytes matter here; words carrying
-  // neither are skipped.
-  for (uint64_t WI = 0; WI < MaskWords; ++WI) {
-    uint64_t M = SlotMask[WI];
-    if (!M)
-      continue;
-    do {
-      unsigned Bit = static_cast<unsigned>(__builtin_ctzll(M));
-      M &= M - 1;
-      uint64_t C = WI * 64 + Bit;
-      uint32_t E = Dir[C];
-      if (E == 0)
-        continue; // Mask bit without an entry: nothing was folded.
-      ++WalkedChunks;
-      const uint8_t *Meta = entryMeta(P, E - 1);
-      uint64_t Base = C << kDirtyChunkShift;
-      uint64_t Span = chunkSpan(C);
-      uint64_t J = 0;
-      for (; J + 8 <= Span; J += 8) {
-        uint64_t W;
-        __builtin_memcpy(&W, Meta + J, 8);
-        if (!wordHasByte(W, shadow::kReadLiveIn) &&
-            !wordHasByte(W, kSlotConflict)) {
-          Skipped += 8;
-          continue;
-        }
-        Scanned += 8;
-        for (uint64_t K = J; K < J + 8; ++K)
-          if (SlotFailure Bad = violation(Meta[K], Base + K)) {
-            account();
-            return Bad;
-          }
-      }
-      for (; J < Span; ++J) {
-        ++Scanned;
-        if (SlotFailure Bad = violation(Meta[J], Base + J)) {
-          account();
-          return Bad;
-        }
-      }
-    } while (M);
-  }
+  // so a misspeculating slot leaves the committed image untouched: a
+  // same-period read-live-in and write, or a live-in read of a byte an
+  // earlier period wrote.  Only read-live-in (2) and conflict (255) bytes
+  // matter here; words carrying neither are skipped.
+  forEachChunk(SlotMask, MaskWords, [&](uint64_t C) {
+    ++Walk.DirtyChunks;
+    uint64_t Base = C << kDirtyChunkShift;
+    const uint8_t *Meta = MetaPlane + Base;
+    return walkChunk(
+        Meta, chunkSpan(C), Walk,
+        [](uint64_t W) {
+          return !wordHasByte(W, shadow::kReadLiveIn) &&
+                 !wordHasByte(W, kSlotConflict);
+        },
+        [&](uint64_t K) {
+          if (Meta[K] == kSlotConflict)
+            Bad = kSamePeriodConflict;
+          else if (Meta[K] == shadow::kReadLiveIn &&
+                   MasterShadow[Base + K] == shadow::kOldWrite)
+            Bad = kFlowDependence;
+          return !Bad;
+        });
+  });
 
   // Pass 2: apply writes (pass 1 guarantees no conflict codes remain).
   // All-zero meta words (chunks dirtied by reads that resolved to
   // live-in, or by writes folded into a different byte range) skip.
-  for (uint64_t WI = 0; WI < MaskWords; ++WI) {
-    uint64_t M = SlotMask[WI];
-    if (!M)
-      continue;
-    do {
-      unsigned Bit = static_cast<unsigned>(__builtin_ctzll(M));
-      M &= M - 1;
-      uint64_t C = WI * 64 + Bit;
-      uint32_t E = Dir[C];
-      if (E == 0)
-        continue;
-      const uint8_t *Meta = entryMeta(P, E - 1);
-      const uint8_t *Values = entryValues(P, E - 1);
+  if (!Bad)
+    forEachChunk(SlotMask, MaskWords, [&](uint64_t C) {
       uint64_t Base = C << kDirtyChunkShift;
-      uint64_t Span = chunkSpan(C);
-      uint64_t J = 0;
-      for (; J + 8 <= Span; J += 8) {
-        uint64_t W;
-        __builtin_memcpy(&W, Meta + J, 8);
-        if (W == 0) {
-          Skipped += 8;
-          continue;
-        }
-        Scanned += 8;
-        for (uint64_t K = J; K < J + 8; ++K) {
-          if (shadow::isTimestamp(Meta[K]) && Meta[K] != kSlotConflict) {
-            MasterPrivate[Base + K] = Values[K];
-            MasterShadow[Base + K] = shadow::kOldWrite;
-          }
-        }
-      }
-      for (; J < Span; ++J) {
-        ++Scanned;
-        if (shadow::isTimestamp(Meta[J]) && Meta[J] != kSlotConflict) {
-          MasterPrivate[Base + J] = Values[J];
-          MasterShadow[Base + J] = shadow::kOldWrite;
-        }
-      }
-    } while (M);
-  }
-
-  account();
+      const uint8_t *Meta = MetaPlane + Base;
+      const uint8_t *Values = ValuePlane + Base;
+      return walkChunk(
+          Meta, chunkSpan(C), Walk, [](uint64_t W) { return W == 0; },
+          [&](uint64_t K) {
+            if (shadow::isTimestamp(Meta[K]) && Meta[K] != kSlotConflict) {
+              MasterPrivate[Base + K] = Values[K];
+              MasterShadow[Base + K] = shadow::kOldWrite;
+            }
+            return true;
+          });
+    });
+  if (Scan)
+    *Scan += Walk;
+  if (Bad)
+    return Bad;
 
   // Combine the reduction partials into the committed
   // objects.  A slot nobody executed iterations for holds no partial.  The
@@ -439,8 +387,6 @@ CommitFrontier::Verdict CommitFrontier::verdict(bool WorkersGone) {
     return fail(P, kCorruptHeader);
   if (!Merged)
     return fail(P, kWorkerLost);
-  if (H->ChunkOverflow)
-    return fail(P, kChunkOverflow);
   if (H->IoOverflow)
     return fail(P, kIoOverflow);
   return Verdict::Commit;

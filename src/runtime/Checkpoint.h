@@ -31,15 +31,21 @@
 ///   255        read-live-in and written in the same period -> conservative
 ///              misspeculation at commit (mirrors Table 2's write-to-2 rule)
 ///
-/// Slots are *sparse*: instead of two dense PrivateBytes planes, a slot
-/// holds a dirty-chunk bitmap (union of every contributor's per-period
-/// dirty mask), a chunk directory, and an array of packed (meta, values)
-/// chunk entries allocated on first touch.  Workers fold only the chunks
-/// their dirty mask names, and the ordered commit walks only the union
-/// mask, so merge + commit cost is O(bytes touched in the period), not
-/// O(private footprint).  The masks live in the shared region alongside
-/// the headers so the committer and the fault path (poisoned and torn
-/// slots) can reason about a dead worker's partial merge.
+/// Slots are *flat images* of the private footprint, paged in lazily: a
+/// slot holds a dirty-chunk bitmap (union of every contributor's
+/// per-period dirty mask), a metadata plane and a value plane in which
+/// chunk C's bytes sit at C * kDirtyChunkBytes, the reduction image and
+/// the deferred-output section.  Both planes start on a page boundary, so
+/// a dirty chunk costs exactly two slot pages and the untouched rest of
+/// each plane is never backed.  A worker's merge is the one place it hands
+/// off its period: it folds only the chunks its dirty mask names, ages
+/// each folded byte in its own shadow (the §5.1 checkpoint reset), clears
+/// the mask words it consumed and resets its reduction copies to the
+/// identity.  The ordered commit walks only the union mask, so merge +
+/// commit cost is O(bytes touched in the period), not O(private
+/// footprint).  The masks live in the shared region alongside the headers
+/// so the committer and the fault path (poisoned and torn slots) can
+/// reason about a dead worker's partial merge.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -124,12 +130,6 @@ struct SlotHeader {
   /// Mergers that actually executed iterations; the first of these
   /// initializes the slot's reduction partials.
   uint32_t ExecutedMerges = 0;
-  /// Chunk entries allocated so far.  A slot holds an entry for every
-  /// footprint chunk, so only a scribbled count can reach the bound.
-  uint32_t ChunksUsed = 0;
-  /// A merge found no free chunk entry (ChunksUsed was scribbled); the
-  /// slot is incomplete and must be recovered, never committed.
-  uint32_t ChunkOverflow = 0;
   uint64_t BaseIter = 0;
   uint64_t NumIters = 0;
   uint64_t IoBytes = 0;
@@ -152,6 +152,13 @@ struct CheckpointScanStats {
   uint64_t DirtyChunks = 0;
   uint64_t BytesScanned = 0;
   uint64_t BytesSkipped = 0;
+
+  CheckpointScanStats &operator+=(const CheckpointScanStats &O) {
+    DirtyChunks += O.DirtyChunks;
+    BytesScanned += O.BytesScanned;
+    BytesSkipped += O.BytesSkipped;
+    return *this;
+  }
 };
 
 /// Identity and plumbing a worker carries into workerMerge so the slot lock
@@ -192,12 +199,14 @@ public:
   const Config &config() const { return Cfg; }
   SlotHeader *slot(uint64_t P) const;
 
-  /// Entries one slot can hold: one per chunk of the covered footprint.
-  uint64_t slotChunkCapacity() const { return NumChunks; }
-
   /// Union of the contributors' dirty-chunk masks for slot \p P (one bit
   /// per chunk of the private footprint, in the shared region).
   uint64_t *slotDirtyMask(uint64_t P) const;
+
+  /// Slot \p P's metadata and value planes: the slot's byte for footprint
+  /// offset O is at O in each.
+  uint8_t *slotMeta(uint64_t P) const;
+  uint8_t *slotValues(uint64_t P) const;
 
   /// True when slot \p P's header is consistent with the epoch plan.  A
   /// header torn by a crashed writer (or the fault injector) fails this
@@ -208,18 +217,20 @@ public:
   /// writes, so a scribble is caught the moment it appears.
   bool slotHeaderSane(uint64_t P, bool Quiescent = true) const;
 
-  /// Worker side: merges this worker's period-\p P state into slot P.
-  /// \p LocalShadow / \p LocalPrivate point at the worker's COW views of
-  /// the covered byte range; \p DirtyMask names the chunks this worker
-  /// touched during the period (only those are folded); \p Redux's objects
-  /// hold the worker's partials.  \p PendingIo is consumed (moved into
-  /// the slot) unless the slot's I/O buffer overflows, in which case the
-  /// records stay with the worker and the slot is marked overflowed so the
-  /// misspec recovery re-executes (and re-emits) the period.  When
-  /// \p Executed is false the worker ran no iterations of P and only
-  /// registers presence.
-  void workerMerge(uint64_t P, const uint8_t *LocalShadow,
-                   const uint8_t *LocalPrivate, const uint64_t *DirtyMask,
+  /// Worker side: merges this worker's period-\p P state into slot P and
+  /// hands the period off.  \p LocalShadow / \p LocalPrivate point at the
+  /// worker's COW views of the covered byte range; \p DirtyMask names the
+  /// chunks this worker touched during the period.  Only those chunks are
+  /// folded; each folded byte is aged in \p LocalShadow with
+  /// shadow::resetAtCheckpoint, and each consumed mask word is cleared.
+  /// \p Redux's objects hold the worker's partials and return to the
+  /// identity once merged.  \p PendingIo is consumed (moved into the slot)
+  /// unless the slot's I/O buffer overflows, in which case the records
+  /// stay with the worker and the slot is marked overflowed so the misspec
+  /// recovery re-executes (and re-emits) the period.  When \p Executed is
+  /// false the worker ran no iterations of P and only registers presence.
+  void workerMerge(uint64_t P, uint8_t *LocalShadow,
+                   const uint8_t *LocalPrivate, uint64_t *DirtyMask,
                    const ReductionRegistry &Redux,
                    std::vector<IoRecord> &PendingIo, bool Executed,
                    const MergeContext &Ctx);
@@ -237,10 +248,6 @@ public:
                          CheckpointScanStats *Scan = nullptr) const;
 
 private:
-  uint32_t *slotChunkDir(uint64_t P) const;
-  uint8_t *slotEntries(uint64_t P) const;
-  uint8_t *entryMeta(uint64_t P, uint32_t Entry) const;
-  uint8_t *entryValues(uint64_t P, uint32_t Entry) const;
   uint8_t *slotRedux(uint64_t P) const;
   uint8_t *slotIo(uint64_t P) const;
 
@@ -252,8 +259,8 @@ private:
   uint64_t NumChunks = 0;
   uint64_t MaskWords = 0;
   uint64_t OffMask = 0;
-  uint64_t OffDir = 0;
-  uint64_t OffEntries = 0;
+  uint64_t OffMeta = 0;
+  uint64_t OffValues = 0;
   uint64_t OffRedux = 0;
   uint64_t OffIo = 0;
   uint64_t SlotStride = 0;

@@ -485,11 +485,11 @@ Runtime::EpochResult Runtime::runEpoch(const EpochPlan &Plan,
   };
 
   CheckpointRegion TheRegion;
-  PrivateHighWater = heap(HeapKind::Private).highWater();
+  uint64_t PrivateHighWater = heap(HeapKind::Private).highWater();
   if (Spec) {
     // Per-worker dirty-chunk bitmap, sized before fork so every worker's
     // COW copy covers the footprint; workers set bits from the
-    // private_read/private_write fast paths and clear them after merging.
+    // private_read/private_write fast paths and their merges clear them.
     DirtyChunkLimit = dirtyChunkCount(PrivateHighWater);
     DirtyMask.assign(dirtyMaskWords(DirtyChunkLimit), 0);
     Stats.PrivateFootprintBytes =
@@ -1004,26 +1004,6 @@ void Runtime::workerMain(unsigned Id, const EpochPlan &Plan,
       LocalStats.CheckpointBytesScanned = MergeScan.BytesScanned;
       LocalStats.CheckpointBytesSkipped = MergeScan.BytesSkipped;
       LocalStats.ComRecordsMerged += Executed ? Redux.objects().size() : 0;
-      if (Executed) {
-        // Local post-checkpoint reset (§5.1): writes age into old-write,
-        // validated live-in reads revert to live-in.  Codes >= 2 can only
-        // exist in chunks this period's accesses dirtied (the same
-        // argument that makes the sparse merge lossless), so reset walks
-        // just those chunks instead of the whole footprint.
-        for (uint64_t WI = 0, E = DirtyMask.size(); WI < E; ++WI) {
-          uint64_t M = DirtyMask[WI];
-          while (M) {
-            unsigned Bit = static_cast<unsigned>(__builtin_ctzll(M));
-            M &= M - 1;
-            uint64_t Base = (WI * 64 + Bit) << kDirtyChunkShift;
-            shadow::resetRangeAtCheckpoint(
-                LocalShadow + Base,
-                std::min(kDirtyChunkBytes, PrivateHighWater - Base));
-          }
-        }
-        std::fill(DirtyMask.begin(), DirtyMask.end(), 0);
-        Redux.fillIdentity();
-      }
     }
     if (Cb->periodDoomed(P + 1))
       break;

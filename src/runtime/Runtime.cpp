@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cerrno>
 #include <cstring>
 
 #include <unistd.h>
@@ -224,27 +225,46 @@ void Runtime::speculateTrue(bool Cond, const char *What) {
 }
 
 void Runtime::deferPrintf(const char *Fmt, ...) {
-  char Buf[4096];
-  va_list Args;
+  // Text longer than the stack buffer is formatted again into a buffer
+  // the first pass sized.
+  char Small[4096];
+  va_list Args, Again;
   va_start(Args, Fmt);
-  int Len = std::vsnprintf(Buf, sizeof(Buf), Fmt, Args);
+  va_copy(Again, Args);
+  int Len = std::vsnprintf(Small, sizeof(Small), Fmt, Args);
   va_end(Args);
+  std::string Big;
+  if (Len >= static_cast<int>(sizeof(Small))) {
+    Big.resize(static_cast<size_t>(Len) + 1);
+    std::vsnprintf(Big.data(), Big.size(), Fmt, Again);
+  }
+  va_end(Again);
   if (Len < 0)
     return;
-  size_t N = std::min(static_cast<size_t>(Len), sizeof(Buf) - 1);
+  deferText({Big.empty() ? Small : Big.data(), static_cast<size_t>(Len)});
+}
+
+void Runtime::deferText(std::string_view Text) {
   if (Mode == ExecMode::SpeculativeWorker) {
-    PendingIo.push_back(IoRecord{CurIter, IoSequence++, std::string(Buf, N)});
+    PendingIo.push_back(IoRecord{CurIter, IoSequence++, std::string(Text)});
     return;
   }
   if (Mode == ExecMode::NonSpeculativeWorker) {
     // DOALL-only workers bypass stdio buffering: the process exits with
-    // _exit() and must not lose or duplicate buffered output.
-    [[maybe_unused]] ssize_t Rc =
-        write(fileno(SeqOut ? SeqOut : stdout), Buf, N);
+    // _exit() and must not lose or duplicate buffered output.  A pipe or
+    // socket may take the text in pieces.
+    int Fd = fileno(SeqOut ? SeqOut : stdout);
+    while (!Text.empty()) {
+      ssize_t Rc = write(Fd, Text.data(), Text.size());
+      if (Rc < 0 && errno == EINTR)
+        continue;
+      if (Rc <= 0)
+        return;
+      Text.remove_prefix(static_cast<size_t>(Rc));
+    }
     return;
   }
-  std::FILE *Out = SeqOut ? SeqOut : stdout;
-  std::fwrite(Buf, 1, N, Out);
+  std::fwrite(Text.data(), 1, Text.size(), SeqOut ? SeqOut : stdout);
 }
 
 void Runtime::runSequential(uint64_t Begin, uint64_t End,

@@ -39,6 +39,7 @@
 #include <cstdio>
 #include <functional>
 #include <string>
+#include <string_view>
 
 namespace privateer {
 
@@ -265,9 +266,13 @@ public:
   void privateWriteTagged(uint64_t Addr, size_t Bytes);
 
   /// Deferred printf (I/O deferral): buffered and committed in iteration
-  /// order with the enclosing checkpoint; immediate elsewhere.
+  /// order with the enclosing checkpoint; immediate elsewhere.  The text
+  /// has no length limit.
   void deferPrintf(const char *Fmt, ...)
       __attribute__((format(printf, 2, 3)));
+
+  /// deferPrintf of finished text, emitted byte for byte.
+  void deferText(std::string_view Text);
 
   /// Sink for immediate output produced outside a speculative worker
   /// (sequential runs and recovery); nullptr restores stdout.
@@ -367,7 +372,6 @@ private:
   unsigned WorkerId = 0;
   uint64_t CurIter = 0;
   uint8_t CurTs = 0;
-  uint64_t PrivateHighWater = 0;
   /// The invocation started with no live private object and no dependence
   /// channels: its periods ignore the timestamp cap, so its speculative
   /// workers map the shadow PROT_NONE and any privacy check faults into
@@ -375,8 +379,8 @@ private:
   bool PrivateFree = false;
   /// Per-worker dirty-chunk bitmap of the private heap for the current
   /// checkpoint period, set by the privateRead/privateWrite fast paths.
-  /// Sized in runEpoch before fork; each worker mutates its own COW copy
-  /// and clears it after every merge.
+  /// Sized in runEpoch before fork; each worker mutates its own COW copy,
+  /// and its merge clears the words it folds.
   std::vector<uint64_t> DirtyMask;
   uint64_t DirtyChunkLimit = 0;
   std::vector<IoRecord> PendingIo;

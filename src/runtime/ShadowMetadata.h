@@ -173,23 +173,6 @@ inline constexpr uint8_t resetAtCheckpoint(uint8_t Code) {
   return Code;
 }
 
-/// Applies resetAtCheckpoint over a range, skipping all-live-in and
-/// all-old-write words (the overwhelmingly common states).
-inline void resetRangeAtCheckpoint(uint8_t *Meta, uint64_t N) {
-  const uint64_t OldWriteWord = 0x0101010101010101ULL * kOldWrite;
-  uint64_t I = 0;
-  for (; I + 8 <= N; I += 8) {
-    uint64_t W;
-    __builtin_memcpy(&W, Meta + I, 8);
-    if (W == 0 || W == OldWriteWord)
-      continue;
-    for (uint64_t J = I; J < I + 8; ++J)
-      Meta[J] = resetAtCheckpoint(Meta[J]);
-  }
-  for (; I < N; ++I)
-    Meta[I] = resetAtCheckpoint(Meta[I]);
-}
-
 } // namespace shadow
 } // namespace privateer
 

@@ -19,7 +19,7 @@
 #include <sys/resource.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
-#include <tuple>
+#include <utility>
 #include <unistd.h>
 #include <vector>
 
@@ -28,12 +28,13 @@ using namespace privateer::service;
 
 namespace {
 
-/// Per-executive program cache: (daemon program key, cache generation,
-/// parallel-vs-sequential image) -> deserialized program.  Bounded LRU —
-/// an executive outlives many daemon cache generations.
+/// Per-executive program cache: (daemon program key, cache generation) ->
+/// deserialized program, shared by the program's sequential and
+/// speculative jobs.  Bounded LRU — an executive outlives many daemon
+/// cache generations.
 class LocalPrograms {
 public:
-  using Key = std::tuple<uint64_t, uint64_t, bool>;
+  using Key = std::pair<uint64_t, uint64_t>;
 
   const bytecode::BytecodeProgram *find(const Key &K) {
     auto It = Map.find(K);
@@ -261,7 +262,7 @@ int service::executiveMain(int ChanFd) {
     }
 
     // Resolve the program: local cache hit, else deserialize the image.
-    LocalPrograms::Key K{A.ProgramKey, A.Generation, A.UseParallel};
+    LocalPrograms::Key K{A.ProgramKey, A.Generation};
     const bytecode::BytecodeProgram *BP = Programs.find(K);
     if (BP) {
       ::close(ImgFd);

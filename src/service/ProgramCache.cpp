@@ -18,10 +18,8 @@ using namespace privateer;
 using namespace privateer::service;
 
 CachedProgram::~CachedProgram() {
-  if (ImagePar >= 0)
-    ::close(ImagePar);
-  if (ImageSeq >= 0)
-    ::close(ImageSeq);
+  if (Image >= 0)
+    ::close(Image);
 }
 
 std::shared_ptr<CachedProgram>
@@ -107,30 +105,26 @@ ProgramCache::lookup(const std::string &Text, Strategy Strat, std::string &Err,
   if (!PR.Log.empty())
     Entry->LastLog = PR.Log.back();
 
-  // Lower once per program (a verified module always lowers) and seal each
+  // Lower once per program (a verified module always lowers) and seal the
   // lowered program into a memfd.  A failed seal is transient, so the
   // entry is not cached and the next submit tries again.
-  auto Seal = [&](const char *Name, const bytecode::BytecodeProgram &BP) {
-    std::string Img = bytecode::serializeProgram(BP);
-    std::string Why;
-    int Fd = sealedMemfd(Name, Img.data(), Img.size(), Why);
-    if (Fd < 0 && Err.empty())
-      Err = "program image: " + Why;
-    return Fd;
-  };
-  Err.clear();
-  std::string LowerWhy;
+  std::shared_ptr<const bytecode::BytecodeProgram> BP;
   if (PR.Transformed) {
-    auto Par = transform::lowerForPrivatized(*M, FA, PR.Assignment, LowerWhy);
-    if (!Par)
+    std::string LowerWhy;
+    BP = transform::lowerForPrivatized(*M, FA, PR.Assignment, LowerWhy);
+    if (!BP)
       return Negative("lowering: " + LowerWhy);
-    Entry->ImagePar = Seal("privateer-img-par", *Par);
+  } else {
+    BP = bytecode::lowerModule(*M, {});
   }
-  Entry->ImageSeq = Seal("privateer-img-seq", *bytecode::lowerModule(*M, {}));
-  if (!Err.empty()) {
+  std::string Img = bytecode::serializeProgram(*BP), Why;
+  Entry->Image = sealedMemfd("privateer-img", Img.data(), Img.size(), Why);
+  if (Entry->Image < 0) {
+    Err = "program image: " + Why;
     Transient = true;
     return nullptr;
   }
+  Err.clear();
 
   Entry->PipelineSec = wallSeconds() - T0;
   StatisticRegistry::instance().real("service", "pipeline_sec") +=

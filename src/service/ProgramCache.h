@@ -10,11 +10,11 @@
 /// the expensive front half of a Privateer run — parse, verify, training
 /// profile, classification, transformation, lowering to bytecode —
 /// executes at most once per distinct program.  What the cache keeps is
-/// only what the daemon reads afterwards: each lowered program serialized
+/// only what the daemon reads afterwards: the lowered program serialized
 /// into a sealed memfd (bytecode/Image.h), so dispatching a warm job to an
 /// executive is one SCM_RIGHTS hand-off, with no fork, no parse, and no
 /// lowering anywhere on the path.  The module, its analyses and the
-/// lowered programs die with the miss that built them.
+/// lowered program die with the miss that built them.
 ///
 /// Entries are handed out as shared_ptr: eviction (bounded LRU, keyed by
 /// last hit) drops the cache's reference, while jobs still queued against
@@ -44,13 +44,14 @@ struct CachedProgram {
   /// different program from the doall compilation of the same text, so the
   /// strategy participates in both the key and the collision check.
   Strategy Strat = Strategy::Doall;
-  /// Sealed memfds holding the serialized lowered programs.  The daemon
-  /// hands these to executives via SCM_RIGHTS; the seals let the executive
-  /// trust size and contents without copying.  ImagePar is -1 only when
-  /// the pipeline transformed nothing (the daemon rejects speculative
-  /// submits of such a program); ImageSeq is always set.
-  int ImagePar = -1;
-  int ImageSeq = -1;
+  /// Sealed memfd holding the serialized lowered program.  The daemon
+  /// hands it to executives via SCM_RIGHTS; the seals let the executive
+  /// trust size and contents without copying.  A transformed program is
+  /// lowered with its loop plan, which sequential jobs run as plain jumps
+  /// (the VM intercepts the loop only when a plan is armed); an
+  /// untransformed one is lowered plain, and the daemon rejects its
+  /// speculative submits.
+  int Image = -1;
   /// Monotonic fill ordinal: executives key their local caches by
   /// (Key, Generation), so a rebuilt entry (evicted, or a hash collision
   /// replacing different text) never aliases a stale cached program.

@@ -354,7 +354,7 @@ ExecAssignment Server::assignmentFor(const Job &J) const {
 
 bool Server::startJob(Job &J, Executive &E) {
   ExecAssignment A = assignmentFor(J);
-  int Img = A.UseParallel ? J.Prog->ImagePar : J.Prog->ImageSeq;
+  int Img = J.Prog->Image;
   std::string Err;
   if (!writeFrameWithFds(E.ChanFd, MsgType::ExecAssign, encodeExecAssign(A),
                          &Img, 1, Err)) {

@@ -117,8 +117,6 @@ const char *reasonName(Reason R) {
     return "short_lived_escape";
   case Reason::IoOverflow:
     return "io_overflow";
-  case Reason::ChunkOverflow:
-    return "chunk_overflow";
   case Reason::CorruptSlot:
     return "corrupt_slot";
   case Reason::TornSlot:

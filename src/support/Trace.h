@@ -81,7 +81,6 @@ enum class Reason : uint32_t {
   PrivacyBounds,
   ShortLivedEscape,
   IoOverflow,
-  ChunkOverflow,
   CorruptSlot,
   TornSlot,
   Watchdog,

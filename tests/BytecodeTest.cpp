@@ -178,6 +178,73 @@ TEST(BytecodeSemantics, UnterminatedPrintSpecIsFatalNotTruncated) {
                "ends inside a conversion spec");
 }
 
+/// A print of \p Copies copies of one 20-character value, then "END".
+std::string longPrint(const char *Value, unsigned Copies) {
+  std::string Fmt, Args;
+  for (unsigned I = 0; I < Copies; ++I) {
+    Fmt += "%d";
+    Args += std::string(", ") + Value;
+  }
+  return "  print \"" + Fmt + "END\\n\"" + Args + "\n";
+}
+
+TEST(BytecodeSemantics, LongPrintIsWrittenWhole) {
+  // 8,004 bytes: twice any fixed formatting buffer, on both engines, and
+  // from workers inside a parallel loop.
+  const std::string Text = "define i64 @main() {\n"
+                           "entry:\n" +
+                           longPrint("-9223372036854775808", 400) +
+                           "  ret 0\n}\n";
+  std::string Expected;
+  for (int I = 0; I < 400; ++I)
+    Expected += "-9223372036854775808";
+  Expected += "END\n";
+  ASSERT_EQ(Expected.size(), 8004u);
+  for (ExecEngine Engine : {ExecEngine::Interp, ExecEngine::Bytecode}) {
+    std::string Out;
+    runSeq(Text, Engine, &Out);
+    EXPECT_EQ(Out, Expected) << execEngineName(Engine);
+  }
+
+  const std::string Loop = "define void @kernel(i64 %n) {\n"
+                           "entry:\n  br loop\n"
+                           "loop:\n"
+                           "  %i = phi [entry: 0], [latch: %inext]\n"
+                           "  %c = icmp lt, %i, %n\n"
+                           "  condbr %c, body, exit\n"
+                           "body:\n"
+                           "  %v = add %i, -9223372036854775808\n" +
+                           longPrint("%v", 400) +
+                           "  br latch\n"
+                           "latch:\n  %inext = add %i, 1\n  br loop\n"
+                           "exit:\n  ret\n}\n"
+                           "define i64 @main() {\n"
+                           "entry:\n  call @kernel(6)\n  ret 0\n}\n";
+  std::string Reference;
+  runSeq(Loop, ExecEngine::Interp, &Reference);
+  ASSERT_EQ(Reference.size(), 6 * 8004u);
+  auto M = parseOrDie(Loop);
+  analysis::FunctionAnalyses FA(*M);
+  PipelineOptions Opt;
+  std::FILE *Sink = std::tmpfile();
+  Runtime::get().setSequentialOutput(Sink);
+  PipelineResult R = runPrivateerPipeline(*M, FA, Opt);
+  Runtime::get().setSequentialOutput(nullptr);
+  std::fclose(Sink);
+  ASSERT_TRUE(R.Transformed) << (R.Log.empty() ? "" : R.Log.back());
+  ParallelOptions Par;
+  Par.NumWorkers = 2;
+  Par.CheckpointPeriod = 2;
+  std::FILE *Out = std::tmpfile();
+  ExecutionResult E = executePrivatized(*M, FA, R.Assignment, Opt, Par,
+                                        RuntimeConfig(), Out);
+  std::string Got = readAll(Out);
+  std::fclose(Out);
+  EXPECT_EQ(E.Stats.Misspecs, 0u) << E.Stats.FirstMisspecReason;
+  EXPECT_GT(E.Stats.Iterations, 0u);
+  EXPECT_EQ(Got, Reference);
+}
+
 TEST(BytecodeSemantics, InstructionBudgetPinsRunawayLoops) {
   const std::string Text = "define i64 @main() {\n"
                            "entry:\n  br loop\n"
@@ -268,6 +335,57 @@ TEST(BytecodeFallback, LoweredProgramsAreReusable) {
     EXPECT_EQ(R.asInt(), 7) << "run " << Run;
     EXPECT_EQ(Got, "counter 7\n") << "run " << Run;
   }
+}
+
+TEST(BytecodeFallback, PlannedImageRunsSequentiallyLikePlainLowering) {
+  // The program cache keeps one image per program: the planned one when
+  // the pipeline transformed it.  With no plan armed, its loop
+  // interception is plain jumps, so a sequential job on it must match the
+  // plain lowering of the same transformed module.
+  const std::pair<std::string, Strategy> Programs[] = {
+      {dijkstraIrText(12), Strategy::Doall},
+      {reductionSumIrText(300), Strategy::Doall},
+      {recurrenceIrText(100), Strategy::Doacross},
+      {fpPricingIrText(64), Strategy::Doall},
+      {arrayRecurrenceIrText(200, 3), Strategy::Doacross},
+      {scalarCarryIrText(200), Strategy::Doacross},
+      {histogramIrText(200, 32, 2), Strategy::Doall},
+      {degreeCountIrText(16, 200, 2), Strategy::Doall},
+      {dedupIrText(200, 16, 2), Strategy::Doall},
+  };
+  unsigned Transformed = 0;
+  for (const auto &[Text, Strat] : Programs) {
+    auto M = parseOrDie(Text);
+    analysis::FunctionAnalyses FA(*M);
+    PipelineOptions Opt;
+    Opt.Strat = Strat;
+    std::FILE *Sink = std::tmpfile();
+    Runtime::get().setSequentialOutput(Sink);
+    PipelineResult R = runPrivateerPipeline(*M, FA, Opt);
+    Runtime::get().setSequentialOutput(nullptr);
+    std::fclose(Sink);
+    if (!R.Transformed)
+      continue; // Cached as its plain lowering: nothing to compare.
+    ++Transformed;
+    std::string Why;
+    auto Planned = lowerForPrivatized(*M, FA, R.Assignment, Why);
+    ASSERT_NE(Planned, nullptr) << Why;
+    auto Plain = bytecode::lowerModule(*M, {});
+    std::string Outs[2];
+    int64_t Rets[2];
+    for (int Which = 0; Which < 2; ++Which) {
+      std::FILE *Out = std::tmpfile();
+      Rets[Which] = executeLoadedSequential(Which ? *Plain : *Planned, Opt,
+                                            Out)
+                        .asInt();
+      Outs[Which] = readAll(Out);
+      std::fclose(Out);
+    }
+    EXPECT_EQ(Outs[0], Outs[1]) << Text;
+    EXPECT_EQ(Rets[0], Rets[1]) << Text;
+    EXPECT_FALSE(Outs[0].empty()) << Text;
+  }
+  EXPECT_GE(Transformed, 8u);
 }
 
 // --- Position-independent images (bytecode/Image.h) ----------------------

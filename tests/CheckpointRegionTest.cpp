@@ -1,17 +1,19 @@
-//===- tests/CheckpointRegionTest.cpp - Sparse checkpoint slot tests ------===//
+//===- tests/CheckpointRegionTest.cpp - Flat checkpoint slot tests --------===//
 //
-// Direct tests of CheckpointRegion's sparse dirty-chunk layout: merges fold
-// only the chunks a worker's dirty mask names, commits walk the union mask,
-// a short last slot's header rejects torn iteration counts, a
-// scribbled chunk count overflows to a conservative misspeculation,
-// commutative copies combine at commit, and deferred I/O survives a
-// slot-buffer overflow for the recovery path to replay.  Overflowed slots are refused by the commit frontier's verdict,
-// which every commit passes first.
+// Direct tests of CheckpointRegion's flat slot images: merges fold only the
+// chunks a worker's dirty mask names into the chunk's place in each plane,
+// age the worker's shadow and clear its mask as they go, and page in only
+// the planes' dirty chunks; commits walk the union mask; a short last
+// slot's header rejects torn iteration counts; commutative copies combine
+// at commit; and deferred I/O survives a slot-buffer overflow for the
+// recovery path to replay.  Overflowed slots are refused by the commit
+// frontier's verdict, which every commit passes first.
 //
 //===----------------------------------------------------------------------===//
 
 #include "runtime/Checkpoint.h"
 #include "runtime/ShadowMetadata.h"
+#include "support/DeterministicRng.h"
 
 #include <gtest/gtest.h>
 
@@ -19,6 +21,7 @@
 #include <cstring>
 #include <vector>
 
+#include <sys/mman.h>
 #include <unistd.h>
 
 using namespace privateer;
@@ -32,18 +35,25 @@ protected:
   static constexpr EpochPlan kOneSlot{0, 8, 8, 2};
   static constexpr EpochPlan kOneWorker{0, 8, 8, 1};
 
-  void makeRegion(const EpochPlan &Plan, uint64_t IoCapacity = 4096) {
+  void makeRegion(const EpochPlan &Plan, uint64_t IoCapacity = 4096,
+                  uint64_t Bytes = kFootprint) {
+    Footprint = Bytes;
     CheckpointRegion::Config C;
     C.Plan = Plan;
-    C.PrivateBytes = kFootprint;
+    C.PrivateBytes = Footprint;
     C.ReduxBytes = Redux.packedBytes();
     C.IoCapacity = IoCapacity;
     ASSERT_TRUE(Region.create(C));
-    LocalShadow.assign(kFootprint, shadow::kLiveIn);
-    LocalPrivate.assign(kFootprint, 0);
-    MasterShadow.assign(kFootprint, shadow::kLiveIn);
-    MasterPrivate.assign(kFootprint, 0);
-    Mask.assign(dirtyMaskWords(dirtyChunkCount(kFootprint)), 0);
+    LocalShadow.assign(Footprint, shadow::kLiveIn);
+    LocalPrivate.assign(Footprint, 0);
+    MasterShadow.assign(Footprint, shadow::kLiveIn);
+    MasterPrivate.assign(Footprint, 0);
+    Mask.assign(dirtyMaskWords(dirtyChunkCount(Footprint)), 0);
+  }
+
+  void merge(CheckpointScanStats *Scan = nullptr) {
+    Region.workerMerge(0, LocalShadow.data(), LocalPrivate.data(),
+                       Mask.data(), Redux, Io, /*Executed=*/true, ctx(Scan));
   }
 
   MergeContext ctx(CheckpointScanStats *Scan = nullptr) {
@@ -60,12 +70,12 @@ protected:
                    uint8_t Ts = shadow::kFirstTimestamp) {
     LocalShadow[Off] = Ts;
     LocalPrivate[Off] = Value;
-    markDirtyChunks(Mask.data(), dirtyChunkCount(kFootprint), Off, 1);
+    markDirtyChunks(Mask.data(), dirtyChunkCount(Footprint), Off, 1);
   }
 
   void workerReadLiveIn(uint64_t Off) {
     LocalShadow[Off] = shadow::kReadLiveIn;
-    markDirtyChunks(Mask.data(), dirtyChunkCount(kFootprint), Off, 1);
+    markDirtyChunks(Mask.data(), dirtyChunkCount(Footprint), Off, 1);
   }
 
   /// Commits slot \p P into the master image; true when the walk refused
@@ -89,6 +99,7 @@ protected:
     return V;
   }
 
+  uint64_t Footprint = kFootprint;
   CheckpointRegion Region;
   ControlBlock Cb;
   trace::Reason Code = trace::Reason::Generic;
@@ -107,8 +118,7 @@ TEST_F(CheckpointRegionTest, SparseMergeAndCommitApplyOnlyDirtyChunks) {
   workerReadLiveIn(1 * kDirtyChunkBytes + 100);
 
   CheckpointScanStats MergeScan;
-  Region.workerMerge(0, LocalShadow.data(), LocalPrivate.data(), Mask.data(),
-                     Redux, Io, /*Executed=*/true, ctx(&MergeScan));
+  merge(&MergeScan);
   EXPECT_EQ(MergeScan.DirtyChunks, 2u);
   // Only the two dirty chunks were walked at all; everything outside them
   // cost nothing.
@@ -117,10 +127,18 @@ TEST_F(CheckpointRegionTest, SparseMergeAndCommitApplyOnlyDirtyChunks) {
   // Within them, the skip loop took the word path almost everywhere.
   EXPECT_GT(MergeScan.BytesSkipped, MergeScan.BytesScanned);
 
-  // The slot records exactly the contributed chunks.
-  EXPECT_EQ(Region.slot(0)->ChunksUsed, 2u);
-  const uint64_t *SlotMask = Region.slotDirtyMask(0);
-  EXPECT_EQ(SlotMask[0], (1ULL << 1) | (1ULL << 9));
+  // The slot records exactly the contributed chunks, each byte at its
+  // footprint offset in both planes.
+  EXPECT_EQ(Region.slotDirtyMask(0)[0], (1ULL << 1) | (1ULL << 9));
+  const uint8_t *Meta = Region.slotMeta(0);
+  const uint8_t *Values = Region.slotValues(0);
+  EXPECT_EQ(Meta[1 * kDirtyChunkBytes + 17], shadow::kFirstTimestamp);
+  EXPECT_EQ(Values[1 * kDirtyChunkBytes + 17], 0xAB);
+  EXPECT_EQ(Meta[9 * kDirtyChunkBytes + 4090], shadow::kFirstTimestamp + 3);
+  EXPECT_EQ(Values[9 * kDirtyChunkBytes + 4090], 0xCD);
+  EXPECT_EQ(Meta[1 * kDirtyChunkBytes + 100], shadow::kReadLiveIn);
+  EXPECT_EQ(static_cast<uint64_t>(std::count(Meta, Meta + kFootprint, 0)),
+            kFootprint - 3);
 
   CheckpointScanStats CommitScan;
   ASSERT_FALSE(commitFails(0, &CommitScan))
@@ -138,19 +156,21 @@ TEST_F(CheckpointRegionTest, SparseMergeAndCommitApplyOnlyDirtyChunks) {
 TEST_F(CheckpointRegionTest, DirtyMasksUnionAcrossWorkers) {
   makeRegion(kOneSlot);
   workerWrite(2 * kDirtyChunkBytes + 8, 0x11);
-  Region.workerMerge(0, LocalShadow.data(), LocalPrivate.data(), Mask.data(),
-                     Redux, Io, true, ctx());
+  merge();
 
   // Second worker: fresh view, different chunk.
   LocalShadow.assign(kFootprint, shadow::kLiveIn);
   std::fill(Mask.begin(), Mask.end(), 0);
   workerWrite(14 * kDirtyChunkBytes + 8, 0x22,
               shadow::kFirstTimestamp + 1);
-  Region.workerMerge(0, LocalShadow.data(), LocalPrivate.data(), Mask.data(),
-                     Redux, Io, true, ctx());
+  merge();
 
   EXPECT_EQ(Region.slotDirtyMask(0)[0], (1ULL << 2) | (1ULL << 14));
-  EXPECT_EQ(Region.slot(0)->ChunksUsed, 2u);
+  EXPECT_EQ(Region.slotMeta(0)[2 * kDirtyChunkBytes + 8],
+            shadow::kFirstTimestamp);
+  EXPECT_EQ(Region.slotMeta(0)[14 * kDirtyChunkBytes + 8],
+            shadow::kFirstTimestamp + 1);
+  EXPECT_EQ(Region.slotValues(0)[14 * kDirtyChunkBytes + 8], 0x22);
   ASSERT_FALSE(commitFails(0))
       << Why;
   EXPECT_EQ(MasterPrivate[2 * kDirtyChunkBytes + 8], 0x11);
@@ -160,8 +180,7 @@ TEST_F(CheckpointRegionTest, DirtyMasksUnionAcrossWorkers) {
 TEST_F(CheckpointRegionTest, CommitDetectsFlowDependenceInsideDirtyChunk) {
   makeRegion(kOneSlot);
   workerReadLiveIn(3 * kDirtyChunkBytes + 77);
-  Region.workerMerge(0, LocalShadow.data(), LocalPrivate.data(), Mask.data(),
-                     Redux, Io, true, ctx());
+  merge();
   // An earlier committed period wrote the byte: phase-2 must reject.
   MasterShadow[3 * kDirtyChunkBytes + 77] = shadow::kOldWrite;
   EXPECT_TRUE(commitFails(0));
@@ -184,41 +203,77 @@ TEST_F(CheckpointRegionTest, ShortLastSlotRejectsTornIterationCounts) {
   EXPECT_FALSE(Region.slotHeaderSane(2));
 }
 
-TEST_F(CheckpointRegionTest, ChunkCapacityOverflowBecomesMisspec) {
-  // A slot holds an entry for every footprint chunk, so only a scribbled
-  // ChunksUsed can exhaust it; the merge must then mark the slot
-  // incomplete rather than allocate an entry past the slot.
-  makeRegion(kOneWorker);
-  Region.slot(0)->ChunksUsed =
-      static_cast<uint32_t>(Region.slotChunkCapacity());
-  workerWrite(0 * kDirtyChunkBytes + 5, 0x33);
-  workerWrite(7 * kDirtyChunkBytes + 5, 0x44);
-  Region.workerMerge(0, LocalShadow.data(), LocalPrivate.data(), Mask.data(),
-                     Redux, Io, true, ctx());
-  EXPECT_EQ(Region.slot(0)->ChunkOverflow, 1u);
-  EXPECT_TRUE(Region.slotHeaderSane(0));
-  EXPECT_EQ(verdictAtJoin(), CommitFrontier::Verdict::Fail);
-  EXPECT_NE(Why.find("chunk capacity"), std::string::npos) << Why;
-  EXPECT_EQ(Code, trace::Reason::ChunkOverflow);
-  // Nothing from the overflowed slot reached the master image.
-  EXPECT_EQ(MasterPrivate[0 * kDirtyChunkBytes + 5], 0);
-  EXPECT_EQ(MasterPrivate[7 * kDirtyChunkBytes + 5], 0);
-}
-
 TEST_F(CheckpointRegionTest, DefaultCapacityCoversWholeFootprintLosslessly) {
   makeRegion(kOneSlot);
-  EXPECT_EQ(Region.slotChunkCapacity(), dirtyChunkCount(kFootprint));
-  // Dirty every chunk: a slot holds them all, so this can never overflow.
+  // Dirty every chunk: a slot has a place for each of them.
   for (uint64_t C = 0; C < dirtyChunkCount(kFootprint); ++C)
     workerWrite(C * kDirtyChunkBytes, static_cast<uint8_t>(C + 1));
-  Region.workerMerge(0, LocalShadow.data(), LocalPrivate.data(), Mask.data(),
-                     Redux, Io, true, ctx());
-  EXPECT_EQ(Region.slot(0)->ChunkOverflow, 0u);
+  merge();
+  EXPECT_EQ(Region.slotDirtyMask(0)[0], (1ULL << 16) - 1);
   ASSERT_FALSE(commitFails(0))
       << Why;
   for (uint64_t C = 0; C < dirtyChunkCount(kFootprint); ++C)
     EXPECT_EQ(MasterPrivate[C * kDirtyChunkBytes],
               static_cast<uint8_t>(C + 1));
+}
+
+TEST_F(CheckpointRegionTest, MergeAgesWorkerStateAndClearsItsMask) {
+  int64_t Cell = 0;
+  Redux.registerObject(&Cell, 8, ReduxElem::I64, ReduxOp::Add);
+  makeRegion(kOneWorker);
+  // Any code may sit in a dirty chunk; a clean chunk holds only codes
+  // below read-live-in (no access this period reached it).
+  DeterministicRng Rng(33);
+  for (uint64_t Off = 0; Off < kFootprint; ++Off)
+    LocalShadow[Off] = static_cast<uint8_t>(Rng.nextBelow(2));
+  for (uint64_t C : {0u, 5u, 6u, 15u}) {
+    for (uint64_t Off = 0; Off < kDirtyChunkBytes; ++Off) {
+      uint64_t Roll = Rng.nextBelow(8);
+      LocalShadow[C * kDirtyChunkBytes + Off] =
+          Roll < 4 ? static_cast<uint8_t>(Roll)
+                   : static_cast<uint8_t>(Rng.nextBelow(256));
+    }
+    markDirtyChunks(Mask.data(), dirtyChunkCount(kFootprint),
+                    C * kDirtyChunkBytes, kDirtyChunkBytes);
+  }
+  std::vector<uint8_t> Before = LocalShadow;
+  Cell = 9; // The worker's partial for the period.
+  merge();
+
+  for (uint64_t Off = 0; Off < kFootprint; ++Off)
+    ASSERT_EQ(LocalShadow[Off], shadow::resetAtCheckpoint(Before[Off]))
+        << "byte " << Off;
+  EXPECT_TRUE(std::all_of(Mask.begin(), Mask.end(),
+                          [](uint64_t W) { return W == 0; }));
+  EXPECT_EQ(Cell, 0) << "the worker's copy must restart from the identity";
+  EXPECT_EQ(Region.slotDirtyMask(0)[0],
+            (1ULL << 0) | (1ULL << 5) | (1ULL << 6) | (1ULL << 15));
+}
+
+TEST_F(CheckpointRegionTest, MergeOfTwoChunksPagesInOnlyTheirPlanePages) {
+  // Two slots, so the span of slot 0 is the distance to slot 1.
+  const uint64_t Footprint16M = 16u << 20;
+  makeRegion({0, 16, 8, 1}, 4096, Footprint16M);
+  workerWrite(1 * kDirtyChunkBytes + 17, 0xAB);
+  workerWrite(3000 * kDirtyChunkBytes + 5, 0xCD);
+  merge();
+
+  const long Page = sysconf(_SC_PAGESIZE);
+  uint8_t *Begin = reinterpret_cast<uint8_t *>(Region.slot(0));
+  uint64_t Span = reinterpret_cast<uint8_t *>(Region.slot(1)) - Begin;
+  std::vector<unsigned char> Resident((Span + Page - 1) / Page);
+  ASSERT_EQ(mincore(Begin, Span, Resident.data()), 0);
+  uint64_t Pages = 0;
+  for (unsigned char R : Resident)
+    Pages += R & 1;
+  const uint64_t HeaderAndMaskPages =
+      (sizeof(SlotHeader) + 64 +
+       dirtyMaskWords(dirtyChunkCount(Footprint16M)) * sizeof(uint64_t) +
+       Page - 1) /
+      Page;
+  // Each dirty chunk costs one metadata page and one value page.
+  EXPECT_GE(Pages, 4u);
+  EXPECT_LE(Pages, HeaderAndMaskPages + 4);
 }
 
 TEST_F(CheckpointRegionTest, CommutativeCopiesFromBothWorkersCombineAtCommit) {
@@ -232,8 +287,7 @@ TEST_F(CheckpointRegionTest, CommutativeCopiesFromBothWorkersCombineAtCommit) {
     Redux.fillIdentity();
     Cells[0] += Add;
     Cells[1] = std::max(Cells[1], Max);
-    Region.workerMerge(0, LocalShadow.data(), LocalPrivate.data(),
-                       Mask.data(), Redux, Io, true, ctx());
+    merge();
   };
   Worker(5, 100);
   Worker(7, 42);
@@ -248,8 +302,7 @@ TEST_F(CheckpointRegionTest, CommutativeCopiesFromBothWorkersCombineAtCommit) {
 TEST_F(CheckpointRegionTest, IoOverflowKeepsWorkerRecordsForRecovery) {
   makeRegion(kOneWorker, /*IoCapacity=*/32);
   Io.push_back(IoRecord{0, 0, std::string(128, 'x')}); // Can't fit in 32 B.
-  Region.workerMerge(0, LocalShadow.data(), LocalPrivate.data(), Mask.data(),
-                     Redux, Io, true, ctx());
+  merge();
   EXPECT_EQ(Region.slot(0)->IoOverflow, 1u);
   // The records must stay with the worker: dropping them before the
   // misspec recovery re-executes the period would lose the output.

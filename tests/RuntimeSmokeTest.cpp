@@ -10,7 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <string>
+#include <vector>
 
 using namespace privateer;
 
@@ -207,6 +210,47 @@ TEST_F(RuntimeSmokeTest, DeferredOutputCommitsInIterationOrder) {
     EXPECT_STREQ(Line, Expect);
   }
   std::fclose(Tmp);
+}
+
+TEST_F(RuntimeSmokeTest, LongDeferredPrintfIsNotTruncated) {
+  // Text past any fixed formatting buffer must come out whole, from
+  // speculative and non-speculative workers alike.
+  constexpr uint64_t N = 6;
+  const std::string Long(5000, 'x');
+  for (bool NonSpec : {false, true}) {
+    std::FILE *Tmp = std::tmpfile();
+    ASSERT_NE(Tmp, nullptr);
+    ParallelOptions Opt;
+    Opt.NumWorkers = 2;
+    Opt.CheckpointPeriod = 2;
+    Opt.NonSpeculative = NonSpec;
+    Opt.Out = Tmp;
+    InvocationStats Stats =
+        Runtime::get().runParallel(N, Opt, [&](uint64_t I) {
+          Runtime::get().deferPrintf("%llu %s\n",
+                                     static_cast<unsigned long long>(I),
+                                     Long.c_str());
+        });
+    EXPECT_EQ(Stats.Misspecs, 0u);
+    std::fflush(Tmp);
+    std::rewind(Tmp);
+    std::string Got;
+    char Buf[4096];
+    for (size_t R; (R = std::fread(Buf, 1, sizeof(Buf), Tmp)) > 0;)
+      Got.append(Buf, R);
+    std::fclose(Tmp);
+    std::vector<std::string> Lines, Expected;
+    for (size_t At = 0, End; (End = Got.find('\n', At)) != std::string::npos;
+         At = End + 1)
+      Lines.push_back(Got.substr(At, End + 1 - At));
+    for (uint64_t I = 0; I < N; ++I)
+      Expected.push_back(std::to_string(I) + " " + Long + "\n");
+    // Non-speculative workers write as they go, in no fixed order.
+    if (NonSpec)
+      std::sort(Lines.begin(), Lines.end());
+    EXPECT_EQ(Got.size(), N * (Long.size() + 3));
+    EXPECT_EQ(Lines, Expected) << (NonSpec ? "non-speculative" : "speculative");
+  }
 }
 
 TEST_F(RuntimeSmokeTest, SeparationCheckCatchesWrongHeapPointer) {

@@ -310,18 +310,4 @@ TEST(ShadowMetadataBoundary, MisspecByteInsideFastPathWordIsCaught) {
   }
 }
 
-TEST(ShadowMetadata, ResetRangeMatchesPerByte) {
-  DeterministicRng Rng(99);
-  for (int Trial = 0; Trial < 100; ++Trial) {
-    size_t N = 1 + Rng.nextBelow(100);
-    std::vector<uint8_t> A(N), B;
-    for (auto &V : A)
-      V = static_cast<uint8_t>(Rng.nextBelow(256));
-    B = A;
-    resetRangeAtCheckpoint(B.data(), N);
-    for (size_t I = 0; I < N; ++I)
-      ASSERT_EQ(B[I], resetAtCheckpoint(A[I]));
-  }
-}
-
 } // namespace
