@@ -103,6 +103,53 @@ void BM_HeapAllocFree(benchmark::State &State) {
 }
 BENCHMARK(BM_HeapAllocFree);
 
+// A check site outside any invocation, as a hand-privatized body runs
+// sequentially: the facade's inline mode test and nothing else.
+void BM_PrivateReadSequential(benchmark::State &State) {
+  void *P = h_alloc(64, HeapKind::Private);
+  for (auto _ : State) {
+    private_read(P, sizeof(int));
+    benchmark::ClobberMemory(); // Reload the mode, as a body's stores would.
+  }
+  h_dealloc(P, HeapKind::Private);
+  State.SetItemsProcessed(State.iterations());
+}
+BENCHMARK(BM_PrivateReadSequential);
+
+// dijkstra's relaxation scan in a speculative worker: a 512-byte
+// private_read of bytes the iteration already wrote, so every shadow byte
+// holds the current timestamp.  Each benchmark iteration forks one W=1
+// invocation whose body times kReads such reads and commits their mean to
+// the private heap; the reported time is nanoseconds per private_read.
+void BM_PrivateRead512Current(benchmark::State &State) {
+  constexpr int kReads = 4096;
+  constexpr size_t kBytes = 512;
+  void *Buf = h_alloc(kBytes, HeapKind::Private);
+  auto *MeanNs =
+      static_cast<double *>(h_alloc(sizeof(double), HeapKind::Private));
+  ParallelOptions Opt;
+  Opt.NumWorkers = 1;
+  for (auto _ : State) {
+    Runtime::get().runParallel(1, Opt, [&](uint64_t) {
+      private_write(Buf, kBytes);
+      uint64_t T0 = monotonicNanos();
+      for (int R = 0; R < kReads; ++R) {
+        private_read(Buf, kBytes);
+        benchmark::ClobberMemory();
+      }
+      double Ns = static_cast<double>(monotonicNanos() - T0) / kReads;
+      private_write(MeanNs, sizeof(double));
+      *MeanNs = Ns;
+    });
+    State.SetIterationTime(*MeanNs * 1e-9);
+  }
+  h_dealloc(MeanNs, HeapKind::Private);
+  h_dealloc(Buf, HeapKind::Private);
+  State.SetBytesProcessed(State.iterations() * static_cast<int64_t>(kBytes));
+}
+// Fixed iterations: one fork each, far longer than the time it reports.
+BENCHMARK(BM_PrivateRead512Current)->Iterations(40)->UseManualTime();
+
 void BM_CheckpointMetaScan(benchmark::State &State) {
   // The worker-merge scan over shadow bytes (codes >= 2 are interesting).
   std::vector<uint8_t> Meta(1u << 20, shadow::kLiveIn);
@@ -589,24 +636,6 @@ double jitRunSec(ir::Module &M, const bytecode::BytecodeProgram *BP) {
   return Sec;
 }
 
-/// The report's former figure: best of \p Reps executeSequential runs,
-/// which on the VM also times lowering the module.  Printed beside the
-/// medians for comparison only.
-double bestOfSeqSec(ir::Module &M, transform::ExecEngine Engine, int Reps) {
-  transform::PipelineOptions Opt;
-  Opt.Engine = Engine;
-  double Best = 1e18;
-  for (int R = 0; R < Reps; ++R) {
-    std::FILE *Out = std::tmpfile();
-    uint64_t T0 = monotonicNanos();
-    transform::executeSequential(M, Opt, Out);
-    double Sec = static_cast<double>(monotonicNanos() - T0) * 1e-9;
-    std::fclose(Out);
-    Best = std::min(Best, Sec);
-  }
-  return Best;
-}
-
 struct TrainingPoint {
   const char *Name;
   double InterpMs = 0, VmMs = 0, SeqVmMs = 0;
@@ -677,8 +706,6 @@ int runJitReport(const std::string &Path) {
     /// Medians of kJitMedianReps alternating runs.
     double InterpSec, BytecodeSec;
     double PrivBytecodeSec; ///< privatized W=1 on the VM
-    /// Best of Reps executeSequential runs, lowering included on the VM.
-    double OldInterpSec, OldBytecodeSec;
   };
   std::vector<Point> Points;
   double LogSum = 0;
@@ -691,7 +718,7 @@ int runJitReport(const std::string &Path) {
       return 1;
     }
 
-    Point P{K.Name, K.Iterations, 0, 0, 0, 0, 0};
+    Point P{K.Name, K.Iterations, 0, 0, 0};
     // Alternate the engines rep by rep so host drift hits both alike.
     auto BP = bytecode::lowerModule(*M, {});
     std::vector<double> InterpSecs, VmSecs;
@@ -701,8 +728,6 @@ int runJitReport(const std::string &Path) {
     }
     P.InterpSec = medianOf(InterpSecs);
     P.BytecodeSec = medianOf(VmSecs);
-    P.OldInterpSec = bestOfSeqSec(*M, transform::ExecEngine::Interp, Reps);
-    P.OldBytecodeSec = bestOfSeqSec(*M, transform::ExecEngine::Bytecode, Reps);
 
     // Privatized single-worker runs of a transformed copy on the VM: over
     // the sequential VM run, this is what validation (checks, shadow,
@@ -737,15 +762,12 @@ int runJitReport(const std::string &Path) {
     LogSum += std::log(Speedup);
     std::printf("%-10s seq: interp %8.2f ms (%8.0f it/s), bytecode %7.2f ms "
                 "(%9.0f it/s), speedup %5.1fx | privatized w1 on the VM: "
-                "%.2f ms, %.2fx of sequential | best of %d with lowering: "
-                "interp %.2f ms, bytecode %.2f ms, %.1fx\n",
+                "%.2f ms, %.2fx of sequential\n",
                 K.Name, P.InterpSec * 1e3,
                 static_cast<double>(K.Iterations) / P.InterpSec,
                 P.BytecodeSec * 1e3,
                 static_cast<double>(K.Iterations) / P.BytecodeSec, Speedup,
-                P.PrivBytecodeSec * 1e3, P.PrivBytecodeSec / P.BytecodeSec,
-                Reps, P.OldInterpSec * 1e3, P.OldBytecodeSec * 1e3,
-                P.OldInterpSec / P.OldBytecodeSec);
+                P.PrivBytecodeSec * 1e3, P.PrivBytecodeSec / P.BytecodeSec);
     Points.push_back(P);
   }
 
@@ -800,15 +822,12 @@ int runJitReport(const std::string &Path) {
         "\"interp_sec\": %.6f, \"bytecode_sec\": %.6f, \"speedup\": %.2f, "
         "\"interp_iters_per_sec\": %.0f, \"bytecode_iters_per_sec\": %.0f, "
         "\"privatized_w1_bytecode_sec\": %.6f, "
-        "\"privatized_w1_over_sequential\": %.3f, "
-        "\"best_of_3_interp_sec\": %.6f, "
-        "\"best_of_3_bytecode_with_lowering_sec\": %.6f}%s\n",
+        "\"privatized_w1_over_sequential\": %.3f}%s\n",
         P.Name, static_cast<unsigned long long>(P.Iterations), P.InterpSec,
         P.BytecodeSec, P.InterpSec / P.BytecodeSec,
         static_cast<double>(P.Iterations) / P.InterpSec,
         static_cast<double>(P.Iterations) / P.BytecodeSec, P.PrivBytecodeSec,
-        P.PrivBytecodeSec / P.BytecodeSec, P.OldInterpSec, P.OldBytecodeSec,
-        I + 1 < Points.size() ? "," : "");
+        P.PrivBytecodeSec / P.BytecodeSec, I + 1 < Points.size() ? "," : "");
   }
   std::fprintf(Out, "  ],\n  \"training_runs\": [\n");
   for (size_t I = 0; I < Training.size(); ++I) {

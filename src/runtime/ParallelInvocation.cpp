@@ -380,7 +380,9 @@ InvocationStats Runtime::runParallel(uint64_t NumIterations,
     EpochPlan Plan = planFrom(Next, ParallelOptions::MaxSlotsPerEpoch);
     ++Stats.Epochs;
 
+    uint64_t FaultsBefore = minorFaults();
     EpochResult Res = runEpoch(Plan, Options, Body, Stats);
+    Stats.MainMinorFaults += minorFaults() - FaultsBefore;
     if (Res.Degraded) {
       // Speculation could not start (fork/mmap failure): run this epoch's
       // iterations sequentially and carry on; the next epoch retries
@@ -915,6 +917,9 @@ void Runtime::workerMain(unsigned Id, const EpochPlan &Plan,
   CheckpointScanStats MergeScan;
   MergeCtx.Scan = &MergeScan;
 
+  // Faults of the period loop, snapshot after every period so they survive
+  // a later misspecAbort, as the merge's scan stats do.
+  uint64_t FaultsAtStart = minorFaults();
   bool Stopped = false;
   for (uint64_t P = 0, NumSlots = Plan.numSlots(); P < NumSlots && !Stopped;
        ++P) {
@@ -1005,10 +1010,12 @@ void Runtime::workerMain(unsigned Id, const EpochPlan &Plan,
       LocalStats.CheckpointBytesSkipped = MergeScan.BytesSkipped;
       LocalStats.ComRecordsMerged += Executed ? Redux.objects().size() : 0;
     }
+    LocalStats.WorkerMinorFaults = minorFaults() - FaultsAtStart;
     if (Cb->periodDoomed(P + 1))
       break;
   }
 
+  LocalStats.WorkerMinorFaults = minorFaults() - FaultsAtStart;
   Cb->Stats[Id] = LocalStats;
   _exit(0);
 }

@@ -9,7 +9,8 @@
 /// The user-facing runtime API in the paper's own vocabulary (Figure 2b).
 /// Transformed programs — and hand-privatized programs standing in for
 /// compiler output — call these thin wrappers over the process-wide
-/// Runtime instance.
+/// Runtime instance.  Every wrapper inlines down to the runtime's mode test,
+/// so outside a speculative worker a check costs one predictable branch.
 ///
 /// \code
 ///   privateer::Runtime::get().initialize();

@@ -58,11 +58,6 @@ void privateer::mirrorStats(const InvocationStats &S) {
 #undef PRIVATEER_STAT_MIRROR
 }
 
-Runtime &Runtime::get() {
-  static Runtime TheRuntime;
-  return TheRuntime;
-}
-
 Runtime::~Runtime() {
   shutdown();
   delete[] LocalDepRings;
@@ -131,9 +126,19 @@ SharedHeap &Runtime::heap(HeapKind K) {
   return Heaps[static_cast<unsigned>(K)];
 }
 
+namespace {
+
+/// h_alloc calls per logical heap, the registry's group "heap-alloc".
+constinit std::array<Statistic, kNumHeapKinds> HeapAllocs =
+    makeStatistics<kNumHeapKinds>("heap-alloc", [](size_t I) {
+      return heapKindName(static_cast<HeapKind>(I));
+    });
+
+} // namespace
+
 void *Runtime::heapAlloc(size_t Bytes, HeapKind K) {
   assert(Initialized && "runtime not initialized");
-  ++StatisticRegistry::instance().counter("heap-alloc", heapKindName(K));
+  ++HeapAllocs[static_cast<unsigned>(K)];
   void *P = heap(K).allocate(Bytes);
   if (!P)
     reportFatalError(std::string("logical heap exhausted: ") +
@@ -164,23 +169,6 @@ void Runtime::registerReduction(void *P, size_t Bytes, ReduxElem Elem,
   Redux.registerObject(P, Bytes, Elem, Op);
 }
 
-void Runtime::checkHeap(const void *P, HeapKind Expected) {
-  if (Mode != ExecMode::SpeculativeWorker)
-    return;
-  ++LocalStats.SeparationChecks;
-  if (!addressInHeap(reinterpret_cast<uint64_t>(P), Expected))
-    misspecAbort("separation check failed: pointer outside assumed heap");
-}
-
-void Runtime::privateRead(const void *P, size_t Bytes) {
-  if (Mode != ExecMode::SpeculativeWorker)
-    return;
-  uint64_t Addr = reinterpret_cast<uint64_t>(P);
-  if (!addressInHeap(Addr, HeapKind::Private))
-    misspecAbort("private_read of a pointer outside the private heap");
-  privateReadTagged(Addr, Bytes);
-}
-
 void Runtime::privateReadTagged(uint64_t Addr, size_t Bytes) {
   // No per-call timing here: the check must stay a handful of
   // instructions, as in the paper.  Costs are attributed through call and
@@ -197,15 +185,6 @@ void Runtime::privateReadTagged(uint64_t Addr, size_t Bytes) {
                  "earlier iteration");
 }
 
-void Runtime::privateWrite(const void *P, size_t Bytes) {
-  if (Mode != ExecMode::SpeculativeWorker)
-    return;
-  uint64_t Addr = reinterpret_cast<uint64_t>(P);
-  if (!addressInHeap(Addr, HeapKind::Private))
-    misspecAbort("private_write of a pointer outside the private heap");
-  privateWriteTagged(Addr, Bytes);
-}
-
 void Runtime::privateWriteTagged(uint64_t Addr, size_t Bytes) {
   ++LocalStats.PrivateWriteCalls;
   LocalStats.PrivateWriteBytes += Bytes;
@@ -215,13 +194,6 @@ void Runtime::privateWriteTagged(uint64_t Addr, size_t Bytes) {
   if (!shadow::applyWriteRange(Meta, Bytes, CurTs))
     misspecAbort("privacy violation: overwrite of a byte previously read "
                  "as live-in (conservative)");
-}
-
-void Runtime::speculateTrue(bool Cond, const char *What) {
-  if (Mode != ExecMode::SpeculativeWorker)
-    return;
-  if (!Cond)
-    misspecAbort(What);
 }
 
 void Runtime::deferPrintf(const char *Fmt, ...) {

@@ -186,7 +186,11 @@ using IterationFn = std::function<void(uint64_t)>;
 class Runtime {
 public:
   /// The process-wide runtime instance (workers inherit it across fork).
-  static Runtime &get();
+  /// Inline, so a check site reaches the mode test without a call.
+  static Runtime &get() {
+    static Runtime TheRuntime;
+    return TheRuntime;
+  }
 
   Runtime() = default;
   Runtime(const Runtime &) = delete;
@@ -221,6 +225,9 @@ public:
   ReductionRegistry &reductions() { return Redux; }
 
   // --- Speculation interface (inserted by the compiler, §4.5-4.6) --------
+  //
+  // Inline below: the mode test and the heap-tag test are the whole check
+  // outside a speculative worker, one predictable branch per site.
 
   /// check_heap: separation check.  In a speculative worker, a tag
   /// mismatch reports misspeculation; otherwise a no-op.
@@ -413,6 +420,39 @@ private:
   /// Grows the process-local fallback rings to cover \p Chan.
   void ensureLocalDepRings(uint32_t Chan);
 };
+
+inline void Runtime::checkHeap(const void *P, HeapKind Expected) {
+  if (Mode != ExecMode::SpeculativeWorker)
+    return;
+  ++LocalStats.SeparationChecks;
+  if (!addressInHeap(reinterpret_cast<uint64_t>(P), Expected))
+    misspecAbort("separation check failed: pointer outside assumed heap");
+}
+
+inline void Runtime::privateRead(const void *P, size_t Bytes) {
+  if (Mode != ExecMode::SpeculativeWorker)
+    return;
+  uint64_t Addr = reinterpret_cast<uint64_t>(P);
+  if (!addressInHeap(Addr, HeapKind::Private))
+    misspecAbort("private_read of a pointer outside the private heap");
+  privateReadTagged(Addr, Bytes);
+}
+
+inline void Runtime::privateWrite(const void *P, size_t Bytes) {
+  if (Mode != ExecMode::SpeculativeWorker)
+    return;
+  uint64_t Addr = reinterpret_cast<uint64_t>(P);
+  if (!addressInHeap(Addr, HeapKind::Private))
+    misspecAbort("private_write of a pointer outside the private heap");
+  privateWriteTagged(Addr, Bytes);
+}
+
+inline void Runtime::speculateTrue(bool Cond, const char *What) {
+  if (Mode != ExecMode::SpeculativeWorker)
+    return;
+  if (!Cond)
+    misspecAbort(What);
+}
 
 } // namespace privateer
 

@@ -85,15 +85,51 @@ inline constexpr Transition applyWrite(uint8_t Before, uint8_t CurrentTs) {
   return {CurrentTs, false}; // Overwrite a recent write.
 }
 
-/// Applies the Read rule to \p N consecutive metadata bytes with a
-/// word-at-a-time fast path for the two overwhelmingly common states (all
-/// bytes current-timestamp; all bytes live-in).  Returns false on the
-/// first misspeculating byte.  This is the loop behind private_read — a
-/// few instructions per word in the common case, as the paper requires.
+/// The range rules take whole blocks of this many metadata bytes at a time
+/// while every block is in one common state.
+inline constexpr uint64_t kRangeBlockBytes = 64;
+
+/// Sixteen metadata bytes as two words: GCC and Clang keep it in one SIMD
+/// register where the target has one, and fall back to word pairs where not.
+typedef uint64_t MetaLanes __attribute__((vector_size(16)));
+
+/// The OR over the block at \p Meta of \p F applied to each of its 16-byte
+/// lanes, folded to one word: a branch-free reduction.
+template <typename Fn> inline uint64_t reduceBlock(const uint8_t *Meta, Fn F) {
+  MetaLanes Acc = {0, 0};
+  for (uint64_t J = 0; J < kRangeBlockBytes; J += sizeof(MetaLanes)) {
+    MetaLanes L;
+    __builtin_memcpy(&L, Meta + J, sizeof(L));
+    Acc |= F(L);
+  }
+  return Acc[0] | Acc[1];
+}
+
+/// Applies the Read rule to \p N consecutive metadata bytes.  Whole 64-byte
+/// blocks go first, each tested branch-free by OR-reducing its words: a
+/// block of current timestamps (intra-iteration flow) or of read-live-in
+/// bytes stays as it is, and a block of live-in bytes becomes read-live-in.
+/// From the first mixed block on, a word-at-a-time loop takes the same
+/// three states and hands any other word to the per-byte rule.  Returns
+/// false on the first misspeculating byte, with every byte before it
+/// updated as the per-byte rule would.  This is the loop behind
+/// private_read: a few instructions per block in the common case, as the
+/// paper requires.
 inline bool applyReadRange(uint8_t *Meta, uint64_t N, uint8_t CurrentTs) {
-  const uint64_t TsWord = 0x0101010101010101ULL * CurrentTs;
-  const uint64_t ReadLiveInWord = 0x0101010101010101ULL * kReadLiveIn;
+  const uint64_t TsWord = kByteLowBits * CurrentTs;
+  const uint64_t ReadLiveInWord = kByteLowBits * kReadLiveIn;
   uint64_t I = 0;
+  for (; I + kRangeBlockBytes <= N; I += kRangeBlockBytes) {
+    // Zero exactly when every byte of the block equals Word's.
+    auto Differs = [Block = Meta + I](uint64_t Word) {
+      return reduceBlock(Block, [Word](MetaLanes L) { return L ^ Word; });
+    };
+    if (Differs(TsWord) == 0 || Differs(ReadLiveInWord) == 0)
+      continue; // A read leaves both as they are.
+    if (Differs(0) != 0)
+      break; // A mixed block: the word loop takes it from here.
+    __builtin_memset(Meta + I, kReadLiveIn, kRangeBlockBytes);
+  }
   auto Slow = [&](uint64_t End) {
     for (; I < End; ++I) {
       Transition T = applyRead(Meta[I], CurrentTs);
@@ -104,13 +140,13 @@ inline bool applyReadRange(uint8_t *Meta, uint64_t N, uint8_t CurrentTs) {
     return true;
   };
   uint64_t Head = std::min<uint64_t>(
-      N, (8 - (reinterpret_cast<uintptr_t>(Meta) & 7)) & 7);
+      N, I + ((8 - (reinterpret_cast<uintptr_t>(Meta + I) & 7)) & 7));
   if (!Slow(Head))
     return false;
   while (I + 8 <= N) {
     uint64_t W;
     __builtin_memcpy(&W, Meta + I, 8);
-    if (W == TsWord) { // Intra-iteration flow on every byte.
+    if (W == TsWord || W == ReadLiveInWord) { // Unchanged by a read.
       I += 8;
       continue;
     }
@@ -126,12 +162,26 @@ inline bool applyReadRange(uint8_t *Meta, uint64_t N, uint8_t CurrentTs) {
 }
 
 /// Applies the Write rule to \p N consecutive metadata bytes.  Only a
-/// read-live-in byte refuses a write, so a word without one becomes the
-/// current timestamp whole, whatever earlier iterations left in it.
+/// read-live-in byte refuses a write, so a block or word without one
+/// becomes the current timestamp whole, whatever earlier iterations left in
+/// it.  Whole 64-byte blocks go first, each tested branch-free by OR-ing
+/// its words' zero-byte tests against read-live-in; from the first block
+/// that holds one, the word loop and then the per-byte rule find it.
 /// Returns false on the first misspeculating (read-live-in) byte.
 inline bool applyWriteRange(uint8_t *Meta, uint64_t N, uint8_t CurrentTs) {
-  const uint64_t TsWord = 0x0101010101010101ULL * CurrentTs;
+  const uint64_t TsWord = kByteLowBits * CurrentTs;
+  const uint64_t ReadLiveInWord = kByteLowBits * kReadLiveIn;
   uint64_t I = 0;
+  for (; I + kRangeBlockBytes <= N; I += kRangeBlockBytes) {
+    // wordHasByte's test for read-live-in, OR-ed over the block.
+    uint64_t ZeroBytes = reduceBlock(Meta + I, [=](MetaLanes L) {
+      MetaLanes X = L ^ ReadLiveInWord;
+      return (X - kByteLowBits) & ~X;
+    });
+    if (ZeroBytes & kByteHighBits)
+      break; // A read-live-in byte: the word loop takes it from here.
+    __builtin_memset(Meta + I, CurrentTs, kRangeBlockBytes);
+  }
   auto Slow = [&](uint64_t End) {
     for (; I < End; ++I) {
       Transition T = applyWrite(Meta[I], CurrentTs);
@@ -142,7 +192,7 @@ inline bool applyWriteRange(uint8_t *Meta, uint64_t N, uint8_t CurrentTs) {
     return true;
   };
   uint64_t Head = std::min<uint64_t>(
-      N, (8 - (reinterpret_cast<uintptr_t>(Meta) & 7)) & 7);
+      N, I + ((8 - (reinterpret_cast<uintptr_t>(Meta + I) & 7)) & 7));
   if (!Slow(Head))
     return false;
   while (I + 8 <= N) {

@@ -51,6 +51,10 @@
   X(CheckpointBytesSkipped, Sum, "checkpoint", "bytes_skipped", Worker)        \
   /* Private-heap high water covered by checkpoints. */                        \
   X(PrivateFootprintBytes, Max, "runtime", "private_footprint_bytes", Main)    \
+  /* Minor page faults (first touches, copy-on-write copies): the workers'     \
+     over their period loops, the main process's over its epochs. */           \
+  X(WorkerMinorFaults, Sum, "runtime", "worker_minor_faults", Worker)          \
+  X(MainMinorFaults, Sum, "runtime", "main_minor_faults", Main)                \
   /* Commit pump: slots committed while a worker was alive, epochs cut         \
      short by a commit-time misspec, and the worker iterations those           \
      cut-offs saved. */                                                        \

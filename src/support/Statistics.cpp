@@ -7,8 +7,17 @@
 using namespace privateer;
 
 StatisticRegistry &StatisticRegistry::instance() {
-  static StatisticRegistry Registry;
-  return Registry;
+  // Intentionally leaked, like the trace collector: handles bumped from
+  // static destructors must never find the registry gone.
+  static StatisticRegistry *Registry = new StatisticRegistry;
+  return *Registry;
+}
+
+uint64_t &Statistic::bind() {
+  StatisticRegistry &Reg = StatisticRegistry::instance();
+  Slot = &Reg.counter(Group, Name);
+  Reg.Bound.push_back(this);
+  return *Slot;
 }
 
 uint64_t &StatisticRegistry::counter(const std::string &Group,
@@ -33,6 +42,9 @@ double &StatisticRegistry::real(const std::string &Group,
 }
 
 void StatisticRegistry::reset() {
+  for (Statistic *S : Bound)
+    S->Slot = nullptr;
+  Bound.clear();
   Counters.clear();
   RealCounters.clear();
 }

@@ -6,8 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Clock helpers used by the runtime's overhead accounting (paper Figure 8
-/// categories) and by perfmodel calibration.
+/// Clock and fault-count helpers used by the runtime's overhead accounting
+/// (paper Figure 8 categories) and by perfmodel calibration.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +17,8 @@
 #include <cstdint>
 #include <cstdlib>
 #include <ctime>
+
+#include <sys/resource.h>
 
 namespace privateer {
 
@@ -41,6 +43,14 @@ inline double cpuSeconds() {
   timespec Ts;
   clock_gettime(CLOCK_THREAD_CPUTIME_ID, &Ts);
   return static_cast<double>(Ts.tv_sec) + 1e-9 * Ts.tv_nsec;
+}
+
+/// Minor page faults this process has taken so far: first touches and
+/// copy-on-write copies of mapped pages.
+inline uint64_t minorFaults() {
+  rusage U;
+  getrusage(RUSAGE_SELF, &U);
+  return static_cast<uint64_t>(U.ru_minflt);
 }
 
 /// Multiplier for wall-clock timeouts (watchdog stalls, test deadlines),

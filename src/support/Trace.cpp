@@ -135,6 +135,15 @@ const char *reasonName(Reason R) {
   return "unknown";
 }
 
+namespace {
+
+/// Events recorded per kind, the registry's group "trace".
+constexpr size_t kKinds = static_cast<size_t>(Kind::kNumKinds);
+std::array<Statistic, kKinds> KindCounts = makeStatistics<kKinds>(
+    "trace", [](size_t I) { return kindName(static_cast<Kind>(I)); });
+
+} // namespace
+
 Collector &Collector::instance() {
   // Intentionally leaked: Runtime::shutdown() runs from a static
   // destructor and must be able to flush a still-armed collector, so the
@@ -152,7 +161,7 @@ void Collector::enable(const std::string &NewPath) {
 void Collector::record(const Event &E, const std::string &Note) {
   Kind K = static_cast<Kind>(E.KindCode);
   if (K < Kind::kNumKinds)
-    ++StatisticRegistry::instance().counter("trace", kindName(K));
+    ++KindCounts[E.KindCode];
   if (Path.empty())
     return;
   if (Records.size() >= kMaxRecords) {

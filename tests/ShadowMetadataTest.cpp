@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -133,6 +134,56 @@ TEST_P(RangeFastPathProperty, MatchesPerByteReference) {
     // Prefix bytes before the range must never be touched.
     for (size_t I = 0; I < Pad; ++I)
       ASSERT_EQ(B[I], A[I]);
+  }
+}
+
+// Ranges up to 1 KiB reach the whole-block rules.  Each range is in one
+// state (for reads one code throughout, mostly one the read rule takes
+// whole; for writes any codes but read-live-in) with 0-2 planted bytes of
+// any code, some at offsets 63 and 64 and on the last byte, so a plant
+// lands in the first block, opens the second, or closes the range.
+// Verdict, stop position and every byte, canaries on both sides included,
+// must match the per-byte reference.
+TEST_P(RangeFastPathProperty, BlockRangesMatchPerByteReference) {
+  DeterministicRng Rng(GetParam());
+  constexpr size_t kCanary = 8;
+  for (int Trial = 0; Trial < 400; ++Trial) {
+    size_t N = 1 + Rng.nextBelow(1024);
+    size_t Pad = Trial % 8; // Every start alignment.
+    uint8_t Ts =
+        static_cast<uint8_t>(kFirstTimestamp + 1 + Rng.nextBelow(12));
+    uint8_t Earlier = static_cast<uint8_t>(Ts - 1); // Still a timestamp.
+    bool IsRead = Rng.next() & 1;
+    alignas(64) uint8_t Buf[8 + 1024 + kCanary];
+    std::memset(Buf, 0xEE, sizeof(Buf));
+    uint8_t *Meta = Buf + Pad;
+    // Mostly the three states a read takes whole; now and then a range a
+    // read refuses from its first byte.
+    const uint8_t ReadStates[] = {Ts,          Ts,          kLiveIn,
+                                  kLiveIn,     kReadLiveIn, kReadLiveIn,
+                                  kOldWrite,   Earlier};
+    const uint8_t WriteCodes[] = {kLiveIn, kOldWrite, Ts, Earlier, 255};
+    uint8_t Fill = ReadStates[Rng.nextBelow(8)];
+    for (size_t I = 0; I < N; ++I)
+      Meta[I] = IsRead ? Fill : WriteCodes[Rng.nextBelow(5)];
+    const uint8_t AnyCode[] = {kLiveIn, kOldWrite, kReadLiveIn, Ts, Earlier};
+    for (uint64_t P = Rng.nextBelow(3); P > 0; --P) {
+      size_t Offsets[] = {63, 64, N - 1, Rng.nextBelow(N)};
+      size_t Off = std::min(Offsets[Rng.nextBelow(4)], N - 1);
+      Meta[Off] = AnyCode[Rng.nextBelow(5)];
+    }
+
+    std::vector<uint8_t> Ref(Buf, Buf + sizeof(Buf));
+    std::vector<uint8_t> RefSlice(Ref.begin() + Pad, Ref.begin() + Pad + N);
+    bool RefOk =
+        IsRead ? refReadRange(RefSlice, Ts) : refWriteRange(RefSlice, Ts);
+    std::copy(RefSlice.begin(), RefSlice.end(), Ref.begin() + Pad);
+    bool FastOk = IsRead ? applyReadRange(Meta, N, Ts)
+                         : applyWriteRange(Meta, N, Ts);
+    ASSERT_EQ(FastOk, RefOk) << "trial " << Trial << " N " << N;
+    for (size_t I = 0; I < sizeof(Buf); ++I)
+      ASSERT_EQ(Buf[I], Ref[I]) << "trial " << Trial << " N " << N
+                                << " byte " << I;
   }
 }
 

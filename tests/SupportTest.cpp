@@ -138,6 +138,9 @@ TEST(TableWriterTest, AlignedAndCsv) {
 
 #include <set>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 namespace {
 
 using privateer::HeapKind;
@@ -162,6 +165,38 @@ TEST(Statistics, RegistryCountsHeapAllocations) {
   privateer::h_dealloc(A, HeapKind::Private);
   privateer::h_dealloc(B, HeapKind::Private);
   privateer::h_dealloc(C, HeapKind::Redux);
+  Runtime::get().shutdown();
+  Reg.reset();
+}
+
+// The allocation counter is a handle bound to its registry slot: it counts
+// from zero again after a reset, and a forked child bumps its own copy of
+// the registry, never the parent's.
+TEST(Statistics, HeapAllocCountsRestartAfterReset) {
+  StatisticRegistry &Reg = StatisticRegistry::instance();
+  Runtime::get().initialize();
+  void *A = privateer::h_alloc(16, HeapKind::Private);
+  Reg.reset();
+  EXPECT_FALSE(Reg.contains("heap-alloc", "private"));
+  void *B = privateer::h_alloc(16, HeapKind::Private);
+  EXPECT_EQ(Reg.get("heap-alloc", "private"), 1u);
+
+  pid_t Pid = fork();
+  ASSERT_GE(Pid, 0);
+  if (Pid == 0) {
+    // Alloc and free in pairs: the heap itself is shared with the parent.
+    for (int I = 0; I < 3; ++I)
+      privateer::h_dealloc(privateer::h_alloc(16, HeapKind::Private),
+                           HeapKind::Private);
+    _exit(Reg.get("heap-alloc", "private") == 4 ? 0 : 1);
+  }
+  int Status = 0;
+  ASSERT_EQ(waitpid(Pid, &Status, 0), Pid);
+  EXPECT_TRUE(WIFEXITED(Status) && WEXITSTATUS(Status) == 0);
+  EXPECT_EQ(Reg.get("heap-alloc", "private"), 1u);
+
+  privateer::h_dealloc(A, HeapKind::Private);
+  privateer::h_dealloc(B, HeapKind::Private);
   Runtime::get().shutdown();
   Reg.reset();
 }
